@@ -255,7 +255,7 @@ impl SegmentLogBackend {
             REC_PUT => {
                 let len = d.u32()?;
                 let off = d.position() as u32;
-                d.raw(len as usize)?;
+                d.skip(len as usize)?;
                 Ok(((hash, copy), Some(IndexEntry { seg, off, len })))
             }
             REC_DEL => Ok(((hash, copy), None)),

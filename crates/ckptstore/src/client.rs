@@ -10,6 +10,7 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use sim::{Buggify, Component, ComponentId, Ctx, Engine, Payload, SimDuration, SimTime, Telemetry};
 
@@ -140,12 +141,20 @@ impl StoreClient {
 
     // -- reads & lifecycle --------------------------------------------
 
-    /// Reassembles an image, re-hashing every chunk on the way out. A
-    /// corrupt primary is served from the first intact replica (counted
-    /// in [`StoreClient::repaired_chunks`], with read-repair enqueued);
-    /// the typed error surfaces only when every copy is damaged.
+    /// Reassembles an image into one buffer: the concatenation of
+    /// [`StoreClient::load_image_chunks`], with the same checks.
     pub fn load_image(&self, id: ImageId) -> Result<Vec<u8>, StoreError> {
         self.svc.borrow_mut().load_image(id)
+    }
+
+    /// Loads an image as its verified chunk list (decode it in place
+    /// with [`crate::Dec::chunked`]), re-hashing every chunk on the way
+    /// out. A corrupt primary is served from the first intact replica
+    /// (counted in [`StoreClient::repaired_chunks`], with read-repair
+    /// enqueued); the typed error surfaces only when every copy is
+    /// damaged.
+    pub fn load_image_chunks(&self, id: ImageId) -> Result<Vec<Arc<[u8]>>, StoreError> {
+        self.svc.borrow_mut().load_image_chunks(id)
     }
 
     /// Drops an image, decrementing refcounts and releasing chunks whose

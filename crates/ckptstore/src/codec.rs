@@ -5,7 +5,9 @@
 //! panicking so a truncated or corrupted image surfaces as a typed
 //! error at restore time.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Magic bytes opening every checkpoint image payload.
 pub const IMAGE_MAGIC: [u8; 4] = *b"CKPT";
@@ -22,6 +24,12 @@ pub struct Enc {
 impl Enc {
     pub fn new() -> Self {
         Enc { buf: Vec::new() }
+    }
+
+    /// An encoder whose buffer is allocated once for an image of about
+    /// `bytes` bytes (a capture's previous size is a good guess).
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc { buf: Vec::with_capacity(bytes) }
     }
 
     /// Writes the self-describing image header: magic, version, kind tag.
@@ -67,6 +75,14 @@ impl Enc {
     /// Raw bytes, no length prefix (caller fixes the framing).
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends `n` zero bytes and hands them back for the caller to fill
+    /// in place: one bounds check per record instead of one per field.
+    pub fn tail(&mut self, n: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
     }
 
     /// `u32` length prefix + UTF-8 bytes.
@@ -152,30 +168,101 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Byte-stream decoder over a borrowed image.
+/// Byte-stream decoder over a borrowed image: one contiguous buffer
+/// ([`Dec::new`]) or the verified chunk list a store load hands back
+/// ([`Dec::chunked`]), read as the concatenation of its segments.
+/// Offsets — [`Dec::position`], [`Dec::remaining`], [`Dec::align_to`] and
+/// the `at` of every error — are absolute over the whole image in both
+/// forms, so a decoder cannot tell which one it was given.
 #[derive(Debug, Clone)]
 pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The segment being read and the read offset inside it.
+    cur: &'a [u8],
+    off: usize,
+    /// Segments after `cur`.
+    rest: &'a [Arc<[u8]>],
+    /// Absolute offset of `cur[0]`.
+    base: usize,
+    /// Image length across all segments.
+    total: usize,
 }
 
 impl<'a> Dec<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+        Dec { cur: buf, off: 0, rest: &[], base: 0, total: buf.len() }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() - self.pos < n {
-            return Err(DecodeError::UnexpectedEof { at: self.pos, want: n });
+    /// Decodes the concatenation of `chunks` without building it. Reads
+    /// that fall inside one chunk borrow from it; a fixed-width read that
+    /// straddles a boundary is assembled on the stack.
+    pub fn chunked(chunks: &'a [Arc<[u8]>]) -> Self {
+        let total = chunks.iter().map(|c| c.len()).sum();
+        Dec { cur: &[], off: 0, rest: chunks, base: 0, total }
+    }
+
+    fn eof(&self, want: usize) -> DecodeError {
+        DecodeError::UnexpectedEof { at: self.position(), want }
+    }
+
+    /// Steps over exhausted segments; false once the image is consumed.
+    fn refill(&mut self) -> bool {
+        while self.off == self.cur.len() {
+            let Some((next, rest)) = self.rest.split_first() else { return false };
+            self.base += self.cur.len();
+            self.cur = next;
+            self.off = 0;
+            self.rest = rest;
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        true
+    }
+
+    /// Copies the next `out.len()` bytes, which the caller has checked
+    /// are there, across as many segments as they span.
+    fn copy_across(&mut self, out: &mut [u8]) {
+        let mut filled = 0;
+        while filled < out.len() {
+            let more = self.refill();
+            debug_assert!(more, "caller checked remaining()");
+            let k = (self.cur.len() - self.off).min(out.len() - filled);
+            out[filled..filled + k].copy_from_slice(&self.cur[self.off..self.off + k]);
+            self.off += k;
+            filled += k;
+        }
+    }
+
+    /// A fixed-width field.
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let mut out = [0u8; N];
+        if let Some(s) = self.cur.get(self.off..self.off + N) {
+            out.copy_from_slice(s);
+            self.off += N;
+        } else if self.remaining() < N {
+            return Err(self.eof(N));
+        } else {
+            self.copy_across(&mut out);
+        }
+        Ok(out)
+    }
+
+    /// A variable-length field: borrowed when one segment holds it whole.
+    fn take(&mut self, n: usize) -> Result<Cow<'a, [u8]>, DecodeError> {
+        if self.remaining() < n {
+            return Err(self.eof(n));
+        }
+        self.refill();
+        if self.cur.len() - self.off >= n {
+            let s = &self.cur[self.off..self.off + n];
+            self.off += n;
+            return Ok(Cow::Borrowed(s));
+        }
+        let mut out = vec![0u8; n];
+        self.copy_across(&mut out);
+        Ok(Cow::Owned(out))
     }
 
     /// Checks the self-describing header and the expected kind tag.
     pub fn expect_image(&mut self, kind: &str) -> Result<(), DecodeError> {
-        if self.take(4)? != IMAGE_MAGIC {
+        if self.fixed::<4>()? != IMAGE_MAGIC {
             return Err(DecodeError::BadMagic);
         }
         let v = self.u16()?;
@@ -190,27 +277,27 @@ impl<'a> Dec<'a> {
     }
 
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(self.fixed::<1>()?[0])
     }
 
     pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.fixed()?))
     }
 
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.fixed()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.fixed()?))
     }
 
     pub fn u128(&mut self) -> Result<u128, DecodeError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+        Ok(u128::from_le_bytes(self.fixed()?))
     }
 
     pub fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.fixed()?))
     }
 
     pub fn f64(&mut self) -> Result<f64, DecodeError> {
@@ -218,7 +305,7 @@ impl<'a> Dec<'a> {
     }
 
     pub fn bool(&mut self) -> Result<bool, DecodeError> {
-        let at = self.pos;
+        let at = self.position();
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -226,15 +313,32 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// Raw bytes, no length prefix (mirror of [`Enc::raw`]).
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    /// Raw bytes, no length prefix (mirror of [`Enc::raw`]). Owned only
+    /// when they straddle a segment boundary; use [`Dec::skip`] to
+    /// discard bytes without looking at them.
+    pub fn raw(&mut self, n: usize) -> Result<Cow<'a, [u8]>, DecodeError> {
         self.take(n)
+    }
+
+    /// Discards `n` bytes without touching them.
+    pub fn skip(&mut self, n: usize) -> Result<(), DecodeError> {
+        if self.remaining() < n {
+            return Err(self.eof(n));
+        }
+        let mut left = n;
+        while left > self.cur.len() - self.off {
+            left -= self.cur.len() - self.off;
+            self.off = self.cur.len();
+            self.refill();
+        }
+        self.off += left;
+        Ok(())
     }
 
     pub fn str(&mut self) -> Result<String, DecodeError> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Invalid("non-UTF-8 string"))
+        String::from_utf8(self.take(n)?.into_owned())
+            .map_err(|_| DecodeError::Invalid("non-UTF-8 string"))
     }
 
     /// Sequence length prefix (mirror of [`Enc::seq`]).
@@ -249,21 +353,20 @@ impl<'a> Dec<'a> {
     /// Panics if `align` is zero.
     pub fn align_to(&mut self, align: usize) -> Result<(), DecodeError> {
         assert!(align > 0, "zero alignment");
-        let rem = self.pos % align;
-        if rem != 0 {
-            self.take(align - rem)?;
+        match self.position() % align {
+            0 => Ok(()),
+            rem => self.skip(align - rem),
         }
-        Ok(())
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.total - self.position()
     }
 
     /// Current read offset (for error reporting).
     pub fn position(&self) -> usize {
-        self.pos
+        self.base + self.off
     }
 }
 
@@ -350,6 +453,66 @@ mod tests {
         bytes.truncate(5);
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u64(), Err(DecodeError::UnexpectedEof { at: 0, want: 8 }));
+    }
+
+    #[test]
+    fn chunked_reads_cross_boundaries_with_absolute_offsets() {
+        let mut e = Enc::new();
+        e.u64(0x0102_0304_0506_0708);
+        e.str("straddle");
+        e.raw(&[9; 5]);
+        e.u8(7);
+        e.pad_to(32);
+        let bytes = e.into_bytes();
+        // Cut every 3 bytes, with empty segments thrown in.
+        let mut chunks: Vec<Arc<[u8]>> = vec![Arc::from(&[][..])];
+        for c in bytes.chunks(3) {
+            chunks.push(Arc::from(c));
+            chunks.push(Arc::from(&[][..]));
+        }
+        let mut d = Dec::chunked(&chunks);
+        assert_eq!(d.remaining(), 32);
+        assert_eq!(d.u64().unwrap(), 0x0102_0304_0506_0708);
+        assert_eq!(d.position(), 8);
+        assert_eq!(d.str().unwrap(), "straddle");
+        assert_eq!(&*d.raw(2).unwrap(), &[9, 9]);
+        d.skip(3).unwrap();
+        assert_eq!(d.u8().unwrap(), 7);
+        assert_eq!(d.position(), 26);
+        d.align_to(32).unwrap();
+        assert_eq!((d.position(), d.remaining()), (32, 0));
+        d.skip(0).unwrap();
+        assert_eq!(d.skip(1), Err(DecodeError::UnexpectedEof { at: 32, want: 1 }));
+        assert_eq!(d.u16(), Err(DecodeError::UnexpectedEof { at: 32, want: 2 }));
+
+        // A short read fails where the contiguous decoder fails, and
+        // consumes nothing.
+        let mut d = Dec::chunked(&chunks[..4]);
+        assert_eq!(d.u8().unwrap(), 8);
+        assert_eq!(d.u64(), Err(DecodeError::UnexpectedEof { at: 1, want: 8 }));
+        assert_eq!(d.raw(9).unwrap_err(), DecodeError::UnexpectedEof { at: 1, want: 9 });
+        assert_eq!(d.position(), 1);
+        assert_eq!(Dec::chunked(&[]).u8(), Err(DecodeError::UnexpectedEof { at: 0, want: 1 }));
+    }
+
+    #[test]
+    fn raw_borrows_inside_a_segment_and_owns_across_one() {
+        let chunks: Vec<Arc<[u8]>> = vec![Arc::from(&[1u8, 2, 3][..]), Arc::from(&[4u8, 5][..])];
+        let mut d = Dec::chunked(&chunks);
+        assert!(matches!(d.raw(3).unwrap(), Cow::Borrowed(&[1, 2, 3])));
+        assert!(matches!(d.raw(2).unwrap(), Cow::Borrowed(&[4, 5])));
+        let mut d = Dec::chunked(&chunks);
+        d.skip(1).unwrap();
+        assert_eq!(d.raw(3).unwrap(), Cow::<[u8]>::Owned(vec![2, 3, 4]));
+    }
+
+    #[test]
+    fn tail_appends_a_slice_filled_in_place() {
+        let mut e = Enc::with_capacity(16);
+        e.u8(1);
+        e.tail(4).copy_from_slice(&[2, 3, 4, 5]);
+        assert_eq!(e.tail(2), &[0, 0]);
+        assert_eq!(e.into_bytes(), [1, 2, 3, 4, 5, 0, 0]);
     }
 
     #[test]

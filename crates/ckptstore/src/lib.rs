@@ -68,7 +68,10 @@
 //!
 //! # Integrity
 //!
-//! [`StoreClient::load_image`] re-hashes every chunk on the way out; a
+//! A load re-hashes every chunk on the way out, in one loop with two
+//! shapes of result: [`StoreClient::load_image_chunks`] hands back the
+//! verified chunks themselves, to be decoded in place by
+//! [`Dec::chunked`], and [`StoreClient::load_image`] concatenates them. A
 //! corrupt primary is served from the first intact replica (with
 //! read-repair enqueued), and only when every copy is damaged does the
 //! typed [`StoreError::CorruptChunk`] surface — never a panic — so a

@@ -679,12 +679,19 @@ impl StoreService {
     // Read path.
     // -----------------------------------------------------------------
 
-    /// Reassembles an image, re-hashing every chunk on the way out. A
-    /// chunk whose primary copy is corrupt is served from the first
-    /// intact replica (counted in `repaired_chunks`), and the damaged
-    /// copies it skipped are enqueued for background read-repair; the
-    /// typed error surfaces only when every copy is damaged.
+    /// Reassembles an image into one buffer: the concatenation of
+    /// [`StoreService::load_image_chunks`], which does all the checking.
     pub fn load_image(&mut self, id: ImageId) -> Result<Vec<u8>, StoreError> {
+        Ok(self.load_image_chunks(id)?.concat())
+    }
+
+    /// Loads an image as its chunk list, re-hashing every chunk on the
+    /// way out and handing back the very buffers it verified. A chunk
+    /// whose primary copy is corrupt is served from the first intact
+    /// replica (counted in `repaired_chunks`), and the damaged copies it
+    /// skipped are enqueued for background read-repair; the typed error
+    /// surfaces only when every copy is damaged.
+    pub fn load_image_chunks(&mut self, id: ImageId) -> Result<Vec<Arc<[u8]>>, StoreError> {
         // Buggified slow get: the store has no clock, so the latency debt
         // accumulates for the timed caller to drain (`take_get_penalty_ns`).
         if buggify!(self.buggify, bg_points::STORE_GET_SLOW) {
@@ -697,7 +704,7 @@ impl StoreService {
         }
         let Some(m) = self.images.get(&id.0) else { return Err(StoreError::UnknownImage(id)) };
         let n_shards = self.shards.len();
-        let mut out = Vec::with_capacity(m.logical_len as usize);
+        let mut out = Vec::with_capacity(m.chunks.len());
         let mut served_from_replica = 0u64;
         let mut read_repairs: Vec<RepairTask> = Vec::new();
         for (i, h) in m.chunks.iter().enumerate() {
@@ -734,7 +741,7 @@ impl StoreService {
                             read_repairs.push(RepairTask { hash: *h, copy: bad });
                         }
                     }
-                    out.extend_from_slice(&copy);
+                    out.push(copy);
                 }
                 None => {
                     return Err(StoreError::CorruptChunk {
@@ -746,7 +753,11 @@ impl StoreService {
                 }
             }
         }
-        debug_assert_eq!(out.len() as u64, self.images[&id.0].logical_len, "manifest drifted");
+        debug_assert_eq!(
+            out.iter().map(|c| c.len() as u64).sum::<u64>(),
+            self.images[&id.0].logical_len,
+            "manifest drifted"
+        );
         self.repaired += served_from_replica;
         if let Some(t) = &self.tele {
             t.t.add(t.repairs, served_from_replica);

@@ -7,6 +7,7 @@
 
 use ckptstore::{ChunkStore, Dec, DecodeError, Enc, ImageId, StoreError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 struct Rng(u64);
 
@@ -116,10 +117,12 @@ fn encode(fields: &[Field], e: &mut Enc) {
     }
 }
 
-fn decode(d: &mut Dec<'_>) -> Result<Vec<Field>, DecodeError> {
+/// Decodes a field list, noting `position()` after every field.
+fn decode(d: &mut Dec<'_>, positions: &mut Vec<usize>) -> Result<Vec<Field>, DecodeError> {
     let n = d.seq()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
+        positions.push(d.position());
         out.push(match d.u8()? {
             0 => Field::U8(d.u8()?),
             1 => Field::U16(d.u16()?),
@@ -163,13 +166,81 @@ fn codec_round_trips_randomized_state() {
 
         let mut d = Dec::new(&bytes);
         d.expect_image("test.state").unwrap();
-        assert_eq!(decode(&mut d).unwrap(), fields, "case {case}: direct");
+        let mut positions = Vec::new();
+        assert_eq!(decode(&mut d, &mut positions).unwrap(), fields, "case {case}: direct");
 
-        // Same bytes through a chunked, content-addressed store.
+        // Same bytes through a chunked, content-addressed store, as one
+        // buffer and as the chunk list decoded in place.
         let s = ChunkStore::builder().build();
         let r = s.put_image(&bytes);
         let loaded = s.load_image(r.image).unwrap();
         assert_eq!(loaded, bytes, "case {case}: store round trip");
+        let chunks = s.load_image_chunks(r.image).unwrap();
+        let mut d = Dec::chunked(&chunks);
+        d.expect_image("test.state").unwrap();
+        let mut chunked_positions = Vec::new();
+        assert_eq!(decode(&mut d, &mut chunked_positions).unwrap(), fields, "case {case}");
+        assert_eq!(chunked_positions, positions, "case {case}: store chunks");
+    }
+}
+
+fn cut(bytes: &[u8], size: usize) -> Vec<Arc<[u8]>> {
+    bytes.chunks(size).map(Arc::from).collect()
+}
+
+/// A decoder cannot tell a chunk list from the buffer it concatenates
+/// to: every cut size yields the same fields, the same `position()`
+/// after every field, and — on any truncation — the same typed error.
+#[test]
+fn chunked_decoder_matches_contiguous_at_every_cut() {
+    for case in 0..60u64 {
+        let mut g = Rng(0x5E6_0000 + case);
+        let n = g.below(60) as usize + 1;
+        let fields: Vec<Field> = (0..n).map(|_| random_field(&mut g)).collect();
+        let mut e = Enc::new();
+        encode(&fields, &mut e);
+        let bytes = e.into_bytes();
+
+        let mut positions = Vec::new();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(decode(&mut d, &mut positions).unwrap(), fields);
+        let end = (d.position(), d.remaining());
+
+        for size in [1, 3, 7, 4096, bytes.len()] {
+            let chunks = cut(&bytes, size);
+            let mut d = Dec::chunked(&chunks);
+            let mut got = Vec::new();
+            assert_eq!(decode(&mut d, &mut got).unwrap(), fields, "case {case} cut {size}");
+            assert_eq!(got, positions, "case {case} cut {size}");
+            assert_eq!((d.position(), d.remaining()), end, "case {case} cut {size}");
+        }
+
+        // Truncations: all of a short image, a sample of a long one.
+        let step = (bytes.len() / 64).max(1);
+        for len in (0..bytes.len()).step_by(step) {
+            let want = decode(&mut Dec::new(&bytes[..len]), &mut Vec::new());
+            assert!(want.is_err(), "case {case}: prefix {len} decoded");
+            for size in [1, 7, 4096] {
+                let chunks = cut(&bytes[..len], size);
+                let got = decode(&mut Dec::chunked(&chunks), &mut Vec::new());
+                assert_eq!(got, want, "case {case} prefix {len} cut {size}");
+            }
+        }
+    }
+}
+
+/// `load_image` is the concatenation of `load_image_chunks`, at the
+/// sizes where chunking has edges.
+#[test]
+fn contiguous_load_is_the_concatenation_of_the_chunk_list() {
+    let store = ChunkStore::builder().chunk_size(256).build();
+    for len in [0usize, 1, 256, 257] {
+        let img: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+        let id = store.put_image(&img).image;
+        let chunks = store.load_image_chunks(id).unwrap();
+        assert_eq!(chunks.len(), len.div_ceil(256), "len {len}");
+        assert_eq!(chunks.concat(), img, "len {len}");
+        assert_eq!(store.load_image(id).unwrap(), img, "len {len}");
     }
 }
 

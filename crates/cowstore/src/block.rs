@@ -352,14 +352,15 @@ impl DeltaMap {
 /// Writes one data-section block record: the fingerprint plus a
 /// SplitMix64 fill expanded from it, exactly `block_size` bytes total.
 fn synth_block_record(e: &mut Enc, fp: u64, block_size: u32) {
-    e.u64(fp);
+    let mut words = e.tail(block_size as usize).chunks_exact_mut(8);
+    words.next().expect("block_size >= 16").copy_from_slice(&fp.to_le_bytes());
     let mut state = fp;
-    for _ in 0..(block_size as usize / 8 - 1) {
+    for word in words {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        e.u64(z ^ (z >> 31));
+        word.copy_from_slice(&(z ^ (z >> 31)).to_le_bytes());
     }
 }
 
@@ -367,7 +368,7 @@ fn synth_block_record(e: &mut Enc, fp: u64, block_size: u32) {
 /// skipped — the store's content hash already guards its integrity.
 fn read_block_record(d: &mut Dec<'_>, block_size: u32) -> Result<u64, DecodeError> {
     let fp = d.u64()?;
-    d.raw(block_size as usize - 8)?;
+    d.skip(block_size as usize - 8)?;
     Ok(fp)
 }
 
@@ -500,6 +501,33 @@ mod tests {
         // Data sections start at the first 4096 boundary; the parent's
         // whole data section is a prefix of the child's.
         assert_eq!(pb[4096..], cb[4096..4096 + (pb.len() - 4096)]);
+    }
+
+    #[test]
+    fn block_record_bytes_match_the_field_by_field_encoding() {
+        // The reference: one `Enc::u64` push per word.
+        fn by_words(e: &mut Enc, fp: u64, block_size: u32) {
+            e.u64(fp);
+            let mut state = fp;
+            for _ in 0..(block_size as usize / 8 - 1) {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                e.u64(z ^ (z >> 31));
+            }
+        }
+        for block_size in [16u32, 48, 4096] {
+            let (mut got, mut want) = (Enc::new(), Enc::new());
+            for e in [&mut got, &mut want] {
+                e.u8(0xEE); // Records need not start aligned.
+            }
+            for fp in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
+                synth_block_record(&mut got, fp, block_size);
+                by_words(&mut want, fp, block_size);
+            }
+            assert_eq!(got.into_bytes(), want.into_bytes(), "block size {block_size}");
+        }
     }
 
     #[test]

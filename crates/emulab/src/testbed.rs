@@ -627,10 +627,10 @@ impl Testbed {
         if let Some(sw) = state {
             for nspec in &spec.nodes {
                 let st = sw.node_state(&nspec.name);
-                let bytes = self.fs_store.load_image(st.image_id).map_err(|e| {
+                let chunks = self.fs_store.load_image_chunks(st.image_id).map_err(|e| {
                     SwapError::StateLoad { node: nspec.name.clone(), source: e }
                 })?;
-                let mut d = Dec::new(&bytes);
+                let mut d = Dec::chunked(&chunks);
                 d.expect_image(crate::swap::SWAP_IMAGE_KIND)
                     .map_err(|e| SwapError::StateDecode {
                         node: nspec.name.clone(),

@@ -203,6 +203,17 @@ impl TimeTravelTree {
         &self.store
     }
 
+    /// Capacity hint for node `node`'s next capture: the encoded size of
+    /// its image in the snapshot the running execution branched from
+    /// (0 before the first snapshot).
+    pub(crate) fn node_payload_hint(&self, node: usize) -> usize {
+        self.current
+            .and_then(|cur| self.snaps[cur.0].as_ref())
+            .and_then(|s| s.node_images.get(node))
+            .and_then(|id| self.store.image_len(*id).ok())
+            .map_or(0, |len| len as usize)
+    }
+
     /// Stores a new snapshot's payloads and makes it current.
     pub(crate) fn insert(
         &mut self,
@@ -311,14 +322,14 @@ impl Testbed {
         let node_hosts: Vec<sim::ComponentId> =
             self.experiment(exp).nodes.iter().map(|n| n.host).collect();
         let mut node_payloads = Vec::new();
-        for host in &node_hosts {
+        for (i, host) in node_hosts.iter().enumerate() {
             let h = self
                 .engine
                 .component_ref::<VmHost>(*host)
                 .expect("host exists");
             let image = h.last_image().expect("suspend captured");
             let mut residue = GuestResidue::new();
-            let mut e = Enc::new();
+            let mut e = Enc::with_capacity(self.experiment(exp).tt.node_payload_hint(i));
             e.begin_image(NODE_IMAGE_KIND);
             image.encode_wire(&mut e, &mut residue);
             h.store().encode_wire(&mut e);
@@ -372,10 +383,10 @@ impl Testbed {
     }
 
     /// Fallible [`Testbed::travel_to`]: loads the snapshot's images from
-    /// the dedup store (re-hashing every chunk), decodes them, and only
-    /// then quiesces and restores the experiment — a corrupt or malformed
-    /// snapshot returns a typed error and leaves the running execution
-    /// untouched.
+    /// the dedup store (re-hashing every chunk), decodes them straight
+    /// out of the verified chunks, and only then quiesces and restores the
+    /// experiment — a corrupt or malformed snapshot returns a typed error
+    /// and leaves the running execution untouched.
     pub fn try_travel_to(
         &mut self,
         exp: &str,
@@ -389,8 +400,8 @@ impl Testbed {
             let mut images = Vec::with_capacity(s.node_images.len());
             let mut stores = Vec::with_capacity(s.node_images.len());
             for (i, id) in s.node_images.iter().enumerate() {
-                let bytes = store.load_image(*id)?;
-                let mut d = Dec::new(&bytes);
+                let chunks = store.load_image_chunks(*id)?;
+                let mut d = Dec::chunked(&chunks);
                 d.expect_image(NODE_IMAGE_KIND)?;
                 let image = DomainImage::decode_wire(&mut d, &s.node_residues[i])?;
                 let golden = self.golden_image(&experiment.spec.nodes[i].image);
@@ -407,10 +418,16 @@ impl Testbed {
             for id in &s.dn_images {
                 dn_images.push(match id {
                     Some(id) => {
-                        let bytes = store.load_image(*id)?;
-                        let mut d = Dec::new(&bytes);
+                        let chunks = store.load_image_chunks(*id)?;
+                        let mut d = Dec::chunked(&chunks);
                         d.expect_image(DN_IMAGE_KIND)?;
-                        Some(DummynetImage::decode_wire(&mut d, &s.frames)?)
+                        let image = DummynetImage::decode_wire(&mut d, &s.frames)?;
+                        if d.remaining() != 0 {
+                            return Err(TimeTravelError::Decode(DecodeError::Invalid(
+                                "trailing bytes after delay-node snapshot",
+                            )));
+                        }
+                        Some(image)
                     }
                     None => None,
                 });
@@ -614,8 +631,9 @@ mod tests {
     }
 
     use crate::ExperimentSpec;
+    use guestos::prog::FileId;
     use sim::SimDuration;
-    use workloads::{IperfReceiver, IperfSender, UsleepLoop};
+    use workloads::{FileWriter, IperfReceiver, IperfSender, UsleepLoop};
 
     /// Builds a 2-node TCP experiment with packet tracing on both kernels
     /// and a warm iperf stream.
@@ -733,32 +751,102 @@ mod tests {
         assert_eq!(obs_a.3, obs_b.3, "node b packet traces diverged");
     }
 
-    /// A flipped bit in a stored chunk surfaces as a typed
-    /// [`TimeTravelError::Corrupt`] from `try_travel_to` — and the
-    /// running execution is left untouched and keeps running.
+    /// Bytes after a well-formed image are a typed decode error on the
+    /// delay-node path exactly as on the node path.
     #[test]
-    fn corrupt_snapshot_rejected_without_disturbing_execution() {
-        let mut tb = Testbed::new(91, 4);
+    fn trailing_bytes_rejected_after_node_and_delay_node_images() {
+        let mut tb = live_tcp_testbed(94);
+        let snap = tb.snapshot("det", "s");
+        // Re-stores image `id` with one byte appended.
+        let lengthened = |tb: &Testbed, id: ImageId| {
+            let store = tb.experiment("det").tt.store();
+            let mut bytes = store.load_image(id).unwrap();
+            bytes.push(0);
+            store.put_image(&bytes).image
+        };
+        fn stored(tb: &mut Testbed, snap: SnapshotId) -> &mut Snapshot {
+            tb.experiments_mut("det").tt.snaps[snap.0].as_mut().expect("live snapshot")
+        }
+
+        let dn = stored(&mut tb, snap).dn_images[0].expect("the shaped link has a delay node");
+        let long_dn = lengthened(&tb, dn);
+        stored(&mut tb, snap).dn_images[0] = Some(long_dn);
+        assert_eq!(
+            tb.try_travel_to("det", snap),
+            Err(TimeTravelError::Decode(DecodeError::Invalid(
+                "trailing bytes after delay-node snapshot"
+            )))
+        );
+        stored(&mut tb, snap).dn_images[0] = Some(dn);
+
+        let node = stored(&mut tb, snap).node_images[1];
+        let long_node = lengthened(&tb, node);
+        stored(&mut tb, snap).node_images[1] = long_node;
+        assert_eq!(
+            tb.try_travel_to("det", snap),
+            Err(TimeTravelError::Decode(DecodeError::Invalid(
+                "trailing bytes after node snapshot"
+            )))
+        );
+        stored(&mut tb, snap).node_images[1] = node;
+
+        tb.try_travel_to("det", snap).expect("the stored snapshot itself is intact");
+    }
+
+    /// One node running a sleep loop, with enough file data written that
+    /// its image has a block data section, snapshotted once.
+    fn snapshotted_node(seed: u64, replication: usize) -> (Testbed, guestos::Tid, SnapshotId) {
+        let mut tb = Testbed::new(seed, 4);
         tb.swap_in(ExperimentSpec::new("c").node("n")).expect("swap-in");
         tb.run_for(SimDuration::from_secs(5));
         let tid = tb.spawn("c", "n", Box::new(UsleepLoop::new(10_000_000, 1_000_000)));
+        tb.spawn("c", "n", Box::new(FileWriter::new(FileId(1), 256 << 10)));
         tb.run_for(SimDuration::from_secs(2));
+        tb.experiment("c").tt.store().set_replication(replication);
         let snap = tb.snapshot("c", "s");
         tb.run_for(SimDuration::from_secs(1));
+        (tb, tid, snap)
+    }
 
-        let img = tb.experiment("c").tt.get(snap).node_images[0];
-        assert!(
-            tb.experiment("c").tt.store().corrupt_chunk(img, 0, 7).is_ok(),
-            "corruption injected"
-        );
-        let err = tb.try_travel_to("c", snap).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                TimeTravelError::Corrupt(StoreError::CorruptChunk { chunk_index: 0, .. })
-            ),
-            "got {err}"
-        );
+    /// The chunks of a snapshot's (single) node image.
+    fn node_image_chunks(tb: &Testbed, snap: SnapshotId) -> (ImageId, Vec<Vec<u8>>) {
+        let tt = &tb.experiment("c").tt;
+        let img = tt.get(snap).node_images[0];
+        let bytes = tt.store().load_image(img).unwrap();
+        (img, bytes.chunks(tt.store().chunk_size()).map(<[u8]>::to_vec).collect())
+    }
+
+    /// A flipped bit in any stored chunk of a node image — the first,
+    /// the last, the one where the block store's metadata ends and its
+    /// data section begins, and every other — surfaces as a typed
+    /// [`TimeTravelError::Corrupt`] from `try_travel_to` naming that
+    /// chunk, and the running execution is left untouched and keeps
+    /// running.
+    #[test]
+    fn corrupt_snapshot_rejected_without_disturbing_execution() {
+        let (mut tb, tid, snap) = snapshotted_node(91, 1);
+        let (img, chunks) = node_image_chunks(&tb, snap);
+        assert!(chunks.len() > 64, "metadata chunks and a data section");
+        let store = tb.experiment("c").tt.store().clone();
+        for (i, chunk) in chunks.iter().enumerate() {
+            // Identical chunks are stored once: the load trips over the
+            // damage at the first index that references it.
+            let first = chunks.iter().position(|c| c == chunk).unwrap();
+            assert!(store.corrupt_chunk(img, i, 7).is_ok(), "corruption injected");
+            let err = tb.try_travel_to("c", snap).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    TimeTravelError::Corrupt(StoreError::CorruptChunk { chunk_index, .. })
+                        if chunk_index == first
+                ),
+                "chunk {i}: got {err}"
+            );
+            // The flip is an XOR: the same call undoes it.
+            assert!(store.corrupt_chunk(img, i, 7).is_ok());
+        }
+        assert!(store.corrupt_chunk(img, 0, 7).is_ok());
+        assert!(tb.try_travel_to("c", snap).is_err());
         // Unknown snapshots are typed too.
         assert!(matches!(
             tb.try_travel_to("c", SnapshotId(42)),
@@ -837,25 +925,25 @@ mod tests {
         assert!(samples(&tb) > before + 50, "restored execution runs");
     }
 
-    /// With redundancy 2 a corrupt primary chunk is repaired from its
-    /// replica transparently: the travel succeeds on the damaged
-    /// snapshot itself.
+    /// With redundancy 2 a corrupt primary chunk — any chunk of the
+    /// image — is served from its replica transparently: the travel
+    /// succeeds on the damaged snapshot itself, the repair is counted,
+    /// and the damaged copy is queued for read-repair.
     #[test]
     fn redundancy_two_repairs_snapshot_transparently() {
-        let mut tb = Testbed::new(93, 4);
-        tb.swap_in(ExperimentSpec::new("c").node("n")).expect("swap-in");
-        tb.run_for(SimDuration::from_secs(5));
-        tb.spawn("c", "n", Box::new(UsleepLoop::new(10_000_000, 1_000_000)));
-        tb.run_for(SimDuration::from_secs(2));
-        tb.experiment("c").tt.store().set_replication(2);
-        let snap = tb.snapshot("c", "s");
-        tb.run_for(SimDuration::from_secs(1));
-
-        let img = tb.experiment("c").tt.get(snap).node_images[0];
-        let store = tb.experiment("c").tt.store();
-        assert!(store.corrupt_primary(img, 0, 7).is_ok());
-        tb.try_travel_to("c", snap).expect("replica repairs the load");
-        let store = tb.experiment("c").tt.store();
-        assert!(store.repaired_chunks() >= 1, "repair actually happened");
+        let (mut tb, _, snap) = snapshotted_node(93, 2);
+        let (img, chunks) = node_image_chunks(&tb, snap);
+        let store = tb.experiment("c").tt.store().clone();
+        for (i, chunk) in chunks.iter().enumerate() {
+            let references = chunks.iter().filter(|c| *c == chunk).count() as u64;
+            assert!(store.corrupt_primary(img, i, 7).is_ok());
+            let before = store.repaired_chunks();
+            tb.try_travel_to("c", snap).expect("replica repairs the load");
+            assert_eq!(store.repaired_chunks(), before + references, "chunk {i}");
+            let queued = store.pending_repairs();
+            assert_eq!(queued.len(), 1, "chunk {i}: read-repair queued");
+            assert_eq!(queued[0].copy, 0, "chunk {i}: the primary is what gets rewritten");
+            assert_eq!(store.drain_repairs().0, 1, "chunk {i}: healed before the next flip");
+        }
     }
 }
