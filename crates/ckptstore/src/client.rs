@@ -16,11 +16,12 @@ use sim::{Buggify, Component, ComponentId, Ctx, Engine, Payload, SimDuration, Si
 
 use crate::error::StoreError;
 use crate::service::{
-    CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, StoreService, TimedPut,
+    CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, StoreBuilder,
+    StoreService, TimedPut,
 };
 
 /// Cheap-`Clone` handle to a sharded store service. Build one with
-/// [`ChunkStore::builder`](crate::ChunkStore::builder).
+/// [`StoreClient::builder`].
 #[derive(Clone)]
 pub struct StoreClient {
     svc: Rc<RefCell<StoreService>>,
@@ -28,10 +29,9 @@ pub struct StoreClient {
 
 impl Default for StoreClient {
     /// A single-shard, replication-1, in-memory store with the default
-    /// chunk size — the observable behavior of the old bare
-    /// `ChunkStore::new()`.
+    /// chunk size.
     fn default() -> Self {
-        crate::ChunkStore::builder().build()
+        Self::builder().build()
     }
 }
 
@@ -48,6 +48,12 @@ impl fmt::Debug for StoreClient {
 }
 
 impl StoreClient {
+    /// Configures a sharded, replicated store; `build()` returns the
+    /// handle to drive it with.
+    pub fn builder() -> StoreBuilder {
+        StoreBuilder::default()
+    }
+
     pub(crate) fn from_service(svc: StoreService) -> Self {
         StoreClient { svc: Rc::new(RefCell::new(svc)) }
     }
@@ -219,18 +225,6 @@ impl StoreClient {
     /// Synchronously drains the whole repair queue.
     pub fn drain_repairs(&self) -> (u64, u64) {
         self.svc.borrow_mut().drain_repairs()
-    }
-
-    /// Schedules and synchronously drains a scrub pass; returns distinct
-    /// chunks healed (the legacy `scrub()` contract).
-    pub fn scrub_now(&self) -> u64 {
-        self.svc.borrow_mut().scrub_now()
-    }
-
-    /// Raises under-replicated chunks through the repair queue and
-    /// drains it; returns distinct chunks that gained a copy.
-    pub fn rebuild_redundancy(&self) -> u64 {
-        self.svc.borrow_mut().rebuild_redundancy()
     }
 
     /// Tasks currently waiting on the repair queue (oldest first) — the

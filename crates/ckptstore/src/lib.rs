@@ -15,21 +15,17 @@
 //!
 //! # Service architecture (DESIGN.md §10)
 //!
-//! Storage runs as a [`StoreService`](service::StoreService) of N
-//! hash-partitioned shards — FNV-1a over the chunk's content hash picks
-//! the home shard ([`shard_of`]), replica copy `r` strides to
-//! `(home + r) % N` — each shard wrapping one pluggable [`ChunkBackend`]
-//! ([`MemBackend`] or the append-only [`SegmentLogBackend`] that
-//! rebuilds its index from [`SegmentMedia`] on open). All access goes
-//! through the cheap-`Clone` [`StoreClient`] handle built by
-//! [`ChunkStore::builder`]; puts fan chunk batches out to shards with
+//! Storage runs as a service of N hash-partitioned shards — FNV-1a over
+//! the chunk's content hash picks the home shard ([`shard_of`]), replica
+//! copy `r` strides to `(home + r) % N` — each shard wrapping one
+//! pluggable [`ChunkBackend`] ([`MemBackend`] or the append-only
+//! [`SegmentLogBackend`] that rebuilds its index from [`SegmentMedia`] on
+//! open). The service itself is private: all access goes through the
+//! cheap-`Clone` [`StoreClient`] handle built by
+//! [`StoreClient::builder`]; puts fan chunk batches out to shards with
 //! R-copy replication and quorum-ack commit, and copies that fail past
 //! the quorum land on a gossip repair queue drained by per-shard
 //! [`ShardWorker`] components on the sim engine.
-//!
-//! The legacy single-struct [`ChunkStore`] remains as a facade with the
-//! same observable semantics (its direct constructors and `&mut self`
-//! put paths are deprecated).
 //!
 //! # Image format
 //!
@@ -85,8 +81,7 @@ mod client;
 mod codec;
 mod error;
 mod hash;
-pub mod service;
-mod store;
+mod service;
 
 pub use backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
 pub use client::{ShardWorker, StoreClient};
@@ -97,4 +92,8 @@ pub use service::{
     shard_of, CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, StoreBuilder,
     StorePolicy, TimedPut, DEFAULT_CHUNK_SIZE, MAX_REPLICATION,
 };
-pub use store::ChunkStore;
+
+/// The client handle under its pre-service name. Exists only because
+/// `benchmark/` calls `ChunkStore::builder()` and may not change in the
+/// PR that removed the facade; in-tree code says [`StoreClient`].
+pub type ChunkStore = StoreClient;

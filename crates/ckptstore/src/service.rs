@@ -272,7 +272,7 @@ struct Shard {
 }
 
 /// The sharded store service. Not used directly — construct through
-/// [`ChunkStore::builder`](crate::ChunkStore::builder) and drive it via
+/// [`StoreClient::builder`](crate::StoreClient::builder) and drive it via
 /// [`StoreClient`](crate::StoreClient).
 pub struct StoreService {
     chunk_size: usize,
@@ -874,11 +874,6 @@ impl StoreService {
         if buggify!(self.buggify, bg_points::STORE_SCRUB_SKIP) {
             return 0;
         }
-        self.scan_damage()
-    }
-
-    /// The skip-free damage scan behind [`StoreService::schedule_scrub`].
-    fn scan_damage(&mut self) -> u64 {
         let n_shards = self.shards.len();
         let mut tasks: Vec<RepairTask> = Vec::new();
         for (h, meta) in &self.chunks {
@@ -1033,43 +1028,6 @@ impl StoreService {
         (healed, added)
     }
 
-    /// A full synchronous scrub pass through the repair queue: schedules
-    /// damage found by the hash-order scan, then drains everything.
-    /// Returns the distinct chunks that had a damaged copy rewritten —
-    /// the contract of the deprecated `ChunkStore::scrub`. A buggified
-    /// skipped pass schedules nothing and drains nothing.
-    pub fn scrub_now(&mut self) -> u64 {
-        if buggify!(self.buggify, bg_points::STORE_SCRUB_SKIP) {
-            return 0;
-        }
-        self.scan_damage();
-        let mut healed_chunks: HashSet<u128> = HashSet::new();
-        while let Some(task) = self.repair_q.pop_front() {
-            self.queued.remove(&(task.hash.0, task.copy));
-            if matches!(self.resolve_task(task, None), TaskOutcome::Healed) {
-                healed_chunks.insert(task.hash.0);
-            }
-        }
-        healed_chunks.len() as u64
-    }
-
-    /// Raises under-replicated chunks through the gossip-repair queue
-    /// and drains it synchronously. Returns the distinct chunks that
-    /// actually gained a copy — the contract of the deprecated
-    /// `ChunkStore::rebuild_redundancy`; chunks with no intact source
-    /// are dropped by the pump, not counted.
-    pub fn rebuild_redundancy(&mut self) -> u64 {
-        self.schedule_redundancy_rebuild();
-        let mut gained: HashSet<u128> = HashSet::new();
-        while let Some(task) = self.repair_q.pop_front() {
-            self.queued.remove(&(task.hash.0, task.copy));
-            if matches!(self.resolve_task(task, None), TaskOutcome::Added) {
-                gained.insert(task.hash.0);
-            }
-        }
-        gained.len() as u64
-    }
-
     // -----------------------------------------------------------------
     // Corruption hooks (fault-injection surface for swap/explorer paths
     // and tests).
@@ -1154,7 +1112,7 @@ enum BackendChoice {
 
 /// Configures and builds a sharded store, returning the cheap-`Clone`
 /// [`StoreClient`](crate::StoreClient) handle every caller goes
-/// through. Obtained via [`ChunkStore::builder`](crate::ChunkStore::builder).
+/// through. Obtained via [`StoreClient::builder`](crate::StoreClient::builder).
 pub struct StoreBuilder {
     chunk_size: usize,
     shards: usize,

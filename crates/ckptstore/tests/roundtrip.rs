@@ -5,7 +5,7 @@
 //! Uses a local SplitMix64 so the crate stays dependency-free; every
 //! case is deterministic in its index.
 
-use ckptstore::{ChunkStore, Dec, DecodeError, Enc, ImageId, StoreError};
+use ckptstore::{Dec, DecodeError, Enc, ImageId, StoreClient, StoreError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -171,7 +171,7 @@ fn codec_round_trips_randomized_state() {
 
         // Same bytes through a chunked, content-addressed store, as one
         // buffer and as the chunk list decoded in place.
-        let s = ChunkStore::builder().build();
+        let s = StoreClient::builder().build();
         let r = s.put_image(&bytes);
         let loaded = s.load_image(r.image).unwrap();
         assert_eq!(loaded, bytes, "case {case}: store round trip");
@@ -233,7 +233,7 @@ fn chunked_decoder_matches_contiguous_at_every_cut() {
 /// sizes where chunking has edges.
 #[test]
 fn contiguous_load_is_the_concatenation_of_the_chunk_list() {
-    let store = ChunkStore::builder().chunk_size(256).build();
+    let store = StoreClient::builder().chunk_size(256).build();
     for len in [0usize, 1, 256, 257] {
         let img: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
         let id = store.put_image(&img).image;
@@ -251,7 +251,7 @@ fn contiguous_load_is_the_concatenation_of_the_chunk_list() {
 fn store_matches_model_under_random_churn() {
     for case in 0..100u64 {
         let mut g = Rng(0x57_04E + case);
-        let s = ChunkStore::builder().chunk_size(256).build();
+        let s = StoreClient::builder().chunk_size(256).build();
         let mut model: HashMap<ImageId, Vec<u8>> = HashMap::new();
         let mut live: Vec<ImageId> = Vec::new();
         // A shared "base" most images derive from, so dedup paths get
@@ -304,7 +304,7 @@ fn store_matches_model_under_random_churn() {
 fn corruption_injection_always_detected() {
     for case in 0..100u64 {
         let mut g = Rng(0xBAD_B17 + case);
-        let s = ChunkStore::builder().chunk_size(128).build();
+        let s = StoreClient::builder().chunk_size(128).build();
         let len = g.below(4000) as usize + 100;
         let img: Vec<u8> = (0..len).map(|_| g.next() as u8).collect();
         let r = s.put_image(&img);

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use ckptstore::{
-    chunk_hash, shard_of, ChunkBackend, ChunkStore, MemBackend, PutReport, RepairStats,
+    chunk_hash, shard_of, ChunkBackend, MemBackend, PutReport, RepairStats,
     SegmentLogBackend, SegmentMedia, StoreClient,
 };
 use sim::buggify::{points, Buggify, Preset};
@@ -43,7 +43,7 @@ struct RunTrace {
 }
 
 fn seeded_run(seed: u64) -> RunTrace {
-    let client: StoreClient = ChunkStore::builder()
+    let client: StoreClient = StoreClient::builder()
         .chunk_size(CHUNK)
         .shards(SHARDS)
         .replication(3)
@@ -114,7 +114,7 @@ fn repair_workers_drain_identically_across_engines() {
     let run = |seed: u64| {
         let mut engine = sim::Engine::new(seed);
         let client: StoreClient =
-            ChunkStore::builder().chunk_size(CHUNK).shards(SHARDS).replication(3).build();
+            StoreClient::builder().chunk_size(CHUNK).shards(SHARDS).replication(3).build();
         let bg = Buggify::armed(seed, Preset::Moderate);
         bg.force(points::STORE_SHARD_FAIL, 0.3);
         client.attach_buggify(&bg);
@@ -189,14 +189,14 @@ fn segment_log_reopen_matches_mem_backend() {
 #[test]
 fn service_over_segment_log_survives_reopen() {
     let media: Vec<SegmentMedia> = (0..2).map(|_| SegmentMedia::new()).collect();
-    let seglog: StoreClient = ChunkStore::builder()
+    let seglog: StoreClient = StoreClient::builder()
         .chunk_size(CHUNK)
         .shards(2)
         .replication(2)
         .backend_segment_log_media(media.clone())
         .build();
     let mem: StoreClient =
-        ChunkStore::builder().chunk_size(CHUNK).shards(2).replication(2).build();
+        StoreClient::builder().chunk_size(CHUNK).shards(2).replication(2).build();
 
     let mut g = Rng(0xFEED);
     let image: Vec<u8> = (0..CHUNK * 40).map(|_| g.next() as u8).collect();

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use checkpoint::{CheckpointAgent, Coordinator, DelayNodeHost, GroupId, OutPort, Strategy, Wal};
-use ckptstore::{CaptureCache, ChunkStore, Dec, PutReport, StoreClient};
+use ckptstore::{CaptureCache, Dec, PutReport, StoreClient};
 use cowstore::{BranchingStore, CowMode, GoldenImage, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Tid};
@@ -227,7 +227,7 @@ impl Testbed {
         // batches pipeline across shards; replication stays at 1 (the
         // testbed's swap images are already content-addressed dedup
         // copies of live state).
-        let fs_store = ChunkStore::builder()
+        let fs_store = StoreClient::builder()
             .shards(FS_STORE_SHARDS)
             .telemetry(engine.telemetry(), FS_ADDR.0)
             .build();

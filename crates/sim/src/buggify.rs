@@ -94,11 +94,11 @@ pub mod points {
     /// Coordinator process crashes after the commit is durable but
     /// before the resume publishes (recovery must release the barrier).
     pub const COORD_CRASH_POST_COMMIT: &str = "coord.crash_post_commit";
-    /// ChunkStore put silently corrupts one stored replica.
+    /// A store put silently corrupts one stored replica.
     pub const STORE_PUT_CORRUPT: &str = "store.put_corrupt";
-    /// ChunkStore get returns through the slow path (re-verifies).
+    /// A store load returns through the slow path (re-verifies).
     pub const STORE_GET_SLOW: &str = "store.get_slow";
-    /// ChunkStore scrub skips a chunk this pass.
+    /// A store scrub (or redundancy-rebuild) pass silently does nothing.
     pub const STORE_SCRUB_SKIP: &str = "store.scrub_skip";
     /// A store shard drops a replica write (the put still commits at
     /// quorum; the copy lands on the background repair queue).
