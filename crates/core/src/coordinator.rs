@@ -246,19 +246,15 @@ struct CoordTele {
 /// Construction-time configuration for [`Coordinator`], assembled by
 /// [`CoordinatorBuilder`].
 #[derive(Clone, Copy, Debug)]
-pub struct CoordinatorConfig {
+struct CoordinatorConfig {
     /// Control address of the ops node.
-    pub addr: NodeAddr,
+    addr: NodeAddr,
     /// Control LAN the coordinator publishes on.
-    pub lan: ComponentId,
+    lan: ComponentId,
     /// Checkpoint trigger style (default: scheduled, 200 ms lead).
-    pub mode: TriggerMode,
+    mode: TriggerMode,
     /// Failure-handling policy.
-    pub policy: FailurePolicy,
-    /// Withhold resumes at the barrier by default (swap-out rigs).
-    pub hold_resume: bool,
-    /// Group the first `start_periodic` call drives.
-    pub periodic_group: Option<GroupId>,
+    policy: FailurePolicy,
 }
 
 /// Builder for [`Coordinator`]; obtained from [`Coordinator::builder`].
@@ -278,19 +274,6 @@ impl CoordinatorBuilder {
     /// Failure-handling policy.
     pub fn policy(mut self, policy: FailurePolicy) -> Self {
         self.cfg.policy = policy;
-        self
-    }
-
-    /// Withhold resumes at the barrier by default. Prefer
-    /// [`Coordinator::suspend_in`] for a single held round.
-    pub fn hold_resume(mut self, hold: bool) -> Self {
-        self.cfg.hold_resume = hold;
-        self
-    }
-
-    /// Group the first `start_periodic` call drives.
-    pub fn periodic_group(mut self, group: GroupId) -> Self {
-        self.cfg.periodic_group = Some(group);
         self
     }
 
@@ -325,10 +308,6 @@ pub struct Coordinator {
     mode: TriggerMode,
     policy: FailurePolicy,
     periodic: Option<(GroupId, SimDuration)>,
-    /// Complete the barrier but do not publish the resume (swap-out and
-    /// time-travel hold the system suspended to collect its state).
-    hold_resume: bool,
-    pending_periodic_group: Option<GroupId>,
     /// Completed and in-progress epoch records.
     pub records: Vec<EpochRecord>,
     /// Nodes evicted from their group after degraded commits (under
@@ -364,16 +343,13 @@ impl Coordinator {
                 lan,
                 mode: TriggerMode::Scheduled { lead: SimDuration::from_millis(200) },
                 policy: FailurePolicy::default(),
-                hold_resume: false,
-                periodic_group: None,
             },
             wal: None,
         }
     }
 
-    /// Creates a coordinator from an explicit configuration (the builder's
-    /// terminal step; usable directly when the config is data-driven).
-    pub fn from_config(cfg: CoordinatorConfig) -> Self {
+    /// The builder's terminal step.
+    fn from_config(cfg: CoordinatorConfig) -> Self {
         Coordinator {
             addr: cfg.addr,
             lan: cfg.lan,
@@ -385,8 +361,6 @@ impl Coordinator {
             mode: cfg.mode,
             policy: cfg.policy,
             periodic: None,
-            hold_resume: cfg.hold_resume,
-            pending_periodic_group: cfg.periodic_group,
             records: Vec::new(),
             evicted: Vec::new(),
             force_full: HashSet::new(),
@@ -400,29 +374,9 @@ impl Coordinator {
         }
     }
 
-    /// Creates a coordinator with a perfect reference clock.
-    #[deprecated(note = "use Coordinator::builder(addr, lan).mode(mode).build()")]
-    pub fn new(addr: NodeAddr, lan: ComponentId, mode: TriggerMode) -> Self {
-        Coordinator::builder(addr, lan).mode(mode).build()
-    }
-
-    /// Sets the failure-handling policy (applies to rounds triggered
-    /// afterwards; in-flight timers keep the policy they started with).
-    #[deprecated(note = "use Coordinator::builder(..).policy(..)")]
-    pub fn set_policy(&mut self, policy: FailurePolicy) {
-        self.policy = policy;
-    }
-
     /// The active failure-handling policy.
     pub fn policy(&self) -> FailurePolicy {
         self.policy
-    }
-
-    /// Holds the resume after the barrier (stateful swap-out, §5).
-    #[deprecated(note = "use Coordinator::suspend_in for a held round, or \
-                         Coordinator::builder(..).hold_resume(..) for a standing default")]
-    pub fn set_hold_resume(&mut self, hold: bool) {
-        self.hold_resume = hold;
     }
 
     fn tele(&mut self, ctx: &Ctx<'_>) -> CoordTele {
@@ -698,8 +652,7 @@ impl Coordinator {
     ///
     /// Panics if that group has a round in flight or no members.
     pub fn trigger_in(&mut self, ctx: &mut Ctx<'_>, group: GroupId) {
-        let hold = self.hold_resume;
-        self.trigger_round(ctx, group, hold);
+        self.trigger_round(ctx, group, false);
     }
 
     /// Triggers a round for `group` whose resume is withheld at the
@@ -818,21 +771,9 @@ impl Coordinator {
         ctx.post_self(deadline, CoordMsg::EpochDeadline { group, epoch, gen });
     }
 
-    /// Selects which group the next `start_periodic` drives (default:
-    /// [`GroupId::DEFAULT`]); also retargets an already-running schedule.
-    #[deprecated(note = "use Coordinator::start_periodic_in(ctx, group, interval), or \
-                         Coordinator::builder(..).periodic_group(..)")]
-    pub fn set_periodic_group(&mut self, group: GroupId) {
-        if let Some((g, _)) = self.periodic.as_mut() {
-            *g = group;
-        }
-        self.pending_periodic_group = Some(group);
-    }
-
-    /// Starts periodic checkpointing of the selected (or default) group.
+    /// Starts periodic checkpointing of the default group.
     pub fn start_periodic(&mut self, ctx: &mut Ctx<'_>, interval: SimDuration) {
-        let group = self.pending_periodic_group.take().unwrap_or(GroupId::DEFAULT);
-        self.start_periodic_in(ctx, group, interval);
+        self.start_periodic_in(ctx, GroupId::DEFAULT, interval);
     }
 
     /// Starts (or retargets) periodic checkpointing of `group`. An
@@ -2051,33 +1992,6 @@ mod tests {
             shadow.violations()
         );
         assert_eq!(shadow.epochs_checked, 4);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_behave_like_the_builder() {
-        // One release of compatibility: new/set_policy/set_hold_resume/
-        // set_periodic_group must keep working for out-of-tree callers.
-        let lan = ComponentId(0);
-        let mut old = Coordinator::new(NodeAddr(7), lan, TriggerMode::EventDriven);
-        let policy = FailurePolicy {
-            max_notify_retries: 9,
-            ..FailurePolicy::default()
-        };
-        old.set_policy(policy);
-        old.set_hold_resume(true);
-        old.set_periodic_group(GroupId(3));
-        let new = Coordinator::builder(NodeAddr(7), lan)
-            .mode(TriggerMode::EventDriven)
-            .policy(policy)
-            .hold_resume(true)
-            .periodic_group(GroupId(3))
-            .build();
-        assert_eq!(old.addr(), new.addr());
-        assert_eq!(old.policy().max_notify_retries, new.policy().max_notify_retries);
-        assert_eq!(old.hold_resume, new.hold_resume);
-        assert_eq!(old.pending_periodic_group, new.pending_periodic_group);
-        assert_eq!(old.mode, new.mode);
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub use agent::CheckpointAgent;
 pub use baselines::Strategy;
 pub use bus::{BusMsg, BUS_MSG_BYTES};
 pub use coordinator::{
-    Coordinator, CoordinatorBuilder, CoordinatorConfig, EpochOutcome, EpochRecord, FailurePolicy,
-    GroupId, TriggerMode,
+    Coordinator, CoordinatorBuilder, EpochOutcome, EpochRecord, FailurePolicy, GroupId,
+    TriggerMode,
 };
 pub use delaynode::{DelayNodeHost, DelayNodeStats, OutPort};
 pub use scale::{build_scale_lab, ScaleConfig, ScaleLab, ScaleOutcome};
