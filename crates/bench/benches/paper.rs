@@ -2,8 +2,9 @@
 //!
 //! These measure the *simulator's* wall-clock cost of each experiment
 //! class, and double as smoke tests that every figure's machinery runs
-//! end-to-end. The full-scale regenerators are the `fig*`/`tab*` binaries
-//! (`cargo run --release -p tcd-bench --bin fig6` etc.).
+//! end-to-end. The full-scale regenerators are the `fig*`/`tab*`
+//! experiments of the `tcd` binary
+//! (`cargo run --release -p tcd-bench -- fig6` etc.).
 //!
 //! Plain self-timed harness (`harness = false`): each scenario runs a
 //! short warm-up pass and then `ITERS` timed passes, reporting min/mean

@@ -7,7 +7,7 @@
 //! - the event scheduler (`sim::Engine`): a dispatch-dominated ticker
 //!   storm and a cancel-heavy timeout churn, reported as events/sec and
 //!   ns/event;
-//! - the capture path (`ckptstore::ChunkStore`): repeated epoch captures
+//! - the capture path (`ckptstore::StoreClient`): repeated epoch captures
 //!   of a mostly-clean image, reported as MB/s plus dedup and cache
 //!   counters.
 //!
@@ -26,18 +26,23 @@
 //! - `--label <name>`: label for the appended entry (default "current").
 
 use std::any::Any;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use ckptstore::ChunkStore;
+use ckptstore::StoreClient;
 use sim::{Component, Ctx, Engine, SimDuration};
-use tcd_bench::banner;
-use tcd_bench::json::{parse_json, Json};
-use tcd_bench::lab::{build_lab, LabConfig};
 
-/// Repo-root JSON artifact (path anchored to the crate, not the CWD).
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-const SCHEMA: &str = "tcd-bench-hotpath-v1";
+use crate::banner;
+use crate::benchfile::{bench_flags, need_nums, report, BenchFile};
+use crate::cli::Args;
+use crate::json::{num, Json};
+use crate::lab::{build_lab, LabConfig};
 
+/// The committed artifact at the repo root (anchored to the crate, not the CWD).
+pub const FILE: BenchFile<'static> = BenchFile {
+    path: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json"),
+    schema: "tcd-bench-hotpath-v1",
+};
 
 // ---------------------------------------------------------------------------
 // Scheduler microbenches.
@@ -197,11 +202,11 @@ struct CaptureResult {
 }
 
 /// Epoch-capture loop: a synthetic guest image where a small fraction of
-/// chunks dirties between epochs — the dominant `ChunkStore` workload on
+/// chunks dirties between epochs — the dominant store workload on
 /// the checkpoint path (most pages clean, a few new).
 fn bench_capture(image_chunks: usize, epochs: u32, dirty_per_epoch: usize) -> CaptureResult {
     let chunk = 4096usize;
-    let store = ChunkStore::builder().chunk_size(chunk).build();
+    let store = StoreClient::builder().chunk_size(chunk).build();
     let mut image = vec![0u8; image_chunks * chunk];
     // Deterministic pseudo-content (SplitMix64 over chunk indices).
     let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -260,20 +265,10 @@ struct EndToEndResult {
 
 /// The two-node iperf-under-periodic-checkpoints lab, timed wall-clock.
 fn bench_end_to_end(run_secs: u64) -> EndToEndResult {
-    use checkpoint::Coordinator;
     let t0 = Instant::now();
     let mut lab = build_lab(LabConfig { seed: 42, ..LabConfig::default() });
-    lab.engine.run_for(SimDuration::from_secs(20)); // NTP settle
-    lab.start_iperf();
-    lab.engine.run_for(SimDuration::from_secs(2));
-    let coord = lab.coordinator;
-    lab.engine.with_component::<Coordinator, _>(coord, |c, ctx| {
-        c.start_periodic(ctx, SimDuration::from_secs(5))
-    });
-    lab.engine.run_for(SimDuration::from_secs(run_secs));
-    lab.engine
-        .with_component::<Coordinator, _>(coord, |c, _| c.stop_periodic());
-    lab.engine.run_for(SimDuration::from_secs(4));
+    lab.run_iperf_under_checkpoints(run_secs);
+    lab.drain_checkpoints();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let out = lab.outcome(run_secs as f64);
     let events = lab.engine.events_dispatched();
@@ -290,10 +285,6 @@ fn bench_end_to_end(run_secs: u64) -> EndToEndResult {
 // ---------------------------------------------------------------------------
 // JSON schema + entry assembly.
 // ---------------------------------------------------------------------------
-
-fn num(n: f64) -> Json {
-    Json::Num(n)
-}
 
 fn sched_json(r: &SchedResult) -> Json {
     Json::Obj(vec![
@@ -324,71 +315,34 @@ const E2E_FIELDS: [&str; 6] = [
 ];
 const COUNTER_FIELDS: [&str; 2] = ["payload_pool_hits", "payload_pool_misses"];
 
-fn check_section(entry: &Json, section: &str, fields: &[&str]) -> Result<(), String> {
-    let sec = entry
-        .get(section)
-        .ok_or_else(|| format!("entry missing section '{section}'"))?;
-    for f in fields {
-        sec.get(f)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("section '{section}' missing numeric field '{f}'"))?;
+/// The entry rule: five sections, each with its numeric field table.
+pub fn entry_rule(entry: &Json) -> Result<(), String> {
+    for (section, fields) in [
+        ("sched_ticker", &SCHED_FIELDS[..]),
+        ("sched_churn", &SCHED_FIELDS[..]),
+        ("capture", &CAPTURE_FIELDS[..]),
+        ("end_to_end", &E2E_FIELDS[..]),
+        ("counters", &COUNTER_FIELDS[..]),
+    ] {
+        let sec = entry
+            .get(section)
+            .ok_or_else(|| format!("entry missing section '{section}'"))?;
+        need_nums(sec, fields).map_err(|e| format!("section '{section}' {e}"))?;
     }
     Ok(())
 }
 
-fn check_schema(doc: &Json) -> Result<usize, String> {
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == SCHEMA => {}
-        _ => return Err(format!("top-level 'schema' must be \"{SCHEMA}\"")),
-    }
-    let entries = match doc.get("entries") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err("top-level 'entries' must be an array".into()),
+pub fn run(args: &mut Args) -> ExitCode {
+    let (smoke, check, label) = match bench_flags(args) {
+        Ok(flags) => flags,
+        Err(usage) => return usage,
     };
-    if entries.is_empty() {
-        return Err("'entries' must not be empty".into());
-    }
-    for (i, entry) in entries.iter().enumerate() {
-        let fail = |msg: String| format!("entry {i}: {msg}");
-        match entry.get("label") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err(fail("missing non-empty 'label'".into())),
-        }
-        check_section(entry, "sched_ticker", &SCHED_FIELDS).map_err(&fail)?;
-        check_section(entry, "sched_churn", &SCHED_FIELDS).map_err(&fail)?;
-        check_section(entry, "capture", &CAPTURE_FIELDS).map_err(&fail)?;
-        check_section(entry, "end_to_end", &E2E_FIELDS).map_err(&fail)?;
-        check_section(entry, "counters", &COUNTER_FIELDS).map_err(&fail)?;
-    }
-    Ok(entries.len())
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = args
-        .iter()
-        .position(|a| a == "--label")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "current".to_string());
-
     if check {
-        let text = std::fs::read_to_string(OUT_PATH)
-            .unwrap_or_else(|e| panic!("read {OUT_PATH}: {e}"));
-        let doc = parse_json(&text).unwrap_or_else(|e| panic!("{e}"));
-        match check_schema(&doc) {
-            Ok(n) => {
-                println!("BENCH_hotpath.json: schema ok, {n} entries");
-                if !smoke {
-                    return;
-                }
-            }
-            Err(e) => panic!("BENCH_hotpath.json schema violation: {e}"),
+        if let Err(e) = FILE.check(entry_rule) {
+            return report(Err(e));
         }
         if !smoke {
-            return;
+            return ExitCode::SUCCESS;
         }
     }
 
@@ -433,11 +387,10 @@ fn main() {
 
     if smoke {
         println!("\n  smoke mode: paths exercised, JSON not written");
-        return;
+        return ExitCode::SUCCESS;
     }
 
-    let entry = Json::Obj(vec![
-        ("label".into(), Json::Str(label.clone())),
+    let entry = vec![
         ("smoke".into(), Json::Bool(false)),
         ("sched_ticker".into(), sched_json(&ticker)),
         ("sched_churn".into(), sched_json(&churn)),
@@ -470,25 +423,6 @@ fn main() {
                 ("payload_pool_misses".into(), num(pool_misses as f64)),
             ]),
         ),
-    ]);
-
-    let mut doc = match std::fs::read_to_string(OUT_PATH) {
-        Ok(text) => parse_json(&text).unwrap_or_else(|e| panic!("existing {OUT_PATH} invalid: {e}")),
-        Err(_) => Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("entries".into(), Json::Arr(Vec::new())),
-        ]),
-    };
-    if let Json::Obj(fields) = &mut doc {
-        if let Some((_, Json::Arr(entries))) = fields.iter_mut().find(|(k, _)| k == "entries") {
-            entries.push(entry);
-        } else {
-            panic!("existing {OUT_PATH} has no 'entries' array");
-        }
-    } else {
-        panic!("existing {OUT_PATH} is not an object");
-    }
-    check_schema(&doc).expect("generated entry must satisfy the schema");
-    std::fs::write(OUT_PATH, doc.to_string_pretty()).expect("write BENCH_hotpath.json");
-    println!("\n  appended entry '{label}' to BENCH_hotpath.json");
+    ];
+    report(FILE.append(&label, entry, entry_rule))
 }

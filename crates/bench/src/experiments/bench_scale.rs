@@ -28,17 +28,23 @@
 //!   aggregate speedup at 4 shards and matching fingerprints;
 //! - `--label <name>`: label for the appended entry.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use checkpoint::{build_scale_lab, ScaleConfig};
 use emulab::{ExperimentSpec, ScalePlan};
 use sim::SimDuration;
-use tcd_bench::banner;
-use tcd_bench::json::{parse_json, Json};
 
-/// Repo-root JSON artifact (path anchored to the crate, not the CWD).
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-const SCHEMA: &str = "tcd-bench-scale-v1";
+use crate::banner;
+use crate::benchfile::{bench_flags, need_hex16, need_num, need_nums, need_rows, report, BenchFile};
+use crate::cli::Args;
+use crate::json::{num, Json};
+
+/// The committed artifact at the repo root (anchored to the crate, not the CWD).
+pub const FILE: BenchFile<'static> = BenchFile {
+    path: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json"),
+    schema: "tcd-bench-scale-v1",
+};
 
 struct Row {
     nodes: u32,
@@ -104,10 +110,6 @@ fn print_row(r: &Row) {
     );
 }
 
-fn num(n: f64) -> Json {
-    Json::Num(n)
-}
-
 fn row_json(r: &Row) -> Json {
     let r2 = |x: f64| (x * 100.0).round() / 100.0;
     Json::Obj(vec![
@@ -142,59 +144,22 @@ const ROW_NUM_FIELDS: [&str; 12] = [
     "speedup_vs_1shard",
 ];
 
-fn check_schema(doc: &Json) -> Result<usize, String> {
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == SCHEMA => {}
-        _ => return Err(format!("top-level 'schema' must be \"{SCHEMA}\"")),
+/// The entry rule: host metadata and the row table.
+pub fn entry_rule(entry: &Json) -> Result<(), String> {
+    need_num(entry, "host_cores")?;
+    for (j, row) in need_rows(entry, "rows")?.iter().enumerate() {
+        need_nums(row, &ROW_NUM_FIELDS)
+            .and_then(|()| need_hex16(row, "fingerprint"))
+            .map_err(|e| format!("row {j}: {e}"))?;
     }
-    let entries = match doc.get("entries") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err("top-level 'entries' must be an array".into()),
-    };
-    if entries.is_empty() {
-        return Err("'entries' must not be empty".into());
-    }
-    for (i, entry) in entries.iter().enumerate() {
-        let fail = |msg: String| format!("entry {i}: {msg}");
-        match entry.get("label") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err(fail("missing non-empty 'label'".into())),
-        }
-        entry
-            .get("host_cores")
-            .and_then(Json::as_num)
-            .ok_or_else(|| fail("missing numeric 'host_cores'".into()))?;
-        let rows = match entry.get("rows") {
-            Some(Json::Arr(rows)) if !rows.is_empty() => rows,
-            _ => return Err(fail("'rows' must be a non-empty array".into())),
-        };
-        for (j, row) in rows.iter().enumerate() {
-            for f in ROW_NUM_FIELDS {
-                row.get(f)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| fail(format!("row {j}: missing numeric '{f}'")))?;
-            }
-            match row.get("fingerprint") {
-                Some(Json::Str(s)) if s.len() == 16 => {}
-                _ => return Err(fail(format!("row {j}: 'fingerprint' must be a 16-hex string"))),
-            }
-        }
-    }
-    Ok(entries.len())
+    Ok(())
 }
 
-/// The acceptance gate on the *latest* entry: a 1,000-node pair at 1
-/// and 4 shards, fingerprints equal, aggregate speedup ≥ 2×.
-fn check_scale_gate(doc: &Json) -> Result<(), String> {
-    let entries = match doc.get("entries") {
-        Some(Json::Arr(items)) => items,
-        _ => unreachable!("schema checked"),
-    };
-    let latest = entries.last().expect("non-empty checked");
-    let rows = match latest.get("rows") {
-        Some(Json::Arr(rows)) => rows,
-        _ => unreachable!("schema checked"),
-    };
+/// The acceptance gate on the *latest* entry (already past
+/// [`entry_rule`]): a 1,000-node pair at 1 and 4 shards, fingerprints
+/// equal, aggregate speedup ≥ 2×.
+pub fn scale_gate(latest: &Json) -> Result<(), String> {
+    let rows = need_rows(latest, "rows")?;
     let find = |shards: f64| {
         rows.iter().find(|r| {
             r.get("nodes").and_then(Json::as_num) == Some(1000.0)
@@ -203,21 +168,13 @@ fn check_scale_gate(doc: &Json) -> Result<(), String> {
     };
     let one = find(1.0).ok_or("latest entry has no 1000-node 1-shard row")?;
     let four = find(4.0).ok_or("latest entry has no 1000-node 4-shard row")?;
-    let fp = |r: &Json| match r.get("fingerprint") {
-        Some(Json::Str(s)) => s.clone(),
-        _ => unreachable!("schema checked"),
-    };
-    if fp(one) != fp(four) {
+    let (fp_one, fp_four) = (one.get("fingerprint"), four.get("fingerprint"));
+    if fp_one != fp_four {
         return Err(format!(
-            "1000-node fingerprints differ across shard counts: {} vs {}",
-            fp(one),
-            fp(four)
+            "1000-node fingerprints differ across shard counts: {fp_one:?} vs {fp_four:?}"
         ));
     }
-    let speedup = four
-        .get("speedup_vs_1shard")
-        .and_then(Json::as_num)
-        .expect("schema checked");
+    let speedup = need_num(four, "speedup_vs_1shard")?;
     if speedup < 2.0 {
         return Err(format!(
             "1000-node 4-shard aggregate speedup {speedup:.2}x is below the 2x gate"
@@ -230,30 +187,18 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = args
-        .iter()
-        .position(|a| a == "--label")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "current".to_string());
-
+pub fn run(args: &mut Args) -> ExitCode {
+    let (smoke, check, label) = match bench_flags(args) {
+        Ok(flags) => flags,
+        Err(usage) => return usage,
+    };
     if check {
-        let text =
-            std::fs::read_to_string(OUT_PATH).unwrap_or_else(|e| panic!("read {OUT_PATH}: {e}"));
-        let doc = parse_json(&text).unwrap_or_else(|e| panic!("{e}"));
-        match check_schema(&doc) {
-            Ok(n) => println!("BENCH_scale.json: schema ok, {n} entries"),
-            Err(e) => panic!("BENCH_scale.json schema violation: {e}"),
-        }
-        match check_scale_gate(&doc) {
-            Ok(()) => println!("BENCH_scale.json: 1000-node >=2x aggregate gate ok"),
-            Err(e) => panic!("BENCH_scale.json scale gate violation: {e}"),
-        }
-        return;
+        return report(FILE.check(entry_rule).and_then(|entries| {
+            let latest = entries.last().expect("check rejects an empty file");
+            scale_gate(latest).map_err(|e| format!("BENCH_scale.json scale gate violation: {e}"))?;
+            println!("BENCH_scale.json: 1000-node >=2x aggregate gate ok");
+            Ok(())
+        }));
     }
 
     banner("BENCH-SCALE", "sharded engine throughput at thousands of nodes");
@@ -286,7 +231,7 @@ fn main() {
         );
         println!("\n  smoke ok: fingerprints identical, {:.2}x aggregate at 4 shards",
             four.speedup_vs_1shard);
-        return;
+        return ExitCode::SUCCESS;
     }
 
     // Full sweep: node count x shard count.
@@ -323,30 +268,12 @@ fn main() {
         assert_eq!(threaded.fingerprint, base_fp, "threaded run diverged");
     }
 
-    let entry = Json::Obj(vec![
-        ("label".into(), Json::Str(label.clone())),
+    let entry = vec![
         ("host_cores".into(), num(host_cores() as f64)),
         ("rows".into(), Json::Arr(rows.iter().map(row_json).collect())),
-    ]);
-
-    let mut doc = match std::fs::read_to_string(OUT_PATH) {
-        Ok(text) => parse_json(&text).unwrap_or_else(|e| panic!("existing {OUT_PATH} invalid: {e}")),
-        Err(_) => Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("entries".into(), Json::Arr(Vec::new())),
-        ]),
-    };
-    if let Json::Obj(fields) = &mut doc {
-        if let Some((_, Json::Arr(entries))) = fields.iter_mut().find(|(k, _)| k == "entries") {
-            entries.push(entry);
-        } else {
-            panic!("existing {OUT_PATH} has no 'entries' array");
-        }
-    } else {
-        panic!("existing {OUT_PATH} is not an object");
+    ];
+    if let Err(e) = scale_gate(&Json::Obj(entry.clone())) {
+        return report(Err(format!("generated entry violates the scale gate: {e}")));
     }
-    check_schema(&doc).expect("generated entry must satisfy the schema");
-    check_scale_gate(&doc).expect("generated entry must satisfy the scale gate");
-    std::fs::write(OUT_PATH, doc.to_string_pretty()).expect("write BENCH_scale.json");
-    println!("\n  appended entry '{label}' to BENCH_scale.json");
+    report(FILE.append(&label, entry, entry_rule))
 }

@@ -3,7 +3,7 @@
 //! The fig*/tab* regenerators pin simulated observables of the paper's
 //! experiments; this bench pins the *store service* model itself: N
 //! experiments checkpoint simultaneously against one sharded, replicated
-//! [`StoreService`](ckptstore::service) and we report, per shard count,
+//! store service (behind its [`StoreClient`]) and we report, per shard count,
 //!
 //! - aggregate MB/s: new physical bytes admitted per simulated second of
 //!   commit makespan (the shard pipeline is the bottleneck, so this is
@@ -30,15 +30,22 @@
 //! - `--check`: validate the committed JSON against the schema and exit;
 //! - `--label <name>`: label for the appended entry (default "current").
 
-use ckptstore::{CaptureCache, ChunkStore, StoreClient};
+use std::process::ExitCode;
+
+use ckptstore::{CaptureCache, StoreClient};
 use sim::buggify::{points, Buggify, Preset};
 use sim::{stats, Engine, SimDuration, SimTime};
-use tcd_bench::banner;
-use tcd_bench::json::{parse_json, Json};
 
-/// Repo-root JSON artifact (path anchored to the crate, not the CWD).
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-const SCHEMA: &str = "tcd-bench-store-v1";
+use crate::banner;
+use crate::benchfile::{bench_flags, need_hex16, need_num, need_nums, need_rows, report, BenchFile};
+use crate::cli::Args;
+use crate::json::{num, Json};
+
+/// The committed artifact at the repo root (anchored to the crate, not the CWD).
+pub const FILE: BenchFile<'static> = BenchFile {
+    path: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json"),
+    schema: "tcd-bench-store-v1",
+};
 
 const SEED: u64 = 42;
 const CHUNK: usize = 4096;
@@ -77,7 +84,10 @@ impl Rng {
     }
 }
 
-/// FNV-1a 64 over a byte stream — the sweep's determinism fingerprint.
+/// The sweep's determinism fingerprint: an FNV-1a-shaped hash over a
+/// byte stream. Its multiplier is *not* the FNV prime (one hex digit
+/// longer), so it is not `fnv1a`; the fingerprints committed in
+/// `BENCH_store.json` pin it as it is.
 struct Fingerprint(u64);
 
 impl Fingerprint {
@@ -121,7 +131,7 @@ struct SweepResult {
 /// failures forced on and repair workers draining between epochs.
 fn run_sweep(shards: usize, wl: &Workload) -> SweepResult {
     let mut engine = Engine::new(SEED);
-    let client: StoreClient = ChunkStore::builder()
+    let client = StoreClient::builder()
         .chunk_size(CHUNK)
         .shards(shards)
         .replication(REPLICATION)
@@ -228,10 +238,6 @@ fn run_sweep(shards: usize, wl: &Workload) -> SweepResult {
 // JSON schema + entry assembly.
 // ---------------------------------------------------------------------------
 
-fn num(n: f64) -> Json {
-    Json::Num(n)
-}
-
 fn sweep_json(r: &SweepResult) -> Json {
     Json::Obj(vec![
         ("shards".into(), num(r.shards as f64)),
@@ -266,73 +272,33 @@ const SWEEP_FIELDS: [&str; 12] = [
     "repair_backlog_end",
 ];
 
-fn check_schema(doc: &Json) -> Result<usize, String> {
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == SCHEMA => {}
-        _ => return Err(format!("top-level 'schema' must be \"{SCHEMA}\"")),
+/// The entry rule: the >= 2x shard-scaling floor and the sweep table.
+pub fn entry_rule(entry: &Json) -> Result<(), String> {
+    let speedup = need_num(entry, "speedup_4_shards")?;
+    if speedup < 2.0 {
+        return Err(format!(
+            "speedup_4_shards {speedup} below the 2.0 floor (DESIGN.md §10)"
+        ));
     }
-    let entries = match doc.get("entries") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err("top-level 'entries' must be an array".into()),
-    };
-    if entries.is_empty() {
-        return Err("'entries' must not be empty".into());
+    for (j, row) in need_rows(entry, "sweep")?.iter().enumerate() {
+        need_nums(row, &SWEEP_FIELDS)
+            .and_then(|()| need_hex16(row, "fingerprint"))
+            .map_err(|e| format!("sweep row {j} {e}"))?;
     }
-    for (i, entry) in entries.iter().enumerate() {
-        let fail = |msg: String| format!("entry {i}: {msg}");
-        match entry.get("label") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err(fail("missing non-empty 'label'".into())),
-        }
-        let speedup = entry
-            .get("speedup_4_shards")
-            .and_then(Json::as_num)
-            .ok_or_else(|| fail("missing numeric 'speedup_4_shards'".into()))?;
-        if speedup < 2.0 {
-            return Err(fail(format!(
-                "speedup_4_shards {speedup} below the 2.0 floor (DESIGN.md §10)"
-            )));
-        }
-        let sweep = match entry.get("sweep") {
-            Some(Json::Arr(rows)) if !rows.is_empty() => rows,
-            _ => return Err(fail("'sweep' must be a non-empty array".into())),
-        };
-        for (j, row) in sweep.iter().enumerate() {
-            for f in SWEEP_FIELDS {
-                row.get(f)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| fail(format!("sweep row {j} missing numeric '{f}'")))?;
-            }
-            match row.get("fingerprint") {
-                Some(Json::Str(s)) if s.len() == 16 => {}
-                _ => return Err(fail(format!("sweep row {j} missing 16-hex 'fingerprint'"))),
-            }
-        }
-    }
-    Ok(entries.len())
+    Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = args
-        .iter()
-        .position(|a| a == "--label")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "current".to_string());
-
+pub fn run(args: &mut Args) -> ExitCode {
+    let (smoke, check, label) = match bench_flags(args) {
+        Ok(flags) => flags,
+        Err(usage) => return usage,
+    };
     if check {
-        let text =
-            std::fs::read_to_string(OUT_PATH).unwrap_or_else(|e| panic!("read {OUT_PATH}: {e}"));
-        let doc = parse_json(&text).unwrap_or_else(|e| panic!("{e}"));
-        match check_schema(&doc) {
-            Ok(n) => println!("BENCH_store.json: schema ok, {n} entries"),
-            Err(e) => panic!("BENCH_store.json schema violation: {e}"),
+        if let Err(e) = FILE.check(entry_rule) {
+            return report(Err(e));
         }
         if !smoke {
-            return;
+            return ExitCode::SUCCESS;
         }
     }
 
@@ -392,36 +358,16 @@ fn main() {
 
     if smoke {
         println!("\n  smoke mode: paths exercised, JSON not written");
-        return;
+        return ExitCode::SUCCESS;
     }
 
-    let entry = Json::Obj(vec![
-        ("label".into(), Json::Str(label.clone())),
+    let entry = vec![
         ("smoke".into(), Json::Bool(false)),
         ("seed".into(), num(SEED as f64)),
         ("replication".into(), num(REPLICATION as f64)),
         ("shard_fail_prob".into(), num(SHARD_FAIL_PROB)),
         ("speedup_4_shards".into(), num((speedup * 100.0).round() / 100.0)),
         ("sweep".into(), Json::Arr(rows.iter().map(sweep_json).collect())),
-    ]);
-
-    let mut doc = match std::fs::read_to_string(OUT_PATH) {
-        Ok(text) => parse_json(&text).unwrap_or_else(|e| panic!("existing {OUT_PATH} invalid: {e}")),
-        Err(_) => Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("entries".into(), Json::Arr(Vec::new())),
-        ]),
-    };
-    if let Json::Obj(fields) = &mut doc {
-        if let Some((_, Json::Arr(entries))) = fields.iter_mut().find(|(k, _)| k == "entries") {
-            entries.push(entry);
-        } else {
-            panic!("existing {OUT_PATH} has no 'entries' array");
-        }
-    } else {
-        panic!("existing {OUT_PATH} is not an object");
-    }
-    check_schema(&doc).expect("generated entry must satisfy the schema");
-    std::fs::write(OUT_PATH, doc.to_string_pretty()).expect("write BENCH_store.json");
-    println!("  appended entry '{label}' to BENCH_store.json");
+    ];
+    report(FILE.append(&label, entry, entry_rule))
 }

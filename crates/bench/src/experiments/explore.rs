@@ -11,8 +11,8 @@
 //! Usage:
 //!
 //! ```text
-//! explore [--iters=N] [--root-seed=S] [--preset=calm|moderate|chaos|mix]
-//!         [--replay-seed=S [--sabotage]] [--selftest-replay] [--smoke]
+//! tcd explore [--iters=N] [--root-seed=S] [--preset=calm|moderate|chaos|mix]
+//!             [--replay-seed=S [--sabotage]] [--selftest-replay] [--smoke]
 //! ```
 //!
 //! - default: 5000 iterations from root seed 0xC0FFEE, mixed presets;
@@ -30,61 +30,12 @@
 use std::process::ExitCode;
 
 use sim::Preset;
-use tcd_bench::explore::{
+
+use crate::cli::Args;
+use crate::explore::{
     events_csv, iteration_seed, repro_line, run_seed, IterationOutcome, Scenario,
 };
-use tcd_bench::{banner, flightrec, write_csv};
-
-struct Args {
-    iters: u64,
-    root_seed: u64,
-    preset: Option<Preset>,
-    replay_seed: Option<u64>,
-    sabotage: bool,
-    selftest_replay: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        iters: 5_000,
-        root_seed: 0xC0_FFEE,
-        preset: None,
-        replay_seed: None,
-        sabotage: false,
-        selftest_replay: false,
-    };
-    for arg in std::env::args().skip(1) {
-        let (key, val) = match arg.split_once('=') {
-            Some((k, v)) => (k, Some(v)),
-            None => (arg.as_str(), None),
-        };
-        let num = |v: Option<&str>| -> Result<u64, String> {
-            let v = v.ok_or_else(|| format!("{key} needs a value"))?;
-            let (v, radix) = match v.strip_prefix("0x") {
-                Some(hex) => (hex, 16),
-                None => (v, 10),
-            };
-            u64::from_str_radix(v, radix).map_err(|e| format!("{key}: {e}"))
-        };
-        match key {
-            "--iters" => args.iters = num(val)?,
-            "--root-seed" => args.root_seed = num(val)?,
-            "--replay-seed" => args.replay_seed = Some(num(val)?),
-            "--preset" => {
-                let v = val.ok_or("--preset needs a value")?;
-                if v != "mix" {
-                    args.preset =
-                        Some(Preset::parse(v).ok_or_else(|| format!("unknown preset {v}"))?);
-                }
-            }
-            "--sabotage" => args.sabotage = true,
-            "--selftest-replay" => args.selftest_replay = true,
-            "--smoke" => args.iters = 200,
-            _ => return Err(format!("unknown flag {key}")),
-        }
-    }
-    Ok(args)
-}
+use crate::{banner, flightrec, write_csv};
 
 /// Dumps a failing iteration's trace and flight-recorder black box and
 /// prints the repro line.
@@ -198,19 +149,31 @@ fn selftest_replay(preset: Option<Preset>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("explore: {e}");
-            return ExitCode::FAILURE;
+pub fn run(args: &mut Args) -> ExitCode {
+    let smoke = args.flag("--smoke");
+    let iters = args.int("--iters").unwrap_or(if smoke { 200 } else { 5_000 });
+    let root_seed = args.int("--root-seed").unwrap_or(0xC0_FFEE);
+    let preset = match args.value("--preset").as_deref() {
+        None | Some("mix") => None,
+        Some(v) => {
+            let preset = Preset::parse(v);
+            if preset.is_none() {
+                args.reject(format!("unknown preset {v}"));
+            }
+            preset
         }
     };
-    if args.selftest_replay {
-        return selftest_replay(args.preset);
+    let replay_seed = args.int("--replay-seed");
+    let sabotage = args.flag("--sabotage");
+    let selftest = args.flag("--selftest-replay");
+    if let Err(usage) = args.finish() {
+        return usage;
     }
-    if let Some(seed) = args.replay_seed {
-        return replay(seed, args.preset, args.sabotage);
+    if selftest {
+        return selftest_replay(preset);
+    }
+    if let Some(seed) = replay_seed {
+        return replay(seed, preset, sabotage);
     }
 
     banner(
@@ -219,9 +182,9 @@ fn main() -> ExitCode {
     );
     println!(
         "root seed {:#x}, {} iterations, preset {}",
-        args.root_seed,
-        args.iters,
-        preset_name(args.preset)
+        root_seed,
+        iters,
+        preset_name(preset)
     );
 
     let mut totals = (0u64, 0u64, 0u64);
@@ -233,9 +196,9 @@ fn main() -> ExitCode {
     let mut coord_recoveries = 0u64;
     let mut scale_probes = 0u64;
     let mut scale_failures = 0u64;
-    for i in 0..args.iters {
-        let seed = iteration_seed(args.root_seed, i);
-        let out = run_seed(seed, args.preset, args.sabotage);
+    for i in 0..iters {
+        let seed = iteration_seed(root_seed, i);
+        let out = run_seed(seed, preset, sabotage);
         totals.0 += out.outcomes.0;
         totals.1 += out.outcomes.1;
         totals.2 += out.outcomes.2;
@@ -259,19 +222,19 @@ fn main() -> ExitCode {
                     p.groups,
                     p.per_group
                 );
-                println!("    repro: {}", repro_line(&out.scenario, args.sabotage));
+                println!("    repro: {}", repro_line(&out.scenario, sabotage));
             }
             None => {}
         }
         if !out.violations.is_empty() {
             failures += 1;
-            report_failure(&out, args.sabotage);
+            report_failure(&out, sabotage);
         }
         if (i + 1) % 500 == 0 {
             println!(
                 "  {}/{} iterations, {} epochs checked, {} buggify fires, {} violations",
                 i + 1,
-                args.iters,
+                iters,
                 epochs,
                 fires,
                 failures
@@ -283,7 +246,7 @@ fn main() -> ExitCode {
     println!(
         "{} iterations: {} epochs checked ({} committed / {} aborted / {} degraded), \
          {} retries, {} buggify fires, {} coordinator crashes ({} recovered)",
-        args.iters, epochs, totals.0, totals.1, totals.2, retries, fires,
+        iters, epochs, totals.0, totals.1, totals.2, retries, fires,
         coord_crashes, coord_recoveries
     );
     println!(

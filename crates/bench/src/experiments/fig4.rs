@@ -9,11 +9,11 @@
 
 use emulab::{ExperimentSpec, Testbed};
 use sim::SimDuration;
-use tcd_bench::{banner, row, summarize_ms, write_csv};
+use crate::{banner, row, summarize_ms, write_csv};
 use vmm::VmHost;
 use workloads::UsleepLoop;
 
-fn main() {
+pub fn run() {
     banner("FIG4", "usleep(10ms) loop under 5 s periodic checkpoints");
     let mut tb = Testbed::new(4001, 4);
     tb.swap_in(ExperimentSpec::new("fig4").node("n")).unwrap();

@@ -8,7 +8,7 @@
 
 use emulab::{ExperimentSpec, Testbed};
 use sim::SimDuration;
-use tcd_bench::{banner, row, write_csv};
+use crate::{banner, row, write_csv};
 use vmm::{Dom0Job, VmHost};
 use workloads::CpuLoop;
 
@@ -35,7 +35,7 @@ fn run_loop(tb: &mut Testbed, iters: usize, checkpoints: bool) -> Vec<u64> {
         .iteration_ns()
 }
 
-fn main() {
+pub fn run() {
     banner("FIG5", "CPU-intensive loop under 5 s periodic checkpoints");
     let mut tb = Testbed::new(5001, 4);
     tb.swap_in(ExperimentSpec::new("fig5").node("n")).unwrap();

@@ -11,11 +11,11 @@
 use emulab::{ExperimentSpec, Testbed};
 use sim::trace::Series;
 use sim::{SimDuration, SimTime};
-use tcd_bench::{banner, row, write_csv};
+use crate::{banner, row, write_csv};
 use vmm::VmHost;
 use workloads::{IperfReceiver, IperfSender};
 
-fn main() {
+pub fn run() {
     banner("FIG6", "iperf on 1 Gbps under 5 s periodic checkpoints");
     let mut tb = Testbed::new(6001, 8);
     let spec = ExperimentSpec::new("fig6")

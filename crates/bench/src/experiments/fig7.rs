@@ -12,11 +12,11 @@ use emulab::{ExperimentSpec, Testbed};
 use guestos::prog::FileId;
 use sim::{SimDuration, SimTime};
 use sim::trace::Series;
-use tcd_bench::{banner, row, write_csv};
+use crate::{banner, row, write_csv};
 use vmm::VmHost;
 use workloads::BtPeer;
 
-fn main() {
+pub fn run() {
     banner("FIG7", "4-node BitTorrent on a 100 Mbps LAN, checkpoints 70–170 s");
     let mut tb = Testbed::new(7001, 8);
     let spec = ExperimentSpec::new("fig7")

@@ -21,7 +21,7 @@
 use cowstore::CowMode;
 use guestos::prog::FileId;
 use sim::{SimDuration, SimTime};
-use tcd_bench::{banner, row, single_host, write_csv};
+use crate::{banner, row, single_host, write_csv};
 use vmm::VmHost;
 use workloads::{Bonnie, BonniePhase, FileWriter, PhaseResult};
 
@@ -93,7 +93,7 @@ fn run_phase(seed: u64, mode: CowMode, aged: bool, phase: BonniePhase) -> PhaseR
         .results[0]
 }
 
-fn main() {
+pub fn run() {
     banner("FIG8", "Bonnie++ (512 MB) on Base / Branch-Orig / Branch storage");
     let configs: [(&str, CowMode, bool); 4] = [
         ("Base", CowMode::Base, false),

@@ -17,7 +17,7 @@ use cowstore::{BlockData, CowMode, DeltaMap, Direction, MirrorTransfer};
 use guestos::prog::FileId;
 use sim::{SimDuration, SimTime};
 use sim::trace::Series;
-use tcd_bench::{banner, row, single_host, write_csv};
+use crate::{banner, row, single_host, write_csv};
 use vmm::{MirrorConfig, VmHost};
 use workloads::FileCopy;
 
@@ -37,7 +37,7 @@ enum Scenario {
 }
 
 /// Returns (1 s throughput bins, total execution s, sync window s).
-fn run(seed: u64, scenario: Scenario) -> (Vec<(f64, f64)>, f64, f64) {
+fn run_scenario(seed: u64, scenario: Scenario) -> (Vec<(f64, f64)>, f64, f64) {
     let (mut e, host) = single_host(seed, CowMode::Branch, false);
     e.run_until(SimTime::ZERO + SimDuration::from_secs(2));
 
@@ -161,7 +161,7 @@ fn run(seed: u64, scenario: Scenario) -> (Vec<(f64, f64)>, f64, f64) {
     (bins, elapsed, sync_window)
 }
 
-fn main() {
+pub fn run() {
     banner("FIG9", "background data transfer vs guest disk throughput");
     let mut csv = String::from("scenario,time_s,write_throughput_MBps\n");
     let mut results = Vec::new();
@@ -172,7 +172,7 @@ fn main() {
     ] {
         eprintln!("[fig9] running {name}...");
         let is_lazy = matches!(scenario, Scenario::LazyCopyIn);
-        let (bins, elapsed, sync_window) = run(9001, scenario);
+        let (bins, elapsed, sync_window) = run_scenario(9001, scenario);
         // The paper's "45% drop" is the depressed level while the sync is
         // active; lazy copy-in starts syncing at t = 0.
         let window_end = if is_lazy && sync_window > 0.0 {

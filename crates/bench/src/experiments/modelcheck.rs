@@ -13,8 +13,8 @@
 //! Usage:
 //!
 //! ```text
-//! modelcheck [--nodes=N] [--max-crashes=K] [--depth-bound=D]
-//!            [--sabotage] [--selftest] [--csv]
+//! tcd modelcheck [--nodes=N] [--max-crashes=K] [--depth-bound=D]
+//!                [--sabotage] [--selftest] [--csv]
 //! ```
 //!
 //! - default: 2 nodes, 1 crash, exhaustive (no depth bound);
@@ -29,48 +29,9 @@
 use std::process::ExitCode;
 
 use checkpoint::modelcheck::{check, ModelConfig, ModelReport};
-use tcd_bench::{banner, out_dir};
 
-struct Args {
-    nodes: u8,
-    max_crashes: u8,
-    depth_bound: Option<u32>,
-    sabotage: bool,
-    selftest: bool,
-    csv: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        nodes: 2,
-        max_crashes: 1,
-        depth_bound: None,
-        sabotage: false,
-        selftest: false,
-        csv: false,
-    };
-    for arg in std::env::args().skip(1) {
-        let (key, val) = match arg.split_once('=') {
-            Some((k, v)) => (k, Some(v)),
-            None => (arg.as_str(), None),
-        };
-        let num = |v: Option<&str>| -> Result<u64, String> {
-            v.ok_or_else(|| format!("{key} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{key}: {e}"))
-        };
-        match key {
-            "--nodes" => args.nodes = num(val)? as u8,
-            "--max-crashes" => args.max_crashes = num(val)? as u8,
-            "--depth-bound" => args.depth_bound = Some(num(val)? as u32),
-            "--sabotage" => args.sabotage = true,
-            "--selftest" => args.selftest = true,
-            "--csv" => args.csv = true,
-            _ => return Err(format!("unknown flag {key}")),
-        }
-    }
-    Ok(args)
-}
+use crate::cli::Args;
+use crate::{banner, out_dir};
 
 fn report_scope(cfg: &ModelConfig, report: &ModelReport) {
     println!(
@@ -133,35 +94,40 @@ fn append_csv(cfg: &ModelConfig, report: &ModelReport) {
     println!("  csv: {}", path.display());
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("modelcheck: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !(1..=4).contains(&args.nodes) {
-        eprintln!("modelcheck: --nodes must be 1..=4 (state space is exponential)");
-        return ExitCode::FAILURE;
+pub fn run(args: &mut Args) -> ExitCode {
+    let nodes = args.int("--nodes").unwrap_or(2);
+    if !(1..=4).contains(&nodes) {
+        args.reject("--nodes must be 1..=4 (state space is exponential)".to_string());
     }
+    let max_crashes = args.int("--max-crashes").unwrap_or(1);
+    let depth_bound = args.int("--depth-bound");
+    if max_crashes > u64::from(u8::MAX) || depth_bound.is_some_and(|d| d > u64::from(u32::MAX)) {
+        args.reject("--max-crashes / --depth-bound out of range".to_string());
+    }
+    let sabotage = args.flag("--sabotage");
+    let selftest = args.flag("--selftest");
+    let csv = args.flag("--csv");
+    if let Err(usage) = args.finish() {
+        return usage;
+    }
+    let scope = ModelConfig {
+        nodes: nodes as u8,
+        max_crashes: max_crashes as u8,
+        depth_bound: depth_bound.map(|d| d as u32),
+        sabotage,
+    };
     banner(
         "MODELCHECK",
         "exhaustive small-scope check of the crash-recoverable epoch protocol",
     );
 
-    if args.selftest {
+    if selftest {
         // Clean scope must verify; sabotaged scope must produce a
         // counterexample — proving the checker can actually fail.
-        let clean = ModelConfig {
-            nodes: args.nodes,
-            max_crashes: args.max_crashes,
-            depth_bound: args.depth_bound,
-            sabotage: false,
-        };
+        let clean = ModelConfig { sabotage: false, ..scope };
         let clean_report = check(&clean);
         report_scope(&clean, &clean_report);
-        if args.csv {
+        if csv {
             append_csv(&clean, &clean_report);
         }
         let sab = ModelConfig { sabotage: true, ..clean };
@@ -179,19 +145,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let cfg = ModelConfig {
-        nodes: args.nodes,
-        max_crashes: args.max_crashes,
-        depth_bound: args.depth_bound,
-        sabotage: args.sabotage,
-    };
-    let report = check(&cfg);
-    report_scope(&cfg, &report);
-    if args.csv {
-        append_csv(&cfg, &report);
+    let report = check(&scope);
+    report_scope(&scope, &report);
+    if csv {
+        append_csv(&scope, &report);
     }
     let found = report.counterexample.is_some();
-    if args.sabotage {
+    if sabotage {
         if found {
             println!("OK: planted recovery bug caught");
             ExitCode::SUCCESS

@@ -29,50 +29,28 @@
 //! - `--check`: validate the committed JSON against the schema and exit;
 //! - `--label <name>`: label for the appended entry (default "current").
 
-use checkpoint::Strategy;
-use emulab::{ExperimentSpec, Testbed};
-use sim::telemetry::critpath::{self, EpochPath};
-use sim::SimDuration;
 use std::fmt::Write as _;
-use tcd_bench::json::{parse_json, Json};
-use tcd_bench::{banner, write_csv};
-use workloads::{IperfReceiver, IperfSender};
+use std::process::ExitCode;
 
-/// Repo-root JSON artifact (path anchored to the crate, not the CWD).
-const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-const SCHEMA: &str = "tcd-bench-obs-v1";
+use checkpoint::scale::fnv1a;
+use sim::telemetry::critpath::{self, EpochPath};
+
+use crate::benchfile::{bench_flags, need_hex16, need_num, need_nums, report, BenchFile};
+use crate::cli::Args;
+use crate::json::{num, Json};
+use crate::lab::checkpointed_swap_cycle;
+use crate::{banner, write_csv};
+
+/// The committed artifact at the repo root (anchored to the crate, not the CWD).
+pub const FILE: BenchFile<'static> = BenchFile {
+    path: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json"),
+    schema: "tcd-bench-obs-v1",
+};
 
 const SEED: u64 = 15_001;
 
 fn run_scenario() -> Vec<EpochPath> {
-    let mut tb = Testbed::with_strategy(SEED, 8, Strategy::Transparent);
-    tb.swap_in(
-        ExperimentSpec::new("obs").node("a").node("b").link(
-            "a",
-            "b",
-            1_000_000_000,
-            SimDuration::from_micros(100),
-            0.0,
-        ),
-    )
-    .expect("swap-in");
-    tb.run_for(SimDuration::from_secs(20));
-    let b_addr = tb.node_addr("obs", "b");
-    tb.spawn("obs", "b", Box::new(IperfReceiver::new(5001)));
-    tb.spawn("obs", "a", Box::new(IperfSender::new(b_addr, 5001)));
-    tb.run_for(SimDuration::from_secs(2));
-    tb.start_periodic_checkpoints(SimDuration::from_secs(5));
-    tb.run_for(SimDuration::from_secs(16));
-    tb.stop_periodic_checkpoints();
-    tb.run_for(SimDuration::from_secs(2));
-    // One stateful swap cycle: the suspend round is held while the state
-    // image lands on the file server, so its path shows a non-zero
-    // barrier_hold and a store-commit attribution.
-    tb.swap_out_stateful("obs");
-    let rep = tb.swap_in_stateful("obs", false);
-    assert!(rep.warning.is_none(), "healthy swap cycle");
-    tb.run_for(SimDuration::from_secs(2));
-
+    let tb = checkpointed_swap_cycle(SEED, "obs");
     critpath::analyze(&tb.telemetry().trace_events())
 }
 
@@ -105,98 +83,36 @@ fn paths_csv(paths: &[EpochPath]) -> String {
     csv
 }
 
-/// FNV-1a 64 over the CSV bytes (same hash the other artifacts pin).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn num(v: f64) -> Json {
-    Json::Num(v)
-}
-
 /// Required numeric fields per entry — the schema `--check` enforces.
-const ENTRY_FIELDS: [&str; 8] = [
-    "seed",
-    "rounds",
-    "committed_rounds",
-    "held_rounds",
+const COUNT_FIELDS: [&str; 4] = ["seed", "rounds", "committed_rounds", "held_rounds"];
+const SHARE_FIELDS: [&str; 4] = [
     "notify_fanout_pct",
     "capture_wait_pct",
     "barrier_hold_pct",
     "resume_release_pct",
 ];
 
-fn check_schema(doc: &Json) -> Result<usize, String> {
-    match doc.get("schema") {
-        Some(Json::Str(s)) if s == SCHEMA => {}
-        _ => return Err(format!("top-level 'schema' must be \"{SCHEMA}\"")),
+/// The entry rule: the field tables, and the four segment shares must
+/// sum to ~100% of the measured epoch wall time.
+pub fn entry_rule(entry: &Json) -> Result<(), String> {
+    need_nums(entry, &COUNT_FIELDS)?;
+    let mut shares = 0.0;
+    for f in SHARE_FIELDS {
+        shares += need_num(entry, f)?;
     }
-    let entries = match doc.get("entries") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err("top-level 'entries' must be an array".into()),
-    };
-    if entries.is_empty() {
-        return Err("'entries' must not be empty".into());
+    if !(99.0..=101.0).contains(&shares) {
+        return Err(format!("segment shares must sum to ~100%, got {shares:.2}"));
     }
-    for (i, entry) in entries.iter().enumerate() {
-        let fail = |msg: String| format!("entry {i}: {msg}");
-        match entry.get("label") {
-            Some(Json::Str(s)) if !s.is_empty() => {}
-            _ => return Err(fail("missing non-empty 'label'".into())),
-        }
-        for f in ENTRY_FIELDS {
-            entry
-                .get(f)
-                .and_then(Json::as_num)
-                .ok_or_else(|| fail(format!("missing numeric '{f}'")))?;
-        }
-        let shares: f64 = [
-            "notify_fanout_pct",
-            "capture_wait_pct",
-            "barrier_hold_pct",
-            "resume_release_pct",
-        ]
-        .iter()
-        .filter_map(|f| entry.get(f).and_then(Json::as_num))
-        .sum();
-        if !(99.0..=101.0).contains(&shares) {
-            return Err(fail(format!(
-                "segment shares must sum to ~100%, got {shares:.2}"
-            )));
-        }
-        match entry.get("csv_fnv64") {
-            Some(Json::Str(s)) if s.len() == 16 => {}
-            _ => return Err(fail("missing 16-hex 'csv_fnv64'".into())),
-        }
-    }
-    Ok(entries.len())
+    need_hex16(entry, "csv_fnv64")
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
-    let label = args
-        .iter()
-        .position(|a| a == "--label")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "current".to_string());
-
+pub fn run(args: &mut Args) -> ExitCode {
+    let (smoke, check, label) = match bench_flags(args) {
+        Ok(flags) => flags,
+        Err(usage) => return usage,
+    };
     if check {
-        let text =
-            std::fs::read_to_string(OUT_PATH).unwrap_or_else(|e| panic!("read {OUT_PATH}: {e}"));
-        let doc = parse_json(&text).unwrap_or_else(|e| panic!("{e}"));
-        match check_schema(&doc) {
-            Ok(n) => println!("BENCH_obs.json: schema ok, {n} entries"),
-            Err(e) => panic!("BENCH_obs.json schema violation: {e}"),
-        }
-        return;
+        return report(FILE.check(entry_rule).map(drop));
     }
 
     banner("OBSREPORT", "per-epoch critical-path attribution over the causal trace");
@@ -269,11 +185,10 @@ fn main() {
 
     if smoke {
         println!("\n  smoke mode: paths exercised, JSON not written");
-        return;
+        return ExitCode::SUCCESS;
     }
 
-    let entry = Json::Obj(vec![
-        ("label".into(), Json::Str(label.clone())),
+    let entry = vec![
         ("seed".into(), num(SEED as f64)),
         ("rounds".into(), num(paths.len() as f64)),
         ("committed_rounds".into(), num(committed as f64)),
@@ -282,26 +197,7 @@ fn main() {
         ("capture_wait_pct".into(), num(capture_pct)),
         ("barrier_hold_pct".into(), num(hold_pct)),
         ("resume_release_pct".into(), num(resume_pct)),
-        ("csv_fnv64".into(), Json::Str(format!("{:016x}", fnv64(csv.as_bytes())))),
-    ]);
-
-    let mut doc = match std::fs::read_to_string(OUT_PATH) {
-        Ok(text) => parse_json(&text).unwrap_or_else(|e| panic!("existing {OUT_PATH} invalid: {e}")),
-        Err(_) => Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("entries".into(), Json::Arr(Vec::new())),
-        ]),
-    };
-    if let Json::Obj(fields) = &mut doc {
-        if let Some((_, Json::Arr(entries))) = fields.iter_mut().find(|(k, _)| k == "entries") {
-            entries.push(entry);
-        } else {
-            panic!("existing {OUT_PATH} has no 'entries' array");
-        }
-    } else {
-        panic!("existing {OUT_PATH} is not an object");
-    }
-    check_schema(&doc).expect("generated entry must satisfy the schema");
-    std::fs::write(OUT_PATH, doc.to_string_pretty()).expect("write BENCH_obs.json");
-    println!("  appended entry '{label}' to BENCH_obs.json");
+        ("csv_fnv64".into(), Json::Str(format!("{:016x}", fnv1a(csv.as_bytes())))),
+    ];
+    report(FILE.append(&label, entry, entry_rule))
 }

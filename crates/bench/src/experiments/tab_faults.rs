@@ -19,10 +19,10 @@
 //!   node degrades (excluded commit), and plain loss is absorbed by
 //!   retries.
 
-use checkpoint::{Coordinator, FailurePolicy};
+use checkpoint::FailurePolicy;
 use sim::{FaultPlan, SimDuration, SimTime};
-use tcd_bench::lab::{build_lab, LabConfig, LabOutcome};
-use tcd_bench::{banner, write_csv};
+use crate::lab::{build_lab, LabConfig, LabOutcome};
+use crate::{banner, write_csv};
 
 /// One sweep cell: loss rate, straggler stall, optional control crash.
 struct Cell {
@@ -31,7 +31,7 @@ struct Cell {
     crash: bool,
 }
 
-fn run(cell: &Cell) -> LabOutcome {
+fn run_cell(cell: &Cell) -> LabOutcome {
     let mut plan = FaultPlan::new(7_001).with_loss(cell.loss);
     if cell.crash {
         // Host B's control interface dies mid-sweep (key = NodeAddr.0).
@@ -50,24 +50,12 @@ fn run(cell: &Cell) -> LabOutcome {
         policy: Some(policy),
         ..LabConfig::default()
     });
-    lab.engine.run_for(SimDuration::from_secs(20));
-    lab.start_iperf();
-    lab.engine.run_for(SimDuration::from_secs(2));
-    let coord = lab.coordinator;
-    lab.engine
-        .with_component::<Coordinator, _>(coord, |c, ctx| {
-            c.start_periodic(ctx, SimDuration::from_secs(5))
-        });
-    lab.engine.run_for(SimDuration::from_secs(25));
-    // Drain: stop triggering and give in-flight epochs time to reach a
-    // terminal outcome (the deadline bounds this).
-    lab.engine
-        .with_component::<Coordinator, _>(coord, |c, _| c.stop_periodic());
-    lab.engine.run_for(SimDuration::from_secs(4));
+    lab.run_iperf_under_checkpoints(25);
+    lab.drain_checkpoints();
     lab.outcome(31.0)
 }
 
-fn main() {
+pub fn run() {
     banner(
         "TAB-FAULTS",
         "epoch outcomes under control-plane faults (loss × straggler stall, plus a crash)",
@@ -112,7 +100,7 @@ fn main() {
             "[tab_faults] loss {:.2}, stall {} ms, crash {}...",
             cell.loss, stall_ms, cell.crash
         );
-        let o = run(cell);
+        let o = run_cell(cell);
         println!(
             "  {:>5.2} {:>8} {:>5} {:>9} {:>7} {:>8} {:>7} {:>5} {:>8} {:>7} {:>9} {:>9} {:>9} {:>7.1}",
             cell.loss,

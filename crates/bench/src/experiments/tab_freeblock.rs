@@ -10,11 +10,11 @@
 
 use cowstore::CowMode;
 use sim::{SimDuration, SimTime};
-use tcd_bench::{banner, row, single_host, write_csv};
+use crate::{banner, row, single_host, write_csv};
 use vmm::VmHost;
 use workloads::KernelBuild;
 
-fn main() {
+pub fn run() {
     banner("TAB-FBE", "make + make clean: free-block elimination (§5.1)");
     let (mut e, host) = single_host(11_001, CowMode::Branch, false);
     e.run_until(SimTime::ZERO + SimDuration::from_secs(2));

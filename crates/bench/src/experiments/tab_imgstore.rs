@@ -13,7 +13,7 @@
 use emulab::{ExperimentSpec, Testbed};
 use guestos::prog::FileId;
 use sim::SimDuration;
-use tcd_bench::{banner, row, write_csv};
+use crate::{banner, row, write_csv};
 use workloads::{BtPeer, KernelBuild};
 
 /// Snapshots `exp` to depth 8 with `gap` of execution between snapshots;
@@ -41,7 +41,7 @@ fn chain(tb: &mut Testbed, exp: &str, gap: SimDuration, csv: &mut String) -> f64
     last_ratio
 }
 
-fn main() {
+pub fn run() {
     banner(
         "TAB-IMGSTORE",
         "image-store dedup ratio vs snapshot tree depth",

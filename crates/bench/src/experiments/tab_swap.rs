@@ -13,7 +13,7 @@
 use emulab::{ExperimentSpec, Testbed};
 use guestos::prog::FileId;
 use sim::SimDuration;
-use tcd_bench::{banner, row, write_csv};
+use crate::{banner, row, write_csv};
 use workloads::FileWriter;
 
 /// One swapped-in session: write 275 MB of fresh data, sync, idle.
@@ -62,7 +62,7 @@ fn run_cycles(lazy: bool, disk_load_during_swapout: bool) -> (Vec<f64>, Vec<f64>
     (swap_ins, swap_outs, initial_in)
 }
 
-fn main() {
+pub fn run() {
     banner("TAB-SWAP", "stateful swapping timings over four cycles (§7.2)");
 
     // Uncached vs cached initial swap-in.

@@ -12,42 +12,14 @@
 //! The exported table is `results/tab_telemetry.csv`, one row per
 //! instrument: `kind,name,value,count,sum,min,max,p50,p90,p99,overflow`.
 
-use checkpoint::Strategy;
-use emulab::{ExperimentSpec, Testbed};
-use sim::SimDuration;
-use tcd_bench::{banner, write_csv};
-use workloads::{IperfReceiver, IperfSender};
+use crate::lab::checkpointed_swap_cycle;
+use crate::{banner, write_csv};
 
 fn run_scenario() -> String {
-    let mut tb = Testbed::with_strategy(14_001, 8, Strategy::Transparent);
-    tb.swap_in(
-        ExperimentSpec::new("tele").node("a").node("b").link(
-            "a",
-            "b",
-            1_000_000_000,
-            SimDuration::from_micros(100),
-            0.0,
-        ),
-    )
-    .expect("swap-in");
-    tb.run_for(SimDuration::from_secs(20));
-    let b_addr = tb.node_addr("tele", "b");
-    tb.spawn("tele", "b", Box::new(IperfReceiver::new(5001)));
-    tb.spawn("tele", "a", Box::new(IperfSender::new(b_addr, 5001)));
-    tb.run_for(SimDuration::from_secs(2));
-    tb.start_periodic_checkpoints(SimDuration::from_secs(5));
-    tb.run_for(SimDuration::from_secs(16));
-    tb.stop_periodic_checkpoints();
-    tb.run_for(SimDuration::from_secs(2));
-    // A stateful swap cycle drives the swap paths and the dedup store.
-    tb.swap_out_stateful("tele");
-    let rep = tb.swap_in_stateful("tele", false);
-    assert!(rep.warning.is_none(), "healthy swap cycle");
-    tb.run_for(SimDuration::from_secs(2));
-    tb.telemetry().to_csv()
+    checkpointed_swap_cycle(14_001, "tele").telemetry().to_csv()
 }
 
-fn main() {
+pub fn run() {
     banner(
         "TAB-TELEMETRY",
         "unified metrics/span registry: one testbed run, deterministic export",

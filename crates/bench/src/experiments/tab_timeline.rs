@@ -20,13 +20,12 @@
 //! checkpoint: monotonic clock reads, bounded tick gaps, no wall-clock
 //! step across a firewall close → open cycle.
 
-use checkpoint::Strategy;
-use emulab::{ExperimentSpec, Testbed};
-use sim::{audit_transparency, SimDuration, TracePhase};
+use checkpoint::scale::fnv1a;
+use sim::{audit_transparency, TracePhase};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use tcd_bench::{banner, write_csv};
-use workloads::{IperfReceiver, IperfSender};
+use crate::lab::checkpointed_swap_cycle;
+use crate::{banner, write_csv};
 
 /// Tags the acceptance gate requires B (slice-begin) events for.
 const REQUIRED_SLICES: [&str; 5] =
@@ -41,33 +40,7 @@ struct RunOutput {
 }
 
 fn run_scenario() -> RunOutput {
-    let mut tb = Testbed::with_strategy(15_001, 8, Strategy::Transparent);
-    tb.swap_in(
-        ExperimentSpec::new("timeline").node("a").node("b").link(
-            "a",
-            "b",
-            1_000_000_000,
-            SimDuration::from_micros(100),
-            0.0,
-        ),
-    )
-    .expect("swap-in");
-    tb.run_for(SimDuration::from_secs(20));
-    let b_addr = tb.node_addr("timeline", "b");
-    tb.spawn("timeline", "b", Box::new(IperfReceiver::new(5001)));
-    tb.spawn("timeline", "a", Box::new(IperfSender::new(b_addr, 5001)));
-    tb.run_for(SimDuration::from_secs(2));
-    tb.start_periodic_checkpoints(SimDuration::from_secs(5));
-    tb.run_for(SimDuration::from_secs(16));
-    tb.stop_periodic_checkpoints();
-    tb.run_for(SimDuration::from_secs(2));
-    // A stateful swap cycle puts the testbed and COW-seal tracks on the
-    // timeline too.
-    tb.swap_out_stateful("timeline");
-    let rep = tb.swap_in_stateful("timeline", false);
-    assert!(rep.warning.is_none(), "healthy swap cycle");
-    tb.run_for(SimDuration::from_secs(2));
-
+    let tb = checkpointed_swap_cycle(15_001, "timeline");
     let t = tb.telemetry();
     let report = audit_transparency(t);
     RunOutput {
@@ -79,18 +52,7 @@ fn run_scenario() -> RunOutput {
     }
 }
 
-/// FNV-1a 64 over the JSON bytes: a stable, dependency-free content hash
-/// for the committed summary.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn main() {
+pub fn run() {
     banner(
         "TAB-TIMELINE",
         "event-level trace ring, Perfetto export, transparency audit",
@@ -125,7 +87,7 @@ fn main() {
     let _ = writeln!(csv, "trace_events,{}", a.events.len());
     let _ = writeln!(csv, "trace_dropped,{}", a.dropped);
     let _ = writeln!(csv, "json_bytes,{}", a.json.len());
-    let _ = writeln!(csv, "json_fnv64,{:016x}", fnv64(a.json.as_bytes()));
+    let _ = writeln!(csv, "json_fnv64,{:016x}", fnv1a(a.json.as_bytes()));
     let _ = writeln!(csv, "audit,{}", a.verdict);
     for ((name, ph), n) in &counts {
         let _ = writeln!(csv, "count.{name}.{ph},{n}");

@@ -14,10 +14,10 @@
 
 use checkpoint::{Coordinator, DelayNodeHost};
 use sim::SimDuration;
-use tcd_bench::lab::{build_lab, LabConfig};
-use tcd_bench::{banner, write_csv};
+use crate::lab::{build_lab, LabConfig};
+use crate::{banner, write_csv};
 
-fn main() {
+pub fn run() {
     banner("XTRA-ABL", "ablations: remove one mechanism, observe the damage");
     let mut csv = String::from(
         "ablation,retx,timeouts,dup_acks,max_gap_us,suspend_skew_us,throughput_MBps\n",
@@ -102,15 +102,7 @@ fn main() {
             offsets_ns: (8_000_000, -9_000_000),
             ..LabConfig::default()
         });
-        lab.engine.run_for(SimDuration::from_secs(20));
-        lab.start_iperf();
-        lab.engine.run_for(SimDuration::from_secs(2));
-        let coord = lab.coordinator;
-        lab.engine
-            .with_component::<Coordinator, _>(coord, |c, ctx| {
-                c.start_periodic(ctx, SimDuration::from_secs(5))
-            });
-        lab.engine.run_for(SimDuration::from_secs(25));
+        lab.run_iperf_under_checkpoints(25);
         let o = lab.outcome(25.0);
         print_row("no NTP (raw clocks)", &o, &mut csv);
         assert!(
@@ -127,15 +119,7 @@ fn main() {
             lead: Some(SimDuration::from_millis(lead_ms)),
             ..LabConfig::default()
         });
-        lab.engine.run_for(SimDuration::from_secs(20));
-        lab.start_iperf();
-        lab.engine.run_for(SimDuration::from_secs(2));
-        let coord = lab.coordinator;
-        lab.engine
-            .with_component::<Coordinator, _>(coord, |c, ctx| {
-                c.start_periodic(ctx, SimDuration::from_secs(5))
-            });
-        lab.engine.run_for(SimDuration::from_secs(25));
+        lab.run_iperf_under_checkpoints(25);
         let o = lab.outcome(25.0);
         print_row(&format!("scheduled, lead = {lead_ms} ms"), &o, &mut csv);
     }
@@ -145,7 +129,7 @@ fn main() {
     println!("  table: {}", path.display());
 }
 
-fn print_row(name: &str, o: &tcd_bench::lab::LabOutcome, csv: &mut String) {
+fn print_row(name: &str, o: &crate::lab::LabOutcome, csv: &mut String) {
     println!(
         "  {:<34} {:>5} {:>8} {:>8} {:>11} {:>9} {:>7.1}",
         name,

@@ -20,7 +20,7 @@ use checkpoint::Strategy;
 use emulab::{ExperimentSpec, Testbed};
 use sim::telemetry::names;
 use sim::{HistogramSummary, SimDuration};
-use tcd_bench::{banner, write_csv};
+use crate::{banner, write_csv};
 use workloads::{IperfReceiver, IperfSender};
 
 struct Row {
@@ -36,7 +36,7 @@ struct Row {
     downtime: HistogramSummary,
 }
 
-fn run(strategy: Strategy) -> Row {
+fn run_strategy(strategy: Strategy) -> Row {
     let mut tb = Testbed::with_strategy(12_001, 8, strategy);
     tb.swap_in(
         ExperimentSpec::new("iperf").node("a").node("b").link(
@@ -92,7 +92,7 @@ fn us(ns: f64) -> u64 {
     (ns / 1e3) as u64
 }
 
-fn main() {
+pub fn run() {
     banner(
         "XTRA-BASE",
         "transparent vs event-driven vs non-concealing checkpoints (iperf, 5 s period)",
@@ -122,7 +122,7 @@ fn main() {
         Strategy::NonConcealing,
     ] {
         eprintln!("[xtra] running {}...", strategy.label());
-        let o = run(strategy);
+        let o = run_strategy(strategy);
         println!(
             "  {:<16} {:>5} {:>8} {:>8} {:>7} {:>11} {:>8} {:>6.1} {:>15} {:>15} {:>15}",
             strategy.label(),

@@ -13,7 +13,7 @@
 //!
 //! The library half (this module) builds rigs and runs single
 //! iterations so `cargo test` can replay the committed seed corpus; the
-//! `explore` binary drives multi-thousand-iteration sweeps.
+//! `tcd explore` experiment drives multi-thousand-iteration sweeps.
 
 use checkpoint::{
     Coordinator, FailurePolicy, ShadowEpochState, ShadowViolation, TriggerMode, Wal, WalRecord,
@@ -292,12 +292,7 @@ impl IterationOutcome {
     /// FNV-1a over the CSV rendering of the trace: two runs of the same
     /// seed are byte-identical iff their fingerprints match.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in events_csv(&self.events).as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        checkpoint::scale::fnv1a(events_csv(&self.events).as_bytes())
     }
 }
 
@@ -516,7 +511,7 @@ pub fn run_seed(seed: u64, preset_override: Option<Preset>, sabotage: bool) -> I
 /// The command line that replays iteration `seed` byte-identically.
 pub fn repro_line(scenario: &Scenario, sabotage: bool) -> String {
     let mut line = format!(
-        "cargo run --release -p tcd-bench --bin explore -- --replay-seed={}",
+        "cargo run --release -p tcd-bench -- explore --replay-seed={}",
         scenario.seed
     );
     if scenario.preset_overridden {

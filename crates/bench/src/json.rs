@@ -1,7 +1,6 @@
-//! Minimal JSON (no external deps): enough for the bench binaries to
-//! append to and validate their `BENCH_*.json` artifacts.
-//!
-//! Shared by `bench_hotpath` and `bench_store`; hand-rolled per the
+//! Minimal JSON (no external deps): enough for the benches to append to
+//! and validate their `BENCH_*.json` artifacts (see
+//! [`BenchFile`](crate::benchfile::BenchFile)); hand-rolled per the
 //! minimal-deps rule (DESIGN.md §3.6) — same spirit as the `ckptstore`
 //! codec, but for the human-readable perf-trajectory files at the repo
 //! root.
@@ -18,6 +17,11 @@ pub enum Json {
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
+}
+
+/// A JSON number.
+pub fn num(n: f64) -> Json {
+    Json::Num(n)
 }
 
 impl Json {

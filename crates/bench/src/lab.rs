@@ -1,5 +1,6 @@
 //! A reusable two-node iperf lab (hostA — delay node — hostB plus
-//! coordinator) for the baseline and ablation experiments.
+//! coordinator) for the baseline and ablation experiments, and the
+//! full-testbed scenario the observability experiments share.
 
 use std::sync::Arc;
 
@@ -8,6 +9,7 @@ use checkpoint::{
 };
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
+use emulab::{ExperimentSpec, Testbed};
 use guestos::{Kernel, KernelConfig};
 use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
 use sim::{ComponentId, Engine, FaultPlan, SimDuration};
@@ -238,6 +240,27 @@ impl Lab {
         });
     }
 
+    /// The standard measurement window: 20 s of NTP settle, iperf on, 2 s
+    /// of ramp, then `secs` under 5 s periodic checkpoints (left running).
+    pub fn run_iperf_under_checkpoints(&mut self, secs: u64) {
+        self.engine.run_for(SimDuration::from_secs(20));
+        self.start_iperf();
+        self.engine.run_for(SimDuration::from_secs(2));
+        let coord = self.coordinator;
+        self.engine.with_component::<Coordinator, _>(coord, |c, ctx| {
+            c.start_periodic(ctx, SimDuration::from_secs(5))
+        });
+        self.engine.run_for(SimDuration::from_secs(secs));
+    }
+
+    /// Stops triggering and gives in-flight epochs 4 s to reach a
+    /// terminal outcome (the epoch deadline bounds this).
+    pub fn drain_checkpoints(&mut self) {
+        let coord = self.coordinator;
+        self.engine.with_component::<Coordinator, _>(coord, |c, _| c.stop_periodic());
+        self.engine.run_for(SimDuration::from_secs(4));
+    }
+
     /// Collects the outcome metrics after a run of `run_secs`.
     pub fn outcome(&self, run_secs: f64) -> LabOutcome {
         let a = self
@@ -295,4 +318,37 @@ impl Lab {
             p99_barrier_hold_us: (hold.p99 / 1e3) as u64,
         }
     }
+}
+
+/// The scenario TAB-TELEMETRY, TAB-TIMELINE and OBSREPORT observe, each
+/// through its own lens: two nodes over a shaped 1 Gbps link, iperf
+/// under 5 s periodic checkpoints for 16 s, then one stateful swap-out /
+/// swap-in cycle (whose suspend round is held while the state image
+/// lands on the file server). Returns the testbed for the caller to read.
+pub fn checkpointed_swap_cycle(seed: u64, name: &str) -> Testbed {
+    let mut tb = Testbed::with_strategy(seed, 8, Strategy::Transparent);
+    tb.swap_in(
+        ExperimentSpec::new(name).node("a").node("b").link(
+            "a",
+            "b",
+            1_000_000_000,
+            SimDuration::from_micros(100),
+            0.0,
+        ),
+    )
+    .expect("swap-in");
+    tb.run_for(SimDuration::from_secs(20));
+    let b_addr = tb.node_addr(name, "b");
+    tb.spawn(name, "b", Box::new(IperfReceiver::new(5001)));
+    tb.spawn(name, "a", Box::new(IperfSender::new(b_addr, 5001)));
+    tb.run_for(SimDuration::from_secs(2));
+    tb.start_periodic_checkpoints(SimDuration::from_secs(5));
+    tb.run_for(SimDuration::from_secs(16));
+    tb.stop_periodic_checkpoints();
+    tb.run_for(SimDuration::from_secs(2));
+    tb.swap_out_stateful(name);
+    let rep = tb.swap_in_stateful(name, false);
+    assert!(rep.warning.is_none(), "healthy swap cycle");
+    tb.run_for(SimDuration::from_secs(2));
+    tb
 }

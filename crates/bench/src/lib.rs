@@ -1,11 +1,16 @@
-//! Shared harness for the figure/table regenerators.
+//! The experiment harness behind the `tcd` binary.
 //!
-//! Each `fig*`/`tab*` binary reproduces one artifact of the paper's §7:
-//! it assembles the experiment on the full testbed stack, runs it, writes
-//! the plottable series as CSV under `results/`, and prints a
+//! Each `fig*`/`tab*` experiment reproduces one artifact of the paper's
+//! §7: it assembles the experiment on the full testbed stack, runs it,
+//! writes the plottable series as CSV under `results/`, and prints a
 //! paper-vs-measured summary. Absolute values come from the calibrated
 //! models (see DESIGN.md §6); the summaries focus on the *shape* claims.
+//! [`experiments::REGISTRY`] names every experiment; [`cli`] parses the
+//! command line and dispatches; the rest of this crate is what they share.
 
+pub mod benchfile;
+pub mod cli;
+pub mod experiments;
 pub mod explore;
 pub mod flightrec;
 pub mod json;

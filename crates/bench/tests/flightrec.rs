@@ -29,7 +29,7 @@ fn dump_sections_cover_the_black_box() {
         assert!(dump.contains(section), "dump missing section {section}");
     }
     assert!(
-        dump.contains("repro: cargo run --release -p tcd-bench --bin explore -- \
+        dump.contains("repro: cargo run --release -p tcd-bench -- explore \
                        --replay-seed=5 --preset=calm --sabotage"),
         "dump must carry the replay command line"
     );

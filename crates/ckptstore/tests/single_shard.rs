@@ -1,9 +1,6 @@
-//! Single-shard observable semantics of the store, through the client
-//! handle: dedup accounting, refcounted removal, replica repair, write
-//! faults, the capture cache and the `ckptstore.*` telemetry counters.
-//! These cases date from the one-struct store and pin what the service
-//! split (one shard, replication 1, in-memory backend by default) must
-//! keep bit-for-bit.
+//! Single-shard observable semantics of the store through the client
+//! handle — the cases that date from the one-struct store and pin what a
+//! default build (one shard, replication 1, in-memory) keeps bit-for-bit.
 
 use ckptstore::{CaptureCache, StoreClient, StoreError};
 use sim::Telemetry;
@@ -16,16 +13,10 @@ fn image_with(pattern: impl Fn(usize) -> u8, len: usize) -> Vec<u8> {
     (0..len).map(pattern).collect()
 }
 
-/// Schedules a scrub pass and drains it; returns the copies healed.
+/// One synchronous scrub pass; returns the copies healed.
 fn scrub(s: &StoreClient) -> u64 {
     s.schedule_scrub();
     s.drain_repairs().0
-}
-
-/// Schedules a redundancy rebuild and drains it; returns the copies added.
-fn rebuild(s: &StoreClient) -> u64 {
-    s.schedule_redundancy_rebuild();
-    s.drain_repairs().1
 }
 
 #[test]
@@ -160,11 +151,7 @@ fn rebuild_raises_chunks_inserted_before_the_setting() {
     s.set_replication(3);
     let new = image_with(|i| 100 + (i / 64) as u8, 64 * 2);
     let r_new = s.put_image(&new).image;
-    assert_eq!(
-        s.replica_bytes(),
-        64 * 2 * 2,
-        "only post-setting chunks carry replicas"
-    );
+    assert_eq!(s.replica_bytes(), 64 * 2 * 2, "only post-setting chunks carry replicas");
 
     assert_eq!(s.schedule_redundancy_rebuild(), 10, "every pre-setting chunk is raised");
     assert_eq!(s.drain_repairs(), (0, 20), "two new copies each");
@@ -187,11 +174,8 @@ fn rebuild_skips_chunks_with_no_intact_copy() {
     // Damage every copy of chunk 0 (redundancy 1: just the primary).
     s.corrupt_chunk(r, 0, 3).unwrap();
     s.set_replication(2);
-    assert_eq!(
-        rebuild(&s),
-        1,
-        "only the intact chunk gains a copy; the hopeless one is skipped"
-    );
+    assert_eq!(s.schedule_redundancy_rebuild(), 2);
+    assert_eq!(s.drain_repairs(), (0, 1), "the chunk with no intact copy is skipped");
     assert!(matches!(
         s.load_image(r),
         Err(StoreError::CorruptChunk { chunk_index: 0, .. })
@@ -212,7 +196,8 @@ fn telemetry_counts_dedup_repairs_and_rebuilds() {
     assert_eq!(t.counter_value("ckptstore.new_physical_bytes"), Some(256));
 
     s.set_replication(2);
-    rebuild(&s);
+    s.schedule_redundancy_rebuild();
+    s.drain_repairs();
     assert_eq!(t.counter_value("ckptstore.replicas_added"), Some(4));
 
     s.corrupt_primary(r, 1, 7).unwrap();

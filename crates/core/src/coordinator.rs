@@ -243,37 +243,28 @@ struct CoordTele {
     ev_crash: TraceTag,
 }
 
-/// Construction-time configuration for [`Coordinator`], assembled by
-/// [`CoordinatorBuilder`].
-#[derive(Clone, Copy, Debug)]
-struct CoordinatorConfig {
+/// Builder for [`Coordinator`]; obtained from [`Coordinator::builder`].
+#[derive(Clone, Debug)]
+pub struct CoordinatorBuilder {
     /// Control address of the ops node.
     addr: NodeAddr,
     /// Control LAN the coordinator publishes on.
     lan: ComponentId,
-    /// Checkpoint trigger style (default: scheduled, 200 ms lead).
     mode: TriggerMode,
-    /// Failure-handling policy.
     policy: FailurePolicy,
-}
-
-/// Builder for [`Coordinator`]; obtained from [`Coordinator::builder`].
-#[derive(Clone, Debug)]
-pub struct CoordinatorBuilder {
-    cfg: CoordinatorConfig,
     wal: Option<Wal>,
 }
 
 impl CoordinatorBuilder {
     /// Checkpoint trigger style.
     pub fn mode(mut self, mode: TriggerMode) -> Self {
-        self.cfg.mode = mode;
+        self.mode = mode;
         self
     }
 
     /// Failure-handling policy.
     pub fn policy(mut self, policy: FailurePolicy) -> Self {
-        self.cfg.policy = policy;
+        self.policy = policy;
         self
     }
 
@@ -288,9 +279,28 @@ impl CoordinatorBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> Coordinator {
-        let mut c = Coordinator::from_config(self.cfg);
-        c.wal = self.wal;
-        c
+        Coordinator {
+            addr: self.addr,
+            lan: self.lan,
+            clock: HardwareClock::new(0, 0.0),
+            ntp: NtpServer,
+            members: Vec::new(),
+            epoch: 0,
+            pending: HashMap::new(),
+            mode: self.mode,
+            policy: self.policy,
+            periodic: None,
+            records: Vec::new(),
+            evicted: Vec::new(),
+            force_full: HashSet::new(),
+            wal: self.wal,
+            gen: 0,
+            crashed: false,
+            recovering: false,
+            crashes: 0,
+            recoveries: 0,
+            tele: None,
+        }
     }
 }
 
@@ -338,45 +348,12 @@ impl Coordinator {
     /// [`FailurePolicy`], resumes published at the barrier.
     pub fn builder(addr: NodeAddr, lan: ComponentId) -> CoordinatorBuilder {
         CoordinatorBuilder {
-            cfg: CoordinatorConfig {
-                addr,
-                lan,
-                mode: TriggerMode::Scheduled { lead: SimDuration::from_millis(200) },
-                policy: FailurePolicy::default(),
-            },
+            addr,
+            lan,
+            mode: TriggerMode::Scheduled { lead: SimDuration::from_millis(200) },
+            policy: FailurePolicy::default(),
             wal: None,
         }
-    }
-
-    /// The builder's terminal step.
-    fn from_config(cfg: CoordinatorConfig) -> Self {
-        Coordinator {
-            addr: cfg.addr,
-            lan: cfg.lan,
-            clock: HardwareClock::new(0, 0.0),
-            ntp: NtpServer,
-            members: Vec::new(),
-            epoch: 0,
-            pending: HashMap::new(),
-            mode: cfg.mode,
-            policy: cfg.policy,
-            periodic: None,
-            records: Vec::new(),
-            evicted: Vec::new(),
-            force_full: HashSet::new(),
-            wal: None,
-            gen: 0,
-            crashed: false,
-            recovering: false,
-            crashes: 0,
-            recoveries: 0,
-            tele: None,
-        }
-    }
-
-    /// The active failure-handling policy.
-    pub fn policy(&self) -> FailurePolicy {
-        self.policy
     }
 
     fn tele(&mut self, ctx: &Ctx<'_>) -> CoordTele {
