@@ -22,7 +22,9 @@
 //!   that the checker must catch — exits nonzero if it does NOT;
 //! - `--selftest`: run the default scope clean AND the sabotaged scope,
 //!   demanding a counterexample from the latter (CI self-proof);
-//! - `--csv`: append a `results/modelcheck.csv` row per scope checked.
+//! - `--csv`: write the checked scope's row (under `--selftest`, the clean
+//!   scope's) to `results/modelcheck.csv`, replacing the row if the scope
+//!   is already there — re-running a scope reproduces the file.
 //!
 //! Exit status is nonzero on any counterexample (sabotage inverts).
 
@@ -69,28 +71,40 @@ fn report_scope(cfg: &ModelConfig, report: &ModelReport) {
     }
 }
 
-fn append_csv(cfg: &ModelConfig, report: &ModelReport) {
+/// Rewrites `results/modelcheck.csv` with this scope's row replaced in
+/// place (rows are keyed by the four scope columns; an unseen scope is
+/// added at the end), so re-running a committed scope reproduces the
+/// file instead of growing it.
+fn record_csv(cfg: &ModelConfig, report: &ModelReport) {
     let path = out_dir().join("modelcheck.csv");
     let header = "nodes,max_crashes,depth_bound,sabotage,states_explored,transitions,\
-                  quiescent,max_depth,truncated,counterexamples\n";
-    let mut text = std::fs::read_to_string(&path).unwrap_or_default();
-    if !text.starts_with(header.trim_end()) {
-        text = header.to_string();
-    }
-    text.push_str(&format!(
-        "{},{},{},{},{},{},{},{},{},{}\n",
+                  quiescent,max_depth,truncated,counterexamples";
+    let key = format!(
+        "{},{},{},{},",
         cfg.nodes,
         cfg.max_crashes,
         cfg.depth_bound.map_or("none".to_string(), |d| d.to_string()),
         cfg.sabotage,
+    );
+    let row = format!(
+        "{key}{},{},{},{},{},{}",
         report.states_explored,
         report.transitions,
         report.deadlocks,
         report.max_depth_seen,
         report.truncated,
         u64::from(report.counterexample.is_some()),
-    ));
-    std::fs::write(&path, text).expect("write results/modelcheck.csv");
+    );
+    let old = std::fs::read_to_string(&path).unwrap_or_default();
+    let mut lines: Vec<&str> = match old.lines().next() {
+        Some(first) if first == header => old.lines().collect(),
+        _ => vec![header],
+    };
+    match lines.iter_mut().find(|l| l.starts_with(&key)) {
+        Some(line) => *line = &row,
+        None => lines.push(&row),
+    }
+    std::fs::write(&path, lines.join("\n") + "\n").expect("write results/modelcheck.csv");
     println!("  csv: {}", path.display());
 }
 
@@ -128,7 +142,7 @@ pub fn run(args: &mut Args) -> ExitCode {
         let clean_report = check(&clean);
         report_scope(&clean, &clean_report);
         if csv {
-            append_csv(&clean, &clean_report);
+            record_csv(&clean, &clean_report);
         }
         let sab = ModelConfig { sabotage: true, ..clean };
         let sab_report = check(&sab);
@@ -148,7 +162,7 @@ pub fn run(args: &mut Args) -> ExitCode {
     let report = check(&scope);
     report_scope(&scope, &report);
     if csv {
-        append_csv(&scope, &report);
+        record_csv(&scope, &report);
     }
     let found = report.counterexample.is_some();
     if sabotage {

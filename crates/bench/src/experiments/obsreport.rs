@@ -32,7 +32,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use checkpoint::scale::fnv1a;
+use sim::stats::fnv1a;
 use sim::telemetry::critpath::{self, EpochPath};
 
 use crate::benchfile::{bench_flags, need_hex16, need_num, need_nums, report, BenchFile};

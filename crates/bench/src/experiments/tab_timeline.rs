@@ -20,7 +20,7 @@
 //! checkpoint: monotonic clock reads, bounded tick gaps, no wall-clock
 //! step across a firewall close → open cycle.
 
-use checkpoint::scale::fnv1a;
+use sim::stats::fnv1a;
 use sim::{audit_transparency, TracePhase};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

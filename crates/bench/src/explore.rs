@@ -16,7 +16,8 @@
 //! `tcd explore` experiment drives multi-thousand-iteration sweeps.
 
 use checkpoint::{
-    Coordinator, FailurePolicy, ShadowEpochState, ShadowViolation, TriggerMode, Wal, WalRecord,
+    Coordinator, FailurePolicy, NodeHooks, Participant, ShadowEpochState, ShadowViolation,
+    TriggerMode, Wal, WalRecord,
 };
 use checkpoint::{shadow, BusMsg, BUS_MSG_BYTES};
 use hwsim::{ControlLan, Endpoint, Frame, IfaceId, LanTransmit, LinkDeliver, NodeAddr};
@@ -196,62 +197,106 @@ impl Scenario {
     }
 }
 
-/// A model checkpoint agent: acks (optionally), reports done after its
-/// local capture time, counts resumes/aborts. Mirrors the coordinator
-/// unit-test fake so explorer traces exercise exactly the protocol
-/// seams, not guest-domain mechanics.
+/// The explorer's node: the shipped [`Participant`] over a third hook
+/// table whose local world is a timer — a capture holds the node from
+/// its start, completes `capture_ms` later, and stays held until the
+/// participant releases or rolls it back. Explorer traces therefore
+/// exercise the real node-side protocol (de-duplication, lost-resolution
+/// release, resume/abort idempotence) without guest-domain mechanics.
 struct ModelNode {
+    participant: Participant,
+    world: TimerWorld,
+}
+
+struct TimerWorld {
     addr: NodeAddr,
     lan: ComponentId,
     coord_addr: NodeAddr,
     capture_ms: u64,
+    /// Scenario dimension: `false` drops the explicit acks on the floor
+    /// (the coordinator then takes the done report as the implied ack).
     ack: bool,
+    held: bool,
+    /// Captures begun; a completion timer of an earlier capture is stale.
+    captures: u64,
 }
 
-struct CaptureDone {
-    epoch: u64,
-    trace: TraceCtx,
+enum NodeTimer {
+    Wake { token: u64 },
+    CaptureDone { capture: u64 },
+}
+
+/// [`NodeHooks`] over the timer world and the event being handled.
+struct ModelIo<'a, 'c> {
+    w: &'a mut TimerWorld,
+    ctx: &'a mut Ctx<'c>,
+}
+
+impl NodeHooks for ModelIo<'_, '_> {
+    fn send(&mut self, msg: BusMsg) {
+        if self.w.ack || !matches!(msg, BusMsg::NotifyAck { .. }) {
+            let frame = Frame::new(self.w.addr, self.w.coord_addr, BUS_MSG_BYTES, msg);
+            self.ctx.post(self.w.lan, SimDuration::ZERO, LanTransmit { frame });
+        }
+    }
+
+    fn wake_at_clock_ns(&mut self, clock_ns: f64, token: u64) {
+        // The model node's clock is ideal: it reads true time.
+        let at = SimTime::from_nanos(clock_ns as u64).max(self.ctx.now());
+        self.ctx.post_at(self.ctx.self_id(), at, NodeTimer::Wake { token });
+    }
+
+    fn wake_after(&mut self, d: SimDuration, token: u64) {
+        self.ctx.post_self(d, NodeTimer::Wake { token });
+    }
+
+    fn begin_capture(&mut self, _trace: TraceCtx) -> bool {
+        if self.w.held {
+            return false;
+        }
+        self.w.held = true;
+        self.w.captures += 1;
+        let d = SimDuration::from_millis(self.w.capture_ms);
+        self.ctx.post_self(d, NodeTimer::CaptureDone { capture: self.w.captures });
+        true
+    }
+
+    fn held(&self) -> bool {
+        self.w.held
+    }
+
+    fn release(&mut self) {
+        self.w.held = false;
+    }
+
+    fn rollback(&mut self) -> bool {
+        std::mem::take(&mut self.w.held)
+    }
+
+    fn image_bytes(&self) -> u64 {
+        1 << 20
+    }
 }
 
 impl Component for ModelNode {
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+        let latest = self.world.captures;
+        let mut io = ModelIo { w: &mut self.world, ctx };
         let payload = match payload.downcast::<LinkDeliver>() {
             Ok(del) => {
-                if let Some(
-                    msg @ &(BusMsg::CheckpointAt { .. } | BusMsg::CheckpointNow { .. }),
-                ) = del.frame.payload::<BusMsg>()
-                {
-                    let (epoch, trace) = match *msg {
-                        BusMsg::CheckpointAt { epoch, trace, .. }
-                        | BusMsg::CheckpointNow { epoch, trace, .. } => (epoch, trace),
-                        _ => unreachable!(),
-                    };
-                    if self.ack {
-                        let frame = Frame::new(
-                            self.addr,
-                            self.coord_addr,
-                            BUS_MSG_BYTES,
-                            BusMsg::NotifyAck { epoch, trace },
-                        );
-                        ctx.post(self.lan, SimDuration::ZERO, LanTransmit { frame });
-                    }
-                    ctx.post_self(
-                        SimDuration::from_millis(self.capture_ms),
-                        CaptureDone { epoch, trace },
-                    );
+                if let Some(&msg) = del.frame.payload::<BusMsg>() {
+                    self.participant.on_msg(&mut io, msg);
                 }
                 return;
             }
             Err(p) => p,
         };
-        if let Ok(done) = payload.downcast::<CaptureDone>() {
-            let frame = Frame::new(
-                self.addr,
-                self.coord_addr,
-                BUS_MSG_BYTES,
-                BusMsg::NodeDone { epoch: done.epoch, image_bytes: 1 << 20, trace: done.trace },
-            );
-            ctx.post(self.lan, SimDuration::ZERO, LanTransmit { frame });
+        match payload.downcast::<NodeTimer>() {
+            Ok(NodeTimer::Wake { token }) => self.participant.on_wake(&mut io, token),
+            Ok(NodeTimer::CaptureDone { capture }) if capture == latest => {
+                self.participant.on_captured(&mut io);
+            }
+            _ => {}
         }
     }
     sim::component_boilerplate!();
@@ -292,7 +337,7 @@ impl IterationOutcome {
     /// FNV-1a over the CSV rendering of the trace: two runs of the same
     /// seed are byte-identical iff their fingerprints match.
     pub fn fingerprint(&self) -> u64 {
-        checkpoint::scale::fnv1a(events_csv(&self.events).as_bytes())
+        sim::stats::fnv1a(events_csv(&self.events).as_bytes())
     }
 }
 
@@ -365,11 +410,16 @@ pub fn run_iteration(scenario: &Scenario, sabotage: bool) -> IterationOutcome {
     for (i, &ms) in s.capture_ms.iter().enumerate() {
         let addr = NodeAddr(i as u32 + 1);
         let n = e.add_component(Box::new(ModelNode {
-            addr,
-            lan,
-            coord_addr,
-            capture_ms: ms,
-            ack: s.ack_explicit,
+            participant: Participant::default(),
+            world: TimerWorld {
+                addr,
+                lan,
+                coord_addr,
+                capture_ms: ms,
+                ack: s.ack_explicit,
+                held: false,
+                captures: 0,
+            },
         }));
         e.with_component::<ControlLan, _>(lan, |l, _| {
             l.attach(addr, Endpoint { component: n, iface: IfaceId::CONTROL });

@@ -135,12 +135,10 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         let kernel = Kernel::new(kcfg);
         let mut agent = CheckpointAgent::new(ops_addr)
             .with_processing_jitter(cfg.strategy.processing_jitter_mean());
-        if let Some(stall) = stall {
-            agent = agent.with_done_stall(stall);
-        }
+        agent.participant.done_stall = stall;
         if cfg.faults.is_some() {
             // A faulty control plane warrants at-least-once done reports.
-            agent = agent.with_done_resend(SimDuration::from_millis(100));
+            agent.participant.done_resend = Some(SimDuration::from_millis(100));
         }
         let host = VmHost::new(
             VmHostConfig {
@@ -191,7 +189,7 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
     };
     e.with_component::<DelayNodeHost, _>(dn, |d, _| {
         if cfg.faults.is_some() {
-            d.set_done_resend(Some(SimDuration::from_millis(100)));
+            d.participant.done_resend = Some(SimDuration::from_millis(100));
         }
         d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
         d.add_path(IfaceId(2), shape, OutPort { link: link_a, end: 1 });

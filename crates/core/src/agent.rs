@@ -1,16 +1,14 @@
 //! The per-node checkpoint agent plugged into each VM host.
 //!
-//! The agent is the node-side half of §4.3's protocol: it receives bus
-//! notifications on the control interface, acks them (the coordinator's
-//! failure detector retries unacked nodes), arms a local timer for
-//! scheduled checkpoints ("Upon receiving the notification, nodes schedule
-//! their checkpoints locally. Accurate local timers and clock
-//! synchronization algorithms ensure precise checkpoint synchronization"),
-//! reports completion for the barrier, resumes on command, and rolls the
-//! local sequence back when the coordinator aborts the epoch. Duplicate
-//! notifications (failure-detector retries, a lossy LAN's duplicated
-//! frames) are absorbed by epoch ids: only the first copy of an epoch
-//! arms the local timer.
+//! The protocol itself is [`Participant`]; this is its hook table over a
+//! [`VmHost`]: bus messages ride the host's control interface, scheduled
+//! checkpoints arm a local timer against the NTP-disciplined clock
+//! ("Upon receiving the notification, nodes schedule their checkpoints
+//! locally. Accurate local timers and clock synchronization algorithms
+//! ensure precise checkpoint synchronization"), and capture / release /
+//! roll-back are the host's local live checkpoint. Three things are
+//! host-only: the ack's flow step on the host track, the §4.3 processing
+//! jitter of event-driven triggers, and the guest-raised trigger request.
 
 use hwsim::Frame;
 use sim::telemetry::names;
@@ -18,38 +16,16 @@ use sim::{Ctx, SimDuration, TraceCtx};
 use vmm::{HostAgent, VmHost};
 
 use crate::bus::{BusMsg, BUS_MSG_BYTES};
-
-/// Distinguishes a deferred done-report wake (straggler stall) from a
-/// checkpoint-start wake carrying the same epoch.
-const DONE_TOKEN_BIT: u64 = 1 << 63;
+use crate::participant::{NodeHooks, Participant};
 
 /// The coordinated-checkpoint agent for a VM host.
 pub struct CheckpointAgent {
     coordinator: hwsim::NodeAddr,
-    epoch: u64,
     /// Mean of the exponential processing delay applied to event-driven
     /// ("checkpoint now") triggers; zero for pure scheduled operation.
     processing_jitter_mean: SimDuration,
-    /// Fault injection: hold the done report this long after capture (a
-    /// straggler node as seen by the coordinator).
-    done_stall: Option<SimDuration>,
-    /// Re-send the done report at this interval until the coordinator
-    /// resolves the epoch (resume or abort) — at-least-once completion
-    /// reporting for lossy control planes.
-    done_resend: Option<SimDuration>,
-    /// Causal context of the current epoch's round, taken from the
-    /// notification and echoed on every reply; flow steps recorded
-    /// node-side (ack, capture) link into the coordinator's flow.
-    trace: TraceCtx,
-    /// Epoch whose local checkpoint was aborted; stale wakes and done
-    /// reports for it are suppressed.
-    aborted_epoch: Option<u64>,
-    /// Epoch counted in `completed` (un-counted again if it aborts).
-    counted_epoch: Option<u64>,
-    /// Checkpoints this agent has completed.
-    pub completed: u64,
-    /// Epochs this agent rolled back on coordinator abort.
-    pub aborted: u64,
+    /// The epoch-protocol state (and its fault-tolerance settings).
+    pub participant: Participant,
 }
 
 impl CheckpointAgent {
@@ -57,15 +33,8 @@ impl CheckpointAgent {
     pub fn new(coordinator: hwsim::NodeAddr) -> Self {
         CheckpointAgent {
             coordinator,
-            epoch: 0,
             processing_jitter_mean: SimDuration::ZERO,
-            done_stall: None,
-            done_resend: None,
-            trace: TraceCtx::NONE,
-            aborted_epoch: None,
-            counted_epoch: None,
-            completed: 0,
-            aborted: 0,
+            participant: Participant::default(),
         }
     }
 
@@ -76,171 +45,97 @@ impl CheckpointAgent {
         self
     }
 
-    /// Makes this node a straggler: its done report is held for `stall`
-    /// after the local capture completes (fault injection).
-    pub fn with_done_stall(mut self, stall: SimDuration) -> Self {
-        self.done_stall = Some(stall);
-        self
-    }
-
-    /// Enables done-report retransmission: the report repeats every
-    /// `interval` until a resume or abort resolves the epoch, so a lossy
-    /// control LAN cannot lose a node's completion.
-    pub fn with_done_resend(mut self, interval: SimDuration) -> Self {
-        self.done_resend = Some(interval);
-        self
-    }
-
-    fn send_ack(&self, host: &mut VmHost, ctx: &mut Ctx<'_>, epoch: u64, trace: TraceCtx) {
-        let t = ctx.telemetry();
-        let track = t.track(host.node().0, names::TRACK_VMHOST);
-        let tag = t.trace_tag(names::FLOW_ACK);
-        t.flow_step(track, tag, ctx.now(), trace);
-        host.send_ctrl(
+    fn io<'a, 'c>(&self, host: &'a mut VmHost, ctx: &'a mut Ctx<'c>) -> HostIo<'a, 'c> {
+        HostIo {
+            host,
             ctx,
-            self.coordinator,
-            BUS_MSG_BYTES,
-            BusMsg::NotifyAck { epoch, trace },
-        );
+            coordinator: self.coordinator,
+            jitter_mean: self.processing_jitter_mean,
+        }
+    }
+}
+
+/// [`NodeHooks`] over a host and the event context it is handling.
+struct HostIo<'a, 'c> {
+    host: &'a mut VmHost,
+    ctx: &'a mut Ctx<'c>,
+    coordinator: hwsim::NodeAddr,
+    jitter_mean: SimDuration,
+}
+
+impl NodeHooks for HostIo<'_, '_> {
+    fn send(&mut self, msg: BusMsg) {
+        if let BusMsg::NotifyAck { trace, .. } = msg {
+            let t = self.ctx.telemetry();
+            let track = t.track(self.host.node().0, names::TRACK_VMHOST);
+            let tag = t.trace_tag(names::FLOW_ACK);
+            t.flow_step(track, tag, self.ctx.now(), trace);
+        }
+        self.host.send_ctrl(self.ctx, self.coordinator, BUS_MSG_BYTES, msg);
     }
 
-    fn send_done(&mut self, host: &mut VmHost, ctx: &mut Ctx<'_>, epoch: u64) {
-        if self.counted_epoch != Some(epoch) {
-            self.completed += 1;
-            self.counted_epoch = Some(epoch);
+    fn wake_at_clock_ns(&mut self, clock_ns: f64, token: u64) {
+        self.host.agent_wake_at_clock_ns(self.ctx, clock_ns, token);
+    }
+
+    fn wake_after(&mut self, d: SimDuration, token: u64) {
+        self.host.agent_wake_after(self.ctx, d, token);
+    }
+
+    fn trigger_delay(&mut self) -> Option<SimDuration> {
+        let mean = self.jitter_mean.as_nanos() as f64;
+        (mean > 0.0).then(|| SimDuration::from_nanos(self.ctx.rng().exponential(mean) as u64))
+    }
+
+    fn begin_capture(&mut self, trace: TraceCtx) -> bool {
+        if self.host.checkpoint_running() {
+            return false;
         }
-        let image_bytes = host.last_image().map(|i| i.dirty_bytes).unwrap_or(0);
-        host.send_ctrl(
-            ctx,
-            self.coordinator,
-            BUS_MSG_BYTES,
-            BusMsg::NodeDone {
-                epoch,
-                image_bytes,
-                trace: self.trace,
-            },
-        );
-        if let Some(interval) = self.done_resend {
-            host.agent_wake_after(ctx, interval, epoch | DONE_TOKEN_BIT);
-        }
+        self.host.set_flow_ctx(trace);
+        self.host.begin_checkpoint(self.ctx);
+        true
+    }
+
+    fn held(&self) -> bool {
+        self.host.awaiting_resume()
+    }
+
+    fn release(&mut self) {
+        self.host.resume_guest(self.ctx);
+    }
+
+    fn rollback(&mut self) -> bool {
+        self.host.abort_checkpoint(self.ctx)
+    }
+
+    fn request_full(&mut self) {
+        self.host.request_full_checkpoint();
+    }
+
+    fn image_bytes(&self) -> u64 {
+        self.host.last_image().map_or(0, |i| i.dirty_bytes)
     }
 }
 
 impl HostAgent for CheckpointAgent {
     fn on_ctrl_frame(&mut self, host: &mut VmHost, ctx: &mut Ctx<'_>, frame: &Frame) {
-        let Some(&msg) = frame.payload::<BusMsg>() else {
-            return;
-        };
-        match msg {
-            BusMsg::CheckpointAt { epoch, at_clock_ns, full, trace } => {
-                if epoch < self.epoch {
-                    return; // Stale retry of a finished epoch.
-                }
-                if full {
-                    // The coordinator says our incremental chain is broken
-                    // (e.g. we were re-admitted after a crash): capture the
-                    // whole memory image this epoch. Safe on retries — the
-                    // latch is idempotent.
-                    host.request_full_checkpoint();
-                }
-                self.send_ack(host, ctx, epoch, trace);
-                if epoch == self.epoch {
-                    return; // Duplicate: the timer is already armed.
-                }
-                if host.awaiting_resume() {
-                    // A new round means the previous epoch terminated
-                    // without this node seeing its resolution (the resume
-                    // or abort was lost): release the guest and join.
-                    host.resume_guest(ctx);
-                }
-                self.epoch = epoch;
-                self.trace = trace;
-                host.set_flow_ctx(trace);
-                host.agent_wake_at_clock_ns(ctx, at_clock_ns, epoch);
-            }
-            BusMsg::CheckpointNow { epoch, full, trace } => {
-                if epoch < self.epoch {
-                    return;
-                }
-                if full {
-                    host.request_full_checkpoint(); // See CheckpointAt.
-                }
-                self.send_ack(host, ctx, epoch, trace);
-                if epoch == self.epoch {
-                    return;
-                }
-                if host.awaiting_resume() {
-                    host.resume_guest(ctx); // Lost resolution; see above.
-                }
-                self.epoch = epoch;
-                self.trace = trace;
-                host.set_flow_ctx(trace);
-                if self.processing_jitter_mean.is_zero() {
-                    host.begin_checkpoint(ctx);
-                } else {
-                    let d = SimDuration::from_nanos(
-                        ctx.rng()
-                            .exponential(self.processing_jitter_mean.as_nanos() as f64)
-                            as u64,
-                    );
-                    host.agent_wake_after(ctx, d, epoch);
-                }
-            }
-            BusMsg::Resume { epoch, .. } => {
-                // `awaiting_resume` absorbs duplicated resume frames.
-                if epoch == self.epoch
-                    && self.aborted_epoch != Some(epoch)
-                    && host.awaiting_resume()
-                {
-                    host.resume_guest(ctx);
-                }
-            }
-            BusMsg::Abort { epoch, .. } => {
-                if epoch != self.epoch || self.aborted_epoch == Some(epoch) {
-                    return; // Stale or duplicated abort.
-                }
-                self.aborted_epoch = Some(epoch);
-                self.aborted += 1;
-                if host.abort_checkpoint(ctx) && self.counted_epoch == Some(epoch) {
-                    // The captured image was rolled back: un-count it.
-                    self.completed -= 1;
-                    self.counted_epoch = None;
-                }
-            }
-            BusMsg::NotifyAck { .. } | BusMsg::NodeDone { .. } | BusMsg::RequestCheckpoint => {}
+        if let Some(&msg) = frame.payload::<BusMsg>() {
+            let mut io = self.io(host, ctx);
+            self.participant.on_msg(&mut io, msg);
         }
     }
 
     fn on_wake(&mut self, host: &mut VmHost, ctx: &mut Ctx<'_>, token: u64) {
-        let epoch = token & !DONE_TOKEN_BIT;
-        if epoch != self.epoch || self.aborted_epoch == Some(epoch) {
-            return; // A wake for an epoch that aborted or moved on.
-        }
-        if token & DONE_TOKEN_BIT != 0 {
-            if self.counted_epoch == Some(epoch) && !host.awaiting_resume() {
-                return; // Resolved while the resend timer was pending.
-            }
-            // The stalled first report comes due, or a resend fires.
-            self.send_done(host, ctx, epoch);
-        } else {
-            host.begin_checkpoint(ctx);
-        }
+        let mut io = self.io(host, ctx);
+        self.participant.on_wake(&mut io, token);
     }
 
     fn on_checkpoint_captured(&mut self, host: &mut VmHost, ctx: &mut Ctx<'_>) {
-        let epoch = self.epoch;
-        match self.done_stall {
-            Some(stall) => host.agent_wake_after(ctx, stall, epoch | DONE_TOKEN_BIT),
-            None => self.send_done(host, ctx, epoch),
-        }
+        let mut io = self.io(host, ctx);
+        self.participant.on_captured(&mut io);
     }
 
     fn on_guest_trigger(&mut self, host: &mut VmHost, ctx: &mut Ctx<'_>) {
-        host.send_ctrl(
-            ctx,
-            self.coordinator,
-            BUS_MSG_BYTES,
-            BusMsg::RequestCheckpoint,
-        );
+        host.send_ctrl(ctx, self.coordinator, BUS_MSG_BYTES, BusMsg::RequestCheckpoint);
     }
 }

@@ -25,6 +25,7 @@ use sim::{
 };
 
 use crate::bus::{BusMsg, BUS_MSG_BYTES};
+use crate::participant::{NodeHooks, Participant};
 
 /// Where shaped frames leave the delay node.
 #[derive(Clone, Copy, Debug)]
@@ -37,10 +38,8 @@ enum DnMsg {
     NtpPoll,
     PipeWake,
     AgentWake { token: u64 },
-    CaptureDone { epoch: u64 },
-    /// Suspension watchdog: if the epoch is still unresolved when this
-    /// fires, the coordinator is presumed dead and the hold is released.
-    Watchdog { epoch: u64 },
+    /// The serialization begun as capture number `capture` finished.
+    CaptureDone { capture: u64 },
     Replay { pipe: PipeId, frame: Frame },
 }
 
@@ -50,13 +49,16 @@ pub struct DelayNodeStats {
     pub forwarded: u64,
     pub checkpoints: u64,
     pub logged_in_flight: u64,
-    /// Epochs rolled back on coordinator abort.
+    /// Epochs rolled back on coordinator abort (mirrors the participant).
     pub aborted: u64,
-    /// Suspensions released by the watchdog (resolution never arrived).
+    /// Suspensions released by the watchdog (mirrors the participant).
     pub watchdog_releases: u64,
 }
 
-/// A delay node participating in coordinated checkpoints.
+/// A delay node participating in coordinated checkpoints: the epoch
+/// protocol is its [`Participant`]; this component is the hook table
+/// over its Dummynet (suspend + serialize, drain + replay, image
+/// roll-back) plus the shaping data path.
 pub struct DelayNodeHost {
     addr: NodeAddr,
     lan: ComponentId,
@@ -69,28 +71,23 @@ pub struct DelayNodeHost {
     /// End of the post-resume replay window: new arrivals queue behind the
     /// replayed in-flight packets to preserve order (§3.2).
     replay_until: SimTime,
-    epoch: u64,
+    /// Captures begun so far; a completion timer that is not the latest
+    /// capture's is stale (its suspension was released early).
+    captures: u64,
     /// Serialization throughput for the checkpoint (bytes/s of pipe state).
     capture_bps: u64,
     last_image: Option<DummynetImage>,
     /// Image displaced by an in-flight capture, kept until the epoch
     /// commits so an abort can roll the local sequence back.
     prev_image: Option<DummynetImage>,
-    /// Causal context of the current epoch's round, taken from the
-    /// notification and echoed on replies; suspend/drain flow steps
-    /// link this node into the round's cross-host flow.
+    /// Causal context of the round the latest capture was begun for;
+    /// suspend/drain flow steps link this node into that round's
+    /// cross-host flow.
     trace: TraceCtx,
-    /// Epoch aborted by the coordinator; its stale wakes are suppressed.
-    aborted_epoch: Option<u64>,
-    /// Re-send the done report at this interval until the epoch resolves
-    /// (at-least-once completion reporting for lossy control planes).
-    done_resend: Option<SimDuration>,
-    /// Release a suspension whose epoch is still unresolved after this
-    /// long: the coordinator crashed mid-round and its recovery may have
-    /// abandoned us, so roll back and drain rather than wedge forever.
-    /// Must exceed the epoch deadline plus the worst-case coordinator
-    /// downtime, or healthy held rounds would self-release.
-    suspend_watchdog: Option<SimDuration>,
+    /// The epoch-protocol state (and its fault-tolerance settings; the
+    /// suspend watchdog stays off for held swap-out/time-travel rounds,
+    /// which legitimately stay suspended for arbitrarily long).
+    pub participant: Participant,
     /// Counters.
     pub stats: DelayNodeStats,
 }
@@ -114,31 +111,14 @@ impl DelayNodeHost {
             routes: HashMap::new(),
             wake: None,
             replay_until: SimTime::ZERO,
-            epoch: 0,
+            captures: 0,
             capture_bps: 500_000_000,
             last_image: None,
             prev_image: None,
             trace: TraceCtx::NONE,
-            aborted_epoch: None,
-            done_resend: None,
-            suspend_watchdog: None,
+            participant: Participant::default(),
             stats: DelayNodeStats::default(),
         }
-    }
-
-    /// Enables done-report retransmission every `interval` until a resume
-    /// or abort resolves the epoch.
-    pub fn set_done_resend(&mut self, interval: Option<SimDuration>) {
-        self.done_resend = interval;
-    }
-
-    /// Arms the suspension watchdog: a round still unresolved `timeout`
-    /// after its suspension began is treated as aborted — the captured
-    /// image rolls back and the pipes drain. Off by default (held
-    /// swap-out/time-travel rounds legitimately stay suspended for
-    /// arbitrarily long).
-    pub fn set_suspend_watchdog(&mut self, timeout: Option<SimDuration>) {
-        self.suspend_watchdog = timeout;
     }
 
     /// Adds a shaped unidirectional path: frames arriving on `in_iface`
@@ -296,77 +276,31 @@ impl DelayNodeHost {
             self.ntp.apply(&mut self.clock, now, action);
             return;
         }
-        let Some(&msg) = frame.payload::<BusMsg>() else {
-            return;
-        };
-        match msg {
-            // Delay nodes always serialize their complete state (§4.4), so
-            // the `full` flag is meaningless here and ignored.
-            BusMsg::CheckpointAt { epoch, at_clock_ns, full: _, trace } => {
-                if epoch < self.epoch {
-                    return; // Stale retry of a finished epoch.
-                }
-                self.send_ctrl(ctx, BusMsg::NotifyAck { epoch, trace });
-                if epoch == self.epoch {
-                    return; // Duplicate: the timer is already armed.
-                }
-                if self.dn.suspended() {
-                    // A new round means the previous epoch terminated
-                    // without this node seeing its resolution (the resume
-                    // or abort was lost): release the pipes and join.
-                    self.resume(ctx);
-                }
-                self.epoch = epoch;
-                self.trace = trace;
-                // Clamp: a retried notification may target the past.
-                let at = self.clock.when_reads(ctx.now(), at_clock_ns).max(ctx.now());
-                ctx.post_at(ctx.self_id(), at, DnMsg::AgentWake { token: epoch });
-            }
-            BusMsg::CheckpointNow { epoch, full: _, trace } => {
-                if epoch < self.epoch {
-                    return;
-                }
-                self.send_ctrl(ctx, BusMsg::NotifyAck { epoch, trace });
-                if epoch == self.epoch {
-                    return;
-                }
-                if self.dn.suspended() {
-                    self.resume(ctx); // Lost resolution; see above.
-                }
-                self.epoch = epoch;
-                self.trace = trace;
-                self.begin_checkpoint(ctx);
-            }
-            BusMsg::Resume { epoch, .. } => {
-                if epoch == self.epoch
-                    && self.aborted_epoch != Some(epoch)
-                    && self.dn.suspended()
-                {
-                    self.resume(ctx);
-                }
-            }
-            BusMsg::Abort { epoch, .. } => {
-                if epoch != self.epoch || self.aborted_epoch == Some(epoch) {
-                    return; // Stale or duplicated abort.
-                }
-                self.aborted_epoch = Some(epoch);
-                self.stats.aborted += 1;
-                if self.dn.suspended() {
-                    // Roll back the captured image and resume through the
-                    // firewall as if the epoch had never been triggered.
-                    self.last_image = self.prev_image.take();
-                    self.stats.checkpoints = self.stats.checkpoints.saturating_sub(1);
-                    self.resume(ctx);
-                }
-            }
-            BusMsg::NotifyAck { .. } | BusMsg::NodeDone { .. } | BusMsg::RequestCheckpoint => {}
+        if let Some(&msg) = frame.payload::<BusMsg>() {
+            self.drive(ctx, |p, io| p.on_msg(io, msg));
         }
     }
 
-    fn begin_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
+    /// Runs one participant entry point over this node's hooks.
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        f: impl FnOnce(&mut Participant, &mut DnIo<'_, '_>),
+    ) {
+        let mut p = self.participant;
+        f(&mut p, &mut DnIo { node: self, ctx });
+        self.stats.aborted = p.aborted;
+        self.stats.watchdog_releases = p.watchdog_releases;
+        self.participant = p;
+    }
+
+    /// Delay nodes always serialize their complete state (§4.4), so the
+    /// full-capture demand (`request_full`) keeps its no-op default.
+    fn begin_checkpoint(&mut self, ctx: &mut Ctx<'_>, trace: TraceCtx) -> bool {
         if self.dn.suspended() {
-            return;
+            return false;
         }
+        self.trace = trace;
         // Suspend Dummynet and serialize non-destructively.
         self.dn.suspend(ctx.now());
         {
@@ -391,10 +325,21 @@ impl DelayNodeHost {
         self.prev_image = self.last_image.take();
         self.last_image = Some(image);
         self.stats.checkpoints += 1;
-        ctx.post_self(cost, DnMsg::CaptureDone { epoch: self.epoch });
-        if let Some(timeout) = self.suspend_watchdog {
-            ctx.post_self(timeout, DnMsg::Watchdog { epoch: self.epoch });
+        self.captures += 1;
+        ctx.post_self(cost, DnMsg::CaptureDone { capture: self.captures });
+        true
+    }
+
+    /// Rolls the captured image back and resumes through the firewall
+    /// as if the epoch had never been triggered.
+    fn rollback(&mut self, ctx: &mut Ctx<'_>) -> bool {
+        if !self.dn.suspended() {
+            return false;
         }
+        self.last_image = self.prev_image.take();
+        self.stats.checkpoints = self.stats.checkpoints.saturating_sub(1);
+        self.resume(ctx);
+        true
     }
 
     fn resume(&mut self, ctx: &mut Ctx<'_>) {
@@ -450,6 +395,49 @@ impl DelayNodeHost {
     }
 }
 
+/// [`NodeHooks`] over a delay node and the event context it is handling.
+struct DnIo<'a, 'c> {
+    node: &'a mut DelayNodeHost,
+    ctx: &'a mut Ctx<'c>,
+}
+
+impl NodeHooks for DnIo<'_, '_> {
+    fn send(&mut self, msg: BusMsg) {
+        self.node.send_ctrl(self.ctx, msg);
+    }
+
+    fn wake_at_clock_ns(&mut self, clock_ns: f64, token: u64) {
+        // Clamp: a retried notification may target the past.
+        let now = self.ctx.now();
+        let at = self.node.clock.when_reads(now, clock_ns).max(now);
+        self.ctx.post_at(self.ctx.self_id(), at, DnMsg::AgentWake { token });
+    }
+
+    fn wake_after(&mut self, d: SimDuration, token: u64) {
+        self.ctx.post_self(d, DnMsg::AgentWake { token });
+    }
+
+    fn begin_capture(&mut self, trace: TraceCtx) -> bool {
+        self.node.begin_checkpoint(self.ctx, trace)
+    }
+
+    fn held(&self) -> bool {
+        self.node.dn.suspended()
+    }
+
+    fn release(&mut self) {
+        self.node.resume(self.ctx);
+    }
+
+    fn rollback(&mut self) -> bool {
+        self.node.rollback(self.ctx)
+    }
+
+    fn image_bytes(&self) -> u64 {
+        self.node.last_image().map(|i| i.byte_size()).unwrap_or(0)
+    }
+}
+
 impl Component for DelayNodeHost {
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let payload = match payload.downcast::<LinkDeliver>() {
@@ -476,44 +464,11 @@ impl Component for DelayNodeHost {
                 ctx.post_self(self.ntp.next_poll_in(), DnMsg::NtpPoll);
             }
             DnMsg::PipeWake => self.emit_ready(ctx),
-            DnMsg::AgentWake { token } => {
-                if token == self.epoch && self.aborted_epoch != Some(token) {
-                    self.begin_checkpoint(ctx);
+            DnMsg::AgentWake { token } => self.drive(ctx, |p, io| p.on_wake(io, token)),
+            DnMsg::CaptureDone { capture } => {
+                if capture == self.captures {
+                    self.drive(ctx, |p, io| p.on_captured(io));
                 }
-            }
-            DnMsg::CaptureDone { epoch } => {
-                if epoch != self.epoch
-                    || self.aborted_epoch == Some(epoch)
-                    || !self.dn.suspended()
-                {
-                    return; // The epoch resolved while this event was due.
-                }
-                let image_bytes = self.last_image().map(|i| i.byte_size()).unwrap_or(0);
-                let trace = self.trace;
-                self.send_ctrl(ctx, BusMsg::NodeDone { epoch, image_bytes, trace });
-                if let Some(interval) = self.done_resend {
-                    // At-least-once: repeat until resume/abort resolves it.
-                    ctx.post_self(interval, DnMsg::CaptureDone { epoch });
-                }
-            }
-            DnMsg::Watchdog { epoch } => {
-                if epoch != self.epoch
-                    || self.aborted_epoch == Some(epoch)
-                    || !self.dn.suspended()
-                {
-                    return; // The round resolved; the watchdog is moot.
-                }
-                // No resume or abort ever arrived: a recovering
-                // coordinator abandoned this round (its abort publication
-                // was lost, or it classified the round before this node's
-                // done report landed). Locally adopt the abort outcome —
-                // roll back the capture and drain the queued packets.
-                self.aborted_epoch = Some(epoch);
-                self.stats.aborted += 1;
-                self.stats.watchdog_releases += 1;
-                self.last_image = self.prev_image.take();
-                self.stats.checkpoints = self.stats.checkpoints.saturating_sub(1);
-                self.resume(ctx);
             }
             DnMsg::Replay { pipe, frame } => {
                 let now = ctx.now();

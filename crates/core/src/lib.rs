@@ -9,11 +9,16 @@
 //!   ("checkpoint at time t") or event-driven ("checkpoint now") triggers,
 //!   completion barrier, resume notification; doubles as the NTP
 //!   reference;
-//! - [`CheckpointAgent`] — the node-side agent plugged into each
-//!   [`vmm::VmHost`], arming local timers against the NTP-disciplined
-//!   clock and driving the host's local live checkpoint;
-//! - [`DelayNodeHost`] — the network-core checkpoint: Dummynet suspension,
-//!   non-destructive serialization, and time-virtualized resume (§4.4);
+//! - [`Participant`] — the node-side half of the protocol, written once:
+//!   ack, de-duplicate, arm the local timer, report done, resume or roll
+//!   back, over a [`NodeHooks`] table that is everything it may do to the
+//!   node it runs on;
+//! - [`CheckpointAgent`] — the hook table over a [`vmm::VmHost`]: local
+//!   timers against the NTP-disciplined clock and the host's local live
+//!   checkpoint;
+//! - [`DelayNodeHost`] — the hook table over the network core: Dummynet
+//!   suspension, non-destructive serialization, and time-virtualized
+//!   resume (§4.4);
 //! - [`Strategy`] — the runnable baselines (event-driven triggering,
 //!   non-concealing stop-and-copy) the evaluation compares against.
 //!
@@ -28,6 +33,7 @@ mod bus;
 mod coordinator;
 mod delaynode;
 pub mod modelcheck;
+mod participant;
 pub mod scale;
 pub mod shadow;
 pub mod wal;
@@ -40,6 +46,7 @@ pub use coordinator::{
     TriggerMode,
 };
 pub use delaynode::{DelayNodeHost, DelayNodeStats, OutPort};
+pub use participant::{NodeHooks, Participant};
 pub use scale::{build_scale_lab, ScaleConfig, ScaleLab, ScaleOutcome};
 pub use shadow::{ShadowEpochState, ShadowOutcome, ShadowViolation};
 pub use wal::{MemWalStore, Wal, WalRecord, WalStore};

@@ -20,6 +20,7 @@
 //! merged telemetry for any shard count — the invariant the
 //! cross-shard determinism suite and `bench_scale` both pin.
 
+use sim::stats::fnv1a;
 use sim::{
     ComponentId, Payload, ShardComponent, ShardCtx, ShardedEngine, SimDuration, SimTime,
     Telemetry,
@@ -627,17 +628,6 @@ impl ScaleLab {
         }
         Ok(())
     }
-}
-
-/// FNV-1a over a byte string; the workspace's standard cheap
-/// fingerprint (same constants as the explorer's).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

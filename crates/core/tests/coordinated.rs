@@ -3,252 +3,22 @@
 //! periodic checkpoints. These assert the paper's §7.1 transparency
 //! metrics and that the baselines measurably violate them.
 
+mod common;
+
 use std::any::Any;
-use std::sync::Arc;
 
-use checkpoint::{CheckpointAgent, Coordinator, DelayNodeHost, OutPort, Strategy};
-use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
-use dummynet::PipeConfig;
-use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
-use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
-use sim::{ComponentId, Engine, SimDuration};
-use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
+use checkpoint::{BusMsg, Coordinator, DelayNodeHost, EpochOutcome, Strategy, BUS_MSG_BYTES};
+use guestos::{GuestProg, Syscall, SysRet};
+use hwsim::{Frame, IfaceId, LinkDeliver};
+use sim::{SimDuration, TraceCtx};
+use vmm::VmHost;
 
-// ---------------------------------------------------------------------
-// Workload programs (iperf shape).
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-struct Sender {
-    dst: NodeAddr,
-    port: u16,
-    fd: Option<guestos::prog::SockFd>,
-}
-
-impl GuestProg for Sender {
-    fn step(&mut self, ret: SysRet) -> Syscall {
-        match ret {
-            SysRet::Start => Syscall::Connect {
-                dst: self.dst,
-                port: self.port,
-            },
-            SysRet::Sock(fd) => {
-                self.fd = Some(fd);
-                Syscall::Send {
-                    fd,
-                    bytes: 64 * 1024,
-                    msg: None,
-                }
-            }
-            SysRet::Sent(_) => Syscall::Send {
-                fd: self.fd.expect("connected"),
-                bytes: 64 * 1024,
-                msg: None,
-            },
-            other => panic!("sender: unexpected {other:?}"),
-        }
-    }
-    fn clone_box(&self) -> Box<dyn GuestProg> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-#[derive(Clone)]
-struct Receiver {
-    port: u16,
-    fd: Option<guestos::prog::SockFd>,
-    listening: bool,
-}
-
-impl GuestProg for Receiver {
-    fn step(&mut self, ret: SysRet) -> Syscall {
-        match ret {
-            SysRet::Start => Syscall::Listen { port: self.port },
-            SysRet::Ok if !self.listening => {
-                self.listening = true;
-                Syscall::Accept { port: self.port }
-            }
-            SysRet::Sock(fd) => {
-                self.fd = Some(fd);
-                Syscall::Recv { fd, max: u64::MAX }
-            }
-            SysRet::Recvd { .. } => Syscall::Recv {
-                fd: self.fd.expect("accepted"),
-                max: u64::MAX,
-            },
-            other => panic!("receiver: unexpected {other:?}"),
-        }
-    }
-    fn clone_box(&self) -> Box<dyn GuestProg> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------
-// Testbed assembly.
-// ---------------------------------------------------------------------
-
-struct Lab {
-    e: Engine,
-    coord: ComponentId,
-    host_a: ComponentId,
-    host_b: ComponentId,
-    dn: ComponentId,
-}
-
-/// Builds: hostA --link-- delaynode --link-- hostB, ops LAN + coordinator.
-fn build_lab(seed: u64, strategy: Strategy) -> Lab {
-    let mut e = Engine::new(seed);
-    let profile = Pc3000::default();
-
-    let lan_id = e.add_component(Box::new(ControlLan::new(
-        profile.ctrl_lan_bps,
-        profile.ctrl_lan_latency,
-        profile.ctrl_lan_jitter,
-    )));
-
-    let ops_addr = NodeAddr(1000);
-    let coord = e.add_component(Box::new(
-        Coordinator::builder(ops_addr, lan_id)
-            .mode(strategy.trigger_mode())
-            .build(),
-    ));
-
-    let addr_a = NodeAddr(1);
-    let addr_b = NodeAddr(2);
-    let addr_dn = NodeAddr(3);
-
-    let mk_host = |e: &mut Engine, node: NodeAddr, off: i64, drift: f64| {
-        let golden = Arc::new(GoldenImageBuilder::new("fc4", 100_000, 4096, 7).build());
-        let layout = StoreLayout::for_image(&golden);
-        let store = BranchingStore::new(golden, CowMode::Branch, layout);
-        let mut kcfg = KernelConfig::pc3000_guest(node);
-        kcfg.disk_blocks = 100_000;
-        kcfg.cache_blocks = 8192;
-        let kernel = Kernel::new(kcfg);
-        let agent = CheckpointAgent::new(ops_addr)
-            .with_processing_jitter(strategy.processing_jitter_mean());
-        let host = VmHost::new(
-            VmHostConfig {
-                node,
-                profile: Pc3000::default(),
-                tuning: VmmTuning::default(),
-                lan: lan_id,
-                ntp_server: ops_addr,
-            services: ops_addr,
-                clock_offset_ns: off,
-                clock_drift_ppm: drift,
-                auto_resume: false,
-                conceal_downtime: strategy.conceals_downtime(),
-            },
-            store,
-            kernel,
-            Some(Box::new(agent)),
-        );
-        e.add_component(Box::new(host))
-    };
-
-    let host_a = mk_host(&mut e, addr_a, 2_000_000, 40.0);
-    let host_b = mk_host(&mut e, addr_b, -3_000_000, -25.0);
-    let dn = e.add_component(Box::new(DelayNodeHost::new(
-        addr_dn, lan_id, ops_addr, 1_000_000, 15.0,
-    )));
-
-    // Experiment links: A <-> DN (iface 1), B <-> DN (iface 2).
-    let link_a = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_a, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(1) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-    let link_b = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_b, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(2) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-
-    // Delay-node pipes: 1 Gbps, 100 µs each way (the "1 Gbps network").
-    let shape = PipeConfig {
-        bandwidth_bps: Some(1_000_000_000),
-        delay: SimDuration::from_micros(100),
-        plr: 0.0,
-        queue_slots: 512,
-    };
-    e.with_component::<DelayNodeHost, _>(dn, |d, _| {
-        d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
-        d.add_path(IfaceId(2), shape, OutPort { link: link_a, end: 1 });
-    });
-
-    // Host routing: everything goes out the experiment link.
-    e.with_component::<VmHost, _>(host_a, |h, _| {
-        h.add_exp_route(addr_b, ExpPort::LinkEnd { link: link_a, end: 0 });
-    });
-    e.with_component::<VmHost, _>(host_b, |h, _| {
-        h.add_exp_route(addr_a, ExpPort::LinkEnd { link: link_b, end: 0 });
-    });
-
-    // Control LAN attachment + bus subscription.
-    e.with_component::<ControlLan, _>(lan_id, |lan, _| {
-        lan.attach(ops_addr, Endpoint { component: coord, iface: IfaceId::CONTROL });
-        lan.attach(addr_a, Endpoint { component: host_a, iface: IfaceId::CONTROL });
-        lan.attach(addr_b, Endpoint { component: host_b, iface: IfaceId::CONTROL });
-        lan.attach(addr_dn, Endpoint { component: dn, iface: IfaceId::CONTROL });
-    });
-    e.with_component::<Coordinator, _>(coord, |c, _| {
-        c.subscribe(addr_a);
-        c.subscribe(addr_b);
-        c.subscribe(addr_dn);
-    });
-
-    // Boot.
-    e.with_component::<VmHost, _>(host_a, |h, ctx| h.start(ctx));
-    e.with_component::<VmHost, _>(host_b, |h, ctx| h.start(ctx));
-    e.with_component::<DelayNodeHost, _>(dn, |d, ctx| d.start(ctx));
-
-    Lab {
-        e,
-        coord,
-        host_a,
-        host_b,
-        dn,
-    }
-}
+use common::{build_lab, warm_up, Lab, LabCfg, ADDR_A, OPS_ADDR};
 
 /// Runs the iperf workload with periodic checkpoints; returns the lab.
 fn run_iperf_with_checkpoints(seed: u64, strategy: Strategy, secs: u64) -> Lab {
-    let mut lab = build_lab(seed, strategy);
-    // Let NTP take its boot step and settle briefly.
-    lab.e.run_for(SimDuration::from_secs(20));
-    let (a, b) = (lab.host_a, lab.host_b);
-    lab.e.with_component::<VmHost, _>(b, |h, _| {
-        h.kernel_mut().trace.enable();
-        h.kernel_mut().spawn(Box::new(Receiver {
-            port: 5001,
-            fd: None,
-            listening: false,
-        }));
-    });
-    lab.e.with_component::<VmHost, _>(a, |h, _| {
-        h.kernel_mut().spawn(Box::new(Sender {
-            dst: NodeAddr(2),
-            port: 5001,
-            fd: None,
-        }));
-    });
-    // 2 s of steady state, then checkpoints every 5 s.
-    lab.e.run_for(SimDuration::from_secs(2));
-    let coord = lab.coord;
-    lab.e
-        .with_component::<Coordinator, _>(coord, |c, ctx| c.start_periodic(ctx, SimDuration::from_secs(5)));
+    let mut lab = build_lab(&LabCfg { strategy, ..LabCfg::new(seed) });
+    warm_up(&mut lab, true);
     lab.e.run_for(SimDuration::from_secs(secs));
     lab
 }
@@ -413,7 +183,7 @@ fn guest_triggered_checkpoint_reaches_everyone() {
         }
     }
 
-    let mut lab = build_lab(31, Strategy::Transparent);
+    let mut lab = build_lab(&LabCfg::new(31));
     lab.e.run_for(SimDuration::from_secs(10));
     let a = lab.host_a;
     lab.e.with_component::<VmHost, _>(a, |h, _| {
@@ -433,4 +203,63 @@ fn guest_triggered_checkpoint_reaches_everyone() {
     assert_eq!(ha.stats.checkpoints, 1);
     assert_eq!(hb.stats.checkpoints, 1, "the other node checkpointed too");
     assert_eq!(dn.stats.checkpoints, 1, "the network core checkpointed too");
+}
+
+/// Delivers a forged coordinator notification straight to host A's
+/// control NIC after `delay`.
+fn inject_checkpoint_now(lab: &mut Lab, delay: SimDuration, epoch: u64) {
+    let trace = TraceCtx::for_round(0, epoch);
+    let msg = BusMsg::CheckpointNow { epoch, full: false, trace };
+    let frame = Frame::new(OPS_ADDR, ADDR_A, BUS_MSG_BYTES, msg);
+    let host_a = lab.host_a;
+    lab.e.post(host_a, delay, LinkDeliver { iface: IfaceId::CONTROL, frame });
+}
+
+/// A notification that arrives while the host is still capturing the
+/// previous epoch used to panic the host ("checkpoint already running").
+/// It must be acked, start no second capture, and the capture that was
+/// frozen for the older epoch must be rolled back, not reported.
+#[test]
+fn notification_mid_capture_does_not_panic_the_host() {
+    let mut lab = build_lab(&LabCfg::new(32));
+    lab.e.run_for(SimDuration::from_secs(10));
+    inject_checkpoint_now(&mut lab, SimDuration::ZERO, 1);
+    inject_checkpoint_now(&mut lab, SimDuration::from_micros(5), 2);
+    lab.e.run_for(SimDuration::from_secs(1));
+
+    let ha = lab.e.component_ref::<VmHost>(lab.host_a).unwrap();
+    assert_eq!(ha.stats.freeze_history.len(), 0, "the stale capture was rolled back");
+    assert_eq!(ha.stats.checkpoints, 0);
+    assert!(ha.last_image().is_none(), "no image frozen for epoch 1 survives as epoch 2's");
+    assert!(!ha.checkpoint_running(), "the guest runs again");
+}
+
+/// The same disturbance against a live round: the coordinator's epoch 1
+/// is under way when a notification for epoch 2 reaches host A
+/// mid-capture. Epoch 1 must not commit over A's mislabelled image —
+/// it aborts at its deadline (A acked, so it is alive, so no degrade) —
+/// and once A has sat out epoch 2, whose notification it already took,
+/// the lab commits again.
+#[test]
+fn round_disturbed_mid_capture_aborts_and_the_lab_recovers() {
+    let mut lab = build_lab(&LabCfg { strategy: Strategy::EventDriven, ..LabCfg::new(33) });
+    lab.e.run_for(SimDuration::from_secs(10));
+    let coord = lab.coord;
+    lab.e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
+    // Past the event-driven processing jitter, well inside the ≥25 ms capture.
+    inject_checkpoint_now(&mut lab, SimDuration::from_millis(15), 2);
+    lab.e.run_for(SimDuration::from_secs(3));
+    for _ in 0..2 {
+        lab.e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
+        lab.e.run_for(SimDuration::from_secs(3));
+    }
+
+    let c = lab.e.component_ref::<Coordinator>(coord).unwrap();
+    let outcomes: Vec<_> = c.records.iter().map(|r| r.outcome).collect();
+    assert_eq!(
+        outcomes,
+        [Some(EpochOutcome::Aborted), Some(EpochOutcome::Aborted), Some(EpochOutcome::Committed)],
+    );
+    let ha = lab.e.component_ref::<VmHost>(lab.host_a).unwrap();
+    assert_eq!(ha.stats.checkpoints, 1, "only epoch 3's image stands");
 }

@@ -3,284 +3,25 @@
 //! (commit, abort, or degrade — never wedge), abort deterministically,
 //! and leave the guests untouched when they do commit.
 
-use std::any::Any;
-use std::sync::Arc;
+mod common;
 
-use checkpoint::{
-    CheckpointAgent, Coordinator, DelayNodeHost, EpochOutcome, FailurePolicy, GroupId, OutPort,
-    Strategy,
-};
-use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
-use dummynet::PipeConfig;
-use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
-use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
-use sim::{ComponentId, Engine, FaultPlan, SimDuration};
-use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
+use checkpoint::{Coordinator, DelayNodeHost, EpochOutcome, FailurePolicy, GroupId};
+use sim::{FaultPlan, SimDuration};
+use vmm::VmHost;
 
-// ---------------------------------------------------------------------
-// Workload programs (iperf shape).
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-struct Sender {
-    dst: NodeAddr,
-    port: u16,
-    fd: Option<guestos::prog::SockFd>,
-}
-
-impl GuestProg for Sender {
-    fn step(&mut self, ret: SysRet) -> Syscall {
-        match ret {
-            SysRet::Start => Syscall::Connect {
-                dst: self.dst,
-                port: self.port,
-            },
-            SysRet::Sock(fd) => {
-                self.fd = Some(fd);
-                Syscall::Send {
-                    fd,
-                    bytes: 64 * 1024,
-                    msg: None,
-                }
-            }
-            SysRet::Sent(_) => Syscall::Send {
-                fd: self.fd.expect("connected"),
-                bytes: 64 * 1024,
-                msg: None,
-            },
-            other => panic!("sender: unexpected {other:?}"),
-        }
-    }
-    fn clone_box(&self) -> Box<dyn GuestProg> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-#[derive(Clone)]
-struct Receiver {
-    port: u16,
-    fd: Option<guestos::prog::SockFd>,
-    listening: bool,
-}
-
-impl GuestProg for Receiver {
-    fn step(&mut self, ret: SysRet) -> Syscall {
-        match ret {
-            SysRet::Start => Syscall::Listen { port: self.port },
-            SysRet::Ok if !self.listening => {
-                self.listening = true;
-                Syscall::Accept { port: self.port }
-            }
-            SysRet::Sock(fd) => {
-                self.fd = Some(fd);
-                Syscall::Recv { fd, max: u64::MAX }
-            }
-            SysRet::Recvd { .. } => Syscall::Recv {
-                fd: self.fd.expect("accepted"),
-                max: u64::MAX,
-            },
-            other => panic!("receiver: unexpected {other:?}"),
-        }
-    }
-    fn clone_box(&self) -> Box<dyn GuestProg> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rig: the coordinated-checkpoint lab plus fault knobs.
-// ---------------------------------------------------------------------
-
-struct FaultCfg {
-    seed: u64,
-    faults: Option<FaultPlan>,
-    /// Done-report stall on host B (straggler).
-    stall: Option<SimDuration>,
-    policy: Option<FailurePolicy>,
-    /// Subscribe host A in `GroupId(1)` and host B + delay node in
-    /// `GroupId(2)` instead of putting everyone in the default group.
-    split_groups: bool,
-}
-
-struct Lab {
-    e: Engine,
-    coord: ComponentId,
-    host_a: ComponentId,
-    host_b: ComponentId,
-    dn: ComponentId,
-}
-
-/// hostA --link-- delaynode --link-- hostB, ops LAN + coordinator, with
-/// the configured fault plan injected into the control LAN.
-fn build_lab(cfg: &FaultCfg) -> Lab {
-    let mut e = Engine::new(cfg.seed);
-    let profile = Pc3000::default();
-
-    let lan_id = e.add_component(Box::new(ControlLan::new(
-        profile.ctrl_lan_bps,
-        profile.ctrl_lan_latency,
-        profile.ctrl_lan_jitter,
-    )));
-    if let Some(plan) = cfg.faults.clone() {
-        e.with_component::<ControlLan, _>(lan_id, |l, _| l.inject_faults(plan));
-    }
-
-    let ops_addr = NodeAddr(1000);
-    let mut coord_builder =
-        Coordinator::builder(ops_addr, lan_id).mode(Strategy::Transparent.trigger_mode());
-    if let Some(policy) = cfg.policy {
-        coord_builder = coord_builder.policy(policy);
-    }
-    let coord = e.add_component(Box::new(coord_builder.build()));
-
-    let addr_a = NodeAddr(1);
-    let addr_b = NodeAddr(2);
-    let addr_dn = NodeAddr(3);
-
-    let mk_host =
-        |e: &mut Engine, node: NodeAddr, off: i64, drift: f64, stall: Option<SimDuration>| {
-            let golden = Arc::new(GoldenImageBuilder::new("fc4", 100_000, 4096, 7).build());
-            let layout = StoreLayout::for_image(&golden);
-            let store = BranchingStore::new(golden, CowMode::Branch, layout);
-            let mut kcfg = KernelConfig::pc3000_guest(node);
-            kcfg.disk_blocks = 100_000;
-            kcfg.cache_blocks = 8192;
-            let kernel = Kernel::new(kcfg);
-            let mut agent = CheckpointAgent::new(ops_addr);
-            if let Some(stall) = stall {
-                agent = agent.with_done_stall(stall);
-            }
-            if cfg.faults.is_some() {
-                agent = agent.with_done_resend(SimDuration::from_millis(100));
-            }
-            let host = VmHost::new(
-                VmHostConfig {
-                    node,
-                    profile: Pc3000::default(),
-                    tuning: VmmTuning::default(),
-                    lan: lan_id,
-                    ntp_server: ops_addr,
-                    services: ops_addr,
-                    clock_offset_ns: off,
-                    clock_drift_ppm: drift,
-                    auto_resume: false,
-                    conceal_downtime: true,
-                },
-                store,
-                kernel,
-                Some(Box::new(agent)),
-            );
-            e.add_component(Box::new(host))
-        };
-
-    let host_a = mk_host(&mut e, addr_a, 2_000_000, 40.0, None);
-    let host_b = mk_host(&mut e, addr_b, -3_000_000, -25.0, cfg.stall);
-    let dn = e.add_component(Box::new(DelayNodeHost::new(
-        addr_dn, lan_id, ops_addr, 1_000_000, 15.0,
-    )));
-
-    let link_a = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_a, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(1) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-    let link_b = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_b, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(2) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-
-    let shape = PipeConfig {
-        bandwidth_bps: Some(1_000_000_000),
-        delay: SimDuration::from_micros(100),
-        plr: 0.0,
-        queue_slots: 512,
-    };
-    e.with_component::<DelayNodeHost, _>(dn, |d, _| {
-        if cfg.faults.is_some() {
-            d.set_done_resend(Some(SimDuration::from_millis(100)));
-        }
-        d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
-        d.add_path(IfaceId(2), shape, OutPort { link: link_a, end: 1 });
-    });
-
-    e.with_component::<VmHost, _>(host_a, |h, _| {
-        h.add_exp_route(addr_b, ExpPort::LinkEnd { link: link_a, end: 0 });
-    });
-    e.with_component::<VmHost, _>(host_b, |h, _| {
-        h.add_exp_route(addr_a, ExpPort::LinkEnd { link: link_b, end: 0 });
-    });
-
-    e.with_component::<ControlLan, _>(lan_id, |lan, _| {
-        lan.attach(ops_addr, Endpoint { component: coord, iface: IfaceId::CONTROL });
-        lan.attach(addr_a, Endpoint { component: host_a, iface: IfaceId::CONTROL });
-        lan.attach(addr_b, Endpoint { component: host_b, iface: IfaceId::CONTROL });
-        lan.attach(addr_dn, Endpoint { component: dn, iface: IfaceId::CONTROL });
-    });
-    e.with_component::<Coordinator, _>(coord, |c, _| {
-        if cfg.split_groups {
-            c.subscribe_in(addr_a, GroupId(1));
-            c.subscribe_in(addr_b, GroupId(2));
-            c.subscribe_in(addr_dn, GroupId(2));
-        } else {
-            c.subscribe(addr_a);
-            c.subscribe(addr_b);
-            c.subscribe(addr_dn);
-        }
-    });
-
-    e.with_component::<VmHost, _>(host_a, |h, ctx| h.start(ctx));
-    e.with_component::<VmHost, _>(host_b, |h, ctx| h.start(ctx));
-    e.with_component::<DelayNodeHost, _>(dn, |d, ctx| d.start(ctx));
-
-    Lab { e, coord, host_a, host_b, dn }
-}
+use common::{build_lab, spawn_iperf, unresolved, warm_up, Lab, LabCfg};
 
 /// Warm-up, iperf, periodic checkpoints for `secs`, then a drain window so
 /// every in-flight epoch reaches a terminal outcome.
-fn run_iperf(cfg: &FaultCfg, secs: u64) -> Lab {
+fn run_iperf(cfg: &LabCfg, secs: u64) -> Lab {
     let mut lab = build_lab(cfg);
-    lab.e.run_for(SimDuration::from_secs(20));
-    let (a, b) = (lab.host_a, lab.host_b);
-    lab.e.with_component::<VmHost, _>(b, |h, _| {
-        h.kernel_mut().trace.enable();
-        h.kernel_mut().spawn(Box::new(Receiver {
-            port: 5001,
-            fd: None,
-            listening: false,
-        }));
-    });
-    lab.e.with_component::<VmHost, _>(a, |h, _| {
-        h.kernel_mut().spawn(Box::new(Sender {
-            dst: NodeAddr(2),
-            port: 5001,
-            fd: None,
-        }));
-    });
-    lab.e.run_for(SimDuration::from_secs(2));
-    let coord = lab.coord;
-    lab.e.with_component::<Coordinator, _>(coord, |c, ctx| {
-        c.start_periodic(ctx, SimDuration::from_secs(5))
-    });
+    warm_up(&mut lab, true);
     lab.e.run_for(SimDuration::from_secs(secs));
+    let coord = lab.coord;
     lab.e
         .with_component::<Coordinator, _>(coord, |c, _| c.stop_periodic());
     lab.e.run_for(SimDuration::from_secs(4));
     lab
-}
-
-fn unresolved(c: &Coordinator) -> usize {
-    c.records.iter().filter(|r| r.outcome.is_none()).count()
 }
 
 // ---------------------------------------------------------------------
@@ -292,15 +33,14 @@ fn unresolved(c: &Coordinator) -> usize {
 /// and the committed epochs leave the guest TCP stream untouched.
 #[test]
 fn epochs_terminate_under_loss_and_straggler() {
-    let cfg = FaultCfg {
-        seed: 61,
+    let cfg = LabCfg {
         faults: Some(FaultPlan::new(61).with_loss(0.10)),
         stall: Some(SimDuration::from_millis(50)),
         policy: Some(FailurePolicy {
             resume_repeats: 2,
             ..FailurePolicy::default()
         }),
-        split_groups: false,
+        ..LabCfg::new(61)
     };
     let lab = run_iperf(&cfg, 25);
     let coord = lab.e.component_ref::<Coordinator>(lab.coord).unwrap();
@@ -335,15 +75,14 @@ fn epochs_terminate_under_loss_and_straggler() {
 #[test]
 fn abort_path_is_deterministic() {
     let observe = |seed: u64| {
-        let cfg = FaultCfg {
-            seed,
+        let cfg = LabCfg {
             faults: Some(FaultPlan::new(17).with_loss(0.05)),
             stall: Some(SimDuration::from_secs(3)),
             policy: Some(FailurePolicy {
                 resume_repeats: 2,
                 ..FailurePolicy::default()
             }),
-            split_groups: false,
+            ..LabCfg::new(seed)
         };
         let lab = run_iperf(&cfg, 15);
         let coord = lab.e.component_ref::<Coordinator>(lab.coord).unwrap();
@@ -373,31 +112,15 @@ fn abort_path_is_deterministic() {
 #[test]
 fn fully_lost_epoch_aborts_without_touching_guests() {
     let observe = |trigger: bool| {
-        let cfg = FaultCfg {
-            seed: 64,
+        let cfg = LabCfg {
             faults: Some(FaultPlan::new(5).with_loss(1.0)),
             stall: None,
             policy: None,
-            split_groups: false,
+            ..LabCfg::new(64)
         };
         let mut lab = build_lab(&cfg);
         lab.e.run_for(SimDuration::from_secs(20));
-        let (a, b) = (lab.host_a, lab.host_b);
-        lab.e.with_component::<VmHost, _>(b, |h, _| {
-            h.kernel_mut().trace.enable();
-            h.kernel_mut().spawn(Box::new(Receiver {
-                port: 5001,
-                fd: None,
-                listening: false,
-            }));
-        });
-        lab.e.with_component::<VmHost, _>(a, |h, _| {
-            h.kernel_mut().spawn(Box::new(Sender {
-                dst: NodeAddr(2),
-                port: 5001,
-                fd: None,
-            }));
-        });
+        spawn_iperf(&mut lab, true);
         lab.e.run_for(SimDuration::from_secs(2));
         if trigger {
             let coord = lab.coord;
@@ -431,8 +154,7 @@ fn fully_lost_epoch_aborts_without_touching_guests() {
 /// the epoch commits degraded, and the survivors keep checkpointing.
 #[test]
 fn crashed_node_degrades_epochs_and_survivors_continue() {
-    let cfg = FaultCfg {
-        seed: 65,
+    let cfg = LabCfg {
         faults: Some(
             FaultPlan::new(65).with_crash(2, sim::SimTime::from_nanos(30_000_000_000)),
         ),
@@ -442,7 +164,7 @@ fn crashed_node_degrades_epochs_and_survivors_continue() {
             resume_repeats: 2,
             ..FailurePolicy::default()
         }),
-        split_groups: false,
+        ..LabCfg::new(65)
     };
     let lab = run_iperf(&cfg, 25);
     let coord = lab.e.component_ref::<Coordinator>(lab.coord).unwrap();
@@ -476,8 +198,7 @@ fn crashed_node_degrades_epochs_and_survivors_continue() {
 /// and group 2's aborts never leak into group 1's records.
 #[test]
 fn concurrent_group_rounds_fail_independently() {
-    let cfg = FaultCfg {
-        seed: 67,
+    let cfg = LabCfg {
         faults: Some(FaultPlan::new(67).with_loss(0.10)),
         // Host B stalls its done report past the 2 s epoch deadline, so
         // every group-2 round aborts; group 1 never sees that straggler.
@@ -487,24 +208,11 @@ fn concurrent_group_rounds_fail_independently() {
             ..FailurePolicy::default()
         }),
         split_groups: true,
+        ..LabCfg::new(67)
     };
     let mut lab = build_lab(&cfg);
     lab.e.run_for(SimDuration::from_secs(20));
-    let (a, b) = (lab.host_a, lab.host_b);
-    lab.e.with_component::<VmHost, _>(b, |h, _| {
-        h.kernel_mut().spawn(Box::new(Receiver {
-            port: 5001,
-            fd: None,
-            listening: false,
-        }));
-    });
-    lab.e.with_component::<VmHost, _>(a, |h, _| {
-        h.kernel_mut().spawn(Box::new(Sender {
-            dst: NodeAddr(2),
-            port: 5001,
-            fd: None,
-        }));
-    });
+    spawn_iperf(&mut lab, false);
     lab.e.run_for(SimDuration::from_secs(2));
 
     // Three rounds of simultaneous triggers: both groups get a round at
@@ -560,15 +268,14 @@ fn concurrent_group_rounds_fail_independently() {
 fn fault_matrix_terminates_everywhere() {
     for &loss in &[0.0, 0.05, 0.10, 0.20] {
         for &stall_ms in &[0u64, 50, 3000] {
-            let cfg = FaultCfg {
-                seed: 66,
+            let cfg = LabCfg {
                 faults: Some(FaultPlan::new(66).with_loss(loss)),
                 stall: (stall_ms > 0).then(|| SimDuration::from_millis(stall_ms)),
                 policy: Some(FailurePolicy {
                     resume_repeats: 2,
                     ..FailurePolicy::default()
                 }),
-                split_groups: false,
+                ..LabCfg::new(66)
             };
             let lab = run_iperf(&cfg, 15);
             let coord = lab.e.component_ref::<Coordinator>(lab.coord).unwrap();

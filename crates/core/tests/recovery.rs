@@ -6,247 +6,23 @@
 //! releases an orphaned Dummynet suspension when the coordinator stays
 //! down past the resume it owed.
 
-use std::any::Any;
-use std::sync::Arc;
+mod common;
 
-use checkpoint::{
-    CheckpointAgent, Coordinator, DelayNodeHost, FailurePolicy, OutPort, ShadowEpochState,
-    Strategy, Wal,
-};
-use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
-use dummynet::PipeConfig;
-use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
-use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
+use checkpoint::{Coordinator, DelayNodeHost, FailurePolicy, ShadowEpochState, Wal};
 use sim::buggify::points;
-use sim::{ComponentId, Engine, SimDuration};
-use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
+use sim::SimDuration;
 
-// ---------------------------------------------------------------------
-// Workload programs (iperf shape), same as tests/faults.rs.
-// ---------------------------------------------------------------------
+use common::{unresolved, warm_up, Lab, LabCfg};
 
-#[derive(Clone)]
-struct Sender {
-    dst: NodeAddr,
-    port: u16,
-    fd: Option<guestos::prog::SockFd>,
-}
-
-impl GuestProg for Sender {
-    fn step(&mut self, ret: SysRet) -> Syscall {
-        match ret {
-            SysRet::Start => Syscall::Connect {
-                dst: self.dst,
-                port: self.port,
-            },
-            SysRet::Sock(fd) => {
-                self.fd = Some(fd);
-                Syscall::Send {
-                    fd,
-                    bytes: 64 * 1024,
-                    msg: None,
-                }
-            }
-            SysRet::Sent(_) => Syscall::Send {
-                fd: self.fd.expect("connected"),
-                bytes: 64 * 1024,
-                msg: None,
-            },
-            other => panic!("sender: unexpected {other:?}"),
-        }
-    }
-    fn clone_box(&self) -> Box<dyn GuestProg> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-#[derive(Clone)]
-struct Receiver {
-    port: u16,
-    fd: Option<guestos::prog::SockFd>,
-    listening: bool,
-}
-
-impl GuestProg for Receiver {
-    fn step(&mut self, ret: SysRet) -> Syscall {
-        match ret {
-            SysRet::Start => Syscall::Listen { port: self.port },
-            SysRet::Ok if !self.listening => {
-                self.listening = true;
-                Syscall::Accept { port: self.port }
-            }
-            SysRet::Sock(fd) => {
-                self.fd = Some(fd);
-                Syscall::Recv { fd, max: u64::MAX }
-            }
-            SysRet::Recvd { .. } => Syscall::Recv {
-                fd: self.fd.expect("accepted"),
-                max: u64::MAX,
-            },
-            other => panic!("receiver: unexpected {other:?}"),
-        }
-    }
-    fn clone_box(&self) -> Box<dyn GuestProg> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rig: the coordinated-checkpoint lab with a WAL-backed coordinator.
-// ---------------------------------------------------------------------
-
-struct Lab {
-    e: Engine,
-    coord: ComponentId,
-    host_a: ComponentId,
-    host_b: ComponentId,
-    dn: ComponentId,
-}
-
+/// The lab with a WAL-backed coordinator and an optional delay-node
+/// suspend watchdog.
 fn build_lab(seed: u64, watchdog: Option<SimDuration>) -> Lab {
-    let mut e = Engine::new(seed);
-    let profile = Pc3000::default();
-
-    let lan_id = e.add_component(Box::new(ControlLan::new(
-        profile.ctrl_lan_bps,
-        profile.ctrl_lan_latency,
-        profile.ctrl_lan_jitter,
-    )));
-
-    let ops_addr = NodeAddr(1000);
-    let coord = e.add_component(Box::new(
-        Coordinator::builder(ops_addr, lan_id)
-            .mode(Strategy::Transparent.trigger_mode())
-            .policy(FailurePolicy::default())
-            .wal(Wal::in_memory())
-            .build(),
-    ));
-
-    let addr_a = NodeAddr(1);
-    let addr_b = NodeAddr(2);
-    let addr_dn = NodeAddr(3);
-
-    let mk_host = |e: &mut Engine, node: NodeAddr, off: i64, drift: f64| {
-        let golden = Arc::new(GoldenImageBuilder::new("fc4", 100_000, 4096, 7).build());
-        let layout = StoreLayout::for_image(&golden);
-        let store = BranchingStore::new(golden, CowMode::Branch, layout);
-        let mut kcfg = KernelConfig::pc3000_guest(node);
-        kcfg.disk_blocks = 100_000;
-        kcfg.cache_blocks = 8192;
-        let kernel = Kernel::new(kcfg);
-        let agent = CheckpointAgent::new(ops_addr);
-        let host = VmHost::new(
-            VmHostConfig {
-                node,
-                profile: Pc3000::default(),
-                tuning: VmmTuning::default(),
-                lan: lan_id,
-                ntp_server: ops_addr,
-                services: ops_addr,
-                clock_offset_ns: off,
-                clock_drift_ppm: drift,
-                auto_resume: false,
-                conceal_downtime: true,
-            },
-            store,
-            kernel,
-            Some(Box::new(agent)),
-        );
-        e.add_component(Box::new(host))
-    };
-
-    let host_a = mk_host(&mut e, addr_a, 2_000_000, 40.0);
-    let host_b = mk_host(&mut e, addr_b, -3_000_000, -25.0);
-    let dn = e.add_component(Box::new(DelayNodeHost::new(
-        addr_dn, lan_id, ops_addr, 1_000_000, 15.0,
-    )));
-
-    let link_a = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_a, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(1) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-    let link_b = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_b, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(2) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-
-    let shape = PipeConfig {
-        bandwidth_bps: Some(1_000_000_000),
-        delay: SimDuration::from_micros(100),
-        plr: 0.0,
-        queue_slots: 512,
-    };
-    e.with_component::<DelayNodeHost, _>(dn, |d, _| {
-        d.set_suspend_watchdog(watchdog);
-        d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
-        d.add_path(IfaceId(2), shape, OutPort { link: link_a, end: 1 });
-    });
-
-    e.with_component::<VmHost, _>(host_a, |h, _| {
-        h.add_exp_route(addr_b, ExpPort::LinkEnd { link: link_a, end: 0 });
-    });
-    e.with_component::<VmHost, _>(host_b, |h, _| {
-        h.add_exp_route(addr_a, ExpPort::LinkEnd { link: link_b, end: 0 });
-    });
-
-    e.with_component::<ControlLan, _>(lan_id, |lan, _| {
-        lan.attach(ops_addr, Endpoint { component: coord, iface: IfaceId::CONTROL });
-        lan.attach(addr_a, Endpoint { component: host_a, iface: IfaceId::CONTROL });
-        lan.attach(addr_b, Endpoint { component: host_b, iface: IfaceId::CONTROL });
-        lan.attach(addr_dn, Endpoint { component: dn, iface: IfaceId::CONTROL });
-    });
-    e.with_component::<Coordinator, _>(coord, |c, _| {
-        c.subscribe(addr_a);
-        c.subscribe(addr_b);
-        c.subscribe(addr_dn);
-    });
-
-    e.with_component::<VmHost, _>(host_a, |h, ctx| h.start(ctx));
-    e.with_component::<VmHost, _>(host_b, |h, ctx| h.start(ctx));
-    e.with_component::<DelayNodeHost, _>(dn, |d, ctx| d.start(ctx));
-
-    Lab { e, coord, host_a, host_b, dn }
-}
-
-/// Boots the lab, spawns the iperf pair, and starts periodic epochs.
-fn warm_up(lab: &mut Lab) {
-    lab.e.run_for(SimDuration::from_secs(20));
-    let (a, b) = (lab.host_a, lab.host_b);
-    lab.e.with_component::<VmHost, _>(b, |h, _| {
-        h.kernel_mut().spawn(Box::new(Receiver {
-            port: 5001,
-            fd: None,
-            listening: false,
-        }));
-    });
-    lab.e.with_component::<VmHost, _>(a, |h, _| {
-        h.kernel_mut().spawn(Box::new(Sender {
-            dst: NodeAddr(2),
-            port: 5001,
-            fd: None,
-        }));
-    });
-    lab.e.run_for(SimDuration::from_secs(2));
-    let coord = lab.coord;
-    lab.e.with_component::<Coordinator, _>(coord, |c, ctx| {
-        c.start_periodic(ctx, SimDuration::from_secs(5))
-    });
-}
-
-fn unresolved(c: &Coordinator) -> usize {
-    c.records.iter().filter(|r| r.outcome.is_none()).count()
+    common::build_lab(&LabCfg {
+        policy: Some(FailurePolicy::default()),
+        wal: Some(Wal::in_memory()),
+        watchdog,
+        ..LabCfg::new(seed)
+    })
 }
 
 /// Drives the lab with `point` forced to fire on every evaluation for
@@ -255,7 +31,7 @@ fn unresolved(c: &Coordinator) -> usize {
 /// observation tuple for the determinism comparison.
 fn observe_forced_crash(point: &str, seed: u64) -> (u64, u64, (u64, u64, u64), String, String) {
     let mut lab = build_lab(seed, None);
-    warm_up(&mut lab);
+    warm_up(&mut lab, false);
     lab.e.buggify().force(point, 1.0);
     lab.e.run_for(SimDuration::from_secs(15));
     lab.e.buggify().clear_force(point);
@@ -351,7 +127,7 @@ fn mid_acks_crash_aborts_and_forces_full_round() {
 #[test]
 fn watchdog_releases_suspension_orphaned_by_coordinator_crash() {
     let mut lab = build_lab(74, Some(SimDuration::from_secs(2)));
-    warm_up(&mut lab);
+    warm_up(&mut lab, false);
 
     // Step until the delay node is mid-checkpoint (Dummynet suspended),
     // then kill the coordinator for far longer than the watchdog.
@@ -411,7 +187,7 @@ fn watchdog_releases_suspension_orphaned_by_coordinator_crash() {
 #[test]
 fn watchdog_is_silent_on_healthy_rounds() {
     let mut lab = build_lab(75, Some(SimDuration::from_secs(2)));
-    warm_up(&mut lab);
+    warm_up(&mut lab, false);
     lab.e.run_for(SimDuration::from_secs(20));
     let coord = lab.coord;
     lab.e

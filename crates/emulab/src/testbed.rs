@@ -283,7 +283,7 @@ impl Testbed {
             .collect();
         for dn in dns {
             self.engine.with_component::<DelayNodeHost, _>(dn, |d, _| {
-                d.set_suspend_watchdog(Some(SUSPEND_WATCHDOG));
+                d.participant.suspend_watchdog = Some(SUSPEND_WATCHDOG);
             });
         }
     }
@@ -788,7 +788,7 @@ impl Testbed {
                 d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
                 d.add_path(IfaceId(2), shape, OutPort { link: link_a, end: 1 });
                 if buggify_armed {
-                    d.set_suspend_watchdog(Some(SUSPEND_WATCHDOG));
+                    d.participant.suspend_watchdog = Some(SUSPEND_WATCHDOG);
                 }
                 if let Some(sw) = state {
                     if let Some(img) = sw.delay_node_state(li) {

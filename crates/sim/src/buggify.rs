@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::rng::SimRng;
+use crate::stats::fnv1a;
 
 /// Aggressiveness preset scaling every point's base probability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,7 +183,7 @@ impl Inner {
     fn point_state(&mut self, point: &str) -> &mut PointState {
         let seed = self.seed;
         self.points.entry(point.to_owned()).or_insert_with(|| PointState {
-            rng: SimRng::from_seed(seed ^ point_hash(point)),
+            rng: SimRng::from_seed(seed ^ fnv1a(point.as_bytes())),
             forced: None,
             evals: 0,
             fires: 0,
@@ -197,17 +198,6 @@ impl Inner {
 #[derive(Clone)]
 pub struct Buggify {
     inner: Rc<RefCell<Inner>>,
-}
-
-/// FNV-1a over the point name: a stable, dependency-free name hash used
-/// to derive each point's stream from the root seed.
-fn point_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Buggify {

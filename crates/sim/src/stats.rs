@@ -1,5 +1,16 @@
 //! Small statistics helpers used when summarizing experiment results.
 
+/// FNV-1a over a byte string: the workspace's one cheap, dependency-free
+/// hash — result fingerprints, buggify point-name streams.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Arithmetic mean; zero for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

@@ -10,18 +10,10 @@
 
 use std::any::Any;
 
+use sim::stats::fnv1a;
 use sim::{
     ComponentId, Payload, ShardComponent, ShardCtx, ShardedEngine, SimDuration, SimTime,
 };
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Hub-relay latency: the minimum cross-group latency, hence the
 /// engine lookahead.

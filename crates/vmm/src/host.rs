@@ -415,6 +415,13 @@ impl VmHost {
         self.phase == CkptPhase::AwaitResume
     }
 
+    /// True from [`VmHost::begin_checkpoint`] until the guest runs again
+    /// (including an aborted capture that is still unwinding); a second
+    /// `begin_checkpoint` in this window would panic.
+    pub fn checkpoint_running(&self) -> bool {
+        self.phase != CkptPhase::Idle
+    }
+
     /// Boots the host: first tick, NTP. A host whose domain was installed
     /// frozen (stateful swap-in) starts only its NTP side; the guest's
     /// ticks begin at [`VmHost::resume_guest`].
