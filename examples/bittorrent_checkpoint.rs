@@ -1,5 +1,5 @@
 //! A realistic distributed application under checkpoints: the paper's
-//! four-node BitTorrent experiment (Fig 7), scaled to run in seconds.
+//! four-node BitTorrent experiment (Fig 7), file size and all.
 //!
 //! One seeder and three leechers cooperate over a 100 Mbps LAN; the whole
 //! closed system — all four guests plus the network — is checkpointed
@@ -29,10 +29,10 @@ fn main() {
     tb.swap_in(spec).expect("swap-in");
     tb.run_for(SimDuration::from_secs(5));
 
-    // A 128 MB file in 128 KiB pieces, initially only on the seeder. The
-    // static tracker is the configured peer list.
-    let npieces = 1024u32;
+    // Fig 7's 3 GB file in 128 KiB pieces, initially only on the seeder.
+    // The static tracker is the configured peer list.
     let piece = 128 * 1024u64;
+    let npieces = ((3u64 << 30) / piece) as u32;
     let seeder_addr = tb.node_addr("swarm", "seeder");
     let clients = ["c1", "c2", "c3"];
     let tids: Vec<_> = clients

@@ -1,17 +1,24 @@
 //! Cross-crate integration: every evaluation workload running on the full
-//! testbed stack (short configurations; the bench binaries run the
-//! paper-scale versions).
+//! testbed stack (short configurations, and Fig 7's swarm at paper scale;
+//! `tcd` runs the paper-scale versions of the rest).
 
 use emulab_checkpoint::emulab::{ExperimentSpec, Testbed};
 use emulab_checkpoint::guestos::prog::FileId;
-use emulab_checkpoint::sim::SimDuration;
+use emulab_checkpoint::guestos::Tid;
+use emulab_checkpoint::sim::stats::fnv1a;
+use emulab_checkpoint::sim::telemetry::names;
+use emulab_checkpoint::sim::{audit_transparency, SimDuration};
 use emulab_checkpoint::vmm::VmHost;
 use emulab_checkpoint::workloads::{Bonnie, BtPeer, FileCopy, KernelBuild};
 
-/// Four-node BitTorrent swarm on a 100 Mbps LAN (the Fig 7 topology).
-#[test]
-fn bittorrent_swarm_distributes_pieces_over_the_lan() {
-    let mut tb = Testbed::new(81, 8);
+const BT_CLIENTS: [&str; 3] = ["c1", "c2", "c3"];
+const BT_PIECE: u64 = 128 * 1024;
+
+/// Fig 7's topology: a seeder and three leechers on a 100 Mbps LAN,
+/// settled for 5 s, then sharing `npieces` × 128 KiB. Returns the testbed
+/// and each leecher's thread.
+fn bt_swarm(seed: u64, npieces: u32) -> (Testbed, Vec<(&'static str, Tid)>) {
+    let mut tb = Testbed::new(seed, 8);
     let spec = ExperimentSpec::new("bt")
         .node("seeder")
         .node("c1")
@@ -26,68 +33,98 @@ fn bittorrent_swarm_distributes_pieces_over_the_lan() {
     tb.run_for(SimDuration::from_secs(5));
 
     let seeder_addr = tb.node_addr("bt", "seeder");
-    let npieces = 200u32; // 200 × 128 KiB = 25 MB file (short run).
-    let piece = 128 * 1024u64;
-    let tids: Vec<_> = ["c1", "c2", "c3"]
+    let tids = BT_CLIENTS
         .iter()
         .enumerate()
         .map(|(i, c)| {
             // Clients know the seeder and each other (static tracker).
             let mut peers = vec![seeder_addr];
-            for (j, o) in ["c1", "c2", "c3"].iter().enumerate() {
+            for (j, o) in BT_CLIENTS.iter().enumerate() {
                 if j != i {
                     peers.push(tb.node_addr("bt", o));
                 }
             }
-            (
-                *c,
-                tb.spawn(
-                    "bt",
-                    c,
-                    Box::new(BtPeer::leecher(6881, peers, npieces, piece, FileId(1))),
-                ),
-            )
+            let peer = BtPeer::leecher(6881, peers, npieces, BT_PIECE, FileId(1));
+            (*c, tb.spawn("bt", c, Box::new(peer)))
         })
         .collect();
     tb.spawn(
         "bt",
         "seeder",
-        Box::new(BtPeer::seeder(6881, npieces, piece, FileId(1))),
+        Box::new(BtPeer::seeder(6881, npieces, BT_PIECE, FileId(1))),
     );
+    (tb, tids)
+}
 
+/// Reads one leecher's `BtPeer`.
+fn bt_peer<R>(tb: &Testbed, c: &str, tid: Tid, f: impl FnOnce(&BtPeer) -> R) -> R {
+    tb.kernel("bt", c, |k| {
+        let p = k.prog(tid).expect("leecher thread");
+        f(p.as_any().downcast_ref::<BtPeer>().expect("BtPeer"))
+    })
+}
+
+/// Four-node BitTorrent swarm on a 100 Mbps LAN (the Fig 7 topology).
+#[test]
+fn bittorrent_swarm_distributes_pieces_over_the_lan() {
+    // 200 × 128 KiB = 25 MB file (short run).
+    let (mut tb, tids) = bt_swarm(81, 200);
     tb.run_for(SimDuration::from_secs(60));
 
     let mut total_pieces = 0;
-    for (c, tid) in &tids {
-        let got = tb.kernel("bt", c, |k| {
-            k.prog(*tid)
-                .unwrap()
-                .as_any()
-                .downcast_ref::<BtPeer>()
-                .unwrap()
-                .pieces()
-        });
+    for &(c, tid) in &tids {
+        let got = bt_peer(&tb, c, tid, |p| p.pieces());
         assert!(got > 20, "client {c} only has {got} pieces after 60 s");
         total_pieces += got;
     }
     // Peer-to-peer exchange happened: clients served each other.
     let clients_served: u64 = tids
         .iter()
-        .map(|(c, tid)| {
-            tb.kernel("bt", c, |k| {
-                k.prog(*tid)
-                    .unwrap()
-                    .as_any()
-                    .downcast_ref::<BtPeer>()
-                    .unwrap()
-                    .served
-            })
-        })
+        .map(|&(c, tid)| bt_peer(&tb, c, tid, |p| p.served))
         .sum();
     assert!(
         clients_served > 0,
         "leechers never served each other ({total_pieces} pieces total)"
     );
+}
+
+/// Fig 7 at the paper's own scale — a 3 GB file in 24,576 pieces — under a
+/// 5 s checkpoint round: the swarm advances, the round commits, nobody
+/// notices, and the run repeats exactly. A per-poll cost that grows with
+/// the piece count makes this the slowest test here by a wide margin.
+#[test]
+fn paper_scale_swarm_checkpoints_transparently_and_repeats() {
+    let run = || {
+        let (mut tb, tids) = bt_swarm(7, ((3u64 << 30) / BT_PIECE) as u32);
+        tb.run_for(SimDuration::from_secs(10));
+        let disturbed = |tb: &Testbed| -> u64 {
+            let per_node = |c: &&str| {
+                let t = tb.kernel("bt", c, |k| k.net_totals());
+                t.retransmissions + t.timeouts
+            };
+            BT_CLIENTS.iter().chain(&["seeder"]).map(per_node).sum()
+        };
+        let bytes = |tb: &Testbed| -> Vec<u64> {
+            let of = |&(c, tid): &(&str, Tid)| bt_peer(tb, c, tid, |p| p.downloaded_bytes());
+            tids.iter().map(of).collect()
+        };
+        let (disturbed0, bytes0) = (disturbed(&tb), bytes(&tb));
+
+        tb.start_periodic_checkpoints(SimDuration::from_secs(5));
+        tb.run_for(SimDuration::from_millis(5_500));
+        tb.stop_periodic_checkpoints();
+        for (before, after) in bytes0.iter().zip(bytes(&tb)) {
+            assert!(after > *before, "a leecher stalled: {before} -> {after} bytes");
+        }
+        let count = |name| tb.telemetry().counter_value(name).unwrap_or(0);
+        assert_eq!(count(names::COORD_EPOCHS_COMMITTED), 1);
+        assert_eq!(count(names::COORD_EPOCHS_ABORTED) + count(names::COORD_EPOCHS_DEGRADED), 0);
+        assert_eq!(disturbed(&tb), disturbed0, "TCP noticed the checkpoint");
+        let report = audit_transparency(tb.telemetry());
+        assert!(report.firewall_cycles >= 1 && report.passed(), "{}", report.verdict());
+        fnv1a(tb.telemetry().to_csv().as_bytes())
+    };
+    assert_eq!(run(), run(), "same seed, same telemetry");
 }
 
 /// Bonnie phases complete and block I/O beats the cache-defeating size.
