@@ -380,7 +380,8 @@ pub fn run(args: &mut Args) -> ExitCode {
         e2e.wall_ms, e2e.events_per_sec, e2e.checkpoints, e2e.committed
     );
     assert!(e2e.checkpoints > 0, "end-to-end workload must checkpoint");
-    let (pool_hits, pool_misses) = sim::payload_pool_stats();
+    let pool = sim::payload_pool_stats();
+    let (pool_hits, pool_misses) = (pool.inline + pool.pool_hits, pool.pool_misses);
     println!(
         "        payload pool: {pool_hits} hits / {pool_misses} misses (allocations avoided: {pool_hits})"
     );

@@ -9,8 +9,6 @@
 //! implementing an accurate, high-speed delay emulation" — so this
 //! component drives the `dummynet` state machine directly.
 
-use std::collections::HashMap;
-
 use clocksync::{NtpClient, NtpResponse};
 use dummynet::{Dummynet, DummynetImage, PipeConfig, PipeId};
 use hwsim::{
@@ -40,7 +38,27 @@ enum DnMsg {
     AgentWake { token: u64 },
     /// The serialization begun as capture number `capture` finished.
     CaptureDone { capture: u64 },
-    Replay { pipe: PipeId, frame: Frame },
+    /// Re-enqueue `frame` on pipe `PipeId(pipe)`. The index rides as a
+    /// `u32` so a replayed frame stays inline in its event slot like any
+    /// other per-packet event (see `sim::fits_inline`); a `usize` would not.
+    Replay { pipe: u32, frame: Frame },
+}
+
+const _: () = assert!(sim::fits_inline::<DnMsg>());
+
+impl DnMsg {
+    fn replay(pipe: PipeId, frame: Frame) -> Self {
+        let pipe = u32::try_from(pipe.0).expect("pipe index fits u32");
+        DnMsg::Replay { pipe, frame }
+    }
+}
+
+/// One shaped unidirectional path through the node.
+#[derive(Clone, Copy)]
+struct Path {
+    in_iface: IfaceId,
+    pipe: PipeId,
+    out: OutPort,
 }
 
 /// Per-node statistics.
@@ -66,7 +84,9 @@ pub struct DelayNodeHost {
     clock: HardwareClock,
     ntp: NtpClient,
     dn: Dummynet,
-    routes: HashMap<IfaceId, (PipeId, OutPort)>,
+    /// The node's paths in the order they were added — a handful, found
+    /// by scanning: by `in_iface` on arrival, by `pipe` on emission.
+    paths: Vec<Path>,
     wake: Option<(SimTime, EventId)>,
     /// End of the post-resume replay window: new arrivals queue behind the
     /// replayed in-flight packets to preserve order (§3.2).
@@ -108,7 +128,7 @@ impl DelayNodeHost {
             clock: HardwareClock::new(clock_offset_ns, clock_drift_ppm),
             ntp: NtpClient::emulab_default(),
             dn: Dummynet::new(),
-            routes: HashMap::new(),
+            paths: Vec::new(),
             wake: None,
             replay_until: SimTime::ZERO,
             captures: 0,
@@ -125,7 +145,11 @@ impl DelayNodeHost {
     /// pass through a new pipe with `cfg` and leave via `out`.
     pub fn add_path(&mut self, in_iface: IfaceId, cfg: PipeConfig, out: OutPort) -> PipeId {
         let pipe = self.dn.add_pipe(cfg);
-        self.routes.insert(in_iface, (pipe, out));
+        let path = Path { in_iface, pipe, out };
+        match self.paths.iter_mut().find(|p| p.in_iface == in_iface) {
+            Some(p) => *p = path,
+            None => self.paths.push(path),
+        }
         pipe
     }
 
@@ -225,15 +249,13 @@ impl DelayNodeHost {
     }
 
     fn emit_ready(&mut self, ctx: &mut Ctx<'_>) {
-        let ready = self.dn.pop_ready(ctx.now());
-        for (pipe, frame) in ready {
-            // Find the out port for this pipe.
+        self.dn.drain_ready(ctx.now(), |pipe, frame| {
             let out = self
-                .routes
-                .values()
-                .find(|(p, _)| *p == pipe)
-                .map(|&(_, o)| o)
-                .expect("pipe has a route");
+                .paths
+                .iter()
+                .find(|p| p.pipe == pipe)
+                .expect("pipe has a path")
+                .out;
             self.stats.forwarded += 1;
             ctx.post(
                 out.link,
@@ -243,13 +265,13 @@ impl DelayNodeHost {
                     frame,
                 },
             );
-        }
+        });
         self.wake = None;
         self.reschedule_wake(ctx);
     }
 
     fn on_exp_rx(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: Frame) {
-        let Some(&(pipe, _)) = self.routes.get(&iface) else {
+        let Some(pipe) = self.paths.iter().find(|p| p.in_iface == iface).map(|p| p.pipe) else {
             return;
         };
         let now = ctx.now();
@@ -258,7 +280,7 @@ impl DelayNodeHost {
             // at roughly wire speed so the replay tail does not become an
             // instantaneous burst that overfills the pipe queue (§3.2).
             self.replay_until += SimDuration::from_micros(12);
-            ctx.post_at(ctx.self_id(), self.replay_until, DnMsg::Replay { pipe, frame });
+            ctx.post_at(ctx.self_id(), self.replay_until, DnMsg::replay(pipe, frame));
             return;
         }
         let _outcome = self.dn.enqueue(now, pipe, frame, ctx.rng());
@@ -367,14 +389,7 @@ impl DelayNodeHost {
             };
             prev = Some(a.at);
             at += gap;
-            ctx.post_at(
-                ctx.self_id(),
-                at,
-                DnMsg::Replay {
-                    pipe: a.pipe,
-                    frame: a.frame,
-                },
-            );
+            ctx.post_at(ctx.self_id(), at, DnMsg::replay(a.pipe, a.frame));
         }
         self.replay_until = at;
         // The drain's end: stamped at the replay window's close (the ring
@@ -472,7 +487,7 @@ impl Component for DelayNodeHost {
             }
             DnMsg::Replay { pipe, frame } => {
                 let now = ctx.now();
-                let _ = self.dn.enqueue(now, pipe, frame, ctx.rng());
+                let _ = self.dn.enqueue(now, PipeId(pipe as usize), frame, ctx.rng());
                 self.reschedule_wake(ctx);
             }
         }

@@ -220,17 +220,22 @@ impl Dummynet {
         self.pipes.iter().filter_map(Pipe::next_ready).min()
     }
 
-    /// Pops every frame ready at `now`, tagged with its pipe.
-    pub fn pop_ready(&mut self, now: SimTime) -> Vec<(PipeId, Frame)> {
+    /// Pops every frame ready at `now`, handing each to `sink` tagged with
+    /// its pipe: pipes in id order, each pipe's frames in FIFO order.
+    /// Nothing is emitted while suspended.
+    pub fn drain_ready(&mut self, now: SimTime, mut sink: impl FnMut(PipeId, Frame)) {
         if self.suspended_at.is_some() {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         for (i, p) in self.pipes.iter_mut().enumerate() {
-            for f in p.pop_ready(now) {
-                out.push((PipeId(i), f));
-            }
+            p.pop_ready(now, |f| sink(PipeId(i), f));
         }
+    }
+
+    /// [`Dummynet::drain_ready`] collected into a vector.
+    pub fn pop_ready(&mut self, now: SimTime) -> Vec<(PipeId, Frame)> {
+        let mut out = Vec::new();
+        self.drain_ready(now, |pipe, frame| out.push((pipe, frame)));
         out
     }
 
@@ -398,6 +403,33 @@ mod tests {
             assert_eq!(got.len(), 1, "frame {i} at {expect}µs");
             assert_eq!(*got[0].1.payload::<u32>().unwrap(), i);
         }
+    }
+
+    #[test]
+    fn drain_ready_visits_pipes_in_id_order_and_is_silent_while_suspended() {
+        let mut dn = Dummynet::new();
+        let slow = dn.add_pipe(shaped_cfg());
+        let fast = dn.add_pipe(PipeConfig::passthrough());
+        let mut rng = SimRng::from_seed(1);
+        dn.enqueue(t(0), fast, frame(100, 10), &mut rng);
+        dn.enqueue(t(0), slow, frame(1000, 20), &mut rng); // ready at 2000 µs
+        dn.enqueue(t(5), fast, frame(100, 11), &mut rng);
+        let mut twin = dn.clone();
+
+        dn.suspend(t(10));
+        dn.drain_ready(t(5_000), |_, _| panic!("suspended: nothing emits"));
+        assert!(dn.pop_ready(t(5_000)).is_empty());
+        let _ = dn.resume(t(10));
+
+        let mut got = Vec::new();
+        dn.drain_ready(t(5_000), |p, f| got.push((p, *f.payload::<u32>().unwrap())));
+        assert_eq!(got, vec![(slow, 20), (fast, 10), (fast, 11)]);
+        let popped: Vec<(PipeId, u32)> = twin
+            .pop_ready(t(5_000))
+            .iter()
+            .map(|(p, f)| (*p, *f.payload::<u32>().unwrap()))
+            .collect();
+        assert_eq!(popped, got, "the Vec form is the sink form, collected");
     }
 
     #[test]

@@ -229,17 +229,11 @@ impl Pipe {
         self.in_flight.front().map(|e| e.ready)
     }
 
-    /// Removes and returns all packets ready at `now`, in order.
-    pub fn pop_ready(&mut self, now: SimTime) -> Vec<Frame> {
-        let mut out = Vec::new();
-        while let Some(e) = self.in_flight.front() {
-            if e.ready <= now {
-                out.push(self.in_flight.pop_front().expect("head vanished").frame);
-            } else {
-                break;
-            }
+    /// Removes all packets ready at `now`, handing each to `sink` in order.
+    pub fn pop_ready(&mut self, now: SimTime, mut sink: impl FnMut(Frame)) {
+        while self.in_flight.front().is_some_and(|e| e.ready <= now) {
+            sink(self.in_flight.pop_front().expect("head vanished").frame);
         }
-        out
     }
 
     /// Shifts every internal deadline forward by `delta` (checkpoint time
@@ -369,13 +363,8 @@ mod tests {
             }
             now += SimDuration::from_micros(500);
         }
-        loop {
-            let got = p.pop_ready(last_ready);
-            if got.is_empty() {
-                break;
-            }
-            delivered_bytes += got.iter().map(|f| f.wire_bytes as u64).sum::<u64>();
-        }
+        p.pop_ready(last_ready, |f| delivered_bytes += f.wire_bytes as u64);
+        assert_eq!(p.buffered(), 0, "everything accepted was ready by then");
         let elapsed = last_ready.as_secs_f64();
         let rate_bps = delivered_bytes as f64 * 8.0 / elapsed;
         assert!(
@@ -433,8 +422,8 @@ mod tests {
             let f = Frame::new(NodeAddr(1), NodeAddr(2), 500, i);
             let _ = p.enqueue(t(0), f, &mut rng);
         }
-        let all = p.pop_ready(t(1_000_000));
-        let tags: Vec<u32> = all.iter().map(|f| *f.payload::<u32>().unwrap()).collect();
+        let mut tags = Vec::new();
+        p.pop_ready(t(1_000_000), |f| tags.push(*f.payload::<u32>().unwrap()));
         assert_eq!(tags, (0..10).collect::<Vec<_>>());
     }
 

@@ -49,15 +49,7 @@ fn conservation_and_fifo() {
             let accepted = matches!(out, EnqueueOutcome::Queued { .. });
             assert!(accepted, "case {case}");
         }
-        let mut got = Vec::new();
-        let mut guard = 0;
-        while let Some(next) = dn.next_ready() {
-            guard += 1;
-            assert!(guard < 10_000, "case {case}");
-            for (_, f) in dn.pop_ready(next) {
-                got.push(tag_of(&f));
-            }
-        }
+        let got = drain_tags(&mut dn);
         assert_eq!(got.len(), arrivals.len(), "case {case}: conservation");
         let sorted: Vec<u32> = (0..arrivals.len() as u32).collect();
         assert_eq!(got, sorted, "case {case}: FIFO order");
@@ -156,15 +148,30 @@ fn serialize_restore_roundtrip() {
     }
 }
 
+/// Drains `dn` to empty through `pop_ready`, and a clone of it through
+/// the sink form at the same instants: both must hand out the same frames
+/// from the same pipes in the same order, and a suspended clone nothing.
 fn drain_tags(dn: &mut Dummynet) -> Vec<u32> {
+    let mut twin = dn.clone();
     let mut got = Vec::new();
     let mut guard = 0;
     while let Some(next) = dn.next_ready() {
         guard += 1;
         assert!(guard < 100_000);
-        for (_, f) in dn.pop_ready(next) {
-            got.push(tag_of(&f));
-        }
+        assert_eq!(twin.next_ready(), Some(next));
+
+        let mut held = twin.clone();
+        held.suspend(next);
+        held.drain_ready(next, |_, _| panic!("suspended instance emitted through the sink"));
+        assert!(held.pop_ready(next).is_empty(), "suspended instance emitted a vector");
+
+        let popped: Vec<(PipeId, u32)> =
+            dn.pop_ready(next).iter().map(|(p, f)| (*p, tag_of(f))).collect();
+        let mut sunk = Vec::new();
+        twin.drain_ready(next, |p, f| sunk.push((p, tag_of(&f))));
+        assert_eq!(popped, sunk, "sink form and Vec form disagree at {next:?}");
+        got.extend(popped.iter().map(|&(_, tag)| tag));
     }
+    assert_eq!(twin.next_ready(), None);
     got
 }

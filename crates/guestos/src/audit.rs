@@ -65,9 +65,10 @@ impl ClockWitness {
         });
     }
 
-    /// Takes every buffered observation, leaving the witness empty.
-    pub fn drain(&mut self) -> Vec<ClockObservation> {
-        std::mem::take(&mut self.buf)
+    /// Hands out every buffered observation in order, leaving the witness
+    /// empty with its buffer in place for the next kernel entry.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, ClockObservation> {
+        self.buf.drain(..)
     }
 
     /// Observations currently buffered.
@@ -95,7 +96,7 @@ mod tests {
         let mut w = ClockWitness::default();
         w.record(ClockEventKind::Tick, 10, 1);
         w.record(ClockEventKind::ClockRead, 11, 1);
-        let obs = w.drain();
+        let obs: Vec<ClockObservation> = w.drain().collect();
         assert_eq!(obs.len(), 2);
         assert_eq!(obs[0].kind, ClockEventKind::Tick);
         assert_eq!(obs[1].guest_ns, 11);

@@ -29,7 +29,7 @@ use crate::net::socket::SocketTable;
 use crate::net::tcp::{TcpConn, TcpSegment, TcpStats};
 use crate::net::{NetTrace, PacketDir};
 use crate::prog::{CtrlResp, FileId, GuestProg, SockFd, Syscall, SysRet};
-use crate::sched::{RunQueue, Thread, ThreadClass, ThreadState, Tid};
+use crate::sched::{RunQueue, Thread, ThreadState, Tid};
 use crate::timer::{sleep_to_wake_jiffy, TimerWheel};
 use crate::wire::GuestResidue;
 
@@ -135,6 +135,10 @@ pub struct Kernel {
     next_burst: u64,
     next_rpc: u64,
     actions: Vec<GuestAction>,
+    /// Scratch the TCP connections append outbound segments to; flushed
+    /// into `actions` before the entry point that filled it returns, so
+    /// it is always empty at rest and never part of the wire image.
+    tx: Vec<TcpSegment>,
     /// Threads that exited (for experiment completion checks).
     pub exited: u32,
     /// Guest-observable clock events awaiting a vmm drain. Not guest
@@ -166,6 +170,7 @@ impl Kernel {
             next_burst: 1,
             next_rpc: 1,
             actions: Vec::new(),
+            tx: Vec::new(),
             exited: 0,
             witness: ClockWitness::default(),
         }
@@ -204,9 +209,16 @@ impl Kernel {
         self.threads.get(tid.0 as usize)?.prog.as_deref()
     }
 
-    /// Drains the pending hypervisor actions.
-    pub fn drain_actions(&mut self) -> Vec<GuestAction> {
-        std::mem::take(&mut self.actions)
+    /// Drains the pending hypervisor actions into `out` by trading
+    /// buffers: the caller gets the queue, the kernel keeps filling the
+    /// caller's (empty) vector, and neither side reallocates per drain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not empty.
+    pub fn drain_actions(&mut self, out: &mut Vec<GuestAction>) {
+        assert!(out.is_empty(), "drain_actions into a non-empty buffer");
+        std::mem::swap(&mut self.actions, out);
     }
 
     /// Aggregate TCP counters across all sockets.
@@ -370,6 +382,7 @@ impl Kernel {
             next_burst,
             next_rpc,
             actions,
+            tx: Vec::new(),
             exited,
             witness: ClockWitness::default(),
         })
@@ -397,15 +410,15 @@ impl Kernel {
             self.wake(tid, SysRet::Ok);
         }
 
-        // TCP retransmit timers.
+        // TCP retransmit timers, in fd order. `rtx` allocates only when
+        // an RTO actually fires.
         let now = self.now_ns;
-        let mut tx: Vec<(NodeAddr, TcpSegment)> = Vec::new();
+        let mut rtx: Vec<(NodeAddr, TcpSegment)> = Vec::new();
         for (_, e) in self.socks.iter_mut() {
-            for seg in e.conn.on_tick(now) {
-                tx.push((e.remote, seg));
-            }
+            e.conn.on_tick(now, &mut self.tx);
+            rtx.extend(self.tx.drain(..).map(|seg| (e.remote, seg)));
         }
-        for (dst, seg) in tx {
+        for (dst, seg) in rtx {
             self.transmit(dst, seg);
         }
 
@@ -438,18 +451,10 @@ impl Kernel {
         };
 
         let now = self.now_ns;
-        let (fx, remote, local_port) = {
-            let e = self.socks.get_mut(fd).expect("demuxed fd exists");
-            let fx = e.conn.on_segment(seg, now);
-            (fx, e.remote, e.conn.local_port)
-        };
-        for seg in fx.tx {
-            self.transmit(remote, seg);
-        }
-        if !fx.delivered_msgs.is_empty() {
-            let e = self.socks.get_mut(fd).expect("fd exists");
-            e.inbox.extend(fx.delivered_msgs);
-        }
+        let e = self.socks.get_mut(fd).expect("demuxed fd exists");
+        let fx = e.conn.on_segment(seg, now, &mut self.tx, &mut e.inbox);
+        let (remote, local_port) = (e.remote, e.conn.local_port);
+        self.flush_tx(remote);
         if fx.connected {
             // Passive side: park in the accept backlog; active side: wake
             // the connecting thread.
@@ -573,6 +578,16 @@ impl Kernel {
         self.actions.push(GuestAction::NetTx { dst, seg });
     }
 
+    /// Transmits to `dst` everything a connection appended to the `tx`
+    /// scratch, leaving it empty with its capacity in place.
+    fn flush_tx(&mut self, dst: NodeAddr) {
+        let mut tx = std::mem::take(&mut self.tx);
+        for seg in tx.drain(..) {
+            self.transmit(dst, seg);
+        }
+        self.tx = tx;
+    }
+
     fn wake(&mut self, tid: Tid, ret: SysRet) {
         let t = &mut self.threads[tid.0 as usize];
         if t.exited() {
@@ -613,14 +628,10 @@ impl Kernel {
                 }
                 ThreadState::SendWait { fd: wfd, bytes, msg } if wfd == fd.0 => {
                     let now = self.now_ns;
-                    let (accepted, tx, remote) = {
-                        let e = self.socks.get_mut(fd).expect("fd exists");
-                        let (n, tx) = e.conn.send(bytes, msg.clone(), now);
-                        (n, tx, e.remote)
-                    };
-                    for seg in tx {
-                        self.transmit(remote, seg);
-                    }
+                    let e = self.socks.get_mut(fd).expect("fd exists");
+                    let accepted = e.conn.send(bytes, msg.clone(), now, &mut self.tx);
+                    let remote = e.remote;
+                    self.flush_tx(remote);
                     if accepted > 0 {
                         self.wake(tid, SysRet::Sent(accepted));
                     }
@@ -674,9 +685,9 @@ impl Kernel {
     /// The dispatch loop: runs threads until everything blocks.
     fn run_threads(&mut self) {
         let mut budget = STEP_BUDGET;
-        let classes_snapshot: Vec<ThreadClass> = self.threads.iter().map(|t| t.class).collect();
         loop {
-            let classes = |tid: Tid| classes_snapshot[tid.0 as usize];
+            let threads = &self.threads;
+            let classes = |tid: Tid| threads[tid.0 as usize].class;
             let Some(tid) = self.runq.pick_next(&self.fw, &classes) else {
                 return;
             };
@@ -775,12 +786,9 @@ impl Kernel {
                     self.threads[tid.0 as usize].pending_ret = SysRet::Err("bad fd");
                     return true;
                 };
-                let now = self.now_ns;
-                let (accepted, tx) = e.conn.send(bytes, msg.clone(), now);
+                let accepted = e.conn.send(bytes, msg.clone(), self.now_ns, &mut self.tx);
                 let remote = e.remote;
-                for seg in tx {
-                    self.transmit(remote, seg);
-                }
+                self.flush_tx(remote);
                 if accepted > 0 {
                     self.threads[tid.0 as usize].pending_ret = SysRet::Sent(accepted);
                     true
@@ -814,12 +822,9 @@ impl Kernel {
                     self.threads[tid.0 as usize].pending_ret = SysRet::Err("bad fd");
                     return true;
                 };
-                let now = self.now_ns;
-                let (accepted, tx) = e.conn.send(bytes, msg, now);
+                let accepted = e.conn.send(bytes, msg, self.now_ns, &mut self.tx);
                 let remote = e.remote;
-                for seg in tx {
-                    self.transmit(remote, seg);
-                }
+                self.flush_tx(remote);
                 self.threads[tid.0 as usize].pending_ret = SysRet::Sent(accepted);
                 true
             }
@@ -1098,6 +1103,12 @@ mod tests {
         }
     }
 
+    fn drained(k: &mut Kernel) -> Vec<GuestAction> {
+        let mut actions = Vec::new();
+        k.drain_actions(&mut actions);
+        actions
+    }
+
     fn rets(k: &Kernel, tid: Tid) -> Vec<String> {
         k.prog(tid)
             .unwrap()
@@ -1135,8 +1146,7 @@ mod tests {
         let tid = k.spawn(Box::new(Scripted::new(&[3, 255])));
         k.on_timer_tick(10_000_000);
         // The thread is parked in RpcWait; one CtrlRpc action emitted.
-        let actions = k.drain_actions();
-        let rpc_id = actions
+        let rpc_id = drained(&mut k)
             .iter()
             .find_map(|a| match a {
                 GuestAction::CtrlRpc { id, .. } => Some(*id),
@@ -1160,8 +1170,7 @@ mod tests {
         let mut k = small_kernel();
         let _ = k.spawn(Box::new(Scripted::new(&[4, 255])));
         k.on_timer_tick(10_000_000);
-        let actions = k.drain_actions();
-        assert!(actions
+        assert!(drained(&mut k)
             .iter()
             .any(|a| matches!(a, GuestAction::TriggerCheckpoint)));
         assert_eq!(k.exited, 1, "trigger is non-blocking");
@@ -1222,16 +1231,14 @@ mod tests {
 
         // The restored kernel behaves identically going forward: deliver
         // the pending RPC reply to both and compare.
-        let rpc_id = k
-            .drain_actions()
+        let rpc_id = drained(&mut k)
             .iter()
             .find_map(|a| match a {
                 GuestAction::CtrlRpc { id, .. } => Some(*id),
                 _ => None,
             })
             .expect("rpc action pending");
-        let back_rpc_id = back
-            .drain_actions()
+        let back_rpc_id = drained(&mut back)
             .iter()
             .find_map(|a| match a {
                 GuestAction::CtrlRpc { id, .. } => Some(*id),

@@ -1,6 +1,6 @@
 //! The socket table: fd allocation, demultiplexing, listener backlogs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use ckptstore::{Dec, DecodeError, Enc};
 use hwsim::NodeAddr;
@@ -26,14 +26,19 @@ pub struct Listener {
 }
 
 /// All sockets of one guest kernel.
+///
+/// A guest holds a handful of sockets, so the tables are small ordered
+/// maps: no hashing on the per-packet `demux` → `get_mut` path, and
+/// iteration (RTO processing, fingerprints, totals, the wire image) is in
+/// fd order — the same in every process, which a hashed table's is not.
 #[derive(Clone, Default)]
 pub struct SocketTable {
     next_fd: u32,
     next_ephemeral: u16,
-    socks: HashMap<u32, SockEntry>,
-    listeners: HashMap<u16, Listener>,
+    socks: BTreeMap<u32, SockEntry>,
+    listeners: BTreeMap<u16, Listener>,
     /// (local port, remote port, remote addr) → fd.
-    demux: HashMap<(u16, u16, NodeAddr), u32>,
+    demux: BTreeMap<(u16, u16, NodeAddr), u32>,
 }
 
 impl SocketTable {
@@ -107,12 +112,12 @@ impl SocketTable {
         self.socks.get(&fd.0)
     }
 
-    /// Iterates all sockets mutably (timer ticks).
+    /// Iterates all sockets mutably, in fd order (timer ticks).
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (SockFd, &mut SockEntry)> {
         self.socks.iter_mut().map(|(&fd, e)| (SockFd(fd), e))
     }
 
-    /// Iterates all sockets.
+    /// Iterates all sockets, in fd order.
     pub fn iter(&self) -> impl Iterator<Item = (SockFd, &SockEntry)> {
         self.socks.iter().map(|(&fd, e)| (SockFd(fd), e))
     }
@@ -142,11 +147,8 @@ impl SocketTable {
     pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
         e.u32(self.next_fd);
         e.u16(self.next_ephemeral);
-        let mut fds: Vec<u32> = self.socks.keys().copied().collect();
-        fds.sort_unstable();
-        e.seq(fds.len());
-        for fd in fds {
-            let entry = &self.socks[&fd];
+        e.seq(self.socks.len());
+        for (&fd, entry) in &self.socks {
             e.u32(fd);
             e.u32(entry.remote.0);
             entry.conn.encode_wire(e, residue);
@@ -155,12 +157,9 @@ impl SocketTable {
                 e.u32(residue.push_msg(m));
             }
         }
-        let mut ports: Vec<u16> = self.listeners.keys().copied().collect();
-        ports.sort_unstable();
-        e.seq(ports.len());
-        for port in ports {
+        e.seq(self.listeners.len());
+        for (&port, l) in &self.listeners {
             e.u16(port);
-            let l = &self.listeners[&port];
             e.seq(l.ready.len());
             for fd in &l.ready {
                 e.u32(fd.0);
@@ -173,8 +172,8 @@ impl SocketTable {
         let next_fd = d.u32()?;
         let next_ephemeral = d.u16()?;
         let n = d.seq()?;
-        let mut socks = HashMap::with_capacity(n);
-        let mut demux = HashMap::with_capacity(n);
+        let mut socks = BTreeMap::new();
+        let mut demux = BTreeMap::new();
         for _ in 0..n {
             let fd = d.u32()?;
             let remote = NodeAddr(d.u32()?);
@@ -190,7 +189,7 @@ impl SocketTable {
             }
         }
         let np = d.seq()?;
-        let mut listeners = HashMap::with_capacity(np);
+        let mut listeners = BTreeMap::new();
         for _ in 0..np {
             let port = d.u16()?;
             let nr = d.seq()?;
@@ -225,6 +224,38 @@ mod tests {
         assert_eq!(t.demux(NodeAddr(8), &reply), None);
         t.remove(fd);
         assert_eq!(t.demux(NodeAddr(9), &reply), None);
+    }
+
+    #[test]
+    fn iteration_and_wire_image_are_in_fd_and_port_order() {
+        let mut t = SocketTable::new();
+        // Remotes and ports chosen so neither demux-key order nor
+        // registration order of the listeners is fd/port order.
+        let fds: Vec<SockFd> = [(9, 700), (3, 900), (5, 800)]
+            .into_iter()
+            .map(|(remote, port)| t.register(TcpConn::connect(port, 80, 0).0, NodeAddr(remote)))
+            .collect();
+        t.listen(90);
+        t.listen(80);
+        assert_eq!(t.iter().map(|(fd, _)| fd).collect::<Vec<_>>(), fds);
+        assert_eq!(t.iter_mut().map(|(fd, _)| fd).collect::<Vec<_>>(), fds);
+
+        let encode = |t: &SocketTable| {
+            let (mut e, mut residue) = (Enc::new(), GuestResidue::new());
+            t.encode_wire(&mut e, &mut residue);
+            (e.into_bytes(), residue)
+        };
+        let (bytes, residue) = encode(&t);
+        // next_fd, next_ephemeral, socket count, then the lowest fd's record.
+        let mut d = Dec::new(&bytes);
+        assert_eq!((d.u32().unwrap(), d.u16().unwrap(), d.seq().unwrap()), (4, 32768, 3));
+        assert_eq!(d.u32().unwrap(), fds[0].0);
+        let back = SocketTable::decode_wire(&mut Dec::new(&bytes), &residue).unwrap();
+        assert_eq!(back.iter().map(|(fd, _)| fd).collect::<Vec<_>>(), fds);
+        assert_eq!(encode(&back).0, bytes, "decode → encode is the identity");
+        // Removing the middle socket leaves the rest in order and demuxable.
+        t.remove(fds[1]);
+        assert_eq!(t.iter().map(|(fd, _)| fd).collect::<Vec<_>>(), [fds[0], fds[2]]);
     }
 
     #[test]

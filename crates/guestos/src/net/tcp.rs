@@ -13,7 +13,7 @@
 //! them — semantically identical to framing bytes in-band.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use ckptstore::{Dec, DecodeError, Enc};
@@ -156,30 +156,34 @@ pub struct TcpStats {
     pub window_shrinks: u64,
 }
 
-/// Effects of feeding an event into a connection: segments to transmit and
-/// data/messages delivered to the application.
-#[derive(Default)]
+/// What feeding a segment into a connection did, besides the segments and
+/// application messages it pushed into the caller's buffers.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TcpEffects {
-    pub tx: Vec<TcpSegment>,
     pub delivered_bytes: u64,
-    pub delivered_msgs: Vec<AppMsg>,
     pub connected: bool,
     pub closed: bool,
 }
 
 /// One end of a TCP connection.
 ///
+/// Every entry point that can emit segments ([`TcpConn::on_segment`],
+/// [`TcpConn::send`], [`TcpConn::on_tick`]) appends them to a `tx` buffer
+/// the caller owns and reuses: the connection allocates nothing per packet.
+///
 /// # Examples
 ///
 /// ```
+/// use std::collections::VecDeque;
 /// use guestos::net::tcp::TcpConn;
 ///
 /// // Three-way handshake between two ends.
 /// let (mut a, syn) = TcpConn::connect(1000, 80, 0);
 /// let (mut b, synack) = TcpConn::accept(80, 1000, &syn, 0);
-/// let fx = a.on_segment(&synack, 1_000);
-/// for seg in fx.tx {
-///     b.on_segment(&seg, 2_000);
+/// let (mut tx, mut inbox) = (Vec::new(), VecDeque::new());
+/// assert!(a.on_segment(&synack, 1_000, &mut tx, &mut inbox).connected);
+/// for seg in std::mem::take(&mut tx) {
+///     b.on_segment(&seg, 2_000, &mut tx, &mut inbox);
 /// }
 /// assert!(a.established() && b.established());
 /// ```
@@ -332,38 +336,39 @@ impl TcpConn {
     }
 
     /// Queues `bytes` for transmission, optionally ending with a message
-    /// marker. Returns bytes accepted (zero if the buffer is full) and any
-    /// segments now transmittable.
-    pub fn send(&mut self, bytes: u64, msg: Option<AppMsg>, now_ns: u64) -> (u64, Vec<TcpSegment>) {
+    /// marker. Returns bytes accepted (zero if the buffer is full); any
+    /// segments now transmittable are appended to `tx`.
+    pub fn send(
+        &mut self,
+        bytes: u64,
+        msg: Option<AppMsg>,
+        now_ns: u64,
+        tx: &mut Vec<TcpSegment>,
+    ) -> u64 {
         if self.state != TcpState::Established {
-            return (0, Vec::new());
+            return 0;
         }
         let accepted = bytes.min(self.send_space());
-        if accepted < bytes {
-            // All-or-nothing for marker integrity: partial message sends
-            // would misplace the marker.
-            if msg.is_some() {
-                return (0, Vec::new());
-            }
-        }
-        if accepted == 0 {
-            return (0, Vec::new());
+        // All-or-nothing for marker integrity: partial message sends
+        // would misplace the marker.
+        if accepted == 0 || (accepted < bytes && msg.is_some()) {
+            return 0;
         }
         self.send_q += accepted;
         if let Some(m) = msg {
             let marker_off = self.snd_nxt + self.send_q;
             self.pending_msgs.insert(marker_off, m);
         }
-        let tx = self.pump(now_ns);
-        (accepted, tx)
+        self.pump(now_ns, tx);
+        accepted
     }
 
-    /// Emits whatever the window permits.
-    fn pump(&mut self, now_ns: u64) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
+    /// Emits whatever the window permits, appending to `tx`.
+    fn pump(&mut self, now_ns: u64, tx: &mut Vec<TcpSegment>) {
         if self.state != TcpState::Established {
-            return out;
+            return;
         }
+        let mut emitted = false;
         let wnd = self.cwnd.min(self.peer_wnd);
         while self.send_q > 0 && self.flight() < wnd {
             let len = (self.send_q).min(MSS as u64).min(wnd - self.flight()) as u32;
@@ -379,12 +384,12 @@ impl TcpConn {
             }
             self.stats.segments_sent += 1;
             self.stats.bytes_sent += len as u64;
-            out.push(seg);
+            tx.push(seg);
+            emitted = true;
         }
-        if !out.is_empty() && self.rto_deadline_ns.is_none() {
+        if emitted && self.rto_deadline_ns.is_none() {
             self.arm_rto(now_ns);
         }
-        out
     }
 
     fn msgs_in_range(&self, start: u64, end: u64) -> Vec<(u64, AppMsg)> {
@@ -401,8 +406,16 @@ impl TcpConn {
         n
     }
 
-    /// Processes an incoming segment.
-    pub fn on_segment(&mut self, seg: &TcpSegment, now_ns: u64) -> TcpEffects {
+    /// Processes an incoming segment. Segments to transmit in response are
+    /// appended to `tx` (ACKs first, then whatever the window now permits);
+    /// application messages the stream has passed are appended to `inbox`.
+    pub fn on_segment(
+        &mut self,
+        seg: &TcpSegment,
+        now_ns: u64,
+        tx: &mut Vec<TcpSegment>,
+        inbox: &mut VecDeque<AppMsg>,
+    ) -> TcpEffects {
         let mut fx = TcpEffects::default();
         self.stats.segments_received += 1;
 
@@ -429,7 +442,7 @@ impl TcpConn {
                     // Final handshake ACK.
                     let ack = self.make_segment(0, TcpFlags { syn: false, ack: true, fin: false });
                     self.stats.segments_sent += 1;
-                    fx.tx.push(ack);
+                    tx.push(ack);
                 }
                 return fx;
             }
@@ -456,13 +469,11 @@ impl TcpConn {
                 self.snd_una = seg.ack;
                 self.dup_ack_count = 0;
                 // Drop delivered message markers.
-                let delivered: Vec<u64> = self
-                    .pending_msgs
-                    .range(..=self.snd_una)
-                    .map(|(&o, _)| o)
-                    .collect();
-                for o in delivered {
-                    self.pending_msgs.remove(&o);
+                while let Some(m) = self.pending_msgs.first_entry() {
+                    if *m.key() > self.snd_una {
+                        break;
+                    }
+                    m.remove();
                 }
                 // RTT sample (Karn: only if not retransmitted — approximated
                 // by dropping the sample on any retransmission).
@@ -501,7 +512,7 @@ impl TcpConn {
                     self.cwnd = self.ssthresh + 3 * MSS as u64;
                     self.in_recovery = true;
                     self.recover = self.snd_nxt;
-                    fx.tx.push(self.retransmit_head(now_ns));
+                    tx.push(self.retransmit_head(now_ns));
                 }
             }
         }
@@ -538,21 +549,17 @@ impl TcpConn {
             // else: duplicate data, ignore.
 
             // Surface message markers the stream has passed.
-            let ready: Vec<u64> = self
-                .msg_stash
-                .range(..=self.rcv_nxt)
-                .map(|(&o, _)| o)
-                .collect();
-            for o in ready {
-                if let Some(m) = self.msg_stash.remove(&o) {
-                    fx.delivered_msgs.push(m);
+            while let Some(m) = self.msg_stash.first_entry() {
+                if *m.key() > self.rcv_nxt {
+                    break;
                 }
+                inbox.push_back(m.remove());
             }
 
             // ACK everything we have (immediate ACK policy).
             let ack = self.make_segment(0, TcpFlags { syn: false, ack: true, fin: false });
             self.stats.segments_sent += 1;
-            fx.tx.push(ack);
+            tx.push(ack);
         }
 
         if seg.flags.fin && seg.seq <= self.rcv_nxt {
@@ -561,11 +568,11 @@ impl TcpConn {
             fx.closed = true;
             let ack = self.make_segment(0, TcpFlags { syn: false, ack: true, fin: false });
             self.stats.segments_sent += 1;
-            fx.tx.push(ack);
+            tx.push(ack);
         }
 
         // Window may have opened: transmit more.
-        fx.tx.extend(self.pump(now_ns));
+        self.pump(now_ns, tx);
         fx
     }
 
@@ -611,11 +618,11 @@ impl TcpConn {
         seg
     }
 
-    /// Clock tick: fires the RTO if expired. Call with the guest's virtual
-    /// time; a frozen clock ⇒ no spurious timeouts during checkpoints,
-    /// which is precisely the temporal-firewall effect.
-    pub fn on_tick(&mut self, now_ns: u64) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
+    /// Clock tick: fires the RTO if expired, appending the retransmission
+    /// to `tx`. Call with the guest's virtual time; a frozen clock ⇒ no
+    /// spurious timeouts during checkpoints, which is precisely the
+    /// temporal-firewall effect.
+    pub fn on_tick(&mut self, now_ns: u64, tx: &mut Vec<TcpSegment>) {
         if let Some(deadline) = self.rto_deadline_ns {
             if now_ns >= deadline {
                 match self.state {
@@ -625,7 +632,7 @@ impl TcpConn {
                         self.cwnd = MSS as u64;
                         self.in_recovery = false;
                         self.backoff = (self.backoff + 1).min(10);
-                        out.push(self.retransmit_head(now_ns));
+                        tx.push(self.retransmit_head(now_ns));
                     }
                     TcpState::SynSent | TcpState::SynRcvd => {
                         // Retransmit handshake segment.
@@ -652,7 +659,7 @@ impl TcpConn {
                         self.stats.segments_sent += 1;
                         self.stats.retransmissions += 1;
                         self.arm_rto(now_ns);
-                        out.push(seg);
+                        tx.push(seg);
                     }
                     _ => {
                         self.rto_deadline_ns = None;
@@ -660,7 +667,6 @@ impl TcpConn {
                 }
             }
         }
-        out
     }
 
     /// Initiates close; returns the FIN.
@@ -858,6 +864,11 @@ mod tests {
         ab_count: u64,
         /// In-flight (deliver_at, to_a?, segment).
         wire: Vec<(u64, bool, TcpSegment)>,
+        /// The caller-owned segment buffer every entry point appends to.
+        tx: Vec<TcpSegment>,
+        /// Application messages surfaced at each end, in delivery order.
+        inbox_a: VecDeque<AppMsg>,
+        inbox_b: VecDeque<AppMsg>,
     }
 
     impl Harness {
@@ -872,6 +883,9 @@ mod tests {
                 drop_nth_ab: None,
                 ab_count: 0,
                 wire: Vec::new(),
+                tx: Vec::new(),
+                inbox_a: VecDeque::new(),
+                inbox_b: VecDeque::new(),
             };
             h.wire.push((h.delay, true, synack));
             h.pump_until_quiet();
@@ -879,8 +893,10 @@ mod tests {
             h
         }
 
-        fn push_tx(&mut self, from_a: bool, segs: Vec<TcpSegment>) {
-            for s in segs {
+        /// Puts everything the last entry point appended to `tx` on the
+        /// wire, leaving the buffer empty.
+        fn push_tx(&mut self, from_a: bool) {
+            for s in std::mem::take(&mut self.tx) {
                 if from_a {
                     self.ab_count += 1;
                     if Some(self.ab_count) == self.drop_nth_ab {
@@ -891,30 +907,45 @@ mod tests {
             }
         }
 
+        /// Delivers the earliest in-flight segment; false once the wire
+        /// is empty.
+        fn deliver_next(&mut self) -> bool {
+            if self.wire.is_empty() {
+                return false;
+            }
+            self.wire.sort_by_key(|&(t, _, _)| t);
+            let (t, to_a, seg) = self.wire.remove(0);
+            self.now = self.now.max(t);
+            if to_a {
+                self.a.on_segment(&seg, self.now, &mut self.tx, &mut self.inbox_a);
+            } else {
+                self.b.on_segment(&seg, self.now, &mut self.tx, &mut self.inbox_b);
+            }
+            self.push_tx(to_a);
+            true
+        }
+
         fn pump_until_quiet(&mut self) {
             let mut guard = 0;
-            while !self.wire.is_empty() {
+            while self.deliver_next() {
                 guard += 1;
                 assert!(guard < 100_000, "harness livelock");
-                self.wire.sort_by_key(|&(t, _, _)| t);
-                let (t, to_a, seg) = self.wire.remove(0);
-                self.now = self.now.max(t);
-                if to_a {
-                    let fx = self.a.on_segment(&seg, self.now);
-                    self.push_tx(true, fx.tx);
-                } else {
-                    let fx = self.b.on_segment(&seg, self.now);
-                    self.push_tx(false, fx.tx);
-                }
             }
+        }
+
+        /// `a` queues `bytes` (and a marker); what it emits goes on the wire.
+        fn send_a(&mut self, bytes: u64, msg: Option<AppMsg>) -> u64 {
+            let n = self.a.send(bytes, msg, self.now, &mut self.tx);
+            self.push_tx(true);
+            n
         }
 
         fn tick_both(&mut self, step_ns: u64) {
             self.now += step_ns;
-            let ta = self.a.on_tick(self.now);
-            self.push_tx(true, ta);
-            let tb = self.b.on_tick(self.now);
-            self.push_tx(false, tb);
+            self.a.on_tick(self.now, &mut self.tx);
+            self.push_tx(true);
+            self.b.on_tick(self.now, &mut self.tx);
+            self.push_tx(false);
             self.pump_until_quiet();
         }
     }
@@ -932,9 +963,7 @@ mod tests {
         let total: u64 = 1_000_000;
         let mut sent = 0;
         while sent < total {
-            let (n, tx) = h.a.send(total - sent, None, h.now);
-            sent += n;
-            h.push_tx(true, tx);
+            sent += h.send_a(total - sent, None);
             h.pump_until_quiet();
             let _ = h.b.recv(u64::MAX); // App drains the receive buffer.
         }
@@ -949,9 +978,8 @@ mod tests {
     fn flow_control_blocks_sender_when_receiver_stops_reading() {
         let mut h = Harness::connect();
         // Receiver never reads: at most rcv_buf_cap bytes can be delivered.
-        let (accepted, tx) = h.a.send(10_000_000, None, h.now);
+        let accepted = h.send_a(10_000_000, None);
         assert!(accepted <= h.a.send_buf_cap);
-        h.push_tx(true, tx);
         h.pump_until_quiet();
         assert!(
             h.b.rcv_pending <= h.b.rcv_buf_cap,
@@ -961,8 +989,7 @@ mod tests {
         let before = h.b.stats.bytes_delivered;
         let _ = h.b.recv(u64::MAX);
         // Sender needs an ACK/window update; trigger via tick + more send.
-        let (_, tx) = h.a.send(0, None, h.now);
-        h.push_tx(true, tx);
+        h.send_a(0, None);
         h.tick_both(300_000_000);
         assert!(h.b.stats.bytes_delivered >= before);
     }
@@ -978,9 +1005,7 @@ mod tests {
             guard += 1;
             assert!(guard < 10_000, "transfer stuck");
             if sent < total {
-                let (n, tx) = h.a.send(total - sent, None, h.now);
-                sent += n;
-                h.push_tx(true, tx);
+                sent += h.send_a(total - sent, None);
             }
             h.pump_until_quiet();
             let _ = h.b.recv(u64::MAX);
@@ -1000,10 +1025,12 @@ mod tests {
         a.snd_una = 1;
         a.snd_nxt = 1;
         a.peer_wnd = 1 << 20;
-        let (_n, tx) = a.send(5000, None, 0);
+        let mut tx = Vec::new();
+        a.send(5000, None, 0, &mut tx);
         assert!(!tx.is_empty());
         // No ACKs arrive; tick past the initial RTO.
-        let rtx = a.on_tick(2_000_000_000);
+        let mut rtx = Vec::new();
+        a.on_tick(2_000_000_000, &mut rtx);
         assert_eq!(rtx.len(), 1);
         assert_eq!(rtx[0].seq, 1, "retransmit from snd_una");
         assert_eq!(a.stats.timeouts, 1);
@@ -1019,9 +1046,12 @@ mod tests {
         a.snd_una = 1;
         a.snd_nxt = 1;
         a.peer_wnd = 1 << 20;
-        let _ = a.send(5000, None, 1000);
+        let mut tx = Vec::new();
+        a.send(5000, None, 1000, &mut tx);
+        let sent = tx.len();
         for _ in 0..100 {
-            assert!(a.on_tick(1000).is_empty(), "time frozen at 1 µs");
+            a.on_tick(1000, &mut tx);
+            assert_eq!(tx.len(), sent, "time frozen at 1 µs");
         }
         assert_eq!(a.stats.timeouts, 0);
     }
@@ -1031,44 +1061,66 @@ mod tests {
         let mut h = Harness::connect();
         let m1: AppMsg = Arc::new(1u32);
         let m2: AppMsg = Arc::new(2u32);
-        let (_, tx) = h.a.send(10_000, Some(m1), h.now);
-        h.push_tx(true, tx);
-        let (_, tx) = h.a.send(20_000, Some(m2), h.now);
-        h.push_tx(true, tx);
+        h.send_a(10_000, Some(m1));
+        h.send_a(20_000, Some(m2));
 
-        let mut got = Vec::new();
         let mut guard = 0;
-        while got.len() < 2 {
+        while h.inbox_b.len() < 2 {
             guard += 1;
             assert!(guard < 1000);
-            h.wire.sort_by_key(|&(t, _, _)| t);
-            if h.wire.is_empty() {
+            if !h.deliver_next() {
                 h.tick_both(10_000_000);
-                continue;
             }
-            let (t, to_a, seg) = h.wire.remove(0);
-            h.now = h.now.max(t);
-            if to_a {
-                let fx = h.a.on_segment(&seg, h.now);
-                h.push_tx(true, fx.tx);
-            } else {
-                let fx = h.b.on_segment(&seg, h.now);
-                for m in fx.delivered_msgs {
-                    got.push(*m.downcast_ref::<u32>().unwrap());
-                }
-                let _ = h.b.recv(u64::MAX);
-                h.push_tx(false, fx.tx);
-            }
+            let _ = h.b.recv(u64::MAX);
         }
+        let got: Vec<u32> = h.inbox_b.iter().map(|m| *m.downcast_ref::<u32>().unwrap()).collect();
         assert_eq!(got, vec![1, 2]);
+        assert!(h.inbox_a.is_empty(), "markers surface at the receiver only");
+    }
+
+    #[test]
+    fn ack_of_new_data_that_carries_data_pushes_ack_then_pumped_segments() {
+        // `b` has more queued than its window lets out; the next segment
+        // from `a` both acknowledges what `b` has in flight and carries
+        // data of its own. The response must be, in this order: the ACK
+        // of `a`'s data, then the segments the opened window releases.
+        let mut h = Harness::connect();
+        let queued = h.b.send(100_000, None, h.now, &mut h.tx);
+        assert_eq!(queued, 100_000);
+        let first_flight: Vec<TcpSegment> = std::mem::take(&mut h.tx);
+        assert!(!first_flight.is_empty() && h.b.send_q > 0, "window-limited");
+        // `a` receives the flight (its ACKs are discarded: the combined
+        // segment below stands in for them) and then sends data, which
+        // piggybacks the cumulative ACK.
+        for seg in &first_flight {
+            h.a.on_segment(seg, h.now, &mut h.tx, &mut h.inbox_a);
+        }
+        h.tx.clear();
+        assert_eq!(h.a.send(500, None, h.now, &mut h.tx), 500);
+        let combined = h.tx.pop().expect("one data segment");
+        assert!(h.tx.is_empty());
+        assert!(combined.len == 500 && combined.flags.ack && combined.ack > h.b.snd_una);
+
+        let snd_nxt = h.b.snd_nxt;
+        let fx = h.b.on_segment(&combined, h.now + 1, &mut h.tx, &mut h.inbox_b);
+        assert_eq!(fx.delivered_bytes, 500);
+        assert!(h.tx.len() >= 2, "an ACK and at least one pumped segment: {:?}", h.tx);
+        let ack = &h.tx[0];
+        assert_eq!((ack.len, ack.ack, ack.seq), (0, combined.seq + 500, snd_nxt));
+        let mut seq = snd_nxt;
+        for seg in &h.tx[1..] {
+            assert!(seg.len > 0, "pumped data follows the ACK: {seg:?}");
+            assert_eq!(seg.seq, seq, "in sequence order");
+            seq += seg.len as u64;
+        }
+        assert_eq!(seq, h.b.snd_nxt);
     }
 
     #[test]
     fn cwnd_grows_in_slow_start() {
         let mut h = Harness::connect();
         let initial = h.a.cwnd;
-        let (_, tx) = h.a.send(200_000, None, h.now);
-        h.push_tx(true, tx);
+        h.send_a(200_000, None);
         h.pump_until_quiet();
         let _ = h.b.recv(u64::MAX);
         assert!(h.a.cwnd > initial, "cwnd grew: {} -> {}", initial, h.a.cwnd);
@@ -1078,7 +1130,8 @@ mod tests {
     fn fin_closes_receiver() {
         let mut h = Harness::connect();
         let fin = h.a.close(h.now).expect("fin");
-        h.push_tx(true, vec![fin]);
+        h.tx.push(fin);
+        h.push_tx(true);
         h.pump_until_quiet();
         assert_eq!(h.b.state(), TcpState::Closed);
     }

@@ -27,6 +27,8 @@ struct MiniVmm {
     queue: VecDeque<(u64, Ev)>,
     net_delay: u64,
     disk_ns_per_block: u64,
+    /// The buffer traded with each kernel's action queue on every drain.
+    actions: Vec<GuestAction>,
 }
 
 impl MiniVmm {
@@ -45,6 +47,7 @@ impl MiniVmm {
             queue: VecDeque::new(),
             net_delay: 100_000, // 100 µs
             disk_ns_per_block: 60_000,
+            actions: Vec::new(),
         }
     }
 
@@ -57,8 +60,9 @@ impl MiniVmm {
     }
 
     fn drain_actions(&mut self, node: usize) {
-        let actions = self.kernels[node].drain_actions();
-        for a in actions {
+        let mut actions = std::mem::take(&mut self.actions);
+        self.kernels[node].drain_actions(&mut actions);
+        for a in actions.drain(..) {
             match a {
                 GuestAction::NetTx { dst, seg } => {
                     let at = self.now + self.net_delay;
@@ -85,6 +89,7 @@ impl MiniVmm {
                 }
             }
         }
+        self.actions = actions;
     }
 
     fn run_until(&mut self, t_end: u64) {
@@ -453,4 +458,66 @@ fn firewall_blocks_user_threads_until_resume() {
     k.on_timer_tick(now + 10_000_000);
     assert_eq!(k.state_fingerprint(), fp, "no state change while suspended");
     k.finish_resume(now);
+}
+
+/// Two kernels' worth of bulk streams, cut mid-transfer: `streams` senders
+/// on node 0 with distinct volumes in flight to `streams` receivers on
+/// node 1. Returns node 0's and node 1's fingerprints and the order (by
+/// local port) in which node 0 retransmits once every RTO has expired.
+fn multi_socket_run(streams: u16) -> (u64, u64, Vec<u16>) {
+    let mut vmm = MiniVmm::new(2);
+    for i in 0..streams {
+        vmm.kernels[1].spawn(Box::new(Receiver {
+            port: 5001 + i,
+            got: 0,
+            fd: None,
+            listening: false,
+        }));
+        vmm.kernels[0].spawn(Box::new(Sender {
+            dst: NodeAddr(1),
+            port: 5001 + i,
+            // Far more than the run can move: every stream still has
+            // data in flight at the cut.
+            total: 1 << 40,
+            sent: 0,
+            fd: None,
+            done: false,
+        }));
+    }
+    vmm.start();
+    vmm.run_until(45_000_000);
+    let sender_fp = vmm.kernels[0].state_fingerprint();
+    let receiver_fp = vmm.kernels[1].state_fingerprint();
+    // The network goes silent; far past every RTO, one tick retransmits
+    // the head of every stream, in the socket table's iteration order.
+    let k = &mut vmm.kernels[0];
+    let mut actions = Vec::new();
+    k.drain_actions(&mut actions);
+    actions.clear();
+    k.on_timer_tick(vmm.now + 120_000_000_000);
+    k.drain_actions(&mut actions);
+    let rto_order = actions
+        .iter()
+        .filter_map(|a| match a {
+            GuestAction::NetTx { seg, .. } if seg.len > 0 => Some(seg.src_port),
+            _ => None,
+        })
+        .collect();
+    (sender_fp, receiver_fp, rto_order)
+}
+
+/// Same construction, same observable state and same transmission order:
+/// the socket table iterates by fd, not by a per-process hash seed.
+#[test]
+fn socket_order_is_the_same_in_every_identically_built_kernel() {
+    const STREAMS: u16 = 6;
+    let first = multi_socket_run(STREAMS);
+    let second = multi_socket_run(STREAMS);
+    assert_eq!(first.0, second.0, "sender-side fingerprints differ");
+    assert_eq!(first.1, second.1, "receiver-side fingerprints differ");
+    assert_eq!(first.2, second.2, "RTO retransmission order differs");
+    // And the order is the one the wire image already used: by fd, which
+    // here is connect order, which is ephemeral-port order.
+    assert_eq!(first.2.len(), STREAMS as usize, "every stream had data in flight");
+    assert!(first.2.is_sorted(), "not in fd order: {:?}", first.2);
 }

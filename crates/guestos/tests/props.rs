@@ -8,7 +8,7 @@
 //! `props` feature. Generation is deterministic per case index.
 #![cfg(feature = "props")]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use cowstore::BlockData;
 use guestos::fs::{BufferCache, Ext3Fs};
@@ -36,11 +36,16 @@ fn tcp_delivers_every_byte_under_loss() {
 
         let (mut a, syn) = TcpConn::connect(1000, 2000, 0);
         let (mut b, synack) = TcpConn::accept(2000, 1000, &syn, 0);
-        let fx = a.on_segment(&synack, 0);
-        for seg in fx.tx {
-            let _ = b.on_segment(&seg, 0);
+        // Caller-owned buffers, as the kernel holds them: one segment
+        // scratch per direction in flight, one inbox (no markers here).
+        let (mut tx, mut acks, mut unsent) = (Vec::new(), Vec::new(), Vec::new());
+        let mut inbox = VecDeque::new();
+        a.on_segment(&synack, 0, &mut tx, &mut inbox);
+        for seg in tx.drain(..) {
+            b.on_segment(&seg, 0, &mut acks, &mut inbox);
         }
         assert!(a.established() && b.established(), "case {case}");
+        assert!(acks.is_empty(), "case {case}: a bare handshake ACK is not answered");
 
         let mut now: u64 = 0;
         let mut sent = 0u64;
@@ -55,45 +60,45 @@ fn tcp_delivers_every_byte_under_loss() {
                 total
             );
             now += 1_000_000; // 1 ms per round.
-            // App keeps the send buffer full.
-            let mut tx = Vec::new();
+            // App keeps the send buffer full; both entry points append to
+            // the same buffer, send's segments before the tick's.
             if sent < total {
-                let (n, t) = a.send(total - sent, None, now);
-                sent += n;
-                tx.extend(t);
+                sent += a.send(total - sent, None, now, &mut tx);
             }
-            tx.extend(a.on_tick(now));
+            a.on_tick(now, &mut tx);
             // Deliver surviving segments to B; collect B's ACKs.
-            let mut acks = Vec::new();
-            for seg in tx {
+            for seg in tx.drain(..) {
                 if seg.len > 0 {
                     a_to_b += 1;
                     if drops.contains(&(a_to_b as usize)) {
                         continue;
                     }
                 }
-                let fx = b.on_segment(&seg, now);
-                acks.extend(fx.tx);
+                b.on_segment(&seg, now, &mut acks, &mut inbox);
             }
             let _ = b.recv(u64::MAX);
-            for ack in acks {
-                let fx = a.on_segment(&ack, now);
-                for seg in fx.tx {
+            for ack in std::mem::take(&mut acks) {
+                a.on_segment(&ack, now, &mut tx, &mut inbox);
+                for seg in tx.drain(..) {
                     if seg.len > 0 {
                         a_to_b += 1;
                         if drops.contains(&(a_to_b as usize)) {
                             continue;
                         }
                     }
-                    let fx2 = b.on_segment(&seg, now);
-                    for a2 in fx2.tx {
-                        let _ = a.on_segment(&a2, now);
+                    b.on_segment(&seg, now, &mut acks, &mut inbox);
+                    for a2 in acks.drain(..) {
+                        // What A would send in reply stays unsent, as it
+                        // always did here: the next round's tick repairs.
+                        a.on_segment(&a2, now, &mut unsent, &mut inbox);
+                        unsent.clear();
                     }
                 }
                 let _ = b.recv(u64::MAX);
             }
         }
         assert_eq!(b.stats.bytes_delivered, total, "case {case}: exact byte count");
+        assert!(inbox.is_empty(), "case {case}: no markers were sent");
     }
 }
 
@@ -109,12 +114,16 @@ fn tcp_rto_never_fires_under_frozen_clock() {
 
         let (mut a, syn) = TcpConn::connect(1, 2, 0);
         let (b, synack) = TcpConn::accept(2, 1, &syn, 0);
-        let _ = a.on_segment(&synack, 0);
-        let (_, tx) = a.send(100_000, None, freeze_ns);
+        let (mut tx, mut inbox) = (Vec::new(), VecDeque::new());
+        a.on_segment(&synack, 0, &mut tx, &mut inbox);
+        tx.clear();
+        a.send(100_000, None, freeze_ns, &mut tx);
         assert!(!tx.is_empty(), "case {case}");
         let _ = b;
+        tx.clear();
         for _ in 0..ticks {
-            assert!(a.on_tick(freeze_ns).is_empty(), "case {case}");
+            a.on_tick(freeze_ns, &mut tx);
+            assert!(tx.is_empty(), "case {case}");
         }
         assert_eq!(a.stats.timeouts, 0, "case {case}");
     }

@@ -17,7 +17,10 @@ use sim::{SimDuration, SimTime};
 /// CPU work started at `t` completes once enough non-dom0 time has elapsed.
 #[derive(Clone, Debug, Default)]
 pub struct SharedCpu {
-    /// Sorted, non-overlapping dom0-busy intervals (start, end).
+    /// Sorted, non-overlapping dom0-busy intervals (start, end): every
+    /// reservation starts at or after the previous one's end, so the last
+    /// end bounds them all. The owner prunes history it can no longer
+    /// query with [`SharedCpu::forget_before`].
     dom0_busy: Vec<(SimTime, SimTime)>,
     /// Total dom0 time consumed (for stats).
     pub dom0_total: SimDuration,
@@ -77,6 +80,12 @@ impl SharedCpu {
     /// Computes when a guest burst of `work` CPU time started at `start`
     /// finishes, accounting for dom0 preemption.
     pub fn guest_completion(&self, start: SimTime, work: SimDuration) -> SimTime {
+        // No dom0 work at or after `start` — every burst outside a
+        // checkpoint's residue — runs unpreempted: answered from the last
+        // interval alone, without looking at history.
+        if self.dom0_busy.last().is_none_or(|&(_, end)| end <= start) {
+            return start + work;
+        }
         let mut t = start;
         let mut left = work;
         loop {
@@ -119,7 +128,8 @@ impl SharedCpu {
     }
 
     /// Discards bookkeeping for intervals entirely before `horizon`, so long
-    /// runs don't accumulate unbounded history.
+    /// runs don't accumulate unbounded history. Answers for bursts and
+    /// windows starting at or after `horizon` are unchanged.
     pub fn forget_before(&mut self, horizon: SimTime) {
         self.dom0_busy.retain(|&(_, e)| e >= horizon);
     }

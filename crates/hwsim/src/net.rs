@@ -88,6 +88,12 @@ pub struct LinkDeliver {
     pub frame: Frame,
 }
 
+// Every packet hop posts one of these: each must ride inline in its event
+// slot (see `sim::fits_inline`), or the hop is back on the boxed path.
+const _: () = assert!(sim::fits_inline::<LinkTransmit>());
+const _: () = assert!(sim::fits_inline::<LinkDeliver>());
+const _: () = assert!(sim::fits_inline::<LanTransmit>());
+
 /// One endpoint of a link: the component and which of its NICs is attached.
 #[derive(Clone, Copy, Debug)]
 pub struct Endpoint {
@@ -323,29 +329,33 @@ impl Component for ControlLan {
         let done = start + ser;
         self.busy_until[src_idx] = done;
 
-        let targets: Vec<Endpoint> = if tx.frame.dst == NodeAddr::BROADCAST {
-            let now = ctx.now();
-            self.members
-                .iter()
-                .filter(|(a, _)| {
-                    *a != tx.frame.src
-                        && !self
-                            .faults
-                            .as_ref()
-                            .is_some_and(|(p, _)| p.crashed(a.0, now))
-                })
-                .map(|&(_, ep)| ep)
-                .collect()
+        // Unicast: the one member with that address. Broadcast: every
+        // member but the sender and any crashed by an injected plan, in
+        // attach order.
+        let broadcast = tx.frame.dst == NodeAddr::BROADCAST;
+        let targets = if broadcast {
+            0..self.members.len()
         } else {
             match self.member_index(tx.frame.dst) {
-                Some(i) => vec![self.members[i].1],
+                Some(i) => i..i + 1,
                 None => {
                     self.undeliverable += 1;
                     return;
                 }
             }
         };
-        for ep in targets {
+        let now = ctx.now();
+        for i in targets {
+            let (addr, ep) = self.members[i];
+            if broadcast
+                && (addr == tx.frame.src
+                    || self
+                        .faults
+                        .as_ref()
+                        .is_some_and(|(p, _)| p.crashed(addr.0, now)))
+            {
+                continue;
+            }
             let jitter =
                 SimDuration::from_nanos(ctx.rng().exponential(self.jitter_mean.as_nanos() as f64)
                     as u64);
@@ -467,6 +477,24 @@ mod tests {
         e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame: frame(100) });
         e.run_to_completion();
         assert!(e.component_ref::<Sink>(sink).unwrap().got.is_empty());
+    }
+
+    #[test]
+    fn cancelled_frame_event_releases_the_frame() {
+        let (mut e, _sink, link) = setup_link(1_000_000_000, SimDuration::ZERO, 0.0);
+        let probe = Arc::new(());
+        let frame = Frame::new(NodeAddr(1), NodeAddr(2), 1500, probe.clone());
+        let before = sim::payload_pool_stats();
+        let ev = e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame });
+        let after = sim::payload_pool_stats();
+        assert_eq!(after.inline, before.inline + 1, "a frame event rides inline");
+        assert_eq!(
+            (after.pool_hits, after.pool_misses),
+            (before.pool_hits, before.pool_misses)
+        );
+        assert_eq!(Arc::strong_count(&probe), 2);
+        assert!(e.cancel(ev));
+        assert_eq!(Arc::strong_count(&probe), 1, "cancel drops the inline frame");
     }
 
     #[test]

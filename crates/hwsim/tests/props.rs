@@ -129,3 +129,93 @@ fn cpu_sharing_conserves_work() {
         assert_eq!(done, start + work + stolen, "case {case}: work not conserved");
     }
 }
+
+/// The scanning definition of `guest_completion` the O(1) early-out
+/// replaced, over an explicit interval list: the reference.
+fn scanning_completion(
+    dom0_busy: &[(SimTime, SimTime)],
+    start: SimTime,
+    work: SimDuration,
+) -> SimTime {
+    let mut t = start;
+    let mut left = work;
+    loop {
+        let naive_end = t + left;
+        let next = dom0_busy
+            .iter()
+            .filter(|&&(s, e)| e > t && s < naive_end)
+            .min_by_key(|&&(s, _)| s);
+        match next {
+            None => return naive_end,
+            Some(&(s, e)) => {
+                if s > t {
+                    left = left.saturating_sub(s - t);
+                }
+                if left.is_zero() {
+                    return s;
+                }
+                t = e;
+            }
+        }
+    }
+}
+
+/// `guest_completion` equals the scanning reference on every query —
+/// before, inside, between, on the edges of and after all dom0 intervals
+/// — and pruning history before a horizon changes no answer at or after
+/// that horizon.
+#[test]
+fn guest_completion_matches_the_scanning_reference() {
+    let at = |us: u64| SimTime::ZERO + SimDuration::from_micros(us);
+    let mut inside_or_between = 0u64;
+    let mut past_the_end = 0u64;
+    for case in 0..4 * CASES {
+        let mut g = SimRng::for_component(0xD0_30, case as u32);
+        // Sorted, non-overlapping intervals, some touching, some empty.
+        let mut cpu = SharedCpu::new();
+        let mut intervals = Vec::new();
+        let mut t = g.range_u64(0, 5_000);
+        for _ in 0..g.range_u64(0, 24) {
+            t += if g.chance(0.2) { 0 } else { g.range_u64(1, 4_000) };
+            let len = if g.chance(0.1) { 0 } else { g.range_u64(1, 3_000) };
+            let got = cpu.reserve_dom0(at(t), SimDuration::from_micros(len));
+            assert_eq!(got, (at(t), at(t + len)), "case {case}: generator keeps order");
+            intervals.push(got);
+            t += len;
+        }
+        let span_end = t + 5_000;
+        let mut queries: Vec<(u64, u64)> = (0..8)
+            .map(|_| (g.range_u64(0, span_end), g.range_u64(0, 6_000)))
+            .collect();
+        // Edge starts: each interval's start, last busy instant and end.
+        if let Some(&(s, e)) = intervals.get(g.range_u64(0, intervals.len().max(1) as u64) as usize) {
+            let (s, e) = (s.as_nanos() / 1_000, e.as_nanos() / 1_000);
+            queries.extend([(s, 1), (e.saturating_sub(1), 1), (e, 0), (e, 2_500)]);
+        }
+        for &(start, work) in &queries {
+            let (start, work) = (at(start), SimDuration::from_micros(work));
+            assert_eq!(
+                cpu.guest_completion(start, work),
+                scanning_completion(&intervals, start, work),
+                "case {case}: start {start:?} work {work:?} over {intervals:?}"
+            );
+            match intervals.last() {
+                Some(&(_, end)) if start < end => inside_or_between += 1,
+                _ => past_the_end += 1,
+            }
+        }
+        // Forget everything before a horizon: queries from there on must
+        // not notice (the reference still sees the full history).
+        let horizon = at(g.range_u64(0, span_end));
+        cpu.forget_before(horizon);
+        for &(start, work) in &queries {
+            let (start, work) = (at(start).max(horizon), SimDuration::from_micros(work));
+            assert_eq!(
+                cpu.guest_completion(start, work),
+                scanning_completion(&intervals, start, work),
+                "case {case}: after forget_before({horizon:?}), start {start:?} work {work:?}"
+            );
+        }
+    }
+    assert!(inside_or_between > 1_000 && past_the_end > 1_000, "both paths exercised");
+}

@@ -20,13 +20,18 @@
 //!   `u128` compare: equal-timestamp events fire in schedule order,
 //!   exactly as before.
 //! - **Inline payloads with a pooled-box fallback.** Payload values up
-//!   to 24 bytes (ticks, completions, most messages) are stored inline
-//!   in the arena slot — no allocation at all, guarded by a per-type
-//!   `TypeId` + dropper record. Larger payloads fall back to boxed
-//!   `Option<T>` values drawn from a per-type thread-local free list,
-//!   so even they rarely touch the allocator. Storage strategy only
-//!   decides where bytes live — payload values, delivery order, and
-//!   drop observability are unchanged, so simulated time is unaffected.
+//!   to 40 bytes are stored inline in the arena slot — no allocation
+//!   at all, guarded by a per-type `TypeId` + dropper record. 40 is the
+//!   size of a frame event: `hwsim`'s `LinkTransmit`, `LinkDeliver` and
+//!   `LanTransmit` (a 32-byte `Frame` plus a port), and the message
+//!   enums of the VM host and the delay node, fit — each asserts so
+//!   with [`fits_inline`] next to its definition — so a packet hop
+//!   touches neither the allocator nor the pool. Larger payloads fall
+//!   back to boxed `Option<T>` values drawn from a per-type
+//!   thread-local free list, so even they rarely touch the allocator.
+//!   Storage strategy only decides where bytes live — payload values,
+//!   delivery order, and drop observability are unchanged, so simulated
+//!   time is unaffected.
 
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
@@ -64,12 +69,20 @@ impl EventId {
 // ---------------------------------------------------------------------------
 
 /// Payload values at most this large (and at most 8-aligned) are stored
-/// *inline in the arena slot*: a post of a tick, NIC completion, or any
-/// other small message touches no allocator, no thread-local pool — just
-/// a 24-byte write into the slot it already owns. Larger payloads fall
-/// back to pooled boxes.
-const INLINE_BYTES: usize = 24;
+/// *inline in the arena slot*: a post of a tick, a frame hand-off, or any
+/// other message up to the size of a frame event touches no allocator, no
+/// thread-local pool — just a write into the slot it already owns. Larger
+/// payloads fall back to pooled boxes.
+const INLINE_BYTES: usize = 40;
 const INLINE_ALIGN: usize = 8;
+
+/// True if an event payload of type `T` is stored inline in its arena
+/// slot. Per-packet message types assert this in a `const` next to their
+/// definition, so a field added later cannot silently put every packet
+/// back on the boxed path.
+pub const fn fits_inline<T>() -> bool {
+    size_of::<T>() <= INLINE_BYTES && align_of::<T>() <= INLINE_ALIGN
+}
 
 /// 8-aligned inline payload storage. Only the leading `size_of::<T>()`
 /// bytes are initialized; `MaybeUninit` makes moving the rest sound.
@@ -141,7 +154,7 @@ enum Stored {
 /// Packs `value` for storage. The size/align test is a compile-time
 /// constant per `T`, so each monomorphization keeps only one arm.
 fn store_payload<T: Any>(value: T) -> Stored {
-    if size_of::<T>() <= INLINE_BYTES && align_of::<T>() <= INLINE_ALIGN {
+    if fits_inline::<T>() {
         let mut buf = InlineBuf(MaybeUninit::uninit());
         // SAFETY: `T` fits the buffer and its alignment divides the
         // buffer's (checked above); ownership of `value` moves into the
@@ -266,15 +279,28 @@ fn pool_reclaim(b: Box<dyn Any>) {
     });
 }
 
-/// `(avoided, allocated)` payload allocation counters for this thread
-/// since process start. `avoided` counts posts that needed no fresh
-/// allocation — the payload was stored inline in the arena slot, or a
-/// pooled box was recycled; `allocated` counts posts that boxed anew.
-pub fn payload_pool_stats() -> (u64, u64) {
+/// Where this thread's posts have stored their payloads since process
+/// start.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct PayloadPoolStats {
+    /// Posts stored inline in the arena slot: no allocator, no pool.
+    pub inline: u64,
+    /// Posts too large to inline that recycled a pooled box.
+    pub pool_hits: u64,
+    /// Posts too large to inline that allocated a fresh box.
+    pub pool_misses: u64,
+}
+
+/// Payload storage counters for this thread since process start.
+pub fn payload_pool_stats() -> PayloadPoolStats {
     let inline = INLINE_STORES.with(|c| c.get());
     POOL.with(|p| {
         let p = p.borrow();
-        (inline + p.hits, p.misses)
+        PayloadPoolStats {
+            inline,
+            pool_hits: p.hits,
+            pool_misses: p.misses,
+        }
     })
 }
 
@@ -419,6 +445,11 @@ struct Slot {
     target: ComponentId,
     payload: Option<Stored>,
 }
+
+// The arena's per-event footprint: three stamps, the inline bytes and
+// their type descriptor. A reviewed number, not an accident of field
+// order — widening it costs cache on every sift.
+const _: () = assert!(size_of::<Slot>() == 72);
 
 impl Slot {
     fn retire(&mut self) {
@@ -703,6 +734,7 @@ mod tests {
     use crate::rng::SimRng;
     use crate::time::SimTime;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -798,19 +830,115 @@ mod tests {
 
     #[test]
     fn payload_pool_round_trip() {
-        // A type private to this test, so no other pool traffic interferes.
+        // A type private to this test and too large to inline, so no
+        // other pool traffic interferes.
         #[derive(Debug, PartialEq)]
-        struct Msg(u64);
+        struct Msg([u64; 6]);
+        assert!(!fits_inline::<Msg>());
         let mut s = Scheduler::new();
-        let (h0, _) = payload_pool_stats();
-        s.push(t(1), ComponentId(0), Msg(7));
+        let before = payload_pool_stats();
+        s.push(t(1), ComponentId(0), Msg([7; 6]));
         let got = pop_value::<Msg>(&mut s).unwrap();
-        assert_eq!(got, Msg(7));
+        assert_eq!(got, Msg([7; 6]));
         // The consumed box went back to the pool; the next post recycles it.
-        s.push(t(2), ComponentId(0), Msg(8));
-        let (h1, _) = payload_pool_stats();
-        assert!(h1 > h0, "second post of the same type must be a pool hit");
-        assert_eq!(pop_value::<Msg>(&mut s), Some(Msg(8)));
+        s.push(t(2), ComponentId(0), Msg([8; 6]));
+        let after = payload_pool_stats();
+        assert_eq!(after.pool_misses, before.pool_misses + 1, "first post boxes anew");
+        assert_eq!(after.pool_hits, before.pool_hits + 1, "second post recycles the box");
+        assert_eq!(after.inline, before.inline, "neither post is inline");
+        assert_eq!(pop_value::<Msg>(&mut s), Some(Msg([8; 6])));
+    }
+
+    /// Posts one `T` and reports `(inline, boxed)` posts it caused.
+    fn storage_of<T: Any>(value: T) -> (u64, u64) {
+        let mut s = Scheduler::new();
+        let before = payload_pool_stats();
+        s.push(t(1), ComponentId(0), value);
+        let after = payload_pool_stats();
+        assert!(s.pop().unwrap().payload.is::<T>());
+        (
+            after.inline - before.inline,
+            (after.pool_hits + after.pool_misses) - (before.pool_hits + before.pool_misses),
+        )
+    }
+
+    #[test]
+    fn inline_boundary_follows_the_constant() {
+        #[repr(align(16))]
+        struct OverAligned(#[allow(dead_code)] u8);
+        assert!(fits_inline::<[u8; INLINE_BYTES]>() && fits_inline::<[u64; 5]>());
+        assert!(!fits_inline::<[u8; INLINE_BYTES + 1]>() && !fits_inline::<[u64; 6]>());
+        assert!(!fits_inline::<OverAligned>(), "small but 16-aligned");
+        // What `fits_inline` promises is what `push` does.
+        assert_eq!(storage_of([1u8; INLINE_BYTES]), (1, 0));
+        assert_eq!(storage_of([1u64; 5]), (1, 0));
+        assert_eq!(storage_of([1u8; INLINE_BYTES + 1]), (0, 1));
+        assert_eq!(storage_of(OverAligned(1)), (0, 1));
+        // And the value survives either path intact.
+        let mut s = Scheduler::new();
+        s.push(t(1), ComponentId(0), [9u64, 8, 7, 6, 5]);
+        s.push(t(2), ComponentId(0), [4u8; 41]);
+        assert_eq!(pop_value::<[u64; 5]>(&mut s), Some([9, 8, 7, 6, 5]));
+        assert_eq!(pop_value::<[u8; 41]>(&mut s), Some([4; 41]));
+    }
+
+    /// A frame-shaped inline payload: addressing words plus a shared,
+    /// type-erased body, padded out to exactly the inline limit.
+    struct FrameLike {
+        _hdr: [u32; 3],
+        _port: u64,
+        body: Arc<dyn Any + Send + Sync>,
+    }
+
+    fn frame_like(probe: &Arc<u32>) -> FrameLike {
+        assert_eq!(size_of::<FrameLike>(), INLINE_BYTES);
+        FrameLike {
+            _hdr: [1, 2, 1500],
+            _port: 1,
+            body: probe.clone(),
+        }
+    }
+
+    #[test]
+    fn inline_payload_owning_an_arc_drops_exactly_once() {
+        let probe = Arc::new(7u32);
+        let mut s = Scheduler::new();
+        // Consumed: ownership moves out through `downcast`, the slot's
+        // copy of the bytes must not be dropped again.
+        s.push(t(1), ComponentId(0), frame_like(&probe));
+        assert_eq!(Arc::strong_count(&probe), 2);
+        let got = pop_value::<FrameLike>(&mut s).unwrap();
+        assert_eq!(Arc::strong_count(&probe), 2, "moved, not duplicated");
+        assert_eq!(got.body.downcast_ref::<u32>(), Some(&7));
+        drop(got);
+        assert_eq!(Arc::strong_count(&probe), 1);
+        // Delivered but never consumed: the payload's own drop runs it.
+        s.push(t(2), ComponentId(0), frame_like(&probe));
+        let unconsumed = s.pop().unwrap().payload;
+        let unconsumed = unconsumed.downcast::<u32>().unwrap_err(); // wrong type: handed back
+        assert_eq!(Arc::strong_count(&probe), 2);
+        drop(unconsumed);
+        assert_eq!(Arc::strong_count(&probe), 1);
+        // Never delivered: dropping the scheduler drops the slot.
+        s.push(t(3), ComponentId(0), frame_like(&probe));
+        drop(s);
+        assert_eq!(Arc::strong_count(&probe), 1);
+    }
+
+    #[test]
+    fn cancel_releases_an_inline_payload_at_once() {
+        let probe = Arc::new(7u32);
+        let mut s = Scheduler::new();
+        let before = payload_pool_stats();
+        let id = s.push(t(1), ComponentId(0), frame_like(&probe));
+        let kept = s.push(t(2), ComponentId(1), frame_like(&probe));
+        assert_eq!(payload_pool_stats().inline, before.inline + 2);
+        assert_eq!(Arc::strong_count(&probe), 3);
+        assert!(s.cancel(id));
+        assert_eq!(Arc::strong_count(&probe), 2, "cancel drops the value, not the next reuse");
+        assert_eq!(s.cancel_target(ComponentId(1)), 1);
+        assert_eq!(Arc::strong_count(&probe), 1);
+        assert!(!s.cancel(kept));
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub mod trace;
 
 pub use buggify::{Buggify, Preset};
 pub use engine::{Component, Ctx, Engine};
-pub use event::{payload_pool_stats, ComponentId, EventId, Payload};
+pub use event::{
+    fits_inline, payload_pool_stats, ComponentId, EventId, Payload, PayloadPoolStats,
+};
 pub use shard::{ShardComponent, ShardCtx, ShardedEngine};
 pub use fault::FaultPlan;
 pub use rng::SimRng;

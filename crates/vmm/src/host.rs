@@ -17,7 +17,7 @@
 //!    induced disturbances, and exactly the ones §7.1 measures.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use clocksync::{NtpClient, NtpResponse};
 use cowstore::{BlockData, BranchingStore, Direction, MirrorTransfer};
@@ -65,8 +65,10 @@ enum VmMsg {
     FreezeEntryDone,
     /// Dom0 finished capturing the snapshot.
     CaptureDone,
-    /// Redelivery of a frame logged during suspension.
-    RxReplay { src: NodeAddr, seg: TcpSegment },
+    /// Redelivery of a frame logged during suspension. Boxed: replays
+    /// are rare, and an inline segment would set the size every `Tick`
+    /// and `NetTxDone` pays for.
+    RxReplay { src: NodeAddr, seg: Box<TcpSegment> },
     /// Agent-requested wakeup.
     AgentWake { token: u64 },
     /// One background mirror-sync extent finished.
@@ -74,6 +76,10 @@ enum VmMsg {
     /// Idle-priority sync backoff expired; try again.
     MirrorRetry,
 }
+
+// Two of every packet's six events are `VmMsg`s: keep them inline in the
+// event slot (see `sim::fits_inline`).
+const _: () = assert!(sim::fits_inline::<VmMsg>());
 
 /// Checkpoint progress of the host.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -187,7 +193,12 @@ pub struct VmHost {
     store: BranchingStore,
     ntp: NtpClient,
     domain: Option<Domain>,
-    exp_routes: HashMap<NodeAddr, ExpPort>,
+    /// Experiment-network routes, sorted by destination: a host has a
+    /// handful, looked up once per transmitted packet.
+    exp_routes: Vec<(NodeAddr, ExpPort)>,
+    /// The buffer traded with the kernel's action queue on every pump,
+    /// so neither side allocates per drain.
+    actions: Vec<GuestAction>,
 
     // Network backend.
     tx_q: VecDeque<(NodeAddr, TcpSegment)>,
@@ -291,7 +302,8 @@ impl VmHost {
             store,
             ntp: NtpClient::emulab_default(),
             domain: Some(Domain::new(kernel, mem)),
-            exp_routes: HashMap::new(),
+            exp_routes: Vec::new(),
+            actions: Vec::new(),
             tx_q: VecDeque::new(),
             tx_busy: false,
             tx_free_at: SimTime::ZERO,
@@ -339,9 +351,12 @@ impl VmHost {
         })
     }
 
-    /// Adds an experiment-network route.
+    /// Adds (or replaces) an experiment-network route.
     pub fn add_exp_route(&mut self, dst: NodeAddr, port: ExpPort) {
-        self.exp_routes.insert(dst, port);
+        match self.exp_routes.binary_search_by_key(&dst, |&(d, _)| d) {
+            Ok(i) => self.exp_routes[i].1 = port,
+            Err(i) => self.exp_routes.insert(i, (dst, port)),
+        }
     }
 
     /// This host's address.
@@ -495,9 +510,9 @@ impl VmHost {
         // events: the transparency auditor works from what the guest
         // actually observed, not from what the vmm intended.
         let tele = self.tele(ctx);
-        let t = ctx.telemetry().clone();
         let domain = self.domain.as_mut().expect("domain present");
         if !domain.kernel.witness.is_empty() {
+            let t = ctx.telemetry();
             let now = ctx.now();
             for obs in domain.kernel.witness.drain() {
                 let g = obs.guest_ns as i64;
@@ -520,8 +535,9 @@ impl VmHost {
                 }
             }
         }
-        let actions = domain.kernel.drain_actions();
-        for a in actions {
+        let mut actions = std::mem::take(&mut self.actions);
+        domain.kernel.drain_actions(&mut actions);
+        for a in actions.drain(..) {
             match a {
                 GuestAction::NetTx { dst, seg } => {
                     self.tx_q.push_back((dst, seg));
@@ -594,6 +610,7 @@ impl VmHost {
                 }
             }
         }
+        self.actions = actions;
     }
 
     // ------------------------------------------------------------------
@@ -617,8 +634,12 @@ impl VmHost {
         if let Some((dst, seg)) = self.tx_q.pop_front() {
             let frame = Frame::new(self.cfg.node, dst, seg.wire_bytes(), seg);
             self.stats.frames_tx += 1;
-            match self.exp_routes.get(&dst) {
-                Some(&ExpPort::LinkEnd { link, end }) => {
+            let route = self
+                .exp_routes
+                .binary_search_by_key(&dst, |&(d, _)| d)
+                .map(|i| self.exp_routes[i].1);
+            match route {
+                Ok(ExpPort::LinkEnd { link, end }) => {
                     ctx.post(
                         link,
                         SimDuration::ZERO,
@@ -628,10 +649,10 @@ impl VmHost {
                         },
                     );
                 }
-                Some(&ExpPort::Lan { lan }) => {
+                Ok(ExpPort::Lan { lan }) => {
                     ctx.post(lan, SimDuration::ZERO, LanTransmit { frame });
                 }
-                None => {
+                Err(_) => {
                     // Unrouteable: drop (counted implicitly by receivers).
                 }
             }
@@ -657,18 +678,16 @@ impl VmHost {
             let wire = SimDuration::from_micros(2);
             self.replay_until += wire;
             let src = frame.src;
-            let seg = seg.clone();
+            let seg = Box::new(seg.clone());
             ctx.post_at(ctx.self_id(), self.replay_until, VmMsg::RxReplay { src, seg });
             return;
         }
         let g = self.guest_ns(ctx.now());
-        let src = frame.src;
-        let seg = seg.clone();
         if let Some(d) = self.domain.as_mut() {
             // Streamed network data recycles socket-buffer pages; it does
             // not grow the dirty set the way file I/O does, so it is not
             // counted here.
-            d.kernel.on_net_rx(g, src, &seg);
+            d.kernel.on_net_rx(g, frame.src, seg);
         }
         self.pump_kernel(ctx);
     }
@@ -982,6 +1001,12 @@ impl VmHost {
         }
         self.phase = CkptPhase::Idle;
 
+        // Dom0 history older than anything still asked about — the start
+        // of a burst in progress (the freeze banked it, so normally none)
+        // or this instant — goes: each round forgets the previous ones.
+        let horizon = self.active_burst.map_or(now, |b| b.start.min(now));
+        self.cpu.forget_before(horizon);
+
         // Residual dom0 work: compress + push out the captured image. The
         // credit scheduler spreads it in slices rather than monopolizing
         // the CPU, so running guests see a shallow dip (Fig 6), not a
@@ -1033,6 +1058,7 @@ impl VmHost {
             };
             prev_arrival = Some(arrival);
             at += gap;
+            let seg = Box::new(seg);
             ctx.post_at(ctx.self_id(), at, VmMsg::RxReplay { src, seg });
         }
         self.replay_until = at;
@@ -1383,7 +1409,7 @@ impl Component for VmHost {
             VmMsg::RxReplay { src, seg } => {
                 if self.frozen() {
                     // A new checkpoint started mid-replay: re-log.
-                    self.rx_log.push((ctx.now(), src, seg));
+                    self.rx_log.push((ctx.now(), src, *seg));
                     self.stats.frames_rx_logged += 1;
                 } else {
                     let g = self.guest_ns(ctx.now());

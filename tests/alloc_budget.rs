@@ -1,0 +1,147 @@
+//! An allocation budget for the per-packet path, checked by the machine.
+//!
+//! The two-node shaped-link iperf lab of Fig 6 (`benchmark/`'s
+//! `iperf_ckpt`) dispatches about half a million events per simulated
+//! second, six per packet hop. What each of those events may cost the
+//! allocator is a design decision — frame events ride inline in their
+//! event slots, the guest kernel, TCP, dummynet and the VM host work in
+//! caller-owned scratch, and the one allocation left per frame is its
+//! payload `Arc` — so it is asserted here, as a count. Counts repeat
+//! exactly for a seed: this is not a timing assertion.
+//!
+//! The binary has its own counting `#[global_allocator]`, so it holds this
+//! one test and nothing else.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use emulab_checkpoint::emulab::{ExperimentSpec, Testbed};
+use emulab_checkpoint::sim::telemetry::names;
+use emulab_checkpoint::sim::{payload_pool_stats, SimDuration};
+use emulab_checkpoint::workloads::{IperfReceiver, IperfSender};
+
+/// Calls into the allocator that hand out memory (`alloc`, `alloc_zeroed`,
+/// `realloc`), process-wide. A statistic: `Relaxed` publishes nothing.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no memory the
+// allocator manages.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Most allocations an event may cost on the iperf lab, checkpoints
+/// included. One `Arc` per frame over six events per hop is 0.167, and
+/// that is what this window measures. With a `Vec` returned per packet at
+/// eight sites it was 1.17; the cheapest of those (draining the clock
+/// witness by `mem::take`) costs 0.084 when put back, so 0.20 is the
+/// loosest bound that any one of them fails.
+const MAX_ALLOCS_PER_EVENT: f64 = 0.20;
+
+/// Fewest a working counter can report: the per-frame `Arc` is still
+/// there, so a counter that counts nothing cannot pass.
+const MIN_ALLOCS_PER_EVENT: f64 = 0.10;
+
+/// Largest share of posts that may take the boxed/pooled payload path.
+const MAX_POOLED_POST_SHARE: f64 = 0.01;
+
+#[test]
+fn per_packet_path_stays_within_its_allocation_budget() {
+    // The lab exactly as `benchmark/src/scripts.rs::iperf_ckpt` builds it.
+    let mut tb = Testbed::new(1, 8);
+    let spec = ExperimentSpec::new("ip").node("a").node("b").link(
+        "a",
+        "b",
+        1_000_000_000,
+        SimDuration::from_micros(100),
+        0.0,
+    );
+    tb.swap_in(spec).expect("swap-in");
+    tb.run_for(SimDuration::from_secs(2));
+    let b_addr = tb.node_addr("ip", "b");
+    tb.spawn("ip", "b", Box::new(IperfReceiver::new(5001)));
+    tb.spawn("ip", "a", Box::new(IperfSender::new(b_addr, 5001)));
+
+    // Warm-up: 3 sim-s, the last two under 1 s periodic checkpoints, so
+    // every scratch buffer, replay log and pool has reached its size.
+    tb.run_for(SimDuration::from_secs(1));
+    tb.start_periodic_checkpoints(SimDuration::from_secs(1));
+    tb.run_for(SimDuration::from_secs(2));
+
+    // The window: 1 sim-s holding one whole coordinated round.
+    let committed = |tb: &Testbed| {
+        tb.telemetry()
+            .counter_value(names::COORD_EPOCHS_COMMITTED)
+            .unwrap_or(0)
+    };
+    let delivered = |tb: &Testbed| tb.kernel("ip", "b", |k| k.net_totals().bytes_delivered);
+    let (rounds0, bytes0) = (committed(&tb), delivered(&tb));
+    let events0 = tb.engine.events_dispatched();
+    let pool0 = payload_pool_stats();
+    let allocs0 = ALLOCATIONS.load(Ordering::Relaxed);
+    tb.run_for(SimDuration::from_secs(1));
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs0;
+    let pool1 = payload_pool_stats();
+    let events = tb.engine.events_dispatched() - events0;
+
+    let rounds = committed(&tb) - rounds0;
+    let mbytes = (delivered(&tb) - bytes0) as f64 / 1e6;
+    assert!(rounds >= 1, "the window must hold a committed checkpoint round");
+    assert!(events > 100_000 && mbytes > 10.0, "the stream must be running");
+
+    let per_event = allocs as f64 / events as f64;
+    let pooled = (pool1.pool_hits + pool1.pool_misses) - (pool0.pool_hits + pool0.pool_misses);
+    let posts = pooled + (pool1.inline - pool0.inline);
+    let pooled_share = pooled as f64 / posts as f64;
+    println!(
+        "alloc_budget: {allocs} allocations / {events} events = {per_event:.4} per event \
+         (budget {MIN_ALLOCS_PER_EVENT}..={MAX_ALLOCS_PER_EVENT}); \
+         {pooled} of {posts} posts pooled = {:.4} % (budget < {} %); \
+         {rounds} round(s), {mbytes:.1} MB delivered",
+        pooled_share * 100.0,
+        MAX_POOLED_POST_SHARE * 100.0,
+    );
+    assert!(
+        per_event <= MAX_ALLOCS_PER_EVENT,
+        "{per_event:.4} allocations per dispatched event: something on the per-packet \
+         path is allocating again (a returned Vec, a mem::take'n buffer, a boxed payload)"
+    );
+    assert!(
+        per_event >= MIN_ALLOCS_PER_EVENT,
+        "{per_event:.4} allocations per dispatched event is below the per-frame Arc: \
+         the counter is not counting"
+    );
+    assert!(
+        pooled_share < MAX_POOLED_POST_SHARE,
+        "{:.2} % of posts took the boxed/pooled payload path: a per-packet message \
+         outgrew the inline slot",
+        pooled_share * 100.0
+    );
+}
