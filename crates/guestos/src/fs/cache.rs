@@ -41,7 +41,11 @@ pub struct BufferCache {
 }
 
 impl BufferCache {
-    /// Creates a cache holding up to `cap` blocks.
+    /// Creates a cache holding up to `cap` blocks. The table and the slab
+    /// start empty and grow with what is cached: `cap` bounds `len()`, it
+    /// is not reserved up front, so cloning a kernel for a checkpoint
+    /// copies the blocks it caches and not a table sized for the most it
+    /// could.
     ///
     /// # Panics
     ///
@@ -50,8 +54,8 @@ impl BufferCache {
         assert!(cap > 0, "zero-capacity cache");
         BufferCache {
             cap,
-            map: HashMap::with_capacity(cap),
-            slab: Vec::with_capacity(cap),
+            map: HashMap::new(),
+            slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -372,6 +376,57 @@ mod tests {
         assert!(!c.contains(1));
         assert_eq!(c.dirty_count(), 0);
         assert_eq!(c.len(), 0);
+    }
+
+    /// The constructor before the table grew on demand: everything
+    /// reserved at capacity. Kept here as the reference.
+    fn reserved_at_capacity(cap: usize) -> BufferCache {
+        BufferCache {
+            map: HashMap::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            ..BufferCache::new(cap)
+        }
+    }
+
+    #[test]
+    fn grown_cache_behaves_as_one_reserved_at_capacity() {
+        // 3,000 blocks is eleven doublings of an empty table and slab;
+        // the op mix then runs well past capacity so both evict.
+        let cap = 3_000;
+        let mut grown = BufferCache::new(cap);
+        let mut reserved = reserved_at_capacity(cap);
+        assert!(grown.slab.capacity() < cap && reserved.slab.capacity() >= cap);
+        let mut evictions = 0;
+        for i in 0..40_000u64 {
+            let vba = (i * 7919) % 5_000;
+            let dirty = i % 3 != 0;
+            let ev = grown.put(vba, d(i), dirty);
+            assert_eq!(ev, reserved.put(vba, d(i), dirty), "eviction differs at op {i}");
+            evictions += ev.is_some() as u32;
+            let probe = (i * 31) % 5_000;
+            assert_eq!(grown.read(probe), reserved.read(probe));
+            if i % 64 == 0 {
+                assert_eq!(grown.take_dirty(16), reserved.take_dirty(16));
+                grown.invalidate(probe);
+                reserved.invalidate(probe);
+            }
+            assert_eq!(grown.len(), reserved.len());
+        }
+        assert!(evictions > 0 && grown.len() == cap, "the mix must fill and evict");
+        assert!(grown.hits > 0 && grown.misses > 0);
+        assert_eq!(
+            (grown.hits, grown.misses, grown.dirty_count()),
+            (reserved.hits, reserved.misses, reserved.dirty_count())
+        );
+        let wire = |c: &BufferCache| {
+            let mut e = Enc::new();
+            c.encode_wire(&mut e);
+            e.into_bytes()
+        };
+        let bytes = wire(&grown);
+        assert_eq!(bytes, wire(&reserved));
+        let back = BufferCache::decode_wire(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!(wire(&back), bytes, "decode -> encode is the identity");
     }
 
     #[test]

@@ -333,53 +333,52 @@ impl Engine {
     /// Dispatches the next event. Returns false when the queue is empty or a
     /// stop was requested.
     pub fn step(&mut self) -> bool {
-        if self.inner.stop {
-            return false;
-        }
-        let Some(ev) = self.inner.sched.pop() else {
-            return false;
-        };
-        self.dispatch(ev);
-        true
+        !self.inner.stop && self.dispatch_next(SimTime::MAX)
     }
 
-    fn dispatch(&mut self, ev: crate::event::Fired) {
+    /// Pops the next event due at or before `limit` and runs its handler;
+    /// false if there is none.
+    #[inline]
+    fn dispatch_next(&mut self, limit: SimTime) -> bool {
         let inner = &mut self.inner;
-        debug_assert!(ev.time >= inner.now, "time went backwards");
-        inner.now = ev.time;
-        let target = ev.target;
-        // One bounds-checked borrow of the slot covers both the take and
-        // the put-back; the slot borrow (of `components`) is disjoint
-        // from the `inner` borrow Ctx holds, so it lives across the call.
-        let Some(slot) = self.components.get_mut(target.0 as usize) else {
-            inner.events_dropped += 1;
-            return;
+        let Some(due) = inner.sched.next_before(limit) else {
+            return false;
         };
-        let Some(mut comp) = slot.take() else {
+        debug_assert!(due.time >= inner.now, "time went backwards");
+        inner.now = due.time;
+        let target = due.target;
+        // The component is borrowed in place: `components` is disjoint
+        // from the `inner` borrow Ctx holds, and nothing a handler can
+        // reach touches the table (mid-run registrations wait in
+        // `pending`).
+        let Some(comp) = self
+            .components
+            .get_mut(target.0 as usize)
+            .and_then(Option::as_deref_mut)
+        else {
+            drop(inner.sched.take(&due));
             inner.events_dropped += 1;
-            return;
+            return true;
         };
+        // Taken only once the handler is known, so the payload has one
+        // owner on one path: slot to argument in a single copy.
+        let payload = inner.sched.take(&due);
         let mut ctx = Ctx {
             self_id: target,
             inner,
         };
-        comp.handle(&mut ctx, ev.payload);
-        *slot = Some(comp);
+        comp.handle(&mut ctx, payload);
         self.inner.events_dispatched += 1;
         if !self.inner.pending.is_empty() {
             self.graft_pending();
         }
+        true
     }
 
     /// Runs until simulation time `t`: every event with `time <= t` fires,
     /// then `now` advances to exactly `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        while !self.inner.stop {
-            let Some(ev) = self.inner.sched.pop_before(t) else {
-                break;
-            };
-            self.dispatch(ev);
-        }
+        while !self.inner.stop && self.dispatch_next(t) {}
         if self.inner.stop {
             return;
         }
@@ -588,6 +587,28 @@ mod tests {
         }
         assert_eq!(trace(7), trace(7));
         assert_ne!(trace(7), trace(8));
+    }
+
+    #[test]
+    fn zero_delay_posts_keep_schedule_order_before_the_first_event_and_after_the_clock_ran_on() {
+        let mut e = Engine::new(0);
+        let id = e.add_component(Box::new(PingPong {
+            partner: None,
+            log: vec![],
+        }));
+        // Before anything was dispatched: "now" is zero.
+        e.post(id, SimDuration::from_millis(1), 30u64);
+        e.post(id, SimDuration::ZERO, 10u64);
+        e.post_at(id, SimTime::ZERO, 20u64);
+        e.run_until(SimTime::from_nanos(5_000_000));
+        // The clock is now 4 ms past the last event; "now" is an instant
+        // the scheduler never dispatched.
+        e.post(id, SimDuration::from_millis(1), 60u64);
+        e.post(id, SimDuration::ZERO, 40u64);
+        e.post_at(id, e.now(), 50u64);
+        e.run_to_completion();
+        let log = &e.component_ref::<PingPong>(id).unwrap().log;
+        assert_eq!(log, &[10, 20, 30, 40, 50, 60]);
     }
 
     #[test]

@@ -172,9 +172,10 @@ impl Shard {
     /// Runs every local event with `time < end`, then advances the shard
     /// clock to `end`.
     fn run_window(&mut self, end: SimTime, locs: &[CompLoc], lookahead: SimDuration) {
-        // `pop_before` is inclusive; windows are half-open `[start, end)`.
+        // `next_before` is inclusive; windows are half-open `[start, end)`.
         let limit = SimTime::from_nanos(end.as_nanos() - 1);
-        while let Some(ev) = self.inner.sched.pop_before(limit) {
+        while let Some(ev) = self.inner.sched.next_before(limit) {
+            let payload = self.inner.sched.take(&ev);
             debug_assert!(ev.time >= self.inner.now, "time went backwards in shard");
             self.inner.now = ev.time;
             let slot = &mut self.comps[ev.target.0 as usize];
@@ -191,7 +192,7 @@ impl Shard {
                 locs,
                 lookahead,
             };
-            comp.handle(&mut ctx, ev.payload);
+            comp.handle(&mut ctx, payload);
             self.comps[ev.target.0 as usize] = Some(comp);
             self.inner.dispatched += 1;
         }

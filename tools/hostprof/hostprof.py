@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Symbolise a hostprof.out sample file (see README.md).
+
+    hostprof.py FILE                      self and inclusive tables
+    hostprof.py FILE --tree ROOT          top-down call tree under ROOT
+    hostprof.py FILE --annotate FUNC      per-instruction samples in FUNC
+
+ROOT and FUNC are substrings of demangled names (hashes stripped). Only the
+binutils the image has are used: `nm` for the symbol table, `objdump` for
+the annotation. Frames outside the main executable (libc, the vDSO) are
+named after their mapping.
+"""
+import argparse
+import bisect
+import collections
+import os
+import re
+import subprocess
+import sys
+
+
+def load(path):
+    """Returns (maps, stacks): file mappings and leaf-first stacks."""
+    maps, stacks = [], []
+    for line in open(path):
+        kind, _, rest = line.partition(" ")
+        if kind == "M":
+            f = rest.split()
+            if len(f) >= 6:
+                lo, hi = (int(x, 16) for x in f[0].split("-"))
+                maps.append((lo, hi, int(f[2], 16), f[5]))
+        elif kind == "S":
+            stacks.append([int(a, 16) for a in rest.split()])
+    return sorted(maps), stacks
+
+
+class Symbols:
+    """Function symbols of one ELF file, by file-relative address."""
+
+    def __init__(self, path):
+        out = subprocess.run(["nm", "-C", "--defined-only", "-n", path],
+                             capture_output=True, text=True).stdout
+        self.addrs, self.names = [], []
+        for line in out.splitlines():
+            f = line.split(" ", 2)
+            if len(f) == 3 and f[1] in "tTwW":
+                self.addrs.append(int(f[0], 16))
+                self.names.append(re.sub(r"::h[0-9a-f]{16}$", "", f[2]))
+        # PIE executables are linked at 0 and mapped at base; ET_EXEC at
+        # their link address. `readelf` tells which.
+        hdr = subprocess.run(["readelf", "-h", path], capture_output=True, text=True).stdout
+        self.pie = "DYN" in hdr
+
+    def lookup(self, rel):
+        i = bisect.bisect_right(self.addrs, rel) - 1
+        return (self.names[i], self.addrs[i]) if i >= 0 else ("?", 0)
+
+
+class Resolver:
+    def __init__(self, maps, exe):
+        self.maps, self.exe, self.syms = maps, exe, Symbols(exe)
+        # The first segment of a PIE has offset 0 and link address 0, so
+        # where it is mapped is what to subtract from a sampled address.
+        los = [lo for lo, _, off, path in maps if path == exe and off == 0]
+        self.base = los[0] if los and self.syms.pie else 0
+        self.cache = {}
+
+    def name(self, addr, leaf):
+        # A return address points after the call; step back into it.
+        key = addr if leaf else addr - 1
+        if key not in self.cache:
+            self.cache[key] = self._name(key)
+        return self.cache[key]
+
+    def _name(self, addr):
+        for lo, hi, _, path in self.maps:
+            if lo <= addr < hi:
+                if path == self.exe:
+                    return self.syms.lookup(addr - self.base)[0]
+                return "[" + os.path.basename(path) + "]"
+        return "[unmapped]"
+
+
+def table(title, counts, total, top):
+    print(f"\n{title} ({total} samples)")
+    for name, n in counts.most_common(top):
+        print(f"{100 * n / total:6.1f}%  {n:7d}  {name}")
+
+
+def tree(named, root, total, min_pct):
+    """Top-down tree of every stack below its outermost frame matching root."""
+    node = lambda: {"n": 0, "kids": collections.defaultdict(node)}
+    top = node()
+    for frames in named:  # leaf first
+        hits = [i for i, f in enumerate(frames) if root in f]
+        if not hits:
+            continue
+        cur = top
+        for f in reversed(frames[: hits[-1] + 1]):
+            cur = cur["kids"][f]
+            cur["n"] += 1
+
+    def show(n, depth):
+        for name, kid in sorted(n["kids"].items(), key=lambda kv: -kv[1]["n"]):
+            if 100 * kid["n"] / total >= min_pct:
+                print(f"{100 * kid['n'] / total:6.1f}%  {'  ' * depth}{name}")
+                show(kid, depth + 1)
+
+    show(top, 0)
+
+
+def annotate(res, stacks, func, total):
+    """Leaf samples per instruction of the function(s) matching func."""
+    hits = collections.Counter()
+    for s in stacks:
+        if func in res.name(s[0], True):
+            hits[s[0] - res.base] += 1
+    if not hits:
+        sys.exit(f"no leaf samples in a function matching {func!r}")
+    starts = {res.syms.lookup(a)[1] for a in hits}
+    for start in sorted(starts):
+        i = res.syms.addrs.index(start)
+        stop = res.syms.addrs[i + 1] if i + 1 < len(res.syms.addrs) else start + 4096
+        dis = subprocess.run(
+            ["objdump", "-d", "-C", "--no-show-raw-insn",
+             f"--start-address={start:#x}", f"--stop-address={stop:#x}", res.exe],
+            capture_output=True, text=True).stdout
+        print(f"\n{res.syms.names[i]}")
+        for line in dis.splitlines():
+            m = re.match(r"\s*([0-9a-f]+):\s+(.*)", line)
+            if m:
+                n = hits.get(int(m.group(1), 16), 0)
+                mark = f"{100 * n / total:5.1f}%" if n else "      "
+                print(f"{mark}  {m.group(1)}:  {m.group(2)}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("file")
+    ap.add_argument("--exe", help="the profiled executable (default: the first mapping that is not a shared library)")
+    ap.add_argument("--top", type=int, default=30)
+    ap.add_argument("--tree", metavar="ROOT")
+    ap.add_argument("--min-pct", type=float, default=0.5)
+    ap.add_argument("--annotate", metavar="FUNC")
+    args = ap.parse_args()
+
+    maps, stacks = load(args.file)
+    if not stacks:
+        sys.exit("no samples in " + args.file)
+    exe = args.exe or next(m[3] for m in maps if m[3].startswith("/") and ".so" not in m[3])
+    res = Resolver(maps, exe)
+    total = len(stacks)
+    if args.annotate:
+        return annotate(res, stacks, args.annotate, total)
+    named = [[res.name(a, i == 0) for i, a in enumerate(s)] for s in stacks]
+    if args.tree:
+        return tree(named, args.tree, total, args.min_pct)
+    table("self", collections.Counter(f[0] for f in named), total, args.top)
+    inclusive = collections.Counter()
+    for f in named:
+        inclusive.update(set(f))
+    table("inclusive", inclusive, total, args.top)
+
+
+if __name__ == "__main__":
+    main()
