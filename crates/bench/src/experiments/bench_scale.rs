@@ -21,8 +21,9 @@
 //!
 //! Modes:
 //! - default: full sweep, appends one labeled entry to the JSON;
-//! - `--smoke`: 1,000-node star at 1 and 4 shards (sequential +
-//!   threaded), fingerprints asserted equal, no JSON write (CI);
+//! - `--smoke`: the sweep's 1,000-node star at 1 and 4 shards
+//!   (sequential + threaded), fingerprints asserted equal to each other
+//!   and to the latest committed entry's, no JSON write (CI);
 //! - `--check`: validate the committed JSON — schema plus the scale
 //!   gate: latest entry must hold a 1,000-node row pair with ≥2×
 //!   aggregate speedup at 4 shards and matching fingerprints;
@@ -159,15 +160,8 @@ pub fn entry_rule(entry: &Json) -> Result<(), String> {
 /// [`entry_rule`]): a 1,000-node pair at 1 and 4 shards, fingerprints
 /// equal, aggregate speedup ≥ 2×.
 pub fn scale_gate(latest: &Json) -> Result<(), String> {
-    let rows = need_rows(latest, "rows")?;
-    let find = |shards: f64| {
-        rows.iter().find(|r| {
-            r.get("nodes").and_then(Json::as_num) == Some(1000.0)
-                && r.get("shards").and_then(Json::as_num) == Some(shards)
-        })
-    };
-    let one = find(1.0).ok_or("latest entry has no 1000-node 1-shard row")?;
-    let four = find(4.0).ok_or("latest entry has no 1000-node 4-shard row")?;
+    let one = row_1000(latest, 1.0)?;
+    let four = row_1000(latest, 4.0)?;
     let (fp_one, fp_four) = (one.get("fingerprint"), four.get("fingerprint"));
     if fp_one != fp_four {
         return Err(format!(
@@ -181,6 +175,17 @@ pub fn scale_gate(latest: &Json) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// The 1,000-node row of `entry` at `shards` shards.
+fn row_1000(entry: &Json, shards: f64) -> Result<&Json, String> {
+    need_rows(entry, "rows")?
+        .iter()
+        .find(|r| {
+            r.get("nodes").and_then(Json::as_num) == Some(1000.0)
+                && r.get("shards").and_then(Json::as_num) == Some(shards)
+        })
+        .ok_or(format!("latest entry has no 1000-node {shards}-shard row"))
 }
 
 fn host_cores() -> usize {
@@ -205,10 +210,20 @@ pub fn run(args: &mut Args) -> ExitCode {
     println!("  host cores: {}", host_cores());
 
     if smoke {
-        // CI smoke: the 1,000-node star end to end, 1 vs 4 shards,
-        // sequential and threaded, fingerprints asserted equal.
-        let cfg = star_config(1000, 2);
-        println!("  [smoke] 1000-node star, 2 epochs...");
+        // CI smoke: the sweep's 1,000-node star end to end, 1 vs 4
+        // shards, sequential and threaded, fingerprints asserted equal —
+        // to each other, and to the committed one: a change that moves
+        // every layout alike is still a change of the sharded bytes.
+        let committed = FILE.check(entry_rule).and_then(|entries| {
+            let latest = entries.last().expect("check rejects an empty file");
+            Ok(row_1000(latest, 1.0)?.get("fingerprint").cloned())
+        });
+        let committed = match committed {
+            Ok(fingerprint) => fingerprint,
+            Err(e) => return report(Err(e)),
+        };
+        let cfg = star_config(1000, 4);
+        println!("  [smoke] 1000-node star, 4 epochs...");
         let base = run_once(&cfg, 42, 1, false);
         print_row(&base);
         let mut four = run_once(&cfg, 42, 4, false);
@@ -223,13 +238,18 @@ pub fn run(args: &mut Args) -> ExitCode {
             base.fingerprint, threaded.fingerprint,
             "threaded 4-shard run diverged"
         );
-        assert_eq!(base.epochs, 2, "all epochs must commit");
+        assert_eq!(
+            Some(Json::Str(format!("{:016x}", base.fingerprint))),
+            committed,
+            "run diverged from the latest BENCH_scale.json entry"
+        );
+        assert_eq!(base.epochs, 4, "all epochs must commit");
         assert!(
             four.speedup_vs_1shard >= 2.0,
             "aggregate speedup {:.2}x below the 2x gate",
             four.speedup_vs_1shard
         );
-        println!("\n  smoke ok: fingerprints identical, {:.2}x aggregate at 4 shards",
+        println!("\n  smoke ok: fingerprints identical and as committed, {:.2}x aggregate at 4 shards",
             four.speedup_vs_1shard);
         return ExitCode::SUCCESS;
     }

@@ -17,7 +17,7 @@ use sim::{Buggify, Component, ComponentId, Ctx, Engine, Payload, SimDuration, Si
 use crate::error::StoreError;
 use crate::service::{
     CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, StoreBuilder,
-    StoreService, TimedPut,
+    StoreService, TimedPut, REPAIR_BATCH,
 };
 
 /// Cheap-`Clone` handle to a sharded store service. Build one with
@@ -292,8 +292,8 @@ impl StoreClient {
 struct PumpTick;
 
 /// One shard's independently-owned repair worker: a sim component that
-/// drains its shard's slice of the gossip repair queue in
-/// policy-bounded batches, stamping per-shard trace events as it goes.
+/// drains its shard's slice of the gossip repair queue in bounded
+/// batches, stamping per-shard trace events as it goes.
 pub struct ShardWorker {
     client: StoreClient,
     shard: usize,
@@ -309,9 +309,8 @@ impl ShardWorker {
 impl Component for ShardWorker {
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         if payload.downcast_ref::<PumpTick>().is_some() {
-            let batch = self.client.svc.borrow().policy_repair_batch();
             let now = ctx.now();
-            self.client.pump_repairs(Some(self.shard), batch, Some(now));
+            self.client.pump_repairs(Some(self.shard), REPAIR_BATCH, Some(now));
             ctx.post_self(self.period, PumpTick);
         }
     }

@@ -90,7 +90,7 @@ pub use error::StoreError;
 pub use hash::{chunk_hash, ChunkHash};
 pub use service::{
     shard_of, CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, StoreBuilder,
-    StorePolicy, TimedPut, DEFAULT_CHUNK_SIZE, MAX_REPLICATION,
+    TimedPut, DEFAULT_CHUNK_SIZE, MAX_REPLICATION,
 };
 
 /// The client handle under its pre-service name. Exists only because

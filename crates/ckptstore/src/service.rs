@@ -150,25 +150,15 @@ impl CaptureCache {
     }
 }
 
-/// Simulated shard timing: how long one shard takes to make a put batch
-/// durable, and how much repair work a worker pump does per tick.
-#[derive(Debug, Clone, Copy)]
-pub struct StorePolicy {
-    /// Fixed per-batch overhead on a shard (request dispatch + fsync).
-    pub put_overhead_ns: u64,
-    /// Per-byte cost of making a batch durable on one shard.
-    pub shard_ns_per_byte: u64,
-    /// Repair tasks a shard worker resolves per pump tick.
-    pub repair_batch: usize,
-}
+// Simulated shard timing: ~1 GB/s per shard with a 50 µs batch floor —
+// disk-array shaped, slow enough that fan-out across shards is visible.
 
-impl Default for StorePolicy {
-    fn default() -> Self {
-        // ~1 GB/s per shard with a 50 µs batch floor: disk-array shaped,
-        // slow enough that fan-out across shards is visible.
-        StorePolicy { put_overhead_ns: 50_000, shard_ns_per_byte: 1, repair_batch: 32 }
-    }
-}
+/// Fixed per-batch overhead on a shard (request dispatch + fsync).
+const PUT_OVERHEAD_NS: u64 = 50_000;
+/// Per-byte cost of making a batch durable on one shard.
+const SHARD_NS_PER_BYTE: u64 = 1;
+/// Repair tasks a shard worker resolves per pump tick.
+pub(crate) const REPAIR_BATCH: usize = 32;
 
 /// One queued background-repair task: (re)write `copy` of `hash` on its
 /// placement shard from an intact sibling copy.
@@ -299,7 +289,6 @@ pub struct StoreService {
     /// here because the store itself has no clock; the timed component
     /// driving it drains the debt via `take_get_penalty_ns`.
     get_penalty_ns: u64,
-    policy: StorePolicy,
 }
 
 impl StoreService {
@@ -308,7 +297,6 @@ impl StoreService {
         n_shards: usize,
         replication: usize,
         backends: Vec<Box<dyn ChunkBackend>>,
-        policy: StorePolicy,
     ) -> Self {
         assert!(chunk_size > 0, "zero chunk size");
         assert!(n_shards > 0, "store needs at least one shard");
@@ -336,7 +324,6 @@ impl StoreService {
             tele: None,
             buggify: Buggify::disabled(),
             get_penalty_ns: 0,
-            policy,
         }
     }
 
@@ -377,11 +364,6 @@ impl StoreService {
 
     pub fn take_get_penalty_ns(&mut self) -> u64 {
         std::mem::take(&mut self.get_penalty_ns)
-    }
-
-    /// Repair tasks a shard worker resolves per pump tick.
-    pub(crate) fn policy_repair_batch(&self) -> usize {
-        self.policy.repair_batch
     }
 
     /// Attaches a telemetry registry: dedup counters land under
@@ -609,9 +591,7 @@ impl StoreService {
                     continue;
                 }
                 let start = now_ns.max(shard.free_at_ns);
-                let done = start
-                    + self.policy.put_overhead_ns
-                    + batch_bytes[s] * self.policy.shard_ns_per_byte;
+                let done = start + PUT_OVERHEAD_NS + batch_bytes[s] * SHARD_NS_PER_BYTE;
                 shard.free_at_ns = done;
                 done_ns[s] = done;
             }
@@ -1119,7 +1099,6 @@ pub struct StoreBuilder {
     replication: usize,
     backend: BackendChoice,
     telemetry: Option<(Telemetry, u32)>,
-    policy: StorePolicy,
 }
 
 impl Default for StoreBuilder {
@@ -1130,7 +1109,6 @@ impl Default for StoreBuilder {
             replication: 1,
             backend: BackendChoice::Mem,
             telemetry: None,
-            policy: StorePolicy::default(),
         }
     }
 }
@@ -1179,12 +1157,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Overrides the simulated shard timing / repair-batch policy.
-    pub fn policy(mut self, policy: StorePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Builds the service and hands back the client.
     ///
     /// # Panics
@@ -1218,13 +1190,7 @@ impl StoreBuilder {
                 }
             }
         };
-        let mut svc = StoreService::new(
-            self.chunk_size,
-            self.shards,
-            self.replication,
-            backends,
-            self.policy,
-        );
+        let mut svc = StoreService::new(self.chunk_size, self.shards, self.replication, backends);
         if let Some((t, host)) = self.telemetry {
             svc.attach_telemetry(&t, host);
         }

@@ -2,29 +2,26 @@
 //! engine at thousands of nodes.
 //!
 //! The full coordinator ([`crate::Coordinator`]) drives real VM hosts
-//! with capture caches, WALs, and store traffic — rich, but built on the
-//! single-shard engine and O(hosts) state per epoch message. This module
-//! is the protocol's *scale silhouette*: the same two-phase shape
-//! (notify → capture → done-barrier → commit → resume) with per-node
-//! cost driven toward O(1) and fan-out/fan-in aggregated through
-//! per-group relays, so a 1,000–10,000-node star or tree topology runs
-//! as `groups + 1` cross-shard conversations per epoch instead of
-//! `nodes` of them.
+//! with capture caches, WALs, and store traffic — rich, but `!Send` and
+//! O(hosts) state per epoch message. This module is the protocol's
+//! *scale silhouette*, as plain [`sim::Component`]s that are `Send`: the
+//! same two-phase shape (notify → capture → done-barrier → commit →
+//! resume) with per-node cost driven toward O(1) and fan-out/fan-in
+//! aggregated through per-group relays, so a 1,000–10,000-node star or
+//! tree topology runs as `groups + 1` cross-shard conversations per
+//! epoch instead of `nodes` of them.
 //!
 //! Placement is derived from the topology, never from the shard count:
 //! a group (relay plus its leaf nodes) is an atomic placement unit on
 //! shard `group % shards`, the coordinator rides shard 0, and all
 //! cross-group traffic traverses hub links whose latency is the engine
 //! lookahead. Node behavior (partners, jitter draws, dirty-size draws)
-//! depends only on global ids, so the same seed produces byte-identical
+//! depends only on component ids, so the same seed produces byte-identical
 //! merged telemetry for any shard count — the invariant the
 //! cross-shard determinism suite and `bench_scale` both pin.
 
 use sim::stats::fnv1a;
-use sim::{
-    ComponentId, Payload, ShardComponent, ShardCtx, ShardedEngine, SimDuration, SimTime,
-    Telemetry,
-};
+use sim::{Component, ComponentId, Ctx, Payload, ShardedEngine, SimDuration, SimTime, Telemetry};
 
 /// Topology and cadence of a scale-lab run.
 #[derive(Clone, Debug)]
@@ -75,7 +72,7 @@ impl ScaleConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Messages (all small + `Send`; cross-shard ones ride the mailboxes).
+// Messages (all small; cross-shard ones ride the mailboxes).
 // ---------------------------------------------------------------------------
 
 /// Driver → coordinator: start the next epoch round.
@@ -169,8 +166,8 @@ impl ScaleCoordinator {
     }
 }
 
-impl ShardComponent for ScaleCoordinator {
-    fn handle(&mut self, ctx: &mut ShardCtx<'_>, payload: Payload) {
+impl Component for ScaleCoordinator {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let ids = self.ids(ctx.telemetry());
         let payload = match payload.downcast::<StartRound>() {
             Ok(StartRound) => {
@@ -272,8 +269,8 @@ impl ScaleRelay {
     }
 }
 
-impl ShardComponent for ScaleRelay {
-    fn handle(&mut self, ctx: &mut ShardCtx<'_>, payload: Payload) {
+impl Component for ScaleRelay {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let ids = self.ids(ctx.telemetry());
         let payload = match payload.downcast::<Notify>() {
             Ok(Notify { epoch }) => {
@@ -355,8 +352,8 @@ impl ScaleNode {
     }
 }
 
-impl ShardComponent for ScaleNode {
-    fn handle(&mut self, ctx: &mut ShardCtx<'_>, payload: Payload) {
+impl Component for ScaleNode {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let ids = self.ids(ctx.telemetry());
         let payload = match payload.downcast::<NodeNotify>() {
             Ok(NodeNotify { epoch }) => {
@@ -456,7 +453,7 @@ pub struct ScaleOutcome {
 }
 
 /// Builds the lab on `shards` shards. Identical `cfg` + `seed` produce
-/// identical runs for every `shards` value — placement varies, global
+/// identical runs for every `shards` value — placement varies,
 /// component ids and behavior do not.
 pub fn build_scale_lab(cfg: &ScaleConfig, seed: u64, shards: u32) -> ScaleLab {
     assert!(!cfg.group_sizes.is_empty(), "need at least one group");
@@ -525,7 +522,7 @@ pub fn build_scale_lab(cfg: &ScaleConfig, seed: u64, shards: u32) -> ScaleLab {
         engine.component_mut::<ScaleRelay>(relay).unwrap().nodes = nodes.clone();
         relays.push(relay);
         // Gossip kickoff: deterministic per-node stagger spreads ticks
-        // across the period (a function of the global node index).
+        // across the period (a function of the node's id).
         if cfg.gossip_period > SimDuration::ZERO {
             let period = cfg.gossip_period.as_nanos();
             for (i, &node) in nodes.iter().enumerate() {

@@ -484,14 +484,11 @@ mod tests {
         let (mut e, _sink, link) = setup_link(1_000_000_000, SimDuration::ZERO, 0.0);
         let probe = Arc::new(());
         let frame = Frame::new(NodeAddr(1), NodeAddr(2), 1500, probe.clone());
-        let before = sim::payload_pool_stats();
+        let before = sim::payload_store_stats();
         let ev = e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame });
-        let after = sim::payload_pool_stats();
+        let after = sim::payload_store_stats();
         assert_eq!(after.inline, before.inline + 1, "a frame event rides inline");
-        assert_eq!(
-            (after.pool_hits, after.pool_misses),
-            (before.pool_hits, before.pool_misses)
-        );
+        assert_eq!(after.boxed, before.boxed);
         assert_eq!(Arc::strong_count(&probe), 2);
         assert!(e.cancel(ev));
         assert_eq!(Arc::strong_count(&probe), 1, "cancel drops the inline frame");

@@ -5,11 +5,31 @@
 //! enum that all senders post). The engine is single-threaded and fully
 //! deterministic: equal-timestamp events fire in schedule order and random
 //! draws come from per-component seeded streams.
+//!
+//! An engine is either *plain* — the whole world, everything
+//! [`Engine::new`] hands out — or *linked*: one shard of a
+//! [`ShardedEngine`](crate::ShardedEngine), which owns it and is the only
+//! way to hold one. The two differ in how equal-timestamp events are
+//! ordered and in nothing a user can set:
+//!
+//! - plain: the scheduler's global post sequence, with the same-instant
+//!   lane beside the heap;
+//! - linked: `(poster id << 32) | poster's post count`, a key that does
+//!   not depend on which shard holds which component. Posts to a
+//!   component of another shard wait in an outbox for the driver's next
+//!   window exchange, and trace records are stamped with the key of the
+//!   event being handled so the shards' rings merge into dispatch order.
+//!
+//! A linked engine refuses what cannot be made placement-independent:
+//! mid-run registration, removal and `stop` panic, and only a component's
+//! posts to itself return an id that `cancel` accepts.
 
 use std::any::Any;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::buggify::Buggify;
-use crate::event::{ComponentId, EventId, Payload, Scheduler};
+use crate::event::{ComponentId, EventId, Payload, RemotePayload, Scheduler};
 use crate::rng::SimRng;
 use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
@@ -49,6 +69,36 @@ impl RngStore {
     }
 }
 
+/// Reserved poster id for posts from outside the simulation on a linked
+/// engine; component ids stay strictly below it.
+pub(crate) const DRIVER: ComponentId = ComponentId(u32::MAX);
+
+/// A cross-shard message in flight between windows.
+pub(crate) struct RemoteMsg {
+    time: SimTime,
+    target: ComponentId,
+    key: u64,
+    payload: RemotePayload,
+}
+
+/// What makes an engine one shard of a `ShardedEngine`.
+struct ShardLink {
+    shard: u32,
+    /// The minimum delay of a post to another shard: the window length.
+    lookahead: SimDuration,
+    /// Component id → owning shard, for every component of every shard.
+    owner: Vec<u32>,
+    /// Posts made so far by each component of this shard: the low half
+    /// of its ordering keys.
+    post_seq: Vec<u32>,
+    /// Posts made so far from outside the simulation, on any shard — one
+    /// count for all of them, or the keys would depend on the layout.
+    /// Only the driver's thread posts, and only between windows.
+    driver_seq: Arc<AtomicU32>,
+    /// This window's posts to other shards, by destination.
+    outbox: Vec<Vec<RemoteMsg>>,
+}
+
 /// Everything the engine owns *except* the component table. Handlers run
 /// with the target component taken out of the table and a borrow of this
 /// struct — disjoint borrows, so [`Ctx`] is two words instead of a fan
@@ -66,6 +116,73 @@ struct EngineInner {
     /// Components registered from inside a handler, grafted into the
     /// table after it returns; the buffer is reused across dispatches.
     pending: Vec<(ComponentId, Box<dyn Component>)>,
+    /// `Some` on a linked engine. Tested before the scheduler is touched,
+    /// never between a pop and its handler, and acted on out of line.
+    link: Option<Box<ShardLink>>,
+}
+
+impl EngineInner {
+    /// Schedules `payload` for `at`: by post sequence on a plain engine,
+    /// under `poster`'s next key on a linked one.
+    #[inline]
+    fn post_from<T: Any + Send>(
+        &mut self,
+        poster: ComponentId,
+        target: ComponentId,
+        at: SimTime,
+        payload: T,
+    ) -> EventId {
+        if self.link.is_some() {
+            return self.post_linked(poster, target, at, payload);
+        }
+        self.sched.push(at, target, payload)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn post_linked<T: Any + Send>(
+        &mut self,
+        poster: ComponentId,
+        target: ComponentId,
+        at: SimTime,
+        payload: T,
+    ) -> EventId {
+        let link = self.link.as_mut().expect("post_linked on a plain engine");
+        let seq = if poster == DRIVER {
+            link.driver_seq.fetch_add(1, Ordering::Relaxed)
+        } else {
+            let seq = &mut link.post_seq[poster.0 as usize];
+            *seq += 1;
+            *seq - 1
+        };
+        let key = ((poster.0 as u64) << 32) | seq as u64;
+        let dest = link.owner[target.0 as usize];
+        if dest == link.shard {
+            let id = self.sched.push_keyed(at, target, key, payload);
+            // The same answer under every layout: another component may
+            // live on another shard, where no id could reach its event.
+            return if target == poster { id } else { EventId::NEVER };
+        }
+        let delay = at.saturating_duration_since(self.now);
+        assert!(
+            delay >= link.lookahead,
+            "cross-shard post below lookahead: delay {delay:?} < {:?} (from {poster:?} to {target:?})",
+            link.lookahead,
+        );
+        link.outbox[dest as usize].push(RemoteMsg {
+            time: at,
+            target,
+            key,
+            payload: RemotePayload::wrap(payload),
+        });
+        EventId::NEVER
+    }
+
+    /// Panics if the engine is linked: `what` has no placement-independent
+    /// meaning on a shard.
+    fn plain_only(&self, what: &str) {
+        assert!(self.link.is_none(), "{what} is not available on a shard of a ShardedEngine");
+    }
 }
 
 /// The dispatch context handed to [`Component::handle`].
@@ -90,8 +207,20 @@ impl Ctx<'_> {
     }
 
     /// Schedules `payload` on `target` after `delay`.
-    pub fn post<T: Any>(&mut self, target: ComponentId, delay: SimDuration, payload: T) -> EventId {
-        self.inner.sched.push(self.inner.now + delay, target, payload)
+    ///
+    /// On a shard of a [`ShardedEngine`](crate::ShardedEngine) the id
+    /// returned for a post to *another* component is one `cancel` always
+    /// refuses, wherever the target lives; only posts to oneself are
+    /// cancellable there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` lives on another shard and `delay` is below the
+    /// sharded engine's lookahead — such a message could be due inside
+    /// the window being run, which the window protocol cannot deliver.
+    pub fn post<T: Any + Send>(&mut self, target: ComponentId, delay: SimDuration, payload: T) -> EventId {
+        let at = self.inner.now + delay;
+        self.inner.post_from(self.self_id, target, at, payload)
     }
 
     /// Schedules `payload` on `target` at absolute time `at`.
@@ -99,14 +228,14 @@ impl Ctx<'_> {
     /// # Panics
     ///
     /// Panics if `at` is in the past; the simulation cannot rewind.
-    pub fn post_at<T: Any>(&mut self, target: ComponentId, at: SimTime, payload: T) -> EventId {
+    pub fn post_at<T: Any + Send>(&mut self, target: ComponentId, at: SimTime, payload: T) -> EventId {
         let now = self.inner.now;
         assert!(at >= now, "post_at into the past: {at:?} < {now:?}");
-        self.inner.sched.push(at, target, payload)
+        self.inner.post_from(self.self_id, target, at, payload)
     }
 
     /// Schedules `payload` on the current component after `delay`.
-    pub fn post_self<T: Any>(&mut self, delay: SimDuration, payload: T) -> EventId {
+    pub fn post_self<T: Any + Send>(&mut self, delay: SimDuration, payload: T) -> EventId {
         self.post(self.self_id, delay, payload)
     }
 
@@ -124,7 +253,13 @@ impl Ctx<'_> {
     /// Registers a new component mid-run; it can receive events immediately
     /// (its slot becomes live as soon as the current handler returns, which
     /// is before any posted event can fire).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard of a `ShardedEngine`: ids are assigned in
+    /// registration order, which shards running side by side do not have.
     pub fn add_component(&mut self, c: Box<dyn Component>) -> ComponentId {
+        self.inner.plain_only("Ctx::add_component");
         let id = ComponentId(self.inner.next_component_id);
         self.inner.next_component_id += 1;
         self.inner.pending.push((id, c));
@@ -132,7 +267,13 @@ impl Ctx<'_> {
     }
 
     /// Requests that the engine stop after the current event.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard of a `ShardedEngine`: the other shards would run
+    /// on to the end of the window.
     pub fn stop(&mut self) {
+        self.inner.plain_only("Ctx::stop");
         self.inner.stop = true;
     }
 
@@ -173,7 +314,79 @@ impl Engine {
                 telemetry: Telemetry::new(),
                 buggify: Buggify::disabled(),
                 pending: Vec::new(),
+                link: None,
             },
+        }
+    }
+
+    /// Creates shard `shard` of `shards`. `driver_seq` is the one count
+    /// of driver posts all shards of a sharded engine share.
+    pub(crate) fn new_linked(
+        seed: u64,
+        shard: u32,
+        shards: u32,
+        lookahead: SimDuration,
+        driver_seq: Arc<AtomicU32>,
+    ) -> Self {
+        let mut e = Engine::new(seed);
+        e.inner.link = Some(Box::new(ShardLink {
+            shard,
+            lookahead,
+            owner: Vec::new(),
+            post_seq: Vec::new(),
+            driver_seq,
+            outbox: (0..shards).map(|_| Vec::new()).collect(),
+        }));
+        e
+    }
+
+    /// Records that component `id` (the next unregistered one) lives on
+    /// shard `owner`; every shard of a sharded engine is told of every
+    /// component.
+    pub(crate) fn note_owner(&mut self, id: ComponentId, owner: u32) {
+        let link = self.inner.link.as_mut().expect("note_owner on a plain engine");
+        assert_eq!(link.owner.len(), id.0 as usize, "owners are noted in id order");
+        link.owner.push(owner);
+        link.post_seq.push(0);
+    }
+
+    /// Registers a component under an id assigned elsewhere: a sharded
+    /// engine numbers components across its shards, and each shard keeps
+    /// its own in a table indexed by those ids, empty where a component
+    /// lives on another shard.
+    pub(crate) fn add_component_at(&mut self, id: ComponentId, c: Box<dyn Component>) {
+        self.ensure_slot(id);
+        self.components[id.0 as usize] = Some(c);
+    }
+
+    /// Runs every event with `time < end`, then advances the clock to
+    /// `end`: one window of a sharded run, half-open so that a message
+    /// another shard sends for `end` itself still arrives in time.
+    pub(crate) fn run_window(&mut self, end: SimTime) {
+        let limit = SimTime::from_nanos(end.as_nanos() - 1);
+        while self.dispatch_next(limit) {}
+        self.inner.now = end;
+    }
+
+    /// Appends this window's posts to other shards to their mailboxes
+    /// (uncontended in sequential mode; one lock per destination shard
+    /// per window in threaded mode).
+    pub(crate) fn flush_outbox(&mut self, mailboxes: &[Mutex<Vec<RemoteMsg>>]) {
+        let link = self.inner.link.as_mut().expect("flush_outbox on a plain engine");
+        for (dest, buf) in link.outbox.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                mailboxes[dest].lock().expect("mailbox poisoned").append(buf);
+            }
+        }
+    }
+
+    /// Moves what other shards sent this one into the queue. The order
+    /// of arrival varies with thread timing, but pops follow
+    /// `(time, key)` alone, so the variation is unobservable.
+    pub(crate) fn drain_mailbox(&mut self, mailbox: &Mutex<Vec<RemoteMsg>>) {
+        let msgs = std::mem::take(&mut *mailbox.lock().expect("mailbox poisoned"));
+        for m in msgs {
+            self.inner.sched.push_remote(m.time, m.target, m.key, m.payload);
         }
     }
 
@@ -247,7 +460,13 @@ impl Engine {
     /// cancelled eagerly (counted in [`Engine::events_dropped`]), so the
     /// dead slot never has live events pointed at it; events posted to
     /// the id *after* removal are still dropped lazily when they fire.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shard of a `ShardedEngine`, whose other shards may
+    /// hold messages for the component.
     pub fn remove_component(&mut self, id: ComponentId) -> Option<Box<dyn Component>> {
+        self.inner.plain_only("Engine::remove_component");
         let c = self.components.get_mut(id.0 as usize).and_then(Option::take);
         if c.is_some() {
             self.inner.events_dropped += self.inner.sched.cancel_target(id);
@@ -256,10 +475,9 @@ impl Engine {
     }
 
     /// Injects an event from outside the simulation after `delay`.
-    pub fn post<T: Any>(&mut self, target: ComponentId, delay: SimDuration, payload: T) -> EventId {
-        self.inner
-            .sched
-            .push(self.inner.now + delay, target, payload)
+    pub fn post<T: Any + Send>(&mut self, target: ComponentId, delay: SimDuration, payload: T) -> EventId {
+        let at = self.inner.now + delay;
+        self.inner.post_from(DRIVER, target, at, payload)
     }
 
     /// Injects an event from outside the simulation at absolute time `at`.
@@ -267,9 +485,9 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `at` is in the past.
-    pub fn post_at<T: Any>(&mut self, target: ComponentId, at: SimTime, payload: T) -> EventId {
+    pub fn post_at<T: Any + Send>(&mut self, target: ComponentId, at: SimTime, payload: T) -> EventId {
         assert!(at >= self.inner.now, "post_at into the past");
-        self.inner.sched.push(at, target, payload)
+        self.inner.post_from(DRIVER, target, at, payload)
     }
 
     /// Cancels a scheduled event from outside the simulation.
@@ -346,6 +564,11 @@ impl Engine {
         };
         debug_assert!(due.time >= inner.now, "time went backwards");
         inner.now = due.time;
+        if inner.link.is_some() {
+            // Trace records carry the key of the event being handled, so
+            // the shards' rings merge back into dispatch order.
+            inner.telemetry.set_trace_order(due.key);
+        }
         let target = due.target;
         // The component is borrowed in place: `components` is disjoint
         // from the `inner` borrow Ctx holds, and nothing a handler can

@@ -28,19 +28,18 @@
 //!   link). They skip the heap for a FIFO that is sorted by construction;
 //!   a pop takes the smaller of the lane's front and the heap's root, so
 //!   the `(time, seq)` order is the heap's exactly (see [`Scheduler`]).
-//! - **Inline payloads with a pooled-box fallback.** Payload values up
-//!   to 40 bytes are stored inline in the arena slot — no allocation
-//!   at all, guarded by a per-type `TypeId` + dropper record. 40 is the
-//!   size of a frame event: `hwsim`'s `LinkTransmit`, `LinkDeliver` and
+//! - **Inline payloads with a boxed fallback.** Payload values up to 40
+//!   bytes are stored inline in the arena slot — no allocation at all,
+//!   guarded by a per-type `TypeId` + dropper record. 40 is the size of
+//!   a frame event: `hwsim`'s `LinkTransmit`, `LinkDeliver` and
 //!   `LanTransmit` (a 32-byte `Frame` plus a port), and the message
 //!   enums of the VM host and the delay node, fit — each asserts so
 //!   with [`fits_inline`] next to its definition — so a packet hop
-//!   touches neither the allocator nor the pool. Larger payloads travel
-//!   as one pointer to a boxed `Option<T>` drawn from a per-type
-//!   thread-local free list, so even they rarely touch the allocator.
-//!   Storage strategy only decides where bytes live — payload values,
-//!   delivery order, and drop observability are unchanged, so simulated
-//!   time is unaffected.
+//!   never touches the allocator. No payload the workspace posts on a
+//!   plain engine is larger; one that is, and every payload that crosses
+//!   shards, travels as a `Box<T>` in the slot. Storage strategy only
+//!   decides where bytes live — payload values, delivery order, and
+//!   drop observability are unchanged, so simulated time is unaffected.
 //! - **No payload copy that a frame boundary forces.** A post packs the
 //!   value into its slot in the function that knows its type; a pop
 //!   copies the slot's 48 bytes once, into the argument the handler
@@ -50,7 +49,7 @@
 //!   per-packet run.
 
 use std::any::{Any, TypeId};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
@@ -69,6 +68,10 @@ pub struct ComponentId(pub u32);
 pub struct EventId(pub u64);
 
 impl EventId {
+    /// An id no event ever has (generation 0 is never issued), so every
+    /// `cancel` refuses it.
+    pub(crate) const NEVER: EventId = EventId(0);
+
     fn pack(slot: u32, gen: u32) -> Self {
         EventId(((gen as u64) << 32) | slot as u64)
     }
@@ -83,14 +86,14 @@ impl EventId {
 }
 
 // ---------------------------------------------------------------------------
-// Payload pool.
+// Payload storage.
 // ---------------------------------------------------------------------------
 
 /// Payload values at most this large (and at most 8-aligned) are stored
 /// *inline in the arena slot*: a post of a tick, a frame hand-off, or any
-/// other message up to the size of a frame event touches no allocator, no
-/// thread-local pool — just a write into the slot it already owns. Larger
-/// payloads fall back to pooled boxes.
+/// other message up to the size of a frame event touches no allocator —
+/// just a write into the slot it already owns. Larger payloads fall back
+/// to a box.
 const INLINE_BYTES: usize = 40;
 const INLINE_ALIGN: usize = 8;
 
@@ -108,8 +111,8 @@ pub const fn fits_inline<T>() -> bool {
 struct InlineBuf(MaybeUninit<[u8; INLINE_BYTES]>);
 
 /// Per-type metadata of a stored payload: the `TypeId` that guards every
-/// read, whether the buffer holds the value or a pooled box of it, and
-/// the in-place dropper of whichever it is. One `&'static` instance per
+/// read, whether the buffer holds the value or a box of it, and the
+/// in-place dropper of whichever it is. One `&'static` instance per
 /// payload type and form (promoted from an inline `const`), so each
 /// stored value carries a single pointer instead of 32 bytes of metadata.
 struct PayloadMeta {
@@ -133,29 +136,7 @@ fn boxed_meta<T: Any>() -> &'static PayloadMeta {
         &PayloadMeta {
             tid: TypeId::of::<T>(),
             boxed: true,
-            drop_fn: drop_in_place_as::<Pooled<T>>,
-        }
-    }
-}
-
-/// A payload too large for the slot, standing in it as one pointer: a
-/// `Box<Option<T>>` drawn from the pool and returned to it, emptied, on
-/// drop — so a value that was never taken (a cancelled or undelivered
-/// event) is dropped when its event is, like an inline one.
-struct Pooled<T: Any>(Option<Box<Option<T>>>);
-
-impl<T: Any> Pooled<T> {
-    fn into_value(mut self) -> T {
-        let b = self.0.as_mut().expect("pooled box present until drop");
-        b.take().expect("payload box holds a value")
-    }
-}
-
-impl<T: Any> Drop for Pooled<T> {
-    fn drop(&mut self) {
-        if let Some(mut b) = self.0.take() {
-            *b = None;
-            pool_reclaim(b);
+            drop_fn: drop_in_place_as::<Box<T>>,
         }
     }
 }
@@ -167,7 +148,7 @@ impl<T: Any> Drop for Pooled<T> {
 /// Invariants (upheld by [`Stored::write`]'s two callers, the only
 /// constructors):
 /// - with `meta == inline_meta::<T>()` the buffer holds a valid, owned
-///   `T`; with `meta == boxed_meta::<T>()` a valid, owned `Pooled<T>`;
+///   `T`; with `meta == boxed_meta::<T>()` a valid, owned `Box<T>`;
 /// - ownership leaves exactly once — either `Payload::downcast` moves the
 ///   value out (suppressing `Drop` via `ManuallyDrop`), or `Drop` runs
 ///   `meta.drop_fn`, never both.
@@ -186,7 +167,7 @@ impl Stored {
     ///
     /// `U` must fit the buffer ([`fits_inline`]) and `meta` must be the
     /// record whose `drop_fn` drops a `U`: `inline_meta::<U>()`, or
-    /// `boxed_meta::<T>()` for `U = Pooled<T>`.
+    /// `boxed_meta::<T>()` for `U = Box<T>`.
     unsafe fn write<U>(value: U, meta: &'static PayloadMeta) -> Stored {
         let mut buf = InlineBuf(MaybeUninit::uninit());
         // SAFETY: `U` fits the buffer and its alignment divides the
@@ -232,157 +213,77 @@ fn store_payload<T: Any>(value: T) -> Stored {
         // drops a `T`.
         unsafe { Stored::write(value, inline_meta::<T>()) }
     } else {
-        store_boxed(pool_wrap(value))
+        store_boxed(new_box(value))
     }
 }
 
-/// Packs an already-boxed value: the box rides in the slot as a
-/// [`Pooled`].
-fn store_boxed<T: Any>(b: Box<Option<T>>) -> Stored {
-    const { assert!(fits_inline::<Pooled<T>>()) };
-    // SAFETY: a `Pooled<T>` is one pointer (asserted to fit above) and
-    // `boxed_meta::<T>()` drops a `Pooled<T>`.
-    unsafe { Stored::write(Pooled(Some(b)), boxed_meta::<T>()) }
+/// Boxes a payload that will not travel inline, counting it.
+fn new_box<T>(value: T) -> Box<T> {
+    BOXED_STORES.with(|c| c.set(c.get() + 1));
+    Box::new(value)
+}
+
+/// Packs an already-boxed value: the box rides in the slot, so a value
+/// that was never taken (a cancelled or undelivered event) is dropped
+/// when its event is, like an inline one.
+fn store_boxed<T: Any>(b: Box<T>) -> Stored {
+    const { assert!(fits_inline::<Box<T>>()) };
+    // SAFETY: a `Box<T>` is one pointer (asserted to fit above) and
+    // `boxed_meta::<T>()` drops a `Box<T>`.
+    unsafe { Stored::write(b, boxed_meta::<T>()) }
 }
 
 thread_local! {
     /// Posts whose payload was stored inline (no allocation).
     static INLINE_STORES: Cell<u64> = const { Cell::new(0) };
+    /// Posts whose payload was boxed: too large to inline, or bound for
+    /// another shard.
+    static BOXED_STORES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Per-type cap on pooled boxes; beyond this, reclaimed boxes are freed.
-const POOL_PER_TYPE_CAP: usize = 128;
-
-/// One per-type free list. The workspace posts a few dozen payload types
-/// at most, and one or two dominate any given run, so buckets live in a
-/// move-to-front vector: the dominant type is found at index 0 with a
-/// single `TypeId` compare — no hashing at all on the hot path.
-struct Bucket {
-    /// `TypeId::of::<Option<T>>()` — recoverable from a reclaimed
-    /// `Box<dyn Any>` at runtime, so both pool directions agree.
-    key: TypeId,
-    boxes: Vec<Box<dyn Any>>,
-}
-
-struct Pool {
-    buckets: Vec<Bucket>,
-    hits: u64,
-    misses: u64,
-}
-
-impl Pool {
-    /// Index of the bucket for `key`, moved to front on lookup.
-    fn bucket_idx(&mut self, key: TypeId) -> Option<usize> {
-        let i = self.buckets.iter().position(|b| b.key == key)?;
-        if i > 2 {
-            // Keep hot types at the front without churning on every call.
-            self.buckets.swap(i, i / 2);
-            return Some(i / 2);
-        }
-        Some(i)
-    }
-}
-
-thread_local! {
-    /// The engine is single-threaded; one pool per thread serves every
-    /// engine on it. Pooling is invisible to simulated time — it only
-    /// decides whether a post allocates. Const-initialized so access
-    /// compiles to the no-lazy-check fast path.
-    static POOL: RefCell<Pool> = const {
-        RefCell::new(Pool { buckets: Vec::new(), hits: 0, misses: 0 })
-    };
-}
-
-/// Wraps a payload value into a (possibly recycled) `Box<Option<T>>`.
-/// Returned as the concrete box so callers can coerce to either
-/// `Box<dyn Any>` (local storage) or `Box<dyn Any + Send>` (cross-shard
-/// transport, when `T: Send`).
-fn pool_wrap<T: Any>(value: T) -> Box<Option<T>> {
-    let key = TypeId::of::<Option<T>>();
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if let Some(i) = p.bucket_idx(key) {
-            if let Some(b) = p.buckets[i].boxes.pop() {
-                p.hits += 1;
-                let mut b = b.downcast::<Option<T>>().expect("pool bucket keyed by type");
-                *b = Some(value);
-                return b;
-            }
-        }
-        p.misses += 1;
-        Box::new(Some(value))
-    })
-}
-
-/// A payload boxed for cross-shard transport: `Box<Option<T>>` with
-/// `T: Send`, type-erased behind `Send` so it can cross the shard
-/// mailboxes of [`crate::shard::ShardedEngine`], plus the function that
-/// names `T` again on arrival. There it is stored as a plain boxed
-/// payload, so the receiving component's [`Payload::downcast`] path
-/// (including pool reclamation, now into the *receiving* thread's pool)
-/// is exactly the local one.
+/// A payload boxed for cross-shard transport: a `Box<T>` with `T: Send`,
+/// type-erased behind `Send` so it can cross the shard mailboxes of
+/// [`crate::shard::ShardedEngine`], plus the function that names `T`
+/// again on arrival. There it is stored as a plain boxed payload, so the
+/// receiving component's [`Payload::downcast`] path is exactly the local
+/// one.
 pub(crate) struct RemotePayload {
     boxed: Box<dyn Any + Send>,
     store: fn(Box<dyn Any + Send>) -> Stored,
 }
 
 impl RemotePayload {
-    /// Boxes `value` for transport (drawing from this thread's pool when
-    /// a box of the right type is free).
+    /// Boxes `value` for transport.
     pub(crate) fn wrap<T: Any + Send>(value: T) -> Self {
         RemotePayload {
-            boxed: pool_wrap(value),
+            boxed: new_box(value),
             store: |b| store_boxed::<T>(b.downcast().expect("remote payload boxed as its own type")),
         }
     }
 }
 
-/// Returns a spent payload box (an empty `Option<T>`) to the pool.
-fn pool_reclaim(b: Box<dyn Any>) {
-    let key = (*b).type_id();
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        match p.bucket_idx(key) {
-            Some(i) => {
-                let bucket = &mut p.buckets[i].boxes;
-                if bucket.len() < POOL_PER_TYPE_CAP {
-                    bucket.push(b);
-                }
-            }
-            None => p.buckets.push(Bucket { key, boxes: vec![b] }),
-        }
-    });
-}
-
 /// Where this thread's posts have stored their payloads since process
 /// start.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct PayloadPoolStats {
-    /// Posts stored inline in the arena slot: no allocator, no pool.
+pub struct PayloadStoreStats {
+    /// Posts stored inline in the arena slot: no allocation.
     pub inline: u64,
-    /// Posts too large to inline that recycled a pooled box.
-    pub pool_hits: u64,
-    /// Posts too large to inline that allocated a fresh box.
-    pub pool_misses: u64,
+    /// Posts that allocated a box: too large to inline, or cross-shard.
+    pub boxed: u64,
 }
 
 /// Payload storage counters for this thread since process start.
-pub fn payload_pool_stats() -> PayloadPoolStats {
-    let inline = INLINE_STORES.with(|c| c.get());
-    POOL.with(|p| {
-        let p = p.borrow();
-        PayloadPoolStats {
-            inline,
-            pool_hits: p.hits,
-            pool_misses: p.misses,
-        }
-    })
+pub fn payload_store_stats() -> PayloadStoreStats {
+    PayloadStoreStats {
+        inline: INLINE_STORES.with(Cell::get),
+        boxed: BOXED_STORES.with(Cell::get),
+    }
 }
 
 /// An event payload in flight, as delivered to [`Component::handle`].
 ///
 /// Consume it with [`Payload::downcast`], which returns the value (and
-/// recycles the box of one too large to travel inline); a failed downcast
+/// frees the box of one too large to travel inline); a failed downcast
 /// hands the payload back so handlers can try the next message type.
 /// Dropping an unconsumed payload drops its value.
 ///
@@ -413,7 +314,7 @@ impl Payload {
         self.0.meta.tid == TypeId::of::<T>()
     }
 
-    /// Given `self.is::<T>()`: true if the buffer holds a `Pooled<T>`,
+    /// Given `self.is::<T>()`: true if the buffer holds a `Box<T>`,
     /// false if it holds the `T` itself. A `T` too large for the buffer
     /// is never stored any other way than boxed; one that fits is boxed
     /// only when it crossed shards.
@@ -435,8 +336,8 @@ impl Payload {
         if this.holds_box::<T>() {
             // SAFETY: a matching `tid` on a boxed value is
             // `boxed_meta::<T>()`, so the buffer holds an owned
-            // `Pooled<T>`; it is read out exactly once.
-            Ok(unsafe { p.cast::<Pooled<T>>().read() }.into_value())
+            // `Box<T>`; it is read out exactly once.
+            Ok(*unsafe { p.cast::<Box<T>>().read() })
         } else {
             // SAFETY: a matching `tid` on an unboxed value is
             // `inline_meta::<T>()`, so the buffer holds an owned `T`; it
@@ -452,8 +353,8 @@ impl Payload {
         }
         let p = self.0.as_ptr();
         if self.holds_box::<T>() {
-            // SAFETY: as in `downcast`, the buffer holds a `Pooled<T>`.
-            unsafe { &*p.cast::<Pooled<T>>() }.0.as_deref()?.as_ref()
+            // SAFETY: as in `downcast`, the buffer holds a `Box<T>`.
+            Some(unsafe { &**p.cast::<Box<T>>() })
         } else {
             // SAFETY: as in `downcast`, the buffer holds a `T`.
             Some(unsafe { &*p.cast::<T>() })
@@ -468,8 +369,8 @@ impl Payload {
         let boxed = self.holds_box::<T>();
         let p = self.0.as_mut_ptr();
         if boxed {
-            // SAFETY: as in `downcast`, the buffer holds a `Pooled<T>`.
-            unsafe { &mut *p.cast::<Pooled<T>>() }.0.as_deref_mut()?.as_mut()
+            // SAFETY: as in `downcast`, the buffer holds a `Box<T>`.
+            Some(unsafe { &mut **p.cast::<Box<T>>() })
         } else {
             // SAFETY: as in `downcast`, the buffer holds a `T`.
             Some(unsafe { &mut *p.cast::<T>() })
@@ -553,7 +454,7 @@ pub(crate) struct Due {
     pub target: ComponentId,
     /// The low 64 bits of the ordering key: the internal sequence
     /// number for [`Scheduler::push`], or the caller's explicit key for
-    /// the keyed pushes. The sharded engine stamps trace events with it
+    /// the keyed pushes. A linked engine stamps trace events with it
     /// so merged trace order is dispatch order.
     pub key: u64,
     slot: u32,
@@ -621,8 +522,8 @@ impl Scheduler {
     /// Schedules `value` with an explicit equal-timestamp tie-break key
     /// instead of the internal sequence counter.
     ///
-    /// The sharded engine derives `key` from the *posting* component's
-    /// global id and per-poster sequence number, which makes the total
+    /// A linked engine derives `key` from the *posting* component's
+    /// id and per-poster sequence number, which makes the total
     /// event order — `(time, key)` ascending — a function of the
     /// simulated behavior alone, independent of how components are
     /// partitioned into shards. Callers must keep `(time, key)` unique
@@ -1032,38 +933,14 @@ mod tests {
         assert!(s.pop().is_none());
     }
 
-    #[test]
-    fn payload_pool_round_trip() {
-        // A type private to this test and too large to inline, so no
-        // other pool traffic interferes.
-        #[derive(Debug, PartialEq)]
-        struct Msg([u64; 6]);
-        assert!(!fits_inline::<Msg>());
-        let mut s = Scheduler::new();
-        let before = payload_pool_stats();
-        s.push(t(1), ComponentId(0), Msg([7; 6]));
-        let got = pop_value::<Msg>(&mut s).unwrap();
-        assert_eq!(got, Msg([7; 6]));
-        // The consumed box went back to the pool; the next post recycles it.
-        s.push(t(2), ComponentId(0), Msg([8; 6]));
-        let after = payload_pool_stats();
-        assert_eq!(after.pool_misses, before.pool_misses + 1, "first post boxes anew");
-        assert_eq!(after.pool_hits, before.pool_hits + 1, "second post recycles the box");
-        assert_eq!(after.inline, before.inline, "neither post is inline");
-        assert_eq!(pop_value::<Msg>(&mut s), Some(Msg([8; 6])));
-    }
-
     /// Posts one `T` and reports `(inline, boxed)` posts it caused.
     fn storage_of<T: Any>(value: T) -> (u64, u64) {
         let mut s = Scheduler::new();
-        let before = payload_pool_stats();
+        let before = payload_store_stats();
         s.push(t(1), ComponentId(0), value);
-        let after = payload_pool_stats();
+        let after = payload_store_stats();
         assert!(s.pop().unwrap().payload.is::<T>());
-        (
-            after.inline - before.inline,
-            (after.pool_hits + after.pool_misses) - (before.pool_hits + before.pool_misses),
-        )
+        (after.inline - before.inline, after.boxed - before.boxed)
     }
 
     #[test]
@@ -1133,10 +1010,10 @@ mod tests {
     fn cancel_releases_an_inline_payload_at_once() {
         let probe = Arc::new(7u32);
         let mut s = Scheduler::new();
-        let before = payload_pool_stats();
+        let before = payload_store_stats();
         let id = s.push(t(1), ComponentId(0), frame_like(&probe));
         let kept = s.push(t(2), ComponentId(1), frame_like(&probe));
-        assert_eq!(payload_pool_stats().inline, before.inline + 2);
+        assert_eq!(payload_store_stats().inline, before.inline + 2);
         assert_eq!(Arc::strong_count(&probe), 3);
         assert!(s.cancel(id));
         assert_eq!(Arc::strong_count(&probe), 2, "cancel drops the value, not the next reuse");
@@ -1163,10 +1040,10 @@ mod tests {
         assert_eq!(Arc::strong_count(&probe), 1);
         s.push(t(2), ComponentId(0), wide());
         drop(s.pop().unwrap().payload.downcast::<u32>().unwrap_err());
-        assert_eq!(Arc::strong_count(&probe), 1, "dropped with the payload, not at box reuse");
+        assert_eq!(Arc::strong_count(&probe), 1, "dropped with the payload");
         let id = s.push(t(3), ComponentId(0), wide());
         assert!(s.cancel(id));
-        assert_eq!(Arc::strong_count(&probe), 1, "dropped with the event, not at box reuse");
+        assert_eq!(Arc::strong_count(&probe), 1, "dropped with the event");
         s.push(t(4), ComponentId(0), wide());
         drop(s);
         assert_eq!(Arc::strong_count(&probe), 1);

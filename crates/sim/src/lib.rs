@@ -1,12 +1,18 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! This crate is the foundation of the Emulab-checkpoint reproduction: a
-//! single-threaded, fully deterministic event simulator with nanosecond
-//! virtual time. Hosts, links, delay nodes, and testbed servers are
-//! [`Component`]s exchanging typed messages; identical seeds produce
-//! identical traces, which is what makes the time-travel facility's
-//! deterministic replay (paper §6) meaningful and lets the evaluation
-//! measure exact retransmission counts rather than noise.
+//! fully deterministic event simulator with nanosecond virtual time.
+//! Hosts, links, delay nodes, and testbed servers are [`Component`]s
+//! exchanging typed messages; identical seeds produce identical traces,
+//! which is what makes the time-travel facility's deterministic replay
+//! (paper §6) meaningful and lets the evaluation measure exact
+//! retransmission counts rather than noise.
+//!
+//! There is one engine. An [`Engine`] is single-threaded and is the whole
+//! world of every paper experiment; a [`ShardedEngine`] runs the same
+//! components, through the same [`Ctx`], on one `Engine` per shard in
+//! lookahead windows, optionally on threads, with bytes that do not
+//! depend on the shard count.
 //!
 //! # Examples
 //!
@@ -46,9 +52,9 @@ pub mod trace;
 pub use buggify::{Buggify, Preset};
 pub use engine::{Component, Ctx, Engine};
 pub use event::{
-    fits_inline, payload_pool_stats, ComponentId, EventId, Payload, PayloadPoolStats,
+    fits_inline, payload_store_stats, ComponentId, EventId, Payload, PayloadStoreStats,
 };
-pub use shard::{ShardComponent, ShardCtx, ShardedEngine};
+pub use shard::ShardedEngine;
 pub use fault::FaultPlan;
 pub use rng::SimRng;
 pub use telemetry::audit::{

@@ -569,10 +569,13 @@ impl Telemetry {
     }
 
     /// Sets the dispatch-order stamp applied to subsequent trace events
-    /// and resets the intra-dispatch tie counter. The sharded engine
-    /// calls this with the fired event's ordering key before running its
+    /// and resets the intra-dispatch tie counter. A linked engine calls
+    /// this with the fired event's ordering key before running its
     /// handler, which is what lets [`Telemetry::merge_shards`] restore
-    /// the global record order from per-shard rings.
+    /// the global record order from per-shard rings. Out of line: the one
+    /// call site is in the dispatch loop, which a plain engine runs too.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn set_trace_order(&self, order: u64) {
         let mut r = self.inner.borrow_mut();
         r.cur_order = order;

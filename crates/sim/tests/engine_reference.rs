@@ -8,12 +8,18 @@
 //! written once, against [`World`]; both runs must dispatch the same
 //! `(time, target, value)` sequence, answer every cancel alike, and agree
 //! on the clock, the drop count and the queue length after every slice.
+//!
+//! Every tenth graph also runs, same nodes, on a [`ShardedEngine`] at one,
+//! two and three shards, in sequence and on threads. A shard orders events
+//! by poster, not by post sequence, so these runs have no reference but
+//! each other: every node must log the same events under every layout.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
-use sim::{Component, ComponentId, Ctx, Engine, EventId, Payload, SimDuration, SimRng, SimTime};
+use sim::{
+    Component, ComponentId, Ctx, Engine, EventId, Payload, ShardedEngine, SimDuration, SimRng, SimTime,
+};
 
 /// What a node may do while it handles an event. A post returns a ticket
 /// — the number of posts made before it, on either engine — to cancel by.
@@ -163,6 +169,16 @@ struct Shared {
     ids: Vec<EventId>,
     population: u32,
     trace: Trace,
+    /// Zero on a plain engine. On a sharded one, what a post to a node of
+    /// another group (see [`group`]) waits longer: groups are what is
+    /// placed, so an edge between two may cross shards.
+    lookahead: u64,
+}
+
+/// Placement unit of a node on a sharded engine: group `g` lives on shard
+/// `g % shards`, so three groups spread over up to three shards.
+fn group(id: u32) -> u32 {
+    id % 3
 }
 
 /// Every fifth value travels in a payload too large for an event slot, so
@@ -172,38 +188,48 @@ struct Big([u64; 7]);
 
 struct RealNode {
     node: Node,
-    shared: Rc<RefCell<Shared>>,
+    shared: Arc<Mutex<Shared>>,
 }
 
 struct InHandler<'a, 'c> {
     ctx: &'a mut Ctx<'c>,
-    shared: &'a Rc<RefCell<Shared>>,
+    shared: &'a Arc<Mutex<Shared>>,
 }
 
 impl World for InHandler<'_, '_> {
     fn population(&self) -> u32 {
-        self.shared.borrow().population
+        self.shared.lock().unwrap().population
     }
 
     fn post(&mut self, target: u32, delay: u64, value: u64) -> usize {
+        let far = group(target) != group(self.ctx.self_id().0);
+        let delay = delay + if far { self.shared.lock().unwrap().lookahead } else { 0 };
         let (target, delay) = (ComponentId(target), SimDuration::from_nanos(delay));
         let id = if value.is_multiple_of(5) {
             self.ctx.post(target, delay, Big([value; 7]))
         } else {
             self.ctx.post(target, delay, value)
         };
-        let mut shared = self.shared.borrow_mut();
+        let mut shared = self.shared.lock().unwrap();
         shared.ids.push(id);
         shared.ids.len() - 1
     }
 
     fn cancel(&mut self, ticket: usize) -> bool {
-        let id = self.shared.borrow().ids[ticket];
+        let id = self.shared.lock().unwrap().ids[ticket];
         self.ctx.cancel(id)
     }
 
     fn spawn(&mut self, node: Node) -> u32 {
-        self.shared.borrow_mut().population += 1;
+        {
+            let mut shared = self.shared.lock().unwrap();
+            if shared.lookahead > 0 {
+                // A shard registers nothing mid-run: the child's mail goes
+                // to its parent.
+                return self.ctx.self_id().0;
+            }
+            shared.population += 1;
+        }
         let shared = self.shared.clone();
         self.ctx.add_component(Box::new(RealNode { node, shared })).0
     }
@@ -216,14 +242,15 @@ impl Component for RealNode {
             Err(p) => p.downcast::<Big>().expect("u64 or Big").0[6],
         };
         let (now, me) = (ctx.now().as_nanos(), ctx.self_id().0);
-        self.shared.borrow_mut().trace.push((now, me, value));
         let mut world = InHandler {
             ctx,
             shared: &self.shared,
         };
-        for hit in self.node.react(&mut world) {
-            self.shared.borrow_mut().trace.push((now, CANCEL, hit as u64));
-        }
+        let cancels = self.node.react(&mut world);
+        // One record under one lock: shards on threads log side by side.
+        let trace = &mut self.shared.lock().unwrap().trace;
+        trace.push((now, me, value));
+        trace.extend(cancels.into_iter().map(|hit| (now, CANCEL, hit as u64)));
     }
     sim::component_boilerplate!();
 }
@@ -231,13 +258,13 @@ impl Component for RealNode {
 /// Both engines, driven in lockstep from outside.
 struct Pair {
     real: Engine,
-    shared: Rc<RefCell<Shared>>,
+    shared: Arc<Mutex<Shared>>,
     reference: RefEngine,
 }
 
 impl Pair {
     fn add_node(&mut self, seed: u64) -> u32 {
-        self.shared.borrow_mut().population += 1;
+        self.shared.lock().unwrap().population += 1;
         let shared = self.shared.clone();
         let node = Node::new(seed);
         let id = self.real.add_component(Box::new(RealNode { node, shared }));
@@ -247,12 +274,12 @@ impl Pair {
 
     fn post(&mut self, target: u32, delay: u64, value: u64) {
         let id = self.real.post(ComponentId(target), SimDuration::from_nanos(delay), value);
-        self.shared.borrow_mut().ids.push(id);
+        self.shared.lock().unwrap().ids.push(id);
         self.reference.post(target, delay, value);
     }
 
     fn check(&self, case: u64, at: &str) {
-        let shared = self.shared.borrow();
+        let shared = self.shared.lock().unwrap();
         if let Some(i) = (0..shared.trace.len().max(self.reference.trace.len()))
             .find(|&i| shared.trace.get(i) != self.reference.trace.get(i))
         {
@@ -267,14 +294,56 @@ impl Pair {
     }
 }
 
+/// Graph `case` on a sharded engine, driven from outside between slices:
+/// what each node logged.
+fn sharded_logs(case: u64, shards: u32, parallel: bool) -> Vec<Trace> {
+    const LOOKAHEAD: u64 = 8;
+    let mut g = SimRng::for_component(0xE46_14E, case as u32);
+    let mut e = ShardedEngine::new(case, shards, SimDuration::from_nanos(LOOKAHEAD));
+    e.set_parallel(parallel);
+    let population = g.range_u64(2, 7) as u32;
+    let shared = Arc::new(Mutex::new(Shared {
+        population,
+        lookahead: LOOKAHEAD,
+        ..Shared::default()
+    }));
+    for id in 0..population {
+        let (node, shared) = (Node::new(g.range_u64(0, u64::MAX)), shared.clone());
+        e.add_component_on(group(id) % shards, Box::new(RealNode { node, shared }));
+    }
+    let mut clock = 0;
+    for _ in 0..12 {
+        for _ in 0..g.range_u64(1, 4) {
+            let target = ComponentId(g.range_u64(0, population as u64) as u32);
+            e.post(target, SimDuration::from_nanos(g.range_u64(0, 3)), g.range_u64(0, 1 << 40));
+        }
+        // Slices end where they end: most cut a window short.
+        clock += g.range_u64(1, 40);
+        e.run_until(SimTime::from_nanos(clock));
+    }
+    // The nodes' fuel bounds the run.
+    while e.pending_events() > 0 {
+        e.run_for(SimDuration::from_nanos(200));
+    }
+    let mut logs = vec![Trace::new(); population as usize];
+    let mut node = 0;
+    for &entry in &shared.lock().unwrap().trace {
+        if entry.1 != CANCEL {
+            node = entry.1 as usize;
+        }
+        logs[node].push(entry);
+    }
+    logs
+}
+
 #[test]
 fn engine_dispatches_exactly_as_the_reference_loop() {
-    let mut dispatched = 0;
+    let (mut dispatched, mut sharded) = (0, 0);
     for case in 0..300u64 {
         let mut g = SimRng::for_component(0xE46_14E, case as u32);
         let mut pair = Pair {
             real: Engine::new(case),
-            shared: Rc::default(),
+            shared: Arc::default(),
             reference: RefEngine::default(),
         };
         for _ in 0..g.range_u64(2, 7) {
@@ -309,7 +378,7 @@ fn engine_dispatches_exactly_as_the_reference_loop() {
                 }
                 2 if !pair.reference.times.is_empty() => {
                     let ticket = g.range_u64(0, pair.reference.times.len() as u64) as usize;
-                    let id = pair.shared.borrow().ids[ticket];
+                    let id = pair.shared.lock().unwrap().ids[ticket];
                     assert_eq!(pair.real.cancel(id), pair.reference.cancel(ticket), "case {case}");
                 }
                 _ => pair.post(g.range_u64(0, population) as u32, 0, 3),
@@ -322,6 +391,15 @@ fn engine_dispatches_exactly_as_the_reference_loop() {
         assert_eq!(pair.real.pending_events(), 0);
         assert_eq!(pair.real.now().as_nanos(), pair.reference.now);
         dispatched += pair.real.events_dispatched();
+        if case.is_multiple_of(10) {
+            let base = sharded_logs(case, 1, false);
+            sharded += base.iter().map(Vec::len).sum::<usize>();
+            for (shards, parallel) in [(2, false), (3, false), (2, true), (3, true)] {
+                let logs = sharded_logs(case, shards, parallel);
+                assert_eq!(logs, base, "case {case}: {shards} shards, threads {parallel}");
+            }
+        }
     }
     assert!(dispatched > 20_000, "the graphs must do work: {dispatched} events");
+    assert!(sharded > 4_000, "and so must the sharded ones: {sharded} log entries");
 }

@@ -11,9 +11,7 @@
 use std::any::Any;
 
 use sim::stats::fnv1a;
-use sim::{
-    ComponentId, Payload, ShardComponent, ShardCtx, ShardedEngine, SimDuration, SimTime,
-};
+use sim::{Component, ComponentId, Ctx, Payload, ShardedEngine, SimDuration, SimTime};
 
 /// Hub-relay latency: the minimum cross-group latency, hence the
 /// engine lookahead.
@@ -40,8 +38,8 @@ struct Node {
     ticks_left: u32,
 }
 
-impl ShardComponent for Node {
-    fn handle(&mut self, ctx: &mut ShardCtx<'_>, payload: Payload) {
+impl Component for Node {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let t = ctx.telemetry();
         let pings = t.counter("node.pings");
         let lat = t.histogram("node.jitter_ns");
@@ -108,8 +106,8 @@ impl ShardComponent for Node {
 /// hub latency, counting relayed messages.
 struct Hub;
 
-impl ShardComponent for Hub {
-    fn handle(&mut self, ctx: &mut ShardCtx<'_>, payload: Payload) {
+impl Component for Hub {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let relayed = ctx.telemetry().counter("hub.relayed");
         let ViaHub { dest, ttl } = payload.downcast::<ViaHub>().expect("hub takes ViaHub");
         ctx.telemetry().inc(relayed);

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use emulab_checkpoint::emulab::{ExperimentSpec, Testbed};
 use emulab_checkpoint::sim::telemetry::names;
-use emulab_checkpoint::sim::{payload_pool_stats, SimDuration};
+use emulab_checkpoint::sim::{payload_store_stats, SimDuration};
 use emulab_checkpoint::workloads::{IperfReceiver, IperfSender};
 
 /// Calls into the allocator that hand out memory (`alloc`, `alloc_zeroed`,
@@ -69,8 +69,8 @@ const MAX_ALLOCS_PER_EVENT: f64 = 0.20;
 /// there, so a counter that counts nothing cannot pass.
 const MIN_ALLOCS_PER_EVENT: f64 = 0.10;
 
-/// Largest share of posts that may take the boxed/pooled payload path.
-const MAX_POOLED_POST_SHARE: f64 = 0.01;
+/// Largest share of posts that may box their payload.
+const MAX_BOXED_POST_SHARE: f64 = 0.01;
 
 #[test]
 fn per_packet_path_stays_within_its_allocation_budget() {
@@ -90,7 +90,7 @@ fn per_packet_path_stays_within_its_allocation_budget() {
     tb.spawn("ip", "a", Box::new(IperfSender::new(b_addr, 5001)));
 
     // Warm-up: 3 sim-s, the last two under 1 s periodic checkpoints, so
-    // every scratch buffer, replay log and pool has reached its size.
+    // every scratch buffer, replay log and queue has reached its size.
     tb.run_for(SimDuration::from_secs(1));
     tb.start_periodic_checkpoints(SimDuration::from_secs(1));
     tb.run_for(SimDuration::from_secs(2));
@@ -104,11 +104,11 @@ fn per_packet_path_stays_within_its_allocation_budget() {
     let delivered = |tb: &Testbed| tb.kernel("ip", "b", |k| k.net_totals().bytes_delivered);
     let (rounds0, bytes0) = (committed(&tb), delivered(&tb));
     let events0 = tb.engine.events_dispatched();
-    let pool0 = payload_pool_stats();
+    let stored0 = payload_store_stats();
     let allocs0 = ALLOCATIONS.load(Ordering::Relaxed);
     tb.run_for(SimDuration::from_secs(1));
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs0;
-    let pool1 = payload_pool_stats();
+    let stored1 = payload_store_stats();
     let events = tb.engine.events_dispatched() - events0;
 
     let rounds = committed(&tb) - rounds0;
@@ -117,16 +117,16 @@ fn per_packet_path_stays_within_its_allocation_budget() {
     assert!(events > 100_000 && mbytes > 10.0, "the stream must be running");
 
     let per_event = allocs as f64 / events as f64;
-    let pooled = (pool1.pool_hits + pool1.pool_misses) - (pool0.pool_hits + pool0.pool_misses);
-    let posts = pooled + (pool1.inline - pool0.inline);
-    let pooled_share = pooled as f64 / posts as f64;
+    let boxed = stored1.boxed - stored0.boxed;
+    let posts = boxed + (stored1.inline - stored0.inline);
+    let boxed_share = boxed as f64 / posts as f64;
     println!(
         "alloc_budget: {allocs} allocations / {events} events = {per_event:.4} per event \
          (budget {MIN_ALLOCS_PER_EVENT}..={MAX_ALLOCS_PER_EVENT}); \
-         {pooled} of {posts} posts pooled = {:.4} % (budget < {} %); \
+         {boxed} of {posts} posts boxed = {:.4} % (budget < {} %); \
          {rounds} round(s), {mbytes:.1} MB delivered",
-        pooled_share * 100.0,
-        MAX_POOLED_POST_SHARE * 100.0,
+        boxed_share * 100.0,
+        MAX_BOXED_POST_SHARE * 100.0,
     );
     assert!(
         per_event <= MAX_ALLOCS_PER_EVENT,
@@ -139,9 +139,8 @@ fn per_packet_path_stays_within_its_allocation_budget() {
          the counter is not counting"
     );
     assert!(
-        pooled_share < MAX_POOLED_POST_SHARE,
-        "{:.2} % of posts took the boxed/pooled payload path: a per-packet message \
-         outgrew the inline slot",
-        pooled_share * 100.0
+        boxed_share < MAX_BOXED_POST_SHARE,
+        "{:.2} % of posts boxed their payload: a per-packet message outgrew the inline slot",
+        boxed_share * 100.0
     );
 }

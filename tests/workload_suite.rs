@@ -250,3 +250,32 @@ fn full_stack_determinism() {
     assert_eq!(run(5), run(5));
     assert_ne!(run(5).0, run(6).0);
 }
+
+/// The sharded side's byte pin, as `results/*.csv` are the plain side's:
+/// the 1,000-node, 4-epoch star of `tcd bench_scale` (built as it builds
+/// it) must export the telemetry whose fingerprint the latest
+/// `BENCH_scale.json` entry records, on one shard and on four.
+#[test]
+fn scale_star_reproduces_the_committed_fingerprint() {
+    use emulab_checkpoint::checkpoint::build_scale_lab;
+    use emulab_checkpoint::emulab::ScalePlan;
+
+    let committed = include_str!("../BENCH_scale.json");
+    let row = committed.rfind("\"nodes\": 1000,").expect("a 1,000-node row");
+    let field = "\"fingerprint\": \"";
+    let at = row + committed[row..].find(field).expect("the row's fingerprint") + field.len();
+    let want = &committed[at..at + 16];
+
+    let spec = ExperimentSpec::star("bench", 1000, 100_000_000, SimDuration::from_millis(5));
+    let plan = ScalePlan::from_spec(&spec, 1000 / 62).expect("star plans");
+    let mut cfg = plan.to_scale_config(SimDuration::from_millis(200), 4);
+    cfg.gossip_period = SimDuration::from_millis(20);
+    for shards in [1, 4] {
+        let mut lab = build_scale_lab(&cfg, 42, shards);
+        lab.run();
+        lab.check_invariants().expect("every epoch commits");
+        let o = lab.outcome();
+        assert_eq!(o.events, 131_574, "S = {shards}");
+        assert_eq!(format!("{:016x}", o.fingerprint_metrics), want, "S = {shards}");
+    }
+}
