@@ -145,6 +145,31 @@ impl StoreClient {
         self.svc.borrow_mut().put_image_inner(bytes, cache, Some(now))
     }
 
+    /// [`StoreClient::put_image_cached`] of an encoder's segment list
+    /// ([`Enc::into_segments`](crate::Enc::into_segments)), handed over
+    /// instead of lent: same manifest, report, dedup accounting and cache
+    /// behaviour as the put of their concatenation, but a store running
+    /// at the segment size keeps the segments themselves as its chunks
+    /// and cache entries — no contiguous image, no second copy.
+    pub fn put_segments_cached(
+        &self,
+        segments: Vec<Arc<[u8]>>,
+        cache: &mut CaptureCache,
+    ) -> PutReport {
+        self.svc.borrow_mut().put_segments(segments, Some(cache), None).report
+    }
+
+    /// [`StoreClient::put_image_at`] of an encoder's segment list, handed
+    /// over as in [`StoreClient::put_segments_cached`].
+    pub fn put_segments_at(
+        &self,
+        segments: Vec<Arc<[u8]>>,
+        cache: Option<&mut CaptureCache>,
+        now: SimTime,
+    ) -> TimedPut {
+        self.svc.borrow_mut().put_segments(segments, cache, Some(now))
+    }
+
     // -- reads & lifecycle --------------------------------------------
 
     /// Reassembles an image into one buffer: the concatenation of

@@ -15,52 +15,100 @@ pub const IMAGE_MAGIC: [u8; 4] = *b"CKPT";
 /// Current payload format version.
 pub const IMAGE_FORMAT_VERSION: u16 = 1;
 
+/// Size of an encoder segment: the store's default chunk size, so a store
+/// running at that size adopts an encoder's segments as its chunks.
+pub const SEGMENT_SIZE: usize = crate::service::DEFAULT_CHUNK_SIZE;
+
 /// Byte-stream encoder. All integers are little-endian.
+///
+/// The output is built as segments: every [`SEGMENT_SIZE`] bytes written
+/// are sealed into an `Arc<[u8]>` that is never copied again, and
+/// [`Enc::into_segments`] hands the list to a store put that keeps those
+/// very buffers as its chunks. An encoding shorter than one segment never
+/// leaves `open`, so small records (WAL entries, log frames) cost what a
+/// plain `Vec` costs and [`Enc::into_bytes`] returns it as it is.
 #[derive(Debug, Default, Clone)]
 pub struct Enc {
-    buf: Vec<u8>,
+    /// Sealed segments, each exactly [`SEGMENT_SIZE`] bytes.
+    sealed: Vec<Arc<[u8]>>,
+    /// The bytes after the last sealed segment. Its capacity is never
+    /// grown past one segment, so "fits the capacity" — the test `Vec`
+    /// makes on every append anyway — is the only test a field write
+    /// needs; sealing happens on the cold path that test falls into.
+    open: Vec<u8>,
 }
 
 impl Enc {
     pub fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-
-    /// An encoder whose buffer is allocated once for an image of about
-    /// `bytes` bytes (a capture's previous size is a good guess).
-    pub fn with_capacity(bytes: usize) -> Self {
-        Enc { buf: Vec::with_capacity(bytes) }
+        Enc::default()
     }
 
     /// Writes the self-describing image header: magic, version, kind tag.
     pub fn begin_image(&mut self, kind: &str) {
-        self.buf.extend_from_slice(&IMAGE_MAGIC);
+        self.raw(&IMAGE_MAGIC);
         self.u16(IMAGE_FORMAT_VERSION);
         self.str(kind);
     }
 
+    /// Seals every whole segment `open` holds. (More than one only if the
+    /// allocator handed `open` more room than was asked for.)
+    fn seal_full(&mut self) {
+        while self.open.len() >= SEGMENT_SIZE {
+            self.sealed.push(Arc::from(&self.open[..SEGMENT_SIZE]));
+            self.open.drain(..SEGMENT_SIZE);
+        }
+    }
+
+    /// The append that does not fit `open` as it stands: seals what is
+    /// full, grows `open` (doubling, up to one segment) or splits `bytes`
+    /// at the segment boundary.
+    #[cold]
+    fn append_cold(&mut self, mut bytes: &[u8]) {
+        loop {
+            self.seal_full();
+            if self.open.is_empty() {
+                // Whole segments of a bulk write skip the staging buffer.
+                while let Some((seg, rest)) = bytes.split_at_checked(SEGMENT_SIZE) {
+                    self.sealed.push(Arc::from(seg));
+                    bytes = rest;
+                }
+            }
+            if bytes.is_empty() {
+                return;
+            }
+            let k = bytes.len().min(SEGMENT_SIZE - self.open.len());
+            let (len, cap) = (self.open.len(), self.open.capacity());
+            if cap < len + k {
+                let want = (len + k).max(2 * cap).clamp(64, SEGMENT_SIZE);
+                self.open.reserve_exact(want - len);
+            }
+            self.open.extend_from_slice(&bytes[..k]);
+            bytes = &bytes[k..];
+        }
+    }
+
     pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.raw(&[v]);
     }
 
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// IEEE-754 bit pattern; round-trips NaN payloads exactly.
@@ -72,23 +120,40 @@ impl Enc {
         self.u8(v as u8);
     }
 
-    /// Raw bytes, no length prefix (caller fixes the framing).
+    /// Raw bytes, no length prefix (caller fixes the framing). Every
+    /// write comes through here: inlined into a fixed-width field it is
+    /// one compare and one append.
+    #[inline]
     pub fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        if self.open.capacity() - self.open.len() >= bytes.len() {
+            self.open.extend_from_slice(bytes);
+        } else {
+            self.append_cold(bytes);
+        }
     }
 
-    /// Appends `n` zero bytes and hands them back for the caller to fill
-    /// in place: one bounds check per record instead of one per field.
-    pub fn tail(&mut self, n: usize) -> &mut [u8] {
-        let at = self.buf.len();
-        self.buf.resize(at + n, 0);
-        &mut self.buf[at..]
+    /// Appends `n` bytes that `write` produces in place; it is handed them
+    /// zeroed. A fill of exactly one segment that starts on a segment
+    /// boundary — a block record after [`Enc::pad_to`] — is written
+    /// straight into the buffer the store will keep; any other is staged
+    /// and appended.
+    pub fn fill(&mut self, n: usize, write: impl FnOnce(&mut [u8])) {
+        self.seal_full();
+        if n == SEGMENT_SIZE && self.open.is_empty() {
+            let mut seg: Arc<[u8]> = std::iter::repeat_n(0u8, n).collect();
+            write(Arc::get_mut(&mut seg).expect("a segment just allocated is unshared"));
+            self.sealed.push(seg);
+        } else {
+            let mut staged = vec![0u8; n];
+            write(&mut staged);
+            self.raw(&staged);
+        }
     }
 
     /// `u32` length prefix + UTF-8 bytes.
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.raw(s.as_bytes());
     }
 
     /// Sequence length prefix (`u32`); the caller writes the elements.
@@ -110,23 +175,48 @@ impl Enc {
     ///
     /// Panics if `align` is zero.
     pub fn pad_to(&mut self, align: usize) {
+        const ZEROS: [u8; 256] = [0; 256];
         assert!(align > 0, "zero alignment");
-        let rem = self.buf.len() % align;
-        if rem != 0 {
-            self.buf.resize(self.buf.len() + (align - rem), 0);
+        let mut pad = (align - self.len() % align) % align;
+        while pad > 0 {
+            let k = pad.min(ZEROS.len());
+            self.raw(&ZEROS[..k]);
+            pad -= k;
         }
     }
 
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.sealed.len() * SEGMENT_SIZE + self.open.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
+    /// The encoding as its segment list: every segment but the last is
+    /// exactly [`SEGMENT_SIZE`] bytes, the last is 1 to `SEGMENT_SIZE`.
+    /// Decode it with [`Dec::chunked`]; store it with
+    /// [`StoreClient::put_segments_cached`](crate::StoreClient::put_segments_cached).
+    pub fn into_segments(mut self) -> Vec<Arc<[u8]>> {
+        self.seal_full();
+        if !self.open.is_empty() {
+            self.sealed.push(Arc::from(self.open));
+        }
+        self.sealed
+    }
+
+    /// The encoding as one contiguous buffer: free below one segment, a
+    /// copy above — use [`Enc::into_segments`] for anything image-sized.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        if self.sealed.is_empty() {
+            return self.open;
+        }
+        let mut out = Vec::with_capacity(self.len());
+        for seg in &self.sealed {
+            out.extend_from_slice(seg);
+        }
+        out.extend_from_slice(&self.open);
+        out
     }
 }
 
@@ -506,13 +596,129 @@ mod tests {
         assert_eq!(d.raw(3).unwrap(), Cow::<[u8]>::Owned(vec![2, 3, 4]));
     }
 
+    /// One encoder operation, applied to an [`Enc`] and to the plain
+    /// `Vec` that is the reference for what it must produce.
+    fn random_op(rng: &mut sim::SimRng, e: &mut Enc, want: &mut Vec<u8>) {
+        let v = (u128::from(rng.range_u64(0, u64::MAX)) << 64) | u128::from(rng.range_u64(0, u64::MAX));
+        match rng.index(10) {
+            0 => {
+                e.u8(v as u8);
+                want.push(v as u8);
+            }
+            1 => {
+                e.u16(v as u16);
+                want.extend_from_slice(&(v as u16).to_le_bytes());
+            }
+            2 => {
+                e.u32(v as u32);
+                want.extend_from_slice(&(v as u32).to_le_bytes());
+            }
+            3 => {
+                e.u64(v as u64);
+                want.extend_from_slice(&(v as u64).to_le_bytes());
+            }
+            4 => {
+                e.u128(v);
+                want.extend_from_slice(&v.to_le_bytes());
+            }
+            5 => {
+                let s = "segment ".repeat(rng.index(40));
+                e.str(&s);
+                want.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                want.extend_from_slice(s.as_bytes());
+            }
+            6 => {
+                // Up to a little over two segments, so some cross several.
+                let bytes: Vec<u8> = (0..rng.index(2 * SEGMENT_SIZE + 99)).map(|i| (i as u8) ^ (v as u8)).collect();
+                e.raw(&bytes);
+                want.extend_from_slice(&bytes);
+            }
+            7 => {
+                let align = [1, 16, 512, SEGMENT_SIZE, 3 * SEGMENT_SIZE][rng.index(5)];
+                e.pad_to(align);
+                want.resize(want.len().next_multiple_of(align), 0);
+            }
+            _ => {
+                // A fill, after a pad half the time so that it starts on
+                // a segment boundary and is written in place.
+                if rng.chance(0.5) {
+                    e.pad_to(SEGMENT_SIZE);
+                    want.resize(want.len().next_multiple_of(SEGMENT_SIZE), 0);
+                }
+                let n = [16, 48, SEGMENT_SIZE, SEGMENT_SIZE + 16][rng.index(4)];
+                let stamp = |buf: &mut [u8]| {
+                    assert!(buf.iter().all(|&b| b == 0), "a fill is handed zeroes");
+                    for (i, b) in buf.iter_mut().enumerate() {
+                        *b = (i as u8).wrapping_mul(v as u8 | 1);
+                    }
+                };
+                e.fill(n, stamp);
+                let at = want.len();
+                want.resize(at + n, 0);
+                stamp(&mut want[at..]);
+            }
+        }
+    }
+
     #[test]
-    fn tail_appends_a_slice_filled_in_place() {
-        let mut e = Enc::with_capacity(16);
-        e.u8(1);
-        e.tail(4).copy_from_slice(&[2, 3, 4, 5]);
-        assert_eq!(e.tail(2), &[0, 0]);
-        assert_eq!(e.into_bytes(), [1, 2, 3, 4, 5, 0, 0]);
+    fn random_op_sequences_encode_as_a_plain_vec_and_decode_from_segments() {
+        let mut rng = sim::SimRng::from_seed(24);
+        for round in 0..60 {
+            let (mut e, mut want) = (Enc::new(), Vec::new());
+            for _ in 0..rng.index(if round % 3 == 0 { 8 } else { 120 }) {
+                random_op(&mut rng, &mut e, &mut want);
+                assert_eq!(e.len(), want.len());
+                assert_eq!(e.is_empty(), want.is_empty());
+            }
+            assert_eq!(e.clone().into_bytes(), want, "round {round}");
+            let segs = e.into_segments();
+            assert_eq!(segs.concat(), want, "round {round}");
+            if let Some((last, full)) = segs.split_last() {
+                assert!(full.iter().all(|s| s.len() == SEGMENT_SIZE), "round {round}");
+                assert!((1..=SEGMENT_SIZE).contains(&last.len()), "round {round}");
+            }
+            // The segment list reads back as the bytes that went in.
+            let mut d = Dec::chunked(&segs);
+            assert_eq!(d.remaining(), want.len());
+            assert_eq!(&*d.raw(want.len()).unwrap(), &want[..]);
+        }
+    }
+
+    #[test]
+    fn typed_fields_round_trip_across_segment_boundaries() {
+        // Two bytes short of a boundary, so every wider field straddles it.
+        let mut e = Enc::new();
+        e.raw(&vec![0xAA; SEGMENT_SIZE - 2]);
+        e.u64(0x0102_0304_0506_0708);
+        e.pad_to(SEGMENT_SIZE);
+        e.raw(&vec![0xBB; SEGMENT_SIZE - 3]);
+        e.u128(7 << 100);
+        e.str("straddling string");
+        let segs = e.into_segments();
+        assert_eq!(segs.len(), 4);
+        let mut d = Dec::chunked(&segs);
+        d.skip(SEGMENT_SIZE - 2).unwrap();
+        assert_eq!(d.u64().unwrap(), 0x0102_0304_0506_0708);
+        d.align_to(SEGMENT_SIZE).unwrap();
+        d.skip(SEGMENT_SIZE - 3).unwrap();
+        assert_eq!(d.u128().unwrap(), 7 << 100);
+        assert_eq!(d.str().unwrap(), "straddling string");
+        assert_eq!(d.remaining(), 0);
+    }
+
+    #[test]
+    fn a_short_encoding_stays_one_plain_buffer() {
+        let mut e = Enc::new();
+        e.begin_image("small");
+        e.u64(9);
+        let len = e.len();
+        let bytes = e.clone().into_bytes();
+        assert_eq!(bytes.len(), len);
+        assert!(bytes.capacity() <= SEGMENT_SIZE);
+        let segs = e.into_segments();
+        assert_eq!(segs.len(), 1);
+        assert_eq!(&segs[0][..], &bytes[..]);
+        assert!(Enc::new().into_segments().is_empty());
     }
 
     #[test]

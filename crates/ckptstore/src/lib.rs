@@ -48,8 +48,10 @@
 //! (alignment is what lets unchanged parent blocks dedup under
 //! fixed-size chunking).
 //!
-//! **2. Chunk table (manifest)** — when an image is stored via
-//! [`StoreClient::put_image`], the store records a manifest per image:
+//! **2. Chunk table (manifest)** — when an image is stored, as bytes via
+//! [`StoreClient::put_image`] or as the encoder's own segments via
+//! [`StoreClient::put_segments_cached`] (which the store keeps as the
+//! chunks, uncopied), the store records a manifest per image:
 //!
 //! ```text
 //! logical_len : u64          total payload bytes
@@ -85,7 +87,7 @@ mod service;
 
 pub use backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
 pub use client::{ShardWorker, StoreClient};
-pub use codec::{Dec, DecodeError, Enc, IMAGE_FORMAT_VERSION, IMAGE_MAGIC};
+pub use codec::{Dec, DecodeError, Enc, IMAGE_FORMAT_VERSION, IMAGE_MAGIC, SEGMENT_SIZE};
 pub use error::StoreError;
 pub use hash::{chunk_hash, ChunkHash};
 pub use service::{

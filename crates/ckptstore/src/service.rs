@@ -11,7 +11,10 @@
 //!
 //! # Write path
 //!
-//! `put_image` chunks the payload and batches new chunks per shard. The
+//! One loop (`put_chunks`) takes an image as its chunks in order — slices
+//! borrowed from a caller's buffer (`put_image*`) or buffers handed over
+//! whole (`put_segments*`, which adopts an encoder's segments as the
+//! stored chunks) — and batches new chunks per shard. The
 //! primary copy is written synchronously; replica copies may fail at the
 //! buggify `store.shard_fail` point. The put blocks (retries) until a
 //! majority quorum of copies is durable; copies that failed beyond the
@@ -116,12 +119,16 @@ pub struct RepairStats {
 /// committed image. A cached put re-admits a chunk whose bytes are
 /// unchanged since that image (verified by memcmp against the cached
 /// payload) under its cached content address without re-hashing —
-/// incremental capture in wall-clock terms.
+/// incremental capture in wall-clock terms — and keeps the cached buffer
+/// in place of the new one, so an unchanged chunk is one allocation
+/// however many captures hold it.
 ///
 /// Safety invariant: every cached `(hash, bytes)` pair satisfies
-/// `hash == chunk_hash(bytes)` by construction, so a stale cache, a
-/// cache from another domain, or a cache surviving a store reset can
-/// only cause extra misses — never a wrong content address.
+/// `hash == chunk_hash(bytes)` by construction — an entry is the buffer
+/// that was just hashed, or a previous entry that compared equal; fault
+/// injection damages a private copy, never that buffer — so a stale
+/// cache, a cache from another domain, or a cache surviving a store
+/// reset can only cause extra misses, never a wrong content address.
 #[derive(Default)]
 pub struct CaptureCache {
     pub(crate) chunks: Vec<(ChunkHash, Arc<[u8]>)>,
@@ -195,6 +202,33 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// One chunk on its way into the store: a slice of a caller's buffer, or
+/// a buffer handed over whole.
+enum Chunk<'a> {
+    Borrowed(&'a [u8]),
+    Owned(Arc<[u8]>),
+}
+
+impl Chunk<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Borrowed(b) => b,
+            Chunk::Owned(a) => a,
+        }
+    }
+
+    /// The chunk as a shared buffer: the one handed over, or a copy of
+    /// the borrowed bytes made at the first call and shared after.
+    fn share(&mut self) -> Arc<[u8]> {
+        let arc = match self {
+            Chunk::Owned(a) => return a.clone(),
+            Chunk::Borrowed(b) => Arc::<[u8]>::from(*b),
+        };
+        *self = Chunk::Owned(arc.clone());
+        arc
+    }
 }
 
 struct Manifest {
@@ -419,18 +453,54 @@ impl StoreService {
     // Write path.
     // -----------------------------------------------------------------
 
+    /// The borrowed entry: the image's bytes, chunked where they lie.
     pub(crate) fn put_image_inner(
         &mut self,
         bytes: &[u8],
+        cache: Option<&mut CaptureCache>,
+        now: Option<SimTime>,
+    ) -> TimedPut {
+        self.put_chunks(bytes.chunks(self.chunk_size).map(Chunk::Borrowed), cache, now)
+    }
+
+    /// The owned entry: an encoder's segment list
+    /// ([`Enc::into_segments`](crate::Enc::into_segments)). When the
+    /// segments are chunk-shaped — all `chunk_size` long but a shorter,
+    /// non-empty last — the store adopts them: the buffer the encoder
+    /// wrote is the chunk the backend holds, the capture cache remembers
+    /// and a later load returns. A store running at another chunk size
+    /// re-slices their concatenation.
+    pub(crate) fn put_segments(
+        &mut self,
+        segments: Vec<Arc<[u8]>>,
+        cache: Option<&mut CaptureCache>,
+        now: Option<SimTime>,
+    ) -> TimedPut {
+        let chunk_shaped = segments.split_last().is_none_or(|(last, full)| {
+            full.iter().all(|s| s.len() == self.chunk_size)
+                && (1..=self.chunk_size).contains(&last.len())
+        });
+        if chunk_shaped {
+            self.put_chunks(segments.into_iter().map(Chunk::Owned), cache, now)
+        } else {
+            self.put_image_inner(&segments.concat(), cache, now)
+        }
+    }
+
+    /// The one put loop, over the image's chunks in order.
+    fn put_chunks<'a>(
+        &mut self,
+        chunks: impl ExactSizeIterator<Item = Chunk<'a>>,
         mut cache: Option<&mut CaptureCache>,
         now: Option<SimTime>,
     ) -> TimedPut {
-        let n_chunks = bytes.len().div_ceil(self.chunk_size);
+        let n_chunks = chunks.len();
         let n_shards = self.shards.len();
         let quorum = self.quorum();
         let mut manifest = Vec::with_capacity(n_chunks);
         let mut next_cache: Option<Vec<(ChunkHash, Arc<[u8]>)>> =
             cache.as_ref().map(|_| Vec::with_capacity(n_chunks));
+        let mut logical = 0u64;
         let mut new_physical = 0u64;
         let mut chunks_new = 0u64;
         let mut cache_hits = 0u64;
@@ -446,61 +516,54 @@ impl StoreService {
         let mut chunk_placements: Vec<[u8; MAX_REPLICATION]> = Vec::new();
         let mut chunk_copy_counts: Vec<u8> = Vec::new();
 
-        for (idx, chunk) in bytes.chunks(self.chunk_size).enumerate() {
-            // Cached-hash fast path: reuse the previous capture's hash
-            // when the bytes at this position are unchanged.
-            let mut reuse: Option<Arc<[u8]>> = None;
+        for (idx, mut chunk) in chunks.enumerate() {
+            let len = chunk.bytes().len() as u64;
+            logical += len;
+            // Cached-hash fast path: when the bytes at this position are
+            // unchanged since the previous capture, its hash is reused
+            // and its buffer stands in for this one from here on.
             let h = match cache.as_deref_mut() {
                 Some(c) => match c.chunks.get(idx) {
-                    Some((h, prev)) if prev.as_ref() == chunk => {
+                    Some((h, prev)) if prev.as_ref() == chunk.bytes() => {
                         cache_hits += 1;
-                        reuse = Some(prev.clone());
+                        chunk = Chunk::Owned(prev.clone());
                         *h
                     }
                     _ => {
                         cache_misses += 1;
-                        chunk_hash(chunk)
+                        chunk_hash(chunk.bytes())
                     }
                 },
-                None => chunk_hash(chunk),
+                None => chunk_hash(chunk.bytes()),
             };
-            let mut inserted_clean: Option<Arc<[u8]>> = None;
             if let Some(meta) = self.chunks.get_mut(&h) {
                 meta.refs += 1;
             } else {
-                new_physical += chunk.len() as u64;
+                new_physical += len;
                 chunks_new += 1;
                 let want = self.replication.min(MAX_REPLICATION) as u8;
-                let clean: Arc<[u8]> = match &reuse {
-                    Some(a) => a.clone(),
-                    None => Arc::from(chunk),
-                };
+                let clean = chunk.share();
                 let mut primary = clean.clone();
-                inserted_clean = Some(clean.clone());
                 // Write-path fault injection damages the primary only;
-                // replicas land clean (independent write paths).
+                // replicas land clean (independent write paths). The
+                // damage is done to a copy: `clean` is never written.
                 if let Some(wf) = self.write_faults.as_mut() {
                     let draw = splitmix64(&mut wf.state);
-                    if !chunk.is_empty() && draw % 1_000_000 < u64::from(wf.per_million) {
-                        let mut damaged = chunk.to_vec();
+                    if len > 0 && draw % 1_000_000 < u64::from(wf.per_million) {
+                        let mut damaged = clean.to_vec();
                         let i = (draw >> 32) as usize % damaged.len();
                         damaged[i] ^= 0x01;
                         primary = damaged.into();
-                        inserted_clean = None;
                     }
                 }
                 // Buggified write corruption: same shape as the injected
                 // faults above (primary damaged, replicas clean), drawn
                 // from the exploration registry's own stream.
-                if !chunk.is_empty() && buggify!(self.buggify, bg_points::STORE_PUT_CORRUPT) {
-                    let i = self
-                        .buggify
-                        .magnitude(bg_points::STORE_PUT_CORRUPT, 0, chunk.len() as u64)
-                        as usize;
+                if len > 0 && buggify!(self.buggify, bg_points::STORE_PUT_CORRUPT) {
+                    let i = self.buggify.magnitude(bg_points::STORE_PUT_CORRUPT, 0, len) as usize;
                     let mut damaged = primary.to_vec();
                     damaged[i] ^= 0x01;
                     primary = damaged.into();
-                    inserted_clean = None;
                 }
 
                 // Primary write is synchronous and always durable.
@@ -509,7 +572,7 @@ impl StoreService {
                 self.shards[home].backend.put(h, 0, primary);
                 placements[0] = home as u8;
                 let mut written = 1usize;
-                batch_bytes[home] += chunk.len() as u64;
+                batch_bytes[home] += len;
                 batch_chunks[home] += 1;
 
                 // Replica fan-out: each copy may fail at the shard-fail
@@ -527,7 +590,7 @@ impl StoreService {
                     placements[written] = s as u8;
                     written += 1;
                     replica_acks += 1;
-                    batch_bytes[s] += chunk.len() as u64;
+                    batch_bytes[s] += len;
                     batch_chunks[s] += 1;
                 }
                 let mut failed = VecDeque::from(failed);
@@ -539,7 +602,7 @@ impl StoreService {
                     written += 1;
                     replica_acks += 1;
                     quorum_retries += 1;
-                    batch_bytes[s] += chunk.len() as u64;
+                    batch_bytes[s] += len;
                     batch_chunks[s] += 1;
                 }
                 for r in failed {
@@ -550,23 +613,16 @@ impl StoreService {
                     }
                 }
 
-                self.physical_bytes += chunk.len() as u64;
-                self.chunks.insert(h, ChunkMeta { refs: 1, len: chunk.len() as u32, want });
+                self.physical_bytes += len;
+                self.chunks.insert(h, ChunkMeta { refs: 1, len: len as u32, want });
                 chunk_placements.push(placements);
                 chunk_copy_counts.push(written as u8);
             }
             if let Some(nc) = next_cache.as_mut() {
-                // Cache only pairs whose bytes provably hash to `h`: the
-                // reused arc (valid by induction) or the clean payload of
-                // a fresh insert. A fault-damaged primary must never be
-                // cached under the clean hash, so a dedup hit or damaged
-                // insert takes a private copy instead.
-                let arc = match (reuse, inserted_clean) {
-                    (Some(a), _) => a,
-                    (None, Some(clean)) => clean,
-                    (None, None) => Arc::from(chunk),
-                };
-                nc.push((h, arc));
+                // `chunk` is the bytes that hashed to `h` (or the cached
+                // buffer they were compared equal to), never a damaged
+                // primary: the cache invariant holds by construction.
+                nc.push((h, chunk.share()));
             }
             manifest.push(h);
         }
@@ -628,7 +684,7 @@ impl StoreService {
             t.t.inc(t.puts);
             t.t.add(t.chunks_new, chunks_new);
             t.t.add(t.dedup_hits, chunks_total - chunks_new);
-            t.t.add(t.logical_bytes, bytes.len() as u64);
+            t.t.add(t.logical_bytes, logical);
             t.t.add(t.new_physical_bytes, new_physical);
             t.t.add(t.hash_cache_hits, cache_hits);
             t.t.add(t.hash_cache_misses, cache_misses);
@@ -639,11 +695,11 @@ impl StoreService {
                 t.t.add(st.bytes, batch_bytes[s]);
             }
         }
-        self.images.insert(id.0, Manifest { logical_len: bytes.len() as u64, chunks: manifest });
+        self.images.insert(id.0, Manifest { logical_len: logical, chunks: manifest });
         TimedPut {
             report: PutReport {
                 image: id,
-                logical_bytes: bytes.len() as u64,
+                logical_bytes: logical,
                 new_physical_bytes: new_physical,
                 chunks_total,
                 chunks_new,

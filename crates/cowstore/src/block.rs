@@ -6,10 +6,10 @@
 //! plugin *decode* filesystem allocation bitmaps exactly as the paper's
 //! ext3 snooping plugin does below the guest (§5.1).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ckptstore::{Dec, DecodeError, Enc};
+use sim::IntMap;
 
 /// Content of one virtual disk block.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -142,7 +142,10 @@ impl BitmapBlock {
 
     /// Index of the first free block in the group, if any.
     pub fn first_free(&self) -> Option<u32> {
-        (0..self.group_blocks).find(|&i| !self.get(i))
+        let (w, word) = self.words.iter().enumerate().find(|&(_, &word)| word != u64::MAX)?;
+        // A zero bit past `group_blocks` is padding in the last word.
+        let bit = w as u32 * 64 + word.trailing_ones();
+        (bit < self.group_blocks).then_some(bit)
     }
 
     /// Serializes the bitmap (words inline, length-prefixed).
@@ -180,7 +183,7 @@ impl BitmapBlock {
 /// append order, which is the physical layout of the log on disk.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaMap {
-    index: HashMap<u64, usize>,
+    index: IntMap<u64, usize>,
     entries: Vec<(u64, BlockData)>,
 }
 
@@ -255,9 +258,10 @@ impl DeltaMap {
         v
     }
 
-    /// All live vbas (unsorted).
+    /// All live vbas in log order — the order a mirror leg walks the
+    /// delta volume, and one that does not depend on the index's hasher.
     pub fn vbas(&self) -> Vec<u64> {
-        self.index.keys().copied().collect()
+        self.iter_log_order().map(|(vba, _)| vba).collect()
     }
 
     /// Delta payload size in bytes for a given block size.
@@ -339,7 +343,7 @@ impl DeltaMap {
             let fp = read_block_record(d, block_size)?;
             entries[slot].1 = BlockData::Opaque(fp);
         }
-        let mut index = HashMap::with_capacity(entries.len());
+        let mut index = IntMap::with_capacity_and_hasher(entries.len(), Default::default());
         for (slot, (vba, _)) in entries.iter().enumerate() {
             if *vba != u64::MAX {
                 index.insert(*vba, slot);
@@ -352,16 +356,18 @@ impl DeltaMap {
 /// Writes one data-section block record: the fingerprint plus a
 /// SplitMix64 fill expanded from it, exactly `block_size` bytes total.
 fn synth_block_record(e: &mut Enc, fp: u64, block_size: u32) {
-    let mut words = e.tail(block_size as usize).chunks_exact_mut(8);
-    words.next().expect("block_size >= 16").copy_from_slice(&fp.to_le_bytes());
-    let mut state = fp;
-    for word in words {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        word.copy_from_slice(&(z ^ (z >> 31)).to_le_bytes());
-    }
+    e.fill(block_size as usize, |record| {
+        let mut words = record.chunks_exact_mut(8);
+        words.next().expect("block_size >= 16").copy_from_slice(&fp.to_le_bytes());
+        let mut state = fp;
+        for word in words {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            word.copy_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+    });
 }
 
 /// Reads one block record back, returning the fingerprint. The fill is
@@ -411,6 +417,31 @@ mod tests {
         assert_eq!(b.first_free(), Some(2));
         let full = b.with(2, true).with(3, true);
         assert_eq!(full.first_free(), None);
+    }
+
+    #[test]
+    fn first_free_agrees_with_the_bit_by_bit_scan() {
+        fn bitwise(b: &BitmapBlock) -> Option<u32> {
+            (0..b.group_blocks).find(|&i| !b.get(i))
+        }
+        // Whole words, a partial last word, and a group inside one word.
+        for blocks in [256u32, 200, 129, 65, 64, 63, 17, 1] {
+            let mut b = BitmapBlock::new_free(0, 0, blocks);
+            assert_eq!(b.first_free(), Some(0));
+            // Fill front to back: the answer walks every bit, then None.
+            for i in 0..blocks {
+                b = b.with(i, true);
+                assert_eq!(b.first_free(), bitwise(&b), "{blocks} blocks, {i} filled");
+            }
+            assert_eq!(b.first_free(), None, "{blocks} blocks, full");
+            // Holes: freeing any one bit of a full group finds that bit.
+            for i in (0..blocks).step_by(7).chain([blocks - 1]) {
+                let holed = b.with(i, false);
+                assert_eq!(holed.first_free(), Some(i));
+                let two = holed.with(blocks / 2, false);
+                assert_eq!(two.first_free(), bitwise(&two));
+            }
+        }
     }
 
     #[test]
@@ -517,10 +548,12 @@ mod tests {
                 e.u64(z ^ (z >> 31));
             }
         }
-        for block_size in [16u32, 48, 4096] {
+        // Records need not start aligned; the ones that do (4096 with no
+        // prefix) are written in place in an encoder segment.
+        for (block_size, prefix) in [(16u32, 1), (48, 1), (4096, 1), (4096, 0)] {
             let (mut got, mut want) = (Enc::new(), Enc::new());
             for e in [&mut got, &mut want] {
-                e.u8(0xEE); // Records need not start aligned.
+                e.raw(&[0xEE; 1][..prefix]);
             }
             for fp in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
                 synth_block_record(&mut got, fp, block_size);

@@ -17,13 +17,12 @@
 //! region distributed far across the disk — the extra seeks behind the
 //! paper's 17% fresh-disk overhead, which "disappears as the disk ages".
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ckptstore::{Dec, DecodeError, Enc};
 use hwsim::{DiskOp, DiskQueue, DiskRequest};
 use sim::telemetry::names;
-use sim::{SimRng, SimTime, Telemetry, TraceTag, TrackId};
+use sim::{IntMap, SimRng, SimTime, Telemetry, TraceTag, TrackId};
 
 use crate::block::{BlockData, DeltaMap};
 use crate::freeblock::Ext3Snoop;
@@ -127,13 +126,13 @@ pub struct BranchingStore {
     layout: StoreLayout,
     golden: Arc<GoldenImage>,
     agg: DeltaMap,
-    agg_slots: HashMap<u64, u64>,
+    agg_slots: IntMap<u64, u64>,
     cur: DeltaMap,
     /// BranchOrig: chunk index → chunk slot in the snapshot area.
-    chunks: HashMap<u64, u64>,
+    chunks: IntMap<u64, u64>,
     next_chunk_slot: u64,
     /// Base mode: raw writes by vba (content only; placement is linear).
-    base_writes: HashMap<u64, BlockData>,
+    base_writes: IntMap<u64, BlockData>,
     appends_since_meta: u64,
     snoop: Option<Ext3Snoop>,
     /// Activity counters.
@@ -159,11 +158,11 @@ impl BranchingStore {
             layout,
             golden,
             agg: DeltaMap::new(),
-            agg_slots: HashMap::new(),
+            agg_slots: IntMap::default(),
             cur: DeltaMap::new(),
-            chunks: HashMap::new(),
+            chunks: IntMap::default(),
             next_chunk_slot: 0,
-            base_writes: HashMap::new(),
+            base_writes: IntMap::default(),
             appends_since_meta: 0,
             snoop: None,
             stats: StoreStats::default(),
@@ -622,7 +621,7 @@ impl BranchingStore {
         let agg = DeltaMap::decode_wire(d, bs)?;
         let cur = DeltaMap::decode_wire(d, bs)?;
         let n = d.seq()?;
-        let mut chunks = HashMap::with_capacity(n);
+        let mut chunks = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let chunk = d.u64()?;
             let slot = d.u64()?;
@@ -632,7 +631,7 @@ impl BranchingStore {
         }
         let next_chunk_slot = d.u64()?;
         let base = DeltaMap::decode_wire(d, bs)?;
-        let mut base_writes = HashMap::with_capacity(base.len());
+        let mut base_writes = IntMap::with_capacity_and_hasher(base.len(), Default::default());
         for (vba, data) in base.iter_log_order() {
             base_writes.insert(vba, data.clone());
         }

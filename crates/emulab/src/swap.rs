@@ -315,7 +315,7 @@ impl Testbed {
             let mut e = Enc::new();
             e.begin_image(SWAP_IMAGE_KIND);
             image.encode_wire(&mut e, &mut residue);
-            let put = self.fs_put_cached(&format!("{name}:{node_name}"), &e.into_bytes(), round_flow);
+            let put = self.fs_put_cached(&format!("{name}:{node_name}"), e.into_segments(), round_flow);
             // Buggified storage corruption on the swap-out write path:
             // every copy of one stored chunk is damaged, so the later
             // swap-in must degrade to a golden reload (`StateLost`)

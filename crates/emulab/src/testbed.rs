@@ -315,9 +315,10 @@ impl Testbed {
         store.spawn_repair_workers(&mut self.engine, period);
     }
 
-    /// Stores a node's swap-out image through that node's capture hash
-    /// cache: chunks unchanged since its previous swap-out skip the
-    /// re-hash. Observably identical to a plain `put_image` (the timed
+    /// Stores a node's swap-out image — the encoder's segments, which the
+    /// store adopts — through that node's capture hash cache: chunks
+    /// unchanged since its previous swap-out skip the re-hash.
+    /// Observably identical to a plain `put_image` (the timed
     /// put additionally records shard batch events and commit latency).
     /// When `flow` carries a round's causal context (swap-out puts land
     /// inside the held suspend round), the put's quorum-commit instant
@@ -325,12 +326,12 @@ impl Testbed {
     pub(crate) fn fs_put_cached(
         &mut self,
         cache_key: &str,
-        bytes: &[u8],
+        segments: Vec<Arc<[u8]>>,
         flow: TraceCtx,
     ) -> PutReport {
         let cache = self.swap_caches.entry(cache_key.to_string()).or_default();
         let now = self.engine.now();
-        let put = self.fs_store.put_image_at(bytes, Some(cache), now);
+        let put = self.fs_store.put_segments_at(segments, Some(cache), now);
         {
             let t = self.engine.telemetry();
             let track = t.track(FS_ADDR.0, names::TRACK_STORE_SHARD);

@@ -24,6 +24,7 @@
 //! releases its chunks deterministically via the store's refcounts.
 
 use std::fmt;
+use std::sync::Arc;
 
 use checkpoint::DelayNodeHost;
 use ckptstore::{CaptureCache, Dec, DecodeError, Enc, ImageId, ImageStats, StoreClient, StoreError};
@@ -203,25 +204,16 @@ impl TimeTravelTree {
         &self.store
     }
 
-    /// Capacity hint for node `node`'s next capture: the encoded size of
-    /// its image in the snapshot the running execution branched from
-    /// (0 before the first snapshot).
-    pub(crate) fn node_payload_hint(&self, node: usize) -> usize {
-        self.current
-            .and_then(|cur| self.snaps[cur.0].as_ref())
-            .and_then(|s| s.node_images.get(node))
-            .and_then(|id| self.store.image_len(*id).ok())
-            .map_or(0, |len| len as usize)
-    }
-
-    /// Stores a new snapshot's payloads and makes it current.
+    /// Stores a new snapshot's payloads — each an encoder's segment
+    /// list, which the store adopts as the image's chunks — and makes it
+    /// current.
     pub(crate) fn insert(
         &mut self,
         parent: Option<SnapshotId>,
         label: &str,
         taken_at: SimTime,
-        node_payloads: Vec<(Vec<u8>, GuestResidue)>,
-        dn_payloads: Vec<Option<Vec<u8>>>,
+        node_payloads: Vec<(Vec<Arc<[u8]>>, GuestResidue)>,
+        dn_payloads: Vec<Option<Vec<Arc<[u8]>>>>,
         frames: Vec<Frame>,
     ) -> SnapshotId {
         let mut node_images = Vec::with_capacity(node_payloads.len());
@@ -231,8 +223,8 @@ impl TimeTravelTree {
         if self.node_caches.len() < node_payloads.len() {
             self.node_caches.resize_with(node_payloads.len(), CaptureCache::new);
         }
-        for (i, (bytes, residue)) in node_payloads.into_iter().enumerate() {
-            let put = self.store.put_image_cached(&bytes, &mut self.node_caches[i]);
+        for (i, (segments, residue)) in node_payloads.into_iter().enumerate() {
+            let put = self.store.put_segments_cached(segments, &mut self.node_caches[i]);
             logical_bytes += put.logical_bytes;
             new_physical_bytes += put.new_physical_bytes;
             node_images.push(put.image);
@@ -242,9 +234,9 @@ impl TimeTravelTree {
         if self.dn_caches.len() < dn_payloads.len() {
             self.dn_caches.resize_with(dn_payloads.len(), CaptureCache::new);
         }
-        for (i, bytes) in dn_payloads.into_iter().enumerate() {
-            dn_images.push(bytes.map(|b| {
-                let put = self.store.put_image_cached(&b, &mut self.dn_caches[i]);
+        for (i, segments) in dn_payloads.into_iter().enumerate() {
+            dn_images.push(segments.map(|segments| {
+                let put = self.store.put_segments_cached(segments, &mut self.dn_caches[i]);
                 logical_bytes += put.logical_bytes;
                 new_physical_bytes += put.new_physical_bytes;
                 put.image
@@ -322,18 +314,18 @@ impl Testbed {
         let node_hosts: Vec<sim::ComponentId> =
             self.experiment(exp).nodes.iter().map(|n| n.host).collect();
         let mut node_payloads = Vec::new();
-        for (i, host) in node_hosts.iter().enumerate() {
+        for host in &node_hosts {
             let h = self
                 .engine
                 .component_ref::<VmHost>(*host)
                 .expect("host exists");
             let image = h.last_image().expect("suspend captured");
             let mut residue = GuestResidue::new();
-            let mut e = Enc::with_capacity(self.experiment(exp).tt.node_payload_hint(i));
+            let mut e = Enc::new();
             e.begin_image(NODE_IMAGE_KIND);
             image.encode_wire(&mut e, &mut residue);
             h.store().encode_wire(&mut e);
-            node_payloads.push((e.into_bytes(), residue));
+            node_payloads.push((e.into_segments(), residue));
         }
         let dn_handles: Vec<sim::ComponentId> = self
             .experiment(exp)
@@ -354,7 +346,7 @@ impl Testbed {
                 let mut e = Enc::new();
                 e.begin_image(DN_IMAGE_KIND);
                 img.encode_wire(&mut e, &mut frames);
-                e.into_bytes()
+                e.into_segments()
             }));
         }
 
@@ -533,7 +525,7 @@ mod tests {
     /// A synthetic one-node snapshot payload: `shared` chunk-sized records
     /// identical across every call (dedup fodder) followed by `unique`
     /// records salted by `salt`.
-    fn payload(shared: usize, unique: usize, salt: u8) -> Vec<(Vec<u8>, GuestResidue)> {
+    fn payload(shared: usize, unique: usize, salt: u8) -> Vec<(Vec<Arc<[u8]>>, GuestResidue)> {
         let mut e = Enc::new();
         e.begin_image(NODE_IMAGE_KIND);
         e.pad_to(4096);
@@ -543,7 +535,7 @@ mod tests {
         for i in 0..unique {
             e.raw(&[salt ^ (i as u8).wrapping_mul(31); 4096]);
         }
-        vec![(e.into_bytes(), GuestResidue::new())]
+        vec![(e.into_segments(), GuestResidue::new())]
     }
 
     fn insert(

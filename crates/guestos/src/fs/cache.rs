@@ -6,10 +6,9 @@
 //! branching store, dirty evictions force writeback, and a dirty
 //! high-water mark throttles writers to disk speed.
 
-use std::collections::HashMap;
-
 use ckptstore::{Dec, DecodeError, Enc};
 use cowstore::BlockData;
+use sim::IntMap;
 
 /// Slab index used by the intrusive LRU list.
 type Slot = u32;
@@ -29,7 +28,7 @@ struct Node {
 #[derive(Clone, Debug)]
 pub struct BufferCache {
     cap: usize,
-    map: HashMap<u64, Slot>,
+    map: IntMap<u64, Slot>,
     slab: Vec<Node>,
     free: Vec<Slot>,
     head: Slot, // Most recently used.
@@ -54,7 +53,7 @@ impl BufferCache {
         assert!(cap > 0, "zero-capacity cache");
         BufferCache {
             cap,
-            map: HashMap::new(),
+            map: IntMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -382,7 +381,7 @@ mod tests {
     /// reserved at capacity. Kept here as the reference.
     fn reserved_at_capacity(cap: usize) -> BufferCache {
         BufferCache {
-            map: HashMap::with_capacity(cap),
+            map: IntMap::with_capacity_and_hasher(cap, Default::default()),
             slab: Vec::with_capacity(cap),
             ..BufferCache::new(cap)
         }

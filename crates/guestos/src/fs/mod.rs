@@ -11,10 +11,9 @@ pub mod cache;
 
 pub use cache::BufferCache;
 
-use std::collections::HashMap;
-
 use ckptstore::{Dec, DecodeError, Enc};
 use cowstore::{BitmapBlock, BlockData};
+use sim::IntMap;
 
 use crate::prog::FileId;
 
@@ -22,7 +21,7 @@ use crate::prog::FileId;
 #[derive(Clone, Debug, Default)]
 pub struct Inode {
     /// Logical block index → vba.
-    pub blocks: HashMap<u64, u64>,
+    pub blocks: IntMap<u64, u64>,
     /// File size in bytes.
     pub size: u64,
 }
@@ -40,7 +39,7 @@ pub struct Ext3Fs {
     block_size: u32,
     blocks_per_group: u32,
     groups: Vec<BitmapBlock>,
-    files: HashMap<FileId, Inode>,
+    files: IntMap<FileId, Inode>,
     rotor: u32,
     /// Monotonic content version, so rewrites produce distinct block data.
     version: u64,
@@ -66,7 +65,7 @@ impl Ext3Fs {
             block_size,
             blocks_per_group,
             groups,
-            files: HashMap::new(),
+            files: IntMap::default(),
             rotor: 0,
             version: 0,
             enospc: 0,
@@ -212,7 +211,7 @@ impl Ext3Fs {
         let mut freed: Vec<u64> = inode.blocks.values().copied().collect();
         freed.sort_unstable();
         // Batch bitmap updates per group.
-        let mut touched: HashMap<u32, BitmapBlock> = HashMap::new();
+        let mut touched: IntMap<u32, BitmapBlock> = IntMap::default();
         for &vba in &freed {
             let g = (vba / self.blocks_per_group as u64) as u32;
             let bm = touched
@@ -273,12 +272,12 @@ impl Ext3Fs {
             groups.push(BitmapBlock::decode_wire(d)?);
         }
         let nfiles = d.seq()?;
-        let mut files = HashMap::with_capacity(nfiles);
+        let mut files = IntMap::with_capacity_and_hasher(nfiles, Default::default());
         for _ in 0..nfiles {
             let id = FileId(d.u64()?);
             let size = d.u64()?;
             let nblocks = d.seq()?;
-            let mut blocks = HashMap::with_capacity(nblocks);
+            let mut blocks = IntMap::with_capacity_and_hasher(nblocks, Default::default());
             for _ in 0..nblocks {
                 let idx = d.u64()?;
                 if blocks.insert(idx, d.u64()?).is_some() {

@@ -42,6 +42,7 @@ pub mod buggify;
 mod engine;
 mod event;
 mod fault;
+mod inthash;
 mod rng;
 pub mod shard;
 pub mod stats;
@@ -56,6 +57,7 @@ pub use event::{
 };
 pub use shard::ShardedEngine;
 pub use fault::FaultPlan;
+pub use inthash::{IntHasher, IntMap};
 pub use rng::SimRng;
 pub use telemetry::audit::{
     audit_transparency, audit_transparency_with, AuditConfig, AuditReport, AuditViolation,

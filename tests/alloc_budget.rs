@@ -1,4 +1,5 @@
-//! An allocation budget for the per-packet path, checked by the machine.
+//! Allocation budgets for the per-packet path and for a capture, checked
+//! by the machine.
 //!
 //! The two-node shaped-link iperf lab of Fig 6 (`benchmark/`'s
 //! `iperf_ckpt`) dispatches about half a million events per simulated
@@ -9,20 +10,35 @@
 //! payload `Arc` — so it is asserted here, as a count. Counts repeat
 //! exactly for a seed: this is not a timing assertion.
 //!
-//! The binary has its own counting `#[global_allocator]`, so it holds this
-//! one test and nothing else.
+//! A capture (`Testbed::snapshot`) has a budget in bytes instead: the
+//! encoder writes the image into the buffers the store keeps, so what one
+//! snapshot allocates is the image once over plus bookkeeping — not the
+//! image, a contiguous copy of it and a re-sliced third.
+//!
+//! The binary has its own counting `#[global_allocator]`, so it holds
+//! these two tests and nothing else, and they take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use emulab_checkpoint::emulab::{ExperimentSpec, Testbed};
 use emulab_checkpoint::sim::telemetry::names;
 use emulab_checkpoint::sim::{payload_store_stats, SimDuration};
-use emulab_checkpoint::workloads::{IperfReceiver, IperfSender};
+use emulab_checkpoint::guestos::prog::FileId;
+use emulab_checkpoint::workloads::{FileWriter, IperfReceiver, IperfSender};
 
 /// Calls into the allocator that hand out memory (`alloc`, `alloc_zeroed`,
 /// `realloc`), process-wide. A statistic: `Relaxed` publishes nothing.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes those calls asked for (a `realloc` counts its whole new size:
+/// it may move). A statistic, as above.
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The counters are process-wide and the harness runs tests on parallel
+/// threads: each test holds this for as long as it reads them.
+static TURN: Mutex<()> = Mutex::new(());
 
 struct Counting;
 
@@ -32,18 +48,21 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -72,8 +91,18 @@ const MIN_ALLOCS_PER_EVENT: f64 = 0.10;
 /// Largest share of posts that may box their payload.
 const MAX_BOXED_POST_SHARE: f64 = 0.01;
 
+/// Most bytes one `snapshot` may allocate per byte of image it stores.
+/// The image itself is 1.0 (every chunk is new in this lab); the store's
+/// manifest, chunk index, backend table and capture-cache entry come to
+/// about 0.03 at 4 KiB chunks, and the suspend round's clone of the guest
+/// kernel to a little more. Encoding into a contiguous buffer and then
+/// copying every chunk out of it measured 2.0.
+const MAX_CAPTURE_BYTES_PER_IMAGE_BYTE: f64 = 1.15;
+
 #[test]
 fn per_packet_path_stays_within_its_allocation_budget() {
+    // Nothing the lock guards can be left half-updated by a panic.
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     // The lab exactly as `benchmark/src/scripts.rs::iperf_ckpt` builds it.
     let mut tb = Testbed::new(1, 8);
     let spec = ExperimentSpec::new("ip").node("a").node("b").link(
@@ -143,4 +172,36 @@ fn per_packet_path_stays_within_its_allocation_budget() {
         "{:.2} % of posts boxed their payload: a per-packet message outgrew the inline slot",
         boxed_share * 100.0
     );
+}
+
+#[test]
+fn a_capture_allocates_its_image_once() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // One node, a 16 MiB file written through the guest filesystem: the
+    // node's image is its kernel plus 4,096 block records.
+    let mut tb = Testbed::new(1, 4);
+    tb.swap_in(ExperimentSpec::new("cap").node("n")).expect("swap-in");
+    tb.run_for(SimDuration::from_secs(2));
+    tb.spawn("cap", "n", Box::new(FileWriter::new(FileId(1), 16 << 20)));
+    tb.run_for(SimDuration::from_secs(3));
+
+    let bytes0 = BYTES.load(Ordering::Relaxed);
+    let snap = tb.snapshot("cap", "s");
+    let allocated = BYTES.load(Ordering::Relaxed) - bytes0;
+
+    let stored = tb.experiment("cap").tt.get(snap);
+    let image = stored.logical_bytes;
+    assert!(image > 16 << 20, "the image must hold the file's blocks: {image} bytes");
+    assert_eq!(stored.new_physical_bytes, image, "a first capture stores every chunk");
+    let per_byte = allocated as f64 / image as f64;
+    println!(
+        "alloc_budget: one snapshot allocated {allocated} bytes for a {image}-byte image \
+         = {per_byte:.3} per image byte (budget <= {MAX_CAPTURE_BYTES_PER_IMAGE_BYTE})"
+    );
+    assert!(
+        per_byte <= MAX_CAPTURE_BYTES_PER_IMAGE_BYTE,
+        "{per_byte:.3} bytes allocated per image byte: the capture path is building \
+         the image somewhere other than in the chunks the store keeps"
+    );
+    assert!(per_byte >= 1.0, "{per_byte:.3}: the byte counter is not counting");
 }

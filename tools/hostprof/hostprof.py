@@ -163,4 +163,10 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # `hostprof.py ... | head` closed the pipe: nothing left to say.
+        # Point stdout away so the interpreter's exit flush stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
