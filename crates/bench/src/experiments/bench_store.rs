@@ -84,26 +84,10 @@ impl Rng {
     }
 }
 
-/// The sweep's determinism fingerprint: an FNV-1a-shaped hash over a
-/// byte stream. Its multiplier is *not* the FNV prime (one hex digit
-/// longer), so it is not `fnv1a`; the fingerprints committed in
-/// `BENCH_store.json` pin it as it is.
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn push_u64(&mut self, v: u64) {
-        self.push(&v.to_le_bytes());
+/// Appends words to the fingerprint's byte stream, little-endian.
+fn push_words<const N: usize>(fp: &mut Vec<u8>, words: [u64; N]) {
+    for w in words {
+        fp.extend_from_slice(&w.to_le_bytes());
     }
 }
 
@@ -153,7 +137,8 @@ fn run_sweep(shards: usize, wl: &Workload) -> SweepResult {
     let mut caches: Vec<CaptureCache> = (0..wl.experiments).map(|_| CaptureCache::default()).collect();
     let mut dirt = Rng(SEED.wrapping_mul(0xd134_2543_de82_ef95) | 1);
 
-    let mut fp = Fingerprint::new();
+    // Every observable of the sweep, in order; its FNV-1a is the fingerprint.
+    let mut fp: Vec<u8> = Vec::new();
     let mut commit_us: Vec<f64> = Vec::new();
     let mut prev_ids: Vec<Option<ckptstore::ImageId>> = vec![None; wl.experiments];
     let mut bytes = 0u64;
@@ -182,13 +167,18 @@ fn run_sweep(shards: usize, wl: &Workload) -> SweepResult {
             bytes += r.new_physical_bytes;
             puts += 1;
             replica_acks += r.replica_acks;
-            fp.push_u64(r.image.0 as u64);
-            fp.push_u64(r.new_physical_bytes);
-            fp.push_u64(r.chunks_new);
-            fp.push_u64(r.shards_touched as u64);
-            fp.push_u64(r.replica_acks);
-            fp.push_u64(r.repairs_enqueued);
-            fp.push_u64(timed.commit_at.as_nanos());
+            push_words(
+                &mut fp,
+                [
+                    r.image.0,
+                    r.new_physical_bytes,
+                    r.chunks_new,
+                    r.shards_touched as u64,
+                    r.replica_acks,
+                    r.repairs_enqueued,
+                    timed.commit_at.as_nanos(),
+                ],
+            );
             // Drop the previous epoch's image so refcounts stay bounded
             // and each epoch's residual is against one parent.
             if let Some(old) = prev_ids[e].replace(r.image) {
@@ -204,17 +194,12 @@ fn run_sweep(shards: usize, wl: &Workload) -> SweepResult {
     engine.run_for(REPAIR_PERIOD * 16);
 
     let rs = client.repair_stats();
-    fp.push_u64(rs.enqueued);
-    fp.push_u64(rs.processed);
-    fp.push_u64(rs.healed_copies);
-    fp.push_u64(rs.added_copies);
-    fp.push_u64(rs.quorum_retries);
+    push_words(&mut fp, [rs.enqueued, rs.processed, rs.healed_copies, rs.added_copies, rs.quorum_retries]);
     for t in client.pending_repairs() {
-        fp.push(&t.hash.0.to_le_bytes());
-        fp.push(&[t.copy]);
+        fp.extend_from_slice(&t.hash.0.to_le_bytes());
+        fp.push(t.copy);
     }
-    fp.push_u64(client.physical_bytes());
-    fp.push_u64(client.replica_bytes());
+    push_words(&mut fp, [client.physical_bytes(), client.replica_bytes()]);
 
     let mb_per_sec = bytes as f64 / 1e6 / (makespan_ns as f64 / 1e9);
     SweepResult {
@@ -230,7 +215,7 @@ fn run_sweep(shards: usize, wl: &Workload) -> SweepResult {
         repairs_enqueued: rs.enqueued,
         repairs_done: rs.processed,
         repair_backlog_end: client.repair_backlog() as u64,
-        fingerprint: fp.0,
+        fingerprint: stats::fnv1a(&fp),
     }
 }
 

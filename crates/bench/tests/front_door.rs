@@ -101,9 +101,9 @@ fn a_doctored_bench_file_fails_naming_the_entry() {
     };
     for (from, to, why) in [
         ("\"tcd-bench-store-v1\"", "\"v0\"", "'schema' must be \"tcd-bench-store-v1\""),
-        ("\"sharded-engine\"", "\"\"", "entry 1: missing non-empty 'label'"),
-        ("\"puts\":", "\"putz\":", "entry 1: sweep row 3 missing numeric 'puts'"),
-        ("_shards\": 3.15", "_shards\": 1.9", "entry 1: speedup_4_shards 1.9 below the 2.0 floor"),
+        ("\"striped-content-hash\"", "\"\"", "entry 2: missing non-empty 'label'"),
+        ("\"puts\":", "\"putz\":", "entry 2: sweep row 3 missing numeric 'puts'"),
+        ("_shards\": 3.14", "_shards\": 1.9", "entry 2: speedup_4_shards 1.9 below the 2.0 floor"),
     ] {
         let e = doctored(from, to);
         assert!(e.contains(why), "{e}");
@@ -111,6 +111,6 @@ fn a_doctored_bench_file_fails_naming_the_entry() {
     // append() re-validates before writing: a bad entry never lands.
     std::fs::write(path, &good).unwrap();
     let e = file.append("x", Vec::new(), bench_store::entry_rule).expect_err("bad entry");
-    assert!(e.contains("entry 2: missing numeric 'speedup_4_shards'"), "{e}");
+    assert!(e.contains("entry 3: missing numeric 'speedup_4_shards'"), "{e}");
     assert_eq!(std::fs::read_to_string(path).unwrap(), good);
 }

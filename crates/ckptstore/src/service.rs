@@ -39,7 +39,7 @@ use sim::{Buggify, CounterId, HistogramId, SimTime, Telemetry, TraceTag, TrackId
 
 use crate::backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
 use crate::error::StoreError;
-use crate::hash::{chunk_hash, ChunkHash};
+use crate::hash::{chunk_hash, splitmix64, ChunkHash};
 
 /// Default chunk size. Matches the COW stores' 4 KB block size so an
 /// aligned block record maps 1:1 onto a chunk.
@@ -194,14 +194,6 @@ enum TaskOutcome {
 struct WriteFaults {
     state: u64,
     per_million: u32,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One chunk on its way into the store: a slice of a caller's buffer, or
@@ -1251,5 +1243,44 @@ impl StoreBuilder {
             svc.attach_telemetry(&t, host);
         }
         Ok(crate::StoreClient::from_service(svc))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hash::tests::block_record;
+
+    /// Placement over the addresses of 10,000 block records: every shard
+    /// gets its fair share to within 5 %, and the copies of a chunk land on
+    /// as many distinct shards as there are copies.
+    #[test]
+    fn placement_is_balanced_and_copies_are_spread() {
+        let mut rec = [0u8; 4096];
+        let hashes: Vec<ChunkHash> = (0..10_000u64)
+            .map(|fp| {
+                block_record(fp, &mut rec);
+                chunk_hash(&rec)
+            })
+            .collect();
+        for n in [2, 3, 4, 8] {
+            let mut load = vec![0usize; n];
+            for &h in &hashes {
+                load[shard_of(h, 0, n)] += 1;
+            }
+            let fair = hashes.len() as f64 / n as f64;
+            for (s, &got) in load.iter().enumerate() {
+                let off = (got as f64 - fair).abs() / fair;
+                assert!(off <= 0.05, "{n} shards: shard {s} got {got}, fair share {fair:.0}");
+            }
+            for r in 1..=n.min(4) as u8 {
+                for &h in &hashes {
+                    let mut homes: Vec<usize> = (0..r).map(|c| shard_of(h, c, n)).collect();
+                    homes.sort_unstable();
+                    homes.dedup();
+                    assert_eq!(homes.len(), r as usize, "{r} copies on {n} shards share a shard");
+                }
+            }
+        }
     }
 }

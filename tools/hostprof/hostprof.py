@@ -4,6 +4,7 @@
     hostprof.py FILE                      self and inclusive tables
     hostprof.py FILE --tree ROOT          top-down call tree under ROOT
     hostprof.py FILE --annotate FUNC      per-instruction samples in FUNC
+    hostprof.py A --diff B                A's and B's tables side by side, with deltas
 
 ROOT and FUNC are substrings of demangled names (hashes stripped). Only the
 binutils the image has are used: `nm` for the symbol table, `objdump` for
@@ -87,6 +88,35 @@ def table(title, counts, total, top):
         print(f"{100 * n / total:6.1f}%  {n:7d}  {name}")
 
 
+def diff_table(title, a, ta, b, tb, top):
+    """A's and B's shares and samples per name, the top by either share."""
+    share = lambda counts, total, name: 100 * counts[name] / total
+    names = sorted(set(a) | set(b), key=lambda n: -max(share(a, ta, n), share(b, tb, n)))
+    print(f"\n{title} (A {ta} samples, B {tb} samples)")
+    print(f"{'A':>7} {'B':>7} {'delta':>7}  {'A':>7} {'B':>7} {'delta':>7}  name")
+    for name in names[:top]:
+        sa, sb = share(a, ta, name), share(b, tb, name)
+        print(f"{sa:6.1f}% {sb:6.1f}% {sb - sa:+7.1f}  {a[name]:7d} {b[name]:7d} {b[name] - a[name]:+7d}  {name}")
+
+
+def self_and_inclusive(named):
+    """Leaf counts, and counts of every stack a function appears in."""
+    inclusive = collections.Counter()
+    for f in named:
+        inclusive.update(set(f))
+    return collections.Counter(f[0] for f in named), inclusive
+
+
+def profile(path, exe):
+    """Returns (resolver, raw stacks, named stacks) of one sample file."""
+    maps, stacks = load(path)
+    if not stacks:
+        sys.exit("no samples in " + path)
+    exe = exe or next(m[3] for m in maps if m[3].startswith("/") and ".so" not in m[3])
+    res = Resolver(maps, exe)
+    return res, stacks, [[res.name(a, i == 0) for i, a in enumerate(s)] for s in stacks]
+
+
 def tree(named, root, total, min_pct):
     """Top-down tree of every stack below its outermost frame matching root."""
     node = lambda: {"n": 0, "kids": collections.defaultdict(node)}
@@ -142,24 +172,22 @@ def main():
     ap.add_argument("--tree", metavar="ROOT")
     ap.add_argument("--min-pct", type=float, default=0.5)
     ap.add_argument("--annotate", metavar="FUNC")
+    ap.add_argument("--diff", metavar="B", help="a second sample file (its own executable, from its mappings)")
     args = ap.parse_args()
 
-    maps, stacks = load(args.file)
-    if not stacks:
-        sys.exit("no samples in " + args.file)
-    exe = args.exe or next(m[3] for m in maps if m[3].startswith("/") and ".so" not in m[3])
-    res = Resolver(maps, exe)
+    res, stacks, named = profile(args.file, args.exe)
     total = len(stacks)
     if args.annotate:
         return annotate(res, stacks, args.annotate, total)
-    named = [[res.name(a, i == 0) for i, a in enumerate(s)] for s in stacks]
     if args.tree:
         return tree(named, args.tree, total, args.min_pct)
-    table("self", collections.Counter(f[0] for f in named), total, args.top)
-    inclusive = collections.Counter()
-    for f in named:
-        inclusive.update(set(f))
-    table("inclusive", inclusive, total, args.top)
+    if args.diff:
+        _, b_stacks, b_named = profile(args.diff, None)
+        for title, a, b in zip(("self", "inclusive"), self_and_inclusive(named), self_and_inclusive(b_named)):
+            diff_table(title, a, total, b, len(b_stacks), args.top)
+        return
+    for title, counts in zip(("self", "inclusive"), self_and_inclusive(named)):
+        table(title, counts, total, args.top)
 
 
 if __name__ == "__main__":
