@@ -1,8 +1,11 @@
-//! BENCH-SCALE — throughput of the sharded engine at thousands of nodes.
+//! BENCH-SCALE — the shipped epoch protocol on the sharded engine at
+//! thousands of nodes.
 //!
 //! Builds star topologies through the full stack (`emulab::ExperimentSpec`
-//! → `ScalePlan` → `checkpoint::build_scale_lab`) and sweeps node count ×
-//! shard count, measuring:
+//! → `ScalePlan` → `ScalePlan::build_lab`: the real `Coordinator`, and a
+//! `Participant` on every node) and sweeps node count × shard count. Every
+//! run must commit every round, keep the shadow model clean and conserve
+//! captured bytes (`ScaleLab::check_invariants`). Per row:
 //!
 //! - `events_per_sec` — wall-clock dispatch rate of the (sequential)
 //!   run on this machine;
@@ -13,7 +16,8 @@
 //!   single-core container measures scheduling noise, not the engine.
 //!   `host_cores` is recorded so readers can judge the wall numbers.
 //! - `mb_captured` — dirty state captured across all epochs;
-//! - `fingerprint` — FNV-1a of the merged telemetry CSV, which must be
+//! - `fingerprint` / `trace_fingerprint` — FNV-1a of the merged
+//!   telemetry CSV and of the merged Perfetto export, which must be
 //!   identical across every shard count of the same workload (the runs
 //!   are the same experiment, so this doubles as a determinism gate).
 //!
@@ -22,8 +26,9 @@
 //! Modes:
 //! - default: full sweep, appends one labeled entry to the JSON;
 //! - `--smoke`: the sweep's 1,000-node star at 1 and 4 shards
-//!   (sequential + threaded), fingerprints asserted equal to each other
-//!   and to the latest committed entry's, no JSON write (CI);
+//!   (sequential + threaded), every round committed and the shadow clean,
+//!   fingerprints asserted equal to each other and to the latest
+//!   committed entry's, no JSON write (CI);
 //! - `--check`: validate the committed JSON — schema plus the scale
 //!   gate: latest entry must hold a 1,000-node row pair with ≥2×
 //!   aggregate speedup at 4 shards and matching fingerprints;
@@ -32,7 +37,6 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use checkpoint::{build_scale_lab, ScaleConfig};
 use emulab::{ExperimentSpec, ScalePlan};
 use sim::SimDuration;
 
@@ -60,24 +64,25 @@ struct Row {
     agg_events_per_sec: f64,
     mb_captured: f64,
     speedup_vs_1shard: f64,
-    fingerprint: u64,
+    /// Of the merged telemetry CSV and of the merged Perfetto export.
+    fingerprints: (u64, u64),
 }
 
-/// Star topology of `leaves` nodes via the emulab planner, lowered to a
-/// scale config. Groups ≈ leaves/62 keeps relay fan-out bounded.
-fn star_config(leaves: u32, epochs: u32) -> ScaleConfig {
+/// Rounds per run, and their period.
+const EPOCHS: u32 = 4;
+const EPOCH_PERIOD: SimDuration = SimDuration::from_millis(200);
+
+/// Star topology of `leaves` nodes via the emulab planner: groups of
+/// about 62 nodes, each behind its own edge LAN.
+fn star_plan(leaves: u32) -> ScalePlan {
     let spec = ExperimentSpec::star("bench", leaves, 100_000_000, SimDuration::from_millis(5));
-    let groups = (leaves / 62).max(4);
-    let plan = ScalePlan::from_spec(&spec, groups).expect("star plans");
-    let mut cfg = plan.to_scale_config(SimDuration::from_millis(200), epochs);
-    cfg.gossip_period = SimDuration::from_millis(20);
-    cfg
+    ScalePlan::from_spec(&spec, (leaves / 62).max(4)).expect("star plans")
 }
 
 /// One measured run. `parallel` only changes the execution mode, never
-/// the result — callers assert that via the fingerprint.
-fn run_once(cfg: &ScaleConfig, seed: u64, shards: u32, parallel: bool) -> Row {
-    let mut lab = build_scale_lab(cfg, seed, shards);
+/// the result — callers assert that via the fingerprints.
+fn run_once(plan: &ScalePlan, seed: u64, shards: u32, parallel: bool) -> Row {
+    let mut lab = plan.build_lab(seed, shards, EPOCHS, EPOCH_PERIOD);
     lab.engine.set_parallel(parallel);
     let t0 = Instant::now();
     lab.run();
@@ -88,7 +93,7 @@ fn run_once(cfg: &ScaleConfig, seed: u64, shards: u32, parallel: bool) -> Row {
     let crit_ns = lab.engine.critical_path_ns().max(1);
     Row {
         nodes: o.nodes,
-        groups: cfg.group_sizes.len() as u32,
+        groups: plan.groups.len() as u32,
         shards,
         epochs: o.epochs_committed,
         events: o.events,
@@ -99,15 +104,15 @@ fn run_once(cfg: &ScaleConfig, seed: u64, shards: u32, parallel: bool) -> Row {
         agg_events_per_sec: o.events as f64 / (crit_ns as f64 / 1e9),
         mb_captured: o.bytes_captured as f64 / 1e6,
         speedup_vs_1shard: 1.0, // filled by the sweep
-        fingerprint: o.fingerprint_metrics,
+        fingerprints: (o.fingerprint_metrics, o.fingerprint_trace),
     }
 }
 
 fn print_row(r: &Row) {
     println!(
-        "        {:>6} nodes  S={}  {:>9.0} ev/s wall  {:>10.0} ev/s agg  {:>6.2}x  {:>8.1} MB  fp {:016x}",
+        "        {:>6} nodes  S={}  {:>9.0} ev/s wall  {:>10.0} ev/s agg  {:>6.2}x  {:>8.1} MB  fp {:016x}/{:016x}",
         r.nodes, r.shards, r.events_per_sec, r.agg_events_per_sec, r.speedup_vs_1shard,
-        r.mb_captured, r.fingerprint
+        r.mb_captured, r.fingerprints.0, r.fingerprints.1
     );
 }
 
@@ -126,7 +131,8 @@ fn row_json(r: &Row) -> Json {
         ("agg_events_per_sec".into(), num(r.agg_events_per_sec.round())),
         ("mb_captured".into(), num(r2(r.mb_captured))),
         ("speedup_vs_1shard".into(), num(r2(r.speedup_vs_1shard))),
-        ("fingerprint".into(), Json::Str(format!("{:016x}", r.fingerprint))),
+        ("fingerprint".into(), Json::Str(format!("{:016x}", r.fingerprints.0))),
+        ("trace_fingerprint".into(), Json::Str(format!("{:016x}", r.fingerprints.1))),
     ])
 }
 
@@ -206,51 +212,52 @@ pub fn run(args: &mut Args) -> ExitCode {
         }));
     }
 
-    banner("BENCH-SCALE", "sharded engine throughput at thousands of nodes");
+    banner("BENCH-SCALE", "the shipped epoch protocol on the sharded engine at thousands of nodes");
     println!("  host cores: {}", host_cores());
 
     if smoke {
         // CI smoke: the sweep's 1,000-node star end to end, 1 vs 4
-        // shards, sequential and threaded, fingerprints asserted equal —
-        // to each other, and to the committed one: a change that moves
-        // every layout alike is still a change of the sharded bytes.
+        // shards, sequential and threaded — every round committed, the
+        // shadow clean (`run_once` checks both), fingerprints equal to
+        // each other and to the committed ones: a change that moves every
+        // layout alike is still a change of the sharded bytes.
         let committed = FILE.check(entry_rule).and_then(|entries| {
             let latest = entries.last().expect("check rejects an empty file");
-            Ok(row_1000(latest, 1.0)?.get("fingerprint").cloned())
+            let row = row_1000(latest, 1.0)?;
+            Ok((row.get("fingerprint").cloned(), row.get("trace_fingerprint").cloned()))
         });
         let committed = match committed {
-            Ok(fingerprint) => fingerprint,
+            Ok(fingerprints) => fingerprints,
             Err(e) => return report(Err(e)),
         };
-        let cfg = star_config(1000, 4);
-        println!("  [smoke] 1000-node star, 4 epochs...");
-        let base = run_once(&cfg, 42, 1, false);
+        let plan = star_plan(1000);
+        println!("  [smoke] 1000-node star, {EPOCHS} epochs...");
+        let base = run_once(&plan, 42, 1, false);
         print_row(&base);
-        let mut four = run_once(&cfg, 42, 4, false);
+        let mut four = run_once(&plan, 42, 4, false);
         four.speedup_vs_1shard = four.agg_events_per_sec / base.agg_events_per_sec;
         print_row(&four);
-        let threaded = run_once(&cfg, 42, 4, true);
+        let threaded = run_once(&plan, 42, 4, true);
+        for (r, what) in [(&four, "4-shard"), (&threaded, "threaded 4-shard")] {
+            assert_eq!(r.fingerprints, base.fingerprints, "{what} run diverged from 1-shard");
+        }
+        let hex = |fp: u64| Some(Json::Str(format!("{fp:016x}")));
         assert_eq!(
-            base.fingerprint, four.fingerprint,
-            "4-shard run diverged from 1-shard"
-        );
-        assert_eq!(
-            base.fingerprint, threaded.fingerprint,
-            "threaded 4-shard run diverged"
-        );
-        assert_eq!(
-            Some(Json::Str(format!("{:016x}", base.fingerprint))),
+            (hex(base.fingerprints.0), hex(base.fingerprints.1)),
             committed,
             "run diverged from the latest BENCH_scale.json entry"
         );
-        assert_eq!(base.epochs, 4, "all epochs must commit");
+        assert_eq!(base.epochs, u64::from(EPOCHS), "every round must commit");
         assert!(
             four.speedup_vs_1shard >= 2.0,
             "aggregate speedup {:.2}x below the 2x gate",
             four.speedup_vs_1shard
         );
-        println!("\n  smoke ok: fingerprints identical and as committed, {:.2}x aggregate at 4 shards",
-            four.speedup_vs_1shard);
+        println!(
+            "\n  smoke ok: every round committed, shadow clean, fingerprints identical \
+             and as committed, {:.2}x aggregate at 4 shards",
+            four.speedup_vs_1shard
+        );
         return ExitCode::SUCCESS;
     }
 
@@ -259,24 +266,24 @@ pub fn run(args: &mut Args) -> ExitCode {
     let shard_counts: &[u32] = &[1, 2, 4, 8];
     let mut rows: Vec<Row> = Vec::new();
     for (i, &leaves) in sizes.iter().enumerate() {
-        let cfg = star_config(leaves, 4);
+        let plan = star_plan(leaves);
         println!(
-            "  [{}/{}] {leaves}-node star ({} groups, 4 epochs)...",
+            "  [{}/{}] {leaves}-node star ({} groups, {EPOCHS} epochs)...",
             i + 1,
             sizes.len(),
-            cfg.group_sizes.len()
+            plan.groups.len()
         );
         let mut base_agg = 0.0;
-        let mut base_fp = 0u64;
+        let mut base_fp = (0u64, 0u64);
         for &shards in shard_counts {
-            let mut r = run_once(&cfg, 42, shards, false);
+            let mut r = run_once(&plan, 42, shards, false);
             if shards == 1 {
                 base_agg = r.agg_events_per_sec;
-                base_fp = r.fingerprint;
+                base_fp = r.fingerprints;
             }
             r.speedup_vs_1shard = r.agg_events_per_sec / base_agg;
             assert_eq!(
-                r.fingerprint, base_fp,
+                r.fingerprints, base_fp,
                 "{leaves}-node {shards}-shard run diverged from 1-shard"
             );
             print_row(&r);
@@ -284,8 +291,8 @@ pub fn run(args: &mut Args) -> ExitCode {
         }
         // Threaded cross-check at the widest layout (result must be
         // byte-identical; timing is not recorded on a saturated host).
-        let threaded = run_once(&cfg, 42, *shard_counts.last().unwrap(), true);
-        assert_eq!(threaded.fingerprint, base_fp, "threaded run diverged");
+        let threaded = run_once(&plan, 42, *shard_counts.last().unwrap(), true);
+        assert_eq!(threaded.fingerprints, base_fp, "threaded run diverged");
     }
 
     let entry = vec![

@@ -207,15 +207,15 @@ pub fn run(args: &mut Args) -> ExitCode {
         epochs += out.epochs_checked;
         coord_crashes += out.coord_crashes;
         coord_recoveries += out.coord_recoveries;
-        match out.scale_probe_ok {
-            Some(true) => scale_probes += 1,
-            Some(false) => {
+        match &out.scale_probe_result {
+            Some(Ok(())) => scale_probes += 1,
+            Some(Err(why)) => {
                 scale_probes += 1;
                 scale_failures += 1;
                 let p = out.scenario.scale_probe.expect("probe ran");
                 println!(
-                    "\n  SCALE DIVERGENCE seed={:#x}: {}-node lab differs between \
-                     1 and {} shards ({} groups x {})",
+                    "\n  SCALE PROBE FAILED seed={:#x}: {}-node lab at 1 and {} shards \
+                     ({} groups x {}): {why}",
                     seed,
                     p.nodes(),
                     p.shards,
@@ -250,8 +250,8 @@ pub fn run(args: &mut Args) -> ExitCode {
         coord_crashes, coord_recoveries
     );
     println!(
-        "scale probes: {scale_probes} run, {scale_failures} diverged \
-         (1-shard vs N-shard fingerprints)"
+        "scale probes: {scale_probes} run, {scale_failures} failed \
+         (lab invariants and shadow, 1-shard vs N-shard fingerprints)"
     );
     if failures == 0 && scale_failures == 0 {
         println!("shadow model: clean across all iterations");
@@ -261,7 +261,7 @@ pub fn run(args: &mut Args) -> ExitCode {
             println!("shadow model: {failures} violating iteration(s) — traces under results/");
         }
         if scale_failures > 0 {
-            println!("sharded engine: {scale_failures} divergent scale probe(s)");
+            println!("scale lab: {scale_failures} failed scale probe(s)");
         }
         ExitCode::FAILURE
     }

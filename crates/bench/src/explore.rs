@@ -20,6 +20,7 @@ use checkpoint::{
     TriggerMode, Wal, WalRecord,
 };
 use checkpoint::{shadow, BusMsg, BUS_MSG_BYTES};
+use emulab::{ExperimentSpec, ScalePlan};
 use hwsim::{ControlLan, Endpoint, Frame, IfaceId, LanTransmit, LinkDeliver, NodeAddr};
 use sim::telemetry::names;
 use sim::{
@@ -62,9 +63,10 @@ pub struct CoordCrashPlan {
     pub downtime_ms: u64,
 }
 
-/// Occasional cross-shard determinism probe riding an iteration: a
-/// ≥64-node scale lab run at 1 shard and at `shards` shards, whose
-/// merged-telemetry fingerprints must match byte for byte.
+/// Occasional cross-shard probe riding an iteration: a ≥64-node scale lab
+/// run at 1 shard and at `shards` shards, each held to the lab's
+/// invariants (every round committed, a clean shadow, conserved bytes),
+/// whose merged fingerprints must match byte for byte.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleProbePlan {
     pub groups: u32,
@@ -327,10 +329,10 @@ pub struct IterationOutcome {
     /// Telemetry metrics snapshot (counters/gauges/histograms CSV) at
     /// the end of the run.
     pub metrics_csv: String,
-    /// `Some(true)` when the scenario carried a scale probe and the
-    /// 1-shard and N-shard fingerprints matched; `Some(false)` on
-    /// divergence; `None` when the scenario drew no probe.
-    pub scale_probe_ok: Option<bool>,
+    /// The scale probe's verdict: `Err` names a broken invariant (a
+    /// shadow violation among them) or a 1-shard vs N-shard divergence;
+    /// `None` when the scenario drew no probe.
+    pub scale_probe_result: Option<Result<(), String>>,
 }
 
 impl IterationOutcome {
@@ -518,24 +520,7 @@ pub fn run_iteration(scenario: &Scenario, sabotage: bool) -> IterationOutcome {
     shadow_state.finish();
     let violations = shadow_state.violations().to_vec();
 
-    // The scale probe runs outside the iteration's engine: the same
-    // ≥64-node lab at 1 shard and at the drawn layout, compared by
-    // merged-telemetry fingerprint.
-    let scale_probe_ok = s.scale_probe.map(|p| {
-        let mut cfg = checkpoint::ScaleConfig::uniform(p.groups, p.per_group);
-        cfg.epochs = p.epochs;
-        let run_lab = |shards: u32| {
-            let mut lab = checkpoint::build_scale_lab(&cfg, s.seed, shards);
-            lab.run();
-            lab.check_invariants()
-                .map(|()| lab.outcome())
-                .map_err(|e| format!("shards {shards}: {e}"))
-        };
-        match (run_lab(1), run_lab(p.shards)) {
-            (Ok(a), Ok(b)) => a == b,
-            _ => false,
-        }
-    });
+    let scale_probe_result = s.scale_probe.map(|p| run_scale_probe(p, s.seed));
 
     IterationOutcome {
         scenario: scenario.clone(),
@@ -549,7 +534,25 @@ pub fn run_iteration(scenario: &Scenario, sabotage: bool) -> IterationOutcome {
         violations,
         wal_records: wal.replay(),
         metrics_csv: e.telemetry().to_csv(),
-        scale_probe_ok,
+        scale_probe_result,
+    }
+}
+
+/// The scale probe, outside the iteration's engine: the real protocol on
+/// a `groups` × `per_group` star at 1 shard and at the drawn layout.
+fn run_scale_probe(p: ScaleProbePlan, seed: u64) -> Result<(), String> {
+    let spec = ExperimentSpec::star("probe", p.nodes(), 100_000_000, SimDuration::from_millis(5));
+    let plan = ScalePlan::from_spec(&spec, p.groups).map_err(|e| e.to_string())?;
+    let run_lab = |shards: u32| {
+        let mut lab = plan.build_lab(seed, shards, p.epochs, SimDuration::from_millis(200));
+        lab.run();
+        lab.check_invariants().map_err(|e| format!("{shards} shard(s): {e}"))?;
+        Ok::<_, String>(lab.outcome())
+    };
+    if run_lab(1)? == run_lab(p.shards)? {
+        Ok(())
+    } else {
+        Err(format!("fingerprints differ between 1 and {} shards", p.shards))
     }
 }
 
@@ -606,8 +609,8 @@ mod tests {
     #[test]
     fn scale_probe_draws_and_passes() {
         // Find a seed that draws a probe (p = 0.15, so a handful of
-        // tries suffices) and check the probe's guarantees: ≥64 nodes,
-        // and a passing 1-vs-N-shard fingerprint comparison.
+        // tries suffices) and check the probe's guarantees: ≥64 nodes, the
+        // lab's invariants, and a passing 1-vs-N-shard comparison.
         let seed = (0..64)
             .find(|&s| Scenario::derive(s, None).scale_probe.is_some())
             .expect("some seed in 0..64 draws a probe");
@@ -616,17 +619,13 @@ mod tests {
         assert!(p.nodes() >= 64, "probe labs must be at least 64 nodes");
         assert!(p.shards == 2 || p.shards == 4);
         let out = run_iteration(&s, false);
-        assert_eq!(
-            out.scale_probe_ok,
-            Some(true),
-            "seed {seed:#x}: scale probe diverged"
-        );
+        assert_eq!(out.scale_probe_result, Some(Ok(())), "seed {seed:#x}");
         // Seeds without a probe report None, not a pass.
         let bare = (0..64)
             .find(|&s| Scenario::derive(s, None).scale_probe.is_none())
             .expect("some seed in 0..64 skips the probe");
         assert!(run_iteration(&Scenario::derive(bare, None), false)
-            .scale_probe_ok
+            .scale_probe_result
             .is_none());
     }
 

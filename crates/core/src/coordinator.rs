@@ -14,6 +14,7 @@
 //! against), because scheduled checkpoints only make sense relative to the
 //! clock the nodes chase.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use clocksync::{NtpRequest, NtpServer};
@@ -22,8 +23,8 @@ use sim::buggify;
 use sim::buggify::points as buggify_points;
 use sim::telemetry::names;
 use sim::{
-    ActiveSpan, Component, ComponentId, CounterId, Ctx, HistogramId, Payload, SimDuration,
-    SimTime, SpanId, TraceCtx, TraceTag, TrackId,
+    ActiveSpan, Component, ComponentId, CounterId, Ctx, HistogramId, IntMap, Payload,
+    SimDuration, SimTime, SpanId, TraceCtx, TraceTag, TrackId,
 };
 
 use crate::bus::{BusMsg, BUS_MSG_BYTES};
@@ -285,6 +286,7 @@ impl CoordinatorBuilder {
             clock: HardwareClock::new(0, 0.0),
             ntp: NtpServer,
             members: Vec::new(),
+            by_addr: IntMap::default(),
             epoch: 0,
             pending: HashMap::new(),
             mode: self.mode,
@@ -310,8 +312,11 @@ pub struct Coordinator {
     lan: ComponentId,
     clock: HardwareClock,
     ntp: NtpServer,
-    /// Member → group.
+    /// Member → group, in subscription order (the publish order).
     members: Vec<(NodeAddr, GroupId)>,
+    /// The same pairs by address: every ack and done report looks its
+    /// sender up here, and a scan made a 10,000-node round quadratic.
+    by_addr: IntMap<NodeAddr, GroupId>,
     epoch: u64,
     /// In-flight rounds by group.
     pending: HashMap<GroupId, Round>,
@@ -520,21 +525,21 @@ impl Coordinator {
 
     /// Subscribes a node to the bus in `group`.
     pub fn subscribe_in(&mut self, node: NodeAddr, group: GroupId) {
-        if !self.members.iter().any(|&(n, _)| n == node) {
+        if let Entry::Vacant(slot) = self.by_addr.entry(node) {
+            slot.insert(group);
             self.members.push((node, group));
         }
     }
 
     /// Unsubscribes a node (swap-out teardown).
     pub fn unsubscribe(&mut self, node: NodeAddr) {
-        self.members.retain(|&(n, _)| n != node);
+        if self.by_addr.remove(&node).is_some() {
+            self.members.retain(|&(n, _)| n != node);
+        }
     }
 
     fn group_of(&self, node: NodeAddr) -> Option<GroupId> {
-        self.members
-            .iter()
-            .find(|&&(n, _)| n == node)
-            .map(|&(_, g)| g)
+        self.by_addr.get(&node).copied()
     }
 
     /// The coordinator's control address.
@@ -1437,6 +1442,13 @@ impl Coordinator {
     }
 }
 
+// The scale lab runs the coordinator on a shard of the sharded engine,
+// which takes only `Send` components.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<Coordinator>();
+};
+
 impl Component for Coordinator {
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         if self.crashed {
@@ -1683,6 +1695,25 @@ mod tests {
         for &n in &nodes {
             assert_eq!(e.component_ref::<FakeNode>(n).unwrap().resumed, 1);
         }
+    }
+
+    #[test]
+    fn resubscribed_member_is_found_again_and_only_once() {
+        let (mut e, coord, nodes) = rig(&[5, 5, 5]);
+        e.with_component::<Coordinator, _>(coord, |c, _| {
+            c.unsubscribe(NodeAddr(2));
+            c.unsubscribe(NodeAddr(1));
+            c.subscribe(NodeAddr(2));
+            c.subscribe(NodeAddr(2)); // Already a member: no-op.
+        });
+        e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
+        e.run_for(SimDuration::from_millis(100));
+        let c = e.component_ref::<Coordinator>(coord).unwrap();
+        assert_eq!(c.records[0].outcome, Some(EpochOutcome::Committed));
+        assert_eq!(c.records[0].captured_bytes, 2 << 20, "nodes 2 and 3, once each");
+        let notified: Vec<u64> =
+            nodes.iter().map(|&n| e.component_ref::<FakeNode>(n).unwrap().notified).collect();
+        assert_eq!(notified, [0, 1, 1]);
     }
 
     #[test]

@@ -67,10 +67,6 @@ pub struct DelayNodeStats {
     pub forwarded: u64,
     pub checkpoints: u64,
     pub logged_in_flight: u64,
-    /// Epochs rolled back on coordinator abort (mirrors the participant).
-    pub aborted: u64,
-    /// Suspensions released by the watchdog (mirrors the participant).
-    pub watchdog_releases: u64,
 }
 
 /// A delay node participating in coordinated checkpoints: the epoch
@@ -303,7 +299,11 @@ impl DelayNodeHost {
         }
     }
 
-    /// Runs one participant entry point over this node's hooks.
+    /// Runs one participant entry point over this node's hooks. Out of
+    /// line: inlined, the control path grew `handle`, which every packet
+    /// goes through, from 2.4 to 3.7 KiB, and `iperf_ckpt` ran ~3 % slower
+    /// (10 of 10 alternating pairs).
+    #[inline(never)]
     fn drive(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -311,8 +311,6 @@ impl DelayNodeHost {
     ) {
         let mut p = self.participant;
         f(&mut p, &mut DnIo { node: self, ctx });
-        self.stats.aborted = p.aborted;
-        self.stats.watchdog_releases = p.watchdog_releases;
         self.participant = p;
     }
 

@@ -19,6 +19,8 @@
 //! - [`DelayNodeHost`] — the hook table over the network core: Dummynet
 //!   suspension, non-destructive serialization, and time-virtualized
 //!   resume (§4.4);
+//! - [`ScaleNode`] — the hook table of the many-node scale lab
+//!   (`emulab::ScaleLab`): a few self-posted capture steps and gossip;
 //! - [`Strategy`] — the runnable baselines (event-driven triggering,
 //!   non-concealing stop-and-copy) the evaluation compares against.
 //!
@@ -34,7 +36,7 @@ mod coordinator;
 mod delaynode;
 pub mod modelcheck;
 mod participant;
-pub mod scale;
+mod scalenode;
 pub mod shadow;
 pub mod wal;
 
@@ -47,6 +49,6 @@ pub use coordinator::{
 };
 pub use delaynode::{DelayNodeHost, DelayNodeStats, OutPort};
 pub use participant::{NodeHooks, Participant};
-pub use scale::{build_scale_lab, ScaleConfig, ScaleLab, ScaleOutcome};
+pub use scalenode::{ScaleMsg, ScaleNode, GOSSIP_PERIOD};
 pub use shadow::{ShadowEpochState, ShadowOutcome, ShadowViolation};
 pub use wal::{MemWalStore, Wal, WalRecord, WalStore};

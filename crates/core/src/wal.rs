@@ -17,8 +17,7 @@
 //! makes with its `ChunkBackend` trait — in-mem plus an append-only
 //! segment log); the in-sim default is [`MemWalStore`].
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ckptstore::{Dec, DecodeError, Enc};
 
@@ -356,9 +355,11 @@ impl WalStore for MemWalStore {
 /// Cheap-clone handle to a [`WalStore`], mirroring the `Buggify` and
 /// `Telemetry` handle idiom: the testbed owns one, the coordinator holds
 /// a clone, and the log therefore survives a coordinator crash/restart.
+/// The handle is `Send` so a coordinator can run on a shard of the
+/// sharded engine; nothing contends for the lock.
 #[derive(Clone)]
 pub struct Wal {
-    store: Rc<RefCell<dyn WalStore>>,
+    store: Arc<Mutex<dyn WalStore + Send>>,
 }
 
 impl Wal {
@@ -368,13 +369,17 @@ impl Wal {
     }
 
     /// A WAL over a caller-provided store.
-    pub fn with_store<S: WalStore + 'static>(store: S) -> Self {
-        Wal { store: Rc::new(RefCell::new(store)) }
+    pub fn with_store<S: WalStore + Send + 'static>(store: S) -> Self {
+        Wal { store: Arc::new(Mutex::new(store)) }
+    }
+
+    fn store(&self) -> MutexGuard<'_, dyn WalStore + Send + 'static> {
+        self.store.lock().expect("wal lock poisoned")
     }
 
     /// Appends one record.
     pub fn append(&self, rec: &WalRecord) {
-        self.store.borrow_mut().append(rec.encode());
+        self.store().append(rec.encode());
     }
 
     /// Decodes the whole log, in append order.
@@ -384,8 +389,7 @@ impl Wal {
     /// Panics on a corrupt frame: the WAL is the recovery source of
     /// truth, and in the simulation a decode failure is always a bug.
     pub fn replay(&self) -> Vec<WalRecord> {
-        self.store
-            .borrow()
+        self.store()
             .frames()
             .iter()
             .map(|f| WalRecord::decode(f).expect("corrupt wal frame"))
@@ -394,28 +398,28 @@ impl Wal {
 
     /// Number of records appended.
     pub fn len(&self) -> usize {
-        self.store.borrow().len()
+        self.store().len()
     }
 
     /// True when nothing was ever appended.
     pub fn is_empty(&self) -> bool {
-        self.store.borrow().is_empty()
+        self.store().is_empty()
     }
 
     /// Total encoded bytes.
     pub fn byte_len(&self) -> usize {
-        self.store.borrow().byte_len()
+        self.store().byte_len()
     }
 
     /// Discards the log (experiment teardown).
     pub fn clear(&self) {
-        self.store.borrow_mut().clear();
+        self.store().clear();
     }
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.store.borrow();
+        let s = self.store();
         f.debug_struct("Wal")
             .field("records", &s.len())
             .field("bytes", &s.byte_len())

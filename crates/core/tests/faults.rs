@@ -88,7 +88,7 @@ fn abort_path_is_deterministic() {
         let coord = lab.e.component_ref::<Coordinator>(lab.coord).unwrap();
         assert_eq!(unresolved(coord), 0);
         let dn = lab.e.component_ref::<DelayNodeHost>(lab.dn).unwrap();
-        assert!(dn.stats.aborted >= 1, "the delay node rolled back too");
+        assert!(dn.participant.aborted >= 1, "the delay node rolled back too");
         let b = lab.e.component_ref::<VmHost>(lab.host_b).unwrap();
         let a = lab.e.component_ref::<VmHost>(lab.host_a).unwrap();
         (

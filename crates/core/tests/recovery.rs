@@ -151,7 +151,7 @@ fn watchdog_releases_suspension_orphaned_by_coordinator_crash() {
     {
         let d = lab.e.component_ref::<DelayNodeHost>(dn).unwrap();
         assert_eq!(
-            d.stats.watchdog_releases, 1,
+            d.participant.watchdog_releases, 1,
             "the watchdog did not release the orphaned suspension"
         );
         assert!(
@@ -174,7 +174,7 @@ fn watchdog_releases_suspension_orphaned_by_coordinator_crash() {
     let (committed, _, _) = c.outcome_counts();
     assert!(committed >= 1, "no commits after recovery");
     let d = lab.e.component_ref::<DelayNodeHost>(dn).unwrap();
-    assert_eq!(d.stats.watchdog_releases, 1, "watchdog fired on a live round");
+    assert_eq!(d.participant.watchdog_releases, 1, "watchdog fired on a live round");
     assert!(d.stats.checkpoints >= 1, "delay node never checkpointed again");
 
     let events = lab.e.telemetry().trace_events();
@@ -196,7 +196,7 @@ fn watchdog_is_silent_on_healthy_rounds() {
 
     let d = lab.e.component_ref::<DelayNodeHost>(lab.dn).unwrap();
     assert!(d.stats.checkpoints >= 3, "rounds ran");
-    assert_eq!(d.stats.watchdog_releases, 0, "spurious watchdog release");
+    assert_eq!(d.participant.watchdog_releases, 0, "spurious watchdog release");
     let c = lab.e.component_ref::<Coordinator>(coord).unwrap();
     assert_eq!(c.crash_count(), 0);
     assert_eq!(unresolved(c), 0);

@@ -25,7 +25,7 @@ mod timetravel;
 
 pub use errors::{SpecError, SwapError, TestbedError};
 pub use services::FileServer;
-pub use sharding::{PlanError, ScalePlan};
+pub use sharding::{PlanError, ScaleLab, ScaleOutcome, ScalePlan};
 pub use spec::{ExperimentSpec, LanSpec, LinkSpec, NodeSpec};
 pub use swap::{NodeState, SwapInReport, SwapInWarning, SwapOutReport, SwappedExperiment};
 pub use testbed::{

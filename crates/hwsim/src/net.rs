@@ -11,7 +11,10 @@ use std::sync::Arc;
 
 use sim::buggify;
 use sim::buggify::points as bg_points;
-use sim::{transmission_time, Component, ComponentId, Ctx, FaultPlan, Payload, SimDuration, SimRng, SimTime};
+use sim::{
+    transmission_time, Component, ComponentId, Ctx, FaultPlan, IntMap, Payload, SimDuration,
+    SimRng, SimTime,
+};
 
 /// A testbed-wide interface address (plays the role of a MAC address).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -193,7 +196,11 @@ pub struct ControlLan {
     port_bps: u64,
     base_latency: SimDuration,
     jitter_mean: SimDuration,
+    /// Members in attach order (the broadcast order), beside the address
+    /// → position index every frame looks its source and destination up
+    /// in: a scan made a 10,000-node LAN quadratic.
     members: Vec<(NodeAddr, Endpoint)>,
+    index: IntMap<NodeAddr, usize>,
     busy_until: Vec<SimTime>,
     /// Frames with no matching destination member.
     pub undeliverable: u64,
@@ -225,6 +232,7 @@ impl ControlLan {
             base_latency,
             jitter_mean,
             members: Vec::new(),
+            index: IntMap::default(),
             busy_until: Vec::new(),
             undeliverable: 0,
             faults: None,
@@ -250,24 +258,25 @@ impl ControlLan {
 
     /// Attaches a member with the given address.
     pub fn attach(&mut self, addr: NodeAddr, ep: Endpoint) {
-        assert!(
-            self.members.iter().all(|(a, _)| *a != addr),
-            "duplicate LAN address {addr:?}"
-        );
+        let prev = self.index.insert(addr, self.members.len());
+        assert!(prev.is_none(), "duplicate LAN address {addr:?}");
         self.members.push((addr, ep));
         self.busy_until.push(SimTime::ZERO);
     }
 
     /// Detaches a member (e.g. experiment swap-out).
     pub fn detach(&mut self, addr: NodeAddr) {
-        if let Some(i) = self.members.iter().position(|(a, _)| *a == addr) {
+        if let Some(i) = self.index.remove(&addr) {
             self.members.remove(i);
             self.busy_until.remove(i);
+            for (a, _) in &self.members[i..] {
+                *self.index.get_mut(a).expect("every member is indexed") -= 1;
+            }
         }
     }
 
     fn member_index(&self, addr: NodeAddr) -> Option<usize> {
-        self.members.iter().position(|(a, _)| *a == addr)
+        self.index.get(&addr).copied()
     }
 }
 
@@ -520,6 +529,41 @@ mod tests {
         assert_eq!(e.component_ref::<Sink>(s1).unwrap().got.len(), 1, "s1: broadcast only");
         assert_eq!(e.component_ref::<Sink>(s2).unwrap().got.len(), 2, "s2: unicast + broadcast");
         assert_eq!(e.component_ref::<Sink>(s3).unwrap().got.len(), 0, "s3 sent the broadcast");
+    }
+
+    #[test]
+    fn lan_index_survives_detaching_a_middle_member() {
+        let mut e = Engine::new(2);
+        let sinks: Vec<ComponentId> =
+            (0..4).map(|_| e.add_component(Box::new(Sink { got: vec![] }))).collect();
+        let ep = |i: usize| Endpoint { component: sinks[i], iface: IfaceId(i as u8) };
+        let mut lan = ControlLan::new(100_000_000, SimDuration::ZERO, SimDuration::from_nanos(1));
+        for i in 0..3 {
+            lan.attach(NodeAddr(i as u32 + 1), ep(i));
+        }
+        // Out goes 2, in comes 4; then 2 is back, on a new endpoint.
+        lan.detach(NodeAddr(2));
+        lan.attach(NodeAddr(4), ep(3));
+        lan.attach(NodeAddr(2), ep(1));
+        lan.detach(NodeAddr(9)); // Not a member: no-op.
+        let lan = e.add_component(Box::new(lan));
+        for (src, dst) in [(1, 3), (3, 4), (4, 2), (2, 1), (1, u32::MAX)] {
+            e.post(lan, SimDuration::ZERO, LanTransmit {
+                frame: Frame::new(NodeAddr(src), NodeAddr(dst), 100, src),
+            });
+        }
+        e.run_to_completion();
+        // Per sink: the sources it heard from, in arrival order.
+        let heard = |i: usize| -> Vec<u32> {
+            let got = &e.component_ref::<Sink>(sinks[i]).unwrap().got;
+            assert!(got.iter().all(|(_, iface, _)| *iface == IfaceId(i as u8)));
+            got.iter().map(|(_, _, f)| *f.payload::<u32>().unwrap()).collect()
+        };
+        assert_eq!(heard(0), [2], "node 1: unicast from 2, not its own broadcast");
+        assert_eq!(heard(1), [4, 1], "node 2: unicast from 4, then the broadcast");
+        assert_eq!(heard(2), [1, 1], "node 3: unicast from 1, then the broadcast");
+        assert_eq!(heard(3), [3, 1], "node 4: unicast from 3, then the broadcast");
+        assert_eq!(e.component_ref::<ControlLan>(lan).unwrap().undeliverable, 0);
     }
 
     #[test]

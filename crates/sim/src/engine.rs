@@ -368,6 +368,16 @@ impl Engine {
         self.inner.now = end;
     }
 
+    /// Stamps the trace records of the next driver call
+    /// (`ShardedEngine::with_component`) with the next driver key, the key
+    /// a driver post would get: left alone they would carry the key of the
+    /// shard's last dispatched event, which depends on the layout.
+    pub(crate) fn stamp_driver_call(&mut self) {
+        let link = self.inner.link.as_ref().expect("stamp_driver_call on a plain engine");
+        let seq = link.driver_seq.fetch_add(1, Ordering::Relaxed);
+        self.inner.telemetry.set_trace_order(((DRIVER.0 as u64) << 32) | seq as u64);
+    }
+
     /// Appends this window's posts to other shards to their mailboxes
     /// (uncontended in sequential mode; one lock per destination shard
     /// per window in threaded mode).

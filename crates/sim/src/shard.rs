@@ -19,7 +19,7 @@
 //!
 //! This module is only that driver: windows, mailboxes, threads, the
 //! merged telemetry view and critical-path accounting. Components are
-//! plain [`Component`]s handed a plain [`Ctx`](crate::Ctx), addressed by
+//! plain [`Component`]s handed a plain [`Ctx`], addressed by
 //! ids that are global to the sharded engine.
 //!
 //! # Determinism across shard counts
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
-use crate::engine::{Component, Engine, RemoteMsg, DRIVER};
+use crate::engine::{Component, Ctx, Engine, RemoteMsg, DRIVER};
 use crate::event::ComponentId;
 use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
@@ -359,6 +359,26 @@ impl ShardedEngine {
         let shard = *self.owner.get(id.0 as usize)?;
         self.shards[shard as usize].engine.component_mut(id)
     }
+
+    /// Runs a closure against a component with a live [`Ctx`] between
+    /// windows, as [`Engine::with_component`] does. Its posts are the
+    /// component's own (keyed and bounded by the lookahead as from a
+    /// handler); its trace records are stamped like a driver post. Like
+    /// registration, the driver must make the same calls in the same order
+    /// under every layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the component does not exist or has the wrong type.
+    pub fn with_component<T: Component, R>(
+        &mut self,
+        id: ComponentId,
+        f: impl FnOnce(&mut T, &mut Ctx<'_>) -> R,
+    ) -> R {
+        let engine = &mut self.shards[self.owner[id.0 as usize] as usize].engine;
+        engine.stamp_driver_call();
+        engine.with_component(id, f)
+    }
 }
 
 #[cfg(test)]
@@ -660,6 +680,61 @@ mod tests {
             (m.to_csv(), m.trace_to_csv(), m.trace_to_perfetto())
         };
         let base = run(1, false);
+        assert_eq!(run(2, false), base);
+        assert_eq!(run(3, false), base);
+        assert_eq!(run(3, true), base);
+    }
+
+    #[test]
+    fn driver_calls_are_layout_blind() {
+        // Between windows the driver pokes a node as the scale lab's ops
+        // loop does: a trace record for an instant another node's event
+        // is due at, and a post from the poked node. Exports must not
+        // depend on which shard ran what last.
+        struct Node {
+            peer: Option<ComponentId>,
+            pokes: u32,
+        }
+        impl Component for Node {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+                let v = payload.downcast::<u64>().expect("u64");
+                let t = ctx.telemetry();
+                let track = t.track(ctx.self_id().0, "node");
+                t.trace_instant(track, t.trace_tag("hop"), ctx.now(), v as i64);
+                if let (Some(peer), true) = (self.peer, v < 40) {
+                    ctx.post(peer, SimDuration::from_millis(3), v + 1);
+                }
+            }
+            crate::component_boilerplate!();
+        }
+        let run = |shards: u32, parallel: bool| -> (String, Vec<u32>) {
+            let mut e = ShardedEngine::new(5, shards, SimDuration::from_millis(3));
+            let ids: Vec<ComponentId> = (0..3)
+                .map(|i| e.add_component_on(i % shards, Box::new(Node { peer: None, pokes: 0 })))
+                .collect();
+            for (i, &id) in ids.iter().enumerate() {
+                e.component_mut::<Node>(id).unwrap().peer = Some(ids[(i + 1) % 3]);
+            }
+            e.set_parallel(parallel);
+            e.post(ids[0], SimDuration::ZERO, 0u64);
+            for ms in [9, 24, 48] {
+                e.run_until(SimTime::from_nanos(ms * 1_000_000));
+                for &id in &ids {
+                    e.with_component::<Node, _>(id, |n, ctx| {
+                        n.pokes += 1;
+                        let t = ctx.telemetry();
+                        let track = t.track(ctx.self_id().0, "node");
+                        t.trace_instant(track, t.trace_tag("poke"), ctx.now(), ms as i64);
+                        ctx.post(n.peer.unwrap(), SimDuration::from_millis(3), 100u64);
+                    });
+                }
+            }
+            e.run_until(SimTime::from_nanos(100 * 1_000_000));
+            let pokes = ids.iter().map(|&id| e.component_ref::<Node>(id).unwrap().pokes).collect();
+            (e.merged_telemetry().trace_to_csv(), pokes)
+        };
+        let base = run(1, false);
+        assert_eq!(base.1, [3, 3, 3]);
         assert_eq!(run(2, false), base);
         assert_eq!(run(3, false), base);
         assert_eq!(run(3, true), base);

@@ -36,6 +36,16 @@ pub const COORD_CRASHES: &str = "coordinator.crashes";
 pub const COORD_RECOVERIES: &str = "coordinator.recoveries";
 
 // ---------------------------------------------------------------------
+// Scale-lab nodes (core crate).
+// ---------------------------------------------------------------------
+
+/// Counter: image bytes the nodes captured (the coordinator's
+/// `captured_bytes` must equal it when every round commits).
+pub const SCALE_NODE_BYTES: &str = "scale.node.bytes";
+/// Counter: gossip frames the nodes received.
+pub const SCALE_NODE_PINGS: &str = "scale.node.pings";
+
+// ---------------------------------------------------------------------
 // VmHost (vmm crate).
 // ---------------------------------------------------------------------
 

@@ -257,7 +257,6 @@ fn full_stack_determinism() {
 /// `BENCH_scale.json` entry records, on one shard and on four.
 #[test]
 fn scale_star_reproduces_the_committed_fingerprint() {
-    use emulab_checkpoint::checkpoint::build_scale_lab;
     use emulab_checkpoint::emulab::ScalePlan;
 
     let committed = include_str!("../BENCH_scale.json");
@@ -268,14 +267,12 @@ fn scale_star_reproduces_the_committed_fingerprint() {
 
     let spec = ExperimentSpec::star("bench", 1000, 100_000_000, SimDuration::from_millis(5));
     let plan = ScalePlan::from_spec(&spec, 1000 / 62).expect("star plans");
-    let mut cfg = plan.to_scale_config(SimDuration::from_millis(200), 4);
-    cfg.gossip_period = SimDuration::from_millis(20);
     for shards in [1, 4] {
-        let mut lab = build_scale_lab(&cfg, 42, shards);
+        let mut lab = plan.build_lab(42, shards, 4, SimDuration::from_millis(200));
         lab.run();
-        lab.check_invariants().expect("every epoch commits");
+        lab.check_invariants().expect("every round commits, the shadow is clean");
         let o = lab.outcome();
-        assert_eq!(o.events, 131_574, "S = {shards}");
+        assert_eq!(o.events, 205_505, "S = {shards}");
         assert_eq!(format!("{:016x}", o.fingerprint_metrics), want, "S = {shards}");
     }
 }
