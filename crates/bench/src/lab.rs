@@ -5,15 +5,16 @@
 use std::sync::Arc;
 
 use checkpoint::{
-    CheckpointAgent, Coordinator, DelayNodeHost, FailurePolicy, OutPort, Strategy, TriggerMode,
+    splice_shaped_link, CheckpointAgent, Coordinator, DelayNodeHost, FailurePolicy, Strategy,
+    TriggerMode,
 };
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use emulab::{ExperimentSpec, Testbed};
 use guestos::{Kernel, KernelConfig};
-use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
+use hwsim::{ControlLan, Endpoint, IfaceId, NodeAddr, Pc3000};
 use sim::{ComponentId, Engine, FaultPlan, SimDuration};
-use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
+use vmm::{VmHost, VmHostConfig, VmmTuning};
 use workloads::{IperfReceiver, IperfSender};
 
 /// Knobs the ablation studies turn.
@@ -167,39 +168,26 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
     let dn = e.add_component(Box::new(DelayNodeHost::new(
         dn_addr, lan_id, ops_addr, 1_000_000, 15.0,
     )));
-    let link_a = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_a, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(1) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-    let link_b = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_b, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(2) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
     let shape = PipeConfig {
         bandwidth_bps: Some(1_000_000_000),
         delay: SimDuration::from_micros(100),
         plr: 0.0,
         queue_slots: 512,
     };
-    e.with_component::<DelayNodeHost, _>(dn, |d, _| {
-        if cfg.faults.is_some() {
+    splice_shaped_link(
+        &mut e,
+        dn,
+        (host_a, a_addr),
+        (host_b, b_addr),
+        1_000_000_000,
+        SimDuration::from_micros(5),
+        shape,
+    );
+    if cfg.faults.is_some() {
+        e.with_component::<DelayNodeHost, _>(dn, |d, _| {
             d.participant.done_resend = Some(SimDuration::from_millis(100));
-        }
-        d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
-        d.add_path(IfaceId(2), shape, OutPort { link: link_a, end: 1 });
-    });
-    e.with_component::<VmHost, _>(host_a, |h, _| {
-        h.add_exp_route(b_addr, ExpPort::LinkEnd { link: link_a, end: 0 });
-    });
-    e.with_component::<VmHost, _>(host_b, |h, _| {
-        h.add_exp_route(a_addr, ExpPort::LinkEnd { link: link_b, end: 0 });
-    });
+        });
+    }
     e.with_component::<ControlLan, _>(lan_id, |l, _| {
         l.attach(ops_addr, Endpoint { component: coord, iface: IfaceId::CONTROL });
         l.attach(a_addr, Endpoint { component: host_a, iface: IfaceId::CONTROL });

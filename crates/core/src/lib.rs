@@ -47,7 +47,7 @@ pub use coordinator::{
     Coordinator, CoordinatorBuilder, EpochOutcome, EpochRecord, FailurePolicy, GroupId,
     TriggerMode,
 };
-pub use delaynode::{DelayNodeHost, DelayNodeStats, OutPort};
+pub use delaynode::{splice_shaped_link, DelayNodeHost, DelayNodeStats};
 pub use participant::{NodeHooks, Participant};
 pub use scalenode::{ScaleMsg, ScaleNode, GOSSIP_PERIOD};
 pub use shadow::{ShadowEpochState, ShadowOutcome, ShadowViolation};

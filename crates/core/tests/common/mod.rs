@@ -10,14 +10,15 @@ use std::any::Any;
 use std::sync::Arc;
 
 use checkpoint::{
-    CheckpointAgent, Coordinator, DelayNodeHost, FailurePolicy, GroupId, OutPort, Strategy, Wal,
+    splice_shaped_link, CheckpointAgent, Coordinator, DelayNodeHost, FailurePolicy, GroupId,
+    Strategy, Wal,
 };
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
-use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
+use hwsim::{ControlLan, Endpoint, IfaceId, NodeAddr, Pc3000};
 use sim::{ComponentId, Engine, FaultPlan, SimDuration};
-use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
+use vmm::{VmHost, VmHostConfig, VmmTuning};
 
 pub const OPS_ADDR: NodeAddr = NodeAddr(1000);
 pub const ADDR_A: NodeAddr = NodeAddr(1);
@@ -148,7 +149,7 @@ pub struct Lab {
     pub dn: ComponentId,
 }
 
-/// Builds: hostA --link-- delaynode --link-- hostB, ops LAN + coordinator.
+/// Builds: hostA --wires-- delaynode --wires-- hostB, ops LAN + coordinator.
 pub fn build_lab(cfg: &LabCfg) -> Lab {
     let mut e = Engine::new(cfg.seed);
     let profile = Pc3000::default();
@@ -213,44 +214,28 @@ pub fn build_lab(cfg: &LabCfg) -> Lab {
         ADDR_DN, lan_id, OPS_ADDR, 1_000_000, 15.0,
     )));
 
-    // Experiment links: A <-> DN (iface 1), B <-> DN (iface 2).
-    let link_a = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_a, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(1) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-    let link_b = e.add_component(Box::new(Link::new(
-        Endpoint { component: host_b, iface: IfaceId::EXPERIMENT },
-        Endpoint { component: dn, iface: IfaceId(2) },
-        1_000_000_000,
-        SimDuration::from_micros(5),
-        0.0,
-    )));
-
-    // Delay-node pipes: 1 Gbps, 100 µs each way (the "1 Gbps network").
+    // Experiment link: A <-> DN (iface 1), B <-> DN (iface 2), delay-node
+    // pipes of 1 Gbps and 100 µs each way (the "1 Gbps network").
     let shape = PipeConfig {
         bandwidth_bps: Some(1_000_000_000),
         delay: SimDuration::from_micros(100),
         plr: 0.0,
         queue_slots: 512,
     };
+    splice_shaped_link(
+        &mut e,
+        dn,
+        (host_a, ADDR_A),
+        (host_b, ADDR_B),
+        1_000_000_000,
+        SimDuration::from_micros(5),
+        shape,
+    );
     e.with_component::<DelayNodeHost, _>(dn, |d, _| {
         if cfg.faults.is_some() {
             d.participant.done_resend = Some(SimDuration::from_millis(100));
         }
         d.participant.suspend_watchdog = cfg.watchdog;
-        d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
-        d.add_path(IfaceId(2), shape, OutPort { link: link_a, end: 1 });
-    });
-
-    // Host routing: everything goes out the experiment link.
-    e.with_component::<VmHost, _>(host_a, |h, _| {
-        h.add_exp_route(ADDR_B, ExpPort::LinkEnd { link: link_a, end: 0 });
-    });
-    e.with_component::<VmHost, _>(host_b, |h, _| {
-        h.add_exp_route(ADDR_A, ExpPort::LinkEnd { link: link_b, end: 0 });
     });
 
     // Control LAN attachment + bus subscription.

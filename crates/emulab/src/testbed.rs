@@ -12,12 +12,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use checkpoint::{CheckpointAgent, Coordinator, DelayNodeHost, GroupId, OutPort, Strategy, Wal};
+use checkpoint::{
+    splice_shaped_link, CheckpointAgent, Coordinator, DelayNodeHost, GroupId, Strategy, Wal,
+};
 use ckptstore::{CaptureCache, Dec, PutReport, StoreClient};
 use cowstore::{BranchingStore, CowMode, GoldenImage, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Tid};
-use hwsim::{ControlLan, Endpoint, IfaceId, Link, NodeAddr, Pc3000};
+use hwsim::{ControlLan, Endpoint, IfaceId, NodeAddr, Pc3000};
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::telemetry::names;
@@ -84,7 +86,7 @@ pub struct Experiment {
     pub spec: ExperimentSpec,
     pub nodes: Vec<NodeHandle>,
     pub delay_nodes: Vec<DelayNodeHandle>,
-    /// Raw links and experiment LAN components (for teardown).
+    /// Experiment LAN components (for teardown).
     pub plumbing: Vec<ComponentId>,
     /// The time-travel tree of this experiment.
     pub tt: TimeTravelTree,
@@ -733,7 +735,7 @@ impl Testbed {
             });
         }
 
-        // Delay nodes + raw links for shaped links.
+        // A delay node per shaped link, spliced in with raw wires.
         let mut plumbing = Vec::new();
         let mut delay_nodes = Vec::new();
         for (li, lspec) in spec.links.iter().enumerate() {
@@ -757,21 +759,6 @@ impl Testbed {
                 .iter()
                 .find(|n| n.name == lspec.b)
                 .expect("validated");
-            // Raw wires at experiment line rate.
-            let link_a = self.engine.add_component(Box::new(Link::new(
-                Endpoint { component: a.host, iface: IfaceId::EXPERIMENT },
-                Endpoint { component: dn, iface: IfaceId(1) },
-                self.profile.exp_link_bps,
-                SimDuration::from_micros(5),
-                0.0,
-            )));
-            let link_b = self.engine.add_component(Box::new(Link::new(
-                Endpoint { component: b.host, iface: IfaceId::EXPERIMENT },
-                Endpoint { component: dn, iface: IfaceId(2) },
-                self.profile.exp_link_bps,
-                SimDuration::from_micros(5),
-                0.0,
-            )));
             // Queue sizing follows the link: at least the default 50
             // slots, and enough to hold ~5 ms at the configured rate so
             // checkpoint-resume transients (backlog + replayed in-flight
@@ -784,10 +771,18 @@ impl Testbed {
                 plr: lspec.loss,
                 queue_slots: slots,
             };
+            // Raw wires at experiment line rate.
+            splice_shaped_link(
+                &mut self.engine,
+                dn,
+                (a.host, a.addr),
+                (b.host, b.addr),
+                self.profile.exp_link_bps,
+                SimDuration::from_micros(5),
+                shape,
+            );
             let buggify_armed = self.engine.buggify().is_armed();
             self.engine.with_component::<DelayNodeHost, _>(dn, |d, ctx| {
-                d.add_path(IfaceId(1), shape, OutPort { link: link_b, end: 1 });
-                d.add_path(IfaceId(2), shape, OutPort { link: link_a, end: 1 });
                 if buggify_armed {
                     d.participant.suspend_watchdog = Some(SUSPEND_WATCHDOG);
                 }
@@ -806,16 +801,6 @@ impl Testbed {
                     }
                 }
             });
-            let (a_host, a_addr) = (a.host, a.addr);
-            let (b_host, b_addr) = (b.host, b.addr);
-            self.engine.with_component::<VmHost, _>(a_host, |h, _| {
-                h.add_exp_route(b_addr, ExpPort::LinkEnd { link: link_a, end: 0 });
-            });
-            self.engine.with_component::<VmHost, _>(b_host, |h, _| {
-                h.add_exp_route(a_addr, ExpPort::LinkEnd { link: link_b, end: 0 });
-            });
-            plumbing.push(link_a);
-            plumbing.push(link_b);
             delay_nodes.push(DelayNodeHandle {
                 addr: dn_addr,
                 component: dn,

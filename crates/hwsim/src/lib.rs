@@ -3,7 +3,7 @@
 //! This crate supplies the physical substrate the paper's evaluation runs
 //! on: drifting hardware clocks and TSCs ([`clock`]), a position-aware
 //! mechanical disk model ([`disk`]), CPU sharing between dom0 and a guest
-//! ([`cpu`]), raw links plus the shared control LAN ([`net`]), and the
+//! ([`cpu`]), raw wires plus the shared control LAN ([`net`]), and the
 //! pc3000 calibration profile ([`profile`]).
 
 pub mod clock;
@@ -15,7 +15,5 @@ pub mod profile;
 pub use clock::{HardwareClock, Tsc};
 pub use cpu::SharedCpu;
 pub use disk::{Disk, DiskOp, DiskProfile, DiskQueue, DiskRequest, DiskStats};
-pub use net::{
-    ControlLan, Endpoint, Frame, IfaceId, LanTransmit, Link, LinkDeliver, LinkTransmit, NodeAddr,
-};
+pub use net::{ControlLan, Endpoint, Frame, IfaceId, LanTransmit, LinkDeliver, NodeAddr, Wire};
 pub use profile::Pc3000;

@@ -1,7 +1,10 @@
-//! Frames, point-to-point links, and the Emulab control LAN.
+//! Frames, point-to-point wires, and the Emulab control LAN.
 //!
-//! Experiment links are modeled as full-duplex wires with per-direction
-//! serialization at line rate, propagation delay, and optional random loss.
+//! An experiment link is two [`Wire`]s, one per direction, each with
+//! serialization at line rate and a propagation delay. A wire is state
+//! owned by the one component that sends on it, not a component of its
+//! own: the sender serializes the frame and posts its arrival itself, so
+//! a hop costs one event, the [`LinkDeliver`] at the far end.
 //! Traffic *shaping* (the bandwidth/latency/loss an experimenter asks for)
 //! is not done here: as in Emulab, it happens in interposed delay nodes
 //! (the `dummynet` crate), and the raw wire stays fast and dumb.
@@ -77,14 +80,6 @@ impl std::fmt::Debug for Frame {
     }
 }
 
-/// Message: hand a frame to a link for transmission.
-///
-/// `from_end` identifies which side of the link is sending (0 or 1).
-pub struct LinkTransmit {
-    pub from_end: usize,
-    pub frame: Frame,
-}
-
 /// Message: a frame arrives at a component's interface.
 pub struct LinkDeliver {
     pub iface: IfaceId,
@@ -93,96 +88,52 @@ pub struct LinkDeliver {
 
 // Every packet hop posts one of these: each must ride inline in its event
 // slot (see `sim::fits_inline`), or the hop is back on the boxed path.
-const _: () = assert!(sim::fits_inline::<LinkTransmit>());
 const _: () = assert!(sim::fits_inline::<LinkDeliver>());
 const _: () = assert!(sim::fits_inline::<LanTransmit>());
 
-/// One endpoint of a link: the component and which of its NICs is attached.
+/// One endpoint of a wire or LAN: the component and which of its NICs is
+/// attached.
 #[derive(Clone, Copy, Debug)]
 pub struct Endpoint {
     pub component: ComponentId,
     pub iface: IfaceId,
 }
 
-/// A full-duplex point-to-point wire.
+/// One direction of a point-to-point wire, owned by the only component
+/// that sends on it.
 ///
-/// Each direction serializes frames at `bw_bps` (FIFO behind the previous
-/// frame), then delivers after `propagation`. `loss` drops frames i.i.d.
-pub struct Link {
-    ends: [Endpoint; 2],
+/// Frames serialize at `bw_bps`, FIFO behind the previous frame, and
+/// arrive at `dst` after `propagation`. Deliberately neither `Copy` nor
+/// `Clone`: a frame sent on a copy would not queue behind the frames on
+/// the original, so the wire's one `busy_until` must stay in one place.
+#[derive(Debug)]
+pub struct Wire {
+    dst: Endpoint,
     bw_bps: u64,
     propagation: SimDuration,
-    loss: f64,
-    busy_until: [SimTime; 2],
-    /// Frames dropped by random loss.
-    pub drops: u64,
-    /// Frames delivered per direction.
-    pub delivered: [u64; 2],
-    /// Whether the link is administratively up.
-    pub up: bool,
+    busy_until: SimTime,
 }
 
-impl Link {
-    /// Creates a link between two endpoints.
-    pub fn new(a: Endpoint, b: Endpoint, bw_bps: u64, propagation: SimDuration, loss: f64) -> Self {
-        assert!(bw_bps > 0, "zero-bandwidth link");
-        assert!((0.0..=1.0).contains(&loss), "loss out of range");
-        Link {
-            ends: [a, b],
+impl Wire {
+    /// An idle wire to `dst`.
+    pub fn new(dst: Endpoint, bw_bps: u64, propagation: SimDuration) -> Self {
+        assert!(bw_bps > 0, "zero-bandwidth wire");
+        Wire {
+            dst,
             bw_bps,
             propagation,
-            loss,
-            busy_until: [SimTime::ZERO; 2],
-            drops: 0,
-            delivered: [0; 2],
-            up: true,
+            busy_until: SimTime::ZERO,
         }
     }
 
-    /// The endpoint on side `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i > 1`.
-    pub fn endpoint(&self, i: usize) -> Endpoint {
-        self.ends[i]
+    /// Serializes `frame` behind whatever is already on the wire and
+    /// posts its arrival at the far end.
+    pub fn send(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
+        let start = self.busy_until.max(ctx.now());
+        self.busy_until = start + transmission_time(frame.wire_bytes as u64, self.bw_bps);
+        let arrive = self.busy_until + self.propagation;
+        ctx.post_at(self.dst.component, arrive, LinkDeliver { iface: self.dst.iface, frame });
     }
-}
-
-impl Component for Link {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
-        let tx = match payload.downcast::<LinkTransmit>() {
-            Ok(t) => t,
-            Err(_) => panic!("Link received a non-LinkTransmit message"),
-        };
-        assert!(tx.from_end < 2, "bad link end");
-        if !self.up {
-            self.drops += 1;
-            return;
-        }
-        let dir = tx.from_end;
-        let ser = transmission_time(tx.frame.wire_bytes as u64, self.bw_bps);
-        let start = self.busy_until[dir].max(ctx.now());
-        let done = start + ser;
-        self.busy_until[dir] = done;
-        if self.loss > 0.0 && ctx.rng().chance(self.loss) {
-            self.drops += 1;
-            return;
-        }
-        let arrive = done + self.propagation;
-        let dst = self.ends[1 - dir];
-        self.delivered[dir] += 1;
-        ctx.post_at(
-            dst.component,
-            arrive,
-            LinkDeliver {
-                iface: dst.iface,
-                frame: tx.frame,
-            },
-        );
-    }
-
-    sim::component_boilerplate!();
 }
 
 /// The shared Emulab control LAN: a switched star joining every host and
@@ -414,27 +365,46 @@ mod tests {
         sim::component_boilerplate!();
     }
 
-    fn setup_link(bw: u64, prop: SimDuration, loss: f64) -> (Engine, ComponentId, ComponentId) {
-        let mut e = Engine::new(1);
-        let sink = e.add_component(Box::new(Sink { got: vec![] }));
-        let link = e.add_component(Box::new(Link::new(
-            Endpoint { component: sink, iface: IfaceId(9) }, // end 0 (unused as dst here)
-            Endpoint { component: sink, iface: IfaceId(1) }, // end 1
-            bw,
-            prop,
-            loss,
-        )));
-        (e, sink, link)
+    /// A sender that owns one wire and hears what arrives for it.
+    struct Node {
+        out: Wire,
+        sink: Sink,
     }
+
+    impl Component for Node {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+            self.sink.handle(ctx, payload);
+        }
+        sim::component_boilerplate!();
+    }
+
+    const GBPS: u64 = 1_000_000_000;
 
     fn frame(bytes: u32) -> Frame {
         Frame::new(NodeAddr(1), NodeAddr(2), bytes, ())
     }
 
+    /// A node with a wire to a sink on the sink's interface 1.
+    fn setup_wire(prop: SimDuration) -> (Engine, ComponentId, ComponentId) {
+        let mut e = Engine::new(1);
+        let sink = e.add_component(Box::new(Sink { got: vec![] }));
+        let out = Wire::new(Endpoint { component: sink, iface: IfaceId(1) }, GBPS, prop);
+        let node = e.add_component(Box::new(Node { out, sink: Sink { got: vec![] } }));
+        (e, sink, node)
+    }
+
+    fn send(e: &mut Engine, node: ComponentId, bytes: u32) {
+        e.with_component::<Node, _>(node, |n, ctx| n.out.send(ctx, frame(bytes)));
+    }
+
+    fn arrivals(got: &[(SimTime, IfaceId, Frame)]) -> Vec<u64> {
+        got.iter().map(|g| g.0.as_nanos()).collect()
+    }
+
     #[test]
     fn delivery_time_is_serialization_plus_propagation() {
-        let (mut e, sink, link) = setup_link(1_000_000_000, SimDuration::from_micros(50), 0.0);
-        e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame: frame(1500) });
+        let (mut e, sink, node) = setup_wire(SimDuration::from_micros(50));
+        send(&mut e, node, 1500);
         e.run_to_completion();
         let got = &e.component_ref::<Sink>(sink).unwrap().got;
         assert_eq!(got.len(), 1);
@@ -445,56 +415,49 @@ mod tests {
 
     #[test]
     fn back_to_back_frames_queue_behind_each_other() {
-        let (mut e, sink, link) = setup_link(1_000_000_000, SimDuration::ZERO, 0.0);
+        let (mut e, sink, node) = setup_wire(SimDuration::from_micros(5));
         for _ in 0..3 {
-            e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame: frame(1500) });
+            send(&mut e, node, 1500);
         }
+        e.run_for(SimDuration::from_micros(100));
+        // A frame sent once the wire has drained starts at once.
+        send(&mut e, node, 1500);
         e.run_to_completion();
         let got = &e.component_ref::<Sink>(sink).unwrap().got;
-        let times: Vec<u64> = got.iter().map(|g| g.0.as_nanos()).collect();
-        assert_eq!(times, vec![12_000, 24_000, 36_000]);
+        assert_eq!(arrivals(got), [17_000, 29_000, 41_000, 117_000]);
     }
 
     #[test]
-    fn full_duplex_directions_do_not_contend() {
-        let (mut e, sink, link) = setup_link(1_000_000_000, SimDuration::ZERO, 0.0);
-        e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame: frame(1500) });
-        e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 1, frame: frame(1500) });
-        e.run_to_completion();
-        let got = &e.component_ref::<Sink>(sink).unwrap().got;
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0.as_nanos(), 12_000);
-        assert_eq!(got[1].0.as_nanos(), 12_000, "directions are independent");
-    }
-
-    #[test]
-    fn lossy_link_drops_some_frames() {
-        let (mut e, sink, link) = setup_link(1_000_000_000, SimDuration::ZERO, 0.5);
-        for _ in 0..200 {
-            e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame: frame(100) });
+    fn the_two_directions_of_a_shaped_link_do_not_contend() {
+        // Host and delay node, each the only sender on its own wire.
+        let mut e = Engine::new(1);
+        let (host, dn) = (ComponentId(0), ComponentId(1));
+        let wire = |to, iface| {
+            Wire::new(Endpoint { component: to, iface }, GBPS, SimDuration::from_micros(5))
+        };
+        for (id, to, iface) in [(host, dn, IfaceId(1)), (dn, host, IfaceId::EXPERIMENT)] {
+            let node = Node { out: wire(to, iface), sink: Sink { got: vec![] } };
+            assert_eq!(e.add_component(Box::new(node)), id, "ids are handed out in order");
+        }
+        for _ in 0..2 {
+            send(&mut e, host, 1500);
+            send(&mut e, dn, 1500);
         }
         e.run_to_completion();
-        let n = e.component_ref::<Sink>(sink).unwrap().got.len();
-        assert!(n > 50 && n < 150, "got {n} of 200 at 50% loss");
-        assert_eq!(e.component_ref::<Link>(link).unwrap().drops as usize, 200 - n);
-    }
-
-    #[test]
-    fn downed_link_drops_everything() {
-        let (mut e, sink, link) = setup_link(1_000_000_000, SimDuration::ZERO, 0.0);
-        e.component_mut::<Link>(link).unwrap().up = false;
-        e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame: frame(100) });
-        e.run_to_completion();
-        assert!(e.component_ref::<Sink>(sink).unwrap().got.is_empty());
+        for (id, iface) in [(dn, IfaceId(1)), (host, IfaceId::EXPERIMENT)] {
+            let got = &e.component_ref::<Node>(id).unwrap().sink.got;
+            assert_eq!(arrivals(got), [17_000, 29_000], "each direction queues only itself");
+            assert!(got.iter().all(|g| g.1 == iface));
+        }
     }
 
     #[test]
     fn cancelled_frame_event_releases_the_frame() {
-        let (mut e, _sink, link) = setup_link(1_000_000_000, SimDuration::ZERO, 0.0);
+        let (mut e, sink, _node) = setup_wire(SimDuration::ZERO);
         let probe = Arc::new(());
         let frame = Frame::new(NodeAddr(1), NodeAddr(2), 1500, probe.clone());
         let before = sim::payload_store_stats();
-        let ev = e.post(link, SimDuration::ZERO, LinkTransmit { from_end: 0, frame });
+        let ev = e.post(sink, SimDuration::ZERO, LinkDeliver { iface: IfaceId(1), frame });
         let after = sim::payload_store_stats();
         assert_eq!(after.inline, before.inline + 1, "a frame event rides inline");
         assert_eq!(after.boxed, before.boxed);

@@ -23,19 +23,22 @@
 //!   deep, so what it costs is not depth but stalls: an entry padded to
 //!   32 bytes, or reloaded right after it was stored in pieces of
 //!   another width, makes every sift wait for the store buffer.
-//! - **A same-instant lane beside the heap.** A third of all posts are
-//!   for the instant being dispatched (a NIC handing a frame to its
-//!   link). They skip the heap for a FIFO that is sorted by construction;
+//! - **A same-instant lane beside the heap.** Posts for the instant being
+//!   dispatched (a host handing a frame to a LAN: a third of all posts on
+//!   the BitTorrent swarm's LAN, a thousandth of a percent on a shaped
+//!   point-to-point link, whose wires belong to their senders) skip the
+//!   heap for a FIFO that is sorted by construction;
 //!   a pop takes the smaller of the lane's front and the heap's root, so
 //!   the `(time, seq)` order is the heap's exactly (see [`Scheduler`]).
 //! - **Inline payloads with a boxed fallback.** Payload values up to 40
 //!   bytes are stored inline in the arena slot — no allocation at all,
 //!   guarded by a per-type `TypeId` + dropper record. 40 is the size of
-//!   a frame event: `hwsim`'s `LinkTransmit`, `LinkDeliver` and
-//!   `LanTransmit` (a 32-byte `Frame` plus a port), and the message
-//!   enums of the VM host and the delay node, fit — each asserts so
-//!   with [`fits_inline`] next to its definition — so a packet hop
-//!   never touches the allocator. No payload the workspace posts on a
+//!   a frame event: `hwsim`'s `LinkDeliver` and `LanTransmit` (a 32-byte
+//!   `Frame` plus a port), and the message enums of the VM host and the
+//!   delay node, fit — each asserts so with [`fits_inline`] next to its
+//!   definition — so none of a packet hop's four events (`NetTxDone`,
+//!   the delivery at the delay node, `PipeWake`, the delivery at the
+//!   receiver) touches the allocator. No payload the workspace posts on a
 //!   plain engine is larger; one that is, and every payload that crosses
 //!   shards, travels as a `Box<T>` in the slot. Storage strategy only
 //!   decides where bytes live — payload values, delivery order, and
@@ -469,8 +472,9 @@ pub(crate) struct Due {
 /// never wade through tombstones and cancel-heavy workloads don't
 /// inflate the heap.
 ///
-/// **The lane.** A third of the events of a packet hop are posted for the
-/// instant being dispatched — a heap's worst case: they sift to the root
+/// **The lane.** A host handing a frame to a LAN posts it for the instant
+/// being dispatched (a third of all pushes on a LAN workload) — a heap's
+/// worst case: such posts sift to the root
 /// on push and cost a full sift on pop, to answer an ordering question
 /// that is settled when they are posted. An unkeyed push for the lane's
 /// instant (that of the last pop) appends to a FIFO instead. Every lane
@@ -1173,7 +1177,7 @@ mod tests {
     /// same pop order and values (equal-timestamp FIFO), same peek/pop
     /// agreement, same cancel outcomes (including stale and reused ids),
     /// same exact length — with a third of the pushes landing on the
-    /// instant being dispatched, as on the per-packet path, so the lane
+    /// instant being dispatched, as on a LAN's per-packet path, so the lane
     /// and the heap are merged on nearly every pop.
     #[test]
     fn randomized_sequences_match_reference_model() {

@@ -24,8 +24,8 @@ use cowstore::{BlockData, BranchingStore, Direction, MirrorTransfer};
 use guestos::prog::{CtrlReq, CtrlResp};
 use guestos::{ClockEventKind, GuestAction, Kernel, TcpSegment};
 use hwsim::{
-    DiskQueue, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, LinkTransmit, NodeAddr,
-    Pc3000, SharedCpu,
+    DiskQueue, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr, Pc3000,
+    SharedCpu, Wire,
 };
 use sim::telemetry::names;
 use sim::{
@@ -38,10 +38,11 @@ use crate::domain::{Domain, DomainImage};
 use crate::tuning::{Dom0Job, VmmTuning};
 
 /// Where frames for a destination leave this host.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 pub enum ExpPort {
-    /// One end of a point-to-point link.
-    LinkEnd { link: ComponentId, end: usize },
+    /// This host's direction of a point-to-point wire: the host is its
+    /// only sender, so the route is where the wire's state lives.
+    Wire(Wire),
     /// A shared experiment LAN.
     Lan { lan: ComponentId },
 }
@@ -77,8 +78,8 @@ enum VmMsg {
     MirrorRetry,
 }
 
-// Two of every packet's six events are `VmMsg`s: keep them inline in the
-// event slot (see `sim::fits_inline`).
+// One of every packet hop's four events is a `VmMsg` (`NetTxDone`): keep
+// it inline in the event slot (see `sim::fits_inline`).
 const _: () = assert!(sim::fits_inline::<VmMsg>());
 
 /// Checkpoint progress of the host.
@@ -632,29 +633,17 @@ impl VmHost {
     fn on_tx_done(&mut self, ctx: &mut Ctx<'_>) {
         self.tx_busy = false;
         if let Some((dst, seg)) = self.tx_q.pop_front() {
-            let frame = Frame::new(self.cfg.node, dst, seg.wire_bytes(), seg);
-            self.stats.frames_tx += 1;
-            let route = self
-                .exp_routes
-                .binary_search_by_key(&dst, |&(d, _)| d)
-                .map(|i| self.exp_routes[i].1);
-            match route {
-                Ok(ExpPort::LinkEnd { link, end }) => {
-                    ctx.post(
-                        link,
-                        SimDuration::ZERO,
-                        LinkTransmit {
-                            from_end: end,
-                            frame,
-                        },
-                    );
+            // The port is used in place: a wire's state is in the route.
+            // Unroutable frames are dropped and never count as sent.
+            if let Ok(i) = self.exp_routes.binary_search_by_key(&dst, |&(d, _)| d) {
+                let frame = Frame::new(self.cfg.node, dst, seg.wire_bytes(), seg);
+                match &mut self.exp_routes[i].1 {
+                    ExpPort::Wire(wire) => wire.send(ctx, frame),
+                    ExpPort::Lan { lan } => {
+                        ctx.post(*lan, SimDuration::ZERO, LanTransmit { frame });
+                    }
                 }
-                Ok(ExpPort::Lan { lan }) => {
-                    ctx.post(lan, SimDuration::ZERO, LanTransmit { frame });
-                }
-                Err(_) => {
-                    // Unrouteable: drop (counted implicitly by receivers).
-                }
+                self.stats.frames_tx += 1;
             }
         }
         self.kick_tx(ctx);

@@ -7,13 +7,16 @@ use std::any::Any;
 
 use clocksync::{NtpRequest, NtpServer};
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
+use guestos::prog::SockFd;
 use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
 use hwsim::{
     ControlLan, Endpoint, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr,
-    Pc3000,
+    Pc3000, Wire,
 };
-use sim::{Component, ComponentId, Ctx, Engine, Payload, SimDuration, SimTime};
-use vmm::{VmHost, VmHostConfig, VmmTuning};
+use sim::{
+    transmission_time, Component, ComponentId, Ctx, Engine, Payload, SimDuration, SimTime,
+};
+use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
 
 /// Minimal ops node: answers NTP with its reference clock.
 struct NtpOps {
@@ -99,7 +102,11 @@ impl GuestProg for CpuBench {
     }
 }
 
-/// Builds engine + LAN + ops + one host; returns (engine, host id).
+/// Control address of the ops node [`testbed`] builds.
+const OPS_ADDR: NodeAddr = NodeAddr(1000);
+
+/// Builds engine + LAN + ops + one host at `NodeAddr(1)`; returns
+/// (engine, host id). The LAN is component 0.
 fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
     let mut e = Engine::new(seed);
     let profile = Pc3000::default();
@@ -111,14 +118,22 @@ fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
         );
         e.add_component(Box::new(lan))
     };
-    let ops_addr = NodeAddr(1000);
     let ops = e.add_component(Box::new(NtpOps {
-        addr: ops_addr,
+        addr: OPS_ADDR,
         lan: lan_id,
         clock: HardwareClock::new(0, 0.0),
         server: NtpServer,
     }));
-    let node = NodeAddr(1);
+    let host_id = add_host(&mut e, lan_id, NodeAddr(1), auto_resume);
+    e.with_component::<ControlLan, _>(lan_id, |lan, _| {
+        lan.attach(OPS_ADDR, Endpoint { component: ops, iface: IfaceId::CONTROL });
+    });
+    (e, host_id)
+}
+
+/// Adds a host at `node` on the control LAN `lan_id`.
+fn add_host(e: &mut Engine, lan_id: ComponentId, node: NodeAddr, auto_resume: bool) -> ComponentId {
+    let profile = Pc3000::default();
     let golden = std::sync::Arc::new(GoldenImageBuilder::new("fc4", 200_000, 4096, 7).build());
     let layout = StoreLayout::for_image(&golden);
     let store = BranchingStore::new(golden, CowMode::Branch, layout);
@@ -132,8 +147,8 @@ fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
             profile,
             tuning: VmmTuning::default(),
             lan: lan_id,
-            ntp_server: ops_addr,
-            services: ops_addr,
+            ntp_server: OPS_ADDR,
+            services: OPS_ADDR,
             clock_offset_ns: 2_000_000,
             clock_drift_ppm: 35.0,
             auto_resume,
@@ -144,12 +159,10 @@ fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
         None,
     );
     let host_id = e.add_component(Box::new(host));
-    // Attach to LAN.
     e.with_component::<ControlLan, _>(lan_id, |lan, _| {
         lan.attach(node, Endpoint { component: host_id, iface: IfaceId::CONTROL });
-        lan.attach(ops_addr, Endpoint { component: ops, iface: IfaceId::CONTROL });
     });
-    (e, host_id)
+    host_id
 }
 
 fn start(e: &mut Engine, host: ComponentId) {
@@ -432,4 +445,121 @@ fn time_dilation_slows_guest_wall_clock() {
         "guest-visible iteration deviated {} µs under dilation",
         worst / 1000
     );
+}
+
+/// Bulk TCP on port 5001: with a `dst` it connects there and sends
+/// forever, without one it accepts a connection and reads forever.
+#[derive(Clone)]
+struct Bulk {
+    dst: Option<NodeAddr>,
+    fd: Option<SockFd>,
+}
+
+impl GuestProg for Bulk {
+    fn step(&mut self, ret: SysRet) -> Syscall {
+        match ret {
+            SysRet::Start => match self.dst {
+                Some(dst) => Syscall::Connect { dst, port: 5001 },
+                None => Syscall::Listen { port: 5001 },
+            },
+            SysRet::Ok => Syscall::Accept { port: 5001 },
+            SysRet::Sock(fd) => {
+                self.fd = Some(fd);
+                self.next()
+            }
+            SysRet::Sent(_) | SysRet::Recvd { .. } => self.next(),
+            other => panic!("bulk: unexpected {other:?}"),
+        }
+    }
+    fn clone_box(&self) -> Box<dyn GuestProg> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+impl Bulk {
+    fn next(&self) -> Syscall {
+        let fd = self.fd.expect("connected");
+        match self.dst {
+            Some(_) => Syscall::Send { fd, bytes: 64 * 1024, msg: None },
+            None => Syscall::Recv { fd, max: u64::MAX },
+        }
+    }
+}
+
+/// Notes when each experiment frame arrives and how long it is, and
+/// hands it on to `host` in the same instant.
+struct Tap {
+    host: ComponentId,
+    seen: Vec<(SimTime, u32)>,
+}
+
+impl Component for Tap {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+        let del = payload.downcast::<LinkDeliver>().expect("a frame");
+        self.seen.push((ctx.now(), del.frame.wire_bytes));
+        let frame = del.frame;
+        ctx.post(self.host, SimDuration::ZERO, LinkDeliver { iface: IfaceId::EXPERIMENT, frame });
+    }
+    sim::component_boilerplate!();
+}
+
+/// A route owns its wire: frames a host sends back-to-back queue behind
+/// each other on it and arrive one serialization time apart, not one
+/// transmit-processing time (25 µs) apart as they would if each went out
+/// on a fresh copy of the wire.
+#[test]
+fn back_to_back_frames_on_one_route_arrive_one_serialization_apart() {
+    // 1.2 ms per full frame: the wire, not the host, is the bottleneck.
+    const SLOW_BPS: u64 = 10_000_000;
+    let (mut e, a) = testbed(18, true);
+    let lan = ComponentId(0);
+    let b = add_host(&mut e, lan, NodeAddr(2), true);
+    let tap = e.add_component(Box::new(Tap { host: b, seen: Vec::new() }));
+    let wire = |component, bps| {
+        Wire::new(Endpoint { component, iface: IfaceId::EXPERIMENT }, bps, SimDuration::from_micros(5))
+    };
+    e.with_component::<VmHost, _>(a, |h, _| {
+        h.add_exp_route(NodeAddr(2), ExpPort::Wire(wire(tap, SLOW_BPS)));
+        h.kernel_mut().spawn(Box::new(Bulk { dst: Some(NodeAddr(2)), fd: None }));
+    });
+    e.with_component::<VmHost, _>(b, |h, _| {
+        h.add_exp_route(NodeAddr(1), ExpPort::Wire(wire(a, 1_000_000_000)));
+        h.kernel_mut().spawn(Box::new(Bulk { dst: None, fd: None }));
+    });
+    start(&mut e, a);
+    start(&mut e, b);
+    e.run_for(SimDuration::from_secs(1));
+
+    let seen = &e.component_ref::<Tap>(tap).unwrap().seen;
+    assert!(seen.len() > 100, "the stream must be running: {} frames", seen.len());
+    let mut queued = 0;
+    for pair in seen.windows(2) {
+        let (gap, ser) = (pair[1].0 - pair[0].0, transmission_time(pair[1].1 as u64, SLOW_BPS));
+        assert!(gap >= ser, "two frames overlapped on one wire: {gap:?} apart, {ser:?} each");
+        queued += usize::from(gap == ser);
+    }
+    assert!(
+        queued * 2 > seen.len(),
+        "a saturated wire delivers back-to-back: only {queued} of {} gaps were one frame long",
+        seen.len() - 1
+    );
+}
+
+/// A frame to a destination the host has no route to never leaves, so
+/// it does not count as transmitted.
+#[test]
+fn a_frame_without_a_route_is_not_counted_as_transmitted() {
+    let (mut e, host) = testbed(19, true);
+    e.with_component::<VmHost, _>(host, |h, _| {
+        h.kernel_mut().spawn(Box::new(Bulk { dst: Some(NodeAddr(2)), fd: None }));
+    });
+    start(&mut e, host);
+    e.run_for(SimDuration::from_secs(5));
+    let h = e.component_ref::<VmHost>(host).unwrap();
+    let sent = h.kernel().net_totals().segments_sent;
+    assert!(sent >= 2, "the guest must send its SYN and retry it: {sent} segments");
+    assert_eq!(h.stats.frames_tx, 0, "no frame left the host");
 }
