@@ -21,7 +21,7 @@ use checkpoint::{
 };
 use checkpoint::{shadow, BusMsg, BUS_MSG_BYTES};
 use emulab::{ExperimentSpec, ScalePlan};
-use hwsim::{ControlLan, Endpoint, Frame, IfaceId, LanTransmit, LinkDeliver, NodeAddr};
+use hwsim::{profile, ControlLan, Endpoint, Frame, IfaceId, LanTransmit, LinkDeliver, NodeAddr};
 use sim::telemetry::names;
 use sim::{
     Buggify, Component, ComponentId, Ctx, Engine, FaultPlan, Payload, Preset, SimDuration, SimRng,
@@ -138,7 +138,6 @@ impl Scenario {
             allow_degraded: rng.chance(0.8),
             resume_repeats: rng.range_u64(0, 3) as u32,
             evict_excluded: rng.chance(0.5),
-            ..FailurePolicy::default()
         };
         let interval_ms = rng.range_u64(80, 401);
         let run_ms = interval_ms * rng.range_u64(4, 13);
@@ -390,9 +389,9 @@ pub fn run_iteration(scenario: &Scenario, sabotage: bool) -> IterationOutcome {
     e.arm_buggify(Buggify::armed(s.seed, s.preset));
 
     let lan = e.add_component(Box::new(ControlLan::new(
-        100_000_000,
-        SimDuration::from_micros(40),
-        SimDuration::from_micros(60),
+        profile::CTRL_LAN_BPS,
+        profile::CTRL_LAN_LATENCY,
+        profile::CTRL_LAN_JITTER,
     )));
     let coord_addr = NodeAddr(100);
     let mode = match s.scheduled_lead_ms {

@@ -12,9 +12,9 @@ use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use emulab::{ExperimentSpec, Testbed};
 use guestos::{Kernel, KernelConfig};
-use hwsim::{ControlLan, Endpoint, IfaceId, NodeAddr, Pc3000};
+use hwsim::{profile, ControlLan, Endpoint, IfaceId, NodeAddr};
 use sim::{ComponentId, Engine, FaultPlan, SimDuration};
-use vmm::{VmHost, VmHostConfig, VmmTuning};
+use vmm::{VmHost, VmHostConfig};
 use workloads::{IperfReceiver, IperfSender};
 
 /// Knobs the ablation studies turn.
@@ -100,11 +100,10 @@ pub struct LabOutcome {
 /// Builds the lab (hosts booted, nothing running yet).
 pub fn build_lab(cfg: LabConfig) -> Lab {
     let mut e = Engine::new(cfg.seed);
-    let profile = Pc3000::default();
     let lan_id = e.add_component(Box::new(ControlLan::new(
-        profile.ctrl_lan_bps,
-        profile.ctrl_lan_latency,
-        profile.ctrl_lan_jitter,
+        profile::CTRL_LAN_BPS,
+        profile::CTRL_LAN_LATENCY,
+        profile::CTRL_LAN_JITTER,
     )));
     if let Some(plan) = cfg.faults.clone() {
         e.with_component::<ControlLan, _>(lan_id, |l, _| l.inject_faults(plan));
@@ -144,8 +143,6 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         let host = VmHost::new(
             VmHostConfig {
                 node,
-                profile: Pc3000::default(),
-                tuning: VmmTuning::default(),
                 lan: lan_id,
                 ntp_server: ntp_target,
                 services: ops_addr,

@@ -24,11 +24,11 @@ use clocksync::{NtpRequest, NtpServer};
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use guestos::{Kernel, KernelConfig};
 use hwsim::{
-    ControlLan, Endpoint, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr,
-    Pc3000,
+    profile, ControlLan, Endpoint, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver,
+    NodeAddr,
 };
 use sim::{stats, Component, ComponentId, Ctx, Engine, Payload, SimDuration};
-use vmm::{VmHost, VmHostConfig, VmmTuning};
+use vmm::{VmHost, VmHostConfig};
 
 /// Directory the regenerators write CSV into.
 pub fn out_dir() -> PathBuf {
@@ -107,11 +107,10 @@ impl Component for NtpOps {
 /// engine and host.
 pub fn single_host(seed: u64, mode: CowMode, aged: bool) -> (Engine, ComponentId) {
     let mut e = Engine::new(seed);
-    let profile = Pc3000::default();
     let lan = e.add_component(Box::new(ControlLan::new(
-        profile.ctrl_lan_bps,
-        profile.ctrl_lan_latency,
-        profile.ctrl_lan_jitter,
+        profile::CTRL_LAN_BPS,
+        profile::CTRL_LAN_LATENCY,
+        profile::CTRL_LAN_JITTER,
     )));
     let ops_addr = NodeAddr(1000);
     let ops = e.add_component(Box::new(NtpOps {
@@ -121,7 +120,7 @@ pub fn single_host(seed: u64, mode: CowMode, aged: bool) -> (Engine, ComponentId
         server: NtpServer,
     }));
     let node = NodeAddr(1);
-    let disk_blocks = profile.guest_disk_bytes / 4096;
+    let disk_blocks = profile::GUEST_DISK_BYTES / 4096;
     let golden = Arc::new(GoldenImageBuilder::new("FC4-STD", disk_blocks, 4096, 7).build());
     let mut layout = StoreLayout::for_image(&golden);
     layout.aged = aged;
@@ -133,8 +132,6 @@ pub fn single_host(seed: u64, mode: CowMode, aged: bool) -> (Engine, ComponentId
     let host = VmHost::new(
         VmHostConfig {
             node,
-            profile,
-            tuning: VmmTuning::default(),
             lan,
             ntp_server: ops_addr,
             services: ops_addr,

@@ -63,6 +63,14 @@ pub enum EpochOutcome {
     Degraded,
 }
 
+/// Deadline for *held* rounds (suspend for swap-out / time travel).
+/// Those are operator-paced stop-the-world operations whose barrier
+/// legitimately takes as long as the slowest node's drain + capture
+/// under load — [`FailurePolicy::epoch_deadline`] would abort a healthy
+/// suspension whose disk drain runs long. Kept finite as a last-resort
+/// bound on truly wedged suspensions.
+const SUSPEND_DEADLINE: SimDuration = SimDuration::from_secs(120);
+
 /// Failure-handling policy for checkpoint rounds.
 #[derive(Clone, Copy, Debug)]
 pub struct FailurePolicy {
@@ -75,13 +83,6 @@ pub struct FailurePolicy {
     /// An epoch whose barrier is incomplete this long after publication
     /// is degraded or aborted.
     pub epoch_deadline: SimDuration,
-    /// Deadline for *held* rounds (suspend for swap-out / time travel).
-    /// Those are operator-paced stop-the-world operations whose barrier
-    /// legitimately takes as long as the slowest node's drain + capture
-    /// under load — the transparent-epoch deadline above would abort a
-    /// healthy suspension whose disk drain runs long. Kept finite as a
-    /// last-resort bound on truly wedged suspensions.
-    pub suspend_deadline: SimDuration,
     /// Allow committing an epoch with never-acked (presumed crashed)
     /// nodes excluded from the barrier. When false — or when a missing
     /// node *did* ack, proving it alive — the epoch aborts instead.
@@ -106,7 +107,6 @@ impl Default for FailurePolicy {
             ack_timeout: SimDuration::from_millis(25),
             max_notify_retries: 5,
             epoch_deadline: SimDuration::from_secs(2),
-            suspend_deadline: SimDuration::from_secs(120),
             allow_degraded: true,
             resume_repeats: 0,
             evict_excluded: false,
@@ -746,7 +746,7 @@ impl Coordinator {
             CoordMsg::AckTimeout { group, epoch, attempt: 1, gen },
         );
         let deadline = if hold {
-            self.policy.suspend_deadline
+            SUSPEND_DEADLINE
         } else {
             self.policy.epoch_deadline
         };
@@ -1544,7 +1544,7 @@ impl Component for Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwsim::{ControlLan, Frame, LanTransmit};
+    use hwsim::{profile, ControlLan, Frame, LanTransmit};
     use sim::{Component, Engine, FaultPlan};
 
     /// A fake node agent: records notifications, reports done after a
@@ -1630,9 +1630,9 @@ mod tests {
     ) -> (Engine, ComponentId, Vec<ComponentId>) {
         let mut e = Engine::new(9);
         let lan = e.add_component(Box::new(ControlLan::new(
-            100_000_000,
-            SimDuration::from_micros(40),
-            SimDuration::from_micros(60),
+            profile::CTRL_LAN_BPS,
+            profile::CTRL_LAN_LATENCY,
+            profile::CTRL_LAN_JITTER,
         )));
         let coord_addr = NodeAddr(100);
         let mut b = Coordinator::builder(coord_addr, lan).mode(TriggerMode::EventDriven);

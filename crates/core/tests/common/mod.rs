@@ -16,9 +16,9 @@ use checkpoint::{
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
-use hwsim::{ControlLan, Endpoint, IfaceId, NodeAddr, Pc3000};
+use hwsim::{profile, ControlLan, Endpoint, IfaceId, NodeAddr};
 use sim::{ComponentId, Engine, FaultPlan, SimDuration};
-use vmm::{VmHost, VmHostConfig, VmmTuning};
+use vmm::{VmHost, VmHostConfig};
 
 pub const OPS_ADDR: NodeAddr = NodeAddr(1000);
 pub const ADDR_A: NodeAddr = NodeAddr(1);
@@ -152,12 +152,11 @@ pub struct Lab {
 /// Builds: hostA --wires-- delaynode --wires-- hostB, ops LAN + coordinator.
 pub fn build_lab(cfg: &LabCfg) -> Lab {
     let mut e = Engine::new(cfg.seed);
-    let profile = Pc3000::default();
 
     let lan_id = e.add_component(Box::new(ControlLan::new(
-        profile.ctrl_lan_bps,
-        profile.ctrl_lan_latency,
-        profile.ctrl_lan_jitter,
+        profile::CTRL_LAN_BPS,
+        profile::CTRL_LAN_LATENCY,
+        profile::CTRL_LAN_JITTER,
     )));
     if let Some(plan) = cfg.faults.clone() {
         e.with_component::<ControlLan, _>(lan_id, |l, _| l.inject_faults(plan));
@@ -191,8 +190,6 @@ pub fn build_lab(cfg: &LabCfg) -> Lab {
             let host = VmHost::new(
                 VmHostConfig {
                     node,
-                    profile: Pc3000::default(),
-                    tuning: VmmTuning::default(),
                     lan: lan_id,
                     ntp_server: OPS_ADDR,
                     services: OPS_ADDR,

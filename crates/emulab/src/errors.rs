@@ -12,7 +12,7 @@ use std::fmt;
 use ckptstore::StoreError;
 
 /// An invalid experiment specification ([`crate::ExperimentSpec::validate`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SpecError {
     /// A shaped link references a node the spec does not define.
     UnknownLinkEndpoint { a: String, b: String },
@@ -20,6 +20,12 @@ pub enum SpecError {
     UnknownLanMember { member: String },
     /// Two nodes share a name.
     DuplicateNodeName { name: String },
+    /// A shaped link has zero bandwidth: no frame could ever cross it.
+    ZeroLinkBandwidth { a: String, b: String },
+    /// A shaped link's loss rate is outside `[0, 1]` (or NaN).
+    LinkLossOutOfRange { a: String, b: String, loss: f64 },
+    /// A LAN (by its index in the spec) has zero port bandwidth.
+    ZeroLanBandwidth { lan: usize },
 }
 
 impl fmt::Display for SpecError {
@@ -34,6 +40,13 @@ impl fmt::Display for SpecError {
             SpecError::DuplicateNodeName { name } => {
                 write!(f, "duplicate node name {name}")
             }
+            SpecError::ZeroLinkBandwidth { a, b } => {
+                write!(f, "link {a}–{b} has zero bandwidth")
+            }
+            SpecError::LinkLossOutOfRange { a, b, loss } => {
+                write!(f, "link {a}–{b} loss {loss} is outside [0, 1]")
+            }
+            SpecError::ZeroLanBandwidth { lan } => write!(f, "lan {lan} has zero bandwidth"),
         }
     }
 }

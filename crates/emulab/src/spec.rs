@@ -175,7 +175,8 @@ impl ExperimentSpec {
     }
 
     /// Validates the topology (every link/LAN endpoint exists, node
-    /// names unique). Hashed lookups keep this O(nodes + endpoints) so a
+    /// names unique) and the shaping parameters (nonzero bandwidth, link
+    /// loss in `[0, 1]`). Hashed lookups keep this O(nodes + endpoints) so a
     /// 10,000-node star validates in microseconds, not the O(n²) a
     /// linear name scan would cost.
     pub fn validate(&self) -> Result<(), SpecError> {
@@ -194,12 +195,28 @@ impl ExperimentSpec {
                     b: l.b.clone(),
                 });
             }
+            if l.bandwidth_bps == 0 {
+                return Err(SpecError::ZeroLinkBandwidth {
+                    a: l.a.clone(),
+                    b: l.b.clone(),
+                });
+            }
+            if !(0.0..=1.0).contains(&l.loss) {
+                return Err(SpecError::LinkLossOutOfRange {
+                    a: l.a.clone(),
+                    b: l.b.clone(),
+                    loss: l.loss,
+                });
+            }
         }
-        for lan in &self.lans {
+        for (i, lan) in self.lans.iter().enumerate() {
             for m in &lan.members {
                 if !names.contains(m.as_str()) {
                     return Err(SpecError::UnknownLanMember { member: m.clone() });
                 }
+            }
+            if lan.bandwidth_bps == 0 {
+                return Err(SpecError::ZeroLanBandwidth { lan: i });
             }
         }
         Ok(())

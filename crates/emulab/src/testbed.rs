@@ -19,7 +19,7 @@ use ckptstore::{CaptureCache, Dec, PutReport, StoreClient};
 use cowstore::{BranchingStore, CowMode, GoldenImage, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Tid};
-use hwsim::{ControlLan, Endpoint, IfaceId, NodeAddr, Pc3000};
+use hwsim::{profile, ControlLan, Endpoint, IfaceId, NodeAddr};
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::telemetry::names;
@@ -27,7 +27,7 @@ use sim::{
     transmission_time, Buggify, ComponentId, CounterId, Engine, HistogramId, SimDuration, SimTime,
     SpanId, Telemetry, TraceCtx, TraceTag, TrackId,
 };
-use vmm::{DomainImage, ExpPort, VmHost, VmHostConfig, VmmTuning};
+use vmm::{DomainImage, ExpPort, VmHost, VmHostConfig};
 
 use crate::errors::{SwapError, TestbedError};
 use crate::services::FileServer;
@@ -149,7 +149,6 @@ struct ProgramEvent {
 /// ```
 pub struct Testbed {
     pub engine: Engine,
-    pub profile: Pc3000,
     lan: ComponentId,
     coordinator: ComponentId,
     fileserver: ComponentId,
@@ -191,12 +190,11 @@ impl Testbed {
     /// (trigger mode, downtime concealment, notification jitter) — the
     /// baseline-comparison knob of the XTRA experiments.
     pub fn with_strategy(seed: u64, machines: usize, strategy: Strategy) -> Self {
-        let profile = Pc3000::default();
         let mut engine = Engine::new(seed);
         let lan = engine.add_component(Box::new(ControlLan::new(
-            profile.ctrl_lan_bps,
-            profile.ctrl_lan_latency,
-            profile.ctrl_lan_jitter,
+            profile::CTRL_LAN_BPS,
+            profile::CTRL_LAN_LATENCY,
+            profile::CTRL_LAN_JITTER,
         )));
         // The epoch WAL lives in the ops node's durable store — it
         // survives coordinator process crashes (the buggify
@@ -215,7 +213,7 @@ impl Testbed {
         });
         let mut images = HashMap::new();
         // The standard image library: a 6 GB FC4 image.
-        let disk_blocks = profile.guest_disk_bytes / 4096;
+        let disk_blocks = profile::GUEST_DISK_BYTES / 4096;
         images.insert(
             "FC4-STD".to_string(),
             Arc::new(
@@ -235,7 +233,6 @@ impl Testbed {
             .build();
         Testbed {
             engine,
-            profile,
             lan,
             coordinator,
             fileserver,
@@ -543,7 +540,7 @@ impl Testbed {
     /// bottleneck").
     pub(crate) fn uplink_transfer(&mut self, bytes: u64) -> SimTime {
         let start = self.fs_uplink_free.max(self.engine.now());
-        let end = start + transmission_time(bytes, self.profile.ctrl_lan_bps);
+        let end = start + transmission_time(bytes, profile::CTRL_LAN_BPS);
         self.fs_uplink_free = end;
         end
     }
@@ -700,8 +697,6 @@ impl Testbed {
             let host = VmHost::new(
                 VmHostConfig {
                     node: addr,
-                    profile: self.profile.clone(),
-                    tuning: VmmTuning::default(),
                     lan: self.lan,
                     ntp_server: OPS_ADDR,
                     services: FS_ADDR,
@@ -777,7 +772,7 @@ impl Testbed {
                 dn,
                 (a.host, a.addr),
                 (b.host, b.addr),
-                self.profile.exp_link_bps,
+                profile::EXP_LINK_BPS,
                 SimDuration::from_micros(5),
                 shape,
             );

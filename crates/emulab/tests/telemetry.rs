@@ -2,7 +2,7 @@
 //! threads through engine, coordinator, hosts, the dedup store, and the
 //! swap paths, and every seam records into it.
 
-use emulab::{ExperimentSpec, SwapError, Testbed, TestbedError};
+use emulab::{ExperimentSpec, SpecError, SwapError, Testbed, TestbedError};
 use sim::SimDuration;
 
 fn two_node_spec(name: &str) -> ExperimentSpec {
@@ -172,4 +172,44 @@ fn swap_in_failures_are_typed_and_leak_nothing() {
         Err(SwapError::AlreadySwappedIn { name }) => assert_eq!(name, "ok"),
         other => panic!("expected AlreadySwappedIn, got {other:?}"),
     }
+}
+
+/// Shaping parameters no frame can cross are refused before allocation.
+/// Unchecked, a zero-bandwidth link swaps in and panics on its first
+/// frame, while a zero-bandwidth LAN or an out-of-range loss panics in
+/// the middle of swap-in, after machines are claimed.
+#[test]
+fn invalid_shaping_is_a_spec_error_that_claims_no_machines() {
+    let mut tb = Testbed::new(303, 4);
+    let link = |bw: u64, loss: f64| {
+        ExperimentSpec::new("shaped").node("a").node("b").link(
+            "a",
+            "b",
+            bw,
+            SimDuration::from_micros(100),
+            loss,
+        )
+    };
+    let s = |name: &str| name.to_string();
+    let cases = [
+        (link(0, 0.0), SpecError::ZeroLinkBandwidth { a: s("a"), b: s("b") }),
+        (link(1_000_000, 1.5), SpecError::LinkLossOutOfRange { a: s("a"), b: s("b"), loss: 1.5 }),
+        (link(1_000_000, -0.1), SpecError::LinkLossOutOfRange { a: s("a"), b: s("b"), loss: -0.1 }),
+        (
+            ExperimentSpec::new("lan").node("a").node("b").lan(&["a", "b"], 0, SimDuration::ZERO),
+            SpecError::ZeroLanBandwidth { lan: 0 },
+        ),
+    ];
+    for (spec, want) in cases {
+        match tb.swap_in(spec) {
+            Err(SwapError::Spec(got)) => assert_eq!(got, want),
+            other => panic!("expected {want}, got {other:?}"),
+        }
+        assert_eq!(tb.free_machines(), 4, "rejected spec claims no machines");
+    }
+    match tb.swap_in(link(1_000_000, f64::NAN)) {
+        Err(SwapError::Spec(SpecError::LinkLossOutOfRange { loss, .. })) => assert!(loss.is_nan()),
+        other => panic!("expected LinkLossOutOfRange, got {other:?}"),
+    }
+    assert_eq!(tb.free_machines(), 4);
 }

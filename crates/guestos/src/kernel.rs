@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use ckptstore::{Dec, DecodeError, Enc};
 use cowstore::BlockData;
-use hwsim::NodeAddr;
+use hwsim::{profile, NodeAddr};
 
 use crate::actions::{BlockBatch, BlockBatchOp, GuestAction};
 use crate::audit::{ClockEventKind, ClockWitness};
@@ -70,10 +70,10 @@ impl KernelConfig {
     /// cache), 6 GB disk, ext3 with 8192-block groups.
     pub fn pc3000_guest(node: NodeAddr) -> Self {
         KernelConfig {
-            hz: 100,
+            hz: profile::GUEST_HZ,
             node,
             cache_blocks: 51_200,
-            disk_blocks: (6u64 << 30) / 4096,
+            disk_blocks: profile::GUEST_DISK_BYTES / 4096,
             block_size: 4096,
             blocks_per_group: 8192,
         }

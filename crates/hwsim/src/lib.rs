@@ -4,7 +4,7 @@
 //! on: drifting hardware clocks and TSCs ([`clock`]), a position-aware
 //! mechanical disk model ([`disk`]), CPU sharing between dom0 and a guest
 //! ([`cpu`]), raw wires plus the shared control LAN ([`net`]), and the
-//! pc3000 calibration profile ([`profile`]).
+//! pc3000 calibration constants ([`profile`]).
 
 pub mod clock;
 pub mod cpu;
@@ -16,4 +16,3 @@ pub use clock::{HardwareClock, Tsc};
 pub use cpu::SharedCpu;
 pub use disk::{Disk, DiskOp, DiskProfile, DiskQueue, DiskRequest, DiskStats};
 pub use net::{ControlLan, Endpoint, Frame, IfaceId, LanTransmit, LinkDeliver, NodeAddr, Wire};
-pub use profile::Pc3000;

@@ -1,100 +1,26 @@
-//! Calibration profiles for the simulated testbed.
+//! The pc3000 calibration: the one machine type the paper evaluates on.
 //!
 //! Everything here corresponds to the evaluation platform of paper §7:
 //! Emulab "pc3000" nodes (3.0 GHz Xeon, 2 GB RAM, two 146 GB 10k-RPM SCSI
-//! disks), 1 Gbps experiment links, a dedicated 100 Mbps control LAN, and
-//! 256 MB Xen guests with 6 GB disk images. Constants that the paper does
-//! not pin down (e.g. shared-page update period) are noted where defined.
+//! disks, see [`crate::DiskProfile::pc3000_scsi`]), 1 Gbps experiment
+//! links, a dedicated 100 Mbps control LAN, and 256 MB Xen guests with
+//! 6 GB disk images. Every experiment runs on this one profile, so these
+//! are constants rather than configuration.
 
 use sim::SimDuration;
 
-use crate::disk::DiskProfile;
-
-/// The pc3000 hardware/software profile used by all experiments.
-#[derive(Clone, Debug)]
-pub struct Pc3000 {
-    /// CPU frequency (3.0 GHz Xeon).
-    pub cpu_hz: u64,
-    /// Experiment-link rate (1 Gbps).
-    pub exp_link_bps: u64,
-    /// Experiment-link propagation delay (same-rack switched Ethernet).
-    pub exp_link_prop: SimDuration,
-    /// Control-LAN port rate (dedicated 100 Mbps Ethernet).
-    pub ctrl_lan_bps: u64,
-    /// Control-LAN base switch latency.
-    pub ctrl_lan_latency: SimDuration,
-    /// Control-LAN queueing-jitter mean (limits NTP accuracy to ~200 µs).
-    pub ctrl_lan_jitter: SimDuration,
-    /// Guest memory size (256 MB per VM in §7).
-    pub guest_mem_bytes: u64,
-    /// Virtual disk image size (6 GB in §7).
-    pub guest_disk_bytes: u64,
-    /// Guest timer frequency (HZ=100: usleep(10 ms) rounds to ~20 ms,
-    /// matching Fig 4's 20 ms iteration baseline).
-    pub guest_hz: u32,
-    /// Hypervisor shared-info time-page update period (Xen uses ~1 ms
-    /// granularity for guest timers, §4.4).
-    pub shared_page_period: SimDuration,
-    /// Host clock drift magnitude, ppm (commodity crystals: tens of ppm).
-    pub clock_drift_ppm: f64,
-    /// Disk profile for the two local SCSI disks.
-    pub disk: DiskProfile,
-    /// Compression ratio applied to memory images for transfer (zero pages
-    /// and text compress well; calibrated so a 256 MB image moves over the
-    /// control net in ~8 s as §7.2 reports).
-    pub mem_image_compression: f64,
-}
-
-impl Default for Pc3000 {
-    fn default() -> Self {
-        Pc3000 {
-            cpu_hz: 3_000_000_000,
-            exp_link_bps: 1_000_000_000,
-            exp_link_prop: SimDuration::from_micros(20),
-            ctrl_lan_bps: 100_000_000,
-            ctrl_lan_latency: SimDuration::from_micros(40),
-            ctrl_lan_jitter: SimDuration::from_micros(60),
-            guest_mem_bytes: 256 << 20,
-            guest_disk_bytes: 6 << 30,
-            guest_hz: 100,
-            shared_page_period: SimDuration::from_millis(1),
-            clock_drift_ppm: 40.0,
-            disk: DiskProfile::pc3000_scsi(),
-            mem_image_compression: 0.36,
-        }
-    }
-}
-
-impl Pc3000 {
-    /// Guest timer tick period (1/HZ).
-    pub fn tick(&self) -> SimDuration {
-        SimDuration::from_nanos(1_000_000_000 / self.guest_hz as u64)
-    }
-
-    /// Compressed wire size of the guest memory image.
-    pub fn mem_image_wire_bytes(&self) -> u64 {
-        (self.guest_mem_bytes as f64 * self.mem_image_compression) as u64
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sim::transmission_time;
-
-    #[test]
-    fn tick_is_10ms_at_hz100() {
-        let p = Pc3000::default();
-        assert_eq!(p.tick(), SimDuration::from_millis(10));
-    }
-
-    #[test]
-    fn memory_image_moves_in_about_8_seconds() {
-        // §7.2: "The initial swap-in took eight seconds when the base
-        // system image was cached."
-        let p = Pc3000::default();
-        let t = transmission_time(p.mem_image_wire_bytes(), p.ctrl_lan_bps);
-        let secs = t.as_secs_f64();
-        assert!((6.0..10.0).contains(&secs), "memory image transfer {secs}s");
-    }
-}
+/// Experiment-link rate (1 Gbps).
+pub const EXP_LINK_BPS: u64 = 1_000_000_000;
+/// Control-LAN port rate (dedicated 100 Mbps Ethernet).
+pub const CTRL_LAN_BPS: u64 = 100_000_000;
+/// Control-LAN base switch latency.
+pub const CTRL_LAN_LATENCY: SimDuration = SimDuration::from_micros(40);
+/// Control-LAN queueing-jitter mean (limits NTP accuracy to ~200 µs).
+pub const CTRL_LAN_JITTER: SimDuration = SimDuration::from_micros(60);
+/// Guest memory size (256 MB per VM in §7).
+pub const GUEST_MEM_BYTES: u64 = 256 << 20;
+/// Virtual disk image size (6 GB in §7).
+pub const GUEST_DISK_BYTES: u64 = 6 << 30;
+/// Guest timer frequency (HZ=100: usleep(10 ms) rounds to ~20 ms,
+/// matching Fig 4's 20 ms iteration baseline).
+pub const GUEST_HZ: u32 = 100;

@@ -59,9 +59,7 @@ pub use shard::ShardedEngine;
 pub use fault::FaultPlan;
 pub use inthash::{IntHasher, IntMap};
 pub use rng::SimRng;
-pub use telemetry::audit::{
-    audit_transparency, audit_transparency_with, AuditConfig, AuditReport, AuditViolation,
-};
+pub use telemetry::audit::{audit_transparency, AuditReport, AuditViolation};
 pub use telemetry::{
     ActiveSpan, CounterId, GaugeId, HistogramId, HistogramSummary, SpanId, SpanRecord, Telemetry,
     TraceCtx, TraceEvent, TracePhase, TraceTag, TrackId,

@@ -14,14 +14,14 @@
 //!    `gettimeofday`, firewall close/reopen stamp) ever decreases.
 //! 2. **Bounded resume step** — the guest time at which the temporal
 //!    firewall reopens must match the time at which it closed, to
-//!    within [`AuditConfig::max_resume_step_ns`]. A non-concealing
+//!    within `MAX_RESUME_STEP_NS` (1 ms). A non-concealing
 //!    checkpoint leaks its whole downtime here.
 //! 3. **Bounded jiffies delta** — consecutive timer ticks advance guest
-//!    time by at most [`AuditConfig::max_tick_gap_ns`]; a leaked resume
+//!    time by at most `MAX_TICK_GAP_NS` (25 ms); a leaked resume
 //!    shows up as one giant tick-to-tick gap.
 //! 4. **No wall-clock step** — between consecutive guest observations,
 //!    guest time advances by at most real (simulation) time plus
-//!    [`AuditConfig::max_wall_excess_ns`]; guest time may pause
+//!    `MAX_WALL_EXCESS_NS` (5 ms); guest time may pause
 //!    (concealment) but never runs visibly ahead.
 
 use std::collections::BTreeMap;
@@ -33,38 +33,21 @@ use super::names;
 use super::ring::{TraceEvent, TracePhase};
 use super::Telemetry;
 
-/// Thresholds for the transparency invariants.
-///
-/// The defaults accommodate the simulated testbed's legitimate noise:
-/// boot-time NTP steps of a few milliseconds (initial host clock
-/// offsets are under ±4 ms and are stepped once by the first poll),
-/// ±500 ppm NTP slewing, and the sub-100 µs resume IRQ latency — while
-/// still catching any leaked checkpoint downtime, which starts in the
-/// tens of milliseconds.
-#[derive(Clone, Copy, Debug)]
-pub struct AuditConfig {
-    /// Max guest-time delta across a firewall close → reopen (ns).
-    pub max_resume_step_ns: i64,
-    /// Max guest-time gap between consecutive timer ticks (ns);
-    /// 2.5 tick periods at the HZ=100 evaluation guest.
-    pub max_tick_gap_ns: i64,
-    /// Max amount guest time may outrun real time between consecutive
-    /// observations (ns).
-    pub max_wall_excess_ns: i64,
-    /// Ignore guest events before this instant (skip boot transients).
-    pub ignore_before: SimTime,
-}
+// Thresholds for the transparency invariants. They accommodate the
+// simulated testbed's legitimate noise: boot-time NTP steps of a few
+// milliseconds (initial host clock offsets are under ±4 ms and are
+// stepped once by the first poll), ±500 ppm NTP slewing, and the
+// sub-100 µs resume IRQ latency — while still catching any leaked
+// checkpoint downtime, which starts in the tens of milliseconds.
 
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            max_resume_step_ns: 1_000_000,
-            max_tick_gap_ns: 25_000_000,
-            max_wall_excess_ns: 5_000_000,
-            ignore_before: SimTime::ZERO,
-        }
-    }
-}
+/// Max guest-time delta across a firewall close → reopen (ns).
+const MAX_RESUME_STEP_NS: i64 = 1_000_000;
+/// Max guest-time gap between consecutive timer ticks (ns); 2.5 tick
+/// periods at the HZ=100 evaluation guest.
+const MAX_TICK_GAP_NS: i64 = 25_000_000;
+/// Max amount guest time may outrun real time between consecutive
+/// observations (ns).
+const MAX_WALL_EXCESS_NS: i64 = 5_000_000;
 
 /// One violated transparency invariant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -193,24 +176,15 @@ impl AuditReport {
     }
 }
 
-/// Audits the registry's trace ring with default thresholds.
+/// Audits the registry's trace ring.
 pub fn audit_transparency(t: &Telemetry) -> AuditReport {
-    audit_transparency_with(t, &AuditConfig::default())
-}
-
-/// Audits the registry's trace ring with explicit thresholds.
-pub fn audit_transparency_with(t: &Telemetry, cfg: &AuditConfig) -> AuditReport {
-    audit_events(&t.trace_events(), cfg)
-}
-
-/// Audits an explicit event slice (unit-test entry point).
-pub fn audit_events(events: &[TraceEvent], cfg: &AuditConfig) -> AuditReport {
+    let events = t.trace_events();
     // Per-host guest streams, in time order. The ring records in event
     // order, which is time order except for events deliberately stamped
     // in the near future, so a stable sort by time normalizes it.
     let mut per_host: BTreeMap<u32, Vec<&TraceEvent>> = BTreeMap::new();
-    for ev in events {
-        if ev.subsystem == names::TRACK_GUEST && ev.at >= cfg.ignore_before {
+    for ev in &events {
+        if ev.subsystem == names::TRACK_GUEST {
             per_host.entry(ev.host).or_default().push(ev);
         }
     }
@@ -237,7 +211,7 @@ pub fn audit_events(events: &[TraceEvent], cfg: &AuditConfig) -> AuditReport {
                 }
                 let guest_delta = guest_ns - prev_guest;
                 let real_delta = ev.at.saturating_duration_since(prev_at).as_nanos() as i64;
-                if guest_delta > real_delta + cfg.max_wall_excess_ns {
+                if guest_delta > real_delta + MAX_WALL_EXCESS_NS {
                     report.violations.push(AuditViolation::WallClockStep {
                         host,
                         at: ev.at,
@@ -252,12 +226,12 @@ pub fn audit_events(events: &[TraceEvent], cfg: &AuditConfig) -> AuditReport {
                     report.ticks += 1;
                     if let Some(pt) = prev_tick {
                         let gap = guest_ns - pt;
-                        if gap > cfg.max_tick_gap_ns {
+                        if gap > MAX_TICK_GAP_NS {
                             report.violations.push(AuditViolation::JiffiesJump {
                                 host,
                                 at: ev.at,
                                 gap_ns: gap,
-                                limit_ns: cfg.max_tick_gap_ns,
+                                limit_ns: MAX_TICK_GAP_NS,
                             });
                         }
                     }
@@ -272,7 +246,7 @@ pub fn audit_events(events: &[TraceEvent], cfg: &AuditConfig) -> AuditReport {
                 (names::EV_GUEST_FW_CLOSED, TracePhase::End) => {
                     if let Some(closed) = fw_closed_at.take() {
                         report.firewall_cycles += 1;
-                        if guest_ns - closed > cfg.max_resume_step_ns {
+                        if guest_ns - closed > MAX_RESUME_STEP_NS {
                             report.violations.push(AuditViolation::VisibleResumeStep {
                                 host,
                                 at: ev.at,
@@ -376,24 +350,6 @@ mod tests {
         let rep = audit_transparency(&t);
         assert_eq!(rep.violations.len(), 1);
         assert_eq!(rep.violations[0].name(), "wall_clock_step");
-    }
-
-    #[test]
-    fn ignore_before_skips_boot_transients() {
-        let (t, g) = rig();
-        let read = t.trace_tag(names::EV_GUEST_CLOCK_READ);
-        // A boot-time NTP step, backward.
-        t.trace_instant(g, read, ms(1), 10_000_000);
-        t.trace_instant(g, read, ms(2), 1_000_000);
-        // Clean afterwards.
-        t.trace_instant(g, read, ms(100), 90_000_000);
-        t.trace_instant(g, read, ms(110), 100_000_000);
-        assert!(!audit_transparency(&t).passed());
-        let cfg = AuditConfig {
-            ignore_before: ms(50),
-            ..AuditConfig::default()
-        };
-        assert!(audit_transparency_with(&t, &cfg).passed());
     }
 
     #[test]

@@ -24,8 +24,8 @@ use cowstore::{BlockData, BranchingStore, Direction, MirrorTransfer};
 use guestos::prog::{CtrlReq, CtrlResp};
 use guestos::{ClockEventKind, GuestAction, Kernel, TcpSegment};
 use hwsim::{
-    DiskQueue, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr, Pc3000,
-    SharedCpu, Wire,
+    profile, DiskProfile, DiskQueue, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver,
+    NodeAddr, SharedCpu, Wire,
 };
 use sim::telemetry::names;
 use sim::{
@@ -35,7 +35,7 @@ use sim::{
 
 use crate::agent::HostAgent;
 use crate::domain::{Domain, DomainImage};
-use crate::tuning::{Dom0Job, VmmTuning};
+use crate::tuning::{self, Dom0Job};
 
 /// Where frames for a destination leave this host.
 #[derive(Debug)]
@@ -162,8 +162,6 @@ pub struct HostStats {
 /// Configuration for one host.
 pub struct VmHostConfig {
     pub node: NodeAddr,
-    pub profile: Pc3000,
-    pub tuning: VmmTuning,
     /// The control LAN component.
     pub lan: ComponentId,
     /// Control address of the NTP server (ops node).
@@ -293,8 +291,8 @@ impl VmHost {
         agent: Option<Box<dyn HostAgent>>,
     ) -> Self {
         let clock = HardwareClock::new(cfg.clock_offset_ns, cfg.clock_drift_ppm);
-        let disk = DiskQueue::new(hwsim::Disk::new(cfg.profile.disk.clone()));
-        let mem = cfg.profile.guest_mem_bytes;
+        let disk = DiskQueue::new(hwsim::Disk::new(DiskProfile::pc3000_scsi()));
+        let mem = profile::GUEST_MEM_BYTES;
         VmHost {
             clock,
             cpu: SharedCpu::new(),
@@ -458,7 +456,7 @@ impl VmHost {
     }
 
     fn tick_ns(&self) -> u64 {
-        1_000_000_000 / self.cfg.profile.guest_hz as u64
+        1_000_000_000 / profile::GUEST_HZ as u64
     }
 
     /// Real time at which the guest clock will read `guest_target_ns`.
@@ -491,7 +489,7 @@ impl VmHost {
     fn schedule_tick(&mut self, ctx: &mut Ctx<'_>, extra_latency: SimDuration) {
         let jitter = ctx
             .rng()
-            .exponential(self.cfg.tuning.tick_jitter_mean.as_nanos() as f64)
+            .exponential(tuning::TICK_JITTER_MEAN.as_nanos() as f64)
             as u64;
         let target = self.next_tick_guest_ns + jitter + extra_latency.as_nanos();
         let at = self.when_guest(ctx.now(), target).max(ctx.now());
@@ -625,7 +623,7 @@ impl VmHost {
         self.tx_busy = true;
         // Per-packet processing cost, stretched by dom0 contention.
         let start = ctx.now().max(self.tx_free_at);
-        let done = self.cpu.guest_completion(start, self.cfg.tuning.tx_proc_cost);
+        let done = self.cpu.guest_completion(start, tuning::TX_PROC_COST);
         self.tx_free_at = done;
         ctx.post_at(ctx.self_id(), done, VmMsg::NetTxDone);
     }
@@ -848,8 +846,8 @@ impl VmHost {
         assert_eq!(self.phase, CkptPhase::Idle, "checkpoint already running");
         self.phase = CkptPhase::Entering;
         let entry = ctx.rng().range_u64(
-            self.cfg.tuning.fw_entry_min.as_nanos(),
-            self.cfg.tuning.fw_entry_max.as_nanos() + 1,
+            tuning::FW_ENTRY_MIN.as_nanos(),
+            tuning::FW_ENTRY_MAX.as_nanos() + 1,
         );
         ctx.post_self(SimDuration::from_nanos(entry), VmMsg::FreezeEntryDone);
     }
@@ -905,8 +903,8 @@ impl VmHost {
         let t = self.tele(ctx);
         ctx.telemetry().trace_begin(t.track, t.ev_capture, ctx.now(), 0);
         let d = self.domain.as_ref().expect("domain present");
-        let dirty = (d.dirty_since_ckpt + self.cfg.tuning.dirty_floor).min(d.mem_bytes);
-        let capture = transmission_time(dirty, self.cfg.tuning.capture_bps * 8);
+        let dirty = (d.dirty_since_ckpt + tuning::DIRTY_FLOOR).min(d.mem_bytes);
+        let capture = transmission_time(dirty, tuning::CAPTURE_BPS * 8);
         ctx.post_self(capture, VmMsg::CaptureDone);
     }
 
@@ -934,7 +932,7 @@ impl VmHost {
             d.note_dirty(mem);
             self.full_pending = false;
         }
-        let mut image = d.capture(self.cfg.tuning.dirty_floor);
+        let mut image = d.capture(tuning::DIRTY_FLOOR);
         ctx.telemetry()
             .trace_end(t.track, t.ev_capture, ctx.now(), image.dirty_bytes as i64);
         ctx.telemetry()
@@ -943,7 +941,7 @@ impl VmHost {
         // the image — a restored CPU-bound thread must keep computing.
         image.pending_bursts = self.burst_q.iter().copied().collect();
         // Background write of the image to the second local disk.
-        let write = transmission_time(image.dirty_bytes, self.cfg.tuning.snapshot_disk_bps * 8);
+        let write = transmission_time(image.dirty_bytes, tuning::SNAPSHOT_DISK_BPS * 8);
         self.snap_disk_free_at = self.snap_disk_free_at.max(ctx.now()) + write;
         self.prev_image = self.last_image.take();
         self.last_image = Some(image);
@@ -1001,8 +999,8 @@ impl VmHost {
         // the CPU, so running guests see a shallow dip (Fig 6), not a
         // stall; a CPU-bound loop absorbs the whole cost (Fig 5's ≤27 ms).
         let dirty = self.last_image.as_ref().map(|i| i.dirty_bytes).unwrap_or(0);
-        let residual = self.cfg.tuning.residual_fixed
-            + transmission_time(dirty, self.cfg.tuning.residual_bps * 8);
+        let residual = tuning::RESIDUAL_FIXED
+            + transmission_time(dirty, tuning::RESIDUAL_BPS * 8);
         self.cpu.reserve_dom0_sliced(
             now,
             residual,
@@ -1022,8 +1020,8 @@ impl VmHost {
 
         // First tick pays the IRQ re-delivery latency.
         let extra = SimDuration::from_nanos(ctx.rng().range_u64(
-            self.cfg.tuning.resume_irq_min.as_nanos(),
-            self.cfg.tuning.resume_irq_max.as_nanos() + 1,
+            tuning::RESUME_IRQ_MIN.as_nanos(),
+            tuning::RESUME_IRQ_MAX.as_nanos() + 1,
         ));
         self.schedule_tick(ctx, extra);
 

@@ -10,7 +10,7 @@
 mod agent;
 mod domain;
 mod host;
-mod tuning;
+pub mod tuning;
 
 pub use agent::HostAgent;
 pub use domain::{Domain, DomainImage};
@@ -18,4 +18,4 @@ pub use host::{
     ExpPort, GuestRpc, GuestRpcReply, HostStats, MirrorConfig, MirrorDrained, VmHost,
     VmHostConfig,
 };
-pub use tuning::{Dom0Job, VmmTuning};
+pub use tuning::Dom0Job;

@@ -7,62 +7,43 @@
 
 use sim::SimDuration;
 
-/// Tunable costs of the virtualization layer.
-#[derive(Clone, Debug)]
-pub struct VmmTuning {
-    /// Mean of the exponential timer-interrupt delivery jitter. With mean
-    /// 8 µs the 97th percentile is ~28 µs — Fig 4: "for 97% of the
-    /// iterations the timer is accurate to within 28 µs".
-    pub tick_jitter_mean: SimDuration,
-    /// Per-packet processing cost of the paravirtual network path (guest
-    /// frontend + dom0 backend). Xen's net path is CPU-bound under load
-    /// (§4.4, citing Cherkasova/Santos); 25 µs/packet caps a 1 Gbps TCP
-    /// stream near the ~55 MB/s Fig 6 shows.
-    pub tx_proc_cost: SimDuration,
-    /// Temporal-firewall entry path: time from the suspend decision until
-    /// time sources are actually frozen (suspend thread scheduling, device
-    /// quiesce). Observed by the guest as the extra timer error at a
-    /// checkpoint (Fig 4 inset: ~80 µs vs 28 µs baseline).
-    pub fw_entry_min: SimDuration,
-    pub fw_entry_max: SimDuration,
-    /// Extra delivery latency of the first timer interrupt after resume
-    /// (devices reconnecting, pending-IRQ replay).
-    pub resume_irq_min: SimDuration,
-    pub resume_irq_max: SimDuration,
-    /// Rate at which dom0 captures the memory snapshot while the guest is
-    /// frozen (memcpy-bound). Concealed from the guest by time
-    /// virtualization.
-    pub capture_bps: u64,
-    /// Rate for the *residual* post-resume dom0 work (compressing and
-    /// writing out the captured image) — this is NOT concealed and is the
-    /// "residual checkpoint-related activity" behind Fig 5's ≤27 ms.
-    pub residual_bps: u64,
-    /// Fixed post-resume dom0 bookkeeping (xend, event channels).
-    pub residual_fixed: SimDuration,
-    /// Baseline dirty-set size per checkpoint (kernel + app working set).
-    pub dirty_floor: u64,
-    /// Rate at which the snapshot image drains to the second local disk
-    /// in the background after resume.
-    pub snapshot_disk_bps: u64,
-}
-
-impl Default for VmmTuning {
-    fn default() -> Self {
-        VmmTuning {
-            tick_jitter_mean: SimDuration::from_micros(8),
-            tx_proc_cost: SimDuration::from_micros(25),
-            fw_entry_min: SimDuration::from_micros(40),
-            fw_entry_max: SimDuration::from_micros(90),
-            resume_irq_min: SimDuration::from_micros(30),
-            resume_irq_max: SimDuration::from_micros(80),
-            capture_bps: 2_000_000_000,
-            residual_bps: 3_000_000_000,
-            residual_fixed: SimDuration::from_millis(8),
-            dirty_floor: 48 << 20,
-            snapshot_disk_bps: 70_000_000,
-        }
-    }
-}
+/// Mean of the exponential timer-interrupt delivery jitter. With mean
+/// 8 µs the 97th percentile is ~28 µs — Fig 4: "for 97% of the
+/// iterations the timer is accurate to within 28 µs".
+pub const TICK_JITTER_MEAN: SimDuration = SimDuration::from_micros(8);
+/// Per-packet processing cost of the paravirtual network path (guest
+/// frontend + dom0 backend). Xen's net path is CPU-bound under load
+/// (§4.4, citing Cherkasova/Santos); 25 µs/packet caps a 1 Gbps TCP
+/// stream near the ~55 MB/s Fig 6 shows.
+pub const TX_PROC_COST: SimDuration = SimDuration::from_micros(25);
+/// Temporal-firewall entry path, lower bound: time from the suspend
+/// decision until time sources are actually frozen (suspend thread
+/// scheduling, device quiesce). Observed by the guest as the extra timer
+/// error at a checkpoint (Fig 4 inset: ~80 µs vs 28 µs baseline).
+pub const FW_ENTRY_MIN: SimDuration = SimDuration::from_micros(40);
+/// Temporal-firewall entry path, upper bound (see [`FW_ENTRY_MIN`]).
+pub const FW_ENTRY_MAX: SimDuration = SimDuration::from_micros(90);
+/// Extra delivery latency of the first timer interrupt after resume
+/// (devices reconnecting, pending-IRQ replay), lower bound.
+pub const RESUME_IRQ_MIN: SimDuration = SimDuration::from_micros(30);
+/// Upper bound of the post-resume interrupt latency (see
+/// [`RESUME_IRQ_MIN`]).
+pub const RESUME_IRQ_MAX: SimDuration = SimDuration::from_micros(80);
+/// Rate, bytes/s, at which dom0 captures the memory snapshot while the
+/// guest is frozen (memcpy-bound). Concealed from the guest by time
+/// virtualization.
+pub const CAPTURE_BPS: u64 = 2_000_000_000;
+/// Rate, bytes/s, for the *residual* post-resume dom0 work (compressing
+/// and writing out the captured image) — this is NOT concealed and is
+/// the "residual checkpoint-related activity" behind Fig 5's ≤27 ms.
+pub const RESIDUAL_BPS: u64 = 3_000_000_000;
+/// Fixed post-resume dom0 bookkeeping (xend, event channels).
+pub const RESIDUAL_FIXED: SimDuration = SimDuration::from_millis(8);
+/// Baseline dirty-set size per checkpoint (kernel + app working set).
+pub const DIRTY_FLOOR: u64 = 48 << 20;
+/// Rate, bytes/s, at which the snapshot image drains to the second local
+/// disk in the background after resume.
+pub const SNAPSHOT_DISK_BPS: u64 = 70_000_000;
 
 /// Canonical dom0 management-job CPU costs (§7.1: running jobs in the
 /// privileged domain stretches a guest CPU burst by these amounts).

@@ -10,13 +10,13 @@ use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use guestos::prog::SockFd;
 use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
 use hwsim::{
-    ControlLan, Endpoint, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr,
-    Pc3000, Wire,
+    profile, ControlLan, Endpoint, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver,
+    NodeAddr, Wire,
 };
 use sim::{
     transmission_time, Component, ComponentId, Ctx, Engine, Payload, SimDuration, SimTime,
 };
-use vmm::{ExpPort, VmHost, VmHostConfig, VmmTuning};
+use vmm::{ExpPort, VmHost, VmHostConfig};
 
 /// Minimal ops node: answers NTP with its reference clock.
 struct NtpOps {
@@ -109,12 +109,11 @@ const OPS_ADDR: NodeAddr = NodeAddr(1000);
 /// (engine, host id). The LAN is component 0.
 fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
     let mut e = Engine::new(seed);
-    let profile = Pc3000::default();
     let lan_id = {
         let lan = ControlLan::new(
-            profile.ctrl_lan_bps,
-            profile.ctrl_lan_latency,
-            profile.ctrl_lan_jitter,
+            profile::CTRL_LAN_BPS,
+            profile::CTRL_LAN_LATENCY,
+            profile::CTRL_LAN_JITTER,
         );
         e.add_component(Box::new(lan))
     };
@@ -133,7 +132,6 @@ fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
 
 /// Adds a host at `node` on the control LAN `lan_id`.
 fn add_host(e: &mut Engine, lan_id: ComponentId, node: NodeAddr, auto_resume: bool) -> ComponentId {
-    let profile = Pc3000::default();
     let golden = std::sync::Arc::new(GoldenImageBuilder::new("fc4", 200_000, 4096, 7).build());
     let layout = StoreLayout::for_image(&golden);
     let store = BranchingStore::new(golden, CowMode::Branch, layout);
@@ -144,8 +142,6 @@ fn add_host(e: &mut Engine, lan_id: ComponentId, node: NodeAddr, auto_resume: bo
     let host = VmHost::new(
         VmHostConfig {
             node,
-            profile,
-            tuning: VmmTuning::default(),
             lan: lan_id,
             ntp_server: OPS_ADDR,
             services: OPS_ADDR,
