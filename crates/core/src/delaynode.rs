@@ -174,7 +174,7 @@ impl DelayNodeHost {
         self.addr
     }
 
-    /// The shaping instance (reconfiguration, stats).
+    /// The shaping instance (pipes, stats).
     pub fn dummynet(&self) -> &Dummynet {
         &self.dn
     }

@@ -160,15 +160,6 @@ impl Dummynet {
         &self.pipes[id.0]
     }
 
-    /// Mutable access to a pipe (reconfiguration).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown id.
-    pub fn pipe_mut(&mut self, id: PipeId) -> &mut Pipe {
-        &mut self.pipes[id.0]
-    }
-
     /// True while suspended for a checkpoint.
     pub fn suspended(&self) -> bool {
         self.suspended_at.is_some()

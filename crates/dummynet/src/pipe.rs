@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use ckptstore::{Dec, DecodeError, Enc};
 use hwsim::Frame;
-use sim::{transmission_time, SimDuration, SimRng, SimTime};
+use sim::{LineRate, SimDuration, SimRng, SimTime};
 
 /// Shaping parameters for one pipe (one direction of an emulated link).
 #[derive(Clone, Copy, Debug)]
@@ -44,6 +44,9 @@ impl PipeConfig {
     /// Inverse of [`PipeConfig::encode_wire`].
     pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let bandwidth_bps = if d.bool()? { Some(d.u64()?) } else { None };
+        if bandwidth_bps == Some(0) {
+            return Err(DecodeError::Invalid("zero-bandwidth pipe"));
+        }
         let delay = SimDuration::from_nanos(d.u64()?);
         let plr = d.f64()?;
         if !(0.0..=1.0).contains(&plr) {
@@ -95,7 +98,13 @@ struct Entry {
 #[derive(Clone)]
 pub struct Pipe {
     cfg: PipeConfig,
+    /// The bandwidth server's rate, from `cfg.bandwidth_bps`.
+    rate: Option<LineRate>,
     busy_until: SimTime,
+    /// FIFO, with departures that never decrease front to back: a shaped
+    /// departure is `max(busy_until, now) + tx`, an unshaped one is `now`,
+    /// and `shift` (applied as the clock moves by the same downtime) and
+    /// `restore` move every entry alike.
     in_flight: VecDeque<Entry>,
     /// Counters exposed for experiment post-processing.
     pub stats: PipeStats,
@@ -159,11 +168,17 @@ impl PipeImage {
 
 impl Pipe {
     /// Creates an idle pipe.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a loss rate outside `[0, 1]`, a zero-slot queue or a zero
+    /// bandwidth.
     pub fn new(cfg: PipeConfig) -> Self {
         assert!((0.0..=1.0).contains(&cfg.plr), "plr out of range");
         assert!(cfg.queue_slots > 0, "zero-slot queue");
         Pipe {
             cfg,
+            rate: cfg.bandwidth_bps.map(LineRate::new),
             busy_until: SimTime::ZERO,
             in_flight: VecDeque::new(),
             stats: PipeStats::default(),
@@ -175,17 +190,11 @@ impl Pipe {
         self.cfg
     }
 
-    /// Reconfigures the pipe; already-queued packets keep their schedule
-    /// (as in Dummynet, where `ipfw pipe config` affects new arrivals).
-    pub fn reconfigure(&mut self, cfg: PipeConfig) {
-        assert!((0.0..=1.0).contains(&cfg.plr), "plr out of range");
-        assert!(cfg.queue_slots > 0, "zero-slot queue");
-        self.cfg = cfg;
-    }
-
     /// Number of packets still waiting for bandwidth service at `now`.
     pub fn queue_len(&self, now: SimTime) -> usize {
-        self.in_flight.iter().filter(|e| e.departure > now).count()
+        // Departures are sorted, so the waiting packets are a suffix:
+        // counted from the back, O(queued) rather than O(buffered).
+        self.in_flight.iter().rev().take_while(|e| e.departure > now).count()
     }
 
     /// Total packets buffered in the pipe (queue + delay line).
@@ -199,16 +208,15 @@ impl Pipe {
             self.stats.dropped_loss += 1;
             return EnqueueOutcome::DroppedLoss;
         }
-        let departure = match self.cfg.bandwidth_bps {
-            Some(bw) => {
-                if self.queue_len(now) >= self.cfg.queue_slots {
-                    self.stats.dropped_queue += 1;
-                    return EnqueueOutcome::DroppedQueue;
-                }
+        if self.rate.is_some() && self.queue_len(now) >= self.cfg.queue_slots {
+            self.stats.dropped_queue += 1;
+            return EnqueueOutcome::DroppedQueue;
+        }
+        let departure = match &mut self.rate {
+            Some(rate) => {
                 let start = self.busy_until.max(now);
-                let dep = start + transmission_time(frame.wire_bytes as u64, bw);
-                self.busy_until = dep;
-                dep
+                self.busy_until = start + rate.transmission_time(frame.wire_bytes as u64);
+                self.busy_until
             }
             None => now,
         };
@@ -270,6 +278,7 @@ impl Pipe {
     pub fn restore(image: &PipeImage, now: SimTime) -> Self {
         Pipe {
             cfg: image.cfg,
+            rate: image.cfg.bandwidth_bps.map(LineRate::new),
             busy_until: now + image.busy_off,
             in_flight: image
                 .entries
@@ -425,6 +434,86 @@ mod tests {
         let mut tags = Vec::new();
         p.pop_ready(t(1_000_000), |f| tags.push(*f.payload::<u32>().unwrap()));
         assert_eq!(tags, (0..10).collect::<Vec<_>>());
+    }
+
+    fn zero_rate() -> PipeConfig {
+        PipeConfig { bandwidth_bps: Some(0), ..PipeConfig::passthrough() }
+    }
+
+    #[test]
+    fn a_zero_bandwidth_config_does_not_decode() {
+        let mut e = Enc::new();
+        zero_rate().encode_wire(&mut e);
+        let bytes = e.into_bytes();
+        assert!(PipeConfig::decode_wire(&mut Dec::new(&bytes)).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "zero bandwidth")]
+    fn a_zero_bandwidth_pipe_is_refused_when_built() {
+        let _ = Pipe::new(zero_rate());
+    }
+
+    /// What `queue_len` counted when it scanned the whole buffer.
+    fn queue_len_by_scan(p: &Pipe, now: SimTime) -> usize {
+        p.in_flight.iter().filter(|e| e.departure > now).count()
+    }
+
+    /// `queue_len` against the full scan, over random runs of every
+    /// operation that moves departures, on shaped and unshaped pipes:
+    /// arrivals (some lost to `plr`, some dropped at the tail), service, a
+    /// checkpoint's shift (the clock moves by the same downtime, as in
+    /// `Dummynet::resume`), and a serialize/restore round trip.
+    #[test]
+    fn queue_len_counts_what_a_full_scan_counts() {
+        let cfg = |g: &mut SimRng| PipeConfig {
+            bandwidth_bps: (!g.chance(0.25)).then(|| g.range_u64(1, 100) * 1_000_000),
+            delay: SimDuration::from_micros(g.range_u64(0, 2_000)),
+            plr: if g.chance(0.3) { 0.2 } else { 0.0 },
+            queue_slots: g.range_u64(1, 40) as usize,
+        };
+        let (mut backlogged_probes, mut drops) = (0, 0);
+        for case in 0..200 {
+            let mut g = SimRng::for_component(0x0D1F, case);
+            let mut rng = SimRng::from_seed(u64::from(case));
+            let mut p = Pipe::new(cfg(&mut g));
+            let mut now = SimTime::ZERO;
+            for step in 0..400 {
+                let later = now + SimDuration::from_micros(g.range_u64(0, 3_000));
+                for probe in [now, later] {
+                    let want = queue_len_by_scan(&p, probe);
+                    assert_eq!(p.queue_len(probe), want, "case {case} step {step}");
+                    if want > 0 && want < p.buffered() {
+                        backlogged_probes += 1;
+                    }
+                }
+                match g.range_u64(0, 100) {
+                    0..=59 => {
+                        let f = frame(g.range_u64(40, 1_500) as u32);
+                        if let EnqueueOutcome::DroppedQueue = p.enqueue(now, f, &mut rng) {
+                            drops += 1;
+                        }
+                    }
+                    60..=79 => {
+                        now += SimDuration::from_micros(g.range_u64(0, 500));
+                        p.pop_ready(now, drop);
+                    }
+                    80..=89 => {
+                        let d = SimDuration::from_micros(g.range_u64(0, 5_000));
+                        p.shift(d);
+                        now += d;
+                    }
+                    _ => {
+                        let image = p.serialize(now);
+                        now += SimDuration::from_micros(g.range_u64(0, 10_000));
+                        p = Pipe::restore(&image, now);
+                    }
+                }
+            }
+        }
+        assert!(drops > 0, "the tail drop must be exercised");
+        // Probes that see a queue behind packets already in the delay line.
+        assert!(backlogged_probes > 1_000, "{backlogged_probes}");
     }
 
     #[test]

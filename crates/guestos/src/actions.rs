@@ -5,6 +5,8 @@
 //! running block I/O against the branching store, and scheduling CPU
 //! bursts on the shared processor.
 
+use std::sync::Arc;
+
 use ckptstore::{Dec, DecodeError, Enc};
 use cowstore::BlockData;
 use hwsim::NodeAddr;
@@ -78,8 +80,10 @@ impl BlockBatch {
 /// An action for the hypervisor.
 #[derive(Clone)]
 pub enum GuestAction {
-    /// Transmit a TCP segment to `dst` on the experiment network.
-    NetTx { dst: NodeAddr, seg: TcpSegment },
+    /// Transmit a TCP segment to `dst` on the experiment network. The
+    /// segment is already in the shared allocation the frame carrying it
+    /// keeps, so handing it on moves a pointer, not the segment.
+    NetTx { dst: NodeAddr, seg: Arc<TcpSegment> },
     /// Run a block I/O batch against the virtual disk.
     BlockIo(BlockBatch),
     /// Consume `ns` of guest CPU; deliver a completion with `id`.
@@ -125,7 +129,7 @@ impl GuestAction {
         Ok(match d.u8()? {
             0 => GuestAction::NetTx {
                 dst: NodeAddr(d.u32()?),
-                seg: TcpSegment::decode_wire(d, residue)?,
+                seg: Arc::new(TcpSegment::decode_wire(d, residue)?),
             },
             1 => GuestAction::BlockIo(BlockBatch::decode_wire(d)?),
             2 => GuestAction::Compute { id: d.u64()?, ns: d.u64()? },

@@ -65,10 +65,17 @@ impl ClockWitness {
         });
     }
 
-    /// Hands out every buffered observation in order, leaving the witness
-    /// empty with its buffer in place for the next kernel entry.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, ClockObservation> {
-        self.buf.drain(..)
+    /// Hands every buffered observation to `out`, in order, by trading
+    /// buffers: the caller gets the observations, the witness keeps
+    /// recording into the caller's (empty) vector, and neither side
+    /// reallocates per drain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not empty.
+    pub fn drain(&mut self, out: &mut Vec<ClockObservation>) {
+        assert!(out.is_empty(), "witness drain into a non-empty buffer");
+        std::mem::swap(&mut self.buf, out);
     }
 
     /// Observations currently buffered.
@@ -96,7 +103,8 @@ mod tests {
         let mut w = ClockWitness::default();
         w.record(ClockEventKind::Tick, 10, 1);
         w.record(ClockEventKind::ClockRead, 11, 1);
-        let obs: Vec<ClockObservation> = w.drain().collect();
+        let mut obs = Vec::new();
+        w.drain(&mut obs);
         assert_eq!(obs.len(), 2);
         assert_eq!(obs[0].kind, ClockEventKind::Tick);
         assert_eq!(obs[1].guest_ns, 11);

@@ -16,6 +16,7 @@
 //! the checkpoint happened, which is the whole point.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ckptstore::{Dec, DecodeError, Enc};
 use cowstore::BlockData;
@@ -407,7 +408,9 @@ impl Kernel {
             .record(ClockEventKind::Tick, guest_now_ns, self.jiffies);
 
         for tid in self.wheel.expire(self.jiffies) {
-            self.wake(tid, SysRet::Ok);
+            if let Some(ret) = self.wake(tid) {
+                *ret = SysRet::Ok;
+            }
         }
 
         // TCP retransmit timers, in fd order. `rtx` allocates only when
@@ -463,7 +466,9 @@ impl Kernel {
                 if let ThreadState::ConnectWait { fd: wfd } = self.threads[i].state {
                     if wfd == fd.0 {
                         let tid = self.threads[i].tid;
-                        self.wake(tid, SysRet::Sock(fd));
+                        if let Some(ret) = self.wake(tid) {
+                            *ret = SysRet::Sock(fd);
+                        }
                         woke_connector = true;
                         break;
                     }
@@ -502,7 +507,9 @@ impl Kernel {
             }
         }
         for tid in info.waiters {
-            self.wake(tid, SysRet::Ok);
+            if let Some(ret) = self.wake(tid) {
+                *ret = SysRet::Ok;
+            }
         }
         self.run_threads();
     }
@@ -515,7 +522,9 @@ impl Kernel {
             if let ThreadState::RpcWait { id } = self.threads[i].state {
                 if id == rpc_id {
                     let tid = self.threads[i].tid;
-                    self.wake(tid, SysRet::Rpc(resp));
+                    if let Some(ret) = self.wake(tid) {
+                        *ret = SysRet::Rpc(resp);
+                    }
                     break;
                 }
             }
@@ -530,7 +539,9 @@ impl Kernel {
             if let ThreadState::Computing { burst } = self.threads[i].state {
                 if burst == burst_id {
                     let tid = self.threads[i].tid;
-                    self.wake(tid, SysRet::Ok);
+                    if let Some(ret) = self.wake(tid) {
+                        *ret = SysRet::Ok;
+                    }
                     break;
                 }
             }
@@ -573,9 +584,11 @@ impl Kernel {
     // Internals.
     // ------------------------------------------------------------------
 
+    /// Queues `seg` for the vmm, moving it once: into the allocation the
+    /// frame that carries it will share.
     fn transmit(&mut self, dst: NodeAddr, seg: TcpSegment) {
         self.trace.record(self.now_ns, PacketDir::Tx, &seg);
-        self.actions.push(GuestAction::NetTx { dst, seg });
+        self.actions.push(GuestAction::NetTx { dst, seg: Arc::new(seg) });
     }
 
     /// Transmits to `dst` everything a connection appended to the `tx`
@@ -588,14 +601,17 @@ impl Kernel {
         self.tx = tx;
     }
 
-    fn wake(&mut self, tid: Tid, ret: SysRet) {
+    /// Makes blocked thread `tid` runnable and hands back the slot its
+    /// syscall's answer goes in, for the caller to write the answer into
+    /// in place; `None` if the thread has exited.
+    fn wake(&mut self, tid: Tid) -> Option<&mut SysRet> {
         let t = &mut self.threads[tid.0 as usize];
         if t.exited() {
-            return;
+            return None;
         }
         t.state = ThreadState::Runnable;
-        t.pending_ret = ret;
         self.runq.push(tid);
+        Some(&mut t.pending_ret)
     }
 
     fn wake_acceptors(&mut self, port: u16) {
@@ -604,7 +620,9 @@ impl Kernel {
                 if p == port {
                     if let Some(fd) = self.socks.pop_ready(port) {
                         let tid = self.threads[i].tid;
-                        self.wake(tid, SysRet::Sock(fd));
+                        if let Some(ret) = self.wake(tid) {
+                            *ret = SysRet::Sock(fd);
+                        }
                     }
                 }
             }
@@ -615,25 +633,31 @@ impl Kernel {
     fn service_socket_waiters(&mut self, fd: SockFd) {
         for i in 0..self.threads.len() {
             let tid = self.threads[i].tid;
-            match self.threads[i].state.clone() {
+            match self.threads[i].state {
                 ThreadState::RecvWait { fd: wfd, max } if wfd == fd.0 => {
                     let ready = {
                         let e = self.socks.get(fd).expect("fd exists");
                         e.conn.readable() > 0 || !e.inbox.is_empty()
                     };
                     if ready {
-                        let ret = self.do_recv(fd, max);
-                        self.wake(tid, ret);
+                        let answer = self.do_recv(fd, max);
+                        if let Some(ret) = self.wake(tid) {
+                            *ret = answer;
+                        }
                     }
                 }
-                ThreadState::SendWait { fd: wfd, bytes, msg } if wfd == fd.0 => {
+                ThreadState::SendWait { fd: wfd, bytes } if wfd == fd.0 => {
                     let now = self.now_ns;
+                    let msg = self.threads[i].send_msg.clone();
                     let e = self.socks.get_mut(fd).expect("fd exists");
-                    let accepted = e.conn.send(bytes, msg.clone(), now, &mut self.tx);
+                    let accepted = e.conn.send(bytes, msg, now, &mut self.tx);
                     let remote = e.remote;
                     self.flush_tx(remote);
                     if accepted > 0 {
-                        self.wake(tid, SysRet::Sent(accepted));
+                        self.threads[i].send_msg = None;
+                        if let Some(ret) = self.wake(tid) {
+                            *ret = SysRet::Sent(accepted);
+                        }
                     }
                 }
                 _ => {}
@@ -696,80 +720,74 @@ impl Kernel {
             if !matches!(self.threads[tid.0 as usize].state, ThreadState::Runnable) {
                 continue;
             }
+            // What the program's next step is told: the answer its wake
+            // left, then each syscall answered inline.
+            let t = &mut self.threads[tid.0 as usize];
+            let mut ret = std::mem::replace(&mut t.pending_ret, SysRet::Ok);
             loop {
                 budget = budget.checked_sub(1).expect(
                     "guest step budget exhausted: a program is spinning on non-blocking syscalls",
                 );
-                let (sys, _name) = {
-                    let t = &mut self.threads[tid.0 as usize];
-                    let ret = std::mem::replace(&mut t.pending_ret, SysRet::Ok);
-                    let prog = t.prog.as_mut().expect("user thread has a program");
-                    (prog.step(ret), ())
-                };
-                if !self.handle_syscall(tid, sys) {
-                    break; // Thread blocked, yielded, or exited.
+                let prog = self.threads[tid.0 as usize].prog.as_mut();
+                let sys = prog.expect("user thread has a program").step(ret);
+                match self.handle_syscall(tid, sys) {
+                    Some(answer) => ret = answer,
+                    None => break, // Thread blocked, yielded, or exited.
                 }
             }
         }
     }
 
-    /// Executes a syscall for `tid`. Returns true if the thread remains
-    /// runnable (non-blocking call answered inline).
-    fn handle_syscall(&mut self, tid: Tid, sys: Syscall) -> bool {
+    /// Executes a syscall for `tid`. A call answered inline returns its
+    /// answer, which the dispatch loop hands straight to the program's next
+    /// step; a call that blocks (or yields, or exits) returns `None` and
+    /// leaves the thread's `pending_ret` to its wake.
+    fn handle_syscall(&mut self, tid: Tid, sys: Syscall) -> Option<SysRet> {
         match sys {
             Syscall::Gettimeofday => {
                 self.witness
                     .record(ClockEventKind::ClockRead, self.now_ns, self.jiffies);
-                self.threads[tid.0 as usize].pending_ret = SysRet::Time(self.now_ns);
-                true
+                Some(SysRet::Time(self.now_ns))
             }
             Syscall::Sleep { ns } => {
                 let wake = sleep_to_wake_jiffy(self.jiffies, ns, self.cfg.tick_ns());
                 self.wheel.arm(wake, tid);
                 self.threads[tid.0 as usize].state = ThreadState::Sleeping;
-                false
+                None
             }
             Syscall::Compute { ns } => {
                 let id = self.next_burst;
                 self.next_burst += 1;
                 self.threads[tid.0 as usize].state = ThreadState::Computing { burst: id };
                 self.actions.push(GuestAction::Compute { id, ns });
-                false
+                None
             }
             Syscall::Yield => {
-                self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
                 self.runq.push(tid);
-                false
+                None
             }
             Syscall::Listen { port } => {
                 self.socks.listen(port);
-                self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
-                true
+                Some(SysRet::Ok)
             }
             Syscall::AcceptNb { port } => {
                 if !self.socks.listening(port) {
                     self.socks.listen(port);
                 }
-                let ret = match self.socks.pop_ready(port) {
+                Some(match self.socks.pop_ready(port) {
                     Some(fd) => SysRet::Sock(fd),
                     None => SysRet::Ok,
-                };
-                self.threads[tid.0 as usize].pending_ret = ret;
-                true
+                })
             }
             Syscall::Accept { port } => {
                 if !self.socks.listening(port) {
-                    self.threads[tid.0 as usize].pending_ret = SysRet::Err("not listening");
-                    return true;
+                    return Some(SysRet::Err("not listening"));
                 }
                 match self.socks.pop_ready(port) {
-                    Some(fd) => {
-                        self.threads[tid.0 as usize].pending_ret = SysRet::Sock(fd);
-                        true
-                    }
+                    Some(fd) => Some(SysRet::Sock(fd)),
                     None => {
                         self.threads[tid.0 as usize].state = ThreadState::AcceptWait { port };
-                        false
+                        None
                     }
                 }
             }
@@ -779,67 +797,55 @@ impl Kernel {
                 let fd = self.socks.register(conn, dst);
                 self.transmit(dst, syn);
                 self.threads[tid.0 as usize].state = ThreadState::ConnectWait { fd: fd.0 };
-                false
+                None
             }
             Syscall::Send { fd, bytes, msg } => {
                 let Some(e) = self.socks.get_mut(fd) else {
-                    self.threads[tid.0 as usize].pending_ret = SysRet::Err("bad fd");
-                    return true;
+                    return Some(SysRet::Err("bad fd"));
                 };
                 let accepted = e.conn.send(bytes, msg.clone(), self.now_ns, &mut self.tx);
                 let remote = e.remote;
                 self.flush_tx(remote);
                 if accepted > 0 {
-                    self.threads[tid.0 as usize].pending_ret = SysRet::Sent(accepted);
-                    true
+                    Some(SysRet::Sent(accepted))
                 } else {
-                    self.threads[tid.0 as usize].state = ThreadState::SendWait {
-                        fd: fd.0,
-                        bytes,
-                        msg,
-                    };
-                    false
+                    let t = &mut self.threads[tid.0 as usize];
+                    t.state = ThreadState::SendWait { fd: fd.0, bytes };
+                    t.send_msg = msg;
+                    None
                 }
             }
             Syscall::RecvNb { fd, max } => {
                 let Some(e) = self.socks.get(fd) else {
-                    self.threads[tid.0 as usize].pending_ret = SysRet::Err("bad fd");
-                    return true;
+                    return Some(SysRet::Err("bad fd"));
                 };
-                let ret = if e.conn.readable() > 0 || !e.inbox.is_empty() {
+                Some(if e.conn.readable() > 0 || !e.inbox.is_empty() {
                     self.do_recv(fd, max)
                 } else {
                     SysRet::Recvd {
                         bytes: 0,
                         msgs: Vec::new(),
                     }
-                };
-                self.threads[tid.0 as usize].pending_ret = ret;
-                true
+                })
             }
             Syscall::SendNb { fd, bytes, msg } => {
                 let Some(e) = self.socks.get_mut(fd) else {
-                    self.threads[tid.0 as usize].pending_ret = SysRet::Err("bad fd");
-                    return true;
+                    return Some(SysRet::Err("bad fd"));
                 };
                 let accepted = e.conn.send(bytes, msg, self.now_ns, &mut self.tx);
                 let remote = e.remote;
                 self.flush_tx(remote);
-                self.threads[tid.0 as usize].pending_ret = SysRet::Sent(accepted);
-                true
+                Some(SysRet::Sent(accepted))
             }
             Syscall::Recv { fd, max } => {
                 let Some(e) = self.socks.get(fd) else {
-                    self.threads[tid.0 as usize].pending_ret = SysRet::Err("bad fd");
-                    return true;
+                    return Some(SysRet::Err("bad fd"));
                 };
                 if e.conn.readable() > 0 || !e.inbox.is_empty() {
-                    let ret = self.do_recv(fd, max);
-                    self.threads[tid.0 as usize].pending_ret = ret;
-                    true
+                    Some(self.do_recv(fd, max))
                 } else {
                     self.threads[tid.0 as usize].state = ThreadState::RecvWait { fd: fd.0, max };
-                    false
+                    None
                 }
             }
             Syscall::CloseSock { fd } => {
@@ -851,45 +857,38 @@ impl Kernel {
                         self.transmit(remote, seg);
                     }
                 }
-                self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
-                true
+                Some(SysRet::Ok)
             }
             Syscall::Create { file } => {
-                let ret = match self.fs.create(file) {
+                Some(match self.fs.create(file) {
                     Ok(()) => SysRet::Ok,
                     Err(e) => SysRet::Err(e),
-                };
-                self.threads[tid.0 as usize].pending_ret = ret;
-                true
+                })
             }
             Syscall::Write { file, offset, bytes } => self.sys_write(tid, file, offset, bytes),
             Syscall::Read { file, offset, bytes } => self.sys_read(tid, file, offset, bytes),
-            Syscall::Delete { file } => {
-                match self.fs.delete(file) {
-                    Ok((bitmap_writes, freed)) => {
-                        for vba in freed {
-                            self.cache.invalidate(vba);
-                        }
-                        let mut forced = Vec::new();
-                        for w in bitmap_writes {
-                            if let Some(ev) = self.cache.put(w.vba, w.data, true) {
-                                forced.push(ev);
-                            }
-                        }
-                        if !forced.is_empty() {
-                            self.start_writeback(Some(forced));
-                        }
-                        self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
+            Syscall::Delete { file } => Some(match self.fs.delete(file) {
+                Ok((bitmap_writes, freed)) => {
+                    for vba in freed {
+                        self.cache.invalidate(vba);
                     }
-                    Err(e) => self.threads[tid.0 as usize].pending_ret = SysRet::Err(e),
+                    let mut forced = Vec::new();
+                    for w in bitmap_writes {
+                        if let Some(ev) = self.cache.put(w.vba, w.data, true) {
+                            forced.push(ev);
+                        }
+                    }
+                    if !forced.is_empty() {
+                        self.start_writeback(Some(forced));
+                    }
+                    SysRet::Ok
                 }
-                true
-            }
+                Err(e) => SysRet::Err(e),
+            }),
             Syscall::Sync => {
                 let dirty = self.cache.take_dirty(usize::MAX >> 1);
                 if dirty.is_empty() && self.batches.is_empty() {
-                    self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
-                    return true;
+                    return Some(SysRet::Ok);
                 }
                 let id = self.next_batch;
                 self.next_batch += 1;
@@ -925,36 +924,34 @@ impl Kernel {
                     self.actions.push(GuestAction::BlockIo(BlockBatch { id, ops }));
                 }
                 self.threads[tid.0 as usize].state = ThreadState::IoWait { batch: id };
-                false
+                None
             }
             Syscall::CtrlRpc { req } => {
                 let id = self.next_rpc;
                 self.next_rpc += 1;
                 self.threads[tid.0 as usize].state = ThreadState::RpcWait { id };
                 self.actions.push(GuestAction::CtrlRpc { id, req });
-                false
+                None
             }
             Syscall::TriggerCheckpoint => {
                 self.actions.push(GuestAction::TriggerCheckpoint);
-                self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
-                true
+                Some(SysRet::Ok)
             }
             Syscall::Exit => {
                 // The program object is kept so experiments can read its
                 // recorded results after the run.
                 self.threads[tid.0 as usize].state = ThreadState::Exited;
                 self.exited += 1;
-                false
+                None
             }
         }
     }
 
-    fn sys_write(&mut self, tid: Tid, file: FileId, offset: u64, bytes: u64) -> bool {
+    fn sys_write(&mut self, tid: Tid, file: FileId, offset: u64, bytes: u64) -> Option<SysRet> {
         let writes = match self.fs.write(file, offset, bytes) {
             Ok(w) => w,
             Err(e) => {
-                self.threads[tid.0 as usize].pending_ret = SysRet::Err(e);
-                return true;
+                return Some(SysRet::Err(e));
             }
         };
         let mut forced = Vec::new();
@@ -991,23 +988,20 @@ impl Kernel {
             self.wb_in_flight = true;
             self.actions.push(GuestAction::BlockIo(BlockBatch { id, ops }));
             self.threads[tid.0 as usize].state = ThreadState::IoWait { batch: id };
-            self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
-            false
+            None
         } else {
             if self.cache.dirty_count() >= high {
                 self.start_writeback(None);
             }
-            self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
-            true
+            Some(SysRet::Ok)
         }
     }
 
-    fn sys_read(&mut self, tid: Tid, file: FileId, offset: u64, bytes: u64) -> bool {
+    fn sys_read(&mut self, tid: Tid, file: FileId, offset: u64, bytes: u64) -> Option<SysRet> {
         let vbas = match self.fs.read_vbas(file, offset, bytes) {
             Ok(v) => v,
             Err(e) => {
-                self.threads[tid.0 as usize].pending_ret = SysRet::Err(e);
-                return true;
+                return Some(SysRet::Err(e));
             }
         };
         let mut misses = Vec::new();
@@ -1017,8 +1011,7 @@ impl Kernel {
             }
         }
         if misses.is_empty() {
-            self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
-            return true;
+            return Some(SysRet::Ok);
         }
         let id = self.next_batch;
         self.next_batch += 1;
@@ -1039,8 +1032,7 @@ impl Kernel {
         );
         self.actions.push(GuestAction::BlockIo(BlockBatch { id, ops }));
         self.threads[tid.0 as usize].state = ThreadState::IoWait { batch: id };
-        self.threads[tid.0 as usize].pending_ret = SysRet::Ok;
-        false
+        None
     }
 }
 

@@ -34,7 +34,11 @@ pub enum ThreadClass {
 }
 
 /// Why a thread is not runnable.
-#[derive(Clone)]
+///
+/// Plain data: a state is rewritten on every block and wake, so it owns
+/// nothing that needs dropping and a write is a few stores. The message a
+/// blocked sender still has to send waits in [`Thread::send_msg`].
+#[derive(Clone, Copy)]
 pub enum ThreadState {
     Runnable,
     /// Waiting on the timer wheel.
@@ -45,13 +49,9 @@ pub enum ThreadState {
     ConnectWait { fd: u32 },
     /// Waiting for readable bytes on a socket.
     RecvWait { fd: u32, max: u64 },
-    /// Waiting for send-buffer space on a socket (retries the send with
-    /// the stashed message marker once space opens).
-    SendWait {
-        fd: u32,
-        bytes: u64,
-        msg: Option<AppMsg>,
-    },
+    /// Waiting for send-buffer space on a socket (retries the send, with
+    /// the thread's `send_msg`, once space opens).
+    SendWait { fd: u32, bytes: u64 },
     /// Waiting for a block I/O batch.
     IoWait { batch: u64 },
     /// Waiting for a control-service RPC reply.
@@ -118,7 +118,7 @@ impl ThreadClass {
 
 impl ThreadState {
     /// Serializes the state; wire tags reuse [`ThreadState::tag`] codes.
-    pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
+    pub fn encode_wire(&self, e: &mut Enc) {
         e.u8(self.tag());
         match self {
             ThreadState::Runnable | ThreadState::Sleeping | ThreadState::Exited => {}
@@ -128,13 +128,9 @@ impl ThreadState {
                 e.u32(*fd);
                 e.u64(*max);
             }
-            ThreadState::SendWait { fd, bytes, msg } => {
+            ThreadState::SendWait { fd, bytes } => {
                 e.u32(*fd);
                 e.u64(*bytes);
-                e.bool(msg.is_some());
-                if let Some(m) = msg {
-                    e.u32(residue.push_msg(m));
-                }
             }
             ThreadState::IoWait { batch } => e.u64(*batch),
             ThreadState::Computing { burst } => e.u64(*burst),
@@ -143,7 +139,7 @@ impl ThreadState {
     }
 
     /// Inverse of [`ThreadState::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
+    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let at = d.position();
         Ok(match d.u8()? {
             0 => ThreadState::Runnable,
@@ -151,12 +147,7 @@ impl ThreadState {
             2 => ThreadState::AcceptWait { port: d.u16()? },
             3 => ThreadState::ConnectWait { fd: d.u32()? },
             4 => ThreadState::RecvWait { fd: d.u32()?, max: d.u64()? },
-            5 => {
-                let fd = d.u32()?;
-                let bytes = d.u64()?;
-                let msg = if d.bool()? { Some(residue.msg(d.u32()?)?) } else { None };
-                ThreadState::SendWait { fd, bytes, msg }
-            }
+            5 => ThreadState::SendWait { fd: d.u32()?, bytes: d.u64()? },
             6 => ThreadState::IoWait { batch: d.u64()? },
             7 => ThreadState::Computing { burst: d.u64()? },
             8 => ThreadState::Exited,
@@ -172,6 +163,8 @@ pub struct Thread {
     pub tid: Tid,
     pub class: ThreadClass,
     pub state: ThreadState,
+    /// The message marker of the send a `SendWait` thread retries.
+    pub send_msg: Option<AppMsg>,
     /// The user program (user threads only).
     pub prog: Option<Box<dyn GuestProg>>,
     /// Value handed to the program on its next step.
@@ -185,6 +178,7 @@ impl Thread {
             tid,
             class: ThreadClass::User,
             state: ThreadState::Runnable,
+            send_msg: None,
             prog: Some(prog),
             pending_ret: SysRet::Start,
         }
@@ -196,10 +190,17 @@ impl Thread {
     }
 
     /// Serializes the thread; the program object goes into the residue.
+    /// A sender's message marker follows its `SendWait` state.
     pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
         e.u32(self.tid.0);
         e.u8(self.class.wire_tag());
-        self.state.encode_wire(e, residue);
+        self.state.encode_wire(e);
+        if let ThreadState::SendWait { .. } = self.state {
+            e.bool(self.send_msg.is_some());
+            if let Some(m) = &self.send_msg {
+                e.u32(residue.push_msg(m));
+            }
+        }
         e.bool(self.prog.is_some());
         if let Some(p) = &self.prog {
             e.u32(residue.push_prog(p.as_ref()));
@@ -212,10 +213,12 @@ impl Thread {
         let tid = Tid(d.u32()?);
         let at = d.position();
         let class = ThreadClass::from_wire_tag(at, d.u8()?)?;
-        let state = ThreadState::decode_wire(d, residue)?;
+        let state = ThreadState::decode_wire(d)?;
+        let has_msg = matches!(state, ThreadState::SendWait { .. }) && d.bool()?;
+        let send_msg = if has_msg { Some(residue.msg(d.u32()?)?) } else { None };
         let prog = if d.bool()? { Some(residue.prog(d.u32()?)?) } else { None };
         let pending_ret = decode_sysret(d, residue)?;
-        Ok(Thread { tid, class, state, prog, pending_ret })
+        Ok(Thread { tid, class, state, send_msg, prog, pending_ret })
     }
 }
 
@@ -284,6 +287,35 @@ impl RunQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_blocked_sender_round_trips_with_its_message_after_its_state() {
+        use crate::prog::NullProg;
+        let mut t = Thread::user(Tid(3), Box::new(NullProg));
+        t.state = ThreadState::SendWait { fd: 7, bytes: 1_000 };
+        t.send_msg = Some(std::sync::Arc::new(42u32));
+        let mut residue = GuestResidue::new();
+        let mut e = Enc::new();
+        t.encode_wire(&mut e, &mut residue);
+        let bytes = e.into_bytes();
+        // Tid, class, the state's tag and fields, then the marker (present,
+        // residue index 0): the layout from when the marker was a field of
+        // the state.
+        let mut want = Enc::new();
+        want.u32(3);
+        want.u8(0);
+        want.u8(5);
+        want.u32(7);
+        want.u64(1_000);
+        want.bool(true);
+        want.u32(0);
+        let want = want.into_bytes();
+        assert_eq!(&bytes[..want.len()], &want[..]);
+        let back = Thread::decode_wire(&mut Dec::new(&bytes), &residue).unwrap();
+        assert!(matches!(back.state, ThreadState::SendWait { fd: 7, bytes: 1_000 }));
+        let msg = back.send_msg.expect("the marker comes back");
+        assert_eq!(msg.downcast_ref::<u32>(), Some(&42));
+    }
 
     #[test]
     fn open_firewall_is_fifo() {

@@ -14,7 +14,7 @@ use hwsim::NodeAddr;
 /// A pending world event for the mini-hypervisor.
 enum Ev {
     Tick { node: usize },
-    Rx { node: usize, src: NodeAddr, seg: guestos::TcpSegment },
+    Rx { node: usize, src: NodeAddr, seg: std::sync::Arc<guestos::TcpSegment> },
     BlockDone { node: usize, batch: BlockBatch },
     ComputeDone { node: usize, id: u64 },
 }

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::{
-    transmission_time, Component, ComponentId, Ctx, FaultPlan, IntMap, Payload, SimDuration,
-    SimRng, SimTime,
+    transmission_time, Component, ComponentId, Ctx, FaultPlan, IntMap, LineRate, Payload,
+    SimDuration, SimRng, SimTime,
 };
 
 /// A testbed-wide interface address (plays the role of a MAC address).
@@ -56,12 +56,18 @@ pub struct Frame {
 impl Frame {
     /// Builds a frame around a typed payload.
     pub fn new<T: Any + Send + Sync>(src: NodeAddr, dst: NodeAddr, wire_bytes: u32, payload: T) -> Self {
-        Frame {
-            src,
-            dst,
-            wire_bytes,
-            payload: Arc::new(payload),
-        }
+        Frame::shared(src, dst, wire_bytes, Arc::new(payload))
+    }
+
+    /// Builds a frame around a payload that is already shared, keeping
+    /// its allocation: the payload is not moved again.
+    pub fn shared<T: Any + Send + Sync>(
+        src: NodeAddr,
+        dst: NodeAddr,
+        wire_bytes: u32,
+        payload: Arc<T>,
+    ) -> Self {
+        Frame { src, dst, wire_bytes, payload }
     }
 
     /// Downcasts the payload.
@@ -109,18 +115,21 @@ pub struct Endpoint {
 #[derive(Debug)]
 pub struct Wire {
     dst: Endpoint,
-    bw_bps: u64,
+    rate: LineRate,
     propagation: SimDuration,
     busy_until: SimTime,
 }
 
 impl Wire {
     /// An idle wire to `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero rate.
     pub fn new(dst: Endpoint, bw_bps: u64, propagation: SimDuration) -> Self {
-        assert!(bw_bps > 0, "zero-bandwidth wire");
         Wire {
             dst,
-            bw_bps,
+            rate: LineRate::new(bw_bps),
             propagation,
             busy_until: SimTime::ZERO,
         }
@@ -130,7 +139,7 @@ impl Wire {
     /// posts its arrival at the far end.
     pub fn send(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
         let start = self.busy_until.max(ctx.now());
-        self.busy_until = start + transmission_time(frame.wire_bytes as u64, self.bw_bps);
+        self.busy_until = start + self.rate.transmission_time(frame.wire_bytes as u64);
         let arrive = self.busy_until + self.propagation;
         ctx.post_at(self.dst.component, arrive, LinkDeliver { iface: self.dst.iface, frame });
     }

@@ -64,7 +64,7 @@ pub use telemetry::{
     ActiveSpan, CounterId, GaugeId, HistogramId, HistogramSummary, SpanId, SpanRecord, Telemetry,
     TraceCtx, TraceEvent, TracePhase, TraceTag, TrackId,
 };
-pub use time::{transmission_time, SimDuration, SimTime};
+pub use time::{transmission_time, LineRate, SimDuration, SimTime};
 
 /// Expands to the [`Component`] `as_any`/`as_any_mut` upcast boilerplate.
 ///

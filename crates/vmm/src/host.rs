@@ -18,11 +18,12 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use clocksync::{NtpClient, NtpResponse};
 use cowstore::{BlockData, BranchingStore, Direction, MirrorTransfer};
 use guestos::prog::{CtrlReq, CtrlResp};
-use guestos::{ClockEventKind, GuestAction, Kernel, TcpSegment};
+use guestos::{ClockEventKind, ClockObservation, GuestAction, Kernel, TcpSegment};
 use hwsim::{
     profile, DiskProfile, DiskQueue, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver,
     NodeAddr, SharedCpu, Wire,
@@ -195,12 +196,15 @@ pub struct VmHost {
     /// Experiment-network routes, sorted by destination: a host has a
     /// handful, looked up once per transmitted packet.
     exp_routes: Vec<(NodeAddr, ExpPort)>,
-    /// The buffer traded with the kernel's action queue on every pump,
-    /// so neither side allocates per drain.
+    /// The buffers traded with the kernel's action queue and clock
+    /// witness on every pump, so neither side allocates per drain.
     actions: Vec<GuestAction>,
+    witnessed: Vec<ClockObservation>,
 
-    // Network backend.
-    tx_q: VecDeque<(NodeAddr, TcpSegment)>,
+    // Network backend: segments in transmit order, each already in the
+    // shared allocation its frame will keep. Two words an entry, so a
+    // push stores them from registers.
+    tx_q: VecDeque<(NodeAddr, Arc<TcpSegment>)>,
     tx_busy: bool,
     tx_free_at: SimTime,
     rx_log: Vec<(SimTime, NodeAddr, TcpSegment)>,
@@ -303,6 +307,7 @@ impl VmHost {
             domain: Some(Domain::new(kernel, mem)),
             exp_routes: Vec::new(),
             actions: Vec::new(),
+            witnessed: Vec::new(),
             tx_q: VecDeque::new(),
             tx_busy: false,
             tx_free_at: SimTime::ZERO,
@@ -513,7 +518,8 @@ impl VmHost {
         if !domain.kernel.witness.is_empty() {
             let t = ctx.telemetry();
             let now = ctx.now();
-            for obs in domain.kernel.witness.drain() {
+            domain.kernel.witness.drain(&mut self.witnessed);
+            for obs in &self.witnessed {
                 let g = obs.guest_ns as i64;
                 match obs.kind {
                     ClockEventKind::ClockRead => {
@@ -533,6 +539,7 @@ impl VmHost {
                     }
                 }
             }
+            self.witnessed.clear();
         }
         let mut actions = std::mem::take(&mut self.actions);
         domain.kernel.drain_actions(&mut actions);
@@ -634,7 +641,7 @@ impl VmHost {
             // The port is used in place: a wire's state is in the route.
             // Unroutable frames are dropped and never count as sent.
             if let Ok(i) = self.exp_routes.binary_search_by_key(&dst, |&(d, _)| d) {
-                let frame = Frame::new(self.cfg.node, dst, seg.wire_bytes(), seg);
+                let frame = Frame::shared(self.cfg.node, dst, seg.wire_bytes(), seg);
                 match &mut self.exp_routes[i].1 {
                     ExpPort::Wire(wire) => wire.send(ctx, frame),
                     ExpPort::Lan { lan } => {
@@ -702,8 +709,10 @@ impl VmHost {
         });
     }
 
-    /// Reserves dom0 CPU and restretches the active guest burst and tx
-    /// pacing around it.
+    /// Reserves dom0 CPU and restretches the active guest compute burst
+    /// around it. The frame in the netback keeps its departure: its
+    /// `NetTxDone` was posted when `kick_tx` took it, and only the frames
+    /// kicked after this wait for dom0.
     fn reserve_dom0(&mut self, ctx: &mut Ctx<'_>, work: SimDuration) {
         self.cpu.reserve_dom0(ctx.now(), work);
         if let Some(b) = self.active_burst {

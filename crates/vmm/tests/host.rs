@@ -559,3 +559,84 @@ fn a_frame_without_a_route_is_not_counted_as_transmitted() {
     assert!(sent >= 2, "the guest must send its SYN and retry it: {sent} segments");
     assert_eq!(h.stats.frames_tx, 0, "no frame left the host");
 }
+
+/// A dom0 job restretches the guest's running compute burst, but not the
+/// frame the netback already has in hand: that frame's `NetTxDone` was
+/// posted when it was kicked, so it leaves when it would have, and only
+/// the frames kicked after the job wait for dom0.
+#[test]
+fn a_dom0_job_stretches_the_active_burst_but_not_the_kicked_frame() {
+    const BURST_NS: u64 = 50_000_000;
+    let job_at = SimTime::ZERO + SimDuration::from_millis(1_025);
+    // Frames the wire delivered (time, bytes) and the CPU loop's iterations.
+    let run = |with_job: bool| -> (Vec<(SimTime, u32)>, Vec<u64>) {
+        let (mut e, a) = testbed(20, true);
+        let b = add_host(&mut e, ComponentId(0), NodeAddr(2), true);
+        let tap = e.add_component(Box::new(Tap { host: b, seen: Vec::new() }));
+        let wire = |component| {
+            let to = Endpoint { component, iface: IfaceId::EXPERIMENT };
+            Wire::new(to, 1_000_000_000, SimDuration::from_micros(5))
+        };
+        e.with_component::<VmHost, _>(a, |h, _| {
+            h.add_exp_route(NodeAddr(2), ExpPort::Wire(wire(tap)));
+            h.kernel_mut().spawn(Box::new(Bulk { dst: Some(NodeAddr(2)), fd: None }));
+            h.kernel_mut().spawn(Box::new(CpuBench {
+                burst_ns: BURST_NS,
+                samples_ns: vec![],
+                t_prev: None,
+                max_iters: 1_000,
+            }));
+        });
+        e.with_component::<VmHost, _>(b, |h, _| {
+            h.add_exp_route(NodeAddr(1), ExpPort::Wire(wire(a)));
+            h.kernel_mut().spawn(Box::new(Bulk { dst: None, fd: None }));
+        });
+        start(&mut e, a);
+        start(&mut e, b);
+        e.run_until(job_at);
+        if with_job {
+            e.with_component::<VmHost, _>(a, |h, ctx| h.run_dom0_job(ctx, vmm::Dom0Job::Sum));
+        }
+        e.run_for(SimDuration::from_millis(500));
+        let seen = e.component_ref::<Tap>(tap).unwrap().seen.clone();
+        let h = e.component_ref::<VmHost>(a).unwrap();
+        let prog = h.kernel().prog(guestos::Tid(1)).unwrap();
+        let samples = prog.as_any().downcast_ref::<CpuBench>().unwrap().samples_ns.clone();
+        (seen, samples)
+    };
+    let (quiet, quiet_loop) = run(false);
+    let (busy, busy_loop) = run(true);
+    let (lo, hi) = vmm::Dom0Job::Sum.cost_range();
+
+    // The netback is the bottleneck (25 µs a frame, 12 + 5 µs on the
+    // wire), so at the job one frame is being processed and more are
+    // queued; that one is delivered within 42 µs, on time or not at all.
+    let kicked_by = job_at + SimDuration::from_micros(42);
+    let split = |seen: &[(SimTime, u32)]| {
+        let n = seen.iter().filter(|s| s.0 <= job_at).count();
+        let kicked: Vec<SimTime> =
+            seen[n..].iter().map(|s| s.0).take_while(|&t| t <= kicked_by).collect();
+        (n, seen[n + kicked.len()].0, kicked)
+    };
+    let (quiet_before, quiet_next, quiet_kicked) = split(&quiet);
+    let (busy_before, busy_next, busy_kicked) = split(&busy);
+    assert!(quiet_before > 100, "the stream must be running at the job");
+    assert_eq!(busy_before, quiet_before, "nothing differs before the job");
+    assert!(!quiet_kicked.is_empty(), "a frame was in the netback at the job");
+    assert_eq!(busy_kicked, quiet_kicked, "the frame kicked before the job leaves on time");
+    assert!(quiet_next - job_at < SimDuration::from_micros(100), "{quiet_next:?}");
+    assert!(
+        busy_next - job_at >= lo,
+        "the next frame waits for dom0: {:?} after the job",
+        busy_next - job_at
+    );
+
+    // The burst running at the job is stretched by the job's cost.
+    let longest = |samples: &[u64]| *samples.iter().max().unwrap();
+    assert!(longest(&quiet_loop) < BURST_NS + 1_000_000, "{quiet_loop:?}");
+    let stretch = SimDuration::from_nanos(longest(&busy_loop) - BURST_NS);
+    assert!(
+        stretch >= lo - SimDuration::from_millis(1) && stretch <= hi + SimDuration::from_millis(1),
+        "the running burst stretched by {stretch:?}, the job cost {lo:?}..{hi:?}"
+    );
+}

@@ -8,9 +8,10 @@
 //! each frame may cost the allocator is a design decision — frame events
 //! ride inline in their event slots, the guest kernel, TCP, dummynet and
 //! the VM host work in caller-owned scratch, and the one allocation left
-//! per frame is its payload `Arc` — so it is asserted here, as a count,
-//! together with the events a frame costs. Counts repeat exactly for a
-//! seed: this is not a timing assertion.
+//! per frame is its payload `Arc`, made where the guest kernel queues the
+//! segment and kept by the netback's queue and the frame — so it is
+//! asserted here, as a count, together with the events a frame costs.
+//! Counts repeat exactly for a seed: this is not a timing assertion.
 //!
 //! A capture (`Testbed::snapshot`) has a budget in bytes instead: the
 //! encoder writes the image into the buffers the store keeps, so what one

@@ -89,7 +89,9 @@ fn kernel_firewall_misuse_is_flagged_as_a_backward_clock_step() {
     let ev_tick = t.trace_tag(names::EV_GUEST_TICK);
     let ev_fw = t.trace_tag(names::EV_GUEST_FW_CLOSED);
     let mut at = SimTime::ZERO;
-    for obs in k.witness.drain() {
+    let mut observed = Vec::new();
+    k.witness.drain(&mut observed);
+    for obs in observed {
         at += SimDuration::from_millis(1);
         let g = obs.guest_ns as i64;
         match obs.kind {

@@ -5,6 +5,7 @@
     hostprof.py FILE --tree ROOT          top-down call tree under ROOT
     hostprof.py FILE --annotate FUNC      per-instruction samples in FUNC
     hostprof.py A --diff B                A's and B's tables side by side, with deltas
+    hostprof.py FILE --loads [N]          hottest 16-byte stack-slot loads in the top N self functions
 
 ROOT and FUNC are substrings of demangled names (hashes stripped). Only the
 binutils the image has are used: `nm` for the symbol table, `objdump` for
@@ -139,29 +140,61 @@ def tree(named, root, total, min_pct):
     show(top, 0)
 
 
+def disassemble(res, start):
+    """(address, instruction) of the function symbol starting at start."""
+    i = res.syms.addrs.index(start)
+    stop = res.syms.addrs[i + 1] if i + 1 < len(res.syms.addrs) else start + 4096
+    dis = subprocess.run(
+        ["objdump", "-d", "-C", "--no-show-raw-insn",
+         f"--start-address={start:#x}", f"--stop-address={stop:#x}", res.exe],
+        capture_output=True, text=True).stdout
+    return [(int(m.group(1), 16), m.group(2))
+            for m in (re.match(r"\s*([0-9a-f]+):\s+(.*)", line) for line in dis.splitlines()) if m]
+
+
 def annotate(res, stacks, func, total):
     """Leaf samples per instruction of the function(s) matching func."""
-    hits = collections.Counter()
-    for s in stacks:
-        if func in res.name(s[0], True):
-            hits[s[0] - res.base] += 1
+    hits = collections.Counter(s[0] - res.base for s in stacks if func in res.name(s[0], True))
     if not hits:
         sys.exit(f"no leaf samples in a function matching {func!r}")
-    starts = {res.syms.lookup(a)[1] for a in hits}
-    for start in sorted(starts):
-        i = res.syms.addrs.index(start)
-        stop = res.syms.addrs[i + 1] if i + 1 < len(res.syms.addrs) else start + 4096
-        dis = subprocess.run(
-            ["objdump", "-d", "-C", "--no-show-raw-insn",
-             f"--start-address={start:#x}", f"--stop-address={stop:#x}", res.exe],
-            capture_output=True, text=True).stdout
-        print(f"\n{res.syms.names[i]}")
-        for line in dis.splitlines():
-            m = re.match(r"\s*([0-9a-f]+):\s+(.*)", line)
-            if m:
-                n = hits.get(int(m.group(1), 16), 0)
-                mark = f"{100 * n / total:5.1f}%" if n else "      "
-                print(f"{mark}  {m.group(1)}:  {m.group(2)}")
+    for start in sorted({res.syms.lookup(a)[1] for a in hits}):
+        print(f"\n{res.syms.names[res.syms.addrs.index(start)]}")
+        for addr, insn in disassemble(res, start):
+            n = hits.get(addr, 0)
+            mark = f"{100 * n / total:5.1f}%" if n else "      "
+            print(f"{mark}  {addr:x}:  {insn}")
+
+
+# A 16-byte vector load whose source is a stack slot.
+STACK_LOAD = re.compile(r"v?(movups|movupd|movdqu|movaps|movapd|movdqa|lddqu)\s+-?(0x[0-9a-f]+)?\(%r[bs]p\),%xmm")
+
+
+def loads(res, stacks, named, top, total):
+    """The hottest 16-byte loads from stack slots in the top self functions.
+
+    A load that reads bytes stored just before in narrower pieces waits for
+    them to reach the cache (a failed store forward), and the timer sample
+    lands on it or, once it retires, on the instruction after it; so a load
+    is charged its own samples and those of the next instruction, unless
+    that one is a stack load itself. Each sample is counted once.
+    """
+    self_counts, _ = self_and_inclusive(named)
+    hits = collections.Counter(s[0] - res.base for s in stacks)
+    rows = []
+    for name, _ in self_counts.most_common(top):
+        for start in [a for a, n in zip(res.syms.addrs, res.syms.names) if n == name]:
+            insns = disassemble(res, start)
+            for i, (addr, insn) in enumerate(insns):
+                if not STACK_LOAD.match(insn):
+                    continue
+                n = hits.get(addr, 0)
+                if i + 1 < len(insns) and not STACK_LOAD.match(insns[i + 1][1]):
+                    n += hits.get(insns[i + 1][0], 0)
+                if n:
+                    rows.append((n, name, addr, insn))
+    print(f"\n16-byte stack-slot loads in the top {top} self functions ({total} samples)")
+    for n, name, addr, insn in sorted(rows, key=lambda r: -r[0]):
+        print(f"{100 * n / total:6.1f}%  {n:7d}  {addr:x}:  {insn:40s}  {name}")
 
 
 def main():
@@ -173,10 +206,16 @@ def main():
     ap.add_argument("--min-pct", type=float, default=0.5)
     ap.add_argument("--annotate", metavar="FUNC")
     ap.add_argument("--diff", metavar="B", help="a second sample file (its own executable, from its mappings)")
+    ap.add_argument("--loads", metavar="N", type=int, nargs="?", const=20,
+                    help="the hottest 16-byte stack-slot loads in the top N (20) self functions")
     args = ap.parse_args()
+    if args.loads is not None and args.loads < 1:
+        ap.error("--loads N needs N >= 1")
 
     res, stacks, named = profile(args.file, args.exe)
     total = len(stacks)
+    if args.loads is not None:
+        return loads(res, stacks, named, args.loads, total)
     if args.annotate:
         return annotate(res, stacks, args.annotate, total)
     if args.tree:
