@@ -18,6 +18,8 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use sim::IntMap;
+
 use crate::codec::{Dec, DecodeError, Enc};
 use crate::error::StoreError;
 use crate::hash::ChunkHash;
@@ -48,7 +50,7 @@ pub trait ChunkBackend {
 /// The in-memory reference backend.
 #[derive(Default)]
 pub struct MemBackend {
-    copies: HashMap<(u128, u8), Arc<[u8]>>,
+    copies: IntMap<(u128, u8), Arc<[u8]>>,
     bytes: u64,
 }
 

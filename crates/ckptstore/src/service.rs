@@ -24,18 +24,19 @@
 //! # Determinism
 //!
 //! Placement is a pure function of the content hash; chunk metadata
-//! lives in a `BTreeMap` so every scan (scrub scheduling, redundancy
-//! rebuild) walks in hash order; the repair queue is an explicit FIFO.
+//! lives in a hashed table, and every scan that enqueues work (scrub
+//! scheduling, redundancy rebuild) sorts the hashes first, so it walks in
+//! hash order; the repair queue is an explicit FIFO.
 //! Same seed ⇒ byte-identical shard assignment, reports, and repair
 //! schedule.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::telemetry::names;
-use sim::{Buggify, CounterId, HistogramId, SimTime, Telemetry, TraceTag, TrackId};
+use sim::{Buggify, CounterId, HistogramId, IntMap, SimTime, Telemetry, TraceTag, TrackId};
 
 use crate::backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
 use crate::error::StoreError;
@@ -230,7 +231,7 @@ struct Manifest {
 
 /// Per-chunk metadata: placement is derived, so only the refcount, the
 /// payload length, and the copy count this chunk was admitted at live
-/// here. Kept in a `BTreeMap` for deterministic scan order.
+/// here.
 struct ChunkMeta {
     refs: u64,
     len: u32,
@@ -294,7 +295,7 @@ pub struct StoreService {
     chunk_size: usize,
     replication: usize,
     shards: Vec<Shard>,
-    chunks: BTreeMap<ChunkHash, ChunkMeta>,
+    chunks: IntMap<ChunkHash, ChunkMeta>,
     images: HashMap<u64, Manifest>,
     next_image: u64,
     /// Primary-copy bytes (each distinct chunk once).
@@ -338,7 +339,7 @@ impl StoreService {
                 .into_iter()
                 .map(|backend| Shard { backend, free_at_ns: 0 })
                 .collect(),
-            chunks: BTreeMap::new(),
+            chunks: IntMap::default(),
             images: HashMap::new(),
             next_image: 0,
             physical_bytes: 0,
@@ -881,6 +882,13 @@ impl StoreService {
         }
     }
 
+    /// Every stored chunk's hash, ascending: the order scans enqueue in.
+    fn sorted_hashes(&self) -> Vec<ChunkHash> {
+        let mut hashes: Vec<ChunkHash> = self.chunks.keys().copied().collect();
+        hashes.sort_unstable();
+        hashes
+    }
+
     /// Tasks currently waiting on the repair queue (oldest first).
     pub fn pending_repairs(&self) -> Vec<RepairTask> {
         self.repair_q.iter().copied().collect()
@@ -904,14 +912,14 @@ impl StoreService {
         }
         let n_shards = self.shards.len();
         let mut tasks: Vec<RepairTask> = Vec::new();
-        for (h, meta) in &self.chunks {
-            for r in 0..meta.want {
-                let ok = match self.shards[shard_of(*h, r, n_shards)].backend.get(*h, r) {
-                    Some(copy) => chunk_hash(&copy) == *h,
+        for h in self.sorted_hashes() {
+            for r in 0..self.chunks[&h].want {
+                let ok = match self.shards[shard_of(h, r, n_shards)].backend.get(h, r) {
+                    Some(copy) => chunk_hash(&copy) == h,
                     None => false,
                 };
                 if !ok {
-                    tasks.push(RepairTask { hash: *h, copy: r });
+                    tasks.push(RepairTask { hash: h, copy: r });
                 }
             }
         }
@@ -935,12 +943,13 @@ impl StoreService {
         let want = self.replication.min(MAX_REPLICATION) as u8;
         let mut raised = 0u64;
         let mut tasks: Vec<RepairTask> = Vec::new();
-        for (h, meta) in &mut self.chunks {
+        for h in self.sorted_hashes() {
+            let meta = self.chunks.get_mut(&h).expect("a listed hash");
             if meta.want >= want {
                 continue;
             }
             for r in meta.want..want {
-                tasks.push(RepairTask { hash: *h, copy: r });
+                tasks.push(RepairTask { hash: h, copy: r });
             }
             meta.want = want;
             raised += 1;
@@ -1250,6 +1259,47 @@ impl StoreBuilder {
 mod tests {
     use super::*;
     use crate::hash::tests::block_record;
+    use std::collections::BTreeMap;
+
+    /// The chunk table is hashed; the repair queue must still fill in the
+    /// order a walk of it as a `BTreeMap` gives, which is what it did when
+    /// it was one.
+    #[test]
+    fn scans_enqueue_repairs_in_ascending_hash_order() {
+        let backends =
+            (0..3).map(|_| Box::new(MemBackend::new()) as Box<dyn ChunkBackend>).collect();
+        let mut svc = StoreService::new(64, 3, 1, backends);
+        svc.inject_write_faults(0xBAD, 300_000);
+        let image: Vec<u8> = (0..400u32)
+            .flat_map(|i| {
+                let mut chunk = [0u8; 64];
+                chunk[..4].copy_from_slice(&i.to_le_bytes());
+                chunk
+            })
+            .collect();
+        svc.put_image_inner(&image, None, None);
+
+        let walk: BTreeMap<ChunkHash, u8> = svc.chunks.iter().map(|(&h, m)| (h, m.want)).collect();
+        let mut want = Vec::new();
+        for (&h, &copies) in &walk {
+            for r in 0..copies {
+                let copy = svc.shards[shard_of(h, r, 3)].backend.get(h, r);
+                if copy.is_none_or(|c| chunk_hash(&c) != h) {
+                    want.push(RepairTask { hash: h, copy: r });
+                }
+            }
+        }
+        assert!(want.len() > 50, "write faults damaged {} of 400 primaries", want.len());
+        assert_eq!(svc.schedule_scrub(), want.len() as u64);
+        assert_eq!(svc.pending_repairs(), want, "scrub order");
+
+        svc.set_replication(3);
+        for (&h, &copies) in &walk {
+            want.extend((copies..3).map(|copy| RepairTask { hash: h, copy }));
+        }
+        assert_eq!(svc.schedule_redundancy_rebuild(), walk.len() as u64);
+        assert_eq!(svc.pending_repairs(), want, "rebuild order, behind the scrub's");
+    }
 
     /// Placement over the addresses of 10,000 block records: every shard
     /// gets its fair share to within 5 %, and the copies of a chunk land on

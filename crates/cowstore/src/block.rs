@@ -5,11 +5,124 @@
 //! read-your-writes correctness, and (b) let the free-block-elimination
 //! plugin *decode* filesystem allocation bitmaps exactly as the paper's
 //! ext3 snooping plugin does below the guest (§5.1).
+//!
+//! Every table keyed by a block number — a delta's index, the guest's
+//! inode maps and buffer cache, a mirror's queues — is a [`BlockTable`].
 
 use std::sync::Arc;
 
 use ckptstore::{Dec, DecodeError, Enc};
-use sim::IntMap;
+
+/// Entries per [`BlockTable`] page: 4 KiB of values.
+const PAGE: usize = 512;
+
+/// The value of an empty [`BlockTable`] entry.
+const EMPTY: u64 = u64::MAX;
+
+/// A map from a block number to a `u64`, stored densely.
+///
+/// The keys are disk addresses or file block indices: small, dense, and
+/// written in runs. The table is a `Vec` of 512-entry pages, a page
+/// allocated when a key in its range is first inserted, so a lookup is
+/// two loads and a run of sequential keys walks one page in order, where
+/// a hash table probes a scattered bucket per key. Memory is one pointer
+/// per 512 keys up to the largest key inserted, plus 4 KiB per page
+/// touched; a page stays allocated until [`BlockTable::clear`]. Callers
+/// bound their keys — decoders refuse a block number beyond the disk.
+///
+/// `u64::MAX` marks an empty entry and cannot be stored.
+#[derive(Clone, Debug, Default)]
+pub struct BlockTable {
+    pages: Vec<Option<Box<[u64; PAGE]>>>,
+    len: usize,
+}
+
+impl BlockTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        BlockTable::default()
+    }
+
+    /// Number of keys present.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no key is present.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The value stored for `key`.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<u64> {
+        let page = self.pages.get(usize::try_from(key / PAGE as u64).ok()?)?.as_deref()?;
+        let v = page[(key % PAGE as u64) as usize];
+        (v != EMPTY).then_some(v)
+    }
+
+    /// Whether `key` is present.
+    #[inline]
+    pub fn contains(&self, key: u64) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Stores `value` for `key`, returning the value it replaced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is `u64::MAX`, or if the page index of `key`
+    /// does not fit a `usize`.
+    #[inline]
+    pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
+        assert_ne!(value, EMPTY, "u64::MAX marks an empty block-table entry");
+        let p = usize::try_from(key / PAGE as u64).expect("block number fits the address space");
+        if p >= self.pages.len() {
+            self.pages.resize_with(p + 1, || None);
+        }
+        let page = self.pages[p].get_or_insert_with(|| Box::new([EMPTY; PAGE]));
+        let old = std::mem::replace(&mut page[(key % PAGE as u64) as usize], value);
+        if old == EMPTY {
+            self.len += 1;
+            None
+        } else {
+            Some(old)
+        }
+    }
+
+    /// Removes `key`, returning its value.
+    #[inline]
+    pub fn remove(&mut self, key: u64) -> Option<u64> {
+        let p = usize::try_from(key / PAGE as u64).ok()?;
+        let page = self.pages.get_mut(p)?.as_deref_mut()?;
+        let old = std::mem::replace(&mut page[(key % PAGE as u64) as usize], EMPTY);
+        if old == EMPTY {
+            None
+        } else {
+            self.len -= 1;
+            Some(old)
+        }
+    }
+
+    /// Removes every key and frees every page.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+        self.len = 0;
+    }
+
+    /// `(key, value)` pairs in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.pages.iter().enumerate().flat_map(|(p, page)| {
+            let base = (p * PAGE) as u64;
+            page.iter().flat_map(move |page| {
+                page.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != EMPTY)
+                    .map(move |(i, &v)| (base + i as u64, v))
+            })
+        })
+    }
+}
 
 /// Content of one virtual disk block.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -178,12 +291,13 @@ impl BitmapBlock {
 
 /// An ordered map of dirty blocks: the in-memory index of a redo-log delta.
 ///
-/// Keeps both the hash index (vba → slot) the paper describes ("writes
-/// incur the cost of a single hash lookup to index into the log") and the
-/// append order, which is the physical layout of the log on disk.
+/// Keeps both the index (vba → slot) the paper describes as "a single
+/// hash lookup to index into the log" — whose cost is the disk model's,
+/// in simulated time; on the host it is a [`BlockTable`] — and the append
+/// order, which is the physical layout of the log on disk.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaMap {
-    index: IntMap<u64, usize>,
+    index: BlockTable,
     entries: Vec<(u64, BlockData)>,
 }
 
@@ -205,7 +319,7 @@ impl DeltaMap {
 
     /// Looks up a block; returns its log slot and content.
     pub fn get(&self, vba: u64) -> Option<(usize, &BlockData)> {
-        self.index.get(&vba).map(|&slot| (slot, &self.entries[slot].1))
+        self.index.get(vba).map(|slot| (slot as usize, &self.entries[slot as usize].1))
     }
 
     /// Inserts or overwrites a block. A fresh vba appends a new log slot;
@@ -213,15 +327,15 @@ impl DeltaMap {
     /// per block; superseded copies are reclaimed on merge). Returns the
     /// slot and whether it was newly appended.
     pub fn put(&mut self, vba: u64, data: BlockData) -> (usize, bool) {
-        match self.index.get(&vba) {
-            Some(&slot) => {
-                self.entries[slot].1 = data;
-                (slot, false)
+        match self.index.get(vba) {
+            Some(slot) => {
+                self.entries[slot as usize].1 = data;
+                (slot as usize, false)
             }
             None => {
                 let slot = self.entries.len();
                 self.entries.push((vba, data));
-                self.index.insert(vba, slot);
+                self.index.insert(vba, slot as u64);
                 (slot, true)
             }
         }
@@ -229,9 +343,10 @@ impl DeltaMap {
 
     /// Removes a block from the delta (free-block elimination).
     pub fn remove(&mut self, vba: u64) -> bool {
-        if let Some(slot) = self.index.remove(&vba) {
+        if let Some(slot) = self.index.remove(vba) {
             // Keep the entries vector slot as a tombstone so other slots
             // stay valid; merged/serialized output skips tombstones.
+            let slot = slot as usize;
             self.entries[slot].1 = BlockData::Zero;
             self.entries[slot].0 = u64::MAX;
             true
@@ -248,14 +363,10 @@ impl DeltaMap {
             .map(|(vba, d)| (*vba, d))
     }
 
-    /// Live `(vba, data)` pairs sorted by vba (locality-restoring order).
-    pub fn sorted_by_vba(&self) -> Vec<(u64, BlockData)> {
-        let mut v: Vec<(u64, BlockData)> = self
-            .iter_log_order()
-            .map(|(vba, d)| (vba, d.clone()))
-            .collect();
-        v.sort_by_key(|&(vba, _)| vba);
-        v
+    /// Iterates live `(vba, data)` pairs in vba order (the
+    /// locality-restoring order).
+    pub fn iter_vba_order(&self) -> impl Iterator<Item = (u64, &BlockData)> {
+        self.index.iter().map(|(vba, slot)| (vba, &self.entries[slot as usize].1))
     }
 
     /// All live vbas in log order — the order a mirror leg walks the
@@ -313,14 +424,18 @@ impl DeltaMap {
         }
     }
 
-    /// Inverse of [`DeltaMap::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, block_size: u32) -> Result<Self, DecodeError> {
+    /// Inverse of [`DeltaMap::encode_wire`], for a disk of `blocks`
+    /// blocks: a live vba at or beyond it is refused.
+    pub fn decode_wire(d: &mut Dec<'_>, block_size: u32, blocks: u64) -> Result<Self, DecodeError> {
         let n = d.seq()?;
         let mut entries: Vec<(u64, BlockData)> = Vec::with_capacity(n);
         // Slots whose payload lives in the data section, in log order.
         let mut opaque_slots = Vec::new();
         for slot in 0..n {
             let vba = d.u64()?;
+            if vba != u64::MAX && vba >= blocks {
+                return Err(DecodeError::Invalid("delta block beyond the disk"));
+            }
             let at = d.position();
             match d.u8()? {
                 0 => {
@@ -343,10 +458,10 @@ impl DeltaMap {
             let fp = read_block_record(d, block_size)?;
             entries[slot].1 = BlockData::Opaque(fp);
         }
-        let mut index = IntMap::with_capacity_and_hasher(entries.len(), Default::default());
+        let mut index = BlockTable::new();
         for (slot, (vba, _)) in entries.iter().enumerate() {
-            if *vba != u64::MAX {
-                index.insert(*vba, slot);
+            if *vba != u64::MAX && index.insert(*vba, slot as u64).is_some() {
+                return Err(DecodeError::Invalid("duplicate delta vba"));
             }
         }
         Ok(DeltaMap { index, entries })
@@ -463,8 +578,15 @@ mod tests {
         d.put(9, BlockData::Opaque(90));
         let order: Vec<u64> = d.iter_log_order().map(|(v, _)| v).collect();
         assert_eq!(order, vec![5, 1, 9]);
-        let sorted: Vec<u64> = d.sorted_by_vba().into_iter().map(|(v, _)| v).collect();
-        assert_eq!(sorted, vec![1, 5, 9]);
+        let sorted: Vec<(u64, &BlockData)> = d.iter_vba_order().collect();
+        assert_eq!(
+            sorted,
+            vec![
+                (1, &BlockData::Opaque(10)),
+                (5, &BlockData::Opaque(50)),
+                (9, &BlockData::Opaque(90))
+            ]
+        );
     }
 
     #[test]
@@ -508,7 +630,7 @@ mod tests {
         d.encode_wire(&mut e, 4096);
         let bytes = e.into_bytes();
         let mut dec = Dec::new(&bytes);
-        let back = DeltaMap::decode_wire(&mut dec, 4096).unwrap();
+        let back = DeltaMap::decode_wire(&mut dec, 4096, 13).unwrap();
         delta_eq(&d, &back);
         assert_eq!(back.get(9).unwrap().1, d.get(9).unwrap().1);
         assert!(back.get(5).is_none());
@@ -572,6 +694,118 @@ mod tests {
         let mut bytes = e.into_bytes();
         bytes.truncate(bytes.len() - 100);
         let mut dec = Dec::new(&bytes);
-        assert!(DeltaMap::decode_wire(&mut dec, 4096).is_err());
+        assert!(DeltaMap::decode_wire(&mut dec, 4096, 2).is_err());
+    }
+
+    #[test]
+    fn delta_wire_refuses_blocks_beyond_the_disk_and_duplicates() {
+        let mut d = DeltaMap::new();
+        d.put(7, BlockData::Opaque(1));
+        d.put(8, BlockData::Zero);
+        d.remove(8);
+        let mut e = Enc::new();
+        d.encode_wire(&mut e, 4096);
+        let bytes = e.into_bytes();
+        // Meta section: a u32 count, then per slot a u64 vba and a tag.
+        let vba_at = |slot: usize| 4 + slot * 9;
+        assert!(DeltaMap::decode_wire(&mut Dec::new(&bytes), 4096, 8).is_ok());
+        assert_eq!(
+            DeltaMap::decode_wire(&mut Dec::new(&bytes), 4096, 7).err(),
+            Some(DecodeError::Invalid("delta block beyond the disk"))
+        );
+        let mut dup = bytes.clone();
+        dup[vba_at(1)..vba_at(1) + 8].copy_from_slice(&7u64.to_le_bytes());
+        dup[vba_at(1) + 8] = 1; // A live zero block where the tombstone was.
+        assert_eq!(
+            DeltaMap::decode_wire(&mut Dec::new(&dup), 4096, 8).err(),
+            Some(DecodeError::Invalid("duplicate delta vba"))
+        );
+    }
+
+    /// The reference every [`BlockTable`] operation is checked against.
+    fn check_against(t: &BlockTable, want: &std::collections::BTreeMap<u64, u64>) {
+        assert_eq!(t.len(), want.len());
+        assert_eq!(t.is_empty(), want.is_empty());
+        let got: Vec<(u64, u64)> = t.iter().collect();
+        let want: Vec<(u64, u64)> = want.iter().map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(got, want, "iteration is the reference's, in key order");
+    }
+
+    #[test]
+    fn block_table_agrees_with_a_btreemap() {
+        use std::collections::BTreeMap;
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Key shapes: sequential runs (a file written front to back),
+        // the block-group stride (bitmap blocks), and sparse keys.
+        type Shape = fn(u64, u64) -> u64;
+        let shapes: [(&str, Shape); 3] = [
+            ("runs", |i, r| (r % 64) * 1000 + i % 700),
+            ("group stride", |i, r| (i % 40) * 8192 + r % 3),
+            ("sparse", |_, r| r % 1_000_000),
+        ];
+        for (name, key) in shapes {
+            let mut t = BlockTable::new();
+            let mut want = BTreeMap::new();
+            for i in 0..20_000u64 {
+                let r = next();
+                let k = key(i, r);
+                match r >> 60 {
+                    0..=8 => {
+                        let v = r >> 4;
+                        assert_eq!(t.insert(k, v), want.insert(k, v), "{name}: insert {k}");
+                    }
+                    9..=12 => assert_eq!(t.remove(k), want.remove(&k), "{name}: remove {k}"),
+                    _ => {}
+                }
+                if i % 6_000 == 5_999 {
+                    t.clear();
+                    want.clear();
+                }
+                assert_eq!(t.get(k), want.get(&k).copied(), "{name}: get {k}");
+                assert_eq!(t.contains(k), want.contains_key(&k), "{name}: contains {k}");
+                if i % 2_500 == 0 {
+                    check_against(&t, &want);
+                    // A clone is independent of its source, both ways.
+                    let mut copy = t.clone();
+                    let mut copy_want = want.clone();
+                    copy.insert(k, 1);
+                    copy_want.insert(k, 1);
+                    copy.remove(k + 1);
+                    copy_want.remove(&(k + 1));
+                    check_against(&copy, &copy_want);
+                    check_against(&t, &want);
+                    t.insert(k + 2, 2);
+                    want.insert(k + 2, 2);
+                    check_against(&copy, &copy_want);
+                }
+            }
+            check_against(&t, &want);
+            assert!(!want.is_empty(), "{name}: the mix must leave keys behind");
+        }
+    }
+
+    #[test]
+    fn block_table_looks_up_keys_it_never_allocated() {
+        let mut t = BlockTable::new();
+        assert_eq!(t.get(u64::MAX), None);
+        assert_eq!(t.remove(u64::MAX - 1), None);
+        t.insert(511, 5);
+        t.insert(512, 6);
+        let got = (t.get(511), t.get(512), t.get(513), t.get(1 << 40));
+        assert_eq!(got, (Some(5), Some(6), None, None));
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(511, 5), (512, 6)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty block-table entry")]
+    fn block_table_refuses_the_empty_marker_as_a_value() {
+        BlockTable::new().insert(3, u64::MAX);
     }
 }

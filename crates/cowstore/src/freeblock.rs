@@ -13,16 +13,18 @@
 //! data block is only considered free if the *newest on-disk bitmap*
 //! says so.
 
-use std::collections::HashMap;
-
 use ckptstore::{Dec, DecodeError, Enc};
+use sim::IntMap;
 
 use crate::block::{BitmapBlock, BlockData};
 
 /// The ext3 snooping plugin: a shadow copy of the allocation bitmaps.
 #[derive(Clone, Debug, Default)]
 pub struct Ext3Snoop {
-    bitmaps: HashMap<u32, BitmapBlock>,
+    /// Group → its newest bitmap. Groups cover disjoint block ranges, so
+    /// the scans below do not depend on iteration order; the encoding
+    /// sorts by group.
+    bitmaps: IntMap<u32, BitmapBlock>,
     /// Bitmap-block writes observed.
     pub bitmap_writes: u64,
     /// Non-bitmap writes observed.
@@ -83,7 +85,7 @@ impl Ext3Snoop {
     /// Inverse of [`Ext3Snoop::encode_wire`].
     pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let n = d.seq()?;
-        let mut bitmaps = HashMap::with_capacity(n);
+        let mut bitmaps = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let b = BitmapBlock::decode_wire(d)?;
             if bitmaps.insert(b.group, b).is_some() {

@@ -6,8 +6,9 @@
 //! linear addressing (VBA == PBA, Fig 3), and is shared by every virtual
 //! machine on a physical node.
 
-use std::collections::HashMap;
 use std::sync::Arc;
+
+use sim::IntMap;
 
 use crate::block::BlockData;
 
@@ -23,7 +24,7 @@ pub struct GoldenImage {
     blocks: u64,
     block_size: u32,
     seed: u64,
-    explicit: Arc<HashMap<u64, BlockData>>,
+    explicit: Arc<IntMap<u64, BlockData>>,
     /// Fraction of the raw size the compressed (Frisbee-style) image takes
     /// on the wire; base FC4 images compress well.
     pub compression: f64,
@@ -104,7 +105,7 @@ pub struct GoldenImageBuilder {
     blocks: u64,
     block_size: u32,
     seed: u64,
-    explicit: HashMap<u64, BlockData>,
+    explicit: IntMap<u64, BlockData>,
     compression: f64,
 }
 
@@ -116,7 +117,7 @@ impl GoldenImageBuilder {
             blocks,
             block_size,
             seed,
-            explicit: HashMap::new(),
+            explicit: IntMap::default(),
             compression: 0.12,
         }
     }

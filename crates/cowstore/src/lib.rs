@@ -20,7 +20,7 @@ mod merge;
 mod mirror;
 mod store;
 
-pub use block::{BitmapBlock, BlockData, DeltaMap};
+pub use block::{BitmapBlock, BlockData, BlockTable, DeltaMap};
 pub use freeblock::Ext3Snoop;
 pub use golden::{GoldenImage, GoldenImageBuilder, GoldenStats};
 pub use merge::{merge_reorder, MergeStats};

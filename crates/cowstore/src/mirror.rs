@@ -14,9 +14,11 @@
 //! being copied (eager copy-out "blocks overwritten during pre-copy may be
 //! sent more than once"). The owner performs the actual disk/network ops.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use sim::{transmission_time, SimTime};
+
+use crate::block::BlockTable;
 
 /// Paces a byte stream at a configured rate.
 #[derive(Clone, Debug)]
@@ -74,8 +76,10 @@ pub enum Direction {
 pub struct MirrorTransfer {
     direction: Direction,
     pending: VecDeque<u64>,
-    queued: HashSet<u64>,
-    copied: HashSet<u64>,
+    /// The blocks in `pending`, and the blocks already synchronized: both
+    /// sets, every value 0.
+    queued: BlockTable,
+    copied: BlockTable,
     block_size: u32,
     limiter: RateLimiter,
     /// Blocks re-sent because they were dirtied after copy (CopyOut).
@@ -87,12 +91,15 @@ pub struct MirrorTransfer {
 impl MirrorTransfer {
     /// Creates a transfer over `blocks`, paced at `rate_bps`.
     pub fn new(direction: Direction, blocks: Vec<u64>, block_size: u32, rate_bps: u64) -> Self {
-        let queued: HashSet<u64> = blocks.iter().copied().collect();
+        let mut queued = BlockTable::new();
+        for &vba in &blocks {
+            queued.insert(vba, 0);
+        }
         MirrorTransfer {
             direction,
             pending: blocks.into(),
             queued,
-            copied: HashSet::new(),
+            copied: BlockTable::new(),
             block_size,
             limiter: RateLimiter::new(rate_bps),
             dirty_requeues: 0,
@@ -117,21 +124,21 @@ impl MirrorTransfer {
 
     /// Whether a block has already been synchronized.
     pub fn is_copied(&self, vba: u64) -> bool {
-        self.copied.contains(&vba)
+        self.copied.contains(vba)
     }
 
     /// Pops the next block to move; returns it with the earliest start
     /// time the rate limiter allows.
     pub fn pop_next(&mut self, now: SimTime) -> Option<(u64, SimTime)> {
         let vba = self.pending.pop_front()?;
-        self.queued.remove(&vba);
+        self.queued.remove(vba);
         let start = self.limiter.acquire(now, self.block_size as u64);
         Some((vba, start))
     }
 
     /// Marks a block as synchronized (owner finished its disk+net op).
     pub fn mark_copied(&mut self, vba: u64) {
-        self.copied.insert(vba);
+        self.copied.insert(vba, 0);
     }
 
     /// On-demand access during lazy copy-in: if the block is still queued,
@@ -139,10 +146,10 @@ impl MirrorTransfer {
     /// limit budget — the guest is waiting on it). Returns true if the
     /// block still needs fetching.
     pub fn promote(&mut self, vba: u64) -> bool {
-        if self.copied.contains(&vba) {
+        if self.copied.contains(vba) {
             return false;
         }
-        if self.queued.contains(&vba) {
+        if self.queued.contains(vba) {
             // Move to front.
             if let Some(pos) = self.pending.iter().position(|&b| b == vba) {
                 self.pending.remove(pos);
@@ -167,9 +174,9 @@ impl MirrorTransfer {
             Direction::CopyOut,
             "mark_dirty only applies to pre-copy"
         );
-        if self.copied.remove(&vba) {
+        if self.copied.remove(vba).is_some() {
             self.dirty_requeues += 1;
-            if self.queued.insert(vba) {
+            if self.queued.insert(vba, 0).is_none() {
                 self.pending.push_back(vba);
             }
         }
@@ -195,10 +202,10 @@ impl MirrorTransfer {
             Direction::CopyOut,
             "enqueue_or_dirty only applies to pre-copy"
         );
-        if self.copied.remove(&vba) {
+        if self.copied.remove(vba).is_some() {
             self.dirty_requeues += 1;
         }
-        if self.queued.insert(vba) {
+        if self.queued.insert(vba, 0).is_none() {
             self.pending.push_back(vba);
         }
     }

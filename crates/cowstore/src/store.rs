@@ -24,7 +24,7 @@ use hwsim::{DiskOp, DiskQueue, DiskRequest};
 use sim::telemetry::names;
 use sim::{IntMap, SimRng, SimTime, Telemetry, TraceTag, TrackId};
 
-use crate::block::{BlockData, DeltaMap};
+use crate::block::{BlockData, BlockTable, DeltaMap};
 use crate::freeblock::Ext3Snoop;
 use crate::golden::GoldenImage;
 use crate::merge::{merge_reorder, MergeStats};
@@ -126,12 +126,16 @@ pub struct BranchingStore {
     layout: StoreLayout,
     golden: Arc<GoldenImage>,
     agg: DeltaMap,
-    agg_slots: IntMap<u64, u64>,
+    /// Aggregate vba → its slot in the vba-sorted aggregate region.
+    agg_slots: BlockTable,
     cur: DeltaMap,
-    /// BranchOrig: chunk index → chunk slot in the snapshot area.
-    chunks: IntMap<u64, u64>,
+    /// BranchOrig: chunk index (a block number at chunk granularity) →
+    /// chunk slot in the snapshot area.
+    chunks: BlockTable,
     next_chunk_slot: u64,
     /// Base mode: raw writes by vba (content only; placement is linear).
+    /// Not a [`BlockTable`]: it holds block contents, and Base mode is
+    /// Fig 8's baseline only.
     base_writes: IntMap<u64, BlockData>,
     appends_since_meta: u64,
     snoop: Option<Ext3Snoop>,
@@ -158,9 +162,9 @@ impl BranchingStore {
             layout,
             golden,
             agg: DeltaMap::new(),
-            agg_slots: IntMap::default(),
+            agg_slots: BlockTable::new(),
             cur: DeltaMap::new(),
-            chunks: IntMap::default(),
+            chunks: BlockTable::new(),
             next_chunk_slot: 0,
             base_writes: IntMap::default(),
             appends_since_meta: 0,
@@ -188,7 +192,7 @@ impl BranchingStore {
     /// produces (§5.3).
     pub fn install_aggregate(&mut self, agg: DeltaMap) {
         self.agg_slots.clear();
-        for (slot, (vba, _)) in agg.sorted_by_vba().into_iter().enumerate() {
+        for (slot, (vba, _)) in agg.iter_vba_order().enumerate() {
             self.agg_slots.insert(vba, slot as u64);
         }
         self.agg = agg;
@@ -257,9 +261,10 @@ impl BranchingStore {
                 if self.cur.get(vba).is_some() {
                     self.stats.cur_reads += 1;
                     let chunk = vba / chunk_blocks;
-                    let slot = self.chunks[&chunk];
+                    let slot =
+                        self.chunks.get(chunk).expect("a written block's chunk is broken out");
                     self.layout.log_start() + slot * chunk_blocks + (vba % chunk_blocks)
-                } else if let Some(&slot) = self.agg_slots.get(&vba) {
+                } else if let Some(slot) = self.agg_slots.get(vba) {
                     self.stats.agg_reads += 1;
                     self.layout.agg_start() + slot
                 } else {
@@ -271,7 +276,7 @@ impl BranchingStore {
                 if let Some((slot, _)) = self.cur.get(vba) {
                     self.stats.cur_reads += 1;
                     self.layout.log_start() + slot as u64
-                } else if let Some(&slot) = self.agg_slots.get(&vba) {
+                } else if let Some(slot) = self.agg_slots.get(vba) {
                     self.stats.agg_reads += 1;
                     self.layout.agg_start() + slot
                 } else {
@@ -379,7 +384,7 @@ impl BranchingStore {
             CowMode::BranchOrig { chunk_blocks } => {
                 let chunk = vba / chunk_blocks;
                 let mut done;
-                if let Some(&slot) = self.chunks.get(&chunk) {
+                if let Some(slot) = self.chunks.get(chunk) {
                     // Chunk already broken out: in-place write.
                     let phys = self.layout.log_start() + slot * chunk_blocks + (vba % chunk_blocks);
                     done = dq.submit(
@@ -551,11 +556,8 @@ impl BranchingStore {
         let bs = self.block_size();
         self.agg.encode_wire(e, bs);
         self.cur.encode_wire(e, bs);
-        let mut chunk_pairs: Vec<(u64, u64)> =
-            self.chunks.iter().map(|(&c, &s)| (c, s)).collect();
-        chunk_pairs.sort_unstable();
-        e.seq(chunk_pairs.len());
-        for (chunk, slot) in chunk_pairs {
+        e.seq(self.chunks.len());
+        for (chunk, slot) in self.chunks.iter() {
             e.u64(chunk);
             e.u64(slot);
         }
@@ -617,20 +619,29 @@ impl BranchingStore {
         if d.u64()? != golden.blocks() || d.u32()? != golden.block_size() {
             return Err(DecodeError::Invalid("golden image geometry mismatch"));
         }
-        let bs = golden.block_size();
-        let agg = DeltaMap::decode_wire(d, bs)?;
-        let cur = DeltaMap::decode_wire(d, bs)?;
+        let (bs, blocks) = (golden.block_size(), golden.blocks());
+        let agg = DeltaMap::decode_wire(d, bs, blocks)?;
+        let cur = DeltaMap::decode_wire(d, bs, blocks)?;
+        let chunk_span = match mode {
+            CowMode::BranchOrig { chunk_blocks } if chunk_blocks > 0 => {
+                blocks.div_ceil(chunk_blocks)
+            }
+            _ => 0,
+        };
         let n = d.seq()?;
-        let mut chunks = IntMap::with_capacity_and_hasher(n, Default::default());
+        let mut chunks = BlockTable::new();
         for _ in 0..n {
             let chunk = d.u64()?;
             let slot = d.u64()?;
+            if chunk >= chunk_span || slot == u64::MAX {
+                return Err(DecodeError::Invalid("cow chunk entry out of range"));
+            }
             if chunks.insert(chunk, slot).is_some() {
                 return Err(DecodeError::Invalid("duplicate chunk entry"));
             }
         }
         let next_chunk_slot = d.u64()?;
-        let base = DeltaMap::decode_wire(d, bs)?;
+        let base = DeltaMap::decode_wire(d, bs, blocks)?;
         let mut base_writes = IntMap::with_capacity_and_hasher(base.len(), Default::default());
         for (vba, data) in base.iter_log_order() {
             base_writes.insert(vba, data.clone());

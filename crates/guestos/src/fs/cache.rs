@@ -7,8 +7,7 @@
 //! high-water mark throttles writers to disk speed.
 
 use ckptstore::{Dec, DecodeError, Enc};
-use cowstore::BlockData;
-use sim::IntMap;
+use cowstore::{BlockData, BlockTable};
 
 /// Slab index used by the intrusive LRU list.
 type Slot = u32;
@@ -28,7 +27,8 @@ struct Node {
 #[derive(Clone, Debug)]
 pub struct BufferCache {
     cap: usize,
-    map: IntMap<u64, Slot>,
+    /// vba → its slab slot.
+    map: BlockTable,
     slab: Vec<Node>,
     free: Vec<Slot>,
     head: Slot, // Most recently used.
@@ -53,7 +53,7 @@ impl BufferCache {
         assert!(cap > 0, "zero-capacity cache");
         BufferCache {
             cap,
-            map: IntMap::default(),
+            map: BlockTable::new(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -123,8 +123,9 @@ impl BufferCache {
 
     /// Looks up a block, promoting it to most-recently-used.
     pub fn read(&mut self, vba: u64) -> Option<BlockData> {
-        match self.map.get(&vba).copied() {
+        match self.map.get(vba) {
             Some(s) => {
+                let s = s as Slot;
                 self.hits += 1;
                 self.touch(s);
                 Some(self.slab[s as usize].data.clone())
@@ -138,13 +139,14 @@ impl BufferCache {
 
     /// True if `vba` is cached (no LRU promotion, no counters).
     pub fn contains(&self, vba: u64) -> bool {
-        self.map.contains_key(&vba)
+        self.map.contains(vba)
     }
 
     /// Inserts or updates a block. Returns any dirty block evicted to make
     /// room (the caller must write it back).
     pub fn put(&mut self, vba: u64, data: BlockData, dirty: bool) -> Option<(u64, BlockData)> {
-        if let Some(&s) = self.map.get(&vba) {
+        if let Some(s) = self.map.get(vba) {
+            let s = s as Slot;
             let node = &mut self.slab[s as usize];
             if dirty && !node.dirty {
                 self.dirty += 1;
@@ -184,7 +186,7 @@ impl BufferCache {
         if dirty {
             self.dirty += 1;
         }
-        self.map.insert(vba, s);
+        self.map.insert(vba, u64::from(s));
         self.push_front(s);
         evicted
     }
@@ -198,7 +200,7 @@ impl BufferCache {
             if !self.slab[s as usize].dirty {
                 let vba = self.slab[s as usize].vba;
                 self.remove_slot(s);
-                self.map.remove(&vba);
+                self.map.remove(vba);
                 return None;
             }
             s = self.slab[s as usize].prev;
@@ -208,7 +210,7 @@ impl BufferCache {
         let s = self.tail;
         let node = self.slab[s as usize].clone();
         self.remove_slot(s);
-        self.map.remove(&node.vba);
+        self.map.remove(node.vba);
         if node.dirty {
             self.dirty -= 1;
             Some((node.vba, node.data))
@@ -224,7 +226,8 @@ impl BufferCache {
 
     /// Removes a block outright (file deletion invalidates its pages).
     pub fn invalidate(&mut self, vba: u64) {
-        if let Some(s) = self.map.remove(&vba) {
+        if let Some(s) = self.map.remove(vba) {
+            let s = s as Slot;
             if self.slab[s as usize].dirty {
                 self.dirty -= 1;
             }
@@ -267,8 +270,9 @@ impl BufferCache {
         }
     }
 
-    /// Inverse of [`BufferCache::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+    /// Inverse of [`BufferCache::encode_wire`], for a disk of
+    /// `disk_blocks` blocks: a cached vba at or beyond it is refused.
+    pub fn decode_wire(d: &mut Dec<'_>, disk_blocks: u64) -> Result<Self, DecodeError> {
         let cap = d.u64()? as usize;
         if cap == 0 {
             return Err(DecodeError::Invalid("zero-capacity cache"));
@@ -282,6 +286,9 @@ impl BufferCache {
         let mut c = BufferCache::new(cap);
         for _ in 0..n {
             let vba = d.u64()?;
+            if vba >= disk_blocks {
+                return Err(DecodeError::Invalid("cached block beyond the disk"));
+            }
             let data = BlockData::decode_wire(d)?;
             let dirty = d.bool()?;
             if c.contains(vba) {
@@ -377,11 +384,10 @@ mod tests {
         assert_eq!(c.len(), 0);
     }
 
-    /// The constructor before the table grew on demand: everything
-    /// reserved at capacity. Kept here as the reference.
+    /// The constructor before the slab grew on demand: reserved at
+    /// capacity. Kept here as the reference.
     fn reserved_at_capacity(cap: usize) -> BufferCache {
         BufferCache {
-            map: IntMap::with_capacity_and_hasher(cap, Default::default()),
             slab: Vec::with_capacity(cap),
             ..BufferCache::new(cap)
         }
@@ -424,7 +430,7 @@ mod tests {
         };
         let bytes = wire(&grown);
         assert_eq!(bytes, wire(&reserved));
-        let back = BufferCache::decode_wire(&mut Dec::new(&bytes)).unwrap();
+        let back = BufferCache::decode_wire(&mut Dec::new(&bytes), 5_000).unwrap();
         assert_eq!(wire(&back), bytes, "decode -> encode is the identity");
     }
 

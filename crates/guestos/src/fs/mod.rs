@@ -12,7 +12,7 @@ pub mod cache;
 pub use cache::BufferCache;
 
 use ckptstore::{Dec, DecodeError, Enc};
-use cowstore::{BitmapBlock, BlockData};
+use cowstore::{BitmapBlock, BlockData, BlockTable};
 use sim::IntMap;
 
 use crate::prog::FileId;
@@ -20,8 +20,9 @@ use crate::prog::FileId;
 /// A file's metadata.
 #[derive(Clone, Debug, Default)]
 pub struct Inode {
-    /// Logical block index → vba.
-    pub blocks: IntMap<u64, u64>,
+    /// Logical block index → vba. Every index is below
+    /// ⌈`size` ÷ block size⌉.
+    pub blocks: BlockTable,
     /// File size in bytes.
     pub size: u64,
 }
@@ -82,6 +83,11 @@ impl Ext3Fs {
         g as u64 * self.blocks_per_group as u64
     }
 
+    /// Blocks the groups cover: the disk's size, and the largest file.
+    pub fn span(&self) -> u64 {
+        span_of(&self.groups)
+    }
+
     /// Total allocated data blocks (excluding bitmap blocks themselves).
     pub fn allocated_blocks(&self) -> u64 {
         self.groups
@@ -135,7 +141,11 @@ impl Ext3Fs {
     /// needed. Returns the block writes to persist (data blocks plus any
     /// bitmap updates) — the caller pushes them through the buffer cache.
     ///
-    /// Returns `Err` if the file does not exist or the disk fills up.
+    /// Returns `Err` if the file does not exist, if the write would end
+    /// beyond the disk's size (a file is never larger than its disk, so
+    /// every block index is below the disk's block count), or if the disk
+    /// fills up. A write that fills the disk is short: the blocks it
+    /// mapped stay, and the file's size grows over them.
     pub fn write(
         &mut self,
         file: FileId,
@@ -149,17 +159,27 @@ impl Ext3Fs {
             return Err("no such file");
         }
         let bs = self.block_size as u64;
+        let end = offset
+            .checked_add(bytes)
+            .filter(|&end| end <= self.span().saturating_mul(bs))
+            .ok_or("efbig")?;
         let first = offset / bs;
-        let last = (offset + bytes - 1) / bs;
+        let last = (end - 1) / bs;
         let mut out = Vec::new();
         self.version += 1;
         let version = self.version;
         for idx in first..=last {
-            let existing = self.files.get(&file).expect("checked").blocks.get(&idx).copied();
+            let existing = self.files.get(&file).expect("checked").blocks.get(idx);
             let vba = match existing {
                 Some(v) => v,
                 None => {
                     let Some((vba, bmw)) = self.alloc_block() else {
+                        // Short write: it ends where this block begins, so
+                        // the size covers every index it mapped.
+                        if idx > first {
+                            let inode = self.files.get_mut(&file).expect("checked");
+                            inode.size = inode.size.max(idx * bs);
+                        }
                         return Err("enospc");
                     };
                     // Dedupe consecutive bitmap writes to the same group.
@@ -184,7 +204,7 @@ impl Ext3Fs {
             });
         }
         let inode = self.files.get_mut(&file).expect("checked");
-        inode.size = inode.size.max(offset + bytes);
+        inode.size = inode.size.max(end);
         Ok(out)
     }
 
@@ -200,7 +220,7 @@ impl Ext3Fs {
         let first = offset / bs;
         let last = (offset + bytes - 1) / bs;
         Ok((first..=last)
-            .filter_map(|idx| inode.blocks.get(&idx).copied())
+            .filter_map(|idx| inode.blocks.get(idx))
             .collect())
     }
 
@@ -208,7 +228,7 @@ impl Ext3Fs {
     /// persist and the freed vbas (for cache invalidation).
     pub fn delete(&mut self, file: FileId) -> Result<(Vec<FsWrite>, Vec<u64>), &'static str> {
         let inode = self.files.remove(&file).ok_or("no such file")?;
-        let mut freed: Vec<u64> = inode.blocks.values().copied().collect();
+        let mut freed: Vec<u64> = inode.blocks.iter().map(|(_, vba)| vba).collect();
         freed.sort_unstable();
         // Batch bitmap updates per group.
         let mut touched: IntMap<u32, BitmapBlock> = IntMap::default();
@@ -248,11 +268,8 @@ impl Ext3Fs {
             let inode = &self.files[&id];
             e.u64(id.0);
             e.u64(inode.size);
-            let mut blocks: Vec<(u64, u64)> =
-                inode.blocks.iter().map(|(&i, &v)| (i, v)).collect();
-            blocks.sort_unstable();
-            e.seq(blocks.len());
-            for (idx, vba) in blocks {
+            e.seq(inode.blocks.len());
+            for (idx, vba) in inode.blocks.iter() {
                 e.u64(idx);
                 e.u64(vba);
             }
@@ -262,25 +279,54 @@ impl Ext3Fs {
         e.u64(self.enospc);
     }
 
-    /// Inverse of [`Ext3Fs::encode_wire`].
+    /// Inverse of [`Ext3Fs::encode_wire`]. Refuses a group that is not
+    /// where and as large as [`Ext3Fs::format`] makes it, a file larger
+    /// than the disk, a file block at or beyond the groups' span, and a
+    /// block index at or beyond its file's size. Every block number is
+    /// thereby below the span, which the bitmap words read bound: no
+    /// table is sized by a number the image could make arbitrarily large.
     pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         let block_size = d.u32()?;
+        if block_size == 0 {
+            return Err(DecodeError::Invalid("zero fs block size"));
+        }
         let blocks_per_group = d.u32()?;
         let ngroups = d.seq()?;
         let mut groups = Vec::with_capacity(ngroups);
-        for _ in 0..ngroups {
-            groups.push(BitmapBlock::decode_wire(d)?);
+        for g in 0..ngroups {
+            let bm = BitmapBlock::decode_wire(d)?;
+            let last = g + 1 == ngroups;
+            if bm.group as usize != g
+                || bm.group_start != g as u64 * u64::from(blocks_per_group)
+                || bm.group_blocks > blocks_per_group
+                || (!last && bm.group_blocks != blocks_per_group)
+            {
+                return Err(DecodeError::Invalid("fs block group geometry"));
+            }
+            groups.push(bm);
         }
+        let span = span_of(&groups);
         let nfiles = d.seq()?;
         let mut files = IntMap::with_capacity_and_hasher(nfiles, Default::default());
         for _ in 0..nfiles {
             let id = FileId(d.u64()?);
             let size = d.u64()?;
+            let indices = size.div_ceil(u64::from(block_size));
+            if indices > span {
+                return Err(DecodeError::Invalid("file larger than the disk"));
+            }
             let nblocks = d.seq()?;
-            let mut blocks = IntMap::with_capacity_and_hasher(nblocks, Default::default());
+            let mut blocks = BlockTable::new();
             for _ in 0..nblocks {
                 let idx = d.u64()?;
-                if blocks.insert(idx, d.u64()?).is_some() {
+                let vba = d.u64()?;
+                if idx >= indices {
+                    return Err(DecodeError::Invalid("inode block index beyond the file size"));
+                }
+                if vba >= span {
+                    return Err(DecodeError::Invalid("inode block beyond the disk"));
+                }
+                if blocks.insert(idx, vba).is_some() {
                     return Err(DecodeError::Invalid("duplicate inode block index"));
                 }
             }
@@ -298,6 +344,11 @@ impl Ext3Fs {
             enospc: d.u64()?,
         })
     }
+}
+
+/// The blocks `groups` cover, in order from block 0.
+fn span_of(groups: &[BitmapBlock]) -> u64 {
+    groups.last().map_or(0, |g| g.group_start + u64::from(g.group_blocks))
 }
 
 #[cfg(test)]
@@ -397,6 +448,33 @@ mod tests {
         let r = f.write(FileId(1), 0, 63 * 4096);
         assert_eq!(r, Err("enospc"));
         assert_eq!(f.enospc, 1);
+        // The write was short: the 62 blocks it mapped are inside the
+        // file, so the image round-trips.
+        assert_eq!(f.size_of(FileId(1)), Some(62 * 4096));
+        assert_eq!(f.read_vbas(FileId(1), 0, 63 * 4096).unwrap().len(), 62);
+        let mut e = Enc::new();
+        f.encode_wire(&mut e);
+        let bytes = e.into_bytes();
+        let back = Ext3Fs::decode_wire(&mut Dec::new(&bytes)).unwrap();
+        let mut e = Enc::new();
+        back.encode_wire(&mut e);
+        assert!(e.into_bytes() == bytes, "decode -> encode is the identity");
+        // Failing on its first block, a write changes no size.
+        f.create(FileId(2)).unwrap();
+        assert_eq!(f.write(FileId(2), 5 * 4096, 4096), Err("enospc"));
+        assert_eq!(f.size_of(FileId(2)), Some(0));
+    }
+
+    #[test]
+    fn a_file_ends_inside_its_disk() {
+        let mut f = Ext3Fs::format(64, 4096, 32);
+        f.create(FileId(1)).unwrap();
+        assert_eq!(f.span(), 64);
+        assert_eq!(f.write(FileId(1), 63 * 4096, 4097), Err("efbig"));
+        assert_eq!(f.write(FileId(1), u64::MAX - 1, 2), Err("efbig"));
+        assert_eq!((f.size_of(FileId(1)), f.enospc), (Some(0), 0));
+        assert!(f.write(FileId(1), 63 * 4096, 4096).is_ok(), "the disk's last byte");
+        assert_eq!(f.size_of(FileId(1)), Some(64 * 4096));
     }
 
     #[test]
@@ -404,5 +482,103 @@ mod tests {
         let mut f = fs();
         f.create(FileId(1)).unwrap();
         assert_eq!(f.create(FileId(1)), Err("exists"));
+    }
+
+    /// A file as the reference sees it: size and index → vba, ordered.
+    type RefFile = (u64, std::collections::BTreeMap<u64, u64>);
+
+    /// What [`Ext3Fs::encode_wire`] wrote when inode maps were hash maps
+    /// sorted at encode time, with the reference's maps in their place.
+    fn reference_wire(f: &Ext3Fs, files: &std::collections::BTreeMap<u64, RefFile>) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u32(f.block_size);
+        e.u32(f.blocks_per_group);
+        e.seq(f.groups.len());
+        for g in &f.groups {
+            g.encode_wire(&mut e);
+        }
+        e.seq(files.len());
+        for (&id, (size, blocks)) in files {
+            e.u64(id);
+            e.u64(*size);
+            e.seq(blocks.len());
+            for (&idx, &vba) in blocks {
+                e.u64(idx);
+                e.u64(vba);
+            }
+        }
+        e.u32(f.rotor);
+        e.u64(f.version);
+        e.u64(f.enospc);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn block_tables_answer_as_ordered_maps_do() {
+        use std::collections::BTreeMap;
+        let bs = 4096u64;
+        let mut f = Ext3Fs::format(50_000, 4096, 8192);
+        let mut files: BTreeMap<u64, RefFile> = BTreeMap::new();
+        let mut state = 0xF5_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut deletes, mut holes) = (0, 0);
+        for step in 0..4_000u32 {
+            let r = next();
+            let id = r % 6;
+            if let std::collections::btree_map::Entry::Vacant(new) = files.entry(id) {
+                f.create(FileId(id)).unwrap();
+                new.insert((0, BTreeMap::new()));
+            }
+            if step % 97 == 96 {
+                // Delete: the freed vbas are the reference's, sorted.
+                let (_, freed) = f.delete(FileId(id)).unwrap();
+                let (_, blocks) = files.remove(&id).unwrap();
+                let mut want: Vec<u64> = blocks.into_values().collect();
+                want.sort_unstable();
+                assert_eq!(freed, want, "step {step}: freed blocks of file {id}");
+                deletes += 1;
+                continue;
+            }
+            // Write at a random offset inside the first 1,000 blocks, up
+            // to 16 blocks long and not block-aligned: the rest are holes.
+            let offset = (r >> 8) % (1_000 * bs);
+            let bytes = (r >> 40) % (16 * bs) + 1;
+            let writes = f.write(FileId(id), offset, bytes).unwrap();
+            let data: Vec<u64> = writes
+                .iter()
+                .filter(|w| matches!(w.data, BlockData::Opaque(_)))
+                .map(|w| w.vba)
+                .collect();
+            let (size, blocks) = files.get_mut(&id).unwrap();
+            let first = offset / bs;
+            assert_eq!(data.len() as u64, (offset + bytes - 1) / bs - first + 1);
+            for (idx, vba) in (first..).zip(data) {
+                assert_eq!(*blocks.entry(idx).or_insert(vba), vba, "an index keeps its block");
+            }
+            *size = (*size).max(offset + bytes);
+            // Reads over a random range skip the same holes.
+            let (from, len) = ((r >> 20) % (1_100 * bs), (r >> 50) % (64 * bs) + 1);
+            let range = from / bs..=(from + len - 1) / bs;
+            let want: Vec<u64> = blocks.range(range).map(|(_, &v)| v).collect();
+            holes += ((from + len - 1) / bs - from / bs + 1) as usize - want.len();
+            assert_eq!(f.read_vbas(FileId(id), from, len).unwrap(), want, "step {step}");
+            if step % 500 == 0 {
+                let wire = reference_wire(&f, &files);
+                let mut e = Enc::new();
+                f.encode_wire(&mut e);
+                assert!(e.into_bytes() == wire, "step {step}: the encoding is the reference's");
+                let back = Ext3Fs::decode_wire(&mut Dec::new(&wire)).unwrap();
+                let mut e = Enc::new();
+                back.encode_wire(&mut e);
+                assert!(e.into_bytes() == wire, "step {step}: decode -> encode is the identity");
+            }
+        }
+        assert!(deletes > 30 && holes > 5_000, "{deletes} deletes, {holes} holes read");
     }
 }

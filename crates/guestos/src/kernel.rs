@@ -15,12 +15,12 @@
 //! is continuous because the vmm froze it — nothing in here needs to know
 //! the checkpoint happened, which is the whole point.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ckptstore::{Dec, DecodeError, Enc};
 use cowstore::BlockData;
 use hwsim::{profile, NodeAddr};
+use sim::IntMap;
 
 use crate::actions::{BlockBatch, BlockBatchOp, GuestAction};
 use crate::audit::{ClockEventKind, ClockWitness};
@@ -131,7 +131,9 @@ pub struct Kernel {
     fs: Ext3Fs,
     cache: BufferCache,
     next_batch: u64,
-    batches: HashMap<u64, BatchInfo>,
+    /// Outstanding block batches by id; only looked up, and encoded in
+    /// id order.
+    batches: IntMap<u64, BatchInfo>,
     wb_in_flight: bool,
     next_burst: u64,
     next_rpc: u64,
@@ -166,7 +168,7 @@ impl Kernel {
             fs,
             cache,
             next_batch: 1,
-            batches: HashMap::new(),
+            batches: IntMap::default(),
             wb_in_flight: false,
             next_burst: 1,
             next_rpc: 1,
@@ -334,10 +336,15 @@ impl Kernel {
         let socks = SocketTable::decode_wire(d, residue)?;
         let trace = NetTrace::decode_wire(d)?;
         let fs = Ext3Fs::decode_wire(d)?;
-        let cache = BufferCache::decode_wire(d)?;
+        // `Kernel::new` formats the disk whole; the span is bounded by the
+        // bitmap words just read, so the cache's bound is too.
+        if fs.span() != cfg.disk_blocks {
+            return Err(DecodeError::Invalid("fs does not span the disk"));
+        }
+        let cache = BufferCache::decode_wire(d, fs.span())?;
         let next_batch = d.u64()?;
         let nbatches = d.seq()?;
-        let mut batches = HashMap::with_capacity(nbatches);
+        let mut batches = IntMap::with_capacity_and_hasher(nbatches, Default::default());
         for _ in 0..nbatches {
             let id = d.u64()?;
             let at = d.position();

@@ -71,7 +71,8 @@ impl GuestResidue {
 
 /// The static error strings the kernel hands back through [`SysRet::Err`];
 /// decode re-interns against this set.
-const ERR_STRINGS: &[&str] = &["bad fd", "not listening", "exists", "no such file", "enospc"];
+const ERR_STRINGS: &[&str] =
+    &["bad fd", "not listening", "exists", "no such file", "enospc", "efbig"];
 
 fn intern_err(s: &str) -> Result<&'static str, DecodeError> {
     ERR_STRINGS

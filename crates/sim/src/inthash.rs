@@ -1,17 +1,21 @@
 //! The hasher of the simulator's own integer-keyed tables.
 //!
-//! Block addresses, log slots, file ids and chunk indices are generated
-//! by the simulation, never by anything outside the program, so their
-//! tables need no protection against keys crafted to collide — and
+//! File ids, batch ids, block-group numbers and chunk content hashes are
+//! generated by the simulation, never by anything outside the program, so
+//! their tables need no protection against keys crafted to collide — and
 //! `std`'s default SipHash-1-3 was 7 % of a capture-heavy run for that
 //! protection alone. [`IntHasher`] is one 64×64→128-bit multiply per
-//! integer written, folded by xor, with no per-table random state.
+//! 64-bit word written, folded by xor, with no per-table random state.
 //!
-//! Two consequences worth knowing. A table over keys that *do* come from
-//! outside (names, user input) keeps the default hasher. And with no
-//! random state, iteration order over an [`IntMap`] is the same in every
-//! run of the same build — arbitrary still, so anything that reaches
-//! output or the event order sorts first, exactly as it had to before.
+//! The rule: a table keyed by a *block number* (a disk address or a file
+//! block index) is a `cowstore::BlockTable` — those keys are dense and
+//! arrive in runs, so a paged array beats any hash; a table keyed by any
+//! other simulator-generated integer is an [`IntMap`]; a table over keys
+//! that *do* come from outside (names, user input) keeps the default
+//! hasher. With no random state, iteration order over an [`IntMap`] is
+//! the same in every run of the same build — arbitrary still, so anything
+//! that reaches output or the event order sorts first, exactly as it had
+//! to before.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -54,6 +58,11 @@ impl Hasher for IntHasher {
     }
 
     #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
     fn write_u32(&mut self, v: u32) {
         self.write_u64(u64::from(v));
     }
@@ -61,6 +70,14 @@ impl Hasher for IntHasher {
     #[inline]
     fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
+    }
+
+    /// Low word, then high: what [`IntHasher::write`] makes of the
+    /// little-endian bytes, without the byte loop.
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
     }
 }
 
@@ -111,6 +128,8 @@ mod tests {
         assert_eq!(one(&|h| h.write_u32(77)), want);
         assert_eq!(one(&|h| h.write_usize(77)), want);
         assert_eq!(one(&|h| h.write(&77u64.to_le_bytes())), want);
+        let wide = 77u128 | (5 << 64);
+        assert_eq!(one(&|h| h.write_u128(wide)), one(&|h| h.write(&wide.to_le_bytes())));
         // A second field changes the hash, in either position.
         let pair = |a: u64, b: u64| one(&|h| (h.write_u64(a), h.write_u64(b)).1);
         assert_ne!(pair(1, 2), pair(2, 1));
