@@ -60,16 +60,11 @@ pub fn run() {
                 let dn = lab.delay_node;
                 lab.engine
                     .with_component::<DelayNodeHost, _>(dn, |d, ctx| {
-                        // Discard the suspended pipes: re-create them empty.
-                        d.abandon_checkpoint(ctx);
-                        let fresh = dummynet::Dummynet::restore(
-                            &empty_image_like(d),
-                            ctx.now(),
-                        );
-                        d.install_dummynet(ctx, fresh);
-                        // Re-suspend so the resume broadcast finds the node
-                        // in the expected state.
-                        d.dummynet_mut().suspend(ctx.now());
+                        // Discard the suspended pipes and their log: restore
+                        // them empty. The node stays suspended, as the resume
+                        // broadcast expects.
+                        let empty = empty_image_like(d);
+                        d.restore(ctx, &empty, Vec::new());
                     });
             }
             lab.engine

@@ -10,7 +10,7 @@
 //! component drives the `dummynet` state machine directly.
 
 use clocksync::{NtpClient, NtpResponse};
-use dummynet::{Dummynet, DummynetImage, PipeConfig, PipeId};
+use dummynet::{Dummynet, DummynetImage, PipeConfig, PipeId, PipeLog};
 use hwsim::{Endpoint, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr, Wire};
 use sim::buggify;
 use sim::buggify::points as bg_points;
@@ -179,60 +179,48 @@ impl DelayNodeHost {
         &self.dn
     }
 
-    /// Mutable shaping access.
-    pub fn dummynet_mut(&mut self) -> &mut Dummynet {
-        &mut self.dn
-    }
-
     /// The last captured image (swap-out / time-travel).
     pub fn last_image(&self) -> Option<&DummynetImage> {
         self.last_image.as_ref()
     }
 
     /// Resumes a restored, suspended instance outside the bus protocol
-    /// (stateful swap-in): shifts deadlines and schedules the replay.
+    /// (stateful swap-in, time travel): shifts deadlines and schedules the
+    /// replay.
     pub fn resume_from_restore(&mut self, ctx: &mut Ctx<'_>) {
         if self.dn.suspended() {
             self.resume(ctx);
         }
     }
 
-    /// Takes the suspension-window arrival log (swap-out preservation).
+    /// The suspension-window arrival log, copied (§3.2; swap-out and
+    /// snapshots preserve it).
     ///
     /// # Panics
     ///
     /// Panics if the node is not suspended.
-    pub fn take_suspended_log(&mut self) -> Vec<(SimDuration, dummynet::PipeId, Frame)> {
-        self.dn.take_log()
+    pub fn suspended_log(&self) -> PipeLog {
+        self.dn.log()
     }
 
-    /// Installs a preserved arrival log; the node must be suspended (a
-    /// fresh restore can be re-suspended first).
-    pub fn install_suspended_log(
-        &mut self,
-        log: Vec<(SimDuration, dummynet::PipeId, Frame)>,
-    ) {
-        self.dn.install_log(log);
-    }
-
-    /// Abandons a suspension without replay (time travel discards the
-    /// current execution before installing a snapshot).
-    pub fn abandon_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
+    /// Installs restored pipes and their arrival log (stateful swap-in,
+    /// time travel); a held suspension is dropped with its log. Pipe ids
+    /// keep their meaning because paths are re-added in spec order. The
+    /// instance arrives suspended and resumes with
+    /// [`DelayNodeHost::resume_from_restore`], which replays `log`.
+    pub fn restore(&mut self, ctx: &mut Ctx<'_>, image: &DummynetImage, log: PipeLog) {
+        let now = ctx.now();
         if self.dn.suspended() {
-            let _ = self.dn.resume(ctx.now());
+            let _ = self.dn.resume(now);
         }
-    }
-
-    /// Installs restored shaping state (swap-in / time-travel); pipe ids
-    /// keep their meaning because paths are re-added in spec order.
-    pub fn install_dummynet(&mut self, ctx: &mut Ctx<'_>, dn: Dummynet) {
         if let Some((_, ev)) = self.wake.take() {
             ctx.cancel(ev);
         }
-        self.dn = dn;
+        self.dn = Dummynet::restore(image, now);
+        self.dn.suspend(now);
+        self.dn.install_log(log);
         // Restored instances arrive without telemetry; re-attach.
         self.dn.attach_telemetry(ctx.telemetry(), self.addr.0);
-        self.reschedule_wake(ctx);
     }
 
     /// Boots the node (NTP).

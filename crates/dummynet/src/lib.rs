@@ -31,6 +31,11 @@ use sim::{CounterId, SimRng, SimTime, Telemetry, TraceTag, TrackId};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PipeId(pub usize);
 
+/// A suspension-window arrival log as [`Dummynet::log`] hands it out and
+/// [`Dummynet::install_log`] takes it back: `(offset from the suspension,
+/// pipe, frame)` per packet, in arrival order.
+pub type PipeLog = Vec<(sim::SimDuration, PipeId, Frame)>;
+
 /// A serialized Dummynet instance: everything needed to rebuild shaping
 /// state on restore, with times stored relative to the serialization
 /// instant so the image is position-independent in time.
@@ -295,18 +300,18 @@ impl Dummynet {
         actions
     }
 
-    /// Takes the suspension-window arrival log as offsets from the
-    /// suspension instant (preserved across swap-out, where the node is
-    /// torn down before it can replay them).
+    /// The suspension-window arrival log as offsets from the suspension
+    /// instant, copied: swap-out and snapshots preserve it while the
+    /// instance keeps its own (§3.2).
     ///
     /// # Panics
     ///
     /// Panics if not suspended.
-    pub fn take_log(&mut self) -> Vec<(sim::SimDuration, PipeId, Frame)> {
+    pub fn log(&self) -> PipeLog {
         let at = self.suspended_at.expect("log only exists while suspended");
-        std::mem::take(&mut self.log)
-            .into_iter()
-            .map(|l| (l.at.saturating_duration_since(at), l.pipe, l.frame))
+        self.log
+            .iter()
+            .map(|l| (l.at.saturating_duration_since(at), l.pipe, l.frame.clone()))
             .collect()
     }
 
@@ -316,7 +321,7 @@ impl Dummynet {
     /// # Panics
     ///
     /// Panics if not suspended.
-    pub fn install_log(&mut self, log: Vec<(sim::SimDuration, PipeId, Frame)>) {
+    pub fn install_log(&mut self, log: PipeLog) {
         let at = self.suspended_at.expect("instance must be suspended");
         self.log = log
             .into_iter()

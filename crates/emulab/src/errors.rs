@@ -9,7 +9,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ckptstore::StoreError;
+use ckptstore::{DecodeError, StoreError};
 
 /// An invalid experiment specification ([`crate::ExperimentSpec::validate`]).
 #[derive(Clone, Debug, PartialEq)]
@@ -93,7 +93,7 @@ pub enum SwapError {
     /// (missing or corrupt chunks).
     StateLoad { node: String, source: StoreError },
     /// A preserved node image loaded but did not decode.
-    StateDecode { node: String, detail: String },
+    StateDecode { node: String, source: DecodeError },
 }
 
 impl fmt::Display for SwapError {
@@ -105,7 +105,9 @@ impl fmt::Display for SwapError {
             }
             SwapError::Testbed(e) => e.fmt(f),
             SwapError::StateLoad { node, source } => write!(f, "swap-in {node}: {source}"),
-            SwapError::StateDecode { node, detail } => write!(f, "swap-in {node}: {detail}"),
+            SwapError::StateDecode { node, source } => {
+                write!(f, "swap-in {node}: malformed image: {source}")
+            }
         }
     }
 }
@@ -116,7 +118,8 @@ impl Error for SwapError {
             SwapError::Spec(e) => Some(e),
             SwapError::Testbed(e) => Some(e),
             SwapError::StateLoad { source, .. } => Some(source),
-            _ => None,
+            SwapError::StateDecode { source, .. } => Some(source),
+            SwapError::AlreadySwappedIn { .. } => None,
         }
     }
 }
@@ -141,8 +144,14 @@ mod tests {
     fn displays_are_stable() {
         let e = SpecError::UnknownLinkEndpoint { a: "a".into(), b: "ghost".into() };
         assert_eq!(e.to_string(), "link a–ghost references unknown node");
-        let e = SwapError::StateDecode { node: "n".into(), detail: "trailing bytes".into() };
-        assert!(e.to_string().starts_with("swap-in n: "), "{e}");
+        let e = SwapError::StateDecode {
+            node: "n".into(),
+            source: DecodeError::Invalid("trailing bytes after image"),
+        };
+        assert_eq!(
+            e.to_string(),
+            "swap-in n: malformed image: invalid image field: trailing bytes after image"
+        );
         let e = SwapError::from(TestbedError::NoFreeMachines { needed: 3, free: 1 });
         assert_eq!(e.to_string(), "no free machines: need 3, have 1");
     }
@@ -157,6 +166,9 @@ mod tests {
             },
         };
         assert!(e.source().is_some());
+        let e = SwapError::StateDecode { node: "n".into(), source: DecodeError::BadMagic };
+        let source = e.source().expect("decode errors chain");
+        assert_eq!(source.downcast_ref::<DecodeError>(), Some(&DecodeError::BadMagic));
         assert!(SwapError::AlreadySwappedIn { name: "x".into() }.source().is_none());
     }
 }

@@ -16,6 +16,7 @@
 //!   tree (§6).
 
 mod errors;
+mod restore;
 mod services;
 mod sharding;
 mod spec;

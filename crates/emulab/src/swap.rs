@@ -24,15 +24,17 @@
 
 use ckptstore::{Enc, ImageId};
 use cowstore::{merge_reorder, DeltaMap, Direction, MirrorTransfer};
-use dummynet::DummynetImage;
-use guestos::{GuestResidue, TcpSegment};
+use dummynet::{DummynetImage, PipeLog};
+use guestos::GuestResidue;
 use hwsim::NodeAddr;
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::telemetry::names;
 use sim::{SimDuration, SimTime};
-use vmm::{MirrorConfig, VmHost};
+use vmm::{DomainImage, MirrorConfig, RxLog, VmHost};
 
+use crate::errors::SwapError;
+use crate::restore::{decode_image, FrozenNode, FrozenState};
 use crate::spec::ExperimentSpec;
 use crate::testbed::Testbed;
 
@@ -59,7 +61,7 @@ pub struct NodeState {
     pub eliminated_blocks: u64,
     /// In-flight packets logged during the suspension (§3.2), as offsets
     /// from the freeze; replayed after the swap-in resume.
-    pub rx_log: Vec<(SimDuration, NodeAddr, TcpSegment)>,
+    pub rx_log: RxLog,
 }
 
 /// Preserved state of a whole experiment on the file server.
@@ -69,7 +71,7 @@ pub struct SwappedExperiment {
     pub delay_nodes: Vec<Option<DummynetImage>>,
     /// Per-delay-node suspension logs (in-flight packets that arrived
     /// while suspended; §3.2).
-    pub delay_node_logs: Vec<Vec<(SimDuration, dummynet::PipeId, hwsim::Frame)>>,
+    pub delay_node_logs: Vec<PipeLog>,
     /// Delay-node control addresses (stable across swaps).
     pub delay_node_addrs: Vec<NodeAddr>,
     /// Guest time at which the experiment was suspended.
@@ -87,11 +89,6 @@ impl SwappedExperiment {
             .iter()
             .find(|n| n.name == name)
             .unwrap_or_else(|| panic!("no swapped state for node {name}"))
-    }
-
-    /// Dummynet image of delay node `link_index`.
-    pub fn delay_node_state(&self, link_index: usize) -> Option<&DummynetImage> {
-        self.delay_nodes.get(link_index)?.as_ref()
     }
 
     /// Total aggregated-delta bytes (the eager swap-in download).
@@ -296,7 +293,7 @@ impl Testbed {
                         .clone();
                     let bs = h.store().block_size();
                     let agg = h.store().aggregate().clone();
-                    let rx_log = h.take_rx_log();
+                    let rx_log = h.rx_log();
                     (image, filtered, eliminated, resends, bs, agg, rx_log)
                 });
             dirty_resends += resends;
@@ -353,36 +350,19 @@ impl Testbed {
         }
         self.engine.run_until(transfers_done);
 
-        // Collect delay-node images.
-        let dn_handles: Vec<sim::ComponentId> = self
-            .experiment(name)
-            .delay_nodes
-            .iter()
-            .map(|d| d.component)
-            .collect();
-        let dn_addrs: Vec<NodeAddr> = self
-            .experiment(name)
-            .delay_nodes
-            .iter()
-            .map(|d| d.addr)
-            .collect();
+        // Collect delay-node images and their in-flight logs.
         let mut dn_images = Vec::new();
         let mut dn_logs = Vec::new();
-        for dn in dn_handles {
-            let img = self
+        for dn in self.delay_nodes_of(name) {
+            let d = self
                 .engine
                 .component_ref::<checkpoint::DelayNodeHost>(dn)
-                .expect("delay node")
-                .last_image()
-                .cloned();
-            dn_images.push(img);
-            let log = self
-                .engine
-                .with_component::<checkpoint::DelayNodeHost, _>(dn, |d, _| {
-                    d.take_suspended_log()
-                });
-            dn_logs.push(log);
+                .expect("delay node");
+            dn_images.push(d.last_image().cloned());
+            dn_logs.push(d.suspended_log());
         }
+        let dn_addrs: Vec<NodeAddr> =
+            self.experiment(name).delay_nodes.iter().map(|d| d.addr).collect();
 
         // Phase 5: teardown. The suspend round never resumes — its state
         // just left the testbed — so abandon it first: the epoch's trace
@@ -416,6 +396,36 @@ impl Testbed {
             eliminated_blocks: eliminated_total,
             guest_ns_at_suspend,
         }
+    }
+
+    /// Loads and decodes `sw`'s preserved state — every chunk re-hashed —
+    /// into the frozen world a stateful swap-in installs.
+    pub(crate) fn decode_swapped(
+        &self,
+        spec: &ExperimentSpec,
+        sw: &SwappedExperiment,
+    ) -> Result<FrozenState, SwapError> {
+        let mut nodes = Vec::with_capacity(spec.nodes.len());
+        for nspec in &spec.nodes {
+            let st = sw.node_state(&nspec.name);
+            let node = || nspec.name.clone();
+            let chunks = self
+                .fileserver_store()
+                .load_image_chunks(st.image_id)
+                .map_err(|source| SwapError::StateLoad { node: node(), source })?;
+            let image = decode_image(&chunks, SWAP_IMAGE_KIND, |d| {
+                DomainImage::decode_wire(d, &st.residue)
+            })
+            .map_err(|source| SwapError::StateDecode { node: node(), source })?;
+            nodes.push(FrozenNode { image, store: None, rx_log: st.rx_log.clone() });
+        }
+        let delay_nodes = sw
+            .delay_nodes
+            .iter()
+            .zip(&sw.delay_node_logs)
+            .map(|(image, log)| image.clone().map(|image| (image, log.clone())))
+            .collect();
+        Ok(FrozenState { nodes, delay_nodes })
     }
 
     /// Stateful swap-in: restores a swapped experiment. With `lazy`, the
@@ -462,16 +472,9 @@ impl Testbed {
         }
         let image_fetch = self.now() - fetch_start;
 
-        // The rebuild installed the frozen images; collect handles and the
-        // memory volume to transfer.
-        let node_hosts: Vec<(String, sim::ComponentId)> = self
-            .experiment(name)
-            .nodes
-            .iter()
-            .map(|n| (n.name.clone(), n.host))
-            .collect();
-        // Download volume is the *serialized* state images as stored on
-        // the file server — typically much smaller than guest memory.
+        // The rebuild installed the frozen images. Download volume is the
+        // *serialized* state images as stored on the file server —
+        // typically much smaller than guest memory.
         let mem_bytes: u64 = swapped
             .nodes
             .iter()
@@ -481,13 +484,11 @@ impl Testbed {
         // Delta: eager download or lazy mirror.
         let delta_t0 = self.now();
         if lazy {
-            for (node_name, host) in &node_hosts {
-                let st = swapped.node_state(node_name);
+            for (host, st) in self.hosts_of(name).into_iter().zip(&swapped.nodes) {
                 let blocks = st.aggregate.vbas();
                 if blocks.is_empty() {
                     continue;
                 }
-                let host = *host;
                 self.engine.with_component::<VmHost, _>(host, |h, ctx| {
                     let transfer = MirrorTransfer::new(
                         Direction::CopyIn,
@@ -526,26 +527,9 @@ impl Testbed {
         self.engine.run_until(done);
         let memory_download = self.now() - mem_t0;
 
-        // Resume everyone (back-to-back: zero resume skew), delay nodes
-        // included — their restored pipes shift to the resume instant and
-        // the preserved in-flight log replays.
-        let dn_handles: Vec<sim::ComponentId> = self
-            .experiment(name)
-            .delay_nodes
-            .iter()
-            .map(|d| d.component)
-            .collect();
-        for dn in dn_handles {
-            self.engine
-                .with_component::<checkpoint::DelayNodeHost, _>(dn, |d, ctx| {
-                    d.resume_from_restore(ctx)
-                });
-        }
-        for (_, host) in &node_hosts {
-            let host = *host;
-            self.engine
-                .with_component::<VmHost, _>(host, |h, ctx| h.resume_guest(ctx));
-        }
+        // Resume everyone (back-to-back: zero resume skew); the preserved
+        // in-flight logs replay.
+        self.resume_restored(name);
         self.engine.run_for(SimDuration::from_millis(1));
 
         // The state images were consumed by the rebuild; release their

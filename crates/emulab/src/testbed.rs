@@ -15,7 +15,7 @@ use std::sync::Arc;
 use checkpoint::{
     splice_shaped_link, CheckpointAgent, Coordinator, DelayNodeHost, GroupId, Strategy, Wal,
 };
-use ckptstore::{CaptureCache, Dec, PutReport, StoreClient};
+use ckptstore::{CaptureCache, PutReport, StoreClient};
 use cowstore::{BranchingStore, CowMode, GoldenImage, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Tid};
@@ -27,7 +27,7 @@ use sim::{
     transmission_time, Buggify, ComponentId, CounterId, Engine, HistogramId, SimDuration, SimTime,
     SpanId, Telemetry, TraceCtx, TraceTag, TrackId,
 };
-use vmm::{DomainImage, ExpPort, VmHost, VmHostConfig};
+use vmm::{ExpPort, VmHost, VmHostConfig};
 
 use crate::errors::{SwapError, TestbedError};
 use crate::services::FileServer;
@@ -492,6 +492,16 @@ impl Testbed {
             .host
     }
 
+    /// The host components of `exp`'s nodes, in spec order.
+    pub(crate) fn hosts_of(&self, exp: &str) -> Vec<ComponentId> {
+        self.experiment(exp).nodes.iter().map(|n| n.host).collect()
+    }
+
+    /// The delay-node components of `exp`, in spec link order.
+    pub(crate) fn delay_nodes_of(&self, exp: &str) -> Vec<ComponentId> {
+        self.experiment(exp).delay_nodes.iter().map(|d| d.component).collect()
+    }
+
     /// The experiment-network address of a node.
     pub fn node_addr(&self, exp: &str, node: &str) -> NodeAddr {
         self.experiment(exp)
@@ -619,38 +629,9 @@ impl Testbed {
         if needed > free {
             return Err(TestbedError::NoFreeMachines { needed, free }.into());
         }
-        // Stateful swap-in: the preserved domains come back from the file
-        // server's dedup store as byte images — loaded (every chunk
-        // re-hashed), decoded, and only then installed. This happens before
-        // any allocation so a corrupt image leaves the testbed untouched.
-        let mut restored_images: Vec<DomainImage> = Vec::new();
-        if let Some(sw) = state {
-            for nspec in &spec.nodes {
-                let st = sw.node_state(&nspec.name);
-                let chunks = self.fs_store.load_image_chunks(st.image_id).map_err(|e| {
-                    SwapError::StateLoad { node: nspec.name.clone(), source: e }
-                })?;
-                let mut d = Dec::chunked(&chunks);
-                d.expect_image(crate::swap::SWAP_IMAGE_KIND)
-                    .map_err(|e| SwapError::StateDecode {
-                        node: nspec.name.clone(),
-                        detail: format!("bad image header: {e:?}"),
-                    })?;
-                let img = DomainImage::decode_wire(&mut d, &st.residue).map_err(|e| {
-                    SwapError::StateDecode {
-                        node: nspec.name.clone(),
-                        detail: format!("malformed image: {e:?}"),
-                    }
-                })?;
-                if d.remaining() != 0 {
-                    return Err(SwapError::StateDecode {
-                        node: nspec.name.clone(),
-                        detail: "trailing image bytes".to_string(),
-                    });
-                }
-                restored_images.push(img);
-            }
-        }
+        // Stateful swap-in: the preserved state is loaded and decoded before
+        // any allocation, so a corrupt image leaves the testbed untouched.
+        let frozen = state.map(|sw| self.decode_swapped(&spec, sw)).transpose()?;
         let t0 = self.engine.now();
         let span = self.engine.telemetry().span_enter(self.tele.swap_in_span, t0);
 
@@ -710,18 +691,6 @@ impl Testbed {
                 Some(Box::new(agent)),
             );
             let host_id = self.engine.add_component(Box::new(host));
-            if let Some(sw) = state {
-                // Replace the fresh domain with the preserved one (decoded
-                // from the dedup store above), frozen; it resumes once the
-                // state transfers complete. The §3.2 in-flight replay log
-                // rides along.
-                let image = restored_images[i].clone();
-                let rx_log = sw.node_state(&nspec.name).rx_log.clone();
-                self.engine.with_component::<VmHost, _>(host_id, |h, ctx| {
-                    h.install_image(ctx, &image);
-                    h.install_rx_log(rx_log);
-                });
-            }
             nodes.push(NodeHandle {
                 name: nspec.name.clone(),
                 addr,
@@ -776,26 +745,11 @@ impl Testbed {
                 SimDuration::from_micros(5),
                 shape,
             );
-            let buggify_armed = self.engine.buggify().is_armed();
-            self.engine.with_component::<DelayNodeHost, _>(dn, |d, ctx| {
-                if buggify_armed {
+            if self.engine.buggify().is_armed() {
+                self.engine.with_component::<DelayNodeHost, _>(dn, |d, _| {
                     d.participant.suspend_watchdog = Some(SUSPEND_WATCHDOG);
-                }
-                if let Some(sw) = state {
-                    if let Some(img) = sw.delay_node_state(li) {
-                        let mut restored = dummynet::Dummynet::restore(img, ctx.now());
-                        // Re-suspend and reinstall the §3.2 arrival log so
-                        // the in-flight packets replay at the experiment's
-                        // resume (VmHost resume happens later; the pipes
-                        // stay still until then).
-                        restored.suspend(ctx.now());
-                        d.install_dummynet(ctx, restored);
-                        if let Some(log) = sw.delay_node_logs.get(li) {
-                            d.install_suspended_log(log.clone());
-                        }
-                    }
-                }
-            });
+                });
+            }
             delay_nodes.push(DelayNodeHandle {
                 addr: dn_addr,
                 component: dn,
@@ -833,55 +787,58 @@ impl Testbed {
             plumbing.push(lan_id);
         }
 
-        // Control LAN attachment + bus subscriptions (per-experiment
-        // checkpoint group, as Emulab coordinates per experiment) + boot.
-        let group = *self.groups.entry(spec.name.clone()).or_insert_with(|| {
-            let g = GroupId(self.next_group);
-            self.next_group += 1;
-            g
-        });
-        for n in &nodes {
-            let (host, addr) = (n.host, n.addr);
-            let lan = self.lan;
-            self.engine.with_component::<ControlLan, _>(lan, |l, _| {
-                l.attach(addr, Endpoint { component: host, iface: IfaceId::CONTROL });
-            });
-            let coord = self.coordinator;
-            self.engine
-                .with_component::<Coordinator, _>(coord, |c, _| c.subscribe_in(addr, group));
-        }
-        for d in &delay_nodes {
-            let (comp, addr) = (d.component, d.addr);
-            let lan = self.lan;
-            self.engine.with_component::<ControlLan, _>(lan, |l, _| {
-                l.attach(addr, Endpoint { component: comp, iface: IfaceId::CONTROL });
-            });
-            let coord = self.coordinator;
-            self.engine
-                .with_component::<Coordinator, _>(coord, |c, _| c.subscribe_in(addr, group));
-            self.engine
-                .with_component::<DelayNodeHost, _>(comp, |dn, ctx| dn.start(ctx));
-        }
-        for n in &nodes {
-            let host = n.host;
-            self.engine
-                .with_component::<VmHost, _>(host, |h, ctx| h.start(ctx));
-        }
-
-        // Boot/config overhead.
-        self.engine.run_for(BOOT_OVERHEAD);
-
-        let tt = TimeTravelTree::new();
+        let name = spec.name.clone();
         self.experiments.insert(
-            spec.name.clone(),
+            name.clone(),
             Experiment {
                 spec,
                 nodes,
                 delay_nodes,
                 plumbing,
-                tt,
+                tt: TimeTravelTree::new(),
             },
         );
+        // The preserved world goes in frozen; it resumes once the state
+        // transfers complete (`swap_in_stateful`).
+        if let Some(frozen) = frozen {
+            self.install_frozen(&name, frozen);
+        }
+
+        // Control LAN attachment + bus subscriptions (per-experiment
+        // checkpoint group, as Emulab coordinates per experiment) + boot.
+        let group = *self.groups.entry(name.clone()).or_insert_with(|| {
+            let g = GroupId(self.next_group);
+            self.next_group += 1;
+            g
+        });
+        let exp = &self.experiments[&name];
+        let (lan, coord) = (self.lan, self.coordinator);
+        for n in &exp.nodes {
+            let (host, addr) = (n.host, n.addr);
+            self.engine.with_component::<ControlLan, _>(lan, |l, _| {
+                l.attach(addr, Endpoint { component: host, iface: IfaceId::CONTROL });
+            });
+            self.engine
+                .with_component::<Coordinator, _>(coord, |c, _| c.subscribe_in(addr, group));
+        }
+        for d in &exp.delay_nodes {
+            let (comp, addr) = (d.component, d.addr);
+            self.engine.with_component::<ControlLan, _>(lan, |l, _| {
+                l.attach(addr, Endpoint { component: comp, iface: IfaceId::CONTROL });
+            });
+            self.engine
+                .with_component::<Coordinator, _>(coord, |c, _| c.subscribe_in(addr, group));
+            self.engine
+                .with_component::<DelayNodeHost, _>(comp, |dn, ctx| dn.start(ctx));
+        }
+        for n in &exp.nodes {
+            self.engine
+                .with_component::<VmHost, _>(n.host, |h, ctx| h.start(ctx));
+        }
+
+        // Boot/config overhead.
+        self.engine.run_for(BOOT_OVERHEAD);
+
         let dur = self.engine.now() - t0;
         let t = self.engine.telemetry();
         t.span_exit(span, self.engine.now());

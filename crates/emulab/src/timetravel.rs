@@ -17,7 +17,9 @@
 //! actually changed — the paper's three-level branching storage, expressed
 //! as content-addressed dedup. Restoring travels the other way: the image
 //! is loaded (every chunk re-hashed — a flipped bit surfaces as
-//! [`TimeTravelError::Corrupt`], never a panic), decoded, and installed.
+//! [`TimeTravelError::Corrupt`], never a panic), decoded, and installed
+//! with the in-flight packets of the freeze, through the restore path
+//! stateful swap-in uses too (`restore.rs`).
 //! Replay is non-deterministic (as in the paper's prototype): re-executing
 //! from a snapshot under different conditions diverges and forms a new
 //! branch. [`TimeTravelTree::prune`] drops an abandoned subtree and
@@ -27,14 +29,15 @@ use std::fmt;
 use std::sync::Arc;
 
 use checkpoint::DelayNodeHost;
-use ckptstore::{CaptureCache, Dec, DecodeError, Enc, ImageId, ImageStats, StoreClient, StoreError};
+use ckptstore::{CaptureCache, DecodeError, Enc, ImageId, ImageStats, StoreClient, StoreError};
 use cowstore::BranchingStore;
-use dummynet::DummynetImage;
+use dummynet::{DummynetImage, PipeLog};
 use guestos::GuestResidue;
 use hwsim::Frame;
 use sim::SimTime;
-use vmm::{DomainImage, VmHost};
+use vmm::{DomainImage, RxLog, VmHost};
 
+use crate::restore::{decode_image, FrozenNode, FrozenState};
 use crate::testbed::Testbed;
 
 /// Image kind tag of a serialized node snapshot (domain + device store).
@@ -42,6 +45,9 @@ pub(crate) const NODE_IMAGE_KIND: &str = "emulab.tt-node";
 
 /// Image kind tag of a serialized delay-node snapshot.
 pub(crate) const DN_IMAGE_KIND: &str = "emulab.tt-delaynode";
+
+/// An encoded image as the store adopts it: the encoder's segments.
+type Segments = Vec<Arc<[u8]>>;
 
 /// Identifies a snapshot within an experiment's tree.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,7 +99,7 @@ impl From<DecodeError> for TimeTravelError {
 
 /// One captured point in the experiment's execution history. The byte
 /// state lives in the tree's chunk store; only the side-table residue
-/// (program objects, in-flight frame payloads) rides here.
+/// (program objects, in-flight logs and frame payloads) rides here.
 pub struct Snapshot {
     pub id: SnapshotId,
     pub parent: Option<SnapshotId>,
@@ -106,6 +112,11 @@ pub struct Snapshot {
     dn_images: Vec<Option<ImageId>>,
     /// Per-node unserializable residue (guest programs, app messages).
     node_residues: Vec<GuestResidue>,
+    /// Per-node §3.2 in-flight logs: frames that reached a frozen guest.
+    rx_logs: Vec<RxLog>,
+    /// Per-delay-node suspension logs: frames that reached a suspended
+    /// Dummynet.
+    dn_logs: Vec<PipeLog>,
     /// In-flight frame payloads referenced by the delay-node images.
     frames: Vec<Frame>,
     /// Serialized bytes of this snapshot across all its images.
@@ -204,43 +215,47 @@ impl TimeTravelTree {
         &self.store
     }
 
-    /// Stores a new snapshot's payloads — each an encoder's segment
-    /// list, which the store adopts as the image's chunks — and makes it
-    /// current.
+    /// Stores a new snapshot's payloads — each image an encoder's segment
+    /// list, which the store adopts as the image's chunks, beside the
+    /// residue and in-flight log that ride with it — and makes it current.
     pub(crate) fn insert(
         &mut self,
         parent: Option<SnapshotId>,
         label: &str,
         taken_at: SimTime,
-        node_payloads: Vec<(Vec<Arc<[u8]>>, GuestResidue)>,
-        dn_payloads: Vec<Option<Vec<Arc<[u8]>>>>,
+        node_payloads: Vec<(Segments, GuestResidue, RxLog)>,
+        dn_payloads: Vec<(Option<Segments>, PipeLog)>,
         frames: Vec<Frame>,
     ) -> SnapshotId {
         let mut node_images = Vec::with_capacity(node_payloads.len());
         let mut node_residues = Vec::with_capacity(node_payloads.len());
+        let mut rx_logs = Vec::with_capacity(node_payloads.len());
         let mut logical_bytes = 0;
         let mut new_physical_bytes = 0;
         if self.node_caches.len() < node_payloads.len() {
             self.node_caches.resize_with(node_payloads.len(), CaptureCache::new);
         }
-        for (i, (segments, residue)) in node_payloads.into_iter().enumerate() {
+        for (i, (segments, residue, rx_log)) in node_payloads.into_iter().enumerate() {
             let put = self.store.put_segments_cached(segments, &mut self.node_caches[i]);
             logical_bytes += put.logical_bytes;
             new_physical_bytes += put.new_physical_bytes;
             node_images.push(put.image);
             node_residues.push(residue);
+            rx_logs.push(rx_log);
         }
         let mut dn_images = Vec::with_capacity(dn_payloads.len());
+        let mut dn_logs = Vec::with_capacity(dn_payloads.len());
         if self.dn_caches.len() < dn_payloads.len() {
             self.dn_caches.resize_with(dn_payloads.len(), CaptureCache::new);
         }
-        for (i, segments) in dn_payloads.into_iter().enumerate() {
+        for (i, (segments, log)) in dn_payloads.into_iter().enumerate() {
             dn_images.push(segments.map(|segments| {
                 let put = self.store.put_segments_cached(segments, &mut self.dn_caches[i]);
                 logical_bytes += put.logical_bytes;
                 new_physical_bytes += put.new_physical_bytes;
                 put.image
             }));
+            dn_logs.push(log);
         }
         let id = SnapshotId(self.snaps.len());
         self.snaps.push(Some(Snapshot {
@@ -251,6 +266,8 @@ impl TimeTravelTree {
             node_images,
             dn_images,
             node_residues,
+            rx_logs,
+            dn_logs,
             frames,
             logical_bytes,
             new_physical_bytes,
@@ -311,13 +328,11 @@ impl Testbed {
     pub fn snapshot(&mut self, exp: &str, label: &str) -> SnapshotId {
         self.suspend_all(exp);
 
-        let node_hosts: Vec<sim::ComponentId> =
-            self.experiment(exp).nodes.iter().map(|n| n.host).collect();
         let mut node_payloads = Vec::new();
-        for host in &node_hosts {
+        for host in self.hosts_of(exp) {
             let h = self
                 .engine
-                .component_ref::<VmHost>(*host)
+                .component_ref::<VmHost>(host)
                 .expect("host exists");
             let image = h.last_image().expect("suspend captured");
             let mut residue = GuestResidue::new();
@@ -325,29 +340,22 @@ impl Testbed {
             e.begin_image(NODE_IMAGE_KIND);
             image.encode_wire(&mut e, &mut residue);
             h.store().encode_wire(&mut e);
-            node_payloads.push((e.into_segments(), residue));
+            node_payloads.push((e.into_segments(), residue, h.rx_log()));
         }
-        let dn_handles: Vec<sim::ComponentId> = self
-            .experiment(exp)
-            .delay_nodes
-            .iter()
-            .map(|d| d.component)
-            .collect();
         let mut frames = Vec::new();
         let mut dn_payloads = Vec::new();
-        for dn in dn_handles {
-            let img = self
+        for dn in self.delay_nodes_of(exp) {
+            let d = self
                 .engine
                 .component_ref::<DelayNodeHost>(dn)
-                .expect("delay node")
-                .last_image()
-                .cloned();
-            dn_payloads.push(img.map(|img| {
+                .expect("delay node");
+            let segments = d.last_image().map(|img| {
                 let mut e = Enc::new();
                 e.begin_image(DN_IMAGE_KIND);
                 img.encode_wire(&mut e, &mut frames);
                 e.into_segments()
-            }));
+            });
+            dn_payloads.push((segments, d.suspended_log()));
         }
 
         self.release_all(exp);
@@ -384,98 +392,53 @@ impl Testbed {
         exp: &str,
         snap: SnapshotId,
     ) -> Result<(), TimeTravelError> {
-        // Phase 1: load, verify, decode. Nothing is mutated on failure.
-        let (images, stores, dn_images) = {
+        // Load, verify, decode: nothing is mutated on failure.
+        let frozen = {
             let experiment = self.experiment(exp);
             let s = experiment.tt.try_get(snap)?;
             let store = experiment.tt.store();
-            let mut images = Vec::with_capacity(s.node_images.len());
-            let mut stores = Vec::with_capacity(s.node_images.len());
+            let mut nodes = Vec::with_capacity(s.node_images.len());
             for (i, id) in s.node_images.iter().enumerate() {
-                let chunks = store.load_image_chunks(*id)?;
-                let mut d = Dec::chunked(&chunks);
-                d.expect_image(NODE_IMAGE_KIND)?;
-                let image = DomainImage::decode_wire(&mut d, &s.node_residues[i])?;
                 let golden = self.golden_image(&experiment.spec.nodes[i].image);
-                let st = BranchingStore::decode_wire(&mut d, golden)?;
-                if d.remaining() != 0 {
-                    return Err(TimeTravelError::Decode(DecodeError::Invalid(
-                        "trailing bytes after node snapshot",
-                    )));
-                }
-                images.push(image);
-                stores.push(st);
+                let chunks = store.load_image_chunks(*id)?;
+                let (image, disk) = decode_image(&chunks, NODE_IMAGE_KIND, |d| {
+                    let image = DomainImage::decode_wire(d, &s.node_residues[i])?;
+                    Ok((image, BranchingStore::decode_wire(d, golden)?))
+                })?;
+                let rx_log = s.rx_logs[i].clone();
+                nodes.push(FrozenNode { image, store: Some(disk), rx_log });
             }
-            let mut dn_images = Vec::with_capacity(s.dn_images.len());
-            for id in &s.dn_images {
-                dn_images.push(match id {
+            let mut delay_nodes = Vec::with_capacity(s.dn_images.len());
+            for (id, log) in s.dn_images.iter().zip(&s.dn_logs) {
+                let pipes = match id {
                     Some(id) => {
                         let chunks = store.load_image_chunks(*id)?;
-                        let mut d = Dec::chunked(&chunks);
-                        d.expect_image(DN_IMAGE_KIND)?;
-                        let image = DummynetImage::decode_wire(&mut d, &s.frames)?;
-                        if d.remaining() != 0 {
-                            return Err(TimeTravelError::Decode(DecodeError::Invalid(
-                                "trailing bytes after delay-node snapshot",
-                            )));
-                        }
-                        Some(image)
+                        let image = decode_image(&chunks, DN_IMAGE_KIND, |d| {
+                            DummynetImage::decode_wire(d, &s.frames)
+                        })?;
+                        Some((image, log.clone()))
                     }
                     None => None,
-                });
+                };
+                delay_nodes.push(pipes);
             }
-            (images, stores, dn_images)
+            FrozenState { nodes, delay_nodes }
         };
-
-        // Phase 2: quiesce the current execution (its state is abandoned —
-        // take a snapshot beforehand to keep it) and install the decoded
-        // state.
-        self.suspend_all(exp);
-
-        let node_hosts: Vec<sim::ComponentId> =
-            self.experiment(exp).nodes.iter().map(|n| n.host).collect();
-        let dn_handles: Vec<sim::ComponentId> = self
-            .experiment(exp)
-            .delay_nodes
-            .iter()
-            .map(|d| d.component)
-            .collect();
-
-        for (host, (image, store)) in node_hosts
-            .iter()
-            .zip(images.into_iter().zip(stores))
-        {
-            self.engine.with_component::<VmHost, _>(*host, |h, ctx| {
-                // Discard the suspended current domain, then install.
-                h.abandon_checkpoint(ctx);
-                *h.store_mut() = store;
-                h.install_image(ctx, &image);
-                h.resume_guest(ctx);
-            });
-        }
-        for (dn, img) in dn_handles.iter().zip(dn_images) {
-            if let Some(img) = img {
-                self.engine
-                    .with_component::<DelayNodeHost, _>(*dn, |d, ctx| {
-                        // Abandon the suspended instance and restore.
-                        d.abandon_checkpoint(ctx);
-                        let restored = dummynet::Dummynet::restore(&img, ctx.now());
-                        d.install_dummynet(ctx, restored);
-                    });
-            }
-        }
-        // The coordinator still holds the suspended round; abandon it
-        // (the restored execution was resumed directly above).
-        let coord = self.coordinator();
-        let group = self.group_of(exp);
-        self.engine
-            .with_component::<checkpoint::Coordinator, _>(coord, |c, ctx| {
-                c.abandon_round_in(ctx, group);
-            });
-
+        self.restore_running(exp, frozen);
         self.experiments_mut(exp).tt.set_current(snap);
         self.run_for(sim::SimDuration::from_millis(1));
         Ok(())
+    }
+
+    /// Quiesces `exp` — its current execution is abandoned; take a
+    /// snapshot beforehand to keep it — and puts `state` in its place,
+    /// resumed at one instant. The held suspend round is abandoned, not
+    /// resumed.
+    fn restore_running(&mut self, exp: &str, state: FrozenState) {
+        self.suspend_all(exp);
+        self.install_frozen(exp, state);
+        self.resume_restored(exp);
+        self.abandon_round_of(exp);
     }
 
     /// Travels to `snap`, falling back along the ancestor chain when the
@@ -525,7 +488,7 @@ mod tests {
     /// A synthetic one-node snapshot payload: `shared` chunk-sized records
     /// identical across every call (dedup fodder) followed by `unique`
     /// records salted by `salt`.
-    fn payload(shared: usize, unique: usize, salt: u8) -> Vec<(Vec<Arc<[u8]>>, GuestResidue)> {
+    fn payload(shared: usize, unique: usize, salt: u8) -> Vec<(Segments, GuestResidue, RxLog)> {
         let mut e = Enc::new();
         e.begin_image(NODE_IMAGE_KIND);
         e.pad_to(4096);
@@ -535,7 +498,7 @@ mod tests {
         for i in 0..unique {
             e.raw(&[salt ^ (i as u8).wrapping_mul(31); 4096]);
         }
-        vec![(e.into_segments(), GuestResidue::new())]
+        vec![(e.into_segments(), GuestResidue::new(), RxLog::new())]
     }
 
     fn insert(
@@ -673,63 +636,33 @@ mod tests {
         let obs_a = observe(&a);
 
         // Path B: the same testbed, same seed, but state preserved as
-        // direct clones — no serialization, chunking, or store involved.
+        // direct clones — no serialization, chunking, or store involved —
+        // and restored through the same install and resume.
         let mut b = live_tcp_testbed(90);
         b.suspend_all("det");
-        let node_hosts: Vec<sim::ComponentId> =
-            b.experiment("det").nodes.iter().map(|n| n.host).collect();
-        let clones: Vec<(DomainImage, cowstore::BranchingStore)> = node_hosts
-            .iter()
-            .map(|h| {
-                let hr = b.engine.component_ref::<VmHost>(*h).unwrap();
-                (
-                    hr.last_image().expect("suspended").clone(),
-                    hr.store().clone(),
-                )
+        let nodes = b
+            .hosts_of("det")
+            .into_iter()
+            .map(|host| {
+                let h = b.engine.component_ref::<VmHost>(host).unwrap();
+                FrozenNode {
+                    image: h.last_image().expect("suspended").clone(),
+                    store: Some(h.store().clone()),
+                    rx_log: h.rx_log(),
+                }
             })
             .collect();
-        let dn_handles: Vec<sim::ComponentId> = b
-            .experiment("det")
-            .delay_nodes
-            .iter()
-            .map(|d| d.component)
-            .collect();
-        let dn_clones: Vec<Option<DummynetImage>> = dn_handles
-            .iter()
-            .map(|d| {
-                b.engine
-                    .component_ref::<DelayNodeHost>(*d)
-                    .unwrap()
-                    .last_image()
-                    .cloned()
+        let delay_nodes = b
+            .delay_nodes_of("det")
+            .into_iter()
+            .map(|dn| {
+                let d = b.engine.component_ref::<DelayNodeHost>(dn).unwrap();
+                d.last_image().map(|img| (img.clone(), d.suspended_log()))
             })
             .collect();
         b.release_all("det");
         b.run_for(SimDuration::from_secs(3));
-        // Clone-based restore, step for step what try_travel_to does.
-        b.suspend_all("det");
-        for (host, (image, store)) in node_hosts.iter().zip(clones) {
-            b.engine.with_component::<VmHost, _>(*host, |h, ctx| {
-                h.abandon_checkpoint(ctx);
-                *h.store_mut() = store;
-                h.install_image(ctx, &image);
-                h.resume_guest(ctx);
-            });
-        }
-        for (dn, img) in dn_handles.iter().zip(dn_clones) {
-            if let Some(img) = img {
-                b.engine.with_component::<DelayNodeHost, _>(*dn, |d, ctx| {
-                    d.abandon_checkpoint(ctx);
-                    d.install_dummynet(ctx, dummynet::Dummynet::restore(&img, ctx.now()));
-                });
-            }
-        }
-        let coord = b.coordinator();
-        let group = b.group_of("det");
-        b.engine
-            .with_component::<checkpoint::Coordinator, _>(coord, |c, ctx| {
-                c.abandon_round_in(ctx, group);
-            });
+        b.restore_running("det", FrozenState { nodes, delay_nodes });
         b.run_for(sim::SimDuration::from_millis(1));
         b.run_for(SimDuration::from_secs(3));
         let obs_b = observe(&b);
@@ -743,15 +676,17 @@ mod tests {
         assert_eq!(obs_a.3, obs_b.3, "node b packet traces diverged");
     }
 
-    /// Bytes after a well-formed image are a typed decode error on the
-    /// delay-node path exactly as on the node path.
+    /// Bytes after a well-formed image are one typed decode error on every
+    /// image kind: a time-travel node image, a delay-node image, and a
+    /// stateful swap's node image (where the swap-in degrades to a golden
+    /// reload naming the node).
     #[test]
     fn trailing_bytes_rejected_after_node_and_delay_node_images() {
+        let trailing = DecodeError::Invalid("trailing bytes after image");
         let mut tb = live_tcp_testbed(94);
         let snap = tb.snapshot("det", "s");
         // Re-stores image `id` with one byte appended.
-        let lengthened = |tb: &Testbed, id: ImageId| {
-            let store = tb.experiment("det").tt.store();
+        let lengthened = |store: &StoreClient, id: ImageId| {
             let mut bytes = store.load_image(id).unwrap();
             bytes.push(0);
             store.put_image(&bytes).image
@@ -759,30 +694,31 @@ mod tests {
         fn stored(tb: &mut Testbed, snap: SnapshotId) -> &mut Snapshot {
             tb.experiments_mut("det").tt.snaps[snap.0].as_mut().expect("live snapshot")
         }
+        let tt_store = tb.experiment("det").tt.store().clone();
 
         let dn = stored(&mut tb, snap).dn_images[0].expect("the shaped link has a delay node");
-        let long_dn = lengthened(&tb, dn);
-        stored(&mut tb, snap).dn_images[0] = Some(long_dn);
-        assert_eq!(
-            tb.try_travel_to("det", snap),
-            Err(TimeTravelError::Decode(DecodeError::Invalid(
-                "trailing bytes after delay-node snapshot"
-            )))
-        );
+        stored(&mut tb, snap).dn_images[0] = Some(lengthened(&tt_store, dn));
+        let decode = TimeTravelError::Decode(trailing.clone());
+        assert_eq!(tb.try_travel_to("det", snap), Err(decode.clone()));
         stored(&mut tb, snap).dn_images[0] = Some(dn);
 
         let node = stored(&mut tb, snap).node_images[1];
-        let long_node = lengthened(&tb, node);
-        stored(&mut tb, snap).node_images[1] = long_node;
-        assert_eq!(
-            tb.try_travel_to("det", snap),
-            Err(TimeTravelError::Decode(DecodeError::Invalid(
-                "trailing bytes after node snapshot"
-            )))
-        );
+        stored(&mut tb, snap).node_images[1] = lengthened(&tt_store, node);
+        assert_eq!(tb.try_travel_to("det", snap), Err(decode));
         stored(&mut tb, snap).node_images[1] = node;
 
         tb.try_travel_to("det", snap).expect("the stored snapshot itself is intact");
+
+        tb.swap_out_stateful("det");
+        let mut swapped = tb.take_swapped("det").expect("swapped out");
+        let id = swapped.nodes[1].image_id;
+        swapped.nodes[1].image_id = lengthened(tb.fileserver_store(), id);
+        tb.store_swapped("det".to_string(), swapped);
+        let expected = crate::SwapError::StateDecode { node: "b".into(), source: trailing };
+        assert_eq!(
+            tb.swap_in_stateful("det", false).warning,
+            Some(crate::SwapInWarning::StateLost { reason: expected.to_string() })
+        );
     }
 
     /// One node running a sleep loop, with enough file data written that

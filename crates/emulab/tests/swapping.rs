@@ -487,6 +487,57 @@ fn stateful_swap_of_a_live_tcp_experiment() {
     );
 }
 
+/// Time travel brings back the §3.2 in-flight packets with the rest of
+/// the closed world: a snapshot of a live TCP stream keeps the delay
+/// node's suspension log (shaped link) and the hosts' receive logs (LAN),
+/// so the branch restored from it runs as cleanly as the original branch
+/// ran from the same instant.
+#[test]
+fn time_travel_restores_in_flight_packets() {
+    let shaped = ExperimentSpec::new("live").node("a").node("b").link(
+        "a",
+        "b",
+        1_000_000_000,
+        SimDuration::from_micros(100),
+        0.0,
+    );
+    let lan = ExperimentSpec::new("live").node("a").node("b").lan(
+        &["a", "b"],
+        100_000_000,
+        SimDuration::from_micros(50),
+    );
+    for (seed, spec) in [(78, &shaped), (79, &shaped), (78, &lan)] {
+        let mut tb = Testbed::new(seed, 8);
+        tb.swap_in(spec.clone()).expect("swap-in");
+        tb.run_for(SimDuration::from_secs(10));
+        let b_addr = tb.node_addr("live", "b");
+        tb.spawn("live", "b", Box::new(IperfReceiver::new(5001)));
+        tb.spawn("live", "a", Box::new(IperfSender::new(b_addr, 5001)));
+        tb.run_for(SimDuration::from_secs(3));
+        // Retransmissions and timeouts a 5 s run adds, both nodes.
+        let losses_over_5s = |tb: &mut Testbed| {
+            let count = |tb: &Testbed| {
+                ["a", "b"]
+                    .map(|n| tb.kernel("live", n, |k| k.net_totals()))
+                    .iter()
+                    .fold((0, 0), |(r, t), n| (r + n.retransmissions, t + n.timeouts))
+            };
+            let (r0, t0) = count(tb);
+            tb.run_for(SimDuration::from_secs(5));
+            let (r1, t1) = count(tb);
+            (r1 - r0, t1 - t0)
+        };
+
+        let snap = tb.snapshot("live", "mid-stream");
+        let original = losses_over_5s(&mut tb);
+        tb.travel_to("live", snap);
+        let restored = losses_over_5s(&mut tb);
+        let case = format!("seed {seed}, {} delay nodes", spec.links.len());
+        assert_eq!(original, (0, 0), "{case}: the original branch ran clean");
+        assert_eq!(restored, original, "{case}: (retransmissions, timeouts) after travel");
+    }
+}
+
 /// Per-experiment coordination: checkpointing one experiment leaves a
 /// co-resident experiment completely untouched (separate checkpoint
 /// groups, as in Emulab's per-experiment control).

@@ -182,6 +182,11 @@ pub struct VmHostConfig {
     pub conceal_downtime: bool,
 }
 
+/// A host's §3.2 in-flight log as [`VmHost::rx_log`] hands it out and
+/// [`VmHost::restore`] takes it back: `(offset from the freeze, source,
+/// segment)` per frame that arrived while the guest was frozen.
+pub type RxLog = Vec<(SimDuration, NodeAddr, TcpSegment)>;
+
 /// One simulated pc3000 machine hosting a guest.
 pub struct VmHost {
     cfg: VmHostConfig,
@@ -1067,24 +1072,6 @@ impl VmHost {
         self.pump_kernel(ctx);
     }
 
-    /// Abandons a suspended checkpoint without resuming: the frozen
-    /// domain's pending state is dropped (time travel discards the current
-    /// execution before installing a snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the host is awaiting a resume.
-    pub fn abandon_checkpoint(&mut self, _ctx: &mut Ctx<'_>) {
-        assert_eq!(self.phase, CkptPhase::AwaitResume, "nothing to abandon");
-        self.phase = CkptPhase::Idle;
-        self.rx_log.clear();
-        self.tx_q.clear();
-        self.tx_busy = false;
-        self.burst_q.clear();
-        self.active_burst = None;
-        // Leave the domain frozen in place; install_image replaces it.
-    }
-
     /// Aborts the in-flight checkpoint epoch (coordinator `Abort`):
     /// whatever phase the local sequence is in, the host ends up running
     /// as if the checkpoint had never been triggered. Returns `true` when
@@ -1112,42 +1099,36 @@ impl VmHost {
         }
     }
 
-    /// Takes the in-flight packets logged during the current suspension,
-    /// as offsets from the freeze instant (§3.2's replay log — part of the
-    /// preserved state when an experiment is swapped out).
+    /// The in-flight packets logged during the current suspension, as
+    /// offsets from the freeze instant, copied (§3.2's replay log — part
+    /// of the preserved state of a swap-out or a snapshot).
     ///
     /// # Panics
     ///
     /// Panics unless the host is frozen.
-    pub fn take_rx_log(&mut self) -> Vec<(SimDuration, NodeAddr, TcpSegment)> {
+    pub fn rx_log(&self) -> RxLog {
         assert!(self.frozen(), "rx log only exists while suspended");
         let freeze = self.freeze_real;
-        std::mem::take(&mut self.rx_log)
-            .into_iter()
-            .map(|(at, src, seg)| (at.saturating_duration_since(freeze), src, seg))
+        self.rx_log
+            .iter()
+            .map(|(at, src, seg)| (at.saturating_duration_since(freeze), *src, seg.clone()))
             .collect()
     }
 
-    /// Installs a preserved in-flight log into a freshly restored (still
-    /// frozen) host; the packets replay with their original pacing at
-    /// resume.
+    /// Installs a restored frozen domain and its in-flight log (stateful
+    /// swap-in, time travel). A held capture, if there is one, is dropped
+    /// with the execution it froze. The domain arrives frozen and resumes
+    /// via [`VmHost::resume_guest`], which replays `rx_log` with its
+    /// original pacing.
     ///
     /// # Panics
     ///
-    /// Panics unless the host is awaiting resume.
-    pub fn install_rx_log(&mut self, log: Vec<(SimDuration, NodeAddr, TcpSegment)>) {
-        assert_eq!(self.phase, CkptPhase::AwaitResume, "host must be frozen");
-        let freeze = self.freeze_real;
-        self.rx_log = log
-            .into_iter()
-            .map(|(off, src, seg)| (freeze + off, src, seg))
-            .collect();
-    }
-
-    /// Installs a restored domain image (swap-in / time-travel); the
-    /// domain arrives frozen and is resumed via [`VmHost::resume_guest`].
-    pub fn install_image(&mut self, ctx: &mut Ctx<'_>, image: &DomainImage) {
-        assert_eq!(self.phase, CkptPhase::Idle, "host busy");
+    /// Panics if a capture is still in progress.
+    pub fn restore(&mut self, ctx: &mut Ctx<'_>, image: &DomainImage, rx_log: RxLog) {
+        assert!(
+            matches!(self.phase, CkptPhase::Idle | CkptPhase::AwaitResume),
+            "host busy"
+        );
         if let Some(ev) = self.tick_ev.take() {
             ctx.cancel(ev);
         }
@@ -1155,9 +1136,13 @@ impl VmHost {
         self.burst_q = image.pending_bursts.iter().copied().collect();
         self.tx_q.clear();
         self.tx_busy = false;
-        self.rx_log.clear();
         self.domain = Some(image.restore());
-        self.freeze_real = ctx.now();
+        let freeze = ctx.now();
+        self.freeze_real = freeze;
+        self.rx_log = rx_log
+            .into_iter()
+            .map(|(off, src, seg)| (freeze + off, src, seg))
+            .collect();
         self.next_tick_guest_ns = {
             let tick = self.tick_ns();
             (image.guest_ns / tick + 1) * tick

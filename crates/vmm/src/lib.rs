@@ -15,7 +15,7 @@ pub mod tuning;
 pub use agent::HostAgent;
 pub use domain::{Domain, DomainImage};
 pub use host::{
-    ExpPort, GuestRpc, GuestRpcReply, HostStats, MirrorConfig, MirrorDrained, VmHost,
-    VmHostConfig,
+    ExpPort, GuestRpc, GuestRpcReply, HostStats, MirrorConfig, MirrorDrained, RxLog,
+    VmHost, VmHostConfig,
 };
 pub use tuning::Dom0Job;
