@@ -1,12 +1,13 @@
-//! A reusable two-node iperf lab (hostA — delay node — hostB plus
-//! coordinator) for the baseline and ablation experiments, and the
+//! The two-node iperf lab (hostA — delay node — hostB plus coordinator)
+//! that the fault and ablation experiments, the end-to-end hot-path bench
+//! and the epoch-protocol tests (`tests/protocol.rs`) all run on, and the
 //! full-testbed scenario the observability experiments share.
 
 use std::sync::Arc;
 
 use checkpoint::{
     splice_shaped_link, CheckpointAgent, Coordinator, DelayNodeHost, FailurePolicy, Strategy,
-    TriggerMode,
+    TriggerMode, Wal,
 };
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
@@ -16,6 +17,15 @@ use hwsim::{profile, ControlLan, Endpoint, IfaceId, NodeAddr};
 use sim::{ComponentId, Engine, FaultPlan, SimDuration};
 use vmm::{VmHost, VmHostConfig};
 use workloads::{IperfReceiver, IperfSender};
+
+/// Control address of the ops node (coordinator, NTP and services).
+pub const OPS_ADDR: NodeAddr = NodeAddr(1000);
+/// Host A, the iperf sender.
+pub const ADDR_A: NodeAddr = NodeAddr(1);
+/// Host B, the iperf receiver.
+pub const ADDR_B: NodeAddr = NodeAddr(2);
+/// The delay node between them.
+pub const ADDR_DN: NodeAddr = NodeAddr(3);
 
 /// Knobs the ablation studies turn.
 #[derive(Clone, Debug)]
@@ -63,7 +73,6 @@ pub struct Lab {
     pub host_a: ComponentId,
     pub host_b: ComponentId,
     pub delay_node: ComponentId,
-    pub addr_b: NodeAddr,
 }
 
 /// Outcome metrics of an iperf-under-checkpoints run.
@@ -97,7 +106,9 @@ pub struct LabOutcome {
     pub p99_barrier_hold_us: u64,
 }
 
-/// Builds the lab (hosts booted, nothing running yet).
+/// Builds the lab (hosts booted, nothing running yet). The coordinator is
+/// WAL-backed, as the testbed's is, so a test can crash it and watch it
+/// recover; with no buggify point armed the WAL changes no simulated byte.
 pub fn build_lab(cfg: LabConfig) -> Lab {
     let mut e = Engine::new(cfg.seed);
     let lan_id = e.add_component(Box::new(ControlLan::new(
@@ -108,14 +119,15 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
     if let Some(plan) = cfg.faults.clone() {
         e.with_component::<ControlLan, _>(lan_id, |l, _| l.inject_faults(plan));
     }
-    let ops_addr = NodeAddr(1000);
     // A black-hole address: attached to nothing, requests vanish.
-    let ntp_target = if cfg.ntp { ops_addr } else { NodeAddr(9999) };
+    let ntp_target = if cfg.ntp { OPS_ADDR } else { NodeAddr(9999) };
     let mode = match (cfg.strategy.trigger_mode(), cfg.lead) {
         (TriggerMode::Scheduled { .. }, Some(lead)) => TriggerMode::Scheduled { lead },
         (m, _) => m,
     };
-    let mut coord_builder = Coordinator::builder(ops_addr, lan_id).mode(mode);
+    let mut coord_builder = Coordinator::builder(OPS_ADDR, lan_id)
+        .mode(mode)
+        .wal(Wal::in_memory());
     if let Some(policy) = cfg.policy {
         coord_builder = coord_builder.policy(policy);
     }
@@ -133,7 +145,7 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         let mut kcfg = KernelConfig::pc3000_guest(node);
         kcfg.disk_blocks = 100_000;
         let kernel = Kernel::new(kcfg);
-        let mut agent = CheckpointAgent::new(ops_addr)
+        let mut agent = CheckpointAgent::new(OPS_ADDR)
             .with_processing_jitter(cfg.strategy.processing_jitter_mean());
         agent.participant.done_stall = stall;
         if cfg.faults.is_some() {
@@ -145,7 +157,7 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
                 node,
                 lan: lan_id,
                 ntp_server: ntp_target,
-                services: ops_addr,
+                services: OPS_ADDR,
                 clock_offset_ns: off,
                 clock_drift_ppm: drift,
                 auto_resume: false,
@@ -157,13 +169,10 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         );
         e.add_component(Box::new(host))
     };
-    let a_addr = NodeAddr(1);
-    let b_addr = NodeAddr(2);
-    let dn_addr = NodeAddr(3);
-    let host_a = mk_host(&mut e, a_addr, cfg.offsets_ns.0, 40.0, None);
-    let host_b = mk_host(&mut e, b_addr, cfg.offsets_ns.1, -25.0, cfg.straggler_stall);
+    let host_a = mk_host(&mut e, ADDR_A, cfg.offsets_ns.0, 40.0, None);
+    let host_b = mk_host(&mut e, ADDR_B, cfg.offsets_ns.1, -25.0, cfg.straggler_stall);
     let dn = e.add_component(Box::new(DelayNodeHost::new(
-        dn_addr, lan_id, ops_addr, 1_000_000, 15.0,
+        ADDR_DN, lan_id, OPS_ADDR, 1_000_000, 15.0,
     )));
     let shape = PipeConfig {
         bandwidth_bps: Some(1_000_000_000),
@@ -174,8 +183,8 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
     splice_shaped_link(
         &mut e,
         dn,
-        (host_a, a_addr),
-        (host_b, b_addr),
+        (host_a, ADDR_A),
+        (host_b, ADDR_B),
         1_000_000_000,
         SimDuration::from_micros(5),
         shape,
@@ -186,15 +195,15 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         });
     }
     e.with_component::<ControlLan, _>(lan_id, |l, _| {
-        l.attach(ops_addr, Endpoint { component: coord, iface: IfaceId::CONTROL });
-        l.attach(a_addr, Endpoint { component: host_a, iface: IfaceId::CONTROL });
-        l.attach(b_addr, Endpoint { component: host_b, iface: IfaceId::CONTROL });
-        l.attach(dn_addr, Endpoint { component: dn, iface: IfaceId::CONTROL });
+        l.attach(OPS_ADDR, Endpoint { component: coord, iface: IfaceId::CONTROL });
+        l.attach(ADDR_A, Endpoint { component: host_a, iface: IfaceId::CONTROL });
+        l.attach(ADDR_B, Endpoint { component: host_b, iface: IfaceId::CONTROL });
+        l.attach(ADDR_DN, Endpoint { component: dn, iface: IfaceId::CONTROL });
     });
     e.with_component::<Coordinator, _>(coord, |c, _| {
-        c.subscribe(a_addr);
-        c.subscribe(b_addr);
-        c.subscribe(dn_addr);
+        c.subscribe(ADDR_A);
+        c.subscribe(ADDR_B);
+        c.subscribe(ADDR_DN);
     });
     e.with_component::<VmHost, _>(host_a, |h, ctx| h.start(ctx));
     e.with_component::<VmHost, _>(host_b, |h, ctx| h.start(ctx));
@@ -205,21 +214,19 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         host_a,
         host_b,
         delay_node: dn,
-        addr_b: b_addr,
     }
 }
 
 impl Lab {
     /// Starts the iperf pair (trace enabled on the receiver).
     pub fn start_iperf(&mut self) {
-        let b_addr = self.addr_b;
         let (a, b) = (self.host_a, self.host_b);
         self.engine.with_component::<VmHost, _>(b, |h, _| {
             h.kernel_mut().trace.enable();
             h.kernel_mut().spawn(Box::new(IperfReceiver::new(5001)));
         });
         self.engine.with_component::<VmHost, _>(a, |h, _| {
-            h.kernel_mut().spawn(Box::new(IperfSender::new(b_addr, 5001)));
+            h.kernel_mut().spawn(Box::new(IperfSender::new(ADDR_B, 5001)));
         });
     }
 
