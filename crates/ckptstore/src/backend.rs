@@ -1,7 +1,8 @@
-//! Pluggable chunk persistence behind [`ChunkBackend`], mirroring the
-//! `WalStore` precedent in the core crate: the service logic (refcounts,
-//! manifests, placement, repair) is backend-agnostic, and each shard
-//! owns one backend instance.
+//! Pluggable chunk persistence behind [`ChunkBackend`]: the store logic
+//! in [`StoreClient`](crate::StoreClient) (refcounts, manifests,
+//! placement, repair) is backend-agnostic, and each shard owns one
+//! backend instance. The trait exists because two backends ship, not as
+//! an extension point.
 //!
 //! Two implementations ship in-tree:
 //!
@@ -26,7 +27,7 @@ use crate::hash::ChunkHash;
 
 /// One shard's chunk persistence. Copies are keyed by
 /// `(content hash, copy index)`: copy 0 is the primary, higher indices
-/// are replication copies placed on other shards by the service.
+/// are replication copies placed on other shards by the store.
 ///
 /// `put` on an existing key replaces the payload (repair heals in
 /// place); `remove` of an absent key is a no-op returning `false`.

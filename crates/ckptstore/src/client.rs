@@ -1,30 +1,703 @@
-//! The client handle and the per-shard worker component.
+//! The checkpoint store: placement, refcounted dedup, quorum-ack puts,
+//! and the gossip repair queue, all behind one type.
 //!
-//! [`StoreClient`] is the one way into a [`StoreService`]: a cheap
-//! `Clone` handle (an `Rc<RefCell<..>>`, same idiom as the coordinator
-//! WAL's `WalStore` handle) that every subsystem — testbed fileserver,
-//! swap, time travel, benches — holds by value. All methods take
-//! `&self`; the interior service is single-threaded under the sim
-//! engine, so borrows are short and never reentrant.
+//! [`StoreClient`] is a cheap-`Clone` handle (an `Rc<RefCell<..>>`) that
+//! every subsystem — testbed file server, swap, time travel, benches —
+//! holds by value. Behind it sit N hash-partitioned shards (FNV-1a over
+//! the chunk's content hash picks the home shard; replication copy `r`
+//! lands on `(home + r) % N`), each wrapping one [`ChunkBackend`]. Every
+//! operation is a `&self` method on the handle that borrows the state for
+//! its own duration; the store is single-threaded under the sim engine,
+//! so the borrows are short and never nest. Shard repair pumps run as
+//! [`ShardWorker`] components on the sim engine.
+//!
+//! # Write path
+//!
+//! One loop (`put_chunks`) takes an image as its chunks in order — slices
+//! borrowed from a caller's buffer (`put_image*`) or buffers handed over
+//! whole (`put_segments*`, which adopts an encoder's segments as the
+//! stored chunks) — and batches new chunks per shard. The
+//! primary copy is written synchronously; replica copies may fail at the
+//! buggify `store.shard_fail` point. The put blocks (retries) until a
+//! majority quorum of copies is durable; copies that failed beyond the
+//! quorum are enqueued on the repair queue instead of retried inline —
+//! gossip-driven background repair replaces the old synchronous scrub.
+//!
+//! # Determinism
+//!
+//! Placement is a pure function of the content hash; chunk metadata
+//! lives in a hashed table, and every scan that enqueues work (scrub
+//! scheduling, redundancy rebuild) sorts the hashes first, so it walks in
+//! hash order; the repair queue is an explicit FIFO.
+//! Same seed ⇒ byte-identical shard assignment, reports, and repair
+//! schedule.
 
 use std::cell::RefCell;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use sim::{Buggify, Component, ComponentId, Ctx, Engine, Payload, SimDuration, SimTime, Telemetry};
-
-use crate::error::StoreError;
-use crate::service::{
-    CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, StoreBuilder,
-    StoreService, TimedPut, REPAIR_BATCH,
+use sim::buggify;
+use sim::buggify::points as bg_points;
+use sim::telemetry::names;
+use sim::{
+    Buggify, Component, ComponentId, CounterId, Ctx, Engine, HistogramId, IntMap, Payload,
+    SimDuration, SimTime, Telemetry, TraceTag, TrackId,
 };
 
-/// Cheap-`Clone` handle to a sharded store service. Build one with
-/// [`StoreClient::builder`].
+use crate::backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
+use crate::error::StoreError;
+use crate::hash::{chunk_hash, splitmix64, ChunkHash};
+
+/// Default chunk size. Matches the COW stores' 4 KB block size so an
+/// aligned block record maps 1:1 onto a chunk.
+pub const DEFAULT_CHUNK_SIZE: usize = 4096;
+
+/// Hard cap on copies per chunk (placement packs the copy index into a
+/// `u8`, and more copies than this buys nothing in the simulated fleet).
+pub const MAX_REPLICATION: usize = 8;
+
+/// Handle to a stored image (opaque, store-local).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct ImageId(pub u64);
+
+/// Store-wide dedup accounting.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ImageStats {
+    /// Sum of the byte lengths of every live image.
+    pub logical_bytes: u64,
+    /// Bytes actually held in chunks (each distinct chunk counted once).
+    pub physical_bytes: u64,
+    /// `logical / physical`; 1.0 for an empty store.
+    pub dedup_ratio: f64,
+    /// Distinct chunks referenced by more than one manifest entry.
+    pub chunks_shared: u64,
+}
+
+/// What one `put_image` call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PutReport {
+    pub image: ImageId,
+    /// Byte length of the stored image.
+    pub logical_bytes: u64,
+    /// Bytes of chunks this put added to the store (the image's physical
+    /// residual against everything already stored — what a transfer of
+    /// this image on top of its parent actually has to move).
+    pub new_physical_bytes: u64,
+    /// Chunks in this image's manifest.
+    pub chunks_total: u64,
+    /// Chunks that were not already in the store.
+    pub chunks_new: u64,
+    /// Distinct shards that received writes from this put.
+    pub shards_touched: u32,
+    /// Replica copies acknowledged durable (primaries excluded),
+    /// including quorum-shortfall retries.
+    pub replica_acks: u64,
+    /// Replica copies that failed past quorum and were handed to the
+    /// background repair queue instead of retried inline.
+    pub repairs_enqueued: u64,
+}
+
+/// A [`PutReport`] plus the simulated commit instant: when the slowest
+/// chunk of the image reached quorum durability across its shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimedPut {
+    pub report: PutReport,
+    /// When the put reached quorum on every chunk (equals the submit
+    /// instant for a fully deduplicated put).
+    pub commit_at: SimTime,
+}
+
+/// Cumulative repair-path accounting (the gossip queue's lifetime view).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairStats {
+    /// Tasks ever placed on the repair queue.
+    pub enqueued: u64,
+    /// Tasks taken off the queue and resolved (including drops).
+    pub processed: u64,
+    /// Damaged copies rewritten from an intact sibling.
+    pub healed_copies: u64,
+    /// Missing copies written for the first time.
+    pub added_copies: u64,
+    /// Replica writes retried inline to reach the put quorum.
+    pub quorum_retries: u64,
+}
+
+/// Capture-side page-hash cache: the chunk list of one domain's last
+/// committed image. A cached put re-admits a chunk whose bytes are
+/// unchanged since that image (verified by memcmp against the cached
+/// payload) under its cached content address without re-hashing —
+/// incremental capture in wall-clock terms — and keeps the cached buffer
+/// in place of the new one, so an unchanged chunk is one allocation
+/// however many captures hold it.
+///
+/// Safety invariant: every cached `(hash, bytes)` pair satisfies
+/// `hash == chunk_hash(bytes)` by construction — an entry is the buffer
+/// that was just hashed, or a previous entry that compared equal; fault
+/// injection damages a private copy, never that buffer — so a stale
+/// cache, a cache from another domain, or a cache surviving a store
+/// reset can only cause extra misses, never a wrong content address.
+#[derive(Default)]
+pub struct CaptureCache {
+    pub(crate) chunks: Vec<(ChunkHash, Arc<[u8]>)>,
+    hits: u64,
+    misses: u64,
+}
+
+impl CaptureCache {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Chunks re-admitted by cached hash (cumulative).
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Chunks that had to be hashed (cumulative).
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Forgets the cached image; the next capture hashes every chunk.
+    pub fn clear(&mut self) {
+        self.chunks.clear();
+    }
+}
+
+// Simulated shard timing: ~1 GB/s per shard with a 50 µs batch floor —
+// disk-array shaped, slow enough that fan-out across shards is visible.
+
+/// Fixed per-batch overhead on a shard (request dispatch + fsync).
+const PUT_OVERHEAD_NS: u64 = 50_000;
+/// Per-byte cost of making a batch durable on one shard.
+const SHARD_NS_PER_BYTE: u64 = 1;
+/// Repair tasks a shard worker resolves per pump tick.
+const REPAIR_BATCH: usize = 32;
+
+/// One queued background-repair task: (re)write `copy` of `hash` on its
+/// placement shard from an intact sibling copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RepairTask {
+    pub hash: ChunkHash,
+    pub copy: u8,
+}
+
+/// What resolving one repair task did.
+enum TaskOutcome {
+    /// The chunk's last reference was dropped before the task ran.
+    DeadChunk,
+    /// The destination copy was already intact (a later put or an
+    /// earlier pump beat this task).
+    AlreadyIntact,
+    /// Every sibling copy is damaged too — nothing to repair from.
+    Hopeless,
+    /// A damaged copy was rewritten from an intact sibling.
+    Healed,
+    /// A missing copy was written for the first time.
+    Added,
+}
+
+/// Deterministic write-fault state (SplitMix64 over an injected seed).
+struct WriteFaults {
+    state: u64,
+    per_million: u32,
+}
+
+/// One chunk on its way into the store: a slice of a caller's buffer, or
+/// a buffer handed over whole.
+enum Chunk<'a> {
+    Borrowed(&'a [u8]),
+    Owned(Arc<[u8]>),
+}
+
+impl Chunk<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Borrowed(b) => b,
+            Chunk::Owned(a) => a,
+        }
+    }
+
+    /// The chunk as a shared buffer: the one handed over, or a copy of
+    /// the borrowed bytes made at the first call and shared after.
+    fn share(&mut self) -> Arc<[u8]> {
+        let arc = match self {
+            Chunk::Owned(a) => return a.clone(),
+            Chunk::Borrowed(b) => Arc::<[u8]>::from(*b),
+        };
+        *self = Chunk::Owned(arc.clone());
+        arc
+    }
+}
+
+struct Manifest {
+    logical_len: u64,
+    chunks: Vec<ChunkHash>,
+}
+
+/// Per-chunk metadata: placement is derived, so only the refcount, the
+/// payload length, and the copy count this chunk was admitted at live
+/// here.
+struct ChunkMeta {
+    refs: u64,
+    len: u32,
+    /// Copies this chunk should hold (its replication factor at insert,
+    /// possibly raised later by a redundancy rebuild).
+    want: u8,
+}
+
+/// Home shard of a chunk's copy `r`: FNV-1a over the content hash picks
+/// the base shard, replicas stride to the following shards.
+pub fn shard_of(hash: ChunkHash, copy: u8, n_shards: usize) -> usize {
+    debug_assert!(n_shards > 0);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in hash.0.to_le_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    ((h % n_shards as u64) as usize + copy as usize) % n_shards
+}
+
+/// Per-shard telemetry handles.
+struct ShardTele {
+    chunks: CounterId,
+    bytes: CounterId,
+    repair_writes: CounterId,
+    track: TrackId,
+}
+
+/// Telemetry instrument handles (attached by the builder).
+struct StoreTele {
+    t: Telemetry,
+    chunks_new: CounterId,
+    dedup_hits: CounterId,
+    logical_bytes: CounterId,
+    new_physical_bytes: CounterId,
+    repairs: CounterId,
+    scrub_heals: CounterId,
+    replicas_added: CounterId,
+    hash_cache_hits: CounterId,
+    hash_cache_misses: CounterId,
+    puts: CounterId,
+    quorum_retries: CounterId,
+    repairs_enqueued: CounterId,
+    repairs_done: CounterId,
+    commit_ns: HistogramId,
+    ev_put_batch: TraceTag,
+    ev_repair: TraceTag,
+    shards: Vec<ShardTele>,
+}
+
+impl StoreTele {
+    /// Dedup counters land under `ckptstore.*`, store-level and per-shard
+    /// counters under `storesvc.*`, and each shard gets its own trace
+    /// track on `host`'s timeline.
+    fn new(telemetry: &Telemetry, host: u32, n_shards: usize) -> Self {
+        let t = telemetry.clone();
+        let shards = (0..n_shards)
+            .map(|i| ShardTele {
+                chunks: t.counter(&format!("{}{}.chunks", names::STORESVC_SHARD_PREFIX, i)),
+                bytes: t.counter(&format!("{}{}.bytes", names::STORESVC_SHARD_PREFIX, i)),
+                repair_writes: t
+                    .counter(&format!("{}{}.repair_writes", names::STORESVC_SHARD_PREFIX, i)),
+                track: t.track(host, &format!("{}{}", names::TRACK_STORE_SHARD, i)),
+            })
+            .collect();
+        StoreTele {
+            chunks_new: t.counter(names::CKPT_CHUNKS_NEW),
+            dedup_hits: t.counter(names::CKPT_DEDUP_HITS),
+            logical_bytes: t.counter(names::CKPT_LOGICAL_BYTES),
+            new_physical_bytes: t.counter(names::CKPT_NEW_PHYSICAL_BYTES),
+            repairs: t.counter(names::CKPT_REPLICA_REPAIRS),
+            scrub_heals: t.counter(names::CKPT_SCRUB_HEALS),
+            replicas_added: t.counter(names::CKPT_REPLICAS_ADDED),
+            hash_cache_hits: t.counter(names::CKPT_HASH_CACHE_HITS),
+            hash_cache_misses: t.counter(names::CKPT_HASH_CACHE_MISSES),
+            puts: t.counter(names::STORESVC_PUTS),
+            quorum_retries: t.counter(names::STORESVC_QUORUM_RETRIES),
+            repairs_enqueued: t.counter(names::STORESVC_REPAIRS_ENQUEUED),
+            repairs_done: t.counter(names::STORESVC_REPAIRS_DONE),
+            commit_ns: t.histogram(names::STORESVC_COMMIT_NS),
+            ev_put_batch: t.trace_tag(names::EV_STORE_PUT_BATCH),
+            ev_repair: t.trace_tag(names::EV_STORE_REPAIR),
+            shards,
+            t,
+        }
+    }
+}
+
+struct Shard {
+    backend: Box<dyn ChunkBackend>,
+    /// Virtual pipeline clock: when this shard finishes its last
+    /// accepted batch. Timed puts queue behind it.
+    free_at_ns: u64,
+}
+
+/// Majority quorum over `copies`: the durable copies a put waits for.
+fn majority(copies: usize) -> usize {
+    copies / 2 + 1
+}
+
+/// Rejects a copy count outside `1..=MAX_REPLICATION`.
+fn check_replication(copies: usize) {
+    assert!((1..=MAX_REPLICATION).contains(&copies), "replication must be 1..={MAX_REPLICATION}");
+}
+
+/// Everything a [`StoreClient`] handle shares, and the helpers more than
+/// one of its operations run.
+struct State {
+    chunk_size: usize,
+    replication: usize,
+    shards: Vec<Shard>,
+    chunks: IntMap<ChunkHash, ChunkMeta>,
+    images: HashMap<u64, Manifest>,
+    next_image: u64,
+    /// Primary-copy bytes (each distinct chunk once).
+    physical_bytes: u64,
+    repair_q: VecDeque<RepairTask>,
+    /// Membership set suppressing duplicate queue entries.
+    queued: HashSet<(u128, u8)>,
+    repair_stats: RepairStats,
+    /// Chunks served from a replica because the primary was corrupt.
+    repaired: u64,
+    write_faults: Option<WriteFaults>,
+    tele: Option<StoreTele>,
+    /// Randomized fault exploration (`store.*` buggify points). Disarmed
+    /// by default: a disarmed registry never draws, so stores outside an
+    /// exploration run behave exactly as before.
+    buggify: Buggify,
+    /// Extra read latency owed by buggified slow loads (ns), accumulated
+    /// here because the store itself has no clock; the timed component
+    /// driving it drains the debt via `take_get_penalty_ns`.
+    get_penalty_ns: u64,
+}
+
+impl State {
+    /// The one put loop, over the image's chunks in order.
+    fn put_chunks<'a>(
+        &mut self,
+        chunks: impl ExactSizeIterator<Item = Chunk<'a>>,
+        mut cache: Option<&mut CaptureCache>,
+        now: Option<SimTime>,
+    ) -> TimedPut {
+        let n_chunks = chunks.len();
+        let n_shards = self.shards.len();
+        let quorum = majority(self.replication);
+        let mut manifest = Vec::with_capacity(n_chunks);
+        let mut next_cache: Option<Vec<(ChunkHash, Arc<[u8]>)>> =
+            cache.as_ref().map(|_| Vec::with_capacity(n_chunks));
+        let mut logical = 0u64;
+        let mut new_physical = 0u64;
+        let mut chunks_new = 0u64;
+        let mut cache_hits = 0u64;
+        let mut cache_misses = 0u64;
+        let mut replica_acks = 0u64;
+        let mut quorum_retries = 0u64;
+        let mut repairs_enqueued = 0u64;
+        // Per-shard batch accumulation for the timing model, and the
+        // shards each new chunk's durable copies landed on (for the
+        // per-chunk quorum commit instant).
+        let mut batch_bytes = vec![0u64; n_shards];
+        let mut batch_chunks = vec![0u64; n_shards];
+        let mut chunk_placements: Vec<[u8; MAX_REPLICATION]> = Vec::new();
+        let mut chunk_copy_counts: Vec<u8> = Vec::new();
+
+        for (idx, mut chunk) in chunks.enumerate() {
+            let len = chunk.bytes().len() as u64;
+            logical += len;
+            // Cached-hash fast path: when the bytes at this position are
+            // unchanged since the previous capture, its hash is reused
+            // and its buffer stands in for this one from here on.
+            let h = match cache.as_deref_mut() {
+                Some(c) => match c.chunks.get(idx) {
+                    Some((h, prev)) if prev.as_ref() == chunk.bytes() => {
+                        cache_hits += 1;
+                        chunk = Chunk::Owned(prev.clone());
+                        *h
+                    }
+                    _ => {
+                        cache_misses += 1;
+                        chunk_hash(chunk.bytes())
+                    }
+                },
+                None => chunk_hash(chunk.bytes()),
+            };
+            if let Some(meta) = self.chunks.get_mut(&h) {
+                meta.refs += 1;
+            } else {
+                new_physical += len;
+                chunks_new += 1;
+                let want = self.replication.min(MAX_REPLICATION) as u8;
+                let clean = chunk.share();
+                let mut primary = clean.clone();
+                // Write-path fault injection damages the primary only;
+                // replicas land clean (independent write paths). The
+                // damage is done to a copy: `clean` is never written.
+                if let Some(wf) = self.write_faults.as_mut() {
+                    let draw = splitmix64(&mut wf.state);
+                    if len > 0 && draw % 1_000_000 < u64::from(wf.per_million) {
+                        let mut damaged = clean.to_vec();
+                        let i = (draw >> 32) as usize % damaged.len();
+                        damaged[i] ^= 0x01;
+                        primary = damaged.into();
+                    }
+                }
+                // Buggified write corruption: same shape as the injected
+                // faults above (primary damaged, replicas clean), drawn
+                // from the exploration registry's own stream.
+                if len > 0 && buggify!(self.buggify, bg_points::STORE_PUT_CORRUPT) {
+                    let i = self.buggify.magnitude(bg_points::STORE_PUT_CORRUPT, 0, len) as usize;
+                    let mut damaged = primary.to_vec();
+                    damaged[i] ^= 0x01;
+                    primary = damaged.into();
+                }
+
+                // Primary write is synchronous and always durable.
+                let mut placements = [0u8; MAX_REPLICATION];
+                let home = shard_of(h, 0, n_shards);
+                self.shards[home].backend.put(h, 0, primary);
+                placements[0] = home as u8;
+                let mut written = 1usize;
+                batch_bytes[home] += len;
+                batch_chunks[home] += 1;
+
+                // Replica fan-out: each copy may fail at the shard-fail
+                // point; failures beyond the quorum go to background
+                // repair, shortfalls are retried inline until the put
+                // holds a majority of durable copies.
+                let mut failed: Vec<u8> = Vec::new();
+                for r in 1..want {
+                    if buggify!(self.buggify, bg_points::STORE_SHARD_FAIL) {
+                        failed.push(r);
+                        continue;
+                    }
+                    let s = shard_of(h, r, n_shards);
+                    self.shards[s].backend.put(h, r, clean.clone());
+                    placements[written] = s as u8;
+                    written += 1;
+                    replica_acks += 1;
+                    batch_bytes[s] += len;
+                    batch_chunks[s] += 1;
+                }
+                let mut failed = VecDeque::from(failed);
+                while written < quorum.min(want as usize) {
+                    let r = failed.pop_front().expect("quorum <= want copies");
+                    let s = shard_of(h, r, n_shards);
+                    self.shards[s].backend.put(h, r, clean.clone());
+                    placements[written] = s as u8;
+                    written += 1;
+                    replica_acks += 1;
+                    quorum_retries += 1;
+                    batch_bytes[s] += len;
+                    batch_chunks[s] += 1;
+                }
+                for r in failed {
+                    if self.queued.insert((h.0, r)) {
+                        self.repair_q.push_back(RepairTask { hash: h, copy: r });
+                        self.repair_stats.enqueued += 1;
+                        repairs_enqueued += 1;
+                    }
+                }
+
+                self.physical_bytes += len;
+                self.chunks.insert(h, ChunkMeta { refs: 1, len: len as u32, want });
+                chunk_placements.push(placements);
+                chunk_copy_counts.push(written as u8);
+            }
+            if let Some(nc) = next_cache.as_mut() {
+                // `chunk` is the bytes that hashed to `h` (or the cached
+                // buffer they were compared equal to), never a damaged
+                // primary: the cache invariant holds by construction.
+                nc.push((h, chunk.share()));
+            }
+            manifest.push(h);
+        }
+        if let Some(c) = cache {
+            c.chunks = next_cache.expect("cache refresh list built alongside");
+            c.hits += cache_hits;
+            c.misses += cache_misses;
+        }
+        self.repair_stats.quorum_retries += quorum_retries;
+
+        // Timing model: each touched shard makes its batch durable after
+        // a fixed overhead plus a per-byte cost, queued behind whatever
+        // the shard was already committing. A chunk commits when its
+        // quorum-th durable copy lands; the image commits with its
+        // slowest chunk.
+        let mut commit_at = now.unwrap_or(SimTime::ZERO);
+        if let Some(now) = now {
+            let now_ns = now.as_nanos();
+            let mut done_ns = vec![0u64; n_shards];
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                if batch_chunks[s] == 0 {
+                    continue;
+                }
+                let start = now_ns.max(shard.free_at_ns);
+                let done = start + PUT_OVERHEAD_NS + batch_bytes[s] * SHARD_NS_PER_BYTE;
+                shard.free_at_ns = done;
+                done_ns[s] = done;
+            }
+            let mut commit_ns = now_ns;
+            for (placements, &copies) in chunk_placements.iter().zip(&chunk_copy_counts) {
+                let mut times: Vec<u64> = placements[..copies as usize]
+                    .iter()
+                    .map(|&s| done_ns[s as usize])
+                    .collect();
+                times.sort_unstable();
+                commit_ns = commit_ns.max(times[quorum.min(times.len()) - 1]);
+            }
+            commit_at = SimTime::from_nanos(commit_ns);
+            if let Some(t) = &self.tele {
+                for (s, st) in t.shards.iter().enumerate() {
+                    if batch_chunks[s] > 0 {
+                        t.t.trace_instant(
+                            st.track,
+                            t.ev_put_batch,
+                            SimTime::from_nanos(done_ns[s]),
+                            batch_bytes[s] as i64,
+                        );
+                    }
+                }
+                t.t.record(t.commit_ns, (commit_ns - now_ns) as f64);
+            }
+        }
+
+        let id = ImageId(self.next_image);
+        self.next_image += 1;
+        let chunks_total = manifest.len() as u64;
+        let shards_touched = batch_chunks.iter().filter(|&&c| c > 0).count() as u32;
+        if let Some(t) = &self.tele {
+            t.t.inc(t.puts);
+            t.t.add(t.chunks_new, chunks_new);
+            t.t.add(t.dedup_hits, chunks_total - chunks_new);
+            t.t.add(t.logical_bytes, logical);
+            t.t.add(t.new_physical_bytes, new_physical);
+            t.t.add(t.hash_cache_hits, cache_hits);
+            t.t.add(t.hash_cache_misses, cache_misses);
+            t.t.add(t.quorum_retries, quorum_retries);
+            t.t.add(t.repairs_enqueued, repairs_enqueued);
+            for (s, st) in t.shards.iter().enumerate() {
+                t.t.add(st.chunks, batch_chunks[s]);
+                t.t.add(st.bytes, batch_bytes[s]);
+            }
+        }
+        self.images.insert(id.0, Manifest { logical_len: logical, chunks: manifest });
+        TimedPut {
+            report: PutReport {
+                image: id,
+                logical_bytes: logical,
+                new_physical_bytes: new_physical,
+                chunks_total,
+                chunks_new,
+                shards_touched,
+                replica_acks,
+                repairs_enqueued,
+            },
+            commit_at,
+        }
+    }
+
+    fn enqueue_repair(&mut self, task: RepairTask) {
+        if self.queued.insert((task.hash.0, task.copy)) {
+            self.repair_q.push_back(task);
+            self.repair_stats.enqueued += 1;
+            if let Some(t) = &self.tele {
+                t.t.inc(t.repairs_enqueued);
+            }
+        }
+    }
+
+    /// Every stored chunk's hash, ascending: the order scans enqueue in.
+    fn sorted_hashes(&self) -> Vec<ChunkHash> {
+        let mut hashes: Vec<ChunkHash> = self.chunks.keys().copied().collect();
+        hashes.sort_unstable();
+        hashes
+    }
+
+    /// Resolves one already-dequeued repair task: rewrites the target
+    /// copy from an intact sibling. A task whose chunk died, or with no
+    /// intact source left, is dropped — the load path surfaces the
+    /// latter as [`StoreError::CorruptChunk`].
+    fn resolve_task(&mut self, task: RepairTask, at: Option<SimTime>) -> TaskOutcome {
+        let n_shards = self.shards.len();
+        self.repair_stats.processed += 1;
+        let dest = shard_of(task.hash, task.copy, n_shards);
+        let Some(meta) = self.chunks.get(&task.hash) else { return TaskOutcome::DeadChunk };
+        let want = meta.want;
+        // Already intact (a later put or an earlier pump beat us)?
+        let existing = self.shards[dest].backend.get(task.hash, task.copy);
+        let was_present = existing.is_some();
+        if let Some(copy) = &existing {
+            if chunk_hash(copy) == task.hash {
+                return TaskOutcome::AlreadyIntact;
+            }
+        }
+        // Find an intact source among the other copies.
+        let mut source: Option<Arc<[u8]>> = None;
+        for r in 0..want {
+            if r == task.copy {
+                continue;
+            }
+            if let Some(copy) =
+                self.shards[shard_of(task.hash, r, n_shards)].backend.get(task.hash, r)
+            {
+                if chunk_hash(&copy) == task.hash {
+                    source = Some(copy);
+                    break;
+                }
+            }
+        }
+        let Some(clean) = source else { return TaskOutcome::Hopeless };
+        self.shards[dest].backend.put(task.hash, task.copy, clean);
+        self.repair_stats.repaired_write(was_present);
+        if let Some(t) = &self.tele {
+            t.t.inc(t.repairs_done);
+            t.t.add(t.scrub_heals, u64::from(was_present));
+            t.t.add(t.replicas_added, u64::from(!was_present));
+            t.t.inc(t.shards[dest].repair_writes);
+            if let Some(at) = at {
+                t.t.trace_instant(t.shards[dest].track, t.ev_repair, at, i64::from(task.copy));
+            }
+        }
+        if was_present {
+            TaskOutcome::Healed
+        } else {
+            TaskOutcome::Added
+        }
+    }
+
+    /// The content address of a non-empty chunk of `image`, for the
+    /// corruption hooks.
+    fn chunk_of(&self, image: ImageId, chunk_index: usize) -> Result<ChunkHash, StoreError> {
+        let m = self.images.get(&image.0).ok_or(StoreError::UnknownImage(image))?;
+        let h = m
+            .chunks
+            .get(chunk_index)
+            .copied()
+            .ok_or(StoreError::NoSuchChunk { image, chunk_index })?;
+        if self.chunks[&h].len == 0 {
+            return Err(StoreError::NoSuchChunk { image, chunk_index });
+        }
+        Ok(h)
+    }
+}
+
+impl RepairStats {
+    fn repaired_write(&mut self, was_present: bool) {
+        if was_present {
+            self.healed_copies += 1;
+        } else {
+            self.added_copies += 1;
+        }
+    }
+}
+
+/// Cheap-`Clone` handle to a sharded, replicated checkpoint store. Build
+/// one with [`StoreClient::builder`]; every clone drives the same store.
 #[derive(Clone)]
 pub struct StoreClient {
-    svc: Rc<RefCell<StoreService>>,
+    inner: Rc<RefCell<State>>,
 }
 
 impl Default for StoreClient {
@@ -37,12 +710,12 @@ impl Default for StoreClient {
 
 impl fmt::Debug for StoreClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let svc = self.svc.borrow();
+        let s = self.inner.borrow();
         f.debug_struct("StoreClient")
-            .field("shards", &svc.shard_count())
-            .field("replication", &svc.replication())
-            .field("images", &svc.image_count())
-            .field("chunks", &svc.chunk_count())
+            .field("shards", &s.shards.len())
+            .field("replication", &s.replication)
+            .field("images", &s.images.len())
+            .field("chunks", &s.chunks.len())
             .finish()
     }
 }
@@ -54,63 +727,60 @@ impl StoreClient {
         StoreBuilder::default()
     }
 
-    pub(crate) fn from_service(svc: StoreService) -> Self {
-        StoreClient { svc: Rc::new(RefCell::new(svc)) }
-    }
-
-    // -- configuration & wiring ---------------------------------------
+    // -- configuration ------------------------------------------------
 
     pub fn chunk_size(&self) -> usize {
-        self.svc.borrow().chunk_size()
+        self.inner.borrow().chunk_size
     }
 
     pub fn shard_count(&self) -> usize {
-        self.svc.borrow().shard_count()
+        self.inner.borrow().shards.len()
     }
 
     pub fn replication(&self) -> usize {
-        self.svc.borrow().replication()
+        self.inner.borrow().replication
     }
 
     /// Majority quorum a put must reach before it reports durable.
     pub fn quorum(&self) -> usize {
-        self.svc.borrow().quorum()
+        majority(self.inner.borrow().replication)
     }
 
     /// Sets the copies kept per chunk inserted from now on (existing
     /// chunks keep their count until a redundancy rebuild).
+    ///
+    /// # Panics
+    ///
+    /// Panics outside `1..=MAX_REPLICATION`.
     pub fn set_replication(&self, copies: usize) {
-        self.svc.borrow_mut().set_replication(copies);
+        check_replication(copies);
+        self.inner.borrow_mut().replication = copies;
     }
 
     /// Arms randomized fault exploration: the `store.*` buggify points
     /// (put corruption, slow gets, shard-fail replica writes, skipped
     /// scrub passes) fire from the registry's per-point streams.
     pub fn attach_buggify(&self, bg: &Buggify) {
-        self.svc.borrow_mut().attach_buggify(bg);
+        self.inner.borrow_mut().buggify = bg.clone();
     }
 
-    /// Attaches telemetry after the fact (prefer the builder's
-    /// `telemetry` knob, which also names the shard tracks at build).
-    pub fn attach_telemetry(&self, telemetry: &Telemetry, host: u32) {
-        self.svc.borrow_mut().attach_telemetry(telemetry, host);
-    }
-
-    /// Fault injection: flip one byte in the primary copy of roughly
-    /// `per_million` of every million chunks inserted from now on.
+    /// Fault injection: flip one byte in the *primary* copy of roughly
+    /// `per_million` out of every million chunks inserted from now on.
+    /// Replicas are written clean, so replication >= 2 repairs these
+    /// corruptions transparently. Deterministic in `seed`.
     pub fn inject_write_faults(&self, seed: u64, per_million: u32) {
-        self.svc.borrow_mut().inject_write_faults(seed, per_million);
+        self.inner.borrow_mut().write_faults = Some(WriteFaults { state: seed, per_million });
     }
 
     pub fn clear_write_faults(&self) {
-        self.svc.borrow_mut().clear_write_faults();
+        self.inner.borrow_mut().write_faults = None;
     }
 
     /// Drains the accumulated extra latency owed by buggified slow loads
     /// (ns since the last drain). The component that schedules load
     /// completions adds this to its completion time.
     pub fn take_get_penalty_ns(&self) -> u64 {
-        self.svc.borrow_mut().take_get_penalty_ns()
+        std::mem::take(&mut self.inner.borrow_mut().get_penalty_ns)
     }
 
     // -- the batched, pipelined write path ----------------------------
@@ -120,7 +790,7 @@ impl StoreClient {
     /// ones. Untimed — use [`StoreClient::put_image_at`] inside a
     /// simulation to also get the commit instant.
     pub fn put_image(&self, bytes: &[u8]) -> PutReport {
-        self.svc.borrow_mut().put_image_inner(bytes, None, None).report
+        self.put_bytes(bytes, None, None).report
     }
 
     /// [`StoreClient::put_image`] through a [`CaptureCache`]: a chunk
@@ -129,7 +799,7 @@ impl StoreClient {
     /// identical to `put_image` — same manifest, same [`PutReport`],
     /// same dedup accounting — only the wall-clock hashing work differs.
     pub fn put_image_cached(&self, bytes: &[u8], cache: &mut CaptureCache) -> PutReport {
-        self.svc.borrow_mut().put_image_inner(bytes, Some(cache), None).report
+        self.put_bytes(bytes, Some(cache), None).report
     }
 
     /// The timed put: batches land on each shard's pipeline clock, and
@@ -142,7 +812,7 @@ impl StoreClient {
         cache: Option<&mut CaptureCache>,
         now: SimTime,
     ) -> TimedPut {
-        self.svc.borrow_mut().put_image_inner(bytes, cache, Some(now))
+        self.put_bytes(bytes, cache, Some(now))
     }
 
     /// [`StoreClient::put_image_cached`] of an encoder's segment list
@@ -156,7 +826,7 @@ impl StoreClient {
         segments: Vec<Arc<[u8]>>,
         cache: &mut CaptureCache,
     ) -> PutReport {
-        self.svc.borrow_mut().put_segments(segments, Some(cache), None).report
+        self.put_segments(segments, Some(cache), None).report
     }
 
     /// [`StoreClient::put_image_at`] of an encoder's segment list, handed
@@ -167,7 +837,40 @@ impl StoreClient {
         cache: Option<&mut CaptureCache>,
         now: SimTime,
     ) -> TimedPut {
-        self.svc.borrow_mut().put_segments(segments, cache, Some(now))
+        self.put_segments(segments, cache, Some(now))
+    }
+
+    /// The borrowed entry: the image's bytes, chunked where they lie.
+    fn put_bytes(
+        &self,
+        bytes: &[u8],
+        cache: Option<&mut CaptureCache>,
+        now: Option<SimTime>,
+    ) -> TimedPut {
+        let s = &mut *self.inner.borrow_mut();
+        s.put_chunks(bytes.chunks(s.chunk_size).map(Chunk::Borrowed), cache, now)
+    }
+
+    /// The owned entry: when the segments are chunk-shaped — all
+    /// `chunk_size` long but a shorter, non-empty last — the store adopts
+    /// them: the buffer the encoder wrote is the chunk the backend holds,
+    /// the capture cache remembers and a later load returns. A store
+    /// running at another chunk size re-slices their concatenation.
+    fn put_segments(
+        &self,
+        segments: Vec<Arc<[u8]>>,
+        cache: Option<&mut CaptureCache>,
+        now: Option<SimTime>,
+    ) -> TimedPut {
+        let chunk_size = self.chunk_size();
+        let chunk_shaped = segments.split_last().is_none_or(|(last, full)| {
+            full.iter().all(|s| s.len() == chunk_size) && (1..=chunk_size).contains(&last.len())
+        });
+        if chunk_shaped {
+            self.inner.borrow_mut().put_chunks(segments.into_iter().map(Chunk::Owned), cache, now)
+        } else {
+            self.put_bytes(&segments.concat(), cache, now)
+        }
     }
 
     // -- reads & lifecycle --------------------------------------------
@@ -175,95 +878,286 @@ impl StoreClient {
     /// Reassembles an image into one buffer: the concatenation of
     /// [`StoreClient::load_image_chunks`], with the same checks.
     pub fn load_image(&self, id: ImageId) -> Result<Vec<u8>, StoreError> {
-        self.svc.borrow_mut().load_image(id)
+        Ok(self.load_image_chunks(id)?.concat())
     }
 
     /// Loads an image as its verified chunk list (decode it in place
     /// with [`crate::Dec::chunked`]), re-hashing every chunk on the way
-    /// out. A corrupt primary is served from the first intact replica
-    /// (counted in [`StoreClient::repaired_chunks`], with read-repair
-    /// enqueued); the typed error surfaces only when every copy is
-    /// damaged.
+    /// out and handing back the very buffers it verified. A corrupt
+    /// primary is served from the first intact replica (counted in
+    /// [`StoreClient::repaired_chunks`]), and the damaged copies it
+    /// skipped are enqueued for background read-repair; the typed error
+    /// surfaces only when every copy is damaged.
     pub fn load_image_chunks(&self, id: ImageId) -> Result<Vec<Arc<[u8]>>, StoreError> {
-        self.svc.borrow_mut().load_image_chunks(id)
+        let s = &mut *self.inner.borrow_mut();
+        // Buggified slow get: the store has no clock, so the latency debt
+        // accumulates for the timed caller to drain (`take_get_penalty_ns`).
+        if buggify!(s.buggify, bg_points::STORE_GET_SLOW) {
+            let ns = s.buggify.magnitude(
+                bg_points::STORE_GET_SLOW,
+                100_000,     // 100 µs: a seek's worth of stall
+                200_000_000, // 200 ms: a raid rebuild in the way
+            );
+            s.get_penalty_ns += ns;
+        }
+        let Some(m) = s.images.get(&id.0) else { return Err(StoreError::UnknownImage(id)) };
+        let n_shards = s.shards.len();
+        let mut out = Vec::with_capacity(m.chunks.len());
+        let mut served_from_replica = 0u64;
+        let mut read_repairs: Vec<RepairTask> = Vec::new();
+        for (i, h) in m.chunks.iter().enumerate() {
+            let meta = s
+                .chunks
+                .get(h)
+                .ok_or(StoreError::MissingChunk { image: id, chunk_index: i })?;
+            let mut served: Option<(u8, Arc<[u8]>)> = None;
+            let mut primary_actual: Option<ChunkHash> = None;
+            for r in 0..meta.want {
+                let copy = s.shards[shard_of(*h, r, n_shards)].backend.get(*h, r);
+                let Some(copy) = copy else {
+                    if r == 0 {
+                        return Err(StoreError::MissingChunk { image: id, chunk_index: i });
+                    }
+                    continue;
+                };
+                let actual = chunk_hash(&copy);
+                if r == 0 {
+                    primary_actual = Some(actual);
+                }
+                if actual == *h {
+                    served = Some((r, copy));
+                    break;
+                }
+            }
+            match served {
+                Some((r, copy)) => {
+                    if r > 0 {
+                        served_from_replica += 1;
+                        // Read-repair: the damaged copies we skipped go on
+                        // the gossip queue.
+                        for bad in 0..r {
+                            read_repairs.push(RepairTask { hash: *h, copy: bad });
+                        }
+                    }
+                    out.push(copy);
+                }
+                None => {
+                    return Err(StoreError::CorruptChunk {
+                        image: id,
+                        chunk_index: i,
+                        expected: *h,
+                        actual: primary_actual.expect("primary copy present"),
+                    });
+                }
+            }
+        }
+        debug_assert_eq!(
+            out.iter().map(|c| c.len() as u64).sum::<u64>(),
+            m.logical_len,
+            "manifest drifted"
+        );
+        s.repaired += served_from_replica;
+        if let Some(t) = &s.tele {
+            t.t.add(t.repairs, served_from_replica);
+        }
+        for task in read_repairs {
+            s.enqueue_repair(task);
+        }
+        Ok(out)
     }
 
     /// Drops an image, decrementing refcounts and releasing chunks whose
     /// last reference this was. Returns the physical bytes freed.
     pub fn remove_image(&self, id: ImageId) -> Result<u64, StoreError> {
-        self.svc.borrow_mut().remove_image(id)
+        let s = &mut *self.inner.borrow_mut();
+        let m = s.images.remove(&id.0).ok_or(StoreError::UnknownImage(id))?;
+        let n_shards = s.shards.len();
+        let mut freed = 0u64;
+        for h in &m.chunks {
+            let meta = s.chunks.get_mut(h).expect("manifest chunk missing on remove");
+            meta.refs -= 1;
+            if meta.refs == 0 {
+                let want = meta.want;
+                freed += u64::from(meta.len);
+                s.physical_bytes -= u64::from(meta.len);
+                s.chunks.remove(h);
+                for r in 0..want {
+                    s.shards[shard_of(*h, r, n_shards)].backend.remove(*h, r);
+                    s.queued.remove(&(h.0, r));
+                }
+            }
+        }
+        Ok(freed)
     }
 
     pub fn contains(&self, id: ImageId) -> bool {
-        self.svc.borrow().contains(id)
+        self.inner.borrow().images.contains_key(&id.0)
     }
 
     /// Byte length of a stored image.
     pub fn image_len(&self, id: ImageId) -> Result<u64, StoreError> {
-        self.svc.borrow().image_len(id)
+        self.inner
+            .borrow()
+            .images
+            .get(&id.0)
+            .map(|m| m.logical_len)
+            .ok_or(StoreError::UnknownImage(id))
     }
 
     pub fn image_count(&self) -> usize {
-        self.svc.borrow().image_count()
+        self.inner.borrow().images.len()
     }
 
     pub fn chunk_count(&self) -> usize {
-        self.svc.borrow().chunk_count()
+        self.inner.borrow().chunks.len()
     }
 
+    /// Bytes held in primary chunks (each distinct chunk once; replica
+    /// copies are accounted by `replica_bytes`).
     pub fn physical_bytes(&self) -> u64 {
-        self.svc.borrow().physical_bytes()
+        self.inner.borrow().physical_bytes
     }
 
+    /// Bytes held in replica copies beyond the primaries.
     pub fn replica_bytes(&self) -> u64 {
-        self.svc.borrow().replica_bytes()
+        let s = self.inner.borrow();
+        let total: u64 = s.shards.iter().map(|s| s.backend.payload_bytes()).sum();
+        total - s.physical_bytes
     }
 
+    /// Chunks served from a replica because their primary copy was
+    /// corrupt (cumulative over the store's lifetime).
     pub fn repaired_chunks(&self) -> u64 {
-        self.svc.borrow().repaired_chunks()
+        self.inner.borrow().repaired
     }
 
     pub fn stats(&self) -> ImageStats {
-        self.svc.borrow().stats()
+        let s = self.inner.borrow();
+        let logical: u64 = s.images.values().map(|m| m.logical_len).sum();
+        let physical = s.physical_bytes;
+        ImageStats {
+            logical_bytes: logical,
+            physical_bytes: physical,
+            dedup_ratio: if physical == 0 { 1.0 } else { logical as f64 / physical as f64 },
+            chunks_shared: s.chunks.values().filter(|c| c.refs > 1).count() as u64,
+        }
     }
 
     // -- gossip repair ------------------------------------------------
 
-    /// Enqueues a repair task for every damaged or missing copy found by
-    /// a hash-order scan (skippable at the `store.scrub_skip` point).
+    /// Walks every chunk in hash order and enqueues a repair task for
+    /// each damaged or missing copy. One buggify draw per pass: a fired
+    /// `store.scrub_skip` models a scrubber whose whole pass silently
+    /// did nothing, leaving damage to fester until the next.
     pub fn schedule_scrub(&self) -> u64 {
-        self.svc.borrow_mut().schedule_scrub()
+        let s = &mut *self.inner.borrow_mut();
+        if buggify!(s.buggify, bg_points::STORE_SCRUB_SKIP) {
+            return 0;
+        }
+        let n_shards = s.shards.len();
+        let mut tasks: Vec<RepairTask> = Vec::new();
+        for h in s.sorted_hashes() {
+            for r in 0..s.chunks[&h].want {
+                let ok = match s.shards[shard_of(h, r, n_shards)].backend.get(h, r) {
+                    Some(copy) => chunk_hash(&copy) == h,
+                    None => false,
+                };
+                if !ok {
+                    tasks.push(RepairTask { hash: h, copy: r });
+                }
+            }
+        }
+        let mut enqueued = 0u64;
+        for task in tasks {
+            let before = s.repair_stats.enqueued;
+            s.enqueue_repair(task);
+            enqueued += s.repair_stats.enqueued - before;
+        }
+        enqueued
     }
 
-    /// Raises under-replicated chunks' target copy counts, enqueueing
-    /// the missing copies for background repair.
+    /// Raises every chunk admitted below the current replication factor:
+    /// bumps its target copy count and enqueues the missing copies on
+    /// the repair queue. Respects the same `store.scrub_skip` pass draw
+    /// as scrubbing. Returns the chunks whose target was raised.
     pub fn schedule_redundancy_rebuild(&self) -> u64 {
-        self.svc.borrow_mut().schedule_redundancy_rebuild()
+        let s = &mut *self.inner.borrow_mut();
+        if buggify!(s.buggify, bg_points::STORE_SCRUB_SKIP) {
+            return 0;
+        }
+        let want = s.replication.min(MAX_REPLICATION) as u8;
+        let mut raised = 0u64;
+        let mut tasks: Vec<RepairTask> = Vec::new();
+        for h in s.sorted_hashes() {
+            let meta = s.chunks.get_mut(&h).expect("a listed hash");
+            if meta.want >= want {
+                continue;
+            }
+            for r in meta.want..want {
+                tasks.push(RepairTask { hash: h, copy: r });
+            }
+            meta.want = want;
+            raised += 1;
+        }
+        for task in tasks {
+            s.enqueue_repair(task);
+        }
+        raised
     }
 
-    /// Resolves up to `max` queued tasks owned by `shard` (or any shard
-    /// when `None`). Returns `(healed, added)` copy counts.
+    /// Resolves up to `max` queued repair tasks owned by `shard` (or any
+    /// shard when `None`); tasks owned by other shards rotate to the
+    /// back of the queue for their worker. Returns `(healed, added)`
+    /// copy counts; `at` timestamps the trace events when telemetry is
+    /// attached.
     pub fn pump_repairs(&self, shard: Option<usize>, max: usize, at: Option<SimTime>) -> (u64, u64) {
-        self.svc.borrow_mut().pump_repairs(shard, max, at)
+        let s = &mut *self.inner.borrow_mut();
+        let n_shards = s.shards.len();
+        let mut healed = 0u64;
+        let mut added = 0u64;
+        let mut scanned = 0usize;
+        let mut done = 0usize;
+        let backlog = s.repair_q.len();
+        while done < max && scanned < backlog {
+            let Some(task) = s.repair_q.pop_front() else { break };
+            scanned += 1;
+            if let Some(owner) = shard {
+                if shard_of(task.hash, task.copy, n_shards) != owner {
+                    s.repair_q.push_back(task);
+                    continue;
+                }
+            }
+            s.queued.remove(&(task.hash.0, task.copy));
+            done += 1;
+            match s.resolve_task(task, at) {
+                TaskOutcome::Healed => healed += 1,
+                TaskOutcome::Added => added += 1,
+                _ => {}
+            }
+        }
+        (healed, added)
     }
 
-    /// Synchronously drains the whole repair queue.
+    /// Synchronously drains the whole repair queue (no shard filter).
+    /// Returns `(healed, added)` copy counts.
     pub fn drain_repairs(&self) -> (u64, u64) {
-        self.svc.borrow_mut().drain_repairs()
+        // Resolving a task never enqueues one, so a pump over the current
+        // backlog empties the queue.
+        self.pump_repairs(None, usize::MAX, None)
     }
 
     /// Tasks currently waiting on the repair queue (oldest first) — the
     /// deterministic repair schedule.
     pub fn pending_repairs(&self) -> Vec<RepairTask> {
-        self.svc.borrow().pending_repairs()
+        self.inner.borrow().repair_q.iter().copied().collect()
     }
 
     pub fn repair_backlog(&self) -> usize {
-        self.svc.borrow().repair_backlog()
+        self.inner.borrow().repair_q.len()
     }
 
     pub fn repair_stats(&self) -> RepairStats {
-        self.svc.borrow().repair_stats()
+        self.inner.borrow().repair_stats
     }
 
     /// Spawns one [`ShardWorker`] per shard on the engine, each pumping
@@ -290,8 +1184,9 @@ impl StoreClient {
 
     // -- corruption hooks (fault-injection surface) -------------------
 
-    /// Flips one byte inside *every* stored copy of a chunk so the next
-    /// load must report [`StoreError::CorruptChunk`].
+    /// Flips one byte inside *every* stored copy of a chunk of `image`
+    /// so the next load must report [`StoreError::CorruptChunk`] (no
+    /// replica can save it).
     #[doc(hidden)]
     pub fn corrupt_chunk(
         &self,
@@ -299,10 +1194,24 @@ impl StoreClient {
         chunk_index: usize,
         byte: usize,
     ) -> Result<(), StoreError> {
-        self.svc.borrow_mut().corrupt_chunk(image, chunk_index, byte)
+        let s = &mut *self.inner.borrow_mut();
+        let h = s.chunk_of(image, chunk_index)?;
+        let want = s.chunks[&h].want;
+        let n_shards = s.shards.len();
+        for r in 0..want {
+            let shard = &mut s.shards[shard_of(h, r, n_shards)];
+            if let Some(copy) = shard.backend.get(h, r) {
+                let mut damaged = copy.to_vec();
+                let i = byte % damaged.len();
+                damaged[i] ^= 0x01;
+                shard.backend.put(h, r, damaged.into());
+            }
+        }
+        Ok(())
     }
 
-    /// Flips one byte in the primary copy only, leaving replicas intact.
+    /// Flips one byte in the *primary* copy only, leaving replicas
+    /// intact (exercises transparent repair).
     #[doc(hidden)]
     pub fn corrupt_primary(
         &self,
@@ -310,7 +1219,16 @@ impl StoreClient {
         chunk_index: usize,
         byte: usize,
     ) -> Result<(), StoreError> {
-        self.svc.borrow_mut().corrupt_primary(image, chunk_index, byte)
+        let s = &mut *self.inner.borrow_mut();
+        let h = s.chunk_of(image, chunk_index)?;
+        let home = shard_of(h, 0, s.shards.len());
+        let shard = &mut s.shards[home];
+        let copy = shard.backend.get(h, 0).ok_or(StoreError::MissingChunk { image, chunk_index })?;
+        let mut damaged = copy.to_vec();
+        let i = byte % damaged.len();
+        damaged[i] ^= 0x01;
+        shard.backend.put(h, 0, damaged.into());
+        Ok(())
     }
 }
 
@@ -341,4 +1259,211 @@ impl Component for ShardWorker {
     }
 
     sim::component_boilerplate!();
+}
+
+/// Backend selection for [`StoreBuilder`].
+enum BackendChoice {
+    Mem,
+    /// Append-only segment logs over the given media handles (one per
+    /// shard); empty means fresh media per shard.
+    SegmentLog(Vec<SegmentMedia>),
+}
+
+/// Configures and builds a sharded store, returning the cheap-`Clone`
+/// [`StoreClient`] handle every caller goes through. Obtained via
+/// [`StoreClient::builder`]; in-memory backends unless a segment log is
+/// asked for.
+pub struct StoreBuilder {
+    chunk_size: usize,
+    shards: usize,
+    replication: usize,
+    backend: BackendChoice,
+    telemetry: Option<(Telemetry, u32)>,
+}
+
+impl Default for StoreBuilder {
+    fn default() -> Self {
+        StoreBuilder {
+            chunk_size: DEFAULT_CHUNK_SIZE,
+            shards: 1,
+            replication: 1,
+            backend: BackendChoice::Mem,
+            telemetry: None,
+        }
+    }
+}
+
+impl StoreBuilder {
+    pub fn chunk_size(mut self, bytes: usize) -> Self {
+        self.chunk_size = bytes;
+        self
+    }
+
+    /// Hash-partitioned shards the store runs (default 1).
+    pub fn shards(mut self, n: usize) -> Self {
+        self.shards = n;
+        self
+    }
+
+    /// Copies kept per chunk, spread across shards (default 1).
+    pub fn replication(mut self, copies: usize) -> Self {
+        self.replication = copies;
+        self
+    }
+
+    /// Fresh append-only segment-log backends, one per shard.
+    pub fn backend_segment_log(mut self) -> Self {
+        self.backend = BackendChoice::SegmentLog(Vec::new());
+        self
+    }
+
+    /// Segment-log backends reopened over existing media (one handle per
+    /// shard, in shard order) — the crash/restart path.
+    pub fn backend_segment_log_media(mut self, media: Vec<SegmentMedia>) -> Self {
+        self.backend = BackendChoice::SegmentLog(media);
+        self
+    }
+
+    /// Attaches telemetry at build: `ckptstore.*`/`storesvc.*` counters
+    /// plus one trace track per shard on `host`'s timeline.
+    pub fn telemetry(mut self, t: &Telemetry, host: u32) -> Self {
+        self.telemetry = Some((t.clone(), host));
+        self
+    }
+
+    /// Builds the store and hands back its client.
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid configuration or unreadable segment-log media;
+    /// use [`StoreBuilder::try_build`] for the typed error.
+    pub fn build(self) -> StoreClient {
+        self.try_build().expect("store media replay failed")
+    }
+
+    /// Builds, surfacing segment-log replay failures as
+    /// [`StoreError::Backend`].
+    pub fn try_build(self) -> Result<StoreClient, StoreError> {
+        assert!(self.chunk_size > 0, "zero chunk size");
+        assert!(self.shards > 0, "store needs at least one shard");
+        check_replication(self.replication);
+        let backends: Vec<Box<dyn ChunkBackend>> = match self.backend {
+            BackendChoice::Mem => {
+                (0..self.shards).map(|_| Box::new(MemBackend::new()) as Box<dyn ChunkBackend>).collect()
+            }
+            BackendChoice::SegmentLog(media) => {
+                if media.is_empty() {
+                    (0..self.shards)
+                        .map(|_| Box::new(SegmentLogBackend::new()) as Box<dyn ChunkBackend>)
+                        .collect()
+                } else {
+                    assert_eq!(media.len(), self.shards, "one media handle per shard");
+                    media
+                        .into_iter()
+                        .map(|m| {
+                            SegmentLogBackend::open(m).map(|b| Box::new(b) as Box<dyn ChunkBackend>)
+                        })
+                        .collect::<Result<_, _>>()?
+                }
+            }
+        };
+        let state = State {
+            chunk_size: self.chunk_size,
+            replication: self.replication,
+            shards: backends.into_iter().map(|backend| Shard { backend, free_at_ns: 0 }).collect(),
+            chunks: IntMap::default(),
+            images: HashMap::new(),
+            next_image: 0,
+            physical_bytes: 0,
+            repair_q: VecDeque::new(),
+            queued: HashSet::new(),
+            repair_stats: RepairStats::default(),
+            repaired: 0,
+            write_faults: None,
+            tele: self.telemetry.map(|(t, host)| StoreTele::new(&t, host, self.shards)),
+            buggify: Buggify::disabled(),
+            get_penalty_ns: 0,
+        };
+        Ok(StoreClient { inner: Rc::new(RefCell::new(state)) })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hash::tests::block_record;
+    use std::collections::BTreeMap;
+
+    /// The chunk table is hashed; the repair queue must still fill in the
+    /// order a walk of it as a `BTreeMap` gives, which is what it did when
+    /// it was one.
+    #[test]
+    fn scans_enqueue_repairs_in_ascending_hash_order() {
+        let store = StoreClient::builder().chunk_size(64).shards(3).build();
+        store.inject_write_faults(0xBAD, 300_000);
+        let image: Vec<u8> = (0..400u32)
+            .flat_map(|i| {
+                let mut chunk = [0u8; 64];
+                chunk[..4].copy_from_slice(&i.to_le_bytes());
+                chunk
+            })
+            .collect();
+        store.put_image(&image);
+
+        let s = store.inner.borrow();
+        let walk: BTreeMap<ChunkHash, u8> = s.chunks.iter().map(|(&h, m)| (h, m.want)).collect();
+        let mut want = Vec::new();
+        for (&h, &copies) in &walk {
+            for r in 0..copies {
+                let copy = s.shards[shard_of(h, r, 3)].backend.get(h, r);
+                if copy.is_none_or(|c| chunk_hash(&c) != h) {
+                    want.push(RepairTask { hash: h, copy: r });
+                }
+            }
+        }
+        drop(s);
+        assert!(want.len() > 50, "write faults damaged {} of 400 primaries", want.len());
+        assert_eq!(store.schedule_scrub(), want.len() as u64);
+        assert_eq!(store.pending_repairs(), want, "scrub order");
+
+        store.set_replication(3);
+        for (&h, &copies) in &walk {
+            want.extend((copies..3).map(|copy| RepairTask { hash: h, copy }));
+        }
+        assert_eq!(store.schedule_redundancy_rebuild(), walk.len() as u64);
+        assert_eq!(store.pending_repairs(), want, "rebuild order, behind the scrub's");
+    }
+
+    /// Placement over the addresses of 10,000 block records: every shard
+    /// gets its fair share to within 5 %, and the copies of a chunk land on
+    /// as many distinct shards as there are copies.
+    #[test]
+    fn placement_is_balanced_and_copies_are_spread() {
+        let mut rec = [0u8; 4096];
+        let hashes: Vec<ChunkHash> = (0..10_000u64)
+            .map(|fp| {
+                block_record(fp, &mut rec);
+                chunk_hash(&rec)
+            })
+            .collect();
+        for n in [2, 3, 4, 8] {
+            let mut load = vec![0usize; n];
+            for &h in &hashes {
+                load[shard_of(h, 0, n)] += 1;
+            }
+            let fair = hashes.len() as f64 / n as f64;
+            for (s, &got) in load.iter().enumerate() {
+                let off = (got as f64 - fair).abs() / fair;
+                assert!(off <= 0.05, "{n} shards: shard {s} got {got}, fair share {fair:.0}");
+            }
+            for r in 1..=n.min(4) as u8 {
+                for &h in &hashes {
+                    let mut homes: Vec<usize> = (0..r).map(|c| shard_of(h, c, n)).collect();
+                    homes.sort_unstable();
+                    homes.dedup();
+                    assert_eq!(homes.len(), r as usize, "{r} copies on {n} shards share a shard");
+                }
+            }
+        }
+    }
 }

@@ -17,7 +17,7 @@ pub const IMAGE_FORMAT_VERSION: u16 = 1;
 
 /// Size of an encoder segment: the store's default chunk size, so a store
 /// running at that size adopts an encoder's segments as its chunks.
-pub const SEGMENT_SIZE: usize = crate::service::DEFAULT_CHUNK_SIZE;
+pub const SEGMENT_SIZE: usize = crate::client::DEFAULT_CHUNK_SIZE;
 
 /// Byte-stream encoder. All integers are little-endian.
 ///

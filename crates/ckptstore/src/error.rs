@@ -7,7 +7,7 @@ use std::fmt;
 
 use crate::codec::DecodeError;
 use crate::hash::ChunkHash;
-use crate::service::ImageId;
+use crate::client::ImageId;
 
 /// Typed store failure. Restores never panic on bad data: a hash
 /// mismatch surfaces as [`StoreError::CorruptChunk`].

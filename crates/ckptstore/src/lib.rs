@@ -1,5 +1,5 @@
-//! Content-addressed, deduplicated checkpoint image store — now a
-//! sharded, replicated service behind a client handle.
+//! Content-addressed, deduplicated checkpoint image store: sharded,
+//! replicated, and reached through one cheap-`Clone` type, [`StoreClient`].
 //!
 //! Checkpoint state (guest kernels, COW deltas, delay-node queues) is
 //! serialized by the owning crates into a *self-describing binary image*
@@ -13,19 +13,18 @@
 //! storage, and the mechanism behind the dedup ratios `tab_imgstore`
 //! reports.
 //!
-//! # Service architecture (DESIGN.md §10)
+//! # Store architecture (DESIGN.md §10)
 //!
-//! Storage runs as a service of N hash-partitioned shards — FNV-1a over
-//! the chunk's content hash picks the home shard ([`shard_of`]), replica
-//! copy `r` strides to `(home + r) % N` — each shard wrapping one
-//! pluggable [`ChunkBackend`] ([`MemBackend`] or the append-only
+//! Storage is N hash-partitioned shards — FNV-1a over the chunk's
+//! content hash picks the home shard ([`shard_of`]), replica copy `r`
+//! strides to `(home + r) % N` — each shard wrapping one pluggable
+//! [`ChunkBackend`] ([`MemBackend`] or the append-only
 //! [`SegmentLogBackend`] that rebuilds its index from [`SegmentMedia`] on
-//! open). The service itself is private: all access goes through the
-//! cheap-`Clone` [`StoreClient`] handle built by
-//! [`StoreClient::builder`]; puts fan chunk batches out to shards with
-//! R-copy replication and quorum-ack commit, and copies that fail past
-//! the quorum land on a gossip repair queue drained by per-shard
-//! [`ShardWorker`] components on the sim engine.
+//! open). Every operation is a method of the [`StoreClient`] handle built
+//! by [`StoreClient::builder`]; its state is private. Puts fan chunk
+//! batches out to shards with R-copy replication and quorum-ack commit,
+//! and copies that fail past the quorum land on a gossip repair queue
+//! drained by per-shard [`ShardWorker`] components on the sim engine.
 //!
 //! # Image format
 //!
@@ -83,19 +82,17 @@ mod client;
 mod codec;
 mod error;
 mod hash;
-mod service;
 
 pub use backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
-pub use client::{ShardWorker, StoreClient};
+pub use client::{
+    shard_of, CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, ShardWorker,
+    StoreBuilder, StoreClient, TimedPut, DEFAULT_CHUNK_SIZE, MAX_REPLICATION,
+};
 pub use codec::{Dec, DecodeError, Enc, IMAGE_FORMAT_VERSION, IMAGE_MAGIC, SEGMENT_SIZE};
 pub use error::StoreError;
 pub use hash::{chunk_hash, ChunkHash};
-pub use service::{
-    shard_of, CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, StoreBuilder,
-    TimedPut, DEFAULT_CHUNK_SIZE, MAX_REPLICATION,
-};
 
-/// The client handle under its pre-service name. Exists only because
-/// `benchmark/` calls `ChunkStore::builder()` and may not change in the
-/// PR that removed the facade; in-tree code says [`StoreClient`].
+/// The store under its older name. Exists only because `benchmark/`
+/// calls `ChunkStore::builder()` and changes only with the benchmark;
+/// in-tree code says [`StoreClient`].
 pub type ChunkStore = StoreClient;

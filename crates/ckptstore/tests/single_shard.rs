@@ -185,8 +185,7 @@ fn rebuild_skips_chunks_with_no_intact_copy() {
 #[test]
 fn telemetry_counts_dedup_repairs_and_rebuilds() {
     let t = Telemetry::new();
-    let s = store64();
-    s.attach_telemetry(&t, 0);
+    let s = StoreClient::builder().chunk_size(64).telemetry(&t, 0).build();
     let img = image_with(|i| (i / 64) as u8, 64 * 4);
     let r = s.put_image(&img).image;
     s.put_image(&img); // fully deduplicated second copy
@@ -278,8 +277,7 @@ fn cached_put_never_caches_fault_damaged_bytes() {
 #[test]
 fn telemetry_counts_hash_cache_traffic() {
     let t = Telemetry::new();
-    let s = store64();
-    s.attach_telemetry(&t, 0);
+    let s = StoreClient::builder().chunk_size(64).telemetry(&t, 0).build();
     let mut cache = CaptureCache::new();
     let img = image_with(|i| (i / 64) as u8, 64 * 4);
     s.put_image_cached(&img, &mut cache);

@@ -347,6 +347,21 @@ pub struct Coordinator {
     tele: Option<CoordTele>,
 }
 
+/// (committed, aborted, degraded) counts over `records`; an epoch still
+/// in flight counts as none of them.
+fn tally_outcomes<'a>(records: impl IntoIterator<Item = &'a EpochRecord>) -> (u64, u64, u64) {
+    let mut counts = (0, 0, 0);
+    for r in records {
+        match r.outcome {
+            Some(EpochOutcome::Committed) => counts.0 += 1,
+            Some(EpochOutcome::Aborted) => counts.1 += 1,
+            Some(EpochOutcome::Degraded) => counts.2 += 1,
+            None => {}
+        }
+    }
+    counts
+}
+
 impl Coordinator {
     /// Starts a [`CoordinatorBuilder`] with defaults: a perfect reference
     /// clock, scheduled triggering with a 200 ms lead, the default
@@ -554,30 +569,12 @@ impl Coordinator {
 
     /// (committed, aborted, degraded) epoch counts.
     pub fn outcome_counts(&self) -> (u64, u64, u64) {
-        let mut counts = (0, 0, 0);
-        for r in &self.records {
-            match r.outcome {
-                Some(EpochOutcome::Committed) => counts.0 += 1,
-                Some(EpochOutcome::Aborted) => counts.1 += 1,
-                Some(EpochOutcome::Degraded) => counts.2 += 1,
-                None => {}
-            }
-        }
-        counts
+        tally_outcomes(&self.records)
     }
 
     /// (committed, aborted, degraded) epoch counts for one group.
     pub fn outcome_counts_in(&self, group: GroupId) -> (u64, u64, u64) {
-        let mut counts = (0, 0, 0);
-        for r in self.records.iter().filter(|r| r.group == group) {
-            match r.outcome {
-                Some(EpochOutcome::Committed) => counts.0 += 1,
-                Some(EpochOutcome::Aborted) => counts.1 += 1,
-                Some(EpochOutcome::Degraded) => counts.2 += 1,
-                None => {}
-            }
-        }
-        counts
+        tally_outcomes(self.records.iter().filter(|r| r.group == group))
     }
 
     /// Total notification retries across all epochs.

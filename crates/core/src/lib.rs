@@ -51,4 +51,4 @@ pub use delaynode::{splice_shaped_link, DelayNodeHost, DelayNodeStats};
 pub use participant::{NodeHooks, Participant};
 pub use scalenode::{ScaleMsg, ScaleNode, GOSSIP_PERIOD};
 pub use shadow::{ShadowEpochState, ShadowOutcome, ShadowViolation};
-pub use wal::{MemWalStore, Wal, WalRecord, WalStore};
+pub use wal::{Wal, WalRecord};

@@ -12,10 +12,9 @@
 //!
 //! Records are encoded with the same hand-rolled [`Enc`]/[`Dec`] codec
 //! the checkpoint image store uses, one tagged frame per record, so a
-//! log survives byte-identically across same-seed runs. The backing
-//! store is pluggable behind [`WalStore`] (the same split `ckptstore`
-//! makes with its `ChunkBackend` trait — in-mem plus an append-only
-//! segment log); the in-sim default is [`MemWalStore`].
+//! log survives byte-identically across same-seed runs. The log itself
+//! is an in-memory, append-only list of frames behind the cheap-clone
+//! [`Wal`] handle, which outlives the coordinator it is lent to.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -301,85 +300,30 @@ impl WalRecord {
     }
 }
 
-/// Pluggable durable backing for the epoch WAL. The store survives the
-/// coordinator process; in the simulation that means it lives outside
-/// the component and is reattached at restart.
-pub trait WalStore {
-    /// Appends one encoded record frame.
-    fn append(&mut self, frame: Vec<u8>);
-    /// All frames, in append order.
-    fn frames(&self) -> Vec<Vec<u8>>;
-    /// Number of appended frames.
-    fn len(&self) -> usize;
-    /// True when no frame was ever appended.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Total encoded bytes (for stats and experiments).
-    fn byte_len(&self) -> usize;
-    /// Discards all frames (experiment teardown).
-    fn clear(&mut self);
-}
-
-/// The in-sim durable store: an append-only vector of frames.
-#[derive(Default, Debug)]
-pub struct MemWalStore {
-    frames: Vec<Vec<u8>>,
-    bytes: usize,
-}
-
-impl WalStore for MemWalStore {
-    fn append(&mut self, frame: Vec<u8>) {
-        self.bytes += frame.len();
-        self.frames.push(frame);
-    }
-
-    fn frames(&self) -> Vec<Vec<u8>> {
-        self.frames.clone()
-    }
-
-    fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    fn byte_len(&self) -> usize {
-        self.bytes
-    }
-
-    fn clear(&mut self) {
-        self.frames.clear();
-        self.bytes = 0;
-    }
-}
-
-/// Cheap-clone handle to a [`WalStore`], mirroring the `Buggify` and
+/// Cheap-clone handle to the epoch log, mirroring the `Buggify` and
 /// `Telemetry` handle idiom: the testbed owns one, the coordinator holds
 /// a clone, and the log therefore survives a coordinator crash/restart.
 /// The handle is `Send` so a coordinator can run on a shard of the
 /// sharded engine; nothing contends for the lock.
 #[derive(Clone)]
 pub struct Wal {
-    store: Arc<Mutex<dyn WalStore + Send>>,
+    /// The encoded records, one frame each, in append order.
+    frames: Arc<Mutex<Vec<Vec<u8>>>>,
 }
 
 impl Wal {
-    /// A WAL over the in-sim memory store.
+    /// An empty in-memory log.
     pub fn in_memory() -> Self {
-        Wal::with_store(MemWalStore::default())
+        Wal { frames: Arc::default() }
     }
 
-    /// A WAL over a caller-provided store.
-    pub fn with_store<S: WalStore + Send + 'static>(store: S) -> Self {
-        Wal { store: Arc::new(Mutex::new(store)) }
-    }
-
-    fn store(&self) -> MutexGuard<'_, dyn WalStore + Send + 'static> {
-        self.store.lock().expect("wal lock poisoned")
+    fn frames(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.frames.lock().expect("wal lock poisoned")
     }
 
     /// Appends one record.
     pub fn append(&self, rec: &WalRecord) {
-        self.store().append(rec.encode());
+        self.frames().push(rec.encode());
     }
 
     /// Decodes the whole log, in append order.
@@ -389,8 +333,7 @@ impl Wal {
     /// Panics on a corrupt frame: the WAL is the recovery source of
     /// truth, and in the simulation a decode failure is always a bug.
     pub fn replay(&self) -> Vec<WalRecord> {
-        self.store()
-            .frames()
+        self.frames()
             .iter()
             .map(|f| WalRecord::decode(f).expect("corrupt wal frame"))
             .collect()
@@ -398,31 +341,30 @@ impl Wal {
 
     /// Number of records appended.
     pub fn len(&self) -> usize {
-        self.store().len()
+        self.frames().len()
     }
 
     /// True when nothing was ever appended.
     pub fn is_empty(&self) -> bool {
-        self.store().is_empty()
+        self.frames().is_empty()
     }
 
     /// Total encoded bytes.
     pub fn byte_len(&self) -> usize {
-        self.store().byte_len()
+        self.frames().iter().map(Vec::len).sum()
     }
 
     /// Discards the log (experiment teardown).
     pub fn clear(&self) {
-        self.store().clear();
+        self.frames().clear();
     }
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.store();
         f.debug_struct("Wal")
-            .field("records", &s.len())
-            .field("bytes", &s.byte_len())
+            .field("records", &self.len())
+            .field("bytes", &self.byte_len())
             .finish()
     }
 }

@@ -30,7 +30,7 @@ use hwsim::NodeAddr;
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::telemetry::names;
-use sim::{SimDuration, SimTime};
+use sim::SimDuration;
 use vmm::{DomainImage, MirrorConfig, RxLog, VmHost};
 
 use crate::errors::SwapError;
@@ -53,12 +53,8 @@ pub struct NodeState {
     /// Unserializable guest residue (programs, app messages) riding
     /// beside the byte image.
     pub residue: GuestResidue,
-    /// Guest memory size (restore-time sizing).
-    pub mem_bytes: u64,
     /// Aggregated delta after the offline merge.
     pub aggregate: DeltaMap,
-    /// Blocks the free-block snoop eliminated at this swap-out.
-    pub eliminated_blocks: u64,
     /// In-flight packets logged during the suspension (§3.2), as offsets
     /// from the freeze; replayed after the swap-in resume.
     pub rx_log: RxLog,
@@ -74,8 +70,6 @@ pub struct SwappedExperiment {
     pub delay_node_logs: Vec<PipeLog>,
     /// Delay-node control addresses (stable across swaps).
     pub delay_node_addrs: Vec<NodeAddr>,
-    /// Guest time at which the experiment was suspended.
-    pub swapped_out_at: SimTime,
 }
 
 impl SwappedExperiment {
@@ -215,17 +209,7 @@ impl Testbed {
         let mut stalled = 0;
         for _ in 0..600 {
             self.run_for(SimDuration::from_millis(500));
-            let max_left = node_hosts
-                .iter()
-                .map(|&(_, h)| {
-                    self.engine
-                        .component_ref::<VmHost>(h)
-                        .expect("host")
-                        .mirror_remaining()
-                        .unwrap_or(0) as u64
-                })
-                .max()
-                .unwrap_or(0);
+            let max_left = self.max_mirror_remaining(&node_hosts);
             if max_left < 256 {
                 break;
             }
@@ -247,18 +231,7 @@ impl Testbed {
         // Phase 3: drain the residual pre-copy (guest is frozen: nothing
         // dirties), then move the remainder + memory images.
         for _ in 0..600 {
-            let max_left = node_hosts
-                .iter()
-                .map(|&(_, h)| {
-                    self.engine
-                        .component_ref::<VmHost>(h)
-                        .expect("host")
-                        .mirror_remaining()
-                        .unwrap_or(0)
-                })
-                .max()
-                .unwrap_or(0);
-            if max_left == 0 {
+            if self.max_mirror_remaining(&node_hosts) == 0 {
                 break;
             }
             self.run_for(SimDuration::from_millis(500));
@@ -342,9 +315,7 @@ impl Testbed {
                 addr: *addr,
                 image_id: put.image,
                 residue,
-                mem_bytes: image.mem_bytes,
                 aggregate: merged,
-                eliminated_blocks: eliminated,
                 rx_log,
             });
         }
@@ -377,7 +348,6 @@ impl Testbed {
             delay_nodes: dn_images,
             delay_node_logs: dn_logs,
             delay_node_addrs: dn_addrs,
-            swapped_out_at: self.now(),
         };
         self.store_swapped(name.to_string(), swapped);
 
@@ -400,6 +370,19 @@ impl Testbed {
 
     /// Loads and decodes `sw`'s preserved state — every chunk re-hashed —
     /// into the frozen world a stateful swap-in installs.
+    /// The largest block count any of `hosts` still has to mirror (zero
+    /// once every mirror has drained or none is attached).
+    fn max_mirror_remaining(&self, hosts: &[(String, sim::ComponentId)]) -> u64 {
+        hosts
+            .iter()
+            .map(|&(_, h)| {
+                let host = self.engine.component_ref::<VmHost>(h).expect("host");
+                host.mirror_remaining().unwrap_or(0) as u64
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     pub(crate) fn decode_swapped(
         &self,
         spec: &ExperimentSpec,
