@@ -5,7 +5,7 @@
 //! every subsystem — testbed file server, swap, time travel, benches —
 //! holds by value. Behind it sit N hash-partitioned shards (FNV-1a over
 //! the chunk's content hash picks the home shard; replication copy `r`
-//! lands on `(home + r) % N`), each wrapping one [`ChunkBackend`]. Every
+//! lands on `(home + r) % N`), each holding its copies in memory. Every
 //! operation is a `&self` method on the handle that borrows the state for
 //! its own duration; the store is single-threaded under the sim engine,
 //! so the borrows are short and never nest. Shard repair pumps run as
@@ -46,7 +46,6 @@ use sim::{
     SimDuration, SimTime, Telemetry, TraceTag, TrackId,
 };
 
-use crate::backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
 use crate::error::StoreError;
 use crate::hash::{chunk_hash, splitmix64, ChunkHash};
 
@@ -327,11 +326,43 @@ impl StoreTele {
     }
 }
 
+/// One shard: the copies placed on it, keyed by `(content hash, copy
+/// index)` — copy 0 is the primary, higher indices are replication
+/// copies — and its pipeline clock.
+#[derive(Default)]
 struct Shard {
-    backend: Box<dyn ChunkBackend>,
+    copies: IntMap<(u128, u8), Arc<[u8]>>,
+    /// Payload bytes across the live copies.
+    bytes: u64,
     /// Virtual pipeline clock: when this shard finishes its last
     /// accepted batch. Timed puts queue behind it.
     free_at_ns: u64,
+}
+
+impl Shard {
+    /// Stores one copy's payload, replacing any it held (repair heals in
+    /// place).
+    fn put(&mut self, hash: ChunkHash, copy: u8, data: Arc<[u8]>) {
+        self.bytes += data.len() as u64;
+        if let Some(old) = self.copies.insert((hash.0, copy), data) {
+            self.bytes -= old.len() as u64;
+        }
+    }
+
+    fn get(&self, hash: ChunkHash, copy: u8) -> Option<Arc<[u8]>> {
+        self.copies.get(&(hash.0, copy)).cloned()
+    }
+
+    /// Drops one copy. Returns whether it was present.
+    fn remove(&mut self, hash: ChunkHash, copy: u8) -> bool {
+        match self.copies.remove(&(hash.0, copy)) {
+            Some(old) => {
+                self.bytes -= old.len() as u64;
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// Majority quorum over `copies`: the durable copies a put waits for.
@@ -456,7 +487,7 @@ impl State {
                 // Primary write is synchronous and always durable.
                 let mut placements = [0u8; MAX_REPLICATION];
                 let home = shard_of(h, 0, n_shards);
-                self.shards[home].backend.put(h, 0, primary);
+                self.shards[home].put(h, 0, primary);
                 placements[0] = home as u8;
                 let mut written = 1usize;
                 batch_bytes[home] += len;
@@ -473,7 +504,7 @@ impl State {
                         continue;
                     }
                     let s = shard_of(h, r, n_shards);
-                    self.shards[s].backend.put(h, r, clean.clone());
+                    self.shards[s].put(h, r, clean.clone());
                     placements[written] = s as u8;
                     written += 1;
                     replica_acks += 1;
@@ -484,7 +515,7 @@ impl State {
                 while written < quorum.min(want as usize) {
                     let r = failed.pop_front().expect("quorum <= want copies");
                     let s = shard_of(h, r, n_shards);
-                    self.shards[s].backend.put(h, r, clean.clone());
+                    self.shards[s].put(h, r, clean.clone());
                     placements[written] = s as u8;
                     written += 1;
                     replica_acks += 1;
@@ -626,7 +657,7 @@ impl State {
         let Some(meta) = self.chunks.get(&task.hash) else { return TaskOutcome::DeadChunk };
         let want = meta.want;
         // Already intact (a later put or an earlier pump beat us)?
-        let existing = self.shards[dest].backend.get(task.hash, task.copy);
+        let existing = self.shards[dest].get(task.hash, task.copy);
         let was_present = existing.is_some();
         if let Some(copy) = &existing {
             if chunk_hash(copy) == task.hash {
@@ -640,7 +671,7 @@ impl State {
                 continue;
             }
             if let Some(copy) =
-                self.shards[shard_of(task.hash, r, n_shards)].backend.get(task.hash, r)
+                self.shards[shard_of(task.hash, r, n_shards)].get(task.hash, r)
             {
                 if chunk_hash(&copy) == task.hash {
                     source = Some(copy);
@@ -649,7 +680,7 @@ impl State {
             }
         }
         let Some(clean) = source else { return TaskOutcome::Hopeless };
-        self.shards[dest].backend.put(task.hash, task.copy, clean);
+        self.shards[dest].put(task.hash, task.copy, clean);
         self.repair_stats.repaired_write(was_present);
         if let Some(t) = &self.tele {
             t.t.inc(t.repairs_done);
@@ -913,7 +944,7 @@ impl StoreClient {
             let mut served: Option<(u8, Arc<[u8]>)> = None;
             let mut primary_actual: Option<ChunkHash> = None;
             for r in 0..meta.want {
-                let copy = s.shards[shard_of(*h, r, n_shards)].backend.get(*h, r);
+                let copy = s.shards[shard_of(*h, r, n_shards)].get(*h, r);
                 let Some(copy) = copy else {
                     if r == 0 {
                         return Err(StoreError::MissingChunk { image: id, chunk_index: i });
@@ -982,7 +1013,7 @@ impl StoreClient {
                 s.physical_bytes -= u64::from(meta.len);
                 s.chunks.remove(h);
                 for r in 0..want {
-                    s.shards[shard_of(*h, r, n_shards)].backend.remove(*h, r);
+                    s.shards[shard_of(*h, r, n_shards)].remove(*h, r);
                     s.queued.remove(&(h.0, r));
                 }
             }
@@ -1021,7 +1052,7 @@ impl StoreClient {
     /// Bytes held in replica copies beyond the primaries.
     pub fn replica_bytes(&self) -> u64 {
         let s = self.inner.borrow();
-        let total: u64 = s.shards.iter().map(|s| s.backend.payload_bytes()).sum();
+        let total: u64 = s.shards.iter().map(|s| s.bytes).sum();
         total - s.physical_bytes
     }
 
@@ -1058,7 +1089,7 @@ impl StoreClient {
         let mut tasks: Vec<RepairTask> = Vec::new();
         for h in s.sorted_hashes() {
             for r in 0..s.chunks[&h].want {
-                let ok = match s.shards[shard_of(h, r, n_shards)].backend.get(h, r) {
+                let ok = match s.shards[shard_of(h, r, n_shards)].get(h, r) {
                     Some(copy) => chunk_hash(&copy) == h,
                     None => false,
                 };
@@ -1200,11 +1231,11 @@ impl StoreClient {
         let n_shards = s.shards.len();
         for r in 0..want {
             let shard = &mut s.shards[shard_of(h, r, n_shards)];
-            if let Some(copy) = shard.backend.get(h, r) {
+            if let Some(copy) = shard.get(h, r) {
                 let mut damaged = copy.to_vec();
                 let i = byte % damaged.len();
                 damaged[i] ^= 0x01;
-                shard.backend.put(h, r, damaged.into());
+                shard.put(h, r, damaged.into());
             }
         }
         Ok(())
@@ -1223,11 +1254,11 @@ impl StoreClient {
         let h = s.chunk_of(image, chunk_index)?;
         let home = shard_of(h, 0, s.shards.len());
         let shard = &mut s.shards[home];
-        let copy = shard.backend.get(h, 0).ok_or(StoreError::MissingChunk { image, chunk_index })?;
+        let copy = shard.get(h, 0).ok_or(StoreError::MissingChunk { image, chunk_index })?;
         let mut damaged = copy.to_vec();
         let i = byte % damaged.len();
         damaged[i] ^= 0x01;
-        shard.backend.put(h, 0, damaged.into());
+        shard.put(h, 0, damaged.into());
         Ok(())
     }
 }
@@ -1261,23 +1292,13 @@ impl Component for ShardWorker {
     sim::component_boilerplate!();
 }
 
-/// Backend selection for [`StoreBuilder`].
-enum BackendChoice {
-    Mem,
-    /// Append-only segment logs over the given media handles (one per
-    /// shard); empty means fresh media per shard.
-    SegmentLog(Vec<SegmentMedia>),
-}
-
 /// Configures and builds a sharded store, returning the cheap-`Clone`
 /// [`StoreClient`] handle every caller goes through. Obtained via
-/// [`StoreClient::builder`]; in-memory backends unless a segment log is
-/// asked for.
+/// [`StoreClient::builder`].
 pub struct StoreBuilder {
     chunk_size: usize,
     shards: usize,
     replication: usize,
-    backend: BackendChoice,
     telemetry: Option<(Telemetry, u32)>,
 }
 
@@ -1287,7 +1308,6 @@ impl Default for StoreBuilder {
             chunk_size: DEFAULT_CHUNK_SIZE,
             shards: 1,
             replication: 1,
-            backend: BackendChoice::Mem,
             telemetry: None,
         }
     }
@@ -1311,19 +1331,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Fresh append-only segment-log backends, one per shard.
-    pub fn backend_segment_log(mut self) -> Self {
-        self.backend = BackendChoice::SegmentLog(Vec::new());
-        self
-    }
-
-    /// Segment-log backends reopened over existing media (one handle per
-    /// shard, in shard order) — the crash/restart path.
-    pub fn backend_segment_log_media(mut self, media: Vec<SegmentMedia>) -> Self {
-        self.backend = BackendChoice::SegmentLog(media);
-        self
-    }
-
     /// Attaches telemetry at build: `ckptstore.*`/`storesvc.*` counters
     /// plus one trace track per shard on `host`'s timeline.
     pub fn telemetry(mut self, t: &Telemetry, host: u32) -> Self {
@@ -1335,42 +1342,16 @@ impl StoreBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on invalid configuration or unreadable segment-log media;
-    /// use [`StoreBuilder::try_build`] for the typed error.
+    /// Panics on a zero chunk size or shard count, or a replication
+    /// outside `1..=MAX_REPLICATION`.
     pub fn build(self) -> StoreClient {
-        self.try_build().expect("store media replay failed")
-    }
-
-    /// Builds, surfacing segment-log replay failures as
-    /// [`StoreError::Backend`].
-    pub fn try_build(self) -> Result<StoreClient, StoreError> {
         assert!(self.chunk_size > 0, "zero chunk size");
         assert!(self.shards > 0, "store needs at least one shard");
         check_replication(self.replication);
-        let backends: Vec<Box<dyn ChunkBackend>> = match self.backend {
-            BackendChoice::Mem => {
-                (0..self.shards).map(|_| Box::new(MemBackend::new()) as Box<dyn ChunkBackend>).collect()
-            }
-            BackendChoice::SegmentLog(media) => {
-                if media.is_empty() {
-                    (0..self.shards)
-                        .map(|_| Box::new(SegmentLogBackend::new()) as Box<dyn ChunkBackend>)
-                        .collect()
-                } else {
-                    assert_eq!(media.len(), self.shards, "one media handle per shard");
-                    media
-                        .into_iter()
-                        .map(|m| {
-                            SegmentLogBackend::open(m).map(|b| Box::new(b) as Box<dyn ChunkBackend>)
-                        })
-                        .collect::<Result<_, _>>()?
-                }
-            }
-        };
         let state = State {
             chunk_size: self.chunk_size,
             replication: self.replication,
-            shards: backends.into_iter().map(|backend| Shard { backend, free_at_ns: 0 }).collect(),
+            shards: (0..self.shards).map(|_| Shard::default()).collect(),
             chunks: IntMap::default(),
             images: HashMap::new(),
             next_image: 0,
@@ -1384,7 +1365,7 @@ impl StoreBuilder {
             buggify: Buggify::disabled(),
             get_penalty_ns: 0,
         };
-        Ok(StoreClient { inner: Rc::new(RefCell::new(state)) })
+        StoreClient { inner: Rc::new(RefCell::new(state)) }
     }
 }
 
@@ -1415,7 +1396,7 @@ mod tests {
         let mut want = Vec::new();
         for (&h, &copies) in &walk {
             for r in 0..copies {
-                let copy = s.shards[shard_of(h, r, 3)].backend.get(h, r);
+                let copy = s.shards[shard_of(h, r, 3)].get(h, r);
                 if copy.is_none_or(|c| chunk_hash(&c) != h) {
                     want.push(RepairTask { hash: h, copy: r });
                 }
@@ -1432,6 +1413,40 @@ mod tests {
         }
         assert_eq!(store.schedule_redundancy_rebuild(), walk.len() as u64);
         assert_eq!(store.pending_repairs(), want, "rebuild order, behind the scrub's");
+    }
+
+    /// A shard's copy table: a put replaces, removing an absent copy is
+    /// a no-op returning `false`, and the copy and byte counts follow.
+    #[test]
+    fn shard_copy_table_semantics() {
+        let payload = |tag: u8, len: usize| -> Arc<[u8]> {
+            (0..len).map(|i| tag ^ (i as u8)).collect::<Vec<_>>().into()
+        };
+        let mut shard = Shard::default();
+        let a = payload(1, 100);
+        let b = payload(2, 50);
+        let ha = chunk_hash(&a);
+        let hb = chunk_hash(&b);
+        shard.put(ha, 0, a.clone());
+        shard.put(ha, 1, a.clone());
+        shard.put(hb, 0, b.clone());
+        assert_eq!(shard.copies.len(), 3);
+        assert_eq!(shard.bytes, 250);
+        assert_eq!(shard.get(ha, 0).as_deref(), Some(a.as_ref()));
+        assert_eq!(shard.get(ha, 1).as_deref(), Some(a.as_ref()));
+        assert!(shard.get(hb, 0).is_some());
+        assert!(shard.get(hb, 1).is_none());
+
+        // Replace shrinks the accounting to the new payload.
+        shard.put(hb, 0, payload(3, 20));
+        assert_eq!(shard.bytes, 220);
+        assert_eq!(shard.copies.len(), 3);
+
+        assert!(shard.remove(ha, 1));
+        assert!(!shard.remove(ha, 1), "double remove is a no-op");
+        assert_eq!(shard.copies.len(), 2);
+        assert_eq!(shard.bytes, 120);
+        assert!(shard.get(ha, 1).is_none());
     }
 
     /// Placement over the addresses of 10,000 block records: every shard

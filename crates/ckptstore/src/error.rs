@@ -1,11 +1,10 @@
 //! The crate-wide typed error. Every fallible store surface — loads,
-//! removals, the corruption hooks, segment-log media replay — reports
-//! through [`StoreError`]; nothing in this crate returns a bare `bool`
-//! failure or panics on bad data.
+//! removals, the corruption hooks — reports through [`StoreError`];
+//! nothing in this crate returns a bare `bool` failure or panics on bad
+//! data.
 
 use std::fmt;
 
-use crate::codec::DecodeError;
 use crate::hash::ChunkHash;
 use crate::client::ImageId;
 
@@ -28,12 +27,6 @@ pub enum StoreError {
     /// A chunk index is outside an image's manifest, or the chunk has no
     /// payload to operate on (surfaced by the corruption hooks).
     NoSuchChunk { image: ImageId, chunk_index: usize },
-    /// A persistent backend's media failed to replay on open (torn or
-    /// corrupted record). Carries the decode failure as its source.
-    Backend {
-        backend: &'static str,
-        source: DecodeError,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -50,37 +43,16 @@ impl fmt::Display for StoreError {
             StoreError::NoSuchChunk { image, chunk_index } => {
                 write!(f, "no chunk {chunk_index} in {image:?}")
             }
-            StoreError::Backend { backend, source } => {
-                write!(f, "{backend} backend media replay failed: {source}")
-            }
         }
     }
 }
 
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StoreError::Backend { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for StoreError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::error::Error;
-
-    #[test]
-    fn backend_error_exposes_its_source() {
-        let e = StoreError::Backend {
-            backend: "segment-log",
-            source: DecodeError::UnexpectedEof { at: 3, want: 8 },
-        };
-        let src = e.source().expect("backend errors carry a source");
-        assert!(src.to_string().contains("unexpected end"));
-        assert!(e.to_string().contains("segment-log"));
-    }
 
     #[test]
     fn non_backend_errors_have_no_source() {

@@ -17,14 +17,13 @@
 //!
 //! Storage is N hash-partitioned shards — FNV-1a over the chunk's
 //! content hash picks the home shard ([`shard_of`]), replica copy `r`
-//! strides to `(home + r) % N` — each shard wrapping one pluggable
-//! [`ChunkBackend`] ([`MemBackend`] or the append-only
-//! [`SegmentLogBackend`] that rebuilds its index from [`SegmentMedia`] on
-//! open). Every operation is a method of the [`StoreClient`] handle built
-//! by [`StoreClient::builder`]; its state is private. Puts fan chunk
-//! batches out to shards with R-copy replication and quorum-ack commit,
-//! and copies that fail past the quorum land on a gossip repair queue
-//! drained by per-shard [`ShardWorker`] components on the sim engine.
+//! strides to `(home + r) % N` — each shard holding its copies in an
+//! in-memory table. Every operation is a method of the [`StoreClient`]
+//! handle built by [`StoreClient::builder`]; its state is private. Puts
+//! fan chunk batches out to shards with R-copy replication and quorum-ack
+//! commit, and copies that fail past the quorum land on a gossip repair
+//! queue drained by per-shard [`ShardWorker`] components on the sim
+//! engine.
 //!
 //! # Image format
 //!
@@ -77,13 +76,11 @@
 //! and releases chunks deterministically when the last reference drops
 //! (time-travel pruning).
 
-mod backend;
 mod client;
 mod codec;
 mod error;
 mod hash;
 
-pub use backend::{ChunkBackend, MemBackend, SegmentLogBackend, SegmentMedia};
 pub use client::{
     shard_of, CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, ShardWorker,
     StoreBuilder, StoreClient, TimedPut, DEFAULT_CHUNK_SIZE, MAX_REPLICATION,

@@ -1,15 +1,8 @@
-//! Integration properties of the sharded store service (DESIGN.md §10):
-//! same-seed runs are byte-identical end to end (shard assignment, put
-//! reports, commit instants, repair schedule), and the segment-log
-//! backend survives a crash/reopen with contents identical to the
-//! in-mem reference backend.
+//! Integration properties of the sharded store (DESIGN.md §10): same-seed
+//! runs are byte-identical end to end (shard assignment, put reports,
+//! commit instants, repair schedule).
 
-use std::sync::Arc;
-
-use ckptstore::{
-    chunk_hash, shard_of, ChunkBackend, MemBackend, PutReport, RepairStats,
-    SegmentLogBackend, SegmentMedia, StoreClient,
-};
+use ckptstore::{chunk_hash, shard_of, PutReport, RepairStats, StoreClient};
 use sim::buggify::{points, Buggify, Preset};
 use sim::{SimDuration, SimTime};
 
@@ -132,96 +125,4 @@ fn repair_workers_drain_identically_across_engines() {
     assert!(backlog_a > 0, "forced failures must enqueue repairs");
     assert_eq!(end_a, 0, "workers must drain the backlog");
     assert_eq!(stats_a.processed, stats_a.enqueued);
-}
-
-/// Drives the same randomized put/replace/remove churn through a
-/// segment-log backend and the in-mem reference, "crashes" (drops the
-/// backend, keeping only the media), reopens, and compares contents
-/// key by key.
-#[test]
-fn segment_log_reopen_matches_mem_backend() {
-    for case in 0..20u64 {
-        let mut g = Rng(0x5E6_106 + case);
-        let media = SegmentMedia::with_roll_bytes(4096);
-        let mut log = SegmentLogBackend::open(media.clone()).unwrap();
-        let mut mem = MemBackend::new();
-        let mut keys: Vec<(u128, u8)> = Vec::new();
-        for _ in 0..120 {
-            match g.next() % 3 {
-                0 | 1 => {
-                    let len = (g.next() % 300) as usize + 1;
-                    let data: Arc<[u8]> = (0..len).map(|_| g.next() as u8).collect();
-                    let hash = chunk_hash(&data);
-                    let copy = (g.next() % 3) as u8;
-                    log.put(hash, copy, Arc::clone(&data));
-                    mem.put(hash, copy, data);
-                    keys.push((hash.0, copy));
-                }
-                _ => {
-                    if !keys.is_empty() {
-                        let idx = (g.next() as usize) % keys.len();
-                        let (h, copy) = keys.swap_remove(idx);
-                        let hash = ckptstore::ChunkHash(h);
-                        assert_eq!(log.remove(hash, copy), mem.remove(hash, copy));
-                    }
-                }
-            }
-        }
-        drop(log); // crash: only the media survives
-
-        let reopened = SegmentLogBackend::open(media).unwrap();
-        assert_eq!(reopened.copy_count(), mem.copy_count(), "case {case}");
-        assert_eq!(reopened.payload_bytes(), mem.payload_bytes(), "case {case}");
-        for &(h, copy) in &keys {
-            let hash = ckptstore::ChunkHash(h);
-            assert_eq!(
-                reopened.get(hash, copy).as_deref(),
-                mem.get(hash, copy).as_deref(),
-                "case {case}: payload for ({h:#x}, {copy})"
-            );
-        }
-    }
-}
-
-/// The same service-level put history lands the same chunks whether the
-/// shards persist to memory or to segment logs, and a store rebuilt
-/// over the crashed media still holds every copy's bytes.
-#[test]
-fn service_over_segment_log_survives_reopen() {
-    let media: Vec<SegmentMedia> = (0..2).map(|_| SegmentMedia::new()).collect();
-    let seglog: StoreClient = StoreClient::builder()
-        .chunk_size(CHUNK)
-        .shards(2)
-        .replication(2)
-        .backend_segment_log_media(media.clone())
-        .build();
-    let mem: StoreClient =
-        StoreClient::builder().chunk_size(CHUNK).shards(2).replication(2).build();
-
-    let mut g = Rng(0xFEED);
-    let image: Vec<u8> = (0..CHUNK * 40).map(|_| g.next() as u8).collect();
-    let ra = seglog.put_image(&image);
-    let rb = mem.put_image(&image);
-    assert_eq!(ra, rb, "backend choice must not change the put report");
-    assert_eq!(seglog.load_image(ra.image).unwrap(), image);
-
-    // Crash the service; replay the media into bare backends and verify
-    // every copy of every chunk is still there, byte for byte.
-    drop(seglog);
-    let reopened: Vec<SegmentLogBackend> =
-        media.into_iter().map(|m| SegmentLogBackend::open(m).unwrap()).collect();
-    let total_copies: usize = reopened.iter().map(|b| b.copy_count()).sum();
-    assert_eq!(total_copies as u64, ra.chunks_total * 2, "every chunk must keep 2 copies");
-    for slice in image.chunks(CHUNK) {
-        let hash = chunk_hash(slice);
-        for copy in 0..2u8 {
-            let shard = shard_of(hash, copy, 2);
-            assert_eq!(
-                reopened[shard].get(hash, copy).as_deref(),
-                Some(slice),
-                "copy {copy} of chunk {:#x} lost across reopen",
-                hash.0
-            );
-        }
-    }
 }

@@ -50,12 +50,6 @@ impl RateLimiter {
         self.available_at
     }
 
-    /// Changes the rate (e.g. back off while the guest is I/O-active).
-    pub fn set_rate(&mut self, bps: u64) {
-        assert!(bps > 0, "zero-rate limiter");
-        self.bps = bps;
-    }
-
     /// Current rate, bits per second.
     pub fn bps(&self) -> u64 {
         self.bps
@@ -182,11 +176,6 @@ impl MirrorTransfer {
         }
         // If still queued and not yet copied, nothing to do: the queued
         // copy will pick up the new content.
-    }
-
-    /// Mutable access to the pacing knob.
-    pub fn limiter_mut(&mut self) -> &mut RateLimiter {
-        &mut self.limiter
     }
 
     /// Copy-out write hook: a block was (re)written. If it was already

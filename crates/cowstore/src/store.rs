@@ -310,26 +310,6 @@ impl BranchingStore {
         (data, done)
     }
 
-    /// Reads `n` consecutive blocks; returns contents and completion.
-    pub fn read_run(
-        &mut self,
-        now: SimTime,
-        vba: u64,
-        n: u64,
-        dq: &mut DiskQueue,
-        rng: &mut SimRng,
-    ) -> (Vec<BlockData>, SimTime) {
-        assert!(n > 0, "empty read run");
-        let mut out = Vec::with_capacity(n as usize);
-        let mut done = now;
-        for i in 0..n {
-            let (d, t) = self.read_block(now, vba + i, dq, rng);
-            out.push(d);
-            done = t;
-        }
-        (out, done)
-    }
-
     /// Writes one block with disk timing; returns completion.
     pub fn write_block(
         &mut self,
@@ -440,23 +420,6 @@ impl BranchingStore {
                 done
             }
         }
-    }
-
-    /// Writes `datas.len()` consecutive blocks starting at `vba`.
-    pub fn write_run(
-        &mut self,
-        now: SimTime,
-        vba: u64,
-        datas: Vec<BlockData>,
-        dq: &mut DiskQueue,
-        rng: &mut SimRng,
-    ) -> SimTime {
-        assert!(!datas.is_empty(), "empty write run");
-        let mut done = now;
-        for (i, d) in datas.into_iter().enumerate() {
-            done = self.write_block(now, vba + i as u64, d, dq, rng);
-        }
-        done
     }
 
     fn write_metadata(

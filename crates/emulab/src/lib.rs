@@ -5,8 +5,8 @@
 //!
 //! - [`ExperimentSpec`] / [`Testbed::swap_in`] — topology mapping with
 //!   automatic delay-node interposition, image distribution with
-//!   per-machine caches, control services (NTP, checkpoint bus, NFS with
-//!   timestamp transduction), and the program-event system;
+//!   per-machine caches, and control services (NTP, checkpoint bus, NFS
+//!   with timestamp transduction);
 //! - [`Testbed::checkpoint_once`] / periodic checkpoints — the coordinated
 //!   transparent checkpoint over every node and delay node;
 //! - [`Testbed::swap_out_stateful`] / [`Testbed::swap_in_stateful`] —

@@ -57,11 +57,6 @@ impl FileServer {
         self.dns.insert(host, addr);
     }
 
-    /// A file's server-side mtime (tests).
-    pub fn mtime_of(&self, file: u64) -> Option<u64> {
-        self.files.get(&file).map(|f| f.mtime_ns)
-    }
-
     fn serve(&mut self, now_ns: u64, req: CtrlReq) -> CtrlResp {
         self.requests += 1;
         match req {

@@ -3,8 +3,9 @@
 //! "To use the Emulab testbed, a user creates an experiment that defines
 //! the static and dynamic configuration of a network. The static part
 //! describes the devices in the network, the links between them, and the
-//! configuration of these elements" (§2). The dynamic part (scheduled
-//! program events) lives in [`crate::events`].
+//! configuration of these elements" (§2). The dynamic part — the programs
+//! a run starts — is started on a swapped-in experiment with
+//! [`Testbed::spawn`](crate::Testbed::spawn).
 
 use std::collections::HashSet;
 

@@ -126,14 +126,6 @@ impl TestbedTele {
     }
 }
 
-/// A scheduled program start (the Emulab event system, §2).
-struct ProgramEvent {
-    at: SimTime,
-    exp: String,
-    node: String,
-    prog: Box<dyn GuestProg>,
-}
-
 /// The testbed.
 ///
 /// # Examples
@@ -171,8 +163,6 @@ pub struct Testbed {
     /// `experiment:node`: chunks unchanged since the node's previous
     /// swap-out are re-admitted by cached hash instead of re-hashed.
     swap_caches: HashMap<String, CaptureCache>,
-    /// Pending scheduled program starts, sorted by time.
-    events: Vec<ProgramEvent>,
     /// The checkpointing strategy hosts and coordinator are wired for.
     strategy: Strategy,
     /// Control-path instrument ids (engine-owned registry).
@@ -252,7 +242,6 @@ impl Testbed {
             fs_uplink_free: SimTime::ZERO,
             fs_store,
             swap_caches: HashMap::new(),
-            events: Vec::new(),
             strategy,
             tele,
         }
@@ -303,15 +292,6 @@ impl Testbed {
     /// is cheap to clone; all access goes through it.
     pub fn fileserver_store(&self) -> &StoreClient {
         &self.fs_store
-    }
-
-    /// Spawns the store's per-shard repair workers on the engine, each
-    /// pumping its shard's gossip-repair backlog every `period`. Opt-in:
-    /// the workers re-post themselves forever, so only scenarios driven
-    /// by `run_until`/`run_for` should start them.
-    pub fn start_store_repair_workers(&mut self, period: SimDuration) {
-        let store = self.fs_store.clone();
-        store.spawn_repair_workers(&mut self.engine, period);
     }
 
     /// Stores a node's swap-out image — the encoder's segments, which the
@@ -373,11 +353,6 @@ impl Testbed {
             .unwrap_or_else(|| panic!("no group for experiment {exp}"))
     }
 
-    /// Registers an additional golden image.
-    pub fn add_image(&mut self, img: GoldenImage) {
-        self.images.insert(img.name().to_string(), Arc::new(img));
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.engine.now()
@@ -430,45 +405,15 @@ impl Testbed {
         self.pool.iter().filter(|m| !m.in_use).count()
     }
 
-    /// Runs the simulation for `d`, dispatching scheduled program events.
+    /// Runs the simulation for `d`.
     pub fn run_for(&mut self, d: SimDuration) {
         let target = self.engine.now() + d;
         self.run_until(target);
     }
 
-    /// Runs the simulation until `t`, dispatching scheduled program events.
+    /// Runs the simulation until `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        loop {
-            self.events.sort_by_key(|e| e.at);
-            let Some(next_at) = self.events.first().map(|e| e.at) else {
-                break;
-            };
-            if next_at > t {
-                break;
-            }
-            self.engine.run_until(next_at);
-            let ev = self.events.remove(0);
-            if let Some(exp) = self.experiments.get(&ev.exp) {
-                if let Some(n) = exp.nodes.iter().find(|n| n.name == ev.node) {
-                    let host = n.host;
-                    self.engine.with_component::<VmHost, _>(host, |h, _| {
-                        h.kernel_mut().spawn(ev.prog);
-                    });
-                }
-            }
-        }
         self.engine.run_until(t);
-    }
-
-    /// Schedules a program start on a node after `delay` (the event
-    /// system's `PROGRAM-AGENT start`).
-    pub fn spawn_at(&mut self, exp: &str, node: &str, delay: SimDuration, prog: Box<dyn GuestProg>) {
-        self.events.push(ProgramEvent {
-            at: self.engine.now() + delay,
-            exp: exp.to_string(),
-            node: node.to_string(),
-            prog,
-        });
     }
 
     /// Spawns a program immediately; returns its thread id.

@@ -133,11 +133,6 @@ impl SharedCpu {
     pub fn forget_before(&mut self, horizon: SimTime) {
         self.dom0_busy.retain(|&(_, e)| e >= horizon);
     }
-
-    /// True if dom0 has no queued or running work at `now`.
-    pub fn dom0_idle(&self, now: SimTime) -> bool {
-        self.dom0_busy.iter().all(|&(_, e)| e <= now)
-    }
 }
 
 #[cfg(test)]

@@ -169,9 +169,9 @@ pub struct ControlLan {
     faults: Option<(FaultPlan, SimRng)>,
     /// Frames dropped by injected loss or a crashed endpoint.
     pub fault_drops: u64,
-    /// Frames delivered twice by injected duplication.
+    /// Frames delivered twice by the `lan.send_dup` buggify point.
     pub fault_duplicates: u64,
-    /// Frames delivered late by injected extra delay.
+    /// Frames delivered late by the `lan.send_delay` buggify point.
     pub fault_delays: u64,
 }
 
@@ -202,18 +202,12 @@ impl ControlLan {
         }
     }
 
-    /// Arms control-plane fault injection. Drops, duplicates, extra
-    /// delays, and crash windows come from `plan`, drawn from the plan's
-    /// own stream — injecting a plan whose probabilities are all 0 or 1
-    /// leaves the LAN's jitter stream untouched.
+    /// Arms control-plane fault injection. Drops and crash windows come
+    /// from `plan`, drawn from the plan's own stream — injecting a plan
+    /// whose loss is 0 or 1 leaves the LAN's jitter stream untouched.
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         let rng = plan.stream(FAULT_STREAM_SALT);
         self.faults = Some((plan, rng));
-    }
-
-    /// The injected fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|(p, _)| p)
     }
 
     /// Attaches a member with the given address.
@@ -258,11 +252,11 @@ impl Component for ControlLan {
             self.fault_drops += 1;
             return;
         }
-        let mut fault_dup = buggify!(bg, bg_points::LAN_SEND_DUP);
+        let fault_dup = buggify!(bg, bg_points::LAN_SEND_DUP);
         if fault_dup {
             self.fault_duplicates += 1;
         }
-        let mut fault_extra = if buggify!(bg, bg_points::LAN_SEND_DELAY) {
+        let fault_extra = if buggify!(bg, bg_points::LAN_SEND_DELAY) {
             self.fault_delays += 1;
             // Enough to blow past ack timeouts and skew NTP exchanges.
             SimDuration::from_micros(bg.magnitude(bg_points::LAN_SEND_DELAY, 50, 5_000))
@@ -270,9 +264,9 @@ impl Component for ControlLan {
             SimDuration::ZERO
         };
         // Injected faults act before the LAN's own physics: a dropped
-        // frame never serializes and never draws jitter, so a plan with
-        // draw-free probabilities (0 or 1) leaves healthy traffic's
-        // timing untouched.
+        // frame never serializes and never draws jitter, so a plan with a
+        // draw-free loss (0 or 1) leaves healthy traffic's timing
+        // untouched.
         if let Some((plan, rng)) = self.faults.as_mut() {
             let now = ctx.now();
             if plan.crashed(tx.frame.src.0, now)
@@ -281,15 +275,6 @@ impl Component for ControlLan {
             {
                 self.fault_drops += 1;
                 return;
-            }
-            if rng.chance(plan.duplication()) {
-                fault_dup = true;
-                self.fault_duplicates += 1;
-            }
-            let (p, extra) = plan.extra_delay();
-            if rng.chance(p) {
-                fault_extra = extra;
-                self.fault_delays += 1;
             }
         }
         // Serialize on the source port.

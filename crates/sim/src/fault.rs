@@ -1,23 +1,23 @@
 //! Deterministic fault plans for robustness experiments.
 //!
 //! A [`FaultPlan`] describes the control-plane faults a run injects:
-//! i.i.d. message loss, duplication, extra delivery delay, scheduled node
-//! crashes (the node's control traffic stops at a virtual instant), and
-//! stragglers (a node's completion report stalls). The plan carries its
-//! own seed and hands out derived [`SimRng`] streams, so fault decisions
-//! never consume draws from the component streams they perturb — two runs
-//! with the same seed and the same plan produce identical traces, and a
-//! plan whose probabilities are exactly 0 or 1 consumes *no* draws at all
-//! (the [`SimRng::chance`] extremes are draw-free), which is what lets a
-//! fully-partitioned run be compared byte-for-byte against an undisturbed
-//! one.
+//! i.i.d. message loss and scheduled node crashes (the node's control
+//! traffic stops at a virtual instant). The plan carries its own seed and
+//! hands out derived [`SimRng`] streams, so fault decisions never consume
+//! draws from the component streams they perturb — two runs with the same
+//! seed and the same plan produce identical traces, and a plan whose loss
+//! is exactly 0 or 1 consumes *no* draws at all (the [`SimRng::chance`]
+//! extremes are draw-free), which is what lets a fully-partitioned run be
+//! compared byte-for-byte against an undisturbed one.
 //!
-//! The plan is interpreted by the fault sites, not here: the control LAN
-//! drops/duplicates/delays frames and enforces crashes, checkpoint agents
-//! apply straggler stalls, and the chunk store flips bytes on write.
+//! The plan is interpreted by the control LAN (`hwsim::ControlLan`), not
+//! here: it drops frames and enforces crashes. Duplication and extra
+//! delay on that LAN come from the buggify points `lan.send_dup` and
+//! `lan.send_delay`; straggling nodes from the bench lab's
+//! `LabConfig::straggler_stall`.
 
 use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A deterministic, seeded fault-injection plan.
 ///
@@ -27,12 +27,7 @@ use crate::time::{SimDuration, SimTime};
 pub struct FaultPlan {
     seed: u64,
     loss: f64,
-    duplicate: f64,
-    delay_chance: f64,
-    extra_delay: SimDuration,
     crashes: Vec<(u32, SimTime)>,
-    stragglers: Vec<(u32, SimDuration)>,
-    chunk_flips_per_million: u32,
 }
 
 impl FaultPlan {
@@ -55,47 +50,10 @@ impl FaultPlan {
         self
     }
 
-    /// Delivers each surviving message twice with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_duplication(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "duplication out of range");
-        self.duplicate = p;
-        self
-    }
-
-    /// Adds `extra` delivery delay to each message with probability `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_extra_delay(mut self, p: f64, extra: SimDuration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "delay chance out of range");
-        self.delay_chance = p;
-        self.extra_delay = extra;
-        self
-    }
-
     /// Crashes node `key` at virtual time `at`: from then on its control
     /// traffic (sent and received) is dropped.
     pub fn with_crash(mut self, key: u32, at: SimTime) -> Self {
         self.crashes.push((key, at));
-        self
-    }
-
-    /// Makes node `key` a straggler: its completion report stalls for
-    /// `stall` after the local capture finishes.
-    pub fn with_straggler(mut self, key: u32, stall: SimDuration) -> Self {
-        self.stragglers.push((key, stall));
-        self
-    }
-
-    /// Flips one byte in roughly `per_million` out of every million chunks
-    /// newly written to a checkpoint store.
-    pub fn with_chunk_flips(mut self, per_million: u32) -> Self {
-        self.chunk_flips_per_million = per_million;
         self
     }
 
@@ -109,21 +67,6 @@ impl FaultPlan {
         self.loss
     }
 
-    /// Control-message duplication probability.
-    pub fn duplication(&self) -> f64 {
-        self.duplicate
-    }
-
-    /// Extra-delay probability and amount.
-    pub fn extra_delay(&self) -> (f64, SimDuration) {
-        (self.delay_chance, self.extra_delay)
-    }
-
-    /// Chunk-corruption rate for checkpoint stores.
-    pub fn chunk_flips_per_million(&self) -> u32 {
-        self.chunk_flips_per_million
-    }
-
     /// The scheduled crash time of node `key`, if any.
     pub fn crash_time(&self, key: u32) -> Option<SimTime> {
         self.crashes
@@ -135,14 +78,6 @@ impl FaultPlan {
     /// True if node `key` has crashed by `now`.
     pub fn crashed(&self, key: u32, now: SimTime) -> bool {
         self.crash_time(key).is_some_and(|at| at <= now)
-    }
-
-    /// The straggler stall configured for node `key`, if any.
-    pub fn straggler_stall(&self, key: u32) -> Option<SimDuration> {
-        self.stragglers
-            .iter()
-            .find(|&&(k, _)| k == key)
-            .map(|&(_, d)| d)
     }
 
     /// A derived random stream for the fault site salted with `salt`.
@@ -161,22 +96,13 @@ mod tests {
     fn builders_accumulate() {
         let p = FaultPlan::new(7)
             .with_loss(0.1)
-            .with_duplication(0.02)
-            .with_extra_delay(0.05, SimDuration::from_millis(3))
-            .with_crash(4, SimTime::from_nanos(10 * 1_000_000_000))
-            .with_straggler(2, SimDuration::from_millis(40))
-            .with_chunk_flips(100);
+            .with_crash(4, SimTime::from_nanos(10 * 1_000_000_000));
         assert_eq!(p.seed(), 7);
         assert_eq!(p.loss(), 0.1);
-        assert_eq!(p.duplication(), 0.02);
-        assert_eq!(p.extra_delay(), (0.05, SimDuration::from_millis(3)));
         assert_eq!(p.crash_time(4), Some(SimTime::from_nanos(10 * 1_000_000_000)));
         assert_eq!(p.crash_time(5), None);
         assert!(!p.crashed(4, SimTime::from_nanos(9 * 1_000_000_000)));
         assert!(p.crashed(4, SimTime::from_nanos(10 * 1_000_000_000)));
-        assert_eq!(p.straggler_stall(2), Some(SimDuration::from_millis(40)));
-        assert_eq!(p.straggler_stall(4), None);
-        assert_eq!(p.chunk_flips_per_million(), 100);
     }
 
     #[test]

@@ -88,16 +88,6 @@ impl Series {
     }
 }
 
-/// Writes any `(x, y)` table as two-column CSV.
-pub fn xy_csv(header: (&str, &str), rows: &[(f64, f64)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{},{}", header.0, header.1);
-    for &(x, y) in rows {
-        let _ = writeln!(out, "{x},{y}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1187,13 +1187,6 @@ impl VmHost {
         self.mirror.as_ref().map(|m| &m.transfer)
     }
 
-    /// Changes the sync rate limit (back off under guest load).
-    pub fn mirror_set_rate(&mut self, bps: u64) {
-        if let Some(m) = self.mirror.as_mut() {
-            m.transfer.limiter_mut().set_rate(bps);
-        }
-    }
-
     fn kick_mirror(&mut self, ctx: &mut Ctx<'_>) {
         /// Blocks synced per operation: LVM mirror regions move in 1 MiB
         /// extents (and the elevator merges adjacent sync I/O), so the

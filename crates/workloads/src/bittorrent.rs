@@ -247,17 +247,6 @@ impl BtPeer {
         self.have.len()
     }
 
-    /// Diagnostic summary: (conns, got_handshakes, serve queue depth,
-    /// outstanding requests).
-    pub fn debug_summary(&self) -> (usize, usize, usize, usize) {
-        (
-            self.conns.len(),
-            self.conns.iter().filter(|c| c.got_handshake).count(),
-            self.conns.iter().map(|c| c.serve_q.len()).sum(),
-            self.conns.iter().filter(|c| c.outstanding.is_some()).count(),
-        )
-    }
-
     /// Cumulative downloaded bytes.
     pub fn downloaded_bytes(&self) -> u64 {
         self.progress.last().map(|&(_, b)| b).unwrap_or(0)

@@ -15,8 +15,6 @@ pub struct IperfSender {
     fd: Option<SockFd>,
     /// Bytes handed to the socket so far.
     pub sent: u64,
-    /// Optional total; `None` streams forever.
-    pub limit: Option<u64>,
 }
 
 impl IperfSender {
@@ -28,14 +26,7 @@ impl IperfSender {
             chunk: 64 * 1024,
             fd: None,
             sent: 0,
-            limit: None,
         }
-    }
-
-    /// Bounds the stream to `bytes`.
-    pub fn with_limit(mut self, bytes: u64) -> Self {
-        self.limit = Some(bytes);
-        self
     }
 }
 
@@ -56,20 +47,12 @@ impl GuestProg for IperfSender {
             }
             SysRet::Sent(n) => {
                 self.sent += n;
-                if let Some(limit) = self.limit {
-                    if self.sent >= limit {
-                        return Syscall::CloseSock {
-                            fd: self.fd.expect("connected"),
-                        };
-                    }
-                }
                 Syscall::Send {
                     fd: self.fd.expect("connected"),
                     bytes: self.chunk,
                     msg: None,
                 }
             }
-            SysRet::Ok => Syscall::Exit, // After close.
             other => panic!("iperf sender: unexpected {other:?}"),
         }
     }

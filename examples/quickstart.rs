@@ -30,7 +30,7 @@ fn main() {
     let swap_in = tb.swap_in(spec).expect("swap-in failed");
     println!("swap-in took {swap_in} (image load + boot)");
 
-    // Start an iperf pair through the event system.
+    // Start an iperf pair on the two nodes.
     let server_addr = tb.node_addr("quickstart", "server");
     tb.with_host("quickstart", "server", |h| h.kernel_mut().trace.enable());
     tb.spawn("quickstart", "server", Box::new(IperfReceiver::new(5001)));
