@@ -198,18 +198,40 @@ impl Scenario {
     }
 }
 
-/// The explorer's node: the shipped [`Participant`] over a third hook
-/// table whose local world is a timer — a capture holds the node from
-/// its start, completes `capture_ms` later, and stays held until the
-/// participant releases or rolls it back. Explorer traces therefore
-/// exercise the real node-side protocol (de-duplication, lost-resolution
-/// release, resume/abort idempotence) without guest-domain mechanics.
-struct ModelNode {
-    participant: Participant,
-    world: TimerWorld,
+/// The explorer's and the model check's node: the shipped
+/// [`Participant`] over a hook table whose local world is a timer — a
+/// capture holds the node from its start, completes `capture_ms` later,
+/// and stays held until the participant releases or rolls it back.
+/// Explorer traces and model-check states therefore exercise the real
+/// node-side protocol (de-duplication, lost-resolution release,
+/// resume/abort idempotence) without guest-domain mechanics.
+pub(crate) struct ModelNode {
+    pub(crate) participant: Participant,
+    pub(crate) world: TimerWorld,
+    /// The last timer this node handled, for the model check's
+    /// counterexample labels.
+    pub(crate) fired: Option<NodeTimer>,
 }
 
-struct TimerWorld {
+impl ModelNode {
+    /// A node at `addr` that talks to `coord_addr` through `lan`.
+    pub(crate) fn new(
+        participant: Participant,
+        addr: NodeAddr,
+        lan: ComponentId,
+        coord_addr: NodeAddr,
+        capture_ms: u64,
+        ack: bool,
+    ) -> ModelNode {
+        ModelNode {
+            participant,
+            world: TimerWorld { addr, lan, coord_addr, capture_ms, ack, held: false, captures: 0 },
+            fired: None,
+        }
+    }
+}
+
+pub(crate) struct TimerWorld {
     addr: NodeAddr,
     lan: ComponentId,
     coord_addr: NodeAddr,
@@ -217,12 +239,13 @@ struct TimerWorld {
     /// Scenario dimension: `false` drops the explicit acks on the floor
     /// (the coordinator then takes the done report as the implied ack).
     ack: bool,
-    held: bool,
+    pub(crate) held: bool,
     /// Captures begun; a completion timer of an earlier capture is stale.
-    captures: u64,
+    pub(crate) captures: u64,
 }
 
-enum NodeTimer {
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum NodeTimer {
     Wake { token: u64 },
     CaptureDone { capture: u64 },
 }
@@ -292,9 +315,13 @@ impl Component for ModelNode {
             }
             Err(p) => p,
         };
-        match payload.downcast::<NodeTimer>() {
-            Ok(NodeTimer::Wake { token }) => self.participant.on_wake(&mut io, token),
-            Ok(NodeTimer::CaptureDone { capture }) if capture == latest => {
+        let Ok(timer) = payload.downcast::<NodeTimer>() else {
+            return;
+        };
+        self.fired = Some(timer);
+        match timer {
+            NodeTimer::Wake { token } => self.participant.on_wake(&mut io, token),
+            NodeTimer::CaptureDone { capture } if capture == latest => {
                 self.participant.on_captured(&mut io);
             }
             _ => {}
@@ -410,18 +437,14 @@ pub fn run_iteration(scenario: &Scenario, sabotage: bool) -> IterationOutcome {
     ));
     for (i, &ms) in s.capture_ms.iter().enumerate() {
         let addr = NodeAddr(i as u32 + 1);
-        let n = e.add_component(Box::new(ModelNode {
-            participant: Participant::default(),
-            world: TimerWorld {
-                addr,
-                lan,
-                coord_addr,
-                capture_ms: ms,
-                ack: s.ack_explicit,
-                held: false,
-                captures: 0,
-            },
-        }));
+        let n = e.add_component(Box::new(ModelNode::new(
+            Participant::default(),
+            addr,
+            lan,
+            coord_addr,
+            ms,
+            s.ack_explicit,
+        )));
         e.with_component::<ControlLan, _>(lan, |l, _| {
             l.attach(addr, Endpoint { component: n, iface: IfaceId::CONTROL });
         });

@@ -15,6 +15,7 @@ pub mod explore;
 pub mod flightrec;
 pub mod json;
 pub mod lab;
+pub mod modelcheck;
 
 use std::fs;
 use std::path::PathBuf;

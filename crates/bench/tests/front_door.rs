@@ -68,6 +68,7 @@ fn a_rejected_invocation_exits_2_and_leaves_the_bench_files_untouched() {
         &["fig4", "--smoke"],
         &["explore", "--iters=many"],
         &["modelcheck", "--nodes=9"],
+        &["modelcheck", "--nodes=4"],
         &["bench_stor"],
         &[],
     ] {

@@ -34,7 +34,6 @@ mod baselines;
 mod bus;
 mod coordinator;
 mod delaynode;
-pub mod modelcheck;
 mod participant;
 mod scalenode;
 pub mod shadow;
