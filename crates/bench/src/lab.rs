@@ -5,13 +5,10 @@
 
 use std::sync::Arc;
 
-use checkpoint::{
-    splice_shaped_link, CheckpointAgent, Coordinator, DelayNodeHost, FailurePolicy, Strategy,
-    TriggerMode, Wal,
-};
+use checkpoint::{Coordinator, DelayNodeHost, FailurePolicy, Strategy, TriggerMode, Wal};
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
-use emulab::{ExperimentSpec, Testbed};
+use emulab::{splice_shaped_link, ExperimentSpec, Testbed};
 use guestos::{Kernel, KernelConfig};
 use hwsim::{profile, ControlLan, Endpoint, IfaceId, NodeAddr};
 use sim::{ComponentId, Engine, FaultPlan, SimDuration};
@@ -145,14 +142,7 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         let mut kcfg = KernelConfig::pc3000_guest(node);
         kcfg.disk_blocks = 100_000;
         let kernel = Kernel::new(kcfg);
-        let mut agent = CheckpointAgent::new(OPS_ADDR)
-            .with_processing_jitter(cfg.strategy.processing_jitter_mean());
-        agent.participant.done_stall = stall;
-        if cfg.faults.is_some() {
-            // A faulty control plane warrants at-least-once done reports.
-            agent.participant.done_resend = Some(SimDuration::from_millis(100));
-        }
-        let host = VmHost::new(
+        let mut host = VmHost::new(
             VmHostConfig {
                 node,
                 lan: lan_id,
@@ -160,13 +150,18 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
                 services: OPS_ADDR,
                 clock_offset_ns: off,
                 clock_drift_ppm: drift,
-                auto_resume: false,
+                coordinator: Some(OPS_ADDR),
+                trigger_jitter_mean: cfg.strategy.processing_jitter_mean(),
                 conceal_downtime: cfg.strategy.conceals_downtime(),
             },
             store,
             kernel,
-            Some(Box::new(agent)),
         );
+        host.participant.done_stall = stall;
+        if cfg.faults.is_some() {
+            // A faulty control plane warrants at-least-once done reports.
+            host.participant.done_resend = Some(SimDuration::from_millis(100));
+        }
         e.add_component(Box::new(host))
     };
     let host_a = mk_host(&mut e, ADDR_A, cfg.offsets_ns.0, 40.0, None);

@@ -138,12 +138,12 @@ pub fn single_host(seed: u64, mode: CowMode, aged: bool) -> (Engine, ComponentId
             services: ops_addr,
             clock_offset_ns: 1_000_000,
             clock_drift_ppm: 25.0,
-            auto_resume: true,
+            coordinator: None,
+            trigger_jitter_mean: SimDuration::ZERO,
             conceal_downtime: true,
         },
         store,
         kernel,
-        None,
     );
     let host_id = e.add_component(Box::new(host));
     e.with_component::<ControlLan, _>(lan, |l, _| {

@@ -12,7 +12,7 @@
 //!
 //! Every round-scoped message carries the round's [`TraceCtx`] so the
 //! causal flow the coordinator mints at publication survives the hop to
-//! agents and back: receivers record flow steps against the carried
+//! participants and back: receivers record flow steps against the carried
 //! context and echo it on their replies. The context is two `u32`s and
 //! every message stays `Copy`, so propagation costs nothing on the wire
 //! model ([`BUS_MSG_BYTES`] already budgets a generous datagram).

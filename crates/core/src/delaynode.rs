@@ -11,46 +11,17 @@
 
 use clocksync::{NtpClient, NtpResponse};
 use dummynet::{Dummynet, DummynetImage, PipeConfig, PipeId, PipeLog};
-use hwsim::{Endpoint, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr, Wire};
+use hwsim::{Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr, Wire};
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::telemetry::names;
 use sim::{
-    transmission_time, Component, ComponentId, Ctx, Engine, EventId, Payload, SimDuration,
-    SimTime, TraceCtx,
+    transmission_time, Component, ComponentId, Ctx, EventId, Payload, SimDuration, SimTime,
+    TraceCtx,
 };
-use vmm::{ExpPort, VmHost};
 
 use crate::bus::{BusMsg, BUS_MSG_BYTES};
 use crate::participant::{NodeHooks, Participant};
-
-/// Splices a shaped link between two hosts, each given as its component
-/// and address, through the delay node `dn`: four wires at `line_bps`
-/// with `propagation` (host → node, node → host, for each host), one
-/// pipe shaped by `shape` per direction — frames from `a` enter on the
-/// node's interface 1, frames from `b` on interface 2 — and each host's
-/// route to the other.
-pub fn splice_shaped_link(
-    e: &mut Engine,
-    dn: ComponentId,
-    a: (ComponentId, NodeAddr),
-    b: (ComponentId, NodeAddr),
-    line_bps: u64,
-    propagation: SimDuration,
-    shape: PipeConfig,
-) {
-    let wire = |component, iface| Wire::new(Endpoint { component, iface }, line_bps, propagation);
-    e.with_component::<DelayNodeHost, _>(dn, |d, _| {
-        d.add_path(IfaceId(1), shape, wire(b.0, IfaceId::EXPERIMENT));
-        d.add_path(IfaceId(2), shape, wire(a.0, IfaceId::EXPERIMENT));
-    });
-    e.with_component::<VmHost, _>(a.0, |h, _| {
-        h.add_exp_route(b.1, ExpPort::Wire(wire(dn, IfaceId(1))));
-    });
-    e.with_component::<VmHost, _>(b.0, |h, _| {
-        h.add_exp_route(a.1, ExpPort::Wire(wire(dn, IfaceId(2))));
-    });
-}
 
 enum DnMsg {
     NtpPoll,
@@ -159,8 +130,8 @@ impl DelayNodeHost {
 
     /// Adds a shaped unidirectional path: frames arriving on `in_iface`
     /// pass through a new pipe with `cfg` and leave on `out` (see
-    /// [`splice_shaped_link`]).
-    fn add_path(&mut self, in_iface: IfaceId, cfg: PipeConfig, out: Wire) {
+    /// `emulab::splice_shaped_link`).
+    pub fn add_path(&mut self, in_iface: IfaceId, cfg: PipeConfig, out: Wire) {
         let pipe = self.dn.add_pipe(cfg);
         let path = Path { in_iface, pipe, out };
         match self.paths.iter_mut().find(|p| p.in_iface == in_iface) {

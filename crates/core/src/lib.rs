@@ -12,10 +12,8 @@
 //! - [`Participant`] — the node-side half of the protocol, written once:
 //!   ack, de-duplicate, arm the local timer, report done, resume or roll
 //!   back, over a [`NodeHooks`] table that is everything it may do to the
-//!   node it runs on;
-//! - [`CheckpointAgent`] — the hook table over a [`vmm::VmHost`]: local
-//!   timers against the NTP-disciplined clock and the host's local live
-//!   checkpoint;
+//!   node it runs on (the VM host's table lives with the host, in the
+//!   `vmm` crate, which builds on this one);
 //! - [`DelayNodeHost`] — the hook table over the network core: Dummynet
 //!   suspension, non-destructive serialization, and time-virtualized
 //!   resume (§4.4);
@@ -29,7 +27,6 @@
 //! repeatedly shows **no retransmissions, no duplicate ACKs, no window
 //! changes** — and that the baselines violate it.
 
-mod agent;
 mod baselines;
 mod bus;
 mod coordinator;
@@ -39,14 +36,13 @@ mod scalenode;
 pub mod shadow;
 pub mod wal;
 
-pub use agent::CheckpointAgent;
 pub use baselines::Strategy;
 pub use bus::{BusMsg, BUS_MSG_BYTES};
 pub use coordinator::{
     Coordinator, CoordinatorBuilder, EpochOutcome, EpochRecord, FailurePolicy, GroupId,
     TriggerMode,
 };
-pub use delaynode::{splice_shaped_link, DelayNodeHost, DelayNodeStats};
+pub use delaynode::{DelayNodeHost, DelayNodeStats};
 pub use participant::{NodeHooks, Participant};
 pub use scalenode::{ScaleMsg, ScaleNode, GOSSIP_PERIOD};
 pub use shadow::{ShadowEpochState, ShadowOutcome, ShadowViolation};

@@ -30,7 +30,7 @@ pub use sharding::{PlanError, ScaleLab, ScaleOutcome, ScalePlan};
 pub use spec::{ExperimentSpec, LanSpec, LinkSpec, NodeSpec};
 pub use swap::{NodeState, SwapInReport, SwapInWarning, SwapOutReport, SwappedExperiment};
 pub use testbed::{
-    DelayNodeHandle, Experiment, NodeHandle, PhysMachine, Testbed, BOOT_OVERHEAD, FS_ADDR,
-    OPS_ADDR,
+    splice_shaped_link, DelayNodeHandle, Experiment, NodeHandle, PhysMachine, Testbed,
+    BOOT_OVERHEAD, FS_ADDR, OPS_ADDR,
 };
 pub use timetravel::{Snapshot, SnapshotId, TimeTravelError, TimeTravelTree};

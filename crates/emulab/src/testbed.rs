@@ -12,14 +12,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use checkpoint::{
-    splice_shaped_link, CheckpointAgent, Coordinator, DelayNodeHost, GroupId, Strategy, Wal,
-};
+use checkpoint::{Coordinator, DelayNodeHost, GroupId, Strategy, Wal};
 use ckptstore::{CaptureCache, PutReport, StoreClient};
 use cowstore::{BranchingStore, CowMode, GoldenImage, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Tid};
-use hwsim::{profile, ControlLan, Endpoint, IfaceId, NodeAddr};
+use hwsim::{profile, ControlLan, Endpoint, IfaceId, NodeAddr, Wire};
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::telemetry::names;
@@ -54,6 +52,34 @@ pub const BOOT_OVERHEAD: SimDuration = SimDuration::from_secs(8);
 /// its worst-case crash downtime (400 ms), or the watchdog would abort
 /// live rounds that are merely slow.
 pub const SUSPEND_WATCHDOG: SimDuration = SimDuration::from_secs(4);
+
+/// Splices a shaped link between two hosts, each given as its component
+/// and address, through the delay node `dn`: four wires at `line_bps`
+/// with `propagation` (host → node, node → host, for each host), one
+/// pipe shaped by `shape` per direction — frames from `a` enter on the
+/// node's interface 1, frames from `b` on interface 2 — and each host's
+/// route to the other.
+pub fn splice_shaped_link(
+    e: &mut Engine,
+    dn: ComponentId,
+    a: (ComponentId, NodeAddr),
+    b: (ComponentId, NodeAddr),
+    line_bps: u64,
+    propagation: SimDuration,
+    shape: PipeConfig,
+) {
+    let wire = |component, iface| Wire::new(Endpoint { component, iface }, line_bps, propagation);
+    e.with_component::<DelayNodeHost, _>(dn, |d, _| {
+        d.add_path(IfaceId(1), shape, wire(b.0, IfaceId::EXPERIMENT));
+        d.add_path(IfaceId(2), shape, wire(a.0, IfaceId::EXPERIMENT));
+    });
+    e.with_component::<VmHost, _>(a.0, |h, _| {
+        h.add_exp_route(b.1, ExpPort::Wire(wire(dn, IfaceId(1))));
+    });
+    e.with_component::<VmHost, _>(b.0, |h, _| {
+        h.add_exp_route(a.1, ExpPort::Wire(wire(dn, IfaceId(2))));
+    });
+}
 
 /// One physical machine in the pool.
 #[derive(Clone, Debug)]
@@ -618,8 +644,6 @@ impl Testbed {
             // Per-node clock personality: deterministic from the node index.
             let off = 1_500_000 + 700_000 * (rngseed as i64 % 7) - 2_000_000;
             let drift = 10.0 + 9.0 * (rngseed as f64 % 8.0) - 35.0;
-            let agent = CheckpointAgent::new(OPS_ADDR)
-                .with_processing_jitter(self.strategy.processing_jitter_mean());
             let host = VmHost::new(
                 VmHostConfig {
                     node: addr,
@@ -628,12 +652,12 @@ impl Testbed {
                     services: FS_ADDR,
                     clock_offset_ns: off,
                     clock_drift_ppm: drift,
-                    auto_resume: false,
+                    coordinator: Some(OPS_ADDR),
+                    trigger_jitter_mean: self.strategy.processing_jitter_mean(),
                     conceal_downtime: self.strategy.conceals_downtime(),
                 },
                 store,
                 kernel,
-                Some(Box::new(agent)),
             );
             let host_id = self.engine.add_component(Box::new(host));
             nodes.push(NodeHandle {

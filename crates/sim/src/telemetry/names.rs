@@ -224,7 +224,7 @@ pub const EV_STORE_REPAIR: &str = "store.repair";
 
 /// FlowStart: the coordinator published the round's notification.
 pub const FLOW_NOTIFY: &str = "flow.notify";
-/// FlowStep: a node's agent acked the notification.
+/// FlowStep: a node's participant acked the notification.
 pub const FLOW_ACK: &str = "flow.ack";
 /// FlowStep: a node finished capturing its checkpoint state.
 pub const FLOW_CAPTURE: &str = "flow.capture";

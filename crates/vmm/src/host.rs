@@ -9,7 +9,8 @@
 //! 2. freeze — guest time pins, ticks stop, the kernel closes the
 //!    firewall; in-flight block I/O drains through the allowed IRQ path;
 //! 3. capture — dom0 snapshots the dirty state (concealed from the guest);
-//! 4. the agent coordinates (barrier), then `resume_guest` — time
+//! 4. the host's [`Participant`] reports done and waits at the
+//!    coordinator's barrier, then `resume_guest` — time
 //!    unfreezes continuously, the first tick pays a small re-delivery
 //!    latency, frames that arrived during the freeze are redelivered with
 //!    their original pacing, and the *residual* dom0 work (writing out the
@@ -20,6 +21,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use checkpoint::{BusMsg, NodeHooks, Participant, BUS_MSG_BYTES};
 use clocksync::{NtpClient, NtpResponse};
 use cowstore::{BlockData, BranchingStore, Direction, MirrorTransfer};
 use guestos::prog::{CtrlReq, CtrlResp};
@@ -34,7 +36,6 @@ use sim::{
     Payload, SimDuration, SimTime, SpanId, TraceCtx, TraceTag, TrackId,
 };
 
-use crate::agent::HostAgent;
 use crate::domain::{Domain, DomainImage};
 use crate::tuning::{self, Dom0Job};
 
@@ -71,8 +72,8 @@ enum VmMsg {
     /// are rare, and an inline segment would set the size every `Tick`
     /// and `NetTxDone` pays for.
     RxReplay { src: NodeAddr, seg: Box<TcpSegment> },
-    /// Agent-requested wakeup.
-    AgentWake { token: u64 },
+    /// A wakeup the participant requested.
+    Wake { token: u64 },
     /// One background mirror-sync extent finished.
     MirrorBatch { vbas: Vec<u64> },
     /// Idle-priority sync backoff expired; try again.
@@ -173,9 +174,15 @@ pub struct VmHostConfig {
     pub clock_offset_ns: i64,
     /// Hardware-clock drift, ppm.
     pub clock_drift_ppm: f64,
-    /// Resume immediately after capture (standalone checkpoints without a
-    /// coordinator).
-    pub auto_resume: bool,
+    /// Control address of the checkpoint coordinator the host's
+    /// [`Participant`] reports to. `None` is a standalone host: no
+    /// participant runs, and every capture resumes as soon as it is taken.
+    pub coordinator: Option<NodeAddr>,
+    /// Mean of the exponential processing delay between an event-driven
+    /// ("checkpoint now") notification and the capture start: the
+    /// stack/VMM delays of §4.3 that make such triggers imprecise. Zero
+    /// starts the capture on receipt.
+    pub trigger_jitter_mean: SimDuration,
     /// Conceal checkpoint downtime from the guest (the paper's
     /// transparency). `false` gives the conventional stop-and-copy
     /// baseline: time leaks, timers fire late, TCP may retransmit.
@@ -247,7 +254,9 @@ pub struct VmHost {
     tick_ev: Option<EventId>,
 
     mirror: Option<MirrorState>,
-    agent: Option<Box<dyn HostAgent>>,
+    /// The epoch-protocol state (and its fault-tolerance settings); it
+    /// runs only when the host has a coordinator.
+    pub participant: Participant,
     /// Counters.
     pub stats: HostStats,
 
@@ -293,12 +302,7 @@ struct ActiveBurst {
 
 impl VmHost {
     /// Builds a host around a booted kernel and its virtual-disk store.
-    pub fn new(
-        cfg: VmHostConfig,
-        store: BranchingStore,
-        kernel: Kernel,
-        agent: Option<Box<dyn HostAgent>>,
-    ) -> Self {
+    pub fn new(cfg: VmHostConfig, store: BranchingStore, kernel: Kernel) -> Self {
         let clock = HardwareClock::new(cfg.clock_offset_ns, cfg.clock_drift_ppm);
         let disk = DiskQueue::new(hwsim::Disk::new(DiskProfile::pc3000_scsi()));
         let mem = profile::GUEST_MEM_BYTES;
@@ -330,7 +334,7 @@ impl VmHost {
             next_tick_guest_ns: 0,
             tick_ev: None,
             mirror: None,
-            agent,
+            participant: Participant::default(),
             stats: HostStats::default(),
             tele: None,
             freeze_span: None,
@@ -617,7 +621,9 @@ impl VmHost {
                     self.send_ctrl(ctx, services, 160, GuestRpc { id, req });
                 }
                 GuestAction::TriggerCheckpoint => {
-                    self.with_agent(ctx, |a, h, ctx| a.on_guest_trigger(h, ctx));
+                    if let Some(coord) = self.cfg.coordinator {
+                        self.send_ctrl(ctx, coord, BUS_MSG_BYTES, BusMsg::RequestCheckpoint);
+                    }
                 }
             }
         }
@@ -809,27 +815,19 @@ impl VmHost {
     }
 
     // ------------------------------------------------------------------
-    // Agent plumbing.
+    // The epoch-protocol participant (§4.3).
     // ------------------------------------------------------------------
 
-    /// Schedules an agent wakeup when the *local clock* reads `clock_ns`.
-    pub fn agent_wake_at_clock_ns(&mut self, ctx: &mut Ctx<'_>, clock_ns: f64, token: u64) {
-        // A retried notification can carry a target already in the past;
-        // fire immediately rather than scheduling into history.
-        let at = self.clock.when_reads(ctx.now(), clock_ns).max(ctx.now());
-        ctx.post_at(ctx.self_id(), at, VmMsg::AgentWake { token });
-    }
-
-    /// Schedules an agent wakeup after a real delay.
-    pub fn agent_wake_after(&mut self, ctx: &mut Ctx<'_>, d: SimDuration, token: u64) {
-        ctx.post_self(d, VmMsg::AgentWake { token });
-    }
-
-    fn with_agent(&mut self, ctx: &mut Ctx<'_>, f: impl FnOnce(&mut dyn HostAgent, &mut VmHost, &mut Ctx<'_>)) {
-        if let Some(mut agent) = self.agent.take() {
-            f(agent.as_mut(), self, ctx);
-            self.agent = Some(agent);
-        }
+    /// Runs one participant entry point over this host's hooks; a
+    /// standalone host runs none. The participant is copied out for the
+    /// call so the hooks can borrow the whole host.
+    fn drive(&mut self, ctx: &mut Ctx<'_>, f: impl FnOnce(&mut Participant, &mut HostIo<'_, '_>)) {
+        let Some(coordinator) = self.cfg.coordinator else {
+            return;
+        };
+        let mut p = self.participant;
+        f(&mut p, &mut HostIo { host: self, ctx, coordinator });
+        self.participant = p;
     }
 
     // ------------------------------------------------------------------
@@ -961,9 +959,9 @@ impl VmHost {
         self.last_image = Some(image);
         self.stats.checkpoints += 1;
         self.phase = CkptPhase::AwaitResume;
-        self.with_agent(ctx, |a, h, ctx| a.on_checkpoint_captured(h, ctx));
-        if self.phase == CkptPhase::AwaitResume && self.cfg.auto_resume {
-            self.resume_guest(ctx);
+        match self.cfg.coordinator {
+            Some(_) => self.drive(ctx, |p, io| p.on_captured(io)),
+            None => self.resume_guest(ctx),
         }
     }
 
@@ -1079,7 +1077,7 @@ impl VmHost {
     /// that checkpoint).
     pub fn abort_checkpoint(&mut self, ctx: &mut Ctx<'_>) -> bool {
         match self.phase {
-            // Wake timer not fired yet; the agent suppresses the wake.
+            // Wake timer not fired yet; the participant suppresses the wake.
             CkptPhase::Idle => false,
             // Mid-flight: flag it and let the machinery unwind at its
             // next step (freeze entry or capture completion).
@@ -1347,6 +1345,73 @@ impl VmHost {
     }
 }
 
+/// [`NodeHooks`] over a host and the event context it is handling.
+struct HostIo<'a, 'c> {
+    host: &'a mut VmHost,
+    ctx: &'a mut Ctx<'c>,
+    coordinator: NodeAddr,
+}
+
+impl NodeHooks for HostIo<'_, '_> {
+    fn send(&mut self, msg: BusMsg) {
+        if let BusMsg::NotifyAck { trace, .. } = msg {
+            // Looked up here rather than in `HostTele`: instruments are
+            // registered lazily, and registration order shows in exports.
+            let t = self.ctx.telemetry();
+            let track = t.track(self.host.cfg.node.0, names::TRACK_VMHOST);
+            let tag = t.trace_tag(names::FLOW_ACK);
+            t.flow_step(track, tag, self.ctx.now(), trace);
+        }
+        self.host.send_ctrl(self.ctx, self.coordinator, BUS_MSG_BYTES, msg);
+    }
+
+    fn wake_at_clock_ns(&mut self, clock_ns: f64, token: u64) {
+        // A retried notification can carry a target already in the past;
+        // fire immediately rather than scheduling into history.
+        let now = self.ctx.now();
+        let at = self.host.clock.when_reads(now, clock_ns).max(now);
+        self.ctx.post_at(self.ctx.self_id(), at, VmMsg::Wake { token });
+    }
+
+    fn wake_after(&mut self, d: SimDuration, token: u64) {
+        self.ctx.post_self(d, VmMsg::Wake { token });
+    }
+
+    fn trigger_delay(&mut self) -> Option<SimDuration> {
+        let mean = self.host.cfg.trigger_jitter_mean.as_nanos() as f64;
+        (mean > 0.0).then(|| SimDuration::from_nanos(self.ctx.rng().exponential(mean) as u64))
+    }
+
+    fn begin_capture(&mut self, trace: TraceCtx) -> bool {
+        if self.host.checkpoint_running() {
+            return false;
+        }
+        self.host.set_flow_ctx(trace);
+        self.host.begin_checkpoint(self.ctx);
+        true
+    }
+
+    fn held(&self) -> bool {
+        self.host.awaiting_resume()
+    }
+
+    fn release(&mut self) {
+        self.host.resume_guest(self.ctx);
+    }
+
+    fn rollback(&mut self) -> bool {
+        self.host.abort_checkpoint(self.ctx)
+    }
+
+    fn request_full(&mut self) {
+        self.host.request_full_checkpoint();
+    }
+
+    fn image_bytes(&self) -> u64 {
+        self.host.last_image().map_or(0, |i| i.dirty_bytes)
+    }
+}
+
 impl Component for VmHost {
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         // Frames from links and the control LAN.
@@ -1357,9 +1422,8 @@ impl Component for VmHost {
                         self.on_ntp_response(ctx, *resp);
                     } else if let Some(reply) = del.frame.payload::<GuestRpcReply>() {
                         self.on_guest_rpc_reply(ctx, *reply);
-                    } else {
-                        let frame = del.frame;
-                        self.with_agent(ctx, |a, h, ctx| a.on_ctrl_frame(h, ctx, &frame));
+                    } else if let Some(&msg) = del.frame.payload::<BusMsg>() {
+                        self.drive(ctx, |p, io| p.on_msg(io, msg));
                     }
                 } else {
                     self.on_exp_rx(ctx, del.frame);
@@ -1393,9 +1457,7 @@ impl Component for VmHost {
                     self.pump_kernel(ctx);
                 }
             }
-            VmMsg::AgentWake { token } => {
-                self.with_agent(ctx, |a, h, ctx| a.on_wake(h, ctx, token));
-            }
+            VmMsg::Wake { token } => self.drive(ctx, |p, io| p.on_wake(io, token)),
             VmMsg::MirrorBatch { vbas } => self.on_mirror_batch(ctx, vbas),
             VmMsg::MirrorRetry => {
                 if let Some(m) = self.mirror.as_mut() {

@@ -5,14 +5,13 @@
 //! disks (virtual-disk backend over the branching store, plus a snapshot
 //! disk), a paravirtual network backend with per-packet processing cost,
 //! and the paper's live local checkpoint with virtualized time (§4.1–4.2).
-//! The coordinated distributed protocol plugs in as a [`HostAgent`].
+//! A host with a coordinator runs the coordinated protocol's node side,
+//! [`checkpoint::Participant`], over its own hook table.
 
-mod agent;
 mod domain;
 mod host;
 pub mod tuning;
 
-pub use agent::HostAgent;
 pub use domain::{Domain, DomainImage};
 pub use host::{
     ExpPort, GuestRpc, GuestRpcReply, HostStats, MirrorConfig, MirrorDrained, RxLog,

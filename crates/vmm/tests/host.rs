@@ -5,9 +5,10 @@
 
 use std::any::Any;
 
+use checkpoint::{BusMsg, BUS_MSG_BYTES};
 use clocksync::{NtpRequest, NtpServer};
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
-use guestos::prog::SockFd;
+use guestos::prog::{FileId, SockFd};
 use guestos::{GuestProg, Kernel, KernelConfig, Syscall, SysRet};
 use hwsim::{
     profile, ControlLan, Endpoint, Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver,
@@ -15,6 +16,7 @@ use hwsim::{
 };
 use sim::{
     transmission_time, Component, ComponentId, Ctx, Engine, Payload, SimDuration, SimTime,
+    TraceCtx,
 };
 use vmm::{ExpPort, VmHost, VmHostConfig};
 
@@ -105,9 +107,10 @@ impl GuestProg for CpuBench {
 /// Control address of the ops node [`testbed`] builds.
 const OPS_ADDR: NodeAddr = NodeAddr(1000);
 
-/// Builds engine + LAN + ops + one host at `NodeAddr(1)`; returns
-/// (engine, host id). The LAN is component 0.
-fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
+/// Builds engine + LAN + ops + one host at `NodeAddr(1)` reporting to
+/// `coordinator` (`None`: standalone, resumed right after each capture);
+/// returns (engine, host id). The LAN is component 0.
+fn testbed(seed: u64, coordinator: Option<NodeAddr>) -> (Engine, ComponentId) {
     let mut e = Engine::new(seed);
     let lan_id = {
         let lan = ControlLan::new(
@@ -123,7 +126,7 @@ fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
         clock: HardwareClock::new(0, 0.0),
         server: NtpServer,
     }));
-    let host_id = add_host(&mut e, lan_id, NodeAddr(1), auto_resume);
+    let host_id = add_host(&mut e, lan_id, NodeAddr(1), coordinator);
     e.with_component::<ControlLan, _>(lan_id, |lan, _| {
         lan.attach(OPS_ADDR, Endpoint { component: ops, iface: IfaceId::CONTROL });
     });
@@ -131,7 +134,12 @@ fn testbed(seed: u64, auto_resume: bool) -> (Engine, ComponentId) {
 }
 
 /// Adds a host at `node` on the control LAN `lan_id`.
-fn add_host(e: &mut Engine, lan_id: ComponentId, node: NodeAddr, auto_resume: bool) -> ComponentId {
+fn add_host(
+    e: &mut Engine,
+    lan_id: ComponentId,
+    node: NodeAddr,
+    coordinator: Option<NodeAddr>,
+) -> ComponentId {
     let golden = std::sync::Arc::new(GoldenImageBuilder::new("fc4", 200_000, 4096, 7).build());
     let layout = StoreLayout::for_image(&golden);
     let store = BranchingStore::new(golden, CowMode::Branch, layout);
@@ -147,12 +155,12 @@ fn add_host(e: &mut Engine, lan_id: ComponentId, node: NodeAddr, auto_resume: bo
             services: OPS_ADDR,
             clock_offset_ns: 2_000_000,
             clock_drift_ppm: 35.0,
-            auto_resume,
+            coordinator,
+            trigger_jitter_mean: SimDuration::ZERO,
             conceal_downtime: true,
         },
         store,
         kernel,
-        None,
     );
     let host_id = e.add_component(Box::new(host));
     e.with_component::<ControlLan, _>(lan_id, |lan, _| {
@@ -167,7 +175,7 @@ fn start(e: &mut Engine, host: ComponentId) {
 
 #[test]
 fn usleep_iterations_measure_20ms_with_tight_jitter() {
-    let (mut e, host) = testbed(11, true);
+    let (mut e, host) = testbed(11, None);
     e.with_component::<VmHost, _>(host, |h, _| {
         h.kernel_mut().spawn(Box::new(UsleepBench {
             samples_ns: vec![],
@@ -201,7 +209,7 @@ fn usleep_iterations_measure_20ms_with_tight_jitter() {
 
 #[test]
 fn checkpoint_under_usleep_leaves_only_microsecond_spikes() {
-    let (mut e, host) = testbed(12, true);
+    let (mut e, host) = testbed(12, None);
     start(&mut e, host);
     // Boot-time ntpdate step happens in the first seconds; start the
     // measured workload after it (as a real experiment would).
@@ -217,7 +225,7 @@ fn checkpoint_under_usleep_leaves_only_microsecond_spikes() {
     for _ in 0..4 {
         e.run_for(SimDuration::from_secs(5));
         e.with_component::<VmHost, _>(host, |h, ctx| h.begin_checkpoint(ctx));
-        // Let the checkpoint complete (auto_resume).
+        // Let the checkpoint complete (a standalone host resumes itself).
         e.run_for(SimDuration::from_millis(200));
     }
     e.run_for(SimDuration::from_secs(2));
@@ -253,7 +261,7 @@ fn checkpoint_under_usleep_leaves_only_microsecond_spikes() {
 
 #[test]
 fn cpu_loop_stretches_only_by_residual_dom0_work() {
-    let (mut e, host) = testbed(13, true);
+    let (mut e, host) = testbed(13, None);
     e.with_component::<VmHost, _>(host, |h, _| {
         h.kernel_mut().spawn(Box::new(CpuBench {
             burst_ns: 236_600_000,
@@ -303,7 +311,9 @@ fn cpu_loop_stretches_only_by_residual_dom0_work() {
 
 #[test]
 fn guest_time_is_continuous_across_checkpoint_downtime() {
-    let (mut e, host) = testbed(14, false); // Manual resume: long downtime.
+    // Manual resume, long downtime: the capture is begun directly, not by
+    // the participant, so nothing reports it and the host stays held.
+    let (mut e, host) = testbed(14, Some(NodeAddr(9999)));
     e.with_component::<VmHost, _>(host, |h, _| {
         h.kernel_mut().spawn(Box::new(UsleepBench {
             samples_ns: vec![],
@@ -348,7 +358,7 @@ fn guest_time_is_continuous_across_checkpoint_downtime() {
 
 #[test]
 fn dom0_jobs_stretch_cpu_bursts_by_their_cost() {
-    let (mut e, host) = testbed(15, true);
+    let (mut e, host) = testbed(15, None);
     e.with_component::<VmHost, _>(host, |h, _| {
         h.kernel_mut().spawn(Box::new(CpuBench {
             burst_ns: 236_600_000,
@@ -382,7 +392,7 @@ fn dom0_jobs_stretch_cpu_bursts_by_their_cost() {
 
 #[test]
 fn ntp_disciplines_host_clock_under_the_experiment() {
-    let (mut e, host) = testbed(16, true);
+    let (mut e, host) = testbed(16, None);
     start(&mut e, host);
     e.run_until(SimTime::ZERO + SimDuration::from_secs(600));
     let h = e.component_ref::<VmHost>(host).unwrap();
@@ -399,7 +409,7 @@ fn ntp_disciplines_host_clock_under_the_experiment() {
 /// *guest* time but occupy 40 ms of real time.
 #[test]
 fn time_dilation_slows_guest_wall_clock() {
-    let (mut e, host) = testbed(17, true);
+    let (mut e, host) = testbed(17, None);
     start(&mut e, host);
     e.run_for(SimDuration::from_secs(2));
     e.with_component::<VmHost, _>(host, |h, ctx| {
@@ -510,9 +520,9 @@ impl Component for Tap {
 fn back_to_back_frames_on_one_route_arrive_one_serialization_apart() {
     // 1.2 ms per full frame: the wire, not the host, is the bottleneck.
     const SLOW_BPS: u64 = 10_000_000;
-    let (mut e, a) = testbed(18, true);
+    let (mut e, a) = testbed(18, None);
     let lan = ComponentId(0);
-    let b = add_host(&mut e, lan, NodeAddr(2), true);
+    let b = add_host(&mut e, lan, NodeAddr(2), None);
     let tap = e.add_component(Box::new(Tap { host: b, seen: Vec::new() }));
     let wire = |component, bps| {
         Wire::new(Endpoint { component, iface: IfaceId::EXPERIMENT }, bps, SimDuration::from_micros(5))
@@ -548,7 +558,7 @@ fn back_to_back_frames_on_one_route_arrive_one_serialization_apart() {
 /// it does not count as transmitted.
 #[test]
 fn a_frame_without_a_route_is_not_counted_as_transmitted() {
-    let (mut e, host) = testbed(19, true);
+    let (mut e, host) = testbed(19, None);
     e.with_component::<VmHost, _>(host, |h, _| {
         h.kernel_mut().spawn(Box::new(Bulk { dst: Some(NodeAddr(2)), fd: None }));
     });
@@ -570,8 +580,8 @@ fn a_dom0_job_stretches_the_active_burst_but_not_the_kicked_frame() {
     let job_at = SimTime::ZERO + SimDuration::from_millis(1_025);
     // Frames the wire delivered (time, bytes) and the CPU loop's iterations.
     let run = |with_job: bool| -> (Vec<(SimTime, u32)>, Vec<u64>) {
-        let (mut e, a) = testbed(20, true);
-        let b = add_host(&mut e, ComponentId(0), NodeAddr(2), true);
+        let (mut e, a) = testbed(20, None);
+        let b = add_host(&mut e, ComponentId(0), NodeAddr(2), None);
         let tap = e.add_component(Box::new(Tap { host: b, seen: Vec::new() }));
         let wire = |component| {
             let to = Endpoint { component, iface: IfaceId::EXPERIMENT };
@@ -638,5 +648,114 @@ fn a_dom0_job_stretches_the_active_burst_but_not_the_kicked_frame() {
     assert!(
         stretch >= lo - SimDuration::from_millis(1) && stretch <= hi + SimDuration::from_millis(1),
         "the running burst stretched by {stretch:?}, the job cost {lo:?}..{hi:?}"
+    );
+}
+
+/// A scripted coordinator: keeps the bus messages that reach its address
+/// and sends the ones a test hands it.
+struct BusProbe {
+    addr: NodeAddr,
+    lan: ComponentId,
+    seen: Vec<BusMsg>,
+}
+
+impl BusProbe {
+    fn send(&self, ctx: &mut Ctx<'_>, dst: NodeAddr, msg: BusMsg) {
+        let frame = Frame::new(self.addr, dst, BUS_MSG_BYTES, msg);
+        ctx.post(self.lan, SimDuration::ZERO, LanTransmit { frame });
+    }
+}
+
+impl Component for BusProbe {
+    fn handle(&mut self, _ctx: &mut Ctx<'_>, payload: Payload) {
+        let del = payload.downcast::<LinkDeliver>().expect("a frame");
+        if let Some(&msg) = del.frame.payload::<BusMsg>() {
+            self.seen.push(msg);
+        }
+    }
+    sim::component_boilerplate!();
+}
+
+/// Writes 1 MiB to a new file, syncs it, and raises the event-driven
+/// checkpoint trigger as soon as the sync returns; `calls` counts the
+/// syscalls made.
+#[derive(Clone, Default)]
+struct SyncThenTrigger {
+    calls: u32,
+}
+
+impl GuestProg for SyncThenTrigger {
+    fn step(&mut self, _ret: SysRet) -> Syscall {
+        self.calls += 1;
+        let file = FileId(1);
+        match self.calls {
+            1 => Syscall::Create { file },
+            2 => Syscall::Write { file, offset: 0, bytes: 1 << 20 },
+            3 => Syscall::Sync,
+            4 => Syscall::TriggerCheckpoint,
+            _ => Syscall::Exit,
+        }
+    }
+    fn clone_box(&self) -> Box<dyn GuestProg> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+/// A guest trigger raised while the participant releases the host still
+/// reaches the coordinator. The sync completes while the freeze drains,
+/// so its thread is runnable behind the closed firewall and raises the
+/// trigger inside `resume_guest`, which the participant's release runs.
+#[test]
+fn a_trigger_raised_as_the_participant_resumes_the_guest_reaches_the_coordinator() {
+    const COORD: NodeAddr = NodeAddr(2000);
+    let (mut e, host) = testbed(21, Some(COORD));
+    let lan = ComponentId(0);
+    let probe = e.add_component(Box::new(BusProbe { addr: COORD, lan, seen: Vec::new() }));
+    e.with_component::<ControlLan, _>(lan, |l, _| {
+        l.attach(COORD, Endpoint { component: probe, iface: IfaceId::CONTROL });
+    });
+    start(&mut e, host);
+    e.run_for(SimDuration::from_secs(2));
+    e.with_component::<VmHost, _>(host, |h, _| {
+        h.kernel_mut().spawn(Box::new(SyncThenTrigger::default()));
+    });
+    let calls = |e: &Engine| {
+        let h = e.component_ref::<VmHost>(host).unwrap();
+        let prog = h.kernel().prog(guestos::Tid(0)).unwrap();
+        prog.as_any().downcast_ref::<SyncThenTrigger>().unwrap().calls
+    };
+    // Run until the sync's write-back is on the disk.
+    for _ in 0..10_000 {
+        if calls(&e) == 3 {
+            break;
+        }
+        e.run_for(SimDuration::from_micros(100));
+    }
+    assert_eq!(calls(&e), 3, "the guest must be waiting in its sync");
+    let bus = |e: &mut Engine, msg| {
+        e.with_component::<BusProbe, _>(probe, |p, ctx| p.send(ctx, NodeAddr(1), msg));
+    };
+    let seen = |e: &Engine| e.component_ref::<BusProbe>(probe).unwrap().seen.clone();
+
+    bus(&mut e, BusMsg::CheckpointNow { epoch: 1, full: false, trace: TraceCtx::NONE });
+    e.run_for(SimDuration::from_millis(200));
+    assert!(e.component_ref::<VmHost>(host).unwrap().awaiting_resume(), "captured and held");
+    assert!(
+        seen(&e).iter().any(|m| matches!(m, BusMsg::NodeDone { epoch: 1, .. })),
+        "the capture is reported done: {:?}",
+        seen(&e)
+    );
+    assert_eq!(calls(&e), 3, "the synced thread waits behind the firewall");
+
+    bus(&mut e, BusMsg::Resume { epoch: 1, trace: TraceCtx::NONE });
+    e.run_for(SimDuration::from_millis(50));
+    assert!(calls(&e) > 4, "the thread ran when the firewall reopened");
+    assert!(
+        seen(&e).contains(&BusMsg::RequestCheckpoint),
+        "the guest's trigger was lost: {:?}",
+        seen(&e)
     );
 }
