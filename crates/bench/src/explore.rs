@@ -17,7 +17,7 @@
 
 use checkpoint::{
     Coordinator, FailurePolicy, NodeHooks, Participant, ShadowEpochState, ShadowViolation,
-    TriggerMode, Wal, WalRecord,
+    TriggerMode, WalRecord,
 };
 use checkpoint::{shadow, BusMsg, BUS_MSG_BYTES};
 use emulab::{ExperimentSpec, ScalePlan};
@@ -427,14 +427,9 @@ pub fn run_iteration(scenario: &Scenario, sabotage: bool) -> IterationOutcome {
     };
     // Keep a clone of the WAL handle: the flight recorder dumps its
     // tail when the iteration fails.
-    let wal = Wal::in_memory();
-    let coord = e.add_component(Box::new(
-        Coordinator::builder(coord_addr, lan)
-            .mode(mode)
-            .policy(s.policy)
-            .wal(wal.clone())
-            .build(),
-    ));
+    let coord = Coordinator::builder(coord_addr, lan).mode(mode).policy(s.policy).build();
+    let wal = coord.wal().clone();
+    let coord = e.add_component(Box::new(coord));
     for (i, &ms) in s.capture_ms.iter().enumerate() {
         let addr = NodeAddr(i as u32 + 1);
         let n = e.add_component(Box::new(ModelNode::new(

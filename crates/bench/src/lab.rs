@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use checkpoint::{Coordinator, DelayNodeHost, FailurePolicy, Strategy, TriggerMode, Wal};
+use checkpoint::{Coordinator, DelayNodeHost, FailurePolicy, Strategy, TriggerMode};
 use cowstore::{BranchingStore, CowMode, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use emulab::{splice_shaped_link, ExperimentSpec, Testbed};
@@ -103,9 +103,10 @@ pub struct LabOutcome {
     pub p99_barrier_hold_us: u64,
 }
 
-/// Builds the lab (hosts booted, nothing running yet). The coordinator is
-/// WAL-backed, as the testbed's is, so a test can crash it and watch it
-/// recover; with no buggify point armed the WAL changes no simulated byte.
+/// Builds the lab (hosts booted, nothing running yet). Like every
+/// coordinator, the lab's keeps an epoch WAL, so a test can crash it and
+/// watch it recover; with no buggify point armed the WAL changes no
+/// simulated byte.
 pub fn build_lab(cfg: LabConfig) -> Lab {
     let mut e = Engine::new(cfg.seed);
     let lan_id = e.add_component(Box::new(ControlLan::new(
@@ -122,9 +123,7 @@ pub fn build_lab(cfg: LabConfig) -> Lab {
         (TriggerMode::Scheduled { .. }, Some(lead)) => TriggerMode::Scheduled { lead },
         (m, _) => m,
     };
-    let mut coord_builder = Coordinator::builder(OPS_ADDR, lan_id)
-        .mode(mode)
-        .wal(Wal::in_memory());
+    let mut coord_builder = Coordinator::builder(OPS_ADDR, lan_id).mode(mode);
     if let Some(policy) = cfg.policy {
         coord_builder = coord_builder.policy(policy);
     }
@@ -296,7 +295,7 @@ impl Lab {
             aborted,
             degraded,
             retries: c.total_retries(),
-            unresolved: c.records.iter().filter(|r| r.outcome.is_none()).count() as u64,
+            unresolved: c.records().iter().filter(|r| r.outcome.is_none()).count() as u64,
             p50_notify_to_acks_us: (acks.p50 / 1e3) as u64,
             p99_notify_to_acks_us: (acks.p99 / 1e3) as u64,
             p50_barrier_hold_us: (hold.p50 / 1e3) as u64,

@@ -1,7 +1,7 @@
 //! Exhaustive small-scope model check of the shipped epoch protocol.
 //!
-//! The lab is shipped parts only: an [`Engine`], a WAL-backed
-//! event-driven [`Coordinator`] without notify retries, one explorer
+//! The lab is shipped parts only: an [`Engine`], an event-driven
+//! [`Coordinator`] without notify retries, one explorer
 //! `ModelNode` per node (the shipped [`Participant`], watchdog set),
 //! and, in place of the control LAN, a `HoldLan` that keeps every frame
 //! until the checker delivers it. At each state the checker may trigger
@@ -147,10 +147,11 @@ impl Lab {
     fn new(cfg: &ModelConfig, tamper: Option<Tamper>, choices: &[Choice]) -> Lab {
         let mut e = Engine::new(SEED);
         let lan = e.add_component(Box::new(HoldLan::default()));
-        let wal = Wal::in_memory();
         let policy = FailurePolicy { max_notify_retries: 0, ..FailurePolicy::default() };
         let coord = Coordinator::builder(COORD, lan).mode(TriggerMode::EventDriven);
-        let coord = e.add_component(Box::new(coord.policy(policy).wal(wal.clone()).build()));
+        let coord = coord.policy(policy).build();
+        let wal = coord.wal().clone();
+        let coord = e.add_component(Box::new(coord));
         let nodes = (1..=u32::from(cfg.nodes))
             .map(|n| {
                 let mut participant = Participant::default();
@@ -267,7 +268,7 @@ impl Lab {
         }
         let c = self.coordinator();
         (c.is_crashed(), c.crash_count(), c.idle()).hash(&mut h);
-        c.records.iter().for_each(|r| format!("{:?}", r.outcome).hash(&mut h));
+        c.records().iter().for_each(|r| format!("{:?}", r.outcome).hash(&mut h));
         for n in self.nodes() {
             (format!("{:?}", n.participant), n.world.held, n.world.captures).hash(&mut h);
         }
@@ -291,7 +292,7 @@ impl Lab {
             let c = self.coordinator();
             let held = self.nodes().enumerate().filter(|(_, n)| n.world.held);
             out.extend(held.map(|(i, _)| format!("node {} held at quiescence", i + 1)));
-            let undecided = c.records.iter().filter(|r| r.outcome.is_none());
+            let undecided = c.records().iter().filter(|r| r.outcome.is_none());
             out.extend(undecided.map(|r| format!("epoch {} undecided at quiescence", r.epoch)));
             out.extend(c.is_crashed().then(|| "coordinator down at quiescence".to_string()));
         }

@@ -1,6 +1,6 @@
 //! The epoch protocol end to end on the two-node lab
 //! ([`tcd_bench::lab`]: hostA — delay node — hostB, an ops LAN and a
-//! WAL-backed coordinator, a bulk TCP stream under periodic checkpoints).
+//! coordinator, a bulk TCP stream under periodic checkpoints).
 //!
 //! - *Coordinated checkpoints:* the paper's §7.1 transparency metrics
 //!   hold, the baselines measurably violate them, and notifications that
@@ -52,7 +52,7 @@ fn delay_node(lab: &Lab) -> &DelayNodeHost {
 
 /// Rounds the coordinator never resolved.
 fn unresolved(c: &Coordinator) -> usize {
-    c.records.iter().filter(|r| r.outcome.is_none()).count()
+    c.records().iter().filter(|r| r.outcome.is_none()).count()
 }
 
 /// The lab under `cfg`: warm-up, `secs` of periodic checkpoints, then the
@@ -358,7 +358,7 @@ fn round_disturbed_mid_capture_aborts_and_the_lab_recovers() {
     }
 
     let outcomes: Vec<_> = coordinator(&lab)
-        .records
+        .records()
         .iter()
         .map(|r| r.outcome)
         .collect();
@@ -529,7 +529,7 @@ fn crashed_node_degrades_epochs_and_survivors_continue() {
     );
     assert!(
         coord
-            .records
+            .records()
             .iter()
             .filter(|r| r.outcome == Some(EpochOutcome::Degraded))
             .all(|r| r.excluded == 1),
@@ -589,8 +589,8 @@ fn concurrent_group_rounds_fail_independently() {
 
     let c = coordinator(&lab);
     assert_eq!(unresolved(c), 0, "an epoch wedged");
-    let g1: Vec<_> = c.records.iter().filter(|r| r.group == GroupId(1)).collect();
-    let g2: Vec<_> = c.records.iter().filter(|r| r.group == GroupId(2)).collect();
+    let g1: Vec<_> = c.records().iter().filter(|r| r.group == GroupId(1)).collect();
+    let g2: Vec<_> = c.records().iter().filter(|r| r.group == GroupId(2)).collect();
     assert_eq!((g1.len(), g2.len()), (3, 3), "three rounds per group");
 
     // The clean group commits every round; the straggler group aborts
@@ -722,8 +722,8 @@ fn observe_forced_crash(point: &str, seed: u64) -> (u64, u64, (u64, u64, u64), S
     assert_eq!(unresolved(c), 0, "{point}: an epoch wedged");
     assert_shadow_clean(&lab, point);
 
-    let wal_dump = format!("{:?}", c.wal().unwrap().replay());
-    let records = format!("{:?}", c.records);
+    let wal_dump = format!("{:?}", c.wal().replay());
+    let records = format!("{:?}", c.records());
     (
         c.crash_count(),
         c.recovery_count(),

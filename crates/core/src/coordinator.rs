@@ -13,6 +13,14 @@
 //! server (its clock is the reference the whole experiment disciplines
 //! against), because scheduled checkpoints only make sense relative to the
 //! clock the nodes chase.
+//!
+//! The coordinator's epoch WAL is its state. Every change to the epoch
+//! records, the open rounds, the evictions, the force-full set and the
+//! epoch counter is a [`WalRecord`] appended to the log and then applied
+//! by one private `apply`; recovery after a crash is a replay of the log
+//! through that same `apply`, followed by a classification of each round
+//! the crash left open. The live handlers add only what the log does not
+//! hold: telemetry, trace instants, bus traffic, timers and crash points.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -194,11 +202,12 @@ struct Round {
     /// Participants notified with the full-capture flag raised; cleared
     /// from the standing force-full set once their capture commits.
     forced_full: HashSet<NodeAddr>,
-    /// Barrier size at publication time.
-    participants: usize,
+    /// The barrier at publication time, sorted by address.
+    participants: Vec<NodeAddr>,
     /// Withhold the resume at the barrier (swap-out / time travel).
     hold: bool,
     /// Telemetry span opened at publication, closed at resume or abort.
+    /// Live-only: a round rebuilt from the WAL has none.
     span: Option<ActiveSpan>,
 }
 
@@ -253,7 +262,6 @@ pub struct CoordinatorBuilder {
     lan: ComponentId,
     mode: TriggerMode,
     policy: FailurePolicy,
-    wal: Option<Wal>,
 }
 
 impl CoordinatorBuilder {
@@ -266,15 +274,6 @@ impl CoordinatorBuilder {
     /// Failure-handling policy.
     pub fn policy(mut self, policy: FailurePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Attaches the durable epoch WAL. The log outlives the coordinator
-    /// process (the handle is shared with the testbed), which is what
-    /// makes [`Coordinator::crash`] recoverable; without a WAL the
-    /// coordinator is immortal, as before this existed.
-    pub fn wal(mut self, wal: Wal) -> Self {
-        self.wal = Some(wal);
         self
     }
 
@@ -295,7 +294,7 @@ impl CoordinatorBuilder {
             records: Vec::new(),
             evicted: Vec::new(),
             force_full: HashSet::new(),
-            wal: self.wal,
+            wal: Wal::in_memory(),
             gen: 0,
             crashed: false,
             recovering: false,
@@ -324,15 +323,17 @@ pub struct Coordinator {
     policy: FailurePolicy,
     periodic: Option<(GroupId, SimDuration)>,
     /// Completed and in-progress epoch records.
-    pub records: Vec<EpochRecord>,
+    records: Vec<EpochRecord>,
     /// Nodes evicted from their group after degraded commits (under
     /// [`FailurePolicy::evict_excluded`]), remembered for re-admission.
     evicted: Vec<(NodeAddr, GroupId)>,
     /// Nodes whose next checkpoint notification demands a full capture
     /// (their incremental chain broke while they were away).
     force_full: HashSet<NodeAddr>,
-    /// Durable epoch WAL; `None` leaves the coordinator crash-immortal.
-    wal: Option<Wal>,
+    /// Durable epoch WAL: `records`, `pending`, `evicted`, `force_full`
+    /// and `epoch` change only by a record appended here and applied by
+    /// `apply`. It survives [`Coordinator::crash`].
+    wal: Wal,
     /// Process incarnation; bumped at every crash so timers armed by a
     /// dead incarnation are discarded on delivery.
     gen: u32,
@@ -372,7 +373,6 @@ impl Coordinator {
             lan,
             mode: TriggerMode::Scheduled { lead: SimDuration::from_millis(200) },
             policy: FailurePolicy::default(),
-            wal: None,
         }
     }
 
@@ -417,10 +417,152 @@ impl Coordinator {
         })
     }
 
-    /// Appends one durable epoch transition (no-op without a WAL).
-    fn wal_append(&self, rec: WalRecord) {
-        if let Some(w) = &self.wal {
-            w.append(&rec);
+    /// Makes one durable epoch transition: appends `rec` to the WAL, then
+    /// applies it.
+    fn log(&mut self, rec: WalRecord) {
+        self.wal.append(&rec);
+        self.apply(&rec);
+    }
+
+    /// What one WAL record does to the protocol state: the one reading of
+    /// the log, taken live through [`Coordinator::log`] and at recovery
+    /// by replaying the whole log. It changes state only — no telemetry,
+    /// trace instants, events, randomness or crash points.
+    fn apply(&mut self, rec: &WalRecord) {
+        match *rec {
+            WalRecord::RoundOpen {
+                at_ns,
+                group,
+                epoch,
+                hold,
+                notify_at_clock_ns,
+                ref participants,
+                ref forced_full,
+                trace: (trace_id, span_id),
+            } => {
+                let trace = TraceCtx { trace_id, span_id };
+                let notify = match notify_at_clock_ns {
+                    Some(at_clock_ns) => {
+                        BusMsg::CheckpointAt { epoch, at_clock_ns, full: false, trace }
+                    }
+                    None => BusMsg::CheckpointNow { epoch, full: false, trace },
+                };
+                let participants: Vec<NodeAddr> = participants.iter().map(|&n| NodeAddr(n)).collect();
+                let all: HashSet<NodeAddr> = participants.iter().copied().collect();
+                self.epoch = self.epoch.max(epoch);
+                self.pending.insert(
+                    GroupId(group),
+                    Round {
+                        epoch,
+                        notify,
+                        await_ack: all.clone(),
+                        await_done: all,
+                        excluded: HashSet::new(),
+                        forced_full: forced_full.iter().map(|&n| NodeAddr(n)).collect(),
+                        participants,
+                        hold,
+                        span: None,
+                    },
+                );
+                self.records.push(EpochRecord {
+                    epoch,
+                    group: GroupId(group),
+                    published: SimTime::from_nanos(at_ns),
+                    acked: None,
+                    barrier_done: None,
+                    resumed: None,
+                    captured_bytes: 0,
+                    outcome: None,
+                    retries: 0,
+                    excluded: 0,
+                });
+            }
+            WalRecord::Ack { at_ns, group, epoch, node }
+            | WalRecord::Done { at_ns, group, epoch, node, .. } => {
+                let image_bytes = match *rec {
+                    WalRecord::Done { image_bytes, .. } => Some(image_bytes),
+                    _ => None,
+                };
+                let Some(r) = self.round_mut(group, epoch) else {
+                    return;
+                };
+                // A done report is an implicit ack.
+                r.await_ack.remove(&NodeAddr(node));
+                let covered = r.await_ack.is_empty();
+                if image_bytes.is_some() {
+                    r.await_done.remove(&NodeAddr(node));
+                }
+                if let Some(rec) = self.record_mut(epoch) {
+                    rec.captured_bytes += image_bytes.unwrap_or(0);
+                    if covered {
+                        rec.acked.get_or_insert(SimTime::from_nanos(at_ns));
+                    }
+                }
+            }
+            WalRecord::Retry { group, epoch, .. } => {
+                if self.round_mut(group, epoch).is_some() {
+                    if let Some(rec) = self.record_mut(epoch) {
+                        rec.retries += 1;
+                    }
+                }
+            }
+            WalRecord::Exclude { group, epoch, node, .. } => {
+                if let Some(r) = self.round_mut(group, epoch) {
+                    r.await_done.remove(&NodeAddr(node));
+                    r.excluded.insert(NodeAddr(node));
+                }
+            }
+            WalRecord::Commit { at_ns, epoch, excluded, .. } => {
+                if let Some(rec) = self.record_mut(epoch) {
+                    rec.barrier_done = Some(SimTime::from_nanos(at_ns));
+                    rec.outcome = Some(if excluded == 0 {
+                        EpochOutcome::Committed
+                    } else {
+                        EpochOutcome::Degraded
+                    });
+                    rec.excluded = excluded;
+                }
+            }
+            WalRecord::Resume { at_ns, group, epoch } => {
+                self.close_round(group, epoch);
+                if let Some(rec) = self.record_mut(epoch) {
+                    rec.resumed = Some(SimTime::from_nanos(at_ns));
+                }
+            }
+            WalRecord::Abort { group, epoch, .. } => {
+                self.close_round(group, epoch);
+                if let Some(rec) = self.record_mut(epoch) {
+                    rec.outcome = Some(EpochOutcome::Aborted);
+                }
+            }
+            WalRecord::Abandon { group, epoch, .. } => self.close_round(group, epoch),
+            WalRecord::Evict { group, node, .. } => {
+                self.unsubscribe(NodeAddr(node));
+                self.evicted.push((NodeAddr(node), GroupId(group)));
+            }
+            WalRecord::Rejoin { group, node, .. } => {
+                self.evicted.retain(|&(n, _)| n != NodeAddr(node));
+                self.subscribe_in(NodeAddr(node), GroupId(group));
+                self.force_full.insert(NodeAddr(node));
+            }
+            WalRecord::ForceFull { node, .. } => {
+                self.force_full.insert(NodeAddr(node));
+            }
+            WalRecord::ForceFullHealed { node, .. } => {
+                self.force_full.remove(&NodeAddr(node));
+            }
+        }
+    }
+
+    /// `group`'s open round, if it is `epoch`'s.
+    fn round_mut(&mut self, group: u32, epoch: u64) -> Option<&mut Round> {
+        self.pending.get_mut(&GroupId(group)).filter(|r| r.epoch == epoch)
+    }
+
+    /// Closes `group`'s open round if it is `epoch`'s.
+    fn close_round(&mut self, group: u32, epoch: u64) {
+        if self.round_mut(group, epoch).is_some() {
+            self.pending.remove(&GroupId(group));
         }
     }
 
@@ -476,19 +618,16 @@ impl Coordinator {
             self.barrier_complete_in(group),
             "release before barrier completion"
         );
-        let round = self.pending.remove(&group).expect("checked");
-        let epoch = round.epoch;
+        let round = self.pending.get_mut(&group).expect("checked");
+        let (epoch, span) = (round.epoch, round.span.take());
         let now = ctx.now();
-        let mut hold = SimDuration::ZERO;
-        if let Some(rec) = self.record_mut(epoch) {
-            rec.resumed = Some(now);
-            if let Some(b) = rec.barrier_done {
-                hold = now.saturating_duration_since(b);
-            }
-        }
+        let hold = self
+            .record(epoch)
+            .and_then(|rec| rec.barrier_done)
+            .map_or(SimDuration::ZERO, |b| now.saturating_duration_since(b));
         let t = self.tele(ctx);
         ctx.telemetry().record_duration(t.barrier_hold, hold);
-        if let Some(span) = round.span {
+        if let Some(span) = span {
             ctx.telemetry().span_exit(span, now);
         }
         let trace = TraceCtx::for_round(group.0, epoch);
@@ -499,7 +638,7 @@ impl Coordinator {
         ctx.telemetry()
             .trace_end(t.track, t.ev_epoch, now, epoch as i64);
         self.shadow_instant(ctx, |t| t.ev_s_resume, group, epoch, 0);
-        self.wal_append(WalRecord::Resume { at_ns: now.as_nanos(), group: group.0, epoch });
+        self.log(WalRecord::Resume { at_ns: now.as_nanos(), group: group.0, epoch });
         self.publish_repeated(ctx, group, BusMsg::Resume { epoch, trace });
     }
 
@@ -514,23 +653,21 @@ impl Coordinator {
     /// The epoch keeps its record but never resumes; its telemetry span
     /// is discarded so abandoned epochs leave no duration sample.
     pub fn abandon_round_in(&mut self, ctx: &mut Ctx<'_>, group: GroupId) {
-        if let Some(round) = self.pending.remove(&group) {
-            if let Some(span) = round.span {
-                ctx.telemetry().span_discard(span);
-            }
-            let t = self.tele(ctx);
-            let now = ctx.now();
-            ctx.telemetry()
-                .trace_instant(t.track, t.ev_abandoned, now, round.epoch as i64);
-            ctx.telemetry()
-                .trace_end(t.track, t.ev_epoch, now, round.epoch as i64);
-            self.shadow_instant(ctx, |t| t.ev_s_abandon, group, round.epoch, 0);
-            self.wal_append(WalRecord::Abandon {
-                at_ns: now.as_nanos(),
-                group: group.0,
-                epoch: round.epoch,
-            });
+        let Some(round) = self.pending.get_mut(&group) else {
+            return;
+        };
+        let (epoch, span) = (round.epoch, round.span.take());
+        if let Some(span) = span {
+            ctx.telemetry().span_discard(span);
         }
+        let t = self.tele(ctx);
+        let now = ctx.now();
+        ctx.telemetry()
+            .trace_instant(t.track, t.ev_abandoned, now, epoch as i64);
+        ctx.telemetry()
+            .trace_end(t.track, t.ev_epoch, now, epoch as i64);
+        self.shadow_instant(ctx, |t| t.ev_s_abandon, group, epoch, 0);
+        self.log(WalRecord::Abandon { at_ns: now.as_nanos(), group: group.0, epoch });
     }
 
     /// Subscribes a node to the bus in the default group.
@@ -560,6 +697,11 @@ impl Coordinator {
     /// The coordinator's control address.
     pub fn addr(&self) -> NodeAddr {
         self.addr
+    }
+
+    /// Completed and in-progress epoch records, in publication order.
+    pub fn records(&self) -> &[EpochRecord] {
+        &self.records
     }
 
     /// Number of completed checkpoints.
@@ -593,6 +735,10 @@ impl Coordinator {
             .get(&group)
             .map(|r| r.await_done.is_empty())
             .unwrap_or(true)
+    }
+
+    fn record(&self, epoch: u64) -> Option<&EpochRecord> {
+        self.records.iter().rev().find(|r| r.epoch == epoch)
     }
 
     fn record_mut(&mut self, epoch: u64) -> Option<&mut EpochRecord> {
@@ -653,15 +799,16 @@ impl Coordinator {
     fn trigger_round(&mut self, ctx: &mut Ctx<'_>, group: GroupId, hold: bool) {
         assert!(!self.crashed, "trigger on a crashed coordinator");
         assert!(self.idle_in(group), "checkpoint round already in flight");
-        let nodes: HashSet<NodeAddr> = self
+        // In address order, so seeded traces and the WAL are byte-stable.
+        let mut sorted: Vec<NodeAddr> = self
             .members
             .iter()
             .filter(|&&(_, g)| g == group)
             .map(|&(n, _)| n)
             .collect();
-        assert!(!nodes.is_empty(), "no subscribed nodes in group");
-        self.epoch += 1;
-        let epoch = self.epoch;
+        sorted.sort_by_key(|a| a.0);
+        assert!(!sorted.is_empty(), "no subscribed nodes in group");
+        let epoch = self.epoch + 1;
         let trace = TraceCtx::for_round(group.0, epoch);
         let msg = match self.mode {
             TriggerMode::Scheduled { lead } => BusMsg::CheckpointAt {
@@ -679,48 +826,13 @@ impl Coordinator {
         ctx.telemetry().trace_instant(t.track, t.ev_notify, ctx.now(), e);
         ctx.telemetry()
             .flow_start(t.track, t.ev_flow_notify, ctx.now(), trace);
-        // Per-node join instants for the shadow checker, in address order
-        // so seeded traces are byte-stable.
-        let mut sorted: Vec<NodeAddr> = nodes.iter().copied().collect();
-        sorted.sort_by_key(|a| a.0);
+        // Per-node join instants for the shadow checker.
         for n in &sorted {
             self.shadow_instant(ctx, |t| t.ev_s_join, group, epoch, n.0);
         }
-        let forced_full: HashSet<NodeAddr> =
-            nodes.intersection(&self.force_full).copied().collect();
-        self.pending.insert(
-            group,
-            Round {
-                epoch,
-                notify: msg,
-                await_ack: nodes.clone(),
-                await_done: nodes.clone(),
-                excluded: HashSet::new(),
-                forced_full,
-                participants: nodes.len(),
-                hold,
-                span: Some(span),
-            },
-        );
-        self.records.push(EpochRecord {
-            epoch,
-            group,
-            published: ctx.now(),
-            acked: None,
-            barrier_done: None,
-            resumed: None,
-            captured_bytes: 0,
-            outcome: None,
-            retries: 0,
-            excluded: 0,
-        });
-        let mut forced_sorted: Vec<u32> = self
-            .pending
-            .get(&group)
-            .map(|r| r.forced_full.iter().map(|n| n.0).collect())
-            .unwrap_or_default();
-        forced_sorted.sort_unstable();
-        self.wal_append(WalRecord::RoundOpen {
+        let forced_full = sorted.iter().filter(|n| self.force_full.contains(n));
+        let forced_full = forced_full.map(|n| n.0).collect();
+        self.log(WalRecord::RoundOpen {
             at_ns: ctx.now().as_nanos(),
             group: group.0,
             epoch,
@@ -730,9 +842,12 @@ impl Coordinator {
                 _ => None,
             },
             participants: sorted.iter().map(|n| n.0).collect(),
-            forced_full: forced_sorted,
+            forced_full,
             trace: (trace.trace_id, trace.span_id),
         });
+        if let Some(round) = self.pending.get_mut(&group) {
+            round.span = Some(span);
+        }
         if self.maybe_crash(ctx, buggify_points::COORD_CRASH_PRE_NOTIFY) {
             return; // Round durable, notification never left the process.
         }
@@ -770,87 +885,68 @@ impl Coordinator {
         self.periodic = None;
     }
 
-    /// Stamps the all-acked time on first completion and records the
-    /// notify→all-acks latency histogram sample.
-    fn mark_all_acked(&mut self, ctx: &mut Ctx<'_>, epoch: u64) {
-        let now = ctx.now();
-        let latency = match self.record_mut(epoch) {
-            Some(rec) if rec.acked.is_none() => {
-                rec.acked = Some(now);
-                now.saturating_duration_since(rec.published)
-            }
-            _ => return,
+    /// Records the notify→all-acks latency sample once a logged ack has
+    /// emptied `group`'s ack set. The caller saw the acking node in the
+    /// set before logging, so an empty set now means this record
+    /// completed it.
+    fn mark_all_acked(&mut self, ctx: &mut Ctx<'_>, group: GroupId, epoch: u64) {
+        if !self.pending.get(&group).is_some_and(|r| r.await_ack.is_empty()) {
+            return;
+        }
+        let Some(latency) = self.record(epoch).and_then(EpochRecord::notify_to_acks) else {
+            return;
         };
         let t = self.tele(ctx);
         ctx.telemetry().record_duration(t.notify_to_acks, latency);
         ctx.telemetry()
-            .trace_instant(t.track, t.ev_all_acked, now, epoch as i64);
+            .trace_instant(t.track, t.ev_all_acked, ctx.now(), epoch as i64);
+    }
+
+    /// For a report from `node` about `epoch`: the node's group, and
+    /// whether that group's open round still awaits the node's ack and
+    /// its done report. `None` when the node is not subscribed or the
+    /// open round is not `epoch`'s.
+    fn awaited(&self, epoch: u64, node: NodeAddr) -> Option<(GroupId, bool, bool)> {
+        let group = self.group_of(node)?;
+        let round = self.pending.get(&group).filter(|r| r.epoch == epoch)?;
+        Some((group, round.await_ack.contains(&node), round.await_done.contains(&node)))
     }
 
     fn on_notify_ack(&mut self, ctx: &mut Ctx<'_>, epoch: u64, node: NodeAddr) {
-        let Some(group) = self.group_of(node) else {
-            return;
+        let Some((group, true, _)) = self.awaited(epoch, node) else {
+            return; // Stale (e.g. for a retried, already-aborted round) or repeated.
         };
-        let Some(round) = self.pending.get_mut(&group) else {
-            return;
-        };
-        if epoch != round.epoch {
-            return; // Stale ack (e.g. for a retried, already-aborted round).
-        }
-        if round.await_ack.remove(&node) {
-            let all_acked = round.await_ack.is_empty();
-            self.shadow_instant(ctx, |t| t.ev_s_ack, group, epoch, node.0);
-            self.wal_append(WalRecord::Ack {
-                at_ns: ctx.now().as_nanos(),
-                group: group.0,
-                epoch,
-                node: node.0,
-            });
-            if all_acked {
-                self.mark_all_acked(ctx, epoch);
-            }
-            self.maybe_crash(ctx, buggify_points::COORD_CRASH_MID_ACKS);
-        }
+        self.shadow_instant(ctx, |t| t.ev_s_ack, group, epoch, node.0);
+        let at_ns = ctx.now().as_nanos();
+        self.log(WalRecord::Ack { at_ns, group: group.0, epoch, node: node.0 });
+        self.mark_all_acked(ctx, group, epoch);
+        self.maybe_crash(ctx, buggify_points::COORD_CRASH_MID_ACKS);
     }
 
     fn on_node_done(&mut self, ctx: &mut Ctx<'_>, epoch: u64, node: NodeAddr, image_bytes: u64) {
-        let Some(group) = self.group_of(node) else {
-            return; // Unsubscribed mid-round (swap-out).
-        };
-        let Some(round) = self.pending.get_mut(&group) else {
+        // Unsubscribed mid-round (swap-out), or a stale report.
+        let Some((group, unacked, undone)) = self.awaited(epoch, node) else {
             return;
         };
-        if epoch != round.epoch {
-            return; // Stale report.
-        }
-        // A done report is an implicit ack.
-        let all_acked = round.await_ack.remove(&node) && round.await_ack.is_empty();
-        if !round.await_done.remove(&node) {
+        let at_ns = ctx.now().as_nanos();
+        if !undone {
             // Duplicate report (don't double-count bytes) or an excluded
             // node surfacing late; the implicit ack still counts.
-            if all_acked {
-                self.mark_all_acked(ctx, epoch);
+            if unacked {
+                self.log(WalRecord::Ack { at_ns, group: group.0, epoch, node: node.0 });
+                self.mark_all_acked(ctx, group, epoch);
             }
             return;
-        }
-        let barrier = round.await_done.is_empty();
-        if let Some(rec) = self.record_mut(epoch) {
-            rec.captured_bytes += image_bytes;
         }
         let t = self.tele(ctx);
         ctx.telemetry().add(t.captured_bytes, image_bytes);
         self.shadow_instant(ctx, |t| t.ev_s_done, group, epoch, node.0);
-        self.wal_append(WalRecord::Done {
-            at_ns: ctx.now().as_nanos(),
-            group: group.0,
-            epoch,
-            node: node.0,
-            image_bytes,
-        });
-        if all_acked {
-            self.mark_all_acked(ctx, epoch);
+        self.log(WalRecord::Done { at_ns, group: group.0, epoch, node: node.0, image_bytes });
+        // A done report is an implicit ack.
+        if unacked {
+            self.mark_all_acked(ctx, group, epoch);
         }
-        if barrier {
+        if self.barrier_complete_in(group) {
             self.complete_barrier(ctx, group, epoch);
         } else {
             self.maybe_crash(ctx, buggify_points::COORD_CRASH_MID_ACKS);
@@ -863,22 +959,22 @@ impl Coordinator {
         if self.maybe_crash(ctx, buggify_points::COORD_CRASH_PRE_RESUME) {
             return; // Barrier complete, commit not durable: recovery rolls forward.
         }
-        let (excluded, hold) = self
-            .pending
-            .get(&group)
-            .map(|r| (r.excluded.len() as u32, r.hold))
-            .unwrap_or((0, false));
+        let round = &self.pending[&group];
+        let (excluded, hold) = (round.excluded.len() as u32, round.hold);
+        // A forced-full participant whose capture commits now has a fresh
+        // full image: its incremental chain is whole again.
+        let healed = round.forced_full.iter().filter(|n| !round.excluded.contains(n));
+        let mut healed: Vec<u32> = healed.map(|n| n.0).collect();
+        healed.sort_unstable();
+        let mut expelled: Vec<u32> = round.excluded.iter().map(|n| n.0).collect();
+        expelled.sort_unstable();
         let outcome = if excluded == 0 {
             EpochOutcome::Committed
         } else {
             EpochOutcome::Degraded
         };
         let now = ctx.now();
-        if let Some(rec) = self.record_mut(epoch) {
-            rec.barrier_done = Some(now);
-            rec.outcome = Some(outcome);
-            rec.excluded = excluded;
-        }
+        let at_ns = now.as_nanos();
         let t = self.tele(ctx);
         match outcome {
             EpochOutcome::Committed => ctx.telemetry().inc(t.committed),
@@ -892,44 +988,15 @@ impl Coordinator {
         ctx.telemetry()
             .flow_step(t.track, t.ev_flow_barrier, now, trace);
         self.shadow_instant(ctx, |t| t.ev_s_commit, group, epoch, excluded);
-        self.wal_append(WalRecord::Commit {
-            at_ns: now.as_nanos(),
-            group: group.0,
-            epoch,
-            excluded,
-        });
-        // A forced-full participant whose capture just committed has a
-        // fresh full image: its incremental chain is whole again.
-        if let Some(round) = self.pending.get(&group) {
-            let mut healed: Vec<NodeAddr> = round
-                .forced_full
-                .iter()
-                .filter(|n| !round.excluded.contains(n))
-                .copied()
-                .collect();
-            healed.sort_by_key(|a| a.0);
-            for n in healed {
-                self.force_full.remove(&n);
-                self.wal_append(WalRecord::ForceFullHealed { at_ns: now.as_nanos(), node: n.0 });
-            }
+        self.log(WalRecord::Commit { at_ns, group: group.0, epoch, excluded });
+        for node in healed {
+            self.log(WalRecord::ForceFullHealed { at_ns, node });
         }
         // Under the eviction policy, degraded commits expel the presumed
         // corpses from membership so later epochs barrier on survivors.
-        if self.policy.evict_excluded && excluded > 0 {
-            let mut expelled: Vec<NodeAddr> = self
-                .pending
-                .get(&group)
-                .map(|r| r.excluded.iter().copied().collect())
-                .unwrap_or_default();
-            expelled.sort_by_key(|a| a.0);
-            for n in expelled {
-                self.unsubscribe(n);
-                self.evicted.push((n, group));
-                self.wal_append(WalRecord::Evict {
-                    at_ns: now.as_nanos(),
-                    group: group.0,
-                    node: n.0,
-                });
+        if self.policy.evict_excluded {
+            for node in expelled {
+                self.log(WalRecord::Evict { at_ns, group: group.0, node });
             }
         }
         if hold {
@@ -938,12 +1005,9 @@ impl Coordinator {
         if self.maybe_crash(ctx, buggify_points::COORD_CRASH_POST_COMMIT) {
             return; // Commit durable, resume never published: recovery releases.
         }
-        let round = self.pending.remove(&group);
-        if let Some(rec) = self.record_mut(epoch) {
-            rec.resumed = Some(now);
-        }
+        let span = self.pending.get_mut(&group).and_then(|r| r.span.take());
         ctx.telemetry().record_duration(t.barrier_hold, SimDuration::ZERO);
-        if let Some(span) = round.and_then(|r| r.span) {
+        if let Some(span) = span {
             ctx.telemetry().span_exit(span, now);
         }
         ctx.telemetry()
@@ -951,7 +1015,7 @@ impl Coordinator {
         ctx.telemetry()
             .trace_end(t.track, t.ev_epoch, now, epoch as i64);
         self.shadow_instant(ctx, |t| t.ev_s_resume, group, epoch, 0);
-        self.wal_append(WalRecord::Resume { at_ns: now.as_nanos(), group: group.0, epoch });
+        self.log(WalRecord::Resume { at_ns, group: group.0, epoch });
         self.publish_repeated(ctx, group, BusMsg::Resume { epoch, trace });
     }
 
@@ -969,10 +1033,7 @@ impl Coordinator {
         // Deterministic retry order: HashSet iteration order is not.
         let mut targets: Vec<NodeAddr> = round.await_ack.iter().copied().collect();
         targets.sort_by_key(|a| a.0);
-        if let Some(rec) = self.record_mut(epoch) {
-            rec.retries += 1;
-        }
-        self.wal_append(WalRecord::Retry { at_ns: ctx.now().as_nanos(), group: group.0, epoch });
+        self.log(WalRecord::Retry { at_ns: ctx.now().as_nanos(), group: group.0, epoch });
         let t = self.tele(ctx);
         ctx.telemetry().inc(t.retries);
         for m in targets {
@@ -999,8 +1060,7 @@ impl Coordinator {
     }
 
     fn on_epoch_deadline(&mut self, ctx: &mut Ctx<'_>, group: GroupId, epoch: u64) {
-        let policy = self.policy;
-        let Some(round) = self.pending.get_mut(&group) else {
+        let Some(round) = self.pending.get(&group) else {
             return;
         };
         if round.epoch != epoch || round.await_done.is_empty() {
@@ -1011,19 +1071,15 @@ impl Coordinator {
         // that *did* ack is alive-but-slow, and excluding live state would
         // break global consistency — abort instead.
         let missing_never_acked = round.await_done.is_subset(&round.await_ack);
-        let some_completed = round.await_done.len() + round.excluded.len() < round.participants;
-        if policy.allow_degraded && missing_never_acked && some_completed {
-            let mut missing: Vec<NodeAddr> = round.await_done.drain().collect();
-            missing.sort_by_key(|a| a.0);
-            round.excluded.extend(missing.iter().copied());
-            for n in missing {
-                self.shadow_instant(ctx, |t| t.ev_s_exclude, group, epoch, n.0);
-                self.wal_append(WalRecord::Exclude {
-                    at_ns: ctx.now().as_nanos(),
-                    group: group.0,
-                    epoch,
-                    node: n.0,
-                });
+        let some_completed =
+            round.await_done.len() + round.excluded.len() < round.participants.len();
+        if self.policy.allow_degraded && missing_never_acked && some_completed {
+            let mut missing: Vec<u32> = round.await_done.iter().map(|n| n.0).collect();
+            missing.sort_unstable();
+            for node in missing {
+                self.shadow_instant(ctx, |t| t.ev_s_exclude, group, epoch, node);
+                let at_ns = ctx.now().as_nanos();
+                self.log(WalRecord::Exclude { at_ns, group: group.0, epoch, node });
             }
             self.complete_barrier(ctx, group, epoch);
         } else {
@@ -1035,13 +1091,10 @@ impl Coordinator {
     /// local checkpoint sequence and resume as if the epoch had never
     /// been triggered. Shared by the deadline path and WAL recovery.
     fn abort_round(&mut self, ctx: &mut Ctx<'_>, group: GroupId, epoch: u64) {
-        let round = self.pending.remove(&group);
-        if let Some(rec) = self.record_mut(epoch) {
-            rec.outcome = Some(EpochOutcome::Aborted);
-        }
+        let span = self.pending.get_mut(&group).and_then(|r| r.span.take());
         let t = self.tele(ctx);
         ctx.telemetry().inc(t.aborted);
-        if let Some(span) = round.and_then(|r| r.span) {
+        if let Some(span) = span {
             // No duration sample for an epoch that never resumed.
             ctx.telemetry().span_discard(span);
         }
@@ -1051,7 +1104,7 @@ impl Coordinator {
         ctx.telemetry()
             .trace_end(t.track, t.ev_epoch, now, epoch as i64);
         self.shadow_instant(ctx, |t| t.ev_s_abort, group, epoch, 0);
-        self.wal_append(WalRecord::Abort { at_ns: now.as_nanos(), group: group.0, epoch });
+        self.log(WalRecord::Abort { at_ns: now.as_nanos(), group: group.0, epoch });
         // Aborted rounds deliberately leave their causal flow without a
         // FlowEnd: an unterminated flow in the export *is* the signal
         // that the round never resumed.
@@ -1066,15 +1119,12 @@ impl Coordinator {
     /// incremental image would checkpoint against a base the store never
     /// committed for it. Returns false if the node was never evicted.
     pub fn rejoin(&mut self, ctx: &mut Ctx<'_>, node: NodeAddr) -> bool {
-        let Some(pos) = self.evicted.iter().position(|&(n, _)| n == node) else {
+        let Some(&(_, group)) = self.evicted.iter().find(|&&(n, _)| n == node) else {
             return false;
         };
-        let (n, g) = self.evicted.remove(pos);
-        self.subscribe_in(n, g);
-        self.force_full.insert(n);
         let epoch = self.epoch;
-        self.shadow_instant(ctx, |t| t.ev_s_rejoin, g, epoch, n.0);
-        self.wal_append(WalRecord::Rejoin { at_ns: ctx.now().as_nanos(), group: g.0, node: n.0 });
+        self.shadow_instant(ctx, |t| t.ev_s_rejoin, group, epoch, node.0);
+        self.log(WalRecord::Rejoin { at_ns: ctx.now().as_nanos(), group: group.0, node: node.0 });
         true
     }
 
@@ -1103,18 +1153,17 @@ impl Coordinator {
         self.recoveries
     }
 
-    /// The attached epoch WAL, if any.
-    pub fn wal(&self) -> Option<&Wal> {
-        self.wal.as_ref()
+    /// The durable epoch WAL. It outlives a [`Coordinator::crash`];
+    /// clone the handle to read or rewrite the log from outside.
+    pub fn wal(&self) -> &Wal {
+        &self.wal
     }
 
     /// Evaluates one coordinator-crash buggify point. Returns true when
     /// the process crashed; the caller must stop touching round state.
-    /// Crash points only arm on WAL-backed coordinators (an amnesiac
-    /// restart would wedge every suspended node) and never re-enter
-    /// during recovery itself.
+    /// Crash points never re-enter during recovery itself.
     fn maybe_crash(&mut self, ctx: &mut Ctx<'_>, point: &'static str) -> bool {
-        if self.wal.is_none() || self.recovering {
+        if self.recovering {
             return false;
         }
         let bg = ctx.buggify().clone();
@@ -1135,14 +1184,7 @@ impl Coordinator {
     /// traffic, NTP requests, timers of the dead incarnation — is
     /// dropped until the restart, then the recovery path replays
     /// the log. No-op if already down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no WAL is attached: an amnesiac coordinator would reuse
-    /// epoch ids and wedge every suspended node, so crash injection is
-    /// only modeled for WAL-backed coordinators.
     pub fn crash(&mut self, ctx: &mut Ctx<'_>, downtime: SimDuration) {
-        assert!(self.wal.is_some(), "coordinator crash requires an attached WAL");
         if self.crashed {
             return;
         }
@@ -1176,224 +1218,53 @@ impl Coordinator {
         ctx.post_self(downtime, CoordMsg::Restart { gen: self.gen });
     }
 
-    /// Restart path: replays the WAL, rebuilds records and membership
-    /// deltas, then classifies each round left open at the crash —
-    /// committed-but-unresumed rounds release their barrier, rounds
-    /// whose barrier had silently completed roll forward and commit,
-    /// everything else aborts (conservatively force-fulling any node
-    /// that had already captured, since its incremental chain now spans
-    /// a rolled-back epoch).
+    /// Restart path: replays the WAL through `apply`, which rebuilds the
+    /// records, the open rounds and the membership deltas, then
+    /// classifies each round left open at the crash — committed-but-
+    /// unresumed rounds release their barrier, rounds whose barrier had
+    /// silently completed roll forward and commit, everything else
+    /// aborts (conservatively force-fulling any node that had already
+    /// captured, since its incremental chain now spans a rolled-back
+    /// epoch).
     fn recover(&mut self, ctx: &mut Ctx<'_>) {
-        /// Volatile image of one WAL round still open at the crash.
-        #[derive(Default)]
-        struct OpenRound {
-            epoch: u64,
-            hold: bool,
-            notify_at_clock_ns: Option<f64>,
-            participants: Vec<u32>,
-            forced_full: Vec<u32>,
-            acked: HashSet<u32>,
-            done: HashSet<u32>,
-            excluded: HashSet<u32>,
-            committed: bool,
-        }
-        let wal = self.wal.clone().expect("recovery requires an attached WAL");
         self.crashed = false;
         self.recovering = true;
         self.recoveries += 1;
         let t = self.tele(ctx);
         ctx.telemetry().inc(t.recoveries);
-
-        let mut open: HashMap<u32, OpenRound> = HashMap::new();
-        for rec in wal.replay() {
-            match rec {
-                WalRecord::RoundOpen {
-                    at_ns,
-                    group,
-                    epoch,
-                    hold,
-                    trace: _, // Re-derived via TraceCtx::for_round below.
-                    notify_at_clock_ns,
-                    participants,
-                    forced_full,
-                } => {
-                    self.epoch = self.epoch.max(epoch);
-                    self.records.push(EpochRecord {
-                        epoch,
-                        group: GroupId(group),
-                        published: SimTime::from_nanos(at_ns),
-                        acked: None,
-                        barrier_done: None,
-                        resumed: None,
-                        captured_bytes: 0,
-                        outcome: None,
-                        retries: 0,
-                        excluded: 0,
-                    });
-                    open.insert(
-                        group,
-                        OpenRound {
-                            epoch,
-                            hold,
-                            notify_at_clock_ns,
-                            participants,
-                            forced_full,
-                            ..OpenRound::default()
-                        },
-                    );
-                }
-                WalRecord::Ack { at_ns, group, epoch, node } => {
-                    if let Some(r) = open.get_mut(&group).filter(|r| r.epoch == epoch) {
-                        r.acked.insert(node);
-                        let covered = r.participants.iter().all(|n| r.acked.contains(n));
-                        if covered {
-                            if let Some(rec) = self.record_mut(epoch) {
-                                if rec.acked.is_none() {
-                                    rec.acked = Some(SimTime::from_nanos(at_ns));
-                                }
-                            }
-                        }
-                    }
-                }
-                WalRecord::Done { at_ns, group, epoch, node, image_bytes } => {
-                    if let Some(r) = open.get_mut(&group).filter(|r| r.epoch == epoch) {
-                        r.acked.insert(node); // A done report is an implicit ack.
-                        r.done.insert(node);
-                        let covered = r.participants.iter().all(|n| r.acked.contains(n));
-                        if let Some(rec) = self.record_mut(epoch) {
-                            rec.captured_bytes += image_bytes;
-                            if covered && rec.acked.is_none() {
-                                rec.acked = Some(SimTime::from_nanos(at_ns));
-                            }
-                        }
-                    }
-                }
-                WalRecord::Retry { group, epoch, .. } => {
-                    if open.get(&group).is_some_and(|r| r.epoch == epoch) {
-                        if let Some(rec) = self.record_mut(epoch) {
-                            rec.retries += 1;
-                        }
-                    }
-                }
-                WalRecord::Exclude { group, epoch, node, .. } => {
-                    if let Some(r) = open.get_mut(&group).filter(|r| r.epoch == epoch) {
-                        r.excluded.insert(node);
-                    }
-                }
-                WalRecord::Commit { at_ns, group, epoch, excluded } => {
-                    if let Some(r) = open.get_mut(&group).filter(|r| r.epoch == epoch) {
-                        r.committed = true;
-                    }
-                    if let Some(rec) = self.record_mut(epoch) {
-                        rec.barrier_done = Some(SimTime::from_nanos(at_ns));
-                        rec.outcome = Some(if excluded == 0 {
-                            EpochOutcome::Committed
-                        } else {
-                            EpochOutcome::Degraded
-                        });
-                        rec.excluded = excluded;
-                    }
-                }
-                WalRecord::Resume { at_ns, group, epoch } => {
-                    if open.get(&group).is_some_and(|r| r.epoch == epoch) {
-                        open.remove(&group);
-                    }
-                    if let Some(rec) = self.record_mut(epoch) {
-                        rec.resumed = Some(SimTime::from_nanos(at_ns));
-                    }
-                }
-                WalRecord::Abort { group, epoch, .. } => {
-                    if open.get(&group).is_some_and(|r| r.epoch == epoch) {
-                        open.remove(&group);
-                    }
-                    if let Some(rec) = self.record_mut(epoch) {
-                        rec.outcome = Some(EpochOutcome::Aborted);
-                    }
-                }
-                WalRecord::Abandon { group, epoch, .. } => {
-                    if open.get(&group).is_some_and(|r| r.epoch == epoch) {
-                        open.remove(&group);
-                    }
-                }
-                WalRecord::Evict { group, node, .. } => {
-                    let n = NodeAddr(node);
-                    self.unsubscribe(n);
-                    self.evicted.push((n, GroupId(group)));
-                }
-                WalRecord::Rejoin { group, node, .. } => {
-                    let n = NodeAddr(node);
-                    if let Some(pos) = self.evicted.iter().position(|&(m, _)| m == n) {
-                        self.evicted.remove(pos);
-                    }
-                    self.subscribe_in(n, GroupId(group));
-                    self.force_full.insert(n);
-                }
-                WalRecord::ForceFull { node, .. } => {
-                    self.force_full.insert(NodeAddr(node));
-                }
-                WalRecord::ForceFullHealed { node, .. } => {
-                    self.force_full.remove(&NodeAddr(node));
-                }
-            }
+        for rec in self.wal.replay() {
+            self.apply(&rec);
         }
 
         // Classify every round the crash left open, in group order so
         // recovery traffic is byte-stable across same-seed runs.
-        let mut groups: Vec<u32> = open.keys().copied().collect();
-        groups.sort_unstable();
+        let mut groups: Vec<GroupId> = self.pending.keys().copied().collect();
+        groups.sort_by_key(|g| g.0);
         let now = ctx.now();
-        for g in groups {
-            let r = open.remove(&g).expect("listed above");
-            let group = GroupId(g);
-            let epoch = r.epoch;
-            // The restarted process re-derives the round's context the
-            // same way the dead incarnation minted it, so recovery
-            // publications join the original flow.
-            let trace = TraceCtx::for_round(g, epoch);
-            let notify = match r.notify_at_clock_ns {
-                Some(at_clock_ns) => {
-                    BusMsg::CheckpointAt { epoch, at_clock_ns, full: false, trace }
-                }
-                None => BusMsg::CheckpointNow { epoch, full: false, trace },
-            };
-            let await_ack: HashSet<NodeAddr> = r
+        for group in groups {
+            let r = &self.pending[&group];
+            let (epoch, hold) = (r.epoch, r.hold);
+            // The participants that captured, in address order.
+            let done: Vec<u32> = r
                 .participants
                 .iter()
-                .filter(|n| !r.acked.contains(n))
-                .map(|&n| NodeAddr(n))
+                .filter(|n| !r.await_done.contains(n) && !r.excluded.contains(n))
+                .map(|n| n.0)
                 .collect();
-            let await_done: HashSet<NodeAddr> = r
-                .participants
-                .iter()
-                .filter(|n| !r.done.contains(n) && !r.excluded.contains(n))
-                .map(|&n| NodeAddr(n))
-                .collect();
-            let barrier_complete = await_done.is_empty();
-            let some_done = !r.done.is_empty();
-            let mid_flight = !r.acked.is_empty() || some_done;
-            self.pending.insert(
-                group,
-                Round {
-                    epoch,
-                    notify,
-                    await_ack,
-                    await_done,
-                    excluded: r.excluded.iter().map(|&n| NodeAddr(n)).collect(),
-                    forced_full: r.forced_full.iter().map(|&n| NodeAddr(n)).collect(),
-                    participants: r.participants.len(),
-                    hold: r.hold,
-                    span: None,
-                },
-            );
-            if r.committed {
+            let barrier_complete = r.await_done.is_empty();
+            let mid_flight = r.await_ack.len() < r.participants.len();
+            // An open round's outcome can only be a commit: an abort
+            // closes the round.
+            let committed = self.record(epoch).is_some_and(|rec| rec.outcome.is_some());
+            if committed {
                 // The decision is durable; only the release was lost.
                 self.shadow_instant(ctx, |t| t.ev_s_recover, group, epoch, recover_code::RELEASE);
-                if !r.hold {
+                if !hold {
                     self.release_resume_in(ctx, group);
                 }
                 // A held committed round stays pending: the testbed
                 // releases it through the normal barrier API.
-            } else if barrier_complete && some_done {
+            } else if barrier_complete && !done.is_empty() {
                 // Every participant reported (or was excluded) before the
                 // crash: the checkpoint exists in full, so roll forward.
                 self.shadow_instant(
@@ -1421,11 +1292,8 @@ impl Coordinator {
                     epoch,
                     recover_code::ABORT_FORCE_FULL,
                 );
-                let mut done_nodes: Vec<u32> = r.done.iter().copied().collect();
-                done_nodes.sort_unstable();
-                for n in done_nodes {
-                    self.force_full.insert(NodeAddr(n));
-                    self.wal_append(WalRecord::ForceFull { at_ns: now.as_nanos(), node: n });
+                for node in done {
+                    self.log(WalRecord::ForceFull { at_ns: now.as_nanos(), node });
                 }
                 self.abort_round(ctx, group, epoch);
             }
@@ -1663,6 +1531,46 @@ mod tests {
         (e, coord, nodes)
     }
 
+    /// Replays `coord`'s WAL into a fresh coordinator over the live
+    /// roster plus the evicted nodes, and checks that it rebuilds the
+    /// live protocol state field by field.
+    fn assert_replay_matches(e: &Engine, coord: ComponentId) {
+        let live = e.component_ref::<Coordinator>(coord).unwrap();
+        assert!(!live.is_crashed(), "a crashed coordinator holds no state");
+        let mut fresh = Coordinator::builder(live.addr, live.lan).build();
+        for &(n, g) in live.members.iter().chain(&live.evicted) {
+            fresh.subscribe_in(n, g);
+        }
+        for rec in live.wal.replay() {
+            fresh.apply(&rec);
+        }
+        assert_eq!(format!("{:?}", fresh.records), format!("{:?}", live.records));
+        assert_eq!(fresh.evicted, live.evicted);
+        assert_eq!(fresh.force_full, live.force_full);
+        assert_eq!(fresh.epoch, live.epoch);
+        let groups = |c: &Coordinator| {
+            let mut g: Vec<u32> = c.pending.keys().map(|g| g.0).collect();
+            g.sort_unstable();
+            g
+        };
+        assert_eq!(groups(&fresh), groups(live));
+        for (g, l) in &live.pending {
+            let f = &fresh.pending[g];
+            assert_eq!(
+                (f.epoch, f.notify, &f.await_ack, &f.await_done, &f.excluded),
+                (l.epoch, l.notify, &l.await_ack, &l.await_done, &l.excluded),
+                "group {}",
+                g.0
+            );
+            assert_eq!(
+                (&f.forced_full, &f.participants, f.hold),
+                (&l.forced_full, &l.participants, l.hold),
+                "group {}",
+                g.0
+            );
+        }
+    }
+
     #[test]
     fn barrier_waits_for_the_slowest_node() {
         let (mut e, coord, nodes) = rig(&[5, 50, 20]);
@@ -1678,20 +1586,21 @@ mod tests {
         let c = e.component_ref::<Coordinator>(coord).unwrap();
         assert_eq!(c.completed(), 1);
         assert_eq!(
-            c.records[0].captured_bytes,
+            c.records()[0].captured_bytes,
             3 << 20,
             "each node reports 1 MiB of captured image"
         );
-        assert_eq!(c.records[0].outcome, Some(EpochOutcome::Committed));
-        assert!(c.records[0].notify_to_acks().is_some(), "implicit acks recorded");
+        assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Committed));
+        assert!(c.records()[0].notify_to_acks().is_some(), "implicit acks recorded");
         assert_eq!(
-            c.records[0].barrier_hold(),
+            c.records()[0].barrier_hold(),
             Some(SimDuration::ZERO),
             "resume published at barrier completion when not held"
         );
         for &n in &nodes {
             assert_eq!(e.component_ref::<FakeNode>(n).unwrap().resumed, 1);
         }
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1706,11 +1615,12 @@ mod tests {
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
         e.run_for(SimDuration::from_millis(100));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
-        assert_eq!(c.records[0].outcome, Some(EpochOutcome::Committed));
-        assert_eq!(c.records[0].captured_bytes, 2 << 20, "nodes 2 and 3, once each");
+        assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Committed));
+        assert_eq!(c.records()[0].captured_bytes, 2 << 20, "nodes 2 and 3, once each");
         let notified: Vec<u64> =
             nodes.iter().map(|&n| e.component_ref::<FakeNode>(n).unwrap().notified).collect();
         assert_eq!(notified, [0, 1, 1]);
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1724,10 +1634,11 @@ mod tests {
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.release_resume(ctx));
         e.run_for(SimDuration::from_millis(10));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
-        assert!(c.records[0].barrier_hold().unwrap() >= SimDuration::from_millis(50));
+        assert!(c.records()[0].barrier_hold().unwrap() >= SimDuration::from_millis(50));
         for &n in &nodes {
             assert_eq!(e.component_ref::<FakeNode>(n).unwrap().resumed, 1);
         }
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1750,10 +1661,11 @@ mod tests {
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.release_resume(ctx));
         e.run_for(SimDuration::from_millis(10));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
-        assert_eq!(c.records[0].outcome, Some(EpochOutcome::Committed));
+        assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Committed));
         for &n in &nodes {
             assert_eq!(e.component_ref::<FakeNode>(n).unwrap().resumed, 1);
         }
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1774,6 +1686,7 @@ mod tests {
             "kept triggering after stop"
         );
         let _ = nodes;
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1796,6 +1709,7 @@ mod tests {
         for &n in &nodes {
             assert_eq!(e.component_ref::<FakeNode>(n).unwrap().notified, 1);
         }
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1822,11 +1736,12 @@ mod tests {
         e.run_for(SimDuration::from_millis(200));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
         assert_eq!(c.completed(), 1);
-        assert_eq!(c.records[0].outcome, Some(EpochOutcome::Committed));
-        assert!(c.records[0].retries >= 2, "retries {}", c.records[0].retries);
+        assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Committed));
+        assert!(c.records()[0].retries >= 2, "retries {}", c.records()[0].retries);
         for &n in &nodes {
             assert_eq!(e.component_ref::<FakeNode>(n).unwrap().resumed, 1);
         }
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1847,14 +1762,15 @@ mod tests {
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
         e.run_for(SimDuration::from_millis(200));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
-        assert_eq!(c.records[0].outcome, Some(EpochOutcome::Degraded));
-        assert_eq!(c.records[0].excluded, 1);
-        assert!(c.records[0].retries >= 1, "crashed node was re-notified");
+        assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Degraded));
+        assert_eq!(c.records()[0].excluded, 1);
+        assert!(c.records()[0].retries >= 1, "crashed node was re-notified");
         assert_eq!(c.completed(), 1, "degraded epochs still resume");
         assert_eq!(c.outcome_counts(), (0, 0, 1));
         assert_eq!(e.component_ref::<FakeNode>(nodes[0]).unwrap().resumed, 1);
         assert_eq!(e.component_ref::<FakeNode>(nodes[1]).unwrap().resumed, 0, "crashed");
         assert_eq!(e.component_ref::<FakeNode>(nodes[2]).unwrap().resumed, 1);
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1871,13 +1787,14 @@ mod tests {
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
         e.run_for(SimDuration::from_millis(600));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
-        assert_eq!(c.records[0].outcome, Some(EpochOutcome::Aborted));
+        assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Aborted));
         assert_eq!(c.completed(), 0);
         assert!(c.idle(), "aborted round fully cleared");
         assert_eq!(e.component_ref::<FakeNode>(nodes[0]).unwrap().aborted, 1);
         for &n in &nodes {
             assert_eq!(e.component_ref::<FakeNode>(n).unwrap().resumed, 0);
         }
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1897,13 +1814,14 @@ mod tests {
         e.with_component::<Coordinator, _>(coord, |c, ctx| c.trigger(ctx));
         e.run_for(SimDuration::from_millis(600));
         let c = e.component_ref::<Coordinator>(coord).unwrap();
-        assert_eq!(c.records[0].outcome, Some(EpochOutcome::Aborted));
+        assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Aborted));
         assert!(
-            c.records[0].notify_to_acks().unwrap() < SimDuration::from_millis(5),
+            c.records()[0].notify_to_acks().unwrap() < SimDuration::from_millis(5),
             "both nodes acked promptly"
         );
         assert_eq!(c.outcome_counts(), (0, 1, 0));
         let _ = nodes;
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -1935,7 +1853,7 @@ mod tests {
         e.run_for(SimDuration::from_millis(200));
         {
             let c = e.component_ref::<Coordinator>(coord).unwrap();
-            assert_eq!(c.records[0].outcome, Some(EpochOutcome::Degraded));
+            assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Degraded));
             assert_eq!(c.evicted(), &[(crashed, GroupId(0))]);
         }
 
@@ -1945,9 +1863,9 @@ mod tests {
         e.run_for(SimDuration::from_millis(200));
         {
             let c = e.component_ref::<Coordinator>(coord).unwrap();
-            assert_eq!(c.records[1].outcome, Some(EpochOutcome::Committed));
-            assert_eq!(c.records[1].excluded, 0);
-            assert_eq!(c.records[1].retries, 0, "nobody retries a corpse");
+            assert_eq!(c.records()[1].outcome, Some(EpochOutcome::Committed));
+            assert_eq!(c.records()[1].excluded, 0);
+            assert_eq!(c.records()[1].retries, 0, "nobody retries a corpse");
         }
 
         // The node recovers (LAN heals) and is re-admitted.
@@ -1966,10 +1884,10 @@ mod tests {
         e.run_for(SimDuration::from_millis(200));
         {
             let c = e.component_ref::<Coordinator>(coord).unwrap();
-            assert_eq!(c.records[2].outcome, Some(EpochOutcome::Committed));
-            assert_eq!(c.records[2].excluded, 0);
+            assert_eq!(c.records()[2].outcome, Some(EpochOutcome::Committed));
+            assert_eq!(c.records()[2].excluded, 0);
             assert_eq!(
-                c.records[2].captured_bytes,
+                c.records()[2].captured_bytes,
                 3 << 20,
                 "all three nodes reported at the barrier"
             );
@@ -1997,6 +1915,7 @@ mod tests {
             shadow.violations()
         );
         assert_eq!(shadow.epochs_checked, 4);
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -2021,6 +1940,7 @@ mod tests {
         let span = t.span_summary("coordinator", "epoch").unwrap();
         assert_eq!(span.count, 1);
         assert!(span.min >= 10_000_000.0, "epoch spans the slowest capture");
+        assert_replay_matches(&e, coord);
     }
 
     #[test]
@@ -2037,5 +1957,39 @@ mod tests {
             "held round's barrier hold is the suspension window, got {}",
             hold.max
         );
+        assert_replay_matches(&e, coord);
+    }
+
+    #[test]
+    fn late_done_from_an_excluded_node_is_a_durable_ack() {
+        // A held round commits degraded with the slow node excluded; its
+        // done report, arriving long after, is its implicit ack. That ack
+        // must reach the WAL: after a crash, the recovered record and ack
+        // set equal the live ones.
+        let (mut e, coord, _nodes) = rig(&[5, 200_000]);
+        e.with_component::<Coordinator, _>(coord, |c, ctx| c.suspend(ctx));
+        e.run_for(SimDuration::from_secs(130));
+        {
+            let c = e.component_ref::<Coordinator>(coord).unwrap();
+            assert_eq!(c.records()[0].outcome, Some(EpochOutcome::Degraded));
+            assert_eq!(c.records()[0].acked, None, "node 2 never acked");
+            assert_eq!(c.pending[&GroupId::DEFAULT].excluded, HashSet::from([NodeAddr(2)]));
+        }
+        // Node 2's done reports land from 200 s on.
+        e.run_for(SimDuration::from_secs(71));
+        let state = |e: &Engine| {
+            let c = e.component_ref::<Coordinator>(coord).unwrap();
+            (format!("{:?}", c.records()), c.pending[&GroupId::DEFAULT].await_ack.clone())
+        };
+        let live = state(&e);
+        assert!(live.0.contains("acked: Some("), "the late done acked: {}", live.0);
+        assert!(live.1.is_empty());
+        e.with_component::<Coordinator, _>(coord, |c, ctx| {
+            c.crash(ctx, SimDuration::from_millis(1));
+        });
+        e.run_for(SimDuration::from_millis(10));
+        assert_eq!(e.component_ref::<Coordinator>(coord).unwrap().recovery_count(), 1);
+        assert_eq!(state(&e), live);
+        assert_replay_matches(&e, coord);
     }
 }

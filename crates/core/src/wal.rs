@@ -3,18 +3,20 @@
 //! Every fault PR so far assumed the coordinator was immortal: the
 //! two-phase epoch state machine lived entirely in coordinator memory,
 //! so a control-plane crash mid-round would wedge the experiment. This
-//! module is the durable half of the fix — the coordinator appends a
-//! [`WalRecord`] at every epoch transition (round-open, per-node
-//! ack/done, exclusion, commit/abort, resume-release, membership
-//! changes), and [`Coordinator::recover`](crate::Coordinator) replays
-//! the log after a crash to classify the in-flight round and rebuild
-//! the epoch counter, the per-epoch records, and the membership deltas.
+//! module is the durable half of the fix. Every epoch transition
+//! (round-open, per-node ack/done, exclusion, commit/abort,
+//! resume-release, membership changes) is a [`WalRecord`] the
+//! [`Coordinator`](crate::Coordinator) appends and then applies: the
+//! record *is* the state change. After a crash the coordinator replays
+//! the log through the same interpretation, which rebuilds the epoch
+//! counter, the per-epoch records, the open rounds and the membership
+//! deltas, then classifies each round left open.
 //!
 //! Records are encoded with the same hand-rolled [`Enc`]/[`Dec`] codec
 //! the checkpoint image store uses, one tagged frame per record, so a
 //! log survives byte-identically across same-seed runs. The log itself
 //! is an in-memory, append-only list of frames behind the cheap-clone
-//! [`Wal`] handle, which outlives the coordinator it is lent to.
+//! [`Wal`] handle, which survives the coordinator's crashes.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -301,10 +303,11 @@ impl WalRecord {
 }
 
 /// Cheap-clone handle to the epoch log, mirroring the `Buggify` and
-/// `Telemetry` handle idiom: the testbed owns one, the coordinator holds
-/// a clone, and the log therefore survives a coordinator crash/restart.
-/// The handle is `Send` so a coordinator can run on a shard of the
-/// sharded engine; nothing contends for the lock.
+/// `Telemetry` handle idiom. Every coordinator makes its own; a crash
+/// loses the coordinator's volatile state but not the log. A clone
+/// (`Coordinator::wal().clone()`) lets a checker read or rewrite the log
+/// from outside. The handle is `Send` so a coordinator can run on a
+/// shard of the sharded engine; nothing contends for the lock.
 #[derive(Clone)]
 pub struct Wal {
     /// The encoded records, one frame each, in append order.

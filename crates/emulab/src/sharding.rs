@@ -436,6 +436,6 @@ mod tests {
         let o = lab.outcome();
         assert_eq!((o.nodes, o.epochs_committed), (64, 2));
         assert!(o.pings > 0, "gossip ran");
-        assert_eq!(lab.coordinator().records.len(), 2);
+        assert_eq!(lab.coordinator().records().len(), 2);
     }
 }

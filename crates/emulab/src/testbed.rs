@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use checkpoint::{Coordinator, DelayNodeHost, GroupId, Strategy, Wal};
+use checkpoint::{Coordinator, DelayNodeHost, GroupId, Strategy};
 use ckptstore::{CaptureCache, PutReport, StoreClient};
 use cowstore::{BranchingStore, CowMode, GoldenImage, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
@@ -212,14 +212,9 @@ impl Testbed {
             profile::CTRL_LAN_LATENCY,
             profile::CTRL_LAN_JITTER,
         )));
-        // The epoch WAL lives in the ops node's durable store — it
-        // survives coordinator process crashes (the buggify
-        // `coord.crash_*` points), which only arm on WAL-backed
-        // coordinators.
         let coordinator = engine.add_component(Box::new(
             Coordinator::builder(OPS_ADDR, lan)
                 .mode(strategy.trigger_mode())
-                .wal(Wal::in_memory())
                 .build(),
         ));
         let fileserver = engine.add_component(Box::new(FileServer::new(FS_ADDR, lan)));
@@ -904,7 +899,7 @@ impl Testbed {
                     "suspend round aborted instead of reaching the barrier: \
                      outcomes {:?}, last record {:?}",
                     c.outcome_counts_in(group),
-                    c.records.last()
+                    c.records().last()
                 );
             }
         }
