@@ -14,9 +14,10 @@
 //! # Write path
 //!
 //! One loop (`put_chunks`) takes an image as its chunks in order — slices
-//! borrowed from a caller's buffer (`put_image*`) or buffers handed over
-//! whole (`put_segments*`, which adopts an encoder's segments as the
-//! stored chunks) — and batches new chunks per shard. The
+//! borrowed from a caller's buffer (`put_image*`) or segments handed over
+//! whole (`put_segments*`, which adopts an encoder's segments, block
+//! records still fingerprints, as the stored chunks) — and batches new
+//! chunks per shard. The
 //! primary copy is written synchronously; replica copies may fail at the
 //! buggify `store.shard_fail` point. The put blocks (retries) until a
 //! majority quorum of copies is durable; copies that failed beyond the
@@ -48,6 +49,7 @@ use sim::{
 
 use crate::error::StoreError;
 use crate::hash::{chunk_hash, splitmix64, ChunkHash};
+use crate::segment::Segment;
 
 /// Default chunk size. Matches the COW stores' 4 KB block size so an
 /// aligned block record maps 1:1 onto a chunk.
@@ -125,21 +127,22 @@ pub struct RepairStats {
 
 /// Capture-side page-hash cache: the chunk list of one domain's last
 /// committed image. A cached put re-admits a chunk whose bytes are
-/// unchanged since that image (verified by memcmp against the cached
-/// payload) under its cached content address without re-hashing —
-/// incremental capture in wall-clock terms — and keeps the cached buffer
-/// in place of the new one, so an unchanged chunk is one allocation
-/// however many captures hold it.
+/// unchanged since that image under its cached content address without
+/// re-hashing — incremental capture in wall-clock terms — and keeps the
+/// cached segment in place of the new one, so an unchanged chunk is one
+/// allocation however many captures hold it. "Unchanged" is a comparison
+/// of bytes (`Segment`'s `==`): two records by fingerprint, a record and
+/// bytes 1 KiB of the record at a time, bytes by memcmp.
 ///
-/// Safety invariant: every cached `(hash, bytes)` pair satisfies
-/// `hash == chunk_hash(bytes)` by construction — an entry is the buffer
-/// that was just hashed, or a previous entry that compared equal; fault
-/// injection damages a private copy, never that buffer — so a stale
-/// cache, a cache from another domain, or a cache surviving a store
-/// reset can only cause extra misses, never a wrong content address.
+/// Safety invariant: every cached `(hash, segment)` pair satisfies
+/// `hash == chunk_hash(bytes of segment)` by construction — an entry is
+/// the segment that was just hashed, or a previous entry that compared
+/// equal; fault injection damages a private copy, never that segment — so
+/// a stale cache, a cache from another domain, or a cache surviving a
+/// store reset can only cause extra misses, never a wrong content address.
 #[derive(Default)]
 pub struct CaptureCache {
-    pub(crate) chunks: Vec<(ChunkHash, Arc<[u8]>)>,
+    pub(crate) chunks: Vec<(ChunkHash, Segment)>,
     hits: u64,
     misses: u64,
 }
@@ -205,29 +208,44 @@ struct WriteFaults {
 }
 
 /// One chunk on its way into the store: a slice of a caller's buffer, or
-/// a buffer handed over whole.
+/// a segment handed over whole.
 enum Chunk<'a> {
     Borrowed(&'a [u8]),
-    Owned(Arc<[u8]>),
+    Owned(Segment),
 }
 
 impl Chunk<'_> {
-    fn bytes(&self) -> &[u8] {
+    fn len(&self) -> usize {
         match self {
-            Chunk::Borrowed(b) => b,
-            Chunk::Owned(a) => a,
+            Chunk::Borrowed(b) => b.len(),
+            Chunk::Owned(s) => s.len(),
         }
     }
 
-    /// The chunk as a shared buffer: the one handed over, or a copy of
+    fn hash(&self) -> ChunkHash {
+        match self {
+            Chunk::Borrowed(b) => chunk_hash(b),
+            Chunk::Owned(s) => s.hash(),
+        }
+    }
+
+    /// Whether `seg` holds this chunk's bytes.
+    fn same_bytes(&self, seg: &Segment) -> bool {
+        match self {
+            Chunk::Borrowed(b) => seg.eq_bytes(b),
+            Chunk::Owned(s) => s == seg,
+        }
+    }
+
+    /// The chunk as a shared segment: the one handed over, or a copy of
     /// the borrowed bytes made at the first call and shared after.
-    fn share(&mut self) -> Arc<[u8]> {
-        let arc = match self {
-            Chunk::Owned(a) => return a.clone(),
-            Chunk::Borrowed(b) => Arc::<[u8]>::from(*b),
+    fn share(&mut self) -> Segment {
+        let seg = match self {
+            Chunk::Owned(s) => return s.clone(),
+            Chunk::Borrowed(b) => Segment::Bytes(Arc::from(*b)),
         };
-        *self = Chunk::Owned(arc.clone());
-        arc
+        *self = Chunk::Owned(seg.clone());
+        seg
     }
 }
 
@@ -331,7 +349,7 @@ impl StoreTele {
 /// copies — and its pipeline clock.
 #[derive(Default)]
 struct Shard {
-    copies: IntMap<(u128, u8), Arc<[u8]>>,
+    copies: IntMap<(u128, u8), Segment>,
     /// Payload bytes across the live copies.
     bytes: u64,
     /// Virtual pipeline clock: when this shard finishes its last
@@ -342,14 +360,14 @@ struct Shard {
 impl Shard {
     /// Stores one copy's payload, replacing any it held (repair heals in
     /// place).
-    fn put(&mut self, hash: ChunkHash, copy: u8, data: Arc<[u8]>) {
+    fn put(&mut self, hash: ChunkHash, copy: u8, data: Segment) {
         self.bytes += data.len() as u64;
         if let Some(old) = self.copies.insert((hash.0, copy), data) {
             self.bytes -= old.len() as u64;
         }
     }
 
-    fn get(&self, hash: ChunkHash, copy: u8) -> Option<Arc<[u8]>> {
+    fn get(&self, hash: ChunkHash, copy: u8) -> Option<Segment> {
         self.copies.get(&(hash.0, copy)).cloned()
     }
 
@@ -416,7 +434,7 @@ impl State {
         let n_shards = self.shards.len();
         let quorum = majority(self.replication);
         let mut manifest = Vec::with_capacity(n_chunks);
-        let mut next_cache: Option<Vec<(ChunkHash, Arc<[u8]>)>> =
+        let mut next_cache: Option<Vec<(ChunkHash, Segment)>> =
             cache.as_ref().map(|_| Vec::with_capacity(n_chunks));
         let mut logical = 0u64;
         let mut new_physical = 0u64;
@@ -435,24 +453,24 @@ impl State {
         let mut chunk_copy_counts: Vec<u8> = Vec::new();
 
         for (idx, mut chunk) in chunks.enumerate() {
-            let len = chunk.bytes().len() as u64;
+            let len = chunk.len() as u64;
             logical += len;
             // Cached-hash fast path: when the bytes at this position are
             // unchanged since the previous capture, its hash is reused
-            // and its buffer stands in for this one from here on.
+            // and its segment stands in for this one from here on.
             let h = match cache.as_deref_mut() {
                 Some(c) => match c.chunks.get(idx) {
-                    Some((h, prev)) if prev.as_ref() == chunk.bytes() => {
+                    Some((h, prev)) if chunk.same_bytes(prev) => {
                         cache_hits += 1;
                         chunk = Chunk::Owned(prev.clone());
                         *h
                     }
                     _ => {
                         cache_misses += 1;
-                        chunk_hash(chunk.bytes())
+                        chunk.hash()
                     }
                 },
-                None => chunk_hash(chunk.bytes()),
+                None => chunk.hash(),
             };
             if let Some(meta) = self.chunks.get_mut(&h) {
                 meta.refs += 1;
@@ -468,10 +486,7 @@ impl State {
                 if let Some(wf) = self.write_faults.as_mut() {
                     let draw = splitmix64(&mut wf.state);
                     if len > 0 && draw % 1_000_000 < u64::from(wf.per_million) {
-                        let mut damaged = clean.to_vec();
-                        let i = (draw >> 32) as usize % damaged.len();
-                        damaged[i] ^= 0x01;
-                        primary = damaged.into();
+                        primary = clean.damaged((draw >> 32) as usize);
                     }
                 }
                 // Buggified write corruption: same shape as the injected
@@ -479,9 +494,7 @@ impl State {
                 // from the exploration registry's own stream.
                 if len > 0 && buggify!(self.buggify, bg_points::STORE_PUT_CORRUPT) {
                     let i = self.buggify.magnitude(bg_points::STORE_PUT_CORRUPT, 0, len) as usize;
-                    let mut damaged = primary.to_vec();
-                    damaged[i] ^= 0x01;
-                    primary = damaged.into();
+                    primary = primary.damaged(i);
                 }
 
                 // Primary write is synchronous and always durable.
@@ -538,7 +551,7 @@ impl State {
             }
             if let Some(nc) = next_cache.as_mut() {
                 // `chunk` is the bytes that hashed to `h` (or the cached
-                // buffer they were compared equal to), never a damaged
+                // segment they were compared equal to), never a damaged
                 // primary: the cache invariant holds by construction.
                 nc.push((h, chunk.share()));
             }
@@ -660,12 +673,12 @@ impl State {
         let existing = self.shards[dest].get(task.hash, task.copy);
         let was_present = existing.is_some();
         if let Some(copy) = &existing {
-            if chunk_hash(copy) == task.hash {
+            if copy.hash() == task.hash {
                 return TaskOutcome::AlreadyIntact;
             }
         }
         // Find an intact source among the other copies.
-        let mut source: Option<Arc<[u8]>> = None;
+        let mut source: Option<Segment> = None;
         for r in 0..want {
             if r == task.copy {
                 continue;
@@ -673,7 +686,7 @@ impl State {
             if let Some(copy) =
                 self.shards[shard_of(task.hash, r, n_shards)].get(task.hash, r)
             {
-                if chunk_hash(&copy) == task.hash {
+                if copy.hash() == task.hash {
                     source = Some(copy);
                     break;
                 }
@@ -851,10 +864,11 @@ impl StoreClient {
     /// instead of lent: same manifest, report, dedup accounting and cache
     /// behaviour as the put of their concatenation, but a store running
     /// at the segment size keeps the segments themselves as its chunks
-    /// and cache entries — no contiguous image, no second copy.
+    /// and cache entries — no contiguous image, no second copy, and no
+    /// block record written out.
     pub fn put_segments_cached(
         &self,
-        segments: Vec<Arc<[u8]>>,
+        segments: Vec<Segment>,
         cache: &mut CaptureCache,
     ) -> PutReport {
         self.put_segments(segments, Some(cache), None).report
@@ -864,7 +878,7 @@ impl StoreClient {
     /// over as in [`StoreClient::put_segments_cached`].
     pub fn put_segments_at(
         &self,
-        segments: Vec<Arc<[u8]>>,
+        segments: Vec<Segment>,
         cache: Option<&mut CaptureCache>,
         now: SimTime,
     ) -> TimedPut {
@@ -884,12 +898,12 @@ impl StoreClient {
 
     /// The owned entry: when the segments are chunk-shaped — all
     /// `chunk_size` long but a shorter, non-empty last — the store adopts
-    /// them: the buffer the encoder wrote is the chunk the backend holds,
+    /// them: the segment the encoder sealed is the chunk the shards hold,
     /// the capture cache remembers and a later load returns. A store
     /// running at another chunk size re-slices their concatenation.
     fn put_segments(
         &self,
-        segments: Vec<Arc<[u8]>>,
+        segments: Vec<Segment>,
         cache: Option<&mut CaptureCache>,
         now: Option<SimTime>,
     ) -> TimedPut {
@@ -900,7 +914,7 @@ impl StoreClient {
         if chunk_shaped {
             self.inner.borrow_mut().put_chunks(segments.into_iter().map(Chunk::Owned), cache, now)
         } else {
-            self.put_bytes(&segments.concat(), cache, now)
+            self.put_bytes(&concat(&segments), cache, now)
         }
     }
 
@@ -909,17 +923,18 @@ impl StoreClient {
     /// Reassembles an image into one buffer: the concatenation of
     /// [`StoreClient::load_image_chunks`], with the same checks.
     pub fn load_image(&self, id: ImageId) -> Result<Vec<u8>, StoreError> {
-        Ok(self.load_image_chunks(id)?.concat())
+        Ok(concat(&self.load_image_chunks(id)?))
     }
 
-    /// Loads an image as its verified chunk list (decode it in place
-    /// with [`crate::Dec::chunked`]), re-hashing every chunk on the way
-    /// out and handing back the very buffers it verified. A corrupt
+    /// Loads an image as its verified segment list (decode it in place
+    /// with [`crate::Dec::chunked`]), recomputing every copy's address
+    /// from what it holds on the way out and handing back the very
+    /// segments it verified. A corrupt
     /// primary is served from the first intact replica (counted in
     /// [`StoreClient::repaired_chunks`]), and the damaged copies it
     /// skipped are enqueued for background read-repair; the typed error
     /// surfaces only when every copy is damaged.
-    pub fn load_image_chunks(&self, id: ImageId) -> Result<Vec<Arc<[u8]>>, StoreError> {
+    pub fn load_image_chunks(&self, id: ImageId) -> Result<Vec<Segment>, StoreError> {
         let s = &mut *self.inner.borrow_mut();
         // Buggified slow get: the store has no clock, so the latency debt
         // accumulates for the timed caller to drain (`take_get_penalty_ns`).
@@ -937,50 +952,33 @@ impl StoreClient {
         let mut served_from_replica = 0u64;
         let mut read_repairs: Vec<RepairTask> = Vec::new();
         for (i, h) in m.chunks.iter().enumerate() {
-            let meta = s
-                .chunks
-                .get(h)
-                .ok_or(StoreError::MissingChunk { image: id, chunk_index: i })?;
-            let mut served: Option<(u8, Arc<[u8]>)> = None;
-            let mut primary_actual: Option<ChunkHash> = None;
-            for r in 0..meta.want {
-                let copy = s.shards[shard_of(*h, r, n_shards)].get(*h, r);
-                let Some(copy) = copy else {
-                    if r == 0 {
-                        return Err(StoreError::MissingChunk { image: id, chunk_index: i });
-                    }
-                    continue;
-                };
-                let actual = chunk_hash(&copy);
-                if r == 0 {
-                    primary_actual = Some(actual);
-                }
-                if actual == *h {
-                    served = Some((r, copy));
-                    break;
-                }
+            let missing = || StoreError::MissingChunk { image: id, chunk_index: i };
+            let primary = s.shards[shard_of(*h, 0, n_shards)].get(*h, 0).ok_or_else(missing)?;
+            let actual = primary.hash();
+            if actual == *h {
+                // An intact primary is the whole answer: the chunk table,
+                // a cache miss per chunk, is read only for a damaged one.
+                out.push(primary);
+                continue;
             }
-            match served {
-                Some((r, copy)) => {
-                    if r > 0 {
-                        served_from_replica += 1;
-                        // Read-repair: the damaged copies we skipped go on
-                        // the gossip queue.
-                        for bad in 0..r {
-                            read_repairs.push(RepairTask { hash: *h, copy: bad });
-                        }
-                    }
-                    out.push(copy);
-                }
-                None => {
-                    return Err(StoreError::CorruptChunk {
-                        image: id,
-                        chunk_index: i,
-                        expected: *h,
-                        actual: primary_actual.expect("primary copy present"),
-                    });
-                }
-            }
+            let want = s.chunks.get(h).ok_or_else(missing)?.want;
+            let intact = (1..want).find_map(|r| {
+                let copy = s.shards[shard_of(*h, r, n_shards)].get(*h, r)?;
+                (copy.hash() == *h).then_some((r, copy))
+            });
+            let Some((r, copy)) = intact else {
+                return Err(StoreError::CorruptChunk {
+                    image: id,
+                    chunk_index: i,
+                    expected: *h,
+                    actual,
+                });
+            };
+            served_from_replica += 1;
+            // Read-repair: the damaged or missing copies skipped go on the
+            // gossip queue.
+            read_repairs.extend((0..r).map(|bad| RepairTask { hash: *h, copy: bad }));
+            out.push(copy);
         }
         debug_assert_eq!(
             out.iter().map(|c| c.len() as u64).sum::<u64>(),
@@ -1090,7 +1088,7 @@ impl StoreClient {
         for h in s.sorted_hashes() {
             for r in 0..s.chunks[&h].want {
                 let ok = match s.shards[shard_of(h, r, n_shards)].get(h, r) {
-                    Some(copy) => chunk_hash(&copy) == h,
+                    Some(copy) => copy.hash() == h,
                     None => false,
                 };
                 if !ok {
@@ -1217,7 +1215,7 @@ impl StoreClient {
 
     /// Flips one byte inside *every* stored copy of a chunk of `image`
     /// so the next load must report [`StoreError::CorruptChunk`] (no
-    /// replica can save it).
+    /// replica can save it). A record copy is written out to be damaged.
     #[doc(hidden)]
     pub fn corrupt_chunk(
         &self,
@@ -1232,10 +1230,7 @@ impl StoreClient {
         for r in 0..want {
             let shard = &mut s.shards[shard_of(h, r, n_shards)];
             if let Some(copy) = shard.get(h, r) {
-                let mut damaged = copy.to_vec();
-                let i = byte % damaged.len();
-                damaged[i] ^= 0x01;
-                shard.put(h, r, damaged.into());
+                shard.put(h, r, copy.damaged(byte));
             }
         }
         Ok(())
@@ -1255,12 +1250,18 @@ impl StoreClient {
         let home = shard_of(h, 0, s.shards.len());
         let shard = &mut s.shards[home];
         let copy = shard.get(h, 0).ok_or(StoreError::MissingChunk { image, chunk_index })?;
-        let mut damaged = copy.to_vec();
-        let i = byte % damaged.len();
-        damaged[i] ^= 0x01;
-        shard.put(h, 0, damaged.into());
+        shard.put(h, 0, copy.damaged(byte));
         Ok(())
     }
+}
+
+/// The bytes of `segments`, end to end.
+fn concat(segments: &[Segment]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(segments.iter().map(Segment::len).sum());
+    for seg in segments {
+        seg.extend_vec(&mut out);
+    }
+    out
 }
 
 struct PumpTick;
@@ -1372,7 +1373,7 @@ impl StoreBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::tests::block_record;
+    use crate::hash::record_hash;
     use std::collections::BTreeMap;
 
     /// The chunk table is hashed; the repair queue must still fill in the
@@ -1397,7 +1398,7 @@ mod tests {
         for (&h, &copies) in &walk {
             for r in 0..copies {
                 let copy = s.shards[shard_of(h, r, 3)].get(h, r);
-                if copy.is_none_or(|c| chunk_hash(&c) != h) {
+                if copy.is_none_or(|c| c.hash() != h) {
                     want.push(RepairTask { hash: h, copy: r });
                 }
             }
@@ -1419,31 +1420,33 @@ mod tests {
     /// a no-op returning `false`, and the copy and byte counts follow.
     #[test]
     fn shard_copy_table_semantics() {
-        let payload = |tag: u8, len: usize| -> Arc<[u8]> {
-            (0..len).map(|i| tag ^ (i as u8)).collect::<Vec<_>>().into()
+        let payload = |tag: u8, len: usize| -> Segment {
+            Segment::Bytes((0..len).map(|i| tag ^ (i as u8)).collect::<Vec<_>>().into())
         };
         let mut shard = Shard::default();
         let a = payload(1, 100);
         let b = payload(2, 50);
-        let ha = chunk_hash(&a);
-        let hb = chunk_hash(&b);
+        let c = Segment::Record(9);
+        let (ha, hb, hc) = (a.hash(), b.hash(), c.hash());
         shard.put(ha, 0, a.clone());
         shard.put(ha, 1, a.clone());
         shard.put(hb, 0, b.clone());
-        assert_eq!(shard.copies.len(), 3);
-        assert_eq!(shard.bytes, 250);
-        assert_eq!(shard.get(ha, 0).as_deref(), Some(a.as_ref()));
-        assert_eq!(shard.get(ha, 1).as_deref(), Some(a.as_ref()));
+        shard.put(hc, 0, c.clone());
+        assert_eq!(shard.copies.len(), 4);
+        assert_eq!(shard.bytes, 250 + 4096, "a record counts its full size");
+        assert_eq!(shard.get(ha, 0), Some(a.clone()));
+        assert_eq!(shard.get(ha, 1), Some(a));
         assert!(shard.get(hb, 0).is_some());
         assert!(shard.get(hb, 1).is_none());
 
         // Replace shrinks the accounting to the new payload.
         shard.put(hb, 0, payload(3, 20));
-        assert_eq!(shard.bytes, 220);
-        assert_eq!(shard.copies.len(), 3);
+        assert_eq!(shard.bytes, 220 + 4096);
+        assert_eq!(shard.copies.len(), 4);
 
         assert!(shard.remove(ha, 1));
         assert!(!shard.remove(ha, 1), "double remove is a no-op");
+        assert!(shard.remove(hc, 0));
         assert_eq!(shard.copies.len(), 2);
         assert_eq!(shard.bytes, 120);
         assert!(shard.get(ha, 1).is_none());
@@ -1454,13 +1457,7 @@ mod tests {
     /// as many distinct shards as there are copies.
     #[test]
     fn placement_is_balanced_and_copies_are_spread() {
-        let mut rec = [0u8; 4096];
-        let hashes: Vec<ChunkHash> = (0..10_000u64)
-            .map(|fp| {
-                block_record(fp, &mut rec);
-                chunk_hash(&rec)
-            })
-            .collect();
+        let hashes: Vec<ChunkHash> = (0..10_000u64).map(record_hash).collect();
         for n in [2, 3, 4, 8] {
             let mut load = vec![0usize; n];
             for &h in &hashes {

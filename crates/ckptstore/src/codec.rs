@@ -9,6 +9,8 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::segment::{read_record, write_record, Segment};
+
 /// Magic bytes opening every checkpoint image payload.
 pub const IMAGE_MAGIC: [u8; 4] = *b"CKPT";
 
@@ -21,16 +23,18 @@ pub const SEGMENT_SIZE: usize = crate::client::DEFAULT_CHUNK_SIZE;
 
 /// Byte-stream encoder. All integers are little-endian.
 ///
-/// The output is built as segments: every [`SEGMENT_SIZE`] bytes written
-/// are sealed into an `Arc<[u8]>` that is never copied again, and
-/// [`Enc::into_segments`] hands the list to a store put that keeps those
-/// very buffers as its chunks. An encoding shorter than one segment never
-/// leaves `open`, so small records (WAL entries, log frames) cost what a
-/// plain `Vec` costs and [`Enc::into_bytes`] returns it as it is.
+/// The output is built as [`Segment`]s: every [`SEGMENT_SIZE`] bytes
+/// written are sealed into an `Arc<[u8]>` that is never copied again, a
+/// block record written on a segment boundary ([`Enc::record`]) is sealed
+/// as its fingerprint, and [`Enc::into_segments`] hands the list to a
+/// store put that keeps those very segments as its chunks. An encoding
+/// shorter than one segment never leaves `open`, so small encodings (WAL
+/// entries, log frames) cost what a plain `Vec` costs and
+/// [`Enc::into_bytes`] returns it as it is.
 #[derive(Debug, Default, Clone)]
 pub struct Enc {
     /// Sealed segments, each exactly [`SEGMENT_SIZE`] bytes.
-    sealed: Vec<Arc<[u8]>>,
+    sealed: Vec<Segment>,
     /// The bytes after the last sealed segment. Its capacity is never
     /// grown past one segment, so "fits the capacity" — the test `Vec`
     /// makes on every append anyway — is the only test a field write
@@ -54,7 +58,7 @@ impl Enc {
     /// allocator handed `open` more room than was asked for.)
     fn seal_full(&mut self) {
         while self.open.len() >= SEGMENT_SIZE {
-            self.sealed.push(Arc::from(&self.open[..SEGMENT_SIZE]));
+            self.sealed.push(Segment::Bytes(Arc::from(&self.open[..SEGMENT_SIZE])));
             self.open.drain(..SEGMENT_SIZE);
         }
     }
@@ -69,7 +73,7 @@ impl Enc {
             if self.open.is_empty() {
                 // Whole segments of a bulk write skip the staging buffer.
                 while let Some((seg, rest)) = bytes.split_at_checked(SEGMENT_SIZE) {
-                    self.sealed.push(Arc::from(seg));
+                    self.sealed.push(Segment::Bytes(Arc::from(seg)));
                     bytes = rest;
                 }
             }
@@ -132,20 +136,22 @@ impl Enc {
         }
     }
 
-    /// Appends `n` bytes that `write` produces in place; it is handed them
-    /// zeroed. A fill of exactly one segment that starts on a segment
-    /// boundary — a block record after [`Enc::pad_to`] — is written
-    /// straight into the buffer the store will keep; any other is staged
-    /// and appended.
-    pub fn fill(&mut self, n: usize, write: impl FnOnce(&mut [u8])) {
+    /// Appends the `n`-byte block record of `fp` ([`write_record`]). A
+    /// record of exactly one segment that starts on a segment boundary —
+    /// a block record after [`Enc::pad_to`] — is sealed as
+    /// [`Segment::Record`], and its bytes are never made; any other is
+    /// written out and appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n` is a positive multiple of 8.
+    pub fn record(&mut self, fp: u64, n: usize) {
         self.seal_full();
         if n == SEGMENT_SIZE && self.open.is_empty() {
-            let mut seg: Arc<[u8]> = std::iter::repeat_n(0u8, n).collect();
-            write(Arc::get_mut(&mut seg).expect("a segment just allocated is unshared"));
-            self.sealed.push(seg);
+            self.sealed.push(Segment::Record(fp));
         } else {
             let mut staged = vec![0u8; n];
-            write(&mut staged);
+            write_record(fp, &mut staged);
             self.raw(&staged);
         }
     }
@@ -197,23 +203,24 @@ impl Enc {
     /// exactly [`SEGMENT_SIZE`] bytes, the last is 1 to `SEGMENT_SIZE`.
     /// Decode it with [`Dec::chunked`]; store it with
     /// [`StoreClient::put_segments_cached`](crate::StoreClient::put_segments_cached).
-    pub fn into_segments(mut self) -> Vec<Arc<[u8]>> {
+    pub fn into_segments(mut self) -> Vec<Segment> {
         self.seal_full();
         if !self.open.is_empty() {
-            self.sealed.push(Arc::from(self.open));
+            self.sealed.push(Segment::Bytes(Arc::from(self.open)));
         }
         self.sealed
     }
 
-    /// The encoding as one contiguous buffer: free below one segment, a
-    /// copy above — use [`Enc::into_segments`] for anything image-sized.
+    /// The encoding as one contiguous buffer, records written out: free
+    /// below one segment, a copy above — use [`Enc::into_segments`] for
+    /// anything image-sized.
     pub fn into_bytes(self) -> Vec<u8> {
         if self.sealed.is_empty() {
             return self.open;
         }
         let mut out = Vec::with_capacity(self.len());
         for seg in &self.sealed {
-            out.extend_from_slice(seg);
+            seg.extend_vec(&mut out);
         }
         out.extend_from_slice(&self.open);
         out
@@ -259,7 +266,7 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Byte-stream decoder over a borrowed image: one contiguous buffer
-/// ([`Dec::new`]) or the verified chunk list a store load hands back
+/// ([`Dec::new`]) or the verified segment list a store load hands back
 /// ([`Dec::chunked`]), read as the concatenation of its segments.
 /// Offsets — [`Dec::position`], [`Dec::remaining`], [`Dec::align_to`] and
 /// the `at` of every error — are absolute over the whole image in both
@@ -267,27 +274,54 @@ impl std::error::Error for DecodeError {}
 #[derive(Debug, Clone)]
 pub struct Dec<'a> {
     /// The segment being read and the read offset inside it.
-    cur: &'a [u8],
+    cur: Cur<'a>,
     off: usize,
     /// Segments after `cur`.
-    rest: &'a [Arc<[u8]>],
+    rest: &'a [Segment],
     /// Absolute offset of `cur[0]`.
     base: usize,
     /// Image length across all segments.
     total: usize,
 }
 
-impl<'a> Dec<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Dec { cur: buf, off: 0, rest: &[], base: 0, total: buf.len() }
+/// The segment a [`Dec`] is reading.
+#[derive(Debug, Clone, Copy)]
+enum Cur<'a> {
+    Bytes(&'a [u8]),
+    /// A [`Segment::Record`]: bytes are made only where a read lands,
+    /// and a [`Dec::skip`] over the fill makes none.
+    Record(u64),
+}
+
+impl Cur<'_> {
+    fn len(self) -> usize {
+        match self {
+            Cur::Bytes(b) => b.len(),
+            Cur::Record(_) => SEGMENT_SIZE,
+        }
     }
 
-    /// Decodes the concatenation of `chunks` without building it. Reads
-    /// that fall inside one chunk borrow from it; a fixed-width read that
-    /// straddles a boundary is assembled on the stack.
-    pub fn chunked(chunks: &'a [Arc<[u8]>]) -> Self {
-        let total = chunks.iter().map(|c| c.len()).sum();
-        Dec { cur: &[], off: 0, rest: chunks, base: 0, total }
+    /// Copies the segment's bytes `at..at + out.len()` into `out`.
+    fn copy_to(self, at: usize, out: &mut [u8]) {
+        match self {
+            Cur::Bytes(b) => out.copy_from_slice(&b[at..at + out.len()]),
+            Cur::Record(fp) => read_record(fp, at, out),
+        }
+    }
+}
+
+impl<'a> Dec<'a> {
+    pub fn new(buf: &'a [u8]) -> Self {
+        Dec { cur: Cur::Bytes(buf), off: 0, rest: &[], base: 0, total: buf.len() }
+    }
+
+    /// Decodes the concatenation of `segments` without building it. Reads
+    /// that fall inside one byte segment borrow from it; a fixed-width
+    /// read that straddles a boundary or lands in a record is assembled
+    /// on the stack.
+    pub fn chunked(segments: &'a [Segment]) -> Self {
+        let total = segments.iter().map(Segment::len).sum();
+        Dec { cur: Cur::Bytes(&[]), off: 0, rest: segments, base: 0, total }
     }
 
     fn eof(&self, want: usize) -> DecodeError {
@@ -299,7 +333,10 @@ impl<'a> Dec<'a> {
         while self.off == self.cur.len() {
             let Some((next, rest)) = self.rest.split_first() else { return false };
             self.base += self.cur.len();
-            self.cur = next;
+            self.cur = match next {
+                Segment::Bytes(b) => Cur::Bytes(b),
+                Segment::Record(fp) => Cur::Record(*fp),
+            };
             self.off = 0;
             self.rest = rest;
         }
@@ -314,7 +351,7 @@ impl<'a> Dec<'a> {
             let more = self.refill();
             debug_assert!(more, "caller checked remaining()");
             let k = (self.cur.len() - self.off).min(out.len() - filled);
-            out[filled..filled + k].copy_from_slice(&self.cur[self.off..self.off + k]);
+            self.cur.copy_to(self.off, &mut out[filled..filled + k]);
             self.off += k;
             filled += k;
         }
@@ -323,9 +360,8 @@ impl<'a> Dec<'a> {
     /// A fixed-width field.
     fn fixed<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
         let mut out = [0u8; N];
-        if let Some(s) = self.cur.get(self.off..self.off + N) {
+        if let Some(s) = self.bytes_here(N) {
             out.copy_from_slice(s);
-            self.off += N;
         } else if self.remaining() < N {
             return Err(self.eof(N));
         } else {
@@ -334,15 +370,24 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    /// A variable-length field: borrowed when one segment holds it whole.
+    /// The next `n` bytes, consumed, if `cur` is a byte segment holding
+    /// them whole.
+    #[inline]
+    fn bytes_here(&mut self, n: usize) -> Option<&'a [u8]> {
+        let Cur::Bytes(b) = self.cur else { return None };
+        let s = b.get(self.off..self.off + n)?;
+        self.off += n;
+        Some(s)
+    }
+
+    /// A variable-length field: borrowed when one byte segment holds it
+    /// whole.
     fn take(&mut self, n: usize) -> Result<Cow<'a, [u8]>, DecodeError> {
         if self.remaining() < n {
             return Err(self.eof(n));
         }
         self.refill();
-        if self.cur.len() - self.off >= n {
-            let s = &self.cur[self.off..self.off + n];
-            self.off += n;
+        if let Some(s) = self.bytes_here(n) {
             return Ok(Cow::Borrowed(s));
         }
         let mut out = vec![0u8; n];
@@ -404,8 +449,8 @@ impl<'a> Dec<'a> {
     }
 
     /// Raw bytes, no length prefix (mirror of [`Enc::raw`]). Owned only
-    /// when they straddle a segment boundary; use [`Dec::skip`] to
-    /// discard bytes without looking at them.
+    /// when they straddle a segment boundary or lie in a record; use
+    /// [`Dec::skip`] to discard bytes without looking at them.
     pub fn raw(&mut self, n: usize) -> Result<Cow<'a, [u8]>, DecodeError> {
         self.take(n)
     }
@@ -555,10 +600,10 @@ mod tests {
         e.pad_to(32);
         let bytes = e.into_bytes();
         // Cut every 3 bytes, with empty segments thrown in.
-        let mut chunks: Vec<Arc<[u8]>> = vec![Arc::from(&[][..])];
+        let mut chunks = vec![bytes_segment(&[])];
         for c in bytes.chunks(3) {
-            chunks.push(Arc::from(c));
-            chunks.push(Arc::from(&[][..]));
+            chunks.push(bytes_segment(c));
+            chunks.push(bytes_segment(&[]));
         }
         let mut d = Dec::chunked(&chunks);
         assert_eq!(d.remaining(), 32);
@@ -585,9 +630,19 @@ mod tests {
         assert_eq!(Dec::chunked(&[]).u8(), Err(DecodeError::UnexpectedEof { at: 0, want: 1 }));
     }
 
+    fn bytes_segment(bytes: &[u8]) -> Segment {
+        Segment::Bytes(Arc::from(bytes))
+    }
+
+    fn concat(segments: &[Segment]) -> Vec<u8> {
+        let mut out = Vec::new();
+        segments.iter().for_each(|s| s.extend_vec(&mut out));
+        out
+    }
+
     #[test]
     fn raw_borrows_inside_a_segment_and_owns_across_one() {
-        let chunks: Vec<Arc<[u8]>> = vec![Arc::from(&[1u8, 2, 3][..]), Arc::from(&[4u8, 5][..])];
+        let chunks = vec![bytes_segment(&[1, 2, 3]), bytes_segment(&[4, 5])];
         let mut d = Dec::chunked(&chunks);
         assert!(matches!(d.raw(3).unwrap(), Cow::Borrowed(&[1, 2, 3])));
         assert!(matches!(d.raw(2).unwrap(), Cow::Borrowed(&[4, 5])));
@@ -639,30 +694,58 @@ mod tests {
                 want.resize(want.len().next_multiple_of(align), 0);
             }
             _ => {
-                // A fill, after a pad half the time so that it starts on
-                // a segment boundary and is written in place.
+                // A block record, after a pad half the time so that it
+                // starts on a segment boundary and is sealed as its
+                // fingerprint. The reference writes it word by word.
                 if rng.chance(0.5) {
                     e.pad_to(SEGMENT_SIZE);
                     want.resize(want.len().next_multiple_of(SEGMENT_SIZE), 0);
                 }
                 let n = [16, 48, SEGMENT_SIZE, SEGMENT_SIZE + 16][rng.index(4)];
-                let stamp = |buf: &mut [u8]| {
-                    assert!(buf.iter().all(|&b| b == 0), "a fill is handed zeroes");
-                    for (i, b) in buf.iter_mut().enumerate() {
-                        *b = (i as u8).wrapping_mul(v as u8 | 1);
-                    }
-                };
-                e.fill(n, stamp);
-                let at = want.len();
-                want.resize(at + n, 0);
-                stamp(&mut want[at..]);
+                let fp = v as u64;
+                e.record(fp, n);
+                want.extend_from_slice(&fp.to_le_bytes());
+                let mut state = fp;
+                for _ in 1..n / 8 {
+                    want.extend_from_slice(&crate::hash::splitmix64(&mut state).to_le_bytes());
+                }
             }
         }
+    }
+
+    /// Reads the same random field sequence from two decoders over the
+    /// same image, asserting equal values, errors and offsets throughout.
+    fn assert_decoders_agree(rng: &mut sim::SimRng, a: &mut Dec<'_>, b: &mut Dec<'_>, round: usize) {
+        loop {
+            let at = (a.position(), a.remaining());
+            assert_eq!(at, (b.position(), b.remaining()), "round {round}");
+            if at.1 == 0 {
+                assert_eq!(a.u8(), b.u8(), "round {round}: past the end");
+                return;
+            }
+            let k = rng.index(2 * SEGMENT_SIZE + 40);
+            let ok = match rng.index(8) {
+                0 => compare(a.u8(), b.u8()),
+                1 => compare(a.u16(), b.u16()),
+                2 => compare(a.u64(), b.u64()),
+                3 => compare(a.u128(), b.u128()),
+                4 => compare(a.raw(k).map(Cow::into_owned), b.raw(k).map(Cow::into_owned)),
+                5 => compare(a.skip(k), b.skip(k)),
+                6 => compare(a.align_to(8), b.align_to(8)),
+                _ => compare(a.skip(k % 13), b.skip(k % 13)),
+            };
+            assert!(ok, "round {round}: reads at {at:?} disagree");
+        }
+    }
+
+    fn compare<T: PartialEq>(a: Result<T, DecodeError>, b: Result<T, DecodeError>) -> bool {
+        a == b
     }
 
     #[test]
     fn random_op_sequences_encode_as_a_plain_vec_and_decode_from_segments() {
         let mut rng = sim::SimRng::from_seed(24);
+        let mut records = 0;
         for round in 0..60 {
             let (mut e, mut want) = (Enc::new(), Vec::new());
             for _ in 0..rng.index(if round % 3 == 0 { 8 } else { 120 }) {
@@ -672,16 +755,20 @@ mod tests {
             }
             assert_eq!(e.clone().into_bytes(), want, "round {round}");
             let segs = e.into_segments();
-            assert_eq!(segs.concat(), want, "round {round}");
+            assert_eq!(concat(&segs), want, "round {round}");
             if let Some((last, full)) = segs.split_last() {
                 assert!(full.iter().all(|s| s.len() == SEGMENT_SIZE), "round {round}");
                 assert!((1..=SEGMENT_SIZE).contains(&last.len()), "round {round}");
             }
-            // The segment list reads back as the bytes that went in.
+            records += segs.iter().filter(|s| matches!(s, Segment::Record(_))).count();
+            // The segment list reads back as the bytes that went in, whole
+            // and field by field.
             let mut d = Dec::chunked(&segs);
             assert_eq!(d.remaining(), want.len());
             assert_eq!(&*d.raw(want.len()).unwrap(), &want[..]);
+            assert_decoders_agree(&mut rng, &mut Dec::chunked(&segs), &mut Dec::new(&want), round);
         }
+        assert!(records > 50, "only {records} records were sealed as fingerprints");
     }
 
     #[test]
@@ -717,7 +804,7 @@ mod tests {
         assert!(bytes.capacity() <= SEGMENT_SIZE);
         let segs = e.into_segments();
         assert_eq!(segs.len(), 1);
-        assert_eq!(&segs[0][..], &bytes[..]);
+        assert!(matches!(&segs[0], Segment::Bytes(b) if b[..] == bytes[..]));
         assert!(Enc::new().into_segments().is_empty());
     }
 

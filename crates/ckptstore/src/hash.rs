@@ -34,6 +34,9 @@
 
 use std::fmt;
 
+use crate::segment::write_record_words;
+use crate::SEGMENT_SIZE;
+
 /// Content address of one chunk.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkHash(pub u128);
@@ -59,9 +62,12 @@ const BLOCK: usize = STRIPE * STRIPES_PER_BLOCK;
 /// block reads `SECRET[n..n + LANES]`.
 const SECRET_WORDS: usize = STRIPES_PER_BLOCK + LANES;
 
+/// SplitMix64's state increment.
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 step: advances `state` and returns the next output.
 pub(crate) const fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    *state = state.wrapping_add(GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -101,6 +107,15 @@ fn accumulate(acc: &mut [u64; LANES], stripe: &[u8; STRIPE], n: usize) {
     }
 }
 
+/// One whole block into the lanes, then the scramble.
+#[inline(always)]
+fn accumulate_block(acc: &mut [u64; LANES], block: &[u8]) {
+    for n in 0..STRIPES_PER_BLOCK {
+        accumulate(acc, block[n * STRIPE..][..STRIPE].try_into().unwrap(), n);
+    }
+    scramble(acc);
+}
+
 /// A bijection of each lane, between blocks.
 fn scramble(acc: &mut [u64; LANES]) {
     for (a, s) in acc.iter_mut().zip(&SECRET[STRIPES_PER_BLOCK..]) {
@@ -119,10 +134,7 @@ pub fn chunk_hash(data: &[u8]) -> ChunkHash {
     let mut acc = [0u64; LANES];
     let mut blocks = data.chunks_exact(BLOCK);
     for block in &mut blocks {
-        for n in 0..STRIPES_PER_BLOCK {
-            accumulate(&mut acc, block[n * STRIPE..][..STRIPE].try_into().unwrap(), n);
-        }
-        scramble(&mut acc);
+        accumulate_block(&mut acc, block);
     }
     let mut stripes = blocks.remainder().chunks_exact(STRIPE);
     let mut n = 0;
@@ -138,7 +150,25 @@ pub fn chunk_hash(data: &[u8]) -> ChunkHash {
         last[STRIPE - 1] = tail.len() as u8;
         accumulate(&mut acc, &last, n);
     }
-    let len = data.len() as u64;
+    fold(&acc, data.len() as u64)
+}
+
+/// `chunk_hash` of the [`SEGMENT_SIZE`]-byte block record of `fp`
+/// ([`crate::write_record`]), without the record: each 1 KiB block of it
+/// is written into one stack buffer, still in L1, and accumulated from
+/// there, so no record-sized buffer is allocated or first touched.
+pub fn record_hash(fp: u64) -> ChunkHash {
+    let mut acc = [0u64; LANES];
+    let mut block = [0u8; BLOCK];
+    for b in 0..SEGMENT_SIZE / BLOCK {
+        write_record_words(fp, b * BLOCK / 8, &mut block);
+        accumulate_block(&mut acc, &block);
+    }
+    fold(&acc, SEGMENT_SIZE as u64)
+}
+
+/// The lanes and the input length into the 128-bit address.
+fn fold(acc: &[u64; LANES], len: u64) -> ChunkHash {
     let mut lo = len.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut hi = !len.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
     for p in (0..LANES).step_by(2) {
@@ -150,19 +180,10 @@ pub fn chunk_hash(data: &[u8]) -> ChunkHash {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::write_record;
     use std::collections::{HashMap, HashSet};
-
-    /// A block record the way `cowstore` synthesises one: the fingerprint
-    /// word, then a SplitMix64 fill seeded by it.
-    pub(crate) fn block_record(fp: u64, rec: &mut [u8; 4096]) {
-        rec[..8].copy_from_slice(&fp.to_le_bytes());
-        let mut state = fp;
-        for word in rec[8..].chunks_exact_mut(8) {
-            word.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
-        }
-    }
 
     fn random_chunk(seed: u64) -> Vec<u8> {
         let mut state = seed;
@@ -248,10 +269,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// `tests/adopted_put.rs`'s records, `(i·31) ^ j ^ salt` at byte `j`:
-    /// two records whose `i·31 ^ salt` differ by a multiple of 64 hold the
-    /// same stripes in another order, which a secret shared by all stripes
-    /// turns into a collision.
+    /// Chunks holding `(i·31) ^ j ^ salt` at byte `j`: two of them whose
+    /// `i·31 ^ salt` differ by a multiple of 64 hold the same stripes in
+    /// another order, which a secret shared by all stripes turns into a
+    /// collision.
     #[test]
     fn the_commutativity_trap_has_no_collisions() {
         let mut by_hash = HashMap::new();
@@ -274,14 +295,18 @@ pub(crate) mod tests {
         assert_eq!(distinct.len(), 301);
     }
 
-    /// 100,000 block records with sequential fingerprints.
+    /// The fused record hash is `chunk_hash` of the record written out,
+    /// at the edges of the fingerprint space and over 100,000 sequential
+    /// fingerprints, none of which collide.
     #[test]
-    fn synthesized_block_records_do_not_collide() {
+    fn record_hash_is_chunk_hash_of_the_written_record() {
         let mut seen = HashSet::new();
-        let mut rec = [0u8; 4096];
-        for fp in 0..100_000u64 {
-            block_record(fp, &mut rec);
-            assert!(seen.insert(chunk_hash(&rec)), "collision at fingerprint {fp}");
+        let mut rec = [0u8; SEGMENT_SIZE];
+        for fp in [u64::MAX, u64::MAX - 1, 1 << 63].into_iter().chain(0..100_000u64) {
+            write_record(fp, &mut rec);
+            let h = record_hash(fp);
+            assert_eq!(h, chunk_hash(&rec), "fingerprint {fp}");
+            assert!(seen.insert(h), "collision at fingerprint {fp}");
         }
     }
 
@@ -294,5 +319,12 @@ pub(crate) mod tests {
         assert_eq!(chunk_hash(b"").to_string(), "f1d8c2130d9d809eb6c6beb527cbf5d4");
         assert_eq!(chunk_hash(b"abc").to_string(), "9c6a944389c5aaefb0f7ff97cfccde93");
         assert_eq!(chunk_hash(&pattern).to_string(), "2c5939986480e8961b752b4ebb98e793");
+    }
+
+    /// One record address, pinned beside them: the address of every block
+    /// record a capture stores, and so its shard.
+    #[test]
+    fn pinned_record_output() {
+        assert_eq!(record_hash(0).to_string(), "0ca8392262aedabb419fe8bd2634b851");
     }
 }

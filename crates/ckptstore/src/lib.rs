@@ -47,7 +47,7 @@
 //! fixed-size chunking).
 //!
 //! **2. Chunk table (manifest)** — when an image is stored, as bytes via
-//! [`StoreClient::put_image`] or as the encoder's own segments via
+//! [`StoreClient::put_image`] or as the encoder's own [`Segment`]s via
 //! [`StoreClient::put_segments_cached`] (which the store keeps as the
 //! chunks, uncopied), the store records a manifest per image:
 //!
@@ -62,12 +62,28 @@
 //! equal to the number of manifest entries across all live images that
 //! reference them.
 //!
+//! # Block records
+//!
+//! A chunk is held as its bytes or, when it is a whole *block record* —
+//! `cowstore`'s stand-in for a block's payload: a fingerprint, then a
+//! SplitMix64 fill seeded by it — as that fingerprint
+//! ([`Segment::Record`]). [`Enc::record`] seals one on a segment boundary,
+//! and nothing writes its 4 KiB out unless bytes are asked for
+//! ([`write_record`] is the one place that does). An address is always
+//! [`chunk_hash`] of the bytes, whichever form holds them:
+//! [`record_hash`] computes it for a record without keeping the record,
+//! so placement, refcounts, byte counts and every sim-time result are
+//! those of the bytes.
+//!
 //! # Integrity
 //!
-//! A load re-hashes every chunk on the way out, in one loop with two
-//! shapes of result: [`StoreClient::load_image_chunks`] hands back the
-//! verified chunks themselves, to be decoded in place by
-//! [`Dec::chunked`], and [`StoreClient::load_image`] concatenates them. A
+//! A load re-hashes every chunk on the way out (a record copy by
+//! [`record_hash`]), in one loop with two shapes of result:
+//! [`StoreClient::load_image_chunks`] hands back the verified segments
+//! themselves, to be decoded in place by [`Dec::chunked`], and
+//! [`StoreClient::load_image`] concatenates them. Every damage path
+//! writes a record out into a damaged byte copy, so damage to a compact
+//! chunk is caught like any other. A
 //! corrupt primary is served from the first intact replica (with
 //! read-repair enqueued), and only when every copy is damaged does the
 //! typed [`StoreError::CorruptChunk`] surface — never a panic — so a
@@ -80,6 +96,7 @@ mod client;
 mod codec;
 mod error;
 mod hash;
+mod segment;
 
 pub use client::{
     shard_of, CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, ShardWorker,
@@ -87,7 +104,8 @@ pub use client::{
 };
 pub use codec::{Dec, DecodeError, Enc, IMAGE_FORMAT_VERSION, IMAGE_MAGIC, SEGMENT_SIZE};
 pub use error::StoreError;
-pub use hash::{chunk_hash, ChunkHash};
+pub use hash::{chunk_hash, record_hash, ChunkHash};
+pub use segment::{records_materialised, write_record, Segment};
 
 /// The store under its older name. Exists only because `benchmark/`
 /// calls `ChunkStore::builder()` and changes only with the benchmark;

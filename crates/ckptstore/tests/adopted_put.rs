@@ -1,14 +1,15 @@
 //! The owned put — an encoder's segments handed to the store — against
 //! the borrowed put of the same bytes: one loop, so every observable must
-//! agree, and the segments must end up *being* the stored chunks.
+//! agree, and the segments must end up *being* the stored chunks: a byte
+//! segment the very buffer, a block record its fingerprint.
 
 use std::sync::Arc;
 
-use ckptstore::{chunk_hash, CaptureCache, Enc, StoreClient, StoreError, SEGMENT_SIZE};
+use ckptstore::{CaptureCache, Enc, Segment, StoreClient, StoreError, SEGMENT_SIZE};
 
 /// An image the way a capture builds one: header and small fields, a
-/// padded metadata section, then `blocks` segment-sized records written
-/// in place. Records below `dirty_from` are the same in every version.
+/// padded metadata section, then `blocks` block records sealed as their
+/// fingerprints. Records below `dirty_from` are the same in every version.
 fn capture(blocks: usize, dirty_from: usize, version: u8) -> Enc {
     let mut e = Enc::new();
     e.begin_image("test.capture");
@@ -20,14 +21,29 @@ fn capture(blocks: usize, dirty_from: usize, version: u8) -> Enc {
     e.pad_to(SEGMENT_SIZE);
     for i in 0..blocks {
         let salt = if i < dirty_from { 0 } else { version };
-        e.fill(SEGMENT_SIZE, |rec| {
-            for (j, b) in rec.iter_mut().enumerate() {
-                *b = (i as u8).wrapping_mul(31) ^ (j as u8) ^ salt;
-            }
-        });
+        e.record((i as u64) << 8 | u64::from(salt), SEGMENT_SIZE);
     }
     e.u32(0xC0DA); // A short tail after the data section.
     e
+}
+
+/// The bytes of `segments`, end to end.
+fn bytes(segments: &[Segment]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for seg in segments {
+        seg.extend_vec(&mut out);
+    }
+    out
+}
+
+/// The same segment, not an equal copy: a record held as its
+/// fingerprint, or the very buffer.
+fn is_same(a: &Segment, b: &Segment) -> bool {
+    match (a, b) {
+        (Segment::Bytes(a), Segment::Bytes(b)) => Arc::ptr_eq(a, b),
+        (Segment::Record(a), Segment::Record(b)) => a == b,
+        _ => false,
+    }
 }
 
 /// Puts three successive captures into `borrowed` as bytes and into
@@ -52,7 +68,7 @@ fn assert_puts_agree(borrowed: &StoreClient, adopted: &StoreClient) {
         match (borrowed.load_image_chunks(rb.image), adopted.load_image_chunks(ra.image)) {
             (Ok(cb), Ok(ca)) => {
                 assert_eq!(cb, ca, "chunk lists, version {version}");
-                assert_eq!(ca.concat(), bytes);
+                assert_eq!(self::bytes(&ca), bytes);
             }
             (Err(eb), Err(ea)) => assert_eq!(eb, ea, "load error, version {version}"),
             (b, a) => panic!("loads disagree: {:?} vs {:?}", b.map(|c| c.len()), a.map(|c| c.len())),
@@ -100,9 +116,10 @@ fn adopted_put_reslices_for_another_chunk_size() {
     }
 }
 
-/// "No second copy", asserted: the buffer the encoder wrote is the chunk
-/// the store returns, and the next capture's unchanged chunks are that
-/// same buffer again (the cache's entry, not the new segment).
+/// "No second copy", asserted: the segment the encoder sealed is the
+/// chunk the store returns — a record still a record — and the next
+/// capture's unchanged chunks are that same segment again (the cache's
+/// entry, not the new one).
 #[test]
 fn the_store_returns_the_very_buffers_the_encoder_wrote() {
     let store = StoreClient::default();
@@ -112,14 +129,21 @@ fn the_store_returns_the_very_buffers_the_encoder_wrote() {
     let loaded = store.load_image_chunks(put.image).unwrap();
     assert_eq!(loaded.len(), first.len());
     for (i, (seg, chunk)) in first.iter().zip(&loaded).enumerate() {
-        assert!(Arc::ptr_eq(seg, chunk), "chunk {i} is a copy of its segment");
+        assert!(is_same(seg, chunk), "chunk {i} is a copy of its segment");
     }
+    assert_eq!(first.iter().filter(|s| matches!(s, Segment::Record(_))).count(), 8);
 
     let second = capture(8, 6, 2).into_segments();
     let put2 = store.put_segments_cached(second.clone(), &mut cache);
     let loaded2 = store.load_image_chunks(put2.image).unwrap();
-    let shared = loaded2.iter().zip(&first).filter(|(c, f)| Arc::ptr_eq(c, f)).count();
-    let fresh = loaded2.iter().zip(&second).filter(|(c, s)| Arc::ptr_eq(c, s)).count();
+    let (mut shared, mut fresh) = (0, 0);
+    for ((c, f), s) in loaded2.iter().zip(&first).zip(&second) {
+        if is_same(c, f) {
+            shared += 1;
+        } else if is_same(c, s) {
+            fresh += 1;
+        }
+    }
     assert_eq!(shared as u64, put2.chunks_total - put2.chunks_new, "clean chunks: the first capture's buffers");
     assert_eq!(fresh as u64, put2.chunks_new, "dirty chunks: the second capture's own");
     assert!(shared > 0 && fresh > 0);
@@ -136,14 +160,12 @@ fn a_damaged_primary_never_aliases_the_adopted_buffer_or_the_cache() {
     store.inject_write_faults(5, 1_000_000);
     let mut cache = CaptureCache::new();
     let segs = capture(6, 6, 1).into_segments();
-    let clean: Vec<Vec<u8>> = segs.iter().map(|s| s.to_vec()).collect();
+    let clean = bytes(&segs);
     let put = store.put_segments_cached(segs.clone(), &mut cache);
-    for (seg, want) in segs.iter().zip(&clean) {
-        assert_eq!(&seg[..], &want[..], "the adopted buffer was written to");
-    }
+    assert_eq!(bytes(&segs), clean, "the adopted buffer was written to");
     match store.load_image_chunks(put.image) {
         Err(StoreError::CorruptChunk { chunk_index: 0, expected, actual, .. }) => {
-            assert_eq!(expected, chunk_hash(&segs[0]));
+            assert_eq!(expected, segs[0].hash());
             assert_ne!(actual, expected);
         }
         other => panic!("expected chunk 0 corrupt, got {:?}", other.map(|c| c.len())),
@@ -161,6 +183,6 @@ fn a_damaged_primary_never_aliases_the_adopted_buffer_or_the_cache() {
     let loaded = store.load_image_chunks(put.image).unwrap();
     assert_eq!(store.repaired_chunks(), put.chunks_total, "every primary was damaged");
     for (seg, chunk) in segs.iter().zip(&loaded) {
-        assert!(Arc::ptr_eq(seg, chunk), "served from the replica, which is the segment");
+        assert!(is_same(seg, chunk), "served from the replica, which is the segment");
     }
 }

@@ -5,7 +5,7 @@
 //! Uses a local SplitMix64 so the crate stays dependency-free; every
 //! case is deterministic in its index.
 
-use ckptstore::{Dec, DecodeError, Enc, ImageId, StoreClient, StoreError};
+use ckptstore::{Dec, DecodeError, Enc, ImageId, Segment, StoreClient, StoreError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -184,8 +184,8 @@ fn codec_round_trips_randomized_state() {
     }
 }
 
-fn cut(bytes: &[u8], size: usize) -> Vec<Arc<[u8]>> {
-    bytes.chunks(size).map(Arc::from).collect()
+fn cut(bytes: &[u8], size: usize) -> Vec<Segment> {
+    bytes.chunks(size).map(|c| Segment::Bytes(Arc::from(c))).collect()
 }
 
 /// A decoder cannot tell a chunk list from the buffer it concatenates
@@ -239,7 +239,9 @@ fn contiguous_load_is_the_concatenation_of_the_chunk_list() {
         let id = store.put_image(&img).image;
         let chunks = store.load_image_chunks(id).unwrap();
         assert_eq!(chunks.len(), len.div_ceil(256), "len {len}");
-        assert_eq!(chunks.concat(), img, "len {len}");
+        let mut concat = Vec::new();
+        chunks.iter().for_each(|c| c.extend_vec(&mut concat));
+        assert_eq!(concat, img, "len {len}");
         assert_eq!(store.load_image(id).unwrap(), img, "len {len}");
     }
 }

@@ -4,7 +4,12 @@
 //! content is a compact [`BlockData`] value that is enough to (a) verify
 //! read-your-writes correctness, and (b) let the free-block-elimination
 //! plugin *decode* filesystem allocation bitmaps exactly as the paper's
-//! ext3 snooping plugin does below the guest (§5.1).
+//! ext3 snooping plugin does below the guest (§5.1). An opaque block's
+//! payload in a checkpoint image is its block record
+//! ([`ckptstore::write_record`]: the fingerprint, then a SplitMix64 fill
+//! seeded by it), which the encoder seals as the fingerprint alone, so
+//! capture stores and restore reads 4 KiB per dirty block without ever
+//! making those bytes.
 //!
 //! Every table keyed by a block number — a delta's index, the guest's
 //! inode maps and buffer cache, a mirror's queues — is a [`BlockTable`].
@@ -385,12 +390,16 @@ impl DeltaMap {
     /// The *meta* section records the full log — every slot's vba and a
     /// content tag, with tombstones and bitmap/zero payloads inline. The
     /// *data* section, padded to a `block_size` boundary, then carries
-    /// one exactly-`block_size`-byte record per live opaque block in log
-    /// order: the 8-byte fingerprint followed by a fill synthesized
-    /// deterministically from it (the simulator's stand-in for the
-    /// block's 4 KiB payload). Because the log is append-only and records
-    /// are chunk-aligned, a child delta's encoding shares every parent
-    /// block's chunks — which is what the content-addressed store dedups.
+    /// one exactly-`block_size`-byte block record per live opaque block in
+    /// log order ([`Enc::record`]: the 8-byte fingerprint followed by a
+    /// SplitMix64 fill seeded by it, the simulator's stand-in for the
+    /// block's 4 KiB payload). At the store's chunk size each record is
+    /// one segment, sealed as its fingerprint: the image is as long, and
+    /// its chunks have the addresses, that the written-out bytes would
+    /// have, but no record is written out. Because the log is append-only
+    /// and records are chunk-aligned, a child delta's encoding shares
+    /// every parent block's chunks — which is what the content-addressed
+    /// store dedups.
     ///
     /// # Panics
     ///
@@ -419,7 +428,7 @@ impl DeltaMap {
                 continue;
             }
             if let BlockData::Opaque(fp) = data {
-                synth_block_record(e, *fp, block_size);
+                e.record(*fp, block_size as usize);
             }
         }
     }
@@ -468,25 +477,9 @@ impl DeltaMap {
     }
 }
 
-/// Writes one data-section block record: the fingerprint plus a
-/// SplitMix64 fill expanded from it, exactly `block_size` bytes total.
-fn synth_block_record(e: &mut Enc, fp: u64, block_size: u32) {
-    e.fill(block_size as usize, |record| {
-        let mut words = record.chunks_exact_mut(8);
-        words.next().expect("block_size >= 16").copy_from_slice(&fp.to_le_bytes());
-        let mut state = fp;
-        for word in words {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            word.copy_from_slice(&(z ^ (z >> 31)).to_le_bytes());
-        }
-    });
-}
-
 /// Reads one block record back, returning the fingerprint. The fill is
-/// skipped — the store's content hash already guards its integrity.
+/// skipped, never made — the store's content hash already guards its
+/// integrity.
 fn read_block_record(d: &mut Dec<'_>, block_size: u32) -> Result<u64, DecodeError> {
     let fp = d.u64()?;
     d.skip(block_size as usize - 8)?;
@@ -636,6 +629,29 @@ mod tests {
         assert!(back.get(5).is_none());
     }
 
+    /// A capture seals each live opaque block as its fingerprint, and a
+    /// decode from those segments reads the fingerprints and skips the
+    /// fills: neither writes a record out.
+    #[test]
+    fn delta_decode_from_record_segments_writes_no_record_out() {
+        let mut d = DeltaMap::new();
+        for i in 0..40u64 {
+            d.put(i * 3, BlockData::Opaque(i ^ 0xA5A5));
+        }
+        d.put(500, BlockData::Zero);
+        d.put(501, BlockData::Bitmap(BitmapBlock::new_free(1, 64, 100).with(3, true)));
+        d.remove(9); // Tombstone: no record.
+        let before = ckptstore::records_materialised();
+        let mut e = Enc::new();
+        d.encode_wire(&mut e, 4096);
+        let segs = e.into_segments();
+        let records = segs.iter().filter(|s| matches!(s, ckptstore::Segment::Record(_))).count();
+        assert_eq!(records, 39, "one record per live opaque block");
+        let back = DeltaMap::decode_wire(&mut Dec::chunked(&segs), 4096, 600).unwrap();
+        assert_eq!(ckptstore::records_materialised(), before, "a record was written out");
+        delta_eq(&d, &back);
+    }
+
     #[test]
     fn delta_encoding_is_append_stable() {
         // A child delta that extends the parent's log shares every byte
@@ -671,14 +687,15 @@ mod tests {
             }
         }
         // Records need not start aligned; the ones that do (4096 with no
-        // prefix) are written in place in an encoder segment.
+        // prefix) are sealed as their fingerprint and written out by
+        // `into_bytes`.
         for (block_size, prefix) in [(16u32, 1), (48, 1), (4096, 1), (4096, 0)] {
             let (mut got, mut want) = (Enc::new(), Enc::new());
             for e in [&mut got, &mut want] {
                 e.raw(&[0xEE; 1][..prefix]);
             }
             for fp in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
-                synth_block_record(&mut got, fp, block_size);
+                got.record(fp, block_size as usize);
                 by_words(&mut want, fp, block_size);
             }
             assert_eq!(got.into_bytes(), want.into_bytes(), "block size {block_size}");

@@ -5,10 +5,8 @@
 //! puts it in place, frozen, and [`Testbed::resume_restored`] starts it at
 //! one instant.
 
-use std::sync::Arc;
-
 use checkpoint::DelayNodeHost;
-use ckptstore::{Dec, DecodeError};
+use ckptstore::{Dec, DecodeError, Segment};
 use cowstore::BranchingStore;
 use dummynet::{DummynetImage, PipeLog};
 use vmm::{DomainImage, RxLog, VmHost};
@@ -34,7 +32,7 @@ pub(crate) struct FrozenState {
 /// Decodes an image of `kind` from its verified chunks: the header, the
 /// body `body` reads, and not one byte more.
 pub(crate) fn decode_image<T>(
-    chunks: &[Arc<[u8]>],
+    chunks: &[Segment],
     kind: &str,
     body: impl FnOnce(&mut Dec<'_>) -> Result<T, DecodeError>,
 ) -> Result<T, DecodeError> {

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use checkpoint::{Coordinator, DelayNodeHost, GroupId, Strategy};
-use ckptstore::{CaptureCache, PutReport, StoreClient};
+use ckptstore::{CaptureCache, PutReport, Segment, StoreClient};
 use cowstore::{BranchingStore, CowMode, GoldenImage, GoldenImageBuilder, StoreLayout};
 use dummynet::PipeConfig;
 use guestos::{GuestProg, Kernel, KernelConfig, Tid};
@@ -326,7 +326,7 @@ impl Testbed {
     pub(crate) fn fs_put_cached(
         &mut self,
         cache_key: &str,
-        segments: Vec<Arc<[u8]>>,
+        segments: Vec<Segment>,
         flow: TraceCtx,
     ) -> PutReport {
         let cache = self.swap_caches.entry(cache_key.to_string()).or_default();

@@ -26,10 +26,9 @@
 //! releases its chunks deterministically via the store's refcounts.
 
 use std::fmt;
-use std::sync::Arc;
 
 use checkpoint::DelayNodeHost;
-use ckptstore::{CaptureCache, DecodeError, Enc, ImageId, ImageStats, StoreClient, StoreError};
+use ckptstore::{CaptureCache, DecodeError, Enc, ImageId, ImageStats, Segment, StoreClient, StoreError};
 use cowstore::BranchingStore;
 use dummynet::{DummynetImage, PipeLog};
 use guestos::GuestResidue;
@@ -47,7 +46,7 @@ pub(crate) const NODE_IMAGE_KIND: &str = "emulab.tt-node";
 pub(crate) const DN_IMAGE_KIND: &str = "emulab.tt-delaynode";
 
 /// An encoded image as the store adopts it: the encoder's segments.
-type Segments = Vec<Arc<[u8]>>;
+type Segments = Vec<Segment>;
 
 /// Identifies a snapshot within an experiment's tree.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

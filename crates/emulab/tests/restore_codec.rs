@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use checkpoint::DelayNodeHost;
-use ckptstore::{Dec, DecodeError, Enc};
+use ckptstore::{Dec, DecodeError, Enc, Segment};
 use cowstore::{
     BitmapBlock, BlockData, BranchingStore, CowMode, DeltaMap, GoldenImage, GoldenImageBuilder,
     StoreLayout,
@@ -246,8 +246,8 @@ fn decode_dn(d: &mut Dec<'_>, side: &Side) -> Result<(Vec<usize>, Vec<u8>), Deco
 
 type Decoder = fn(&mut Dec<'_>, &Side) -> Result<(Vec<usize>, Vec<u8>), DecodeError>;
 
-fn cut(bytes: &[u8], size: usize) -> Vec<Arc<[u8]>> {
-    bytes.chunks(size).map(Arc::from).collect()
+fn cut(bytes: &[u8], size: usize) -> Vec<Segment> {
+    bytes.chunks(size).map(|c| Segment::Bytes(Arc::from(c))).collect()
 }
 
 /// The whole image decodes to the bytes it was encoded from, through
@@ -284,7 +284,7 @@ fn assert_truncations_equivalent(
         for (size, whole) in [(7, &by_7), (4096, &by_4096)] {
             // The whole chunks below `len`, then the partial one.
             let mut chunks = whole[..len / size].to_vec();
-            chunks.push(Arc::from(&bytes[len / size * size..len]));
+            chunks.push(Segment::Bytes(Arc::from(&bytes[len / size * size..len])));
             let got = decode(&mut Dec::chunked(&chunks), side).expect_err("a prefix decoded");
             assert_eq!(got, want, "prefix {len} cut {size}");
         }

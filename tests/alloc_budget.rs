@@ -14,9 +14,11 @@
 //! Counts repeat exactly for a seed: this is not a timing assertion.
 //!
 //! A capture (`Testbed::snapshot`) has a budget in bytes instead: the
-//! encoder writes the image into the buffers the store keeps, so what one
-//! snapshot allocates is the image once over plus bookkeeping — not the
-//! image, a contiguous copy of it and a re-sliced third.
+//! encoder writes the image into the segments the store keeps, and a
+//! block record into one as its fingerprint, so what one snapshot
+//! allocates is the image's other bytes once over plus bookkeeping per
+//! record — not 4 KiB per record, nor a contiguous copy of the image and
+//! a re-sliced third.
 //!
 //! The binary has its own counting `#[global_allocator]`, so it holds
 //! these two tests and nothing else, and they take turns.
@@ -25,6 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use ckptstore::{ImageId, Segment, SEGMENT_SIZE};
 use emulab_checkpoint::emulab::{ExperimentSpec, Testbed};
 use emulab_checkpoint::sim::telemetry::names;
 use emulab_checkpoint::sim::{payload_store_stats, SimDuration};
@@ -101,13 +104,20 @@ const MAX_EVENTS_PER_FRAME: f64 = 4.05;
 /// Largest share of posts that may box their payload.
 const MAX_BOXED_POST_SHARE: f64 = 0.01;
 
-/// Most bytes one `snapshot` may allocate per byte of image it stores.
-/// The image itself is 1.0 (every chunk is new in this lab); the store's
-/// manifest, chunk index, backend table and capture-cache entry come to
-/// about 0.03 at 4 KiB chunks, and the suspend round's clone of the guest
-/// kernel to a little more. Encoding into a contiguous buffer and then
-/// copying every chunk out of it measured 2.0.
-const MAX_CAPTURE_BYTES_PER_IMAGE_BYTE: f64 = 1.15;
+/// Most bytes one `snapshot` may allocate per image byte that is not a
+/// block record: those bytes themselves (every chunk is new in this lab)
+/// plus the suspend round's clone of the guest kernel come to about 1.0.
+/// Encoding into a contiguous buffer and then copying every chunk out of
+/// it measured 2.0.
+const MAX_CAPTURE_BYTES_PER_OTHER_BYTE: f64 = 1.15;
+
+/// Most bytes one `snapshot` may allocate per block record it stores. A
+/// record is kept as its fingerprint, so this is bookkeeping only: the
+/// encoder's segment-list entry (~30 B) and, as for any new chunk, the
+/// manifest and capture-cache entries and the store's chunk index and
+/// shard copy table, both grown from empty by doubling (~510 B together).
+/// Writing each record's 4 KiB out, as the encoder once did, is 4096 more.
+const MAX_CAPTURE_BYTES_PER_RECORD: u64 = 600;
 
 #[test]
 fn per_packet_path_stays_within_its_allocation_budget() {
@@ -210,19 +220,30 @@ fn a_capture_allocates_its_image_once() {
     let snap = tb.snapshot("cap", "s");
     let allocated = BYTES.load(Ordering::Relaxed) - bytes0;
 
-    let stored = tb.experiment("cap").tt.get(snap);
+    let tt = &tb.experiment("cap").tt;
+    let stored = tt.get(snap);
     let image = stored.logical_bytes;
     assert!(image > 16 << 20, "the image must hold the file's blocks: {image} bytes");
     assert_eq!(stored.new_physical_bytes, image, "a first capture stores every chunk");
-    let per_byte = allocated as f64 / image as f64;
+    // The tree's store holds this one image; its block records are the
+    // segments kept as fingerprints.
+    assert_eq!(tt.store().image_count(), 1);
+    let segments = tt.store().load_image_chunks(ImageId(0)).expect("the snapshot loads");
+    let records = segments.iter().filter(|s| matches!(s, Segment::Record(_))).count() as u64;
+    let other = image - records * SEGMENT_SIZE as u64;
+    let budget = MAX_CAPTURE_BYTES_PER_OTHER_BYTE * other as f64
+        + (MAX_CAPTURE_BYTES_PER_RECORD * records) as f64;
     println!(
-        "alloc_budget: one snapshot allocated {allocated} bytes for a {image}-byte image \
-         = {per_byte:.3} per image byte (budget <= {MAX_CAPTURE_BYTES_PER_IMAGE_BYTE})"
+        "alloc_budget: one snapshot allocated {allocated} bytes for a {image}-byte image of \
+         {records} block records and {other} other bytes (budget <= \
+         {MAX_CAPTURE_BYTES_PER_OTHER_BYTE} x {other} + {MAX_CAPTURE_BYTES_PER_RECORD} x \
+         {records} = {budget:.0})"
     );
+    assert!(records >= 4096, "the file's blocks must be stored as records: {records}");
     assert!(
-        per_byte <= MAX_CAPTURE_BYTES_PER_IMAGE_BYTE,
-        "{per_byte:.3} bytes allocated per image byte: the capture path is building \
-         the image somewhere other than in the chunks the store keeps"
+        allocated as f64 <= budget,
+        "{allocated} bytes allocated: the capture path is writing out block records or \
+         building the image somewhere other than in the segments the store keeps"
     );
-    assert!(per_byte >= 1.0, "{per_byte:.3}: the byte counter is not counting");
+    assert!(allocated >= other, "{allocated} < {other}: the byte counter is not counting");
 }
