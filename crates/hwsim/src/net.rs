@@ -234,6 +234,22 @@ impl ControlLan {
     }
 }
 
+/// Posts `frame`'s arrival at `ep` and, when the `lan.send_dup` point
+/// fired, its duplicate. The duplicate trails by a switch-requeue delay;
+/// it is deliberately jitter-free so duplication alone does not shift the
+/// jitter stream for unrelated traffic.
+fn deliver(ctx: &mut Ctx<'_>, ep: Endpoint, arrive: SimTime, frame: Frame, dup: bool) {
+    let iface = ep.iface;
+    if dup {
+        let copy = frame.clone();
+        ctx.post_at(ep.component, arrive, LinkDeliver { iface, frame: copy });
+        let at = arrive + SimDuration::from_micros(10);
+        ctx.post_at(ep.component, at, LinkDeliver { iface, frame });
+    } else {
+        ctx.post_at(ep.component, arrive, LinkDeliver { iface, frame });
+    }
+}
+
 impl Component for ControlLan {
     fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
         let tx = match payload.downcast::<LanTransmit>() {
@@ -285,7 +301,9 @@ impl Component for ControlLan {
 
         // Unicast: the one member with that address. Broadcast: every
         // member but the sender and any crashed by an injected plan, in
-        // attach order.
+        // attach order. Each delivery is posted once the next one is
+        // known, so the last (a unicast's only one) takes the frame
+        // itself and only the others clone it.
         let broadcast = tx.frame.dst == NodeAddr::BROADCAST;
         let targets = if broadcast {
             0..self.members.len()
@@ -299,6 +317,7 @@ impl Component for ControlLan {
             }
         };
         let now = ctx.now();
+        let mut pending: Option<(Endpoint, SimTime)> = None;
         for i in targets {
             let (addr, ep) = self.members[i];
             if broadcast
@@ -314,27 +333,12 @@ impl Component for ControlLan {
                 SimDuration::from_nanos(ctx.rng().exponential(self.jitter_mean.as_nanos() as f64)
                     as u64);
             let arrive = done + self.base_latency + jitter + fault_extra;
-            ctx.post_at(
-                ep.component,
-                arrive,
-                LinkDeliver {
-                    iface: ep.iface,
-                    frame: tx.frame.clone(),
-                },
-            );
-            if fault_dup {
-                // The duplicate trails by a switch-requeue delay; it is
-                // deliberately jitter-free so duplication alone does not
-                // shift the jitter stream for unrelated traffic.
-                ctx.post_at(
-                    ep.component,
-                    arrive + SimDuration::from_micros(10),
-                    LinkDeliver {
-                        iface: ep.iface,
-                        frame: tx.frame.clone(),
-                    },
-                );
+            if let Some((ep, at)) = pending.replace((ep, arrive)) {
+                deliver(ctx, ep, at, tx.frame.clone(), fault_dup);
             }
+        }
+        if let Some((ep, at)) = pending {
+            deliver(ctx, ep, at, tx.frame, fault_dup);
         }
     }
 

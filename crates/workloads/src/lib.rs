@@ -5,12 +5,17 @@
 //!
 //! - [`UsleepLoop`] — Fig 4's timer microbenchmark;
 //! - [`CpuLoop`] — Fig 5's CPU-intensive loop;
-//! - [`IperfSender`]/[`IperfReceiver`] — Fig 6's bulk TCP stream;
+//! - [`IperfSender`]/[`IperfReceiver`] — Fig 6's bulk TCP stream; the
+//!   programs keep byte counts only (their state is in every checkpoint
+//!   image), and Fig 6's throughput series is binned from the receiving
+//!   kernel's opt-in [`NetTrace`];
 //! - [`BtPeer`] — Fig 7's BitTorrent swarm (static tracker; piece sets are
 //!   bitfields, as on the real protocol's wire);
 //! - [`Bonnie`] — Fig 8's filesystem benchmark;
 //! - [`FileCopy`] — Fig 9 / §7.2's disk-intensive copy;
 //! - [`KernelBuild`] — §5.1's make / make-clean free-block workload.
+//!
+//! [`NetTrace`]: guestos::net::NetTrace
 
 mod bittorrent;
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Allocation budgets for the per-packet path and for a capture, checked
-//! by the machine.
+//! Allocation budgets for the per-packet path and for a capture, and a
+//! retention budget for a long checkpointed run, checked by the machine.
 //!
 //! The two-node shaped-link iperf lab of Fig 6 (`benchmark/`'s
 //! `iperf_ckpt`) transmits about 76,000 frames per simulated second,
@@ -20,11 +20,21 @@
 //! record — not 4 KiB per record, nor a contiguous copy of the image and
 //! a re-sliced third.
 //!
+//! What the lab keeps has a budget too: a checkpoint saves a VM's state,
+//! which the paper bounds by the VM's memory, so nothing the lab holds
+//! (a guest program's fields, a kernel, the images a VM host keeps) may
+//! grow with simulated time. Each freeze clones the guest kernel into an
+//! image, so a history kept anywhere in a guest is paid once in the guest
+//! and again in every image. The live heap is read twice in the second
+//! half of `iperf_ckpt`'s 40.5 sim-s window and its growth is bounded; a
+//! receiver that pushed `(time, bytes)` per delivery read +29.6 MiB
+//! against the 4 MiB budget.
+//!
 //! The binary has its own counting `#[global_allocator]`, so it holds
-//! these two tests and nothing else, and they take turns.
+//! these three tests and nothing else, and they take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use ckptstore::{ImageId, Segment, SEGMENT_SIZE};
@@ -42,6 +52,11 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// it may move). A statistic, as above.
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes allocated and not yet freed: `alloc` and `alloc_zeroed` add
+/// their size, `dealloc` subtracts it, and `realloc` adds the difference.
+/// A statistic, as above.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
 /// The counters are process-wide and the harness runs tests on parallel
 /// threads: each test holds this for as long as it reads them.
 static TURN: Mutex<()> = Mutex::new(());
@@ -55,6 +70,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -62,6 +78,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -69,11 +86,13 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -119,11 +138,9 @@ const MAX_CAPTURE_BYTES_PER_OTHER_BYTE: f64 = 1.15;
 /// Writing each record's 4 KiB out, as the encoder once did, is 4096 more.
 const MAX_CAPTURE_BYTES_PER_RECORD: u64 = 600;
 
-#[test]
-fn per_packet_path_stays_within_its_allocation_budget() {
-    // Nothing the lock guards can be left half-updated by a panic.
-    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    // The lab exactly as `benchmark/src/scripts.rs::iperf_ckpt` builds it.
+/// The lab exactly as `benchmark/src/scripts.rs::iperf_ckpt` builds it:
+/// swapped in, 2 sim-s idle, then the iperf pair spawned.
+fn iperf_lab() -> Testbed {
     let mut tb = Testbed::new(1, 8);
     let spec = ExperimentSpec::new("ip").node("a").node("b").link(
         "a",
@@ -137,6 +154,35 @@ fn per_packet_path_stays_within_its_allocation_budget() {
     let b_addr = tb.node_addr("ip", "b");
     tb.spawn("ip", "b", Box::new(IperfReceiver::new(5001)));
     tb.spawn("ip", "a", Box::new(IperfSender::new(b_addr, 5001)));
+    tb
+}
+
+/// Checkpoint rounds committed so far.
+fn committed(tb: &Testbed) -> u64 {
+    tb.telemetry()
+        .counter_value(names::COORD_EPOCHS_COMMITTED)
+        .unwrap_or(0)
+}
+
+/// Bytes the iperf lab's receiving kernel has delivered to the program.
+fn delivered(tb: &Testbed) -> u64 {
+    tb.kernel("ip", "b", |k| k.net_totals().bytes_delivered)
+}
+
+/// Most bytes the iperf lab's live heap may grow by over the second half
+/// of `iperf_ckpt`'s window: from 20.5 to 40.5 sim-s of 5 s checkpoints.
+/// Every buffer, queue and image the lab keeps has reached its size by
+/// then, except the telemetry trace ring, which grows by doubling to its
+/// fixed cap: its last doubling (1.5 MiB, at 34.5 s) is the whole
+/// +1.5 MiB this window reads. A receiver that kept a `(time, bytes)`
+/// pair per delivery, copied into every checkpoint image, read +29.6 MiB.
+const MAX_RETAINED_GROWTH: i64 = 4 << 20;
+
+#[test]
+fn per_packet_path_stays_within_its_allocation_budget() {
+    // Nothing the lock guards can be left half-updated by a panic.
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut tb = iperf_lab();
 
     // Warm-up: 3 sim-s, the last two under 1 s periodic checkpoints, so
     // every scratch buffer, replay log and queue has reached its size.
@@ -145,12 +191,6 @@ fn per_packet_path_stays_within_its_allocation_budget() {
     tb.run_for(SimDuration::from_secs(2));
 
     // The window: 1 sim-s holding one whole coordinated round.
-    let committed = |tb: &Testbed| {
-        tb.telemetry()
-            .counter_value(names::COORD_EPOCHS_COMMITTED)
-            .unwrap_or(0)
-    };
-    let delivered = |tb: &Testbed| tb.kernel("ip", "b", |k| k.net_totals().bytes_delivered);
     let sent = |tb: &mut Testbed| {
         ["a", "b"].iter().map(|n| tb.with_host("ip", n, |h| h.stats.frames_tx)).sum::<u64>()
     };
@@ -246,4 +286,45 @@ fn a_capture_allocates_its_image_once() {
          building the image somewhere other than in the segments the store keeps"
     );
     assert!(allocated >= other, "{allocated} < {other}: the byte counter is not counting");
+}
+
+#[test]
+fn the_iperf_lab_retains_no_state_that_grows_with_simulated_time() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // `iperf_ckpt`'s set-up and its 40.5 sim-s window of 5 s checkpoints.
+    let mut tb = iperf_lab();
+    tb.run_for(SimDuration::from_secs(3));
+    tb.start_periodic_checkpoints(SimDuration::from_secs(5));
+    let rounds0 = committed(&tb);
+
+    // Both readings are half a second after a round was kicked, when it
+    // has committed: the 4th round's and the 8th's.
+    tb.run_for(SimDuration::from_millis(20_500));
+    let (live0, bytes0) = (LIVE.load(Ordering::Relaxed), delivered(&tb));
+    tb.run_for(SimDuration::from_secs(20));
+    let (live1, bytes1) = (LIVE.load(Ordering::Relaxed), delivered(&tb));
+
+    let rounds = committed(&tb) - rounds0;
+    let growth = live1 - live0;
+    let mib = |b: i64| b as f64 / (1 << 20) as f64;
+    let mbytes = (bytes1 - bytes0) as f64 / 1e6;
+    println!(
+        "alloc_budget: live heap {:.2} MiB at 20.5 s and {:.2} MiB at 40.5 s of 5 s \
+         checkpoints = {:+.2} MiB (budget <= {:.2} MiB); {rounds} rounds, {mbytes:.0} MB \
+         delivered in the last 20 s",
+        mib(live0),
+        mib(live1),
+        mib(growth),
+        mib(MAX_RETAINED_GROWTH),
+    );
+    assert_eq!(rounds, 8, "the window must commit its eight checkpoint rounds");
+    assert!(mbytes > 1_000.0, "the stream must be running");
+    assert!(live0 >= 1 << 20, "{live0} live bytes: the live counter is not counting");
+    assert!(
+        growth <= MAX_RETAINED_GROWTH,
+        "the live heap grew {:.2} MiB in 20 sim-s: something on the iperf lab keeps a \
+         history that grows with simulated time (a per-delivery Vec in a guest program is \
+         copied into every checkpoint image as well)",
+        mib(growth)
+    );
 }
