@@ -75,9 +75,11 @@ pub(crate) fn write_record_words(fp: u64, first: usize, out: &mut [u8]) {
     let mut state = fp.wrapping_add((first.max(1) as u64 - 1).wrapping_mul(GAMMA));
     for word in words {
         word.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
-        // Keeps LLVM from vectorising the loop: SSE2 has no 64-bit
-        // multiply, and the three `pmuludq`s it takes for one run at
-        // about two thirds of scalar `imul`'s speed. It emits nothing.
+        // Keeps LLVM from vectorising the loop for the baseline x86-64
+        // target: SSE2 has no 64-bit multiply, and the three `pmuludq`s it
+        // takes for one run at about two thirds of scalar `imul`'s speed
+        // (`record_hash` makes records with AVX-512 when the CPU has it).
+        // It emits nothing.
         std::hint::black_box(());
     }
 }

@@ -6,6 +6,7 @@
     hostprof.py FILE --annotate FUNC      per-instruction samples in FUNC
     hostprof.py A --diff B                A's and B's tables side by side, with deltas
     hostprof.py FILE --loads [N]          hottest 16-byte stack-slot loads in the top N self functions
+    hostprof.py FILE --layers [--diff B]  samples per repo crate (the layer table)
 
 ROOT and FUNC are substrings of demangled names (hashes stripped). Only the
 binutils the image has are used: `nm` for the symbol table, `objdump` for
@@ -118,6 +119,27 @@ def profile(path, exe):
     return res, stacks, [[res.name(a, i == 0) for i, a in enumerate(s)] for s in stacks]
 
 
+# The repository's crates, as the first segment of a demangled path.
+REPO_CRATES = {"sim", "hwsim", "guestos", "vmm", "dummynet", "checkpoint", "ckptstore", "cowstore",
+               "clocksync", "emulab", "workloads", "tcd_bench", "tcd_benchmark"}
+# The crate a demangled name belongs to: `ckptstore::hash::record_hash`,
+# `<ckptstore::segment::Segment as core::cmp::PartialEq>::eq`.
+CRATE = re.compile(r"<*([A-Za-z_][A-Za-z0-9_]*)::")
+
+
+def layers(named):
+    """Samples per layer: each stack is charged to its first frame, from the
+    leaf up, whose path starts with a repo crate. Any other frame (`std`,
+    `core`, `alloc`, `hashbrown`, a shared library) passes the sample to its
+    caller; a stack with no repo frame, such as a libc leaf whose frame walk
+    ends there, is `unattributed`."""
+    counts = collections.Counter()
+    for frames in named:
+        crates = (m.group(1) for m in map(CRATE.match, frames) if m)
+        counts[next((c for c in crates if c in REPO_CRATES), "unattributed")] += 1
+    return counts
+
+
 def tree(named, root, total, min_pct):
     """Top-down tree of every stack below its outermost frame matching root."""
     node = lambda: {"n": 0, "kids": collections.defaultdict(node)}
@@ -208,6 +230,8 @@ def main():
     ap.add_argument("--diff", metavar="B", help="a second sample file (its own executable, from its mappings)")
     ap.add_argument("--loads", metavar="N", type=int, nargs="?", const=20,
                     help="the hottest 16-byte stack-slot loads in the top N (20) self functions")
+    ap.add_argument("--layers", action="store_true",
+                    help="samples per repo crate instead of per function (with --diff too)")
     args = ap.parse_args()
     if args.loads is not None and args.loads < 1:
         ap.error("--loads N needs N >= 1")
@@ -220,12 +244,14 @@ def main():
         return annotate(res, stacks, args.annotate, total)
     if args.tree:
         return tree(named, args.tree, total, args.min_pct)
+    views = lambda named: [("layers", layers(named))] if args.layers else \
+        list(zip(("self", "inclusive"), self_and_inclusive(named)))
     if args.diff:
         _, b_stacks, b_named = profile(args.diff, None)
-        for title, a, b in zip(("self", "inclusive"), self_and_inclusive(named), self_and_inclusive(b_named)):
+        for (title, a), (_, b) in zip(views(named), views(b_named)):
             diff_table(title, a, total, b, len(b_stacks), args.top)
         return
-    for title, counts in zip(("self", "inclusive"), self_and_inclusive(named)):
+    for title, counts in views(named):
         table(title, counts, total, args.top)
 
 
