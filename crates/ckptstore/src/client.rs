@@ -3,9 +3,13 @@
 //!
 //! [`StoreClient`] is a cheap-`Clone` handle (an `Rc<RefCell<..>>`) that
 //! every subsystem — testbed file server, swap, time travel, benches —
-//! holds by value. Behind it sit N hash-partitioned shards (FNV-1a over
-//! the chunk's content hash picks the home shard; replication copy `r`
-//! lands on `(home + r) % N`), each holding its copies in memory. Every
+//! holds by value. Behind it sits one arena of chunk entries — a chunk's
+//! address, refcount and every copy of it — that manifests name by slot,
+//! and an address table from content hash to slot that only puts and the
+//! repair queue probe. Copies are spread over N hash-partitioned shards
+//! by computation, not by storage: FNV-1a over the content hash picks the
+//! home shard and copy `r` lands on `(home + r) % N`, which is where its
+//! bytes, batch time and repair work are charged. Every
 //! operation is a `&self` method on the handle that borrows the state for
 //! its own duration; the store is single-threaded under the sim engine,
 //! so the borrows are short and never nest. Shard repair pumps run as
@@ -26,15 +30,16 @@
 //!
 //! # Determinism
 //!
-//! Placement is a pure function of the content hash; chunk metadata
-//! lives in a hashed table, and every scan that enqueues work (scrub
-//! scheduling, redundancy rebuild) sorts the hashes first, so it walks in
-//! hash order; the repair queue is an explicit FIFO.
+//! Placement is a pure function of the content hash; the arena is in
+//! insertion order (freed slots reused last-freed first) and the address
+//! table is hashed, so every scan that enqueues work (scrub scheduling,
+//! redundancy rebuild) sorts the live chunks by address first and walks
+//! in hash order; the repair queue is an explicit FIFO.
 //! Same seed ⇒ byte-identical shard assignment, reports, and repair
 //! schedule.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{hash_map, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -249,20 +254,50 @@ impl Chunk<'_> {
     }
 }
 
+/// An image: its length and the arena slot of each chunk, in order.
 struct Manifest {
     logical_len: u64,
-    chunks: Vec<ChunkHash>,
+    chunks: Vec<u32>,
 }
 
-/// Per-chunk metadata: placement is derived, so only the refcount, the
-/// payload length, and the copy count this chunk was admitted at live
-/// here.
-struct ChunkMeta {
-    refs: u64,
-    len: u32,
-    /// Copies this chunk should hold (its replication factor at insert,
-    /// possibly raised later by a redundancy rebuild).
-    want: u8,
+/// One chunk in the arena: its content address, the manifest entries
+/// naming it, and its copies. Placement is derived ([`shard_of`]), so no
+/// copy records where it lives; the length is copy 0's, which every
+/// damage path keeps.
+struct Entry {
+    hash: ChunkHash,
+    /// Copy 0, the primary: a put writes it synchronously, so it is
+    /// always present.
+    primary: Segment,
+    /// Copies `1..want`, `None` while missing. Its length is the copy
+    /// count this chunk should hold less one: the replication factor at
+    /// insert, possibly raised later by a redundancy rebuild. Empty, and
+    /// so unallocated, at replication 1.
+    replicas: Box<[Option<Segment>]>,
+    refs: u32,
+}
+
+impl Entry {
+    /// Copies this chunk should hold.
+    fn want(&self) -> u8 {
+        self.replicas.len() as u8 + 1
+    }
+
+    fn len(&self) -> u64 {
+        self.primary.len() as u64
+    }
+
+    fn copy(&self, r: u8) -> Option<&Segment> {
+        match r {
+            0 => Some(&self.primary),
+            _ => self.replicas[usize::from(r) - 1].as_ref(),
+        }
+    }
+
+    /// Whether copy `r` is present and hashes to the chunk's address.
+    fn intact(&self, r: u8) -> bool {
+        self.copy(r).is_some_and(|c| c.hash() == self.hash)
+    }
 }
 
 /// Home shard of a chunk's copy `r`: FNV-1a over the content hash picks
@@ -344,43 +379,16 @@ impl StoreTele {
     }
 }
 
-/// One shard: the copies placed on it, keyed by `(content hash, copy
-/// index)` — copy 0 is the primary, higher indices are replication
-/// copies — and its pipeline clock.
+/// One shard: the bytes of the copies placed on it and its pipeline
+/// clock. The copies themselves live in the chunk arena; which shard
+/// holds copy `r` of a chunk is [`shard_of`].
 #[derive(Default)]
 struct Shard {
-    copies: IntMap<(u128, u8), Segment>,
     /// Payload bytes across the live copies.
     bytes: u64,
     /// Virtual pipeline clock: when this shard finishes its last
     /// accepted batch. Timed puts queue behind it.
     free_at_ns: u64,
-}
-
-impl Shard {
-    /// Stores one copy's payload, replacing any it held (repair heals in
-    /// place).
-    fn put(&mut self, hash: ChunkHash, copy: u8, data: Segment) {
-        self.bytes += data.len() as u64;
-        if let Some(old) = self.copies.insert((hash.0, copy), data) {
-            self.bytes -= old.len() as u64;
-        }
-    }
-
-    fn get(&self, hash: ChunkHash, copy: u8) -> Option<Segment> {
-        self.copies.get(&(hash.0, copy)).cloned()
-    }
-
-    /// Drops one copy. Returns whether it was present.
-    fn remove(&mut self, hash: ChunkHash, copy: u8) -> bool {
-        match self.copies.remove(&(hash.0, copy)) {
-            Some(old) => {
-                self.bytes -= old.len() as u64;
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 /// Majority quorum over `copies`: the durable copies a put waits for.
@@ -399,7 +407,12 @@ struct State {
     chunk_size: usize,
     replication: usize,
     shards: Vec<Shard>,
-    chunks: IntMap<ChunkHash, ChunkMeta>,
+    /// The chunk arena: slot `i` holds a live chunk, or `None` once freed.
+    arena: Vec<Option<Entry>>,
+    /// Freed slots, reused last-freed first.
+    free: Vec<u32>,
+    /// Content address → arena slot, for every live chunk.
+    slots: IntMap<ChunkHash, u32>,
     images: HashMap<u64, Manifest>,
     next_image: u64,
     /// Primary-copy bytes (each distinct chunk once).
@@ -434,6 +447,11 @@ impl State {
         let n_shards = self.shards.len();
         let quorum = majority(self.replication);
         let mut manifest = Vec::with_capacity(n_chunks);
+        // Room for every chunk to be new, made once: the arena and the
+        // address table grow at most once per put, and a first capture
+        // allocates them at their size, not through every doubling below.
+        self.arena.reserve(n_chunks.saturating_sub(self.free.len()));
+        self.slots.reserve(n_chunks);
         let mut next_cache: Option<Vec<(ChunkHash, Segment)>> =
             cache.as_ref().map(|_| Vec::with_capacity(n_chunks));
         let mut logical = 0u64;
@@ -472,90 +490,112 @@ impl State {
                 },
                 None => chunk.hash(),
             };
-            if let Some(meta) = self.chunks.get_mut(&h) {
-                meta.refs += 1;
-            } else {
-                new_physical += len;
-                chunks_new += 1;
-                let want = self.replication.min(MAX_REPLICATION) as u8;
-                let clean = chunk.share();
-                let mut primary = clean.clone();
-                // Write-path fault injection damages the primary only;
-                // replicas land clean (independent write paths). The
-                // damage is done to a copy: `clean` is never written.
-                if let Some(wf) = self.write_faults.as_mut() {
-                    let draw = splitmix64(&mut wf.state);
-                    if len > 0 && draw % 1_000_000 < u64::from(wf.per_million) {
-                        primary = clean.damaged((draw >> 32) as usize);
+            let slot = match self.slots.entry(h) {
+                hash_map::Entry::Occupied(o) => {
+                    let slot = *o.get();
+                    self.arena[slot as usize].as_mut().expect("a live slot").refs += 1;
+                    slot
+                }
+                hash_map::Entry::Vacant(v) => {
+                    new_physical += len;
+                    chunks_new += 1;
+                    let want = self.replication.min(MAX_REPLICATION) as u8;
+                    let clean = chunk.share();
+                    let mut primary = clean.clone();
+                    // Write-path fault injection damages the primary only;
+                    // replicas land clean (independent write paths). The
+                    // damage is done to a copy: `clean` is never written.
+                    if let Some(wf) = self.write_faults.as_mut() {
+                        let draw = splitmix64(&mut wf.state);
+                        if len > 0 && draw % 1_000_000 < u64::from(wf.per_million) {
+                            primary = clean.damaged((draw >> 32) as usize);
+                        }
                     }
-                }
-                // Buggified write corruption: same shape as the injected
-                // faults above (primary damaged, replicas clean), drawn
-                // from the exploration registry's own stream.
-                if len > 0 && buggify!(self.buggify, bg_points::STORE_PUT_CORRUPT) {
-                    let i = self.buggify.magnitude(bg_points::STORE_PUT_CORRUPT, 0, len) as usize;
-                    primary = primary.damaged(i);
-                }
-
-                // Primary write is synchronous and always durable.
-                let mut placements = [0u8; MAX_REPLICATION];
-                let home = shard_of(h, 0, n_shards);
-                self.shards[home].put(h, 0, primary);
-                placements[0] = home as u8;
-                let mut written = 1usize;
-                batch_bytes[home] += len;
-                batch_chunks[home] += 1;
-
-                // Replica fan-out: each copy may fail at the shard-fail
-                // point; failures beyond the quorum go to background
-                // repair, shortfalls are retried inline until the put
-                // holds a majority of durable copies.
-                let mut failed: Vec<u8> = Vec::new();
-                for r in 1..want {
-                    if buggify!(self.buggify, bg_points::STORE_SHARD_FAIL) {
-                        failed.push(r);
-                        continue;
+                    // Buggified write corruption: same shape as the injected
+                    // faults above (primary damaged, replicas clean), drawn
+                    // from the exploration registry's own stream.
+                    if len > 0 && buggify!(self.buggify, bg_points::STORE_PUT_CORRUPT) {
+                        let i =
+                            self.buggify.magnitude(bg_points::STORE_PUT_CORRUPT, 0, len) as usize;
+                        primary = primary.damaged(i);
                     }
-                    let s = shard_of(h, r, n_shards);
-                    self.shards[s].put(h, r, clean.clone());
-                    placements[written] = s as u8;
-                    written += 1;
-                    replica_acks += 1;
-                    batch_bytes[s] += len;
-                    batch_chunks[s] += 1;
-                }
-                let mut failed = VecDeque::from(failed);
-                while written < quorum.min(want as usize) {
-                    let r = failed.pop_front().expect("quorum <= want copies");
-                    let s = shard_of(h, r, n_shards);
-                    self.shards[s].put(h, r, clean.clone());
-                    placements[written] = s as u8;
-                    written += 1;
-                    replica_acks += 1;
-                    quorum_retries += 1;
-                    batch_bytes[s] += len;
-                    batch_chunks[s] += 1;
-                }
-                for r in failed {
-                    if self.queued.insert((h.0, r)) {
-                        self.repair_q.push_back(RepairTask { hash: h, copy: r });
-                        self.repair_stats.enqueued += 1;
-                        repairs_enqueued += 1;
-                    }
-                }
 
-                self.physical_bytes += len;
-                self.chunks.insert(h, ChunkMeta { refs: 1, len: len as u32, want });
-                chunk_placements.push(placements);
-                chunk_copy_counts.push(written as u8);
-            }
+                    // Primary write is synchronous and always durable.
+                    let mut placements = [0u8; MAX_REPLICATION];
+                    let home = shard_of(h, 0, n_shards);
+                    self.shards[home].bytes += len;
+                    placements[0] = home as u8;
+                    let mut written = 1usize;
+                    batch_bytes[home] += len;
+                    batch_chunks[home] += 1;
+
+                    // Replica fan-out: each copy may fail at the shard-fail
+                    // point; failures beyond the quorum go to background
+                    // repair, shortfalls are retried inline until the put
+                    // holds a majority of durable copies.
+                    let mut replicas: Box<[Option<Segment>]> = match want {
+                        1 => Box::default(),
+                        _ => vec![None; usize::from(want) - 1].into(),
+                    };
+                    let mut failed: VecDeque<u8> = VecDeque::new();
+                    for r in 1..want {
+                        if buggify!(self.buggify, bg_points::STORE_SHARD_FAIL) {
+                            failed.push_back(r);
+                            continue;
+                        }
+                        let s = shard_of(h, r, n_shards);
+                        self.shards[s].bytes += len;
+                        replicas[usize::from(r) - 1] = Some(clean.clone());
+                        placements[written] = s as u8;
+                        written += 1;
+                        replica_acks += 1;
+                        batch_bytes[s] += len;
+                        batch_chunks[s] += 1;
+                    }
+                    while written < quorum.min(want as usize) {
+                        let r = failed.pop_front().expect("quorum <= want copies");
+                        let s = shard_of(h, r, n_shards);
+                        self.shards[s].bytes += len;
+                        replicas[usize::from(r) - 1] = Some(clean.clone());
+                        placements[written] = s as u8;
+                        written += 1;
+                        replica_acks += 1;
+                        quorum_retries += 1;
+                        batch_bytes[s] += len;
+                        batch_chunks[s] += 1;
+                    }
+                    for r in failed {
+                        if self.queued.insert((h.0, r)) {
+                            self.repair_q.push_back(RepairTask { hash: h, copy: r });
+                            self.repair_stats.enqueued += 1;
+                            repairs_enqueued += 1;
+                        }
+                    }
+
+                    self.physical_bytes += len;
+                    chunk_placements.push(placements);
+                    chunk_copy_counts.push(written as u8);
+                    let entry = Some(Entry { hash: h, primary, replicas, refs: 1 });
+                    let slot = match self.free.pop() {
+                        Some(slot) => {
+                            self.arena[slot as usize] = entry;
+                            slot
+                        }
+                        None => {
+                            self.arena.push(entry);
+                            u32::try_from(self.arena.len() - 1).expect("arena slots fit a u32")
+                        }
+                    };
+                    *v.insert(slot)
+                }
+            };
             if let Some(nc) = next_cache.as_mut() {
                 // `chunk` is the bytes that hashed to `h` (or the cached
                 // segment they were compared equal to), never a damaged
                 // primary: the cache invariant holds by construction.
                 nc.push((h, chunk.share()));
             }
-            manifest.push(h);
+            manifest.push(slot);
         }
         if let Some(c) = cache {
             c.chunks = next_cache.expect("cache refresh list built alongside");
@@ -652,50 +692,63 @@ impl State {
         }
     }
 
-    /// Every stored chunk's hash, ascending: the order scans enqueue in.
-    fn sorted_hashes(&self) -> Vec<ChunkHash> {
-        let mut hashes: Vec<ChunkHash> = self.chunks.keys().copied().collect();
-        hashes.sort_unstable();
-        hashes
+    /// Every live chunk's slot, in ascending address order: the order
+    /// scans enqueue in.
+    fn slots_by_hash(&self) -> Vec<u32> {
+        let mut live: Vec<(ChunkHash, u32)> = (0u32..)
+            .zip(&self.arena)
+            .filter_map(|(slot, e)| Some((e.as_ref()?.hash, slot)))
+            .collect();
+        live.sort_unstable();
+        live.into_iter().map(|(_, slot)| slot).collect()
+    }
+
+    fn entry(&self, slot: u32) -> &Entry {
+        self.arena[slot as usize].as_ref().expect("a live slot")
+    }
+
+    /// Writes copy `r` of the chunk in `slot` in place of any copy it
+    /// held (repair heals in place), and keeps its shard's byte count.
+    fn write_copy(&mut self, slot: u32, r: u8, data: Segment) {
+        let e = self.arena[slot as usize].as_mut().expect("a live slot");
+        let home = shard_of(e.hash, r, self.shards.len());
+        let shard = &mut self.shards[home];
+        shard.bytes += data.len() as u64;
+        let old = match r {
+            0 => Some(std::mem::replace(&mut e.primary, data)),
+            _ => e.replicas[usize::from(r) - 1].replace(data),
+        };
+        if let Some(old) = old {
+            shard.bytes -= old.len() as u64;
+        }
     }
 
     /// Resolves one already-dequeued repair task: rewrites the target
-    /// copy from an intact sibling. A task whose chunk died, or with no
-    /// intact source left, is dropped — the load path surfaces the
-    /// latter as [`StoreError::CorruptChunk`].
+    /// copy from an intact sibling. A task whose chunk died (or that names
+    /// a copy its chunk no longer keeps: the chunk died and came back at
+    /// a lower replication), or with no intact source left, is dropped —
+    /// the load path surfaces the latter as [`StoreError::CorruptChunk`].
     fn resolve_task(&mut self, task: RepairTask, at: Option<SimTime>) -> TaskOutcome {
-        let n_shards = self.shards.len();
         self.repair_stats.processed += 1;
-        let dest = shard_of(task.hash, task.copy, n_shards);
-        let Some(meta) = self.chunks.get(&task.hash) else { return TaskOutcome::DeadChunk };
-        let want = meta.want;
+        let Some(&slot) = self.slots.get(&task.hash) else { return TaskOutcome::DeadChunk };
+        let e = self.entry(slot);
+        if task.copy >= e.want() {
+            return TaskOutcome::DeadChunk;
+        }
         // Already intact (a later put or an earlier pump beat us)?
-        let existing = self.shards[dest].get(task.hash, task.copy);
-        let was_present = existing.is_some();
-        if let Some(copy) = &existing {
-            if copy.hash() == task.hash {
-                return TaskOutcome::AlreadyIntact;
-            }
+        let was_present = e.copy(task.copy).is_some();
+        if e.intact(task.copy) {
+            return TaskOutcome::AlreadyIntact;
         }
         // Find an intact source among the other copies.
-        let mut source: Option<Segment> = None;
-        for r in 0..want {
-            if r == task.copy {
-                continue;
-            }
-            if let Some(copy) =
-                self.shards[shard_of(task.hash, r, n_shards)].get(task.hash, r)
-            {
-                if copy.hash() == task.hash {
-                    source = Some(copy);
-                    break;
-                }
-            }
-        }
-        let Some(clean) = source else { return TaskOutcome::Hopeless };
-        self.shards[dest].put(task.hash, task.copy, clean);
+        let source = (0..e.want()).find(|&r| r != task.copy && e.intact(r));
+        let Some(clean) = source.and_then(|r| e.copy(r)).cloned() else {
+            return TaskOutcome::Hopeless;
+        };
+        self.write_copy(slot, task.copy, clean);
         self.repair_stats.repaired_write(was_present);
         if let Some(t) = &self.tele {
+            let dest = shard_of(task.hash, task.copy, self.shards.len());
             t.t.inc(t.repairs_done);
             t.t.add(t.scrub_heals, u64::from(was_present));
             t.t.add(t.replicas_added, u64::from(!was_present));
@@ -711,19 +764,15 @@ impl State {
         }
     }
 
-    /// The content address of a non-empty chunk of `image`, for the
-    /// corruption hooks.
-    fn chunk_of(&self, image: ImageId, chunk_index: usize) -> Result<ChunkHash, StoreError> {
+    /// The slot of a non-empty chunk of `image`, for the corruption
+    /// hooks.
+    fn chunk_of(&self, image: ImageId, chunk_index: usize) -> Result<u32, StoreError> {
         let m = self.images.get(&image.0).ok_or(StoreError::UnknownImage(image))?;
-        let h = m
-            .chunks
+        m.chunks
             .get(chunk_index)
             .copied()
-            .ok_or(StoreError::NoSuchChunk { image, chunk_index })?;
-        if self.chunks[&h].len == 0 {
-            return Err(StoreError::NoSuchChunk { image, chunk_index });
-        }
-        Ok(h)
+            .filter(|&slot| self.entry(slot).len() > 0)
+            .ok_or(StoreError::NoSuchChunk { image, chunk_index })
     }
 }
 
@@ -759,7 +808,7 @@ impl fmt::Debug for StoreClient {
             .field("shards", &s.shards.len())
             .field("replication", &s.replication)
             .field("images", &s.images.len())
-            .field("chunks", &s.chunks.len())
+            .field("chunks", &s.slots.len())
             .finish()
     }
 }
@@ -927,9 +976,9 @@ impl StoreClient {
     }
 
     /// Loads an image as its verified segment list (decode it in place
-    /// with [`crate::Dec::chunked`]), recomputing every copy's address
-    /// from what it holds on the way out and handing back the very
-    /// segments it verified. A corrupt
+    /// with [`crate::Dec::chunked`]): walks the manifest's arena slots in
+    /// order, recomputes each chunk's address from what its copy holds,
+    /// and hands back the very segments it verified. A corrupt
     /// primary is served from the first intact replica (counted in
     /// [`StoreClient::repaired_chunks`]), and the damaged copies it
     /// skipped are enqueued for background read-repair; the typed error
@@ -947,38 +996,31 @@ impl StoreClient {
             s.get_penalty_ns += ns;
         }
         let Some(m) = s.images.get(&id.0) else { return Err(StoreError::UnknownImage(id)) };
-        let n_shards = s.shards.len();
         let mut out = Vec::with_capacity(m.chunks.len());
         let mut served_from_replica = 0u64;
         let mut read_repairs: Vec<RepairTask> = Vec::new();
-        for (i, h) in m.chunks.iter().enumerate() {
-            let missing = || StoreError::MissingChunk { image: id, chunk_index: i };
-            let primary = s.shards[shard_of(*h, 0, n_shards)].get(*h, 0).ok_or_else(missing)?;
-            let actual = primary.hash();
-            if actual == *h {
-                // An intact primary is the whole answer: the chunk table,
-                // a cache miss per chunk, is read only for a damaged one.
-                out.push(primary);
+        for (i, &slot) in m.chunks.iter().enumerate() {
+            let Some(e) = &s.arena[slot as usize] else {
+                return Err(StoreError::MissingChunk { image: id, chunk_index: i });
+            };
+            let actual = e.primary.hash();
+            if actual == e.hash {
+                out.push(e.primary.clone());
                 continue;
             }
-            let want = s.chunks.get(h).ok_or_else(missing)?.want;
-            let intact = (1..want).find_map(|r| {
-                let copy = s.shards[shard_of(*h, r, n_shards)].get(*h, r)?;
-                (copy.hash() == *h).then_some((r, copy))
-            });
-            let Some((r, copy)) = intact else {
+            let Some(r) = (1..e.want()).find(|&r| e.intact(r)) else {
                 return Err(StoreError::CorruptChunk {
                     image: id,
                     chunk_index: i,
-                    expected: *h,
+                    expected: e.hash,
                     actual,
                 });
             };
             served_from_replica += 1;
             // Read-repair: the damaged or missing copies skipped go on the
             // gossip queue.
-            read_repairs.extend((0..r).map(|bad| RepairTask { hash: *h, copy: bad }));
-            out.push(copy);
+            read_repairs.extend((0..r).map(|bad| RepairTask { hash: e.hash, copy: bad }));
+            out.push(e.copy(r).expect("an intact copy").clone());
         }
         debug_assert_eq!(
             out.iter().map(|c| c.len() as u64).sum::<u64>(),
@@ -1002,18 +1044,23 @@ impl StoreClient {
         let m = s.images.remove(&id.0).ok_or(StoreError::UnknownImage(id))?;
         let n_shards = s.shards.len();
         let mut freed = 0u64;
-        for h in &m.chunks {
-            let meta = s.chunks.get_mut(h).expect("manifest chunk missing on remove");
-            meta.refs -= 1;
-            if meta.refs == 0 {
-                let want = meta.want;
-                freed += u64::from(meta.len);
-                s.physical_bytes -= u64::from(meta.len);
-                s.chunks.remove(h);
-                for r in 0..want {
-                    s.shards[shard_of(*h, r, n_shards)].remove(*h, r);
-                    s.queued.remove(&(h.0, r));
+        for &slot in &m.chunks {
+            let e = s.arena[slot as usize].as_mut().expect("manifest chunk missing on remove");
+            e.refs -= 1;
+            if e.refs > 0 {
+                continue;
+            }
+            // No manifest names the slot any more: free it.
+            let e = s.arena[slot as usize].take().expect("a live slot");
+            s.slots.remove(&e.hash);
+            s.free.push(slot);
+            freed += e.len();
+            s.physical_bytes -= e.len();
+            for r in 0..e.want() {
+                if let Some(copy) = e.copy(r) {
+                    s.shards[shard_of(e.hash, r, n_shards)].bytes -= copy.len() as u64;
                 }
+                s.queued.remove(&(e.hash.0, r));
             }
         }
         Ok(freed)
@@ -1038,7 +1085,7 @@ impl StoreClient {
     }
 
     pub fn chunk_count(&self) -> usize {
-        self.inner.borrow().chunks.len()
+        self.inner.borrow().slots.len()
     }
 
     /// Bytes held in primary chunks (each distinct chunk once; replica
@@ -1068,7 +1115,7 @@ impl StoreClient {
             logical_bytes: logical,
             physical_bytes: physical,
             dedup_ratio: if physical == 0 { 1.0 } else { logical as f64 / physical as f64 },
-            chunks_shared: s.chunks.values().filter(|c| c.refs > 1).count() as u64,
+            chunks_shared: s.arena.iter().flatten().filter(|e| e.refs > 1).count() as u64,
         }
     }
 
@@ -1083,18 +1130,11 @@ impl StoreClient {
         if buggify!(s.buggify, bg_points::STORE_SCRUB_SKIP) {
             return 0;
         }
-        let n_shards = s.shards.len();
         let mut tasks: Vec<RepairTask> = Vec::new();
-        for h in s.sorted_hashes() {
-            for r in 0..s.chunks[&h].want {
-                let ok = match s.shards[shard_of(h, r, n_shards)].get(h, r) {
-                    Some(copy) => copy.hash() == h,
-                    None => false,
-                };
-                if !ok {
-                    tasks.push(RepairTask { hash: h, copy: r });
-                }
-            }
+        for slot in s.slots_by_hash() {
+            let e = s.entry(slot);
+            let damaged = (0..e.want()).filter(|&r| !e.intact(r));
+            tasks.extend(damaged.map(|copy| RepairTask { hash: e.hash, copy }));
         }
         let mut enqueued = 0u64;
         for task in tasks {
@@ -1117,15 +1157,15 @@ impl StoreClient {
         let want = s.replication.min(MAX_REPLICATION) as u8;
         let mut raised = 0u64;
         let mut tasks: Vec<RepairTask> = Vec::new();
-        for h in s.sorted_hashes() {
-            let meta = s.chunks.get_mut(&h).expect("a listed hash");
-            if meta.want >= want {
+        for slot in s.slots_by_hash() {
+            let e = s.arena[slot as usize].as_mut().expect("a live slot");
+            if e.want() >= want {
                 continue;
             }
-            for r in meta.want..want {
-                tasks.push(RepairTask { hash: h, copy: r });
-            }
-            meta.want = want;
+            tasks.extend((e.want()..want).map(|copy| RepairTask { hash: e.hash, copy }));
+            let mut replicas = std::mem::take(&mut e.replicas).into_vec();
+            replicas.resize(usize::from(want) - 1, None);
+            e.replicas = replicas.into_boxed_slice();
             raised += 1;
         }
         for task in tasks {
@@ -1224,13 +1264,11 @@ impl StoreClient {
         byte: usize,
     ) -> Result<(), StoreError> {
         let s = &mut *self.inner.borrow_mut();
-        let h = s.chunk_of(image, chunk_index)?;
-        let want = s.chunks[&h].want;
-        let n_shards = s.shards.len();
-        for r in 0..want {
-            let shard = &mut s.shards[shard_of(h, r, n_shards)];
-            if let Some(copy) = shard.get(h, r) {
-                shard.put(h, r, copy.damaged(byte));
+        let slot = s.chunk_of(image, chunk_index)?;
+        for r in 0..s.entry(slot).want() {
+            if let Some(copy) = s.entry(slot).copy(r) {
+                let damaged = copy.damaged(byte);
+                s.write_copy(slot, r, damaged);
             }
         }
         Ok(())
@@ -1246,11 +1284,9 @@ impl StoreClient {
         byte: usize,
     ) -> Result<(), StoreError> {
         let s = &mut *self.inner.borrow_mut();
-        let h = s.chunk_of(image, chunk_index)?;
-        let home = shard_of(h, 0, s.shards.len());
-        let shard = &mut s.shards[home];
-        let copy = shard.get(h, 0).ok_or(StoreError::MissingChunk { image, chunk_index })?;
-        shard.put(h, 0, copy.damaged(byte));
+        let slot = s.chunk_of(image, chunk_index)?;
+        let damaged = s.entry(slot).primary.damaged(byte);
+        s.write_copy(slot, 0, damaged);
         Ok(())
     }
 }
@@ -1353,7 +1389,9 @@ impl StoreBuilder {
             chunk_size: self.chunk_size,
             replication: self.replication,
             shards: (0..self.shards).map(|_| Shard::default()).collect(),
-            chunks: IntMap::default(),
+            arena: Vec::new(),
+            free: Vec::new(),
+            slots: IntMap::default(),
             images: HashMap::new(),
             next_image: 0,
             physical_bytes: 0,
@@ -1376,9 +1414,9 @@ mod tests {
     use crate::hash::record_hash;
     use std::collections::BTreeMap;
 
-    /// The chunk table is hashed; the repair queue must still fill in the
-    /// order a walk of it as a `BTreeMap` gives, which is what it did when
-    /// it was one.
+    /// The arena is in insertion order and the address table is hashed;
+    /// the repair queue must still fill in the order a walk of the chunks
+    /// as a `BTreeMap` gives, which is what it did when the table was one.
     #[test]
     fn scans_enqueue_repairs_in_ascending_hash_order() {
         let store = StoreClient::builder().chunk_size(64).shards(3).build();
@@ -1393,16 +1431,15 @@ mod tests {
         store.put_image(&image);
 
         let s = store.inner.borrow();
-        let walk: BTreeMap<ChunkHash, u8> = s.chunks.iter().map(|(&h, m)| (h, m.want)).collect();
+        let walk: BTreeMap<ChunkHash, &Entry> =
+            s.arena.iter().flatten().map(|e| (e.hash, e)).collect();
         let mut want = Vec::new();
-        for (&h, &copies) in &walk {
-            for r in 0..copies {
-                let copy = s.shards[shard_of(h, r, 3)].get(h, r);
-                if copy.is_none_or(|c| c.hash() != h) {
-                    want.push(RepairTask { hash: h, copy: r });
-                }
-            }
+        for (&h, e) in &walk {
+            want.extend(
+                (0..e.want()).filter(|&r| !e.intact(r)).map(|copy| RepairTask { hash: h, copy }),
+            );
         }
+        let walk: BTreeMap<ChunkHash, u8> = walk.into_iter().map(|(h, e)| (h, e.want())).collect();
         drop(s);
         assert!(want.len() > 50, "write faults damaged {} of 400 primaries", want.len());
         assert_eq!(store.schedule_scrub(), want.len() as u64);
@@ -1414,42 +1451,6 @@ mod tests {
         }
         assert_eq!(store.schedule_redundancy_rebuild(), walk.len() as u64);
         assert_eq!(store.pending_repairs(), want, "rebuild order, behind the scrub's");
-    }
-
-    /// A shard's copy table: a put replaces, removing an absent copy is
-    /// a no-op returning `false`, and the copy and byte counts follow.
-    #[test]
-    fn shard_copy_table_semantics() {
-        let payload = |tag: u8, len: usize| -> Segment {
-            Segment::Bytes((0..len).map(|i| tag ^ (i as u8)).collect::<Vec<_>>().into())
-        };
-        let mut shard = Shard::default();
-        let a = payload(1, 100);
-        let b = payload(2, 50);
-        let c = Segment::Record(9);
-        let (ha, hb, hc) = (a.hash(), b.hash(), c.hash());
-        shard.put(ha, 0, a.clone());
-        shard.put(ha, 1, a.clone());
-        shard.put(hb, 0, b.clone());
-        shard.put(hc, 0, c.clone());
-        assert_eq!(shard.copies.len(), 4);
-        assert_eq!(shard.bytes, 250 + 4096, "a record counts its full size");
-        assert_eq!(shard.get(ha, 0), Some(a.clone()));
-        assert_eq!(shard.get(ha, 1), Some(a));
-        assert!(shard.get(hb, 0).is_some());
-        assert!(shard.get(hb, 1).is_none());
-
-        // Replace shrinks the accounting to the new payload.
-        shard.put(hb, 0, payload(3, 20));
-        assert_eq!(shard.bytes, 220 + 4096);
-        assert_eq!(shard.copies.len(), 4);
-
-        assert!(shard.remove(ha, 1));
-        assert!(!shard.remove(ha, 1), "double remove is a no-op");
-        assert!(shard.remove(hc, 0));
-        assert_eq!(shard.copies.len(), 2);
-        assert_eq!(shard.bytes, 120);
-        assert!(shard.get(ha, 1).is_none());
     }
 
     /// Placement over the addresses of 10,000 block records: every shard

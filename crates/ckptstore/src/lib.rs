@@ -17,8 +17,9 @@
 //!
 //! Storage is N hash-partitioned shards — FNV-1a over the chunk's
 //! content hash picks the home shard ([`shard_of`]), replica copy `r`
-//! strides to `(home + r) % N` — each shard holding its copies in an
-//! in-memory table. Every operation is a method of the [`StoreClient`]
+//! strides to `(home + r) % N` — while the chunks themselves, every copy
+//! included, live in one in-memory arena that manifests index by slot.
+//! Every operation is a method of the [`StoreClient`]
 //! handle built by [`StoreClient::builder`]; its state is private. Puts
 //! fan chunk batches out to shards with R-copy replication and quorum-ack
 //! commit, and copies that fail past the quorum land on a gossip repair
@@ -53,14 +54,15 @@
 //!
 //! ```text
 //! logical_len : u64          total payload bytes
-//! chunks      : [ChunkHash]  content hash of each chunk_size slice,
-//!                            in order; the final chunk may be short
+//! chunks      : [u32]        arena slot of each chunk_size slice, in
+//!                            order; the final chunk may be short
 //! ```
 //!
-//! **3. Chunks** — `chunk_size` (default 4096) byte slices keyed by
-//! [`ChunkHash`], placed on their shards once per copy, with a refcount
-//! equal to the number of manifest entries across all live images that
-//! reference them.
+//! **3. Chunks** — `chunk_size` (default 4096) byte slices, one arena
+//! entry each, found by [`ChunkHash`] through the address table when put,
+//! charged to their shards once per copy, with a refcount equal to the
+//! number of manifest entries across all live images that reference
+//! them. A slot is freed, and may be reused, only when that count is 0.
 //!
 //! # Block records
 //!

@@ -133,9 +133,12 @@ const MAX_CAPTURE_BYTES_PER_OTHER_BYTE: f64 = 1.15;
 /// Most bytes one `snapshot` may allocate per block record it stores. A
 /// record is kept as its fingerprint, so this is bookkeeping only: the
 /// encoder's segment-list entry (~30 B) and, as for any new chunk, the
-/// manifest and capture-cache entries and the store's chunk index and
-/// shard copy table, both grown from empty by doubling (~510 B together).
-/// Writing each record's 4 KiB out, as the encoder once did, is 4096 more.
+/// manifest and capture-cache entries and the store's arena entry and
+/// address-table bucket, both reserved once for the put. The snapshot
+/// below reads ~350 B per record beyond its other bytes (~560 B when the
+/// store kept a chunk index and a shard copy table, both grown from empty
+/// by doubling). Writing each record's 4 KiB out, as the encoder once
+/// did, is 4096 more.
 const MAX_CAPTURE_BYTES_PER_RECORD: u64 = 600;
 
 /// The lab exactly as `benchmark/src/scripts.rs::iperf_ckpt` builds it:

@@ -5,8 +5,12 @@
  * from outside the program: ITIMER_PROF delivers SIGPROF every 4 ms of CPU
  * time (250 Hz), the handler walks the frame-pointer chain of the main
  * thread into a preallocated buffer, and at exit the buffer is written out
- * after a copy of /proc/self/maps. `hostprof.py` turns that file into
- * tables. Output path: $HOSTPROF_OUT, default ./hostprof.out.
+ * after a copy of /proc/self/maps. Each sample also keeps the word at the
+ * stack pointer: in a leaf that has not set up its frame (libc, or a
+ * function whose prologue LLVM shrink-wrapped past its loop) that word is
+ * the return address into the caller the frame walk skips, and
+ * `hostprof.py` puts it back when it decodes as one. `hostprof.py` turns
+ * the file into tables. Output path: $HOSTPROF_OUT, default ./hostprof.out.
  */
 #define _GNU_SOURCE
 #include <fcntl.h>
@@ -25,7 +29,7 @@
 #define MAX_WORDS (1u << 24) /* 128 MiB of address space, touched as used */
 #define STACK_SPAN (8u << 20)
 
-static uintptr_t *buf;    /* records: depth, then `depth` return addresses */
+static uintptr_t *buf;    /* records: depth, the word at rsp, then `depth` addresses */
 static size_t used;       /* words written */
 static long dropped;      /* samples that did not fit */
 static pid_t main_tid;
@@ -33,11 +37,15 @@ static pid_t main_tid;
 static void on_prof(int sig, siginfo_t *si, void *ctx) {
     (void)sig, (void)si;
     if (syscall(SYS_gettid) != main_tid) return;
-    if (used + MAX_DEPTH + 1 > MAX_WORDS) { dropped++; return; }
+    if (used + MAX_DEPTH + 2 > MAX_WORDS) { dropped++; return; }
     ucontext_t *uc = ctx;
     uintptr_t sp = uc->uc_mcontext.gregs[REG_RSP];
     uintptr_t fp = uc->uc_mcontext.gregs[REG_RBP];
-    uintptr_t *rec = buf + used, depth = 0;
+    /* The word on top of the interrupted stack (always mapped); an rsp
+     * that is not 8-byte aligned, which compiled code never leaves,
+     * records 0. */
+    uintptr_t top = (sp & 7) == 0 ? *(uintptr_t *)sp : 0;
+    uintptr_t *rec = buf + used + 1, depth = 0;
     rec[++depth] = uc->uc_mcontext.gregs[REG_RIP];
     /* A frame pointer is believed only while it stays inside the stack
      * above the interrupted frame, aligned and strictly rising: code
@@ -50,8 +58,9 @@ static void on_prof(int sig, siginfo_t *si, void *ctx) {
         lo = fp;
         fp = ((uintptr_t *)fp)[0];
     }
-    rec[0] = depth;
-    used += depth + 1;
+    rec[0] = top;
+    buf[used] = depth;
+    used += depth + 2;
 }
 
 static void dump(void) {
@@ -65,9 +74,10 @@ static void dump(void) {
     while (maps && fgets(line, sizeof line, maps)) fprintf(out, "M %s", line);
     if (maps) fclose(maps);
     fprintf(out, "D %ld\n", dropped);
-    for (size_t i = 0; i < used; i += buf[i] + 1) {
-        fputc('S', out);
-        for (uintptr_t j = 1; j <= buf[i]; j++) fprintf(out, " %lx", (unsigned long)buf[i + j]);
+    /* T <word at rsp> <leaf pc> <return addresses...> */
+    for (size_t i = 0; i < used; i += buf[i] + 2) {
+        fputc('T', out);
+        for (uintptr_t j = 1; j <= buf[i] + 1; j++) fprintf(out, " %lx", (unsigned long)buf[i + j]);
         fputc('\n', out);
     }
     fclose(out);

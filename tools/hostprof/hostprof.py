@@ -10,8 +10,10 @@
 
 ROOT and FUNC are substrings of demangled names (hashes stripped). Only the
 binutils the image has are used: `nm` for the symbol table, `objdump` for
-the annotation. Frames outside the main executable (libc, the vDSO) are
-named after their mapping.
+the annotation and the prologues. Frames outside the main executable (libc,
+the vDSO) are named after their mapping. A leaf that has not set up its
+frame pointer gets its caller back from the word the sampler read at the
+stack pointer, when that word is a return address (see `recover_callers`).
 """
 import argparse
 import bisect
@@ -23,18 +25,22 @@ import sys
 
 
 def load(path):
-    """Returns (maps, stacks): file mappings and leaf-first stacks."""
-    maps, stacks = [], []
+    """Returns (maps, stacks, tops): file mappings (lo, hi, offset, path,
+    perms), leaf-first stacks, and each stack's word at the stack pointer
+    (None in files from a sampler that did not record it: `S` lines)."""
+    maps, stacks, tops = [], [], []
     for line in open(path):
         kind, _, rest = line.partition(" ")
         if kind == "M":
             f = rest.split()
             if len(f) >= 6:
                 lo, hi = (int(x, 16) for x in f[0].split("-"))
-                maps.append((lo, hi, int(f[2], 16), f[5]))
-        elif kind == "S":
-            stacks.append([int(a, 16) for a in rest.split()])
-    return sorted(maps), stacks
+                maps.append((lo, hi, int(f[2], 16), f[5], f[1]))
+        elif kind in ("S", "T"):
+            words = [int(a, 16) for a in rest.split()]
+            tops.append(words.pop(0) if kind == "T" else None)
+            stacks.append(words)
+    return sorted(maps), stacks, tops
 
 
 class Symbols:
@@ -64,9 +70,46 @@ class Resolver:
         self.maps, self.exe, self.syms = maps, exe, Symbols(exe)
         # The first segment of a PIE has offset 0 and link address 0, so
         # where it is mapped is what to subtract from a sampled address.
-        los = [lo for lo, _, off, path in maps if path == exe and off == 0]
+        los = [lo for lo, _, off, path, _ in maps if path == exe and off == 0]
         self.base = los[0] if los and self.syms.pie else 0
         self.cache = {}
+        self.prologues = {}
+        self.files = {}
+
+    def mapping(self, addr):
+        return next((m for m in self.maps if m[0] <= addr < m[1]), None)
+
+    def frameless(self, pc):
+        """Whether the frame walk from a leaf at pc starts at its caller's
+        frame: pc is in a library (built without frame pointers), or before
+        its function's `mov %rsp,%rbp` (none at all, or shrink-wrapped past
+        the code that runs first)."""
+        m = self.mapping(pc)
+        if m is None or m[3] != self.exe:
+            return True
+        start = self.syms.lookup(pc - self.base)[1]
+        if start not in self.prologues:
+            movs = [a for a, insn in disassemble(self, start) if re.match(r"mov\s+%rsp,%rbp$", insn)]
+            self.prologues[start] = movs[0] if movs else None
+        mov = self.prologues[start]
+        return mov is None or pc - self.base <= mov
+
+    def returns_to(self, addr):
+        """Whether addr is a return address: it lies in an executable file
+        mapping and the bytes just before it decode as a `call`."""
+        m = self.mapping(addr)
+        if m is None or "x" not in m[4] or not m[3].startswith("/"):
+            return False
+        lo, _, off, path, _ = m
+        at = addr - lo + off
+        if at < 7:
+            return False
+        if path not in self.files:
+            self.files[path] = open(path, "rb")
+        f = self.files[path]
+        f.seek(at - 7)
+        code = f.read(7)
+        return any(call_length(code[7 - n:]) == n for n in range(2, 8))
 
     def name(self, addr, leaf):
         # A return address points after the call; step back into it.
@@ -76,12 +119,50 @@ class Resolver:
         return self.cache[key]
 
     def _name(self, addr):
-        for lo, hi, _, path in self.maps:
+        for lo, hi, _, path, _ in self.maps:
             if lo <= addr < hi:
                 if path == self.exe:
                     return self.syms.lookup(addr - self.base)[0]
                 return "[" + os.path.basename(path) + "]"
         return "[unmapped]"
+
+
+def call_length(code):
+    """len(code) when code is exactly one x86-64 `call`: `e8 rel32`, or
+    `ff /2` (an optional REX prefix, ModRM, SIB and displacement) through a
+    register or memory; else 0."""
+    if len(code) == 5 and code[0] == 0xE8:
+        return 5
+    i = 1 if code and 0x40 <= code[0] <= 0x4F else 0
+    if len(code) < i + 2 or code[i] != 0xFF or (code[i + 1] >> 3) & 7 != 2:
+        return 0
+    mod, rm = code[i + 1] >> 6, code[i + 1] & 7
+    n = i + 2
+    if mod != 3 and rm == 4:  # a SIB byte, whose base 5 under mod 0 means disp32
+        if len(code) <= n:
+            return 0
+        n += 1 + (4 if mod == 0 and code[n] & 7 == 5 else 0)
+    elif mod == 0 and rm == 5:  # rip-relative disp32
+        n += 4
+    n += {1: 1, 2: 4}.get(mod, 0)
+    return n if n == len(code) else 0
+
+
+def recover_callers(res, stacks, tops):
+    """Puts back the caller a frameless leaf's walk skipped. Until a
+    function runs `mov %rsp,%rbp` the frame pointer is still its caller's,
+    so the walk's first return address is the caller's caller; the word at
+    the stack pointer is the caller's return address when nothing has been
+    pushed yet, which `returns_to` checks. Stacks from a sampler that
+    recorded no such word, or whose word is not a return address, stay as
+    they were."""
+    out = []
+    for stack, top in zip(stacks, tops):
+        if (top and top not in stack[1:2] and res.returns_to(top)
+                and res.frameless(stack[0])):
+            stack = stack[:1] + [top] + stack[1:]
+        out.append(stack)
+    return out
 
 
 def table(title, counts, total, top):
@@ -111,11 +192,12 @@ def self_and_inclusive(named):
 
 def profile(path, exe):
     """Returns (resolver, raw stacks, named stacks) of one sample file."""
-    maps, stacks = load(path)
+    maps, stacks, tops = load(path)
     if not stacks:
         sys.exit("no samples in " + path)
     exe = exe or next(m[3] for m in maps if m[3].startswith("/") and ".so" not in m[3])
     res = Resolver(maps, exe)
+    stacks = recover_callers(res, stacks, tops)
     return res, stacks, [[res.name(a, i == 0) for i, a in enumerate(s)] for s in stacks]
 
 
