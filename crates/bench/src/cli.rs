@@ -4,8 +4,9 @@
 //! An experiment pulls the flags it understands out of an [`Args`] and
 //! then calls [`Args::finish`]; anything left over — a typo, a key
 //! without its value — is a usage error (exit status 2) raised before
-//! any work runs, so a mistyped `--smoke` cannot do a full run and
-//! append to a committed `BENCH_*.json`.
+//! any work runs, so a mistyped `--smoke` cannot start the explorer's
+//! full 5,000-iteration sweep, and a flag given to an experiment that
+//! takes none is refused rather than ignored.
 
 use std::process::ExitCode;
 

@@ -1,5 +1,5 @@
-//! OBSREPORT — per-epoch critical-path attribution over the causal trace
-//! (ours; the observability layer's committed artifact).
+//! TAB-CRITPATH — per-epoch critical-path attribution over the causal
+//! trace (ours; the observability layer's committed artifact).
 //!
 //! TAB-TIMELINE pins the raw trace ring byte-for-byte; this report walks
 //! the same ring through [`sim::telemetry::critpath`] and answers the
@@ -14,38 +14,16 @@
 //! swap cycle (a held suspend round whose barrier-hold segment covers the
 //! swap-out state transfer, with a `flow.store_commit` step from the
 //! file-server put). The run executes twice; the CSV must be
-//! byte-identical.
-//!
-//! Artifacts:
-//! - `results/tab_critpath.csv` — one row per analyzed epoch round,
-//!   committed and CI-diffed;
-//! - `BENCH_obs.json` (repo root) — labeled aggregate entries
-//!   (segment-share percentages, held-round counts, CSV fingerprint)
-//!   against the `tcd-bench-obs-v1` schema.
-//!
-//! Modes:
-//! - default: run, write CSV, append one labeled JSON entry;
-//! - `--smoke`: run + assertions + CSV, no JSON write (CI);
-//! - `--check`: validate the committed JSON against the schema and exit;
-//! - `--label <name>`: label for the appended entry (default "current").
+//! byte-identical. `results/tab_critpath.csv` has one row per analyzed
+//! epoch round; the printed segment shares are derived from its ns
+//! columns.
 
 use std::fmt::Write as _;
-use std::process::ExitCode;
 
-use sim::stats::fnv1a;
 use sim::telemetry::critpath::{self, EpochPath};
 
-use crate::benchfile::{bench_flags, need_hex16, need_num, need_nums, report, BenchFile};
-use crate::cli::Args;
-use crate::json::{num, Json};
 use crate::lab::checkpointed_swap_cycle;
 use crate::{banner, write_csv};
-
-/// The committed artifact at the repo root (anchored to the crate, not the CWD).
-pub const FILE: BenchFile<'static> = BenchFile {
-    path: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json"),
-    schema: "tcd-bench-obs-v1",
-};
 
 const SEED: u64 = 15_001;
 
@@ -83,42 +61,11 @@ fn paths_csv(paths: &[EpochPath]) -> String {
     csv
 }
 
-/// Required numeric fields per entry — the schema `--check` enforces.
-const COUNT_FIELDS: [&str; 4] = ["seed", "rounds", "committed_rounds", "held_rounds"];
-const SHARE_FIELDS: [&str; 4] = [
-    "notify_fanout_pct",
-    "capture_wait_pct",
-    "barrier_hold_pct",
-    "resume_release_pct",
-];
-
-/// The entry rule: the field tables, and the four segment shares must
-/// sum to ~100% of the measured epoch wall time.
-pub fn entry_rule(entry: &Json) -> Result<(), String> {
-    need_nums(entry, &COUNT_FIELDS)?;
-    let mut shares = 0.0;
-    for f in SHARE_FIELDS {
-        shares += need_num(entry, f)?;
-    }
-    if !(99.0..=101.0).contains(&shares) {
-        return Err(format!("segment shares must sum to ~100%, got {shares:.2}"));
-    }
-    need_hex16(entry, "csv_fnv64")
-}
-
-pub fn run(args: &mut Args) -> ExitCode {
-    let (smoke, check, label) = match bench_flags(args) {
-        Ok(flags) => flags,
-        Err(usage) => return usage,
-    };
-    if check {
-        return report(FILE.check(entry_rule).map(drop));
-    }
-
-    banner("OBSREPORT", "per-epoch critical-path attribution over the causal trace");
-    eprintln!("[obsreport] run 1...");
+pub fn run() {
+    banner("TAB-CRITPATH", "per-epoch critical-path attribution over the causal trace");
+    eprintln!("[tab_critpath] run 1...");
     let paths = run_scenario();
-    eprintln!("[obsreport] run 2 (same seed)...");
+    eprintln!("[tab_critpath] run 2 (same seed)...");
     let paths2 = run_scenario();
     let csv = paths_csv(&paths);
     assert_eq!(
@@ -133,7 +80,7 @@ pub fn run(args: &mut Args) -> ExitCode {
     let wall: u64 = paths.iter().map(|p| p.wall_ns()).sum();
     let seg = |f: fn(&EpochPath) -> u64| -> f64 {
         let s: u64 = paths.iter().map(f).sum();
-        (s as f64 / wall as f64 * 10_000.0).round() / 100.0
+        s as f64 / wall as f64 * 100.0
     };
     let notify_pct = seg(|p| p.notify_fanout_ns);
     let capture_pct = seg(|p| p.capture_wait_ns);
@@ -182,22 +129,4 @@ pub fn run(args: &mut Args) -> ExitCode {
 
     let csv_path = write_csv("tab_critpath.csv", &csv);
     println!("  critical paths: {}", csv_path.display());
-
-    if smoke {
-        println!("\n  smoke mode: paths exercised, JSON not written");
-        return ExitCode::SUCCESS;
-    }
-
-    let entry = vec![
-        ("seed".into(), num(SEED as f64)),
-        ("rounds".into(), num(paths.len() as f64)),
-        ("committed_rounds".into(), num(committed as f64)),
-        ("held_rounds".into(), num(held as f64)),
-        ("notify_fanout_pct".into(), num(notify_pct)),
-        ("capture_wait_pct".into(), num(capture_pct)),
-        ("barrier_hold_pct".into(), num(hold_pct)),
-        ("resume_release_pct".into(), num(resume_pct)),
-        ("csv_fnv64".into(), Json::Str(format!("{:016x}", fnv1a(csv.as_bytes())))),
-    ];
-    report(FILE.append(&label, entry, entry_rule))
 }

@@ -1,7 +1,7 @@
-//! BENCH-STORE — shard-count sweep over the checkpoint-store service.
+//! TAB-STORE — shard-count sweep over the checkpoint-store service.
 //!
 //! The fig*/tab* regenerators pin simulated observables of the paper's
-//! experiments; this bench pins the *store service* model itself: N
+//! experiments; this table pins the *store service* model itself: N
 //! experiments checkpoint simultaneously against one sharded, replicated
 //! store service (behind its [`StoreClient`]) and we report, per shard count,
 //!
@@ -20,32 +20,16 @@
 //! every repair counter) — shard placement, fault draws, and the repair
 //! schedule are all deterministic functions of the seed.
 //!
-//! Results append to `BENCH_store.json` at the repo root. Simulated-time
-//! numbers are machine-independent, so entries are comparable across
-//! machines (unlike `BENCH_hotpath.json`).
-//!
-//! Modes:
-//! - default: full sweep (shards 1/2/4/8), appends one labeled entry;
-//! - `--smoke`: tiny sweep (shards 1/4), no JSON write (CI);
-//! - `--check`: validate the committed JSON against the schema and exit;
-//! - `--label <name>`: label for the appended entry (default "current").
+//! Every number is simulated time, so `results/tab_store.csv` (one row
+//! per shard count) is machine-independent and CI-pinned like the rest.
 
-use std::process::ExitCode;
+use std::fmt::Write as _;
 
 use ckptstore::{CaptureCache, StoreClient};
 use sim::buggify::{points, Buggify, Preset};
 use sim::{stats, Engine, SimDuration, SimTime};
 
-use crate::banner;
-use crate::benchfile::{bench_flags, need_hex16, need_num, need_nums, need_rows, report, BenchFile};
-use crate::cli::Args;
-use crate::json::{num, Json};
-
-/// The committed artifact at the repo root (anchored to the crate, not the CWD).
-pub const FILE: BenchFile<'static> = BenchFile {
-    path: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json"),
-    schema: "tcd-bench-store-v1",
-};
+use crate::{banner, write_csv};
 
 const SEED: u64 = 42;
 const CHUNK: usize = 4096;
@@ -219,82 +203,33 @@ fn run_sweep(shards: usize, wl: &Workload) -> SweepResult {
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON schema + entry assembly.
-// ---------------------------------------------------------------------------
+const CSV_HEADER: &str = "shards,puts,bytes,makespan_ns,mb_per_sec,p50_commit_us,p99_commit_us,\
+    replica_acks,quorum_retries,repairs_enqueued,repairs_done,repair_backlog_end,fingerprint\n";
 
-fn sweep_json(r: &SweepResult) -> Json {
-    Json::Obj(vec![
-        ("shards".into(), num(r.shards as f64)),
-        ("puts".into(), num(r.puts as f64)),
-        ("bytes".into(), num(r.bytes as f64)),
-        ("makespan_ns".into(), num(r.makespan_ns as f64)),
-        ("mb_per_sec".into(), num((r.mb_per_sec * 10.0).round() / 10.0)),
-        ("p50_commit_us".into(), num((r.p50_commit_us * 10.0).round() / 10.0)),
-        ("p99_commit_us".into(), num((r.p99_commit_us * 10.0).round() / 10.0)),
-        ("replica_acks".into(), num(r.replica_acks as f64)),
-        ("quorum_retries".into(), num(r.quorum_retries as f64)),
-        ("repairs_enqueued".into(), num(r.repairs_enqueued as f64)),
-        ("repairs_done".into(), num(r.repairs_done as f64)),
-        ("repair_backlog_end".into(), num(r.repair_backlog_end as f64)),
-        ("fingerprint".into(), Json::Str(format!("{:016x}", r.fingerprint))),
-    ])
+fn csv_row(csv: &mut String, r: &SweepResult) {
+    let _ = writeln!(
+        csv,
+        "{},{},{},{},{:.1},{:.1},{:.1},{},{},{},{},{},{:016x}",
+        r.shards,
+        r.puts,
+        r.bytes,
+        r.makespan_ns,
+        r.mb_per_sec,
+        r.p50_commit_us,
+        r.p99_commit_us,
+        r.replica_acks,
+        r.quorum_retries,
+        r.repairs_enqueued,
+        r.repairs_done,
+        r.repair_backlog_end,
+        r.fingerprint
+    );
 }
 
-/// Required fields per sweep row — the schema `--check` enforces.
-const SWEEP_FIELDS: [&str; 12] = [
-    "shards",
-    "puts",
-    "bytes",
-    "makespan_ns",
-    "mb_per_sec",
-    "p50_commit_us",
-    "p99_commit_us",
-    "replica_acks",
-    "quorum_retries",
-    "repairs_enqueued",
-    "repairs_done",
-    "repair_backlog_end",
-];
+pub fn run() {
+    banner("TAB-STORE", "sharded store service: MB/s + commit latency vs shard count");
 
-/// The entry rule: the >= 2x shard-scaling floor and the sweep table.
-pub fn entry_rule(entry: &Json) -> Result<(), String> {
-    let speedup = need_num(entry, "speedup_4_shards")?;
-    if speedup < 2.0 {
-        return Err(format!(
-            "speedup_4_shards {speedup} below the 2.0 floor (DESIGN.md §10)"
-        ));
-    }
-    for (j, row) in need_rows(entry, "sweep")?.iter().enumerate() {
-        need_nums(row, &SWEEP_FIELDS)
-            .and_then(|()| need_hex16(row, "fingerprint"))
-            .map_err(|e| format!("sweep row {j} {e}"))?;
-    }
-    Ok(())
-}
-
-pub fn run(args: &mut Args) -> ExitCode {
-    let (smoke, check, label) = match bench_flags(args) {
-        Ok(flags) => flags,
-        Err(usage) => return usage,
-    };
-    if check {
-        if let Err(e) = FILE.check(entry_rule) {
-            return report(Err(e));
-        }
-        if !smoke {
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    banner("BENCH-STORE", "sharded store service: MB/s + commit latency vs shard count");
-
-    // Smoke keeps CI fast; the full sweep gives the committed numbers.
-    let (shard_counts, wl): (&[usize], Workload) = if smoke {
-        (&[1, 4], Workload { experiments: 2, epochs: 2, chunks: 64, dirty: 16 })
-    } else {
-        (&[1, 2, 4, 8], Workload { experiments: 6, epochs: 8, chunks: 256, dirty: 64 })
-    };
+    let wl = Workload { experiments: 6, epochs: 8, chunks: 256, dirty: 64 };
     println!(
         "  workload: {} experiments x {} epochs, {} chunks/image ({} dirty/epoch), replication {}",
         wl.experiments, wl.epochs, wl.chunks, wl.dirty, REPLICATION
@@ -302,7 +237,7 @@ pub fn run(args: &mut Args) -> ExitCode {
     println!("  faults:   {} forced to {:.0}%\n", points::STORE_SHARD_FAIL, SHARD_FAIL_PROB * 100.0);
 
     let mut rows = Vec::new();
-    for &shards in shard_counts {
+    for shards in [1, 2, 4, 8] {
         let r = run_sweep(shards, &wl);
         // Same seed, same config: the entire observable history must be
         // byte-identical on a second run.
@@ -331,28 +266,16 @@ pub fn run(args: &mut Args) -> ExitCode {
         rows.push(r);
     }
 
-    let base = rows.iter().find(|r| r.shards == 1).expect("1-shard baseline");
-    let four = rows.iter().find(|r| r.shards == 4).expect("4-shard row");
-    let speedup = four.mb_per_sec / base.mb_per_sec;
-    println!("\n  4-shard speedup over 1 shard: {speedup:.2}x (floor: 2.0x, smoke floor: 1.5x)");
-    let floor = if smoke { 1.5 } else { 2.0 };
+    let speedup = rows[2].mb_per_sec / rows[0].mb_per_sec;
+    println!("\n  4-shard speedup over 1 shard: {speedup:.2}x (floor: 2.0x)");
     assert!(
-        speedup >= floor,
-        "4-shard aggregate MB/s must be >= {floor}x the 1-shard baseline, got {speedup:.2}x"
+        speedup >= 2.0,
+        "4-shard aggregate MB/s must be >= 2.0x the 1-shard baseline, got {speedup:.2}x"
     );
 
-    if smoke {
-        println!("\n  smoke mode: paths exercised, JSON not written");
-        return ExitCode::SUCCESS;
+    let mut csv = String::from(CSV_HEADER);
+    for r in &rows {
+        csv_row(&mut csv, r);
     }
-
-    let entry = vec![
-        ("smoke".into(), Json::Bool(false)),
-        ("seed".into(), num(SEED as f64)),
-        ("replication".into(), num(REPLICATION as f64)),
-        ("shard_fail_prob".into(), num(SHARD_FAIL_PROB)),
-        ("speedup_4_shards".into(), num((speedup * 100.0).round() / 100.0)),
-        ("sweep".into(), Json::Arr(rows.iter().map(sweep_json).collect())),
-    ];
-    report(FILE.append(&label, entry, entry_rule))
+    println!("  sweep: {}", write_csv("tab_store.csv", &csv).display());
 }

@@ -1,7 +1,7 @@
 //! The two-node iperf lab (hostA — delay node — hostB plus coordinator)
-//! that the fault and ablation experiments, the end-to-end hot-path bench
-//! and the epoch-protocol tests (`tests/protocol.rs`) all run on, and the
-//! full-testbed scenario the observability experiments share.
+//! that the fault and ablation experiments and the epoch-protocol tests
+//! (`tests/protocol.rs`) all run on, and the full-testbed scenario the
+//! observability experiments share.
 
 use std::sync::Arc;
 
@@ -304,7 +304,7 @@ impl Lab {
     }
 }
 
-/// The scenario TAB-TELEMETRY, TAB-TIMELINE and OBSREPORT observe, each
+/// The scenario TAB-TELEMETRY, TAB-TIMELINE and TAB-CRITPATH observe, each
 /// through its own lens: two nodes over a shaped 1 Gbps link, iperf
 /// under 5 s periodic checkpoints for 16 s, then one stateful swap-out /
 /// swap-in cycle (whose suspend round is held while the state image

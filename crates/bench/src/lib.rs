@@ -8,12 +8,10 @@
 //! [`experiments::REGISTRY`] names every experiment; [`cli`] parses the
 //! command line and dispatches; the rest of this crate is what they share.
 
-pub mod benchfile;
 pub mod cli;
 pub mod experiments;
 pub mod explore;
 pub mod flightrec;
-pub mod json;
 pub mod lab;
 pub mod modelcheck;
 

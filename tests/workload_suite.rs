@@ -252,18 +252,19 @@ fn full_stack_determinism() {
 }
 
 /// The sharded side's byte pin, as `results/*.csv` are the plain side's:
-/// the 1,000-node, 4-epoch star of `tcd bench_scale` (built as it builds
-/// it) must export the telemetry whose fingerprint the latest
-/// `BENCH_scale.json` entry records, on one shard and on four.
+/// the 1,000-node, 4-epoch star of `tcd tab_scale` (built as it builds
+/// it) must dispatch the events and export the telemetry whose
+/// fingerprint `results/tab_scale.csv` records, on one shard and on four.
 #[test]
 fn scale_star_reproduces_the_committed_fingerprint() {
     use emulab_checkpoint::emulab::ScalePlan;
 
-    let committed = include_str!("../BENCH_scale.json");
-    let row = committed.rfind("\"nodes\": 1000,").expect("a 1,000-node row");
-    let field = "\"fingerprint\": \"";
-    let at = row + committed[row..].find(field).expect("the row's fingerprint") + field.len();
-    let want = &committed[at..at + 16];
+    let committed = include_str!("../results/tab_scale.csv");
+    let mut lines = committed.lines().map(|l| l.split(',').collect::<Vec<_>>());
+    let header = lines.next().expect("a header");
+    let row = lines.find(|r| r[0] == "1000").expect("a 1,000-node row");
+    let column = |name: &str| row[header.iter().position(|h| *h == name).expect(name)];
+    let (events, want): (u64, _) = (column("events").parse().unwrap(), column("fingerprint"));
 
     let spec = ExperimentSpec::star("bench", 1000, 100_000_000, SimDuration::from_millis(5));
     let plan = ScalePlan::from_spec(&spec, 1000 / 62).expect("star plans");
@@ -272,7 +273,7 @@ fn scale_star_reproduces_the_committed_fingerprint() {
         lab.run();
         lab.check_invariants().expect("every round commits, the shadow is clean");
         let o = lab.outcome();
-        assert_eq!(o.events, 205_505, "S = {shards}");
+        assert_eq!(o.events, events, "S = {shards}");
         assert_eq!(format!("{:016x}", o.fingerprint_metrics), want, "S = {shards}");
     }
 }
