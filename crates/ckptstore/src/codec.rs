@@ -1,13 +1,20 @@
 //! Hand-rolled binary codec: fixed-width little-endian primitives,
-//! length-prefixed strings/sequences, and explicit alignment padding.
+//! length-prefixed strings/sequences, and explicit alignment padding —
+//! [`Enc`] and [`Dec`] — plus [`Wire`], the one trait every image type
+//! implements, and [`wire!`](crate::wire), which writes both directions of
+//! a type's [`Wire`] impl from one field list.
 //!
 //! Encoding never fails; decoding returns [`DecodeError`] instead of
 //! panicking so a truncated or corrupted image surfaces as a typed
 //! error at restore time.
 
 use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
+
+use sim::SimDuration;
 
 use crate::segment::{read_record, write_record, Segment};
 
@@ -481,6 +488,16 @@ impl<'a> Dec<'a> {
         Ok(self.u32()? as usize)
     }
 
+    /// The capacity to reserve for `n` elements of `T` whose count was just
+    /// read: no more than the remaining bytes could back at `T`'s in-memory
+    /// size. A count is a number the image makes up; reserving it as read
+    /// lets four corrupt bytes ask for gigabytes before the first element
+    /// fails to decode. A sequence longer than the bound grows as it is
+    /// pushed.
+    pub fn capacity_for<T>(&self, n: usize) -> usize {
+        n.min(self.remaining() / std::mem::size_of::<T>().max(1))
+    }
+
     /// Skips padding to the next multiple of `align` bytes.
     ///
     /// # Panics
@@ -503,6 +520,387 @@ impl<'a> Dec<'a> {
     pub fn position(&self) -> usize {
         self.base + self.off
     }
+}
+
+/// A type with one wire form: [`Wire::put`] appends it to an [`Enc`],
+/// [`Wire::get`] reads it back from a [`Dec`].
+///
+/// `Cx` is the side table that values which cannot byte-serialise travel
+/// in (a guest's program objects and message markers, a delay node's
+/// queued frames): `put` registers such a value in it and writes its
+/// index, `get` resolves the index. Types that need none implement
+/// `Wire<Cx>` for every `Cx`, so they nest inside types that do. The
+/// impls here cover the integers, `bool`, `f64`, `String`, `usize` (as a
+/// `u64`), [`SimDuration`] (as its `u64` nanoseconds), `Option` (a `bool`
+/// then the value), `Arc`, tuples, and the sequences and maps: a `u32`
+/// count, then the elements in order — a `HashMap`'s sorted by key — with
+/// no capacity reserved beyond what the remaining bytes could hold
+/// ([`Dec::capacity_for`]) and a duplicate map key refused. Image types
+/// declare theirs with [`wire!`](crate::wire).
+pub trait Wire<Cx = ()>: Sized {
+    /// Appends the value's encoding; side-table values go into `cx`.
+    fn put(&self, e: &mut Enc, cx: &mut Cx);
+
+    /// Reads a value back, resolving side-table indices against `cx`.
+    fn get(d: &mut Dec<'_>, cx: &Cx) -> Result<Self, DecodeError>;
+}
+
+/// The scalars: each as one [`Enc`]/[`Dec`] primitive, whatever the side
+/// table.
+macro_rules! scalar {
+    ($($t:ty: |$v:ident, $e:ident| $put:expr, |$d:ident| $get:expr;)*) => {$(
+        impl<Cx> Wire<Cx> for $t {
+            #[inline]
+            fn put(&self, $e: &mut Enc, _: &mut Cx) {
+                let $v = self;
+                $put;
+            }
+
+            #[inline]
+            fn get($d: &mut Dec<'_>, _: &Cx) -> Result<Self, DecodeError> {
+                $get
+            }
+        }
+    )*};
+}
+
+scalar! {
+    u8: |v, e| e.u8(*v), |d| d.u8();
+    u16: |v, e| e.u16(*v), |d| d.u16();
+    u32: |v, e| e.u32(*v), |d| d.u32();
+    u64: |v, e| e.u64(*v), |d| d.u64();
+    u128: |v, e| e.u128(*v), |d| d.u128();
+    i64: |v, e| e.i64(*v), |d| d.i64();
+    f64: |v, e| e.f64(*v), |d| d.f64();
+    bool: |v, e| e.bool(*v), |d| d.bool();
+    usize: |v, e| e.u64(*v as u64), |d| Ok(d.u64()? as usize);
+    String: |v, e| e.str(v), |d| d.str();
+    SimDuration: |v, e| e.u64(v.as_nanos()), |d| Ok(SimDuration::from_nanos(d.u64()?));
+}
+
+impl<Cx, T: Wire<Cx>> Wire<Cx> for Option<T> {
+    fn put(&self, e: &mut Enc, cx: &mut Cx) {
+        e.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(e, cx);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>, cx: &Cx) -> Result<Self, DecodeError> {
+        Ok(if d.bool()? { Some(T::get(d, cx)?) } else { None })
+    }
+}
+
+impl<Cx, T: Wire<Cx>> Wire<Cx> for Arc<T> {
+    fn put(&self, e: &mut Enc, cx: &mut Cx) {
+        (**self).put(e, cx);
+    }
+
+    fn get(d: &mut Dec<'_>, cx: &Cx) -> Result<Self, DecodeError> {
+        Ok(Arc::new(T::get(d, cx)?))
+    }
+}
+
+macro_rules! tuple {
+    ($($t:ident $v:ident),+) => {
+        impl<Cx, $($t: Wire<Cx>),+> Wire<Cx> for ($($t,)+) {
+            fn put(&self, e: &mut Enc, cx: &mut Cx) {
+                let ($($v,)+) = self;
+                $($v.put(e, cx);)+
+            }
+
+            fn get(d: &mut Dec<'_>, cx: &Cx) -> Result<Self, DecodeError> {
+                Ok(($($t::get(d, cx)?,)+))
+            }
+        }
+    };
+}
+
+tuple!(A a, B b);
+tuple!(A a, B b, C c);
+
+/// The sequences: a `u32` count, then the elements.
+macro_rules! sequence {
+    ($($seq:ident :: $push:ident),*) => {$(
+        impl<Cx, T: Wire<Cx>> Wire<Cx> for $seq<T> {
+            fn put(&self, e: &mut Enc, cx: &mut Cx) {
+                e.seq(self.len());
+                for v in self {
+                    v.put(e, cx);
+                }
+            }
+
+            fn get(d: &mut Dec<'_>, cx: &Cx) -> Result<Self, DecodeError> {
+                let n = d.seq()?;
+                let mut out = $seq::with_capacity(d.capacity_for::<T>(n));
+                for _ in 0..n {
+                    out.$push(T::get(d, cx)?);
+                }
+                Ok(out)
+            }
+        }
+    )*};
+}
+
+sequence!(Vec::push, VecDeque::push_back);
+
+const DUPLICATE_KEY: DecodeError = DecodeError::Invalid("duplicate map key");
+
+impl<Cx, K: Wire<Cx> + Ord, V: Wire<Cx>> Wire<Cx> for BTreeMap<K, V> {
+    fn put(&self, e: &mut Enc, cx: &mut Cx) {
+        e.seq(self.len());
+        for (k, v) in self {
+            k.put(e, cx);
+            v.put(e, cx);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>, cx: &Cx) -> Result<Self, DecodeError> {
+        let mut out = BTreeMap::new();
+        for _ in 0..d.seq()? {
+            let k = K::get(d, cx)?;
+            if out.insert(k, V::get(d, cx)?).is_some() {
+                return Err(DUPLICATE_KEY);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Keys in sorted order, so the bytes do not depend on the hasher.
+impl<Cx, K, V, S> Wire<Cx> for HashMap<K, V, S>
+where
+    K: Wire<Cx> + Ord + Hash,
+    V: Wire<Cx>,
+    S: BuildHasher + Default,
+{
+    fn put(&self, e: &mut Enc, cx: &mut Cx) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        e.seq(entries.len());
+        for (k, v) in entries {
+            k.put(e, cx);
+            v.put(e, cx);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>, cx: &Cx) -> Result<Self, DecodeError> {
+        let n = d.seq()?;
+        let mut out = HashMap::with_capacity_and_hasher(d.capacity_for::<(K, V)>(n), S::default());
+        for _ in 0..n {
+            let k = K::get(d, cx)?;
+            if out.insert(k, V::get(d, cx)?).is_some() {
+                return Err(DUPLICATE_KEY);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// [`wire!`](crate::wire)'s typed read of a struct field: `field` names
+/// the field (`|s: &S| &s.f`), which fixes the type to decode before the
+/// struct is built, so a later check or `derived` expression can call its
+/// methods.
+#[doc(hidden)]
+#[inline(always)]
+pub fn get_field<S, T: Wire<Cx>, Cx>(
+    _field: impl FnOnce(&S) -> &T,
+    d: &mut Dec<'_>,
+    cx: &Cx,
+) -> Result<T, DecodeError> {
+    T::get(d, cx)
+}
+
+/// Declares a type's [`Wire`] impl once, as the list of its fields in
+/// wire order: `put` writes them in that order and `get` reads them back
+/// in it.
+///
+/// ```text
+/// wire!(struct Name { item, item, ... });          // Wire<Cx> for every Cx
+/// wire!(struct Name in Side { item, ... });        // Wire<Side> only
+/// wire!(struct Name(a, b));                        // a tuple struct
+/// wire!(enum Name: "what" { A = 0, B(x) = 1, C { y, z } = 2 });
+/// wire!(enum Name in Side: "what" { ... });
+/// ```
+///
+/// A struct item is one of:
+///
+/// - `f` — the field, coded by its own [`Wire`] impl in the same side
+///   table;
+/// - `f in expr` — coded with the value of `expr` as its side table (a
+///   bound the decoder checks against, say);
+/// - `f if cond` — coded only when `cond` holds, else decoded as
+///   `Default::default()`;
+/// - `derived f = expr` — not coded: rebuilt by `expr` on decode;
+/// - `check cond => "message"` — on decode, fails with
+///   [`DecodeError::Invalid`]`("message")` unless `cond` holds.
+///
+/// Every expression sees the fields listed before it as references, in
+/// both directions. `put` destructures `let Name { every, listed, field }
+/// = self;` with no `..`, and `get` builds the struct from the same
+/// names, so a field that is not listed is a compile error:
+///
+/// ```compile_fail,E0027
+/// struct Pair {
+///     a: u64,
+///     b: u64,
+/// }
+/// ckptstore::wire!(struct Pair { a }); // `b` is in no list.
+/// ```
+///
+/// A field rebuilt on decode is listed as `derived`:
+///
+/// ```
+/// use ckptstore::{Dec, Enc, Wire};
+///
+/// struct Wheel {
+///     slots: Vec<u64>,
+///     armed: usize,
+/// }
+/// ckptstore::wire!(struct Wheel {
+///     slots,
+///     check slots.len() < 8 => "too many slots",
+///     derived armed = slots.len(),
+/// });
+///
+/// let mut e = Enc::new();
+/// Wheel { slots: vec![3, 5], armed: 2 }.put(&mut e, &mut ());
+/// let bytes = e.into_bytes();
+/// assert_eq!(bytes.len(), 4 + 2 * 8); // The count, then the slots.
+/// let back = Wheel::get(&mut Dec::new(&bytes), &()).unwrap();
+/// assert_eq!((back.slots, back.armed), (vec![3, 5], 2));
+/// ```
+///
+/// An enum writes a `u8` tag from its table, then the variant's fields in
+/// the order listed; a tag not in the table decodes to
+/// [`DecodeError::BadTag`] with `what` as its description. The `match`
+/// in `put` is exhaustive and its patterns have no `..`, so a variant or
+/// a variant field that is not listed does not build either.
+#[macro_export]
+macro_rules! wire {
+    (struct $name:ident in $cx:ident $body:tt) => {
+        $crate::wire!(@struct [$name [] $cx e d cx] $body);
+    };
+    (struct $name:ident $body:tt) => {
+        $crate::wire!(@struct [$name [Cx] Cx e d cx] $body);
+    };
+    (enum $name:ident in $cx:ident : $what:literal $body:tt) => {
+        $crate::wire!(@enum $name [] $cx $what $body);
+    };
+    (enum $name:ident : $what:literal $body:tt) => {
+        $crate::wire!(@enum $name [Cx] Cx $what $body);
+    };
+
+    (@struct $head:tt { $($item:tt)* }) => {
+        $crate::wire!(@item $head [] [] [] $($item)*);
+    };
+    (@struct [$name:ident [$($g:ident)?] $cx:ident $e:ident $d:ident $c:ident] ($($f:ident),* $(,)?)) => {
+        impl<$($g)?> $crate::Wire<$cx> for $name {
+            fn put(&self, $e: &mut $crate::Enc, $c: &mut $cx) {
+                let $name($($f),*) = self;
+                $($crate::Wire::put($f, $e, $c);)*
+            }
+
+            fn get($d: &mut $crate::Dec<'_>, $c: &$cx) -> Result<Self, $crate::DecodeError> {
+                $(let $f = $crate::Wire::get($d, $c)?;)*
+                Ok($name($($f),*))
+            }
+        }
+    };
+
+    // One item of a struct's list at a time: its `put` statements, its
+    // `get` statements, and the fields listed so far (`done`), which an
+    // expression in `get` sees as references — as it does in `put`, where
+    // they are what `self` destructured to.
+    (@item [$name:ident [$($g:ident)?] $cx:ident $e:ident $d:ident $c:ident]
+        [$($put:tt)*] [$($get:tt)*] [$($done:ident)*]) => {
+        impl<$($g)?> $crate::Wire<$cx> for $name {
+            fn put(&self, $e: &mut $crate::Enc, $c: &mut $cx) {
+                #[allow(unused_variables)]
+                let $name { $($done),* } = self;
+                $($put)*
+            }
+
+            fn get($d: &mut $crate::Dec<'_>, $c: &$cx) -> Result<Self, $crate::DecodeError> {
+                $($get)*
+                Ok($name { $($done),* })
+            }
+        }
+    };
+    (@item $h:tt [$($put:tt)*] [$($get:tt)*] [$($done:ident)*]
+        check $x:expr => $m:expr $(, $($rest:tt)*)?) => {
+        $crate::wire!(@item $h [$($put)*] [$($get)*
+            if !{ $(#[allow(unused_variables)] let $done = &$done;)* $x } {
+                return Err($crate::DecodeError::Invalid($m));
+            }
+        ] [$($done)*] $($($rest)*)?);
+    };
+    (@item $h:tt [$($put:tt)*] [$($get:tt)*] [$($done:ident)*]
+        derived $f:ident = $x:expr $(, $($rest:tt)*)?) => {
+        $crate::wire!(@item $h [$($put)*] [$($get)*
+            let $f = { $(#[allow(unused_variables)] let $done = &$done;)* $x };
+        ] [$($done)* $f] $($($rest)*)?);
+    };
+    (@item [$n:ident $g:tt $cx:ident $e:ident $d:ident $c:ident] [$($put:tt)*] [$($get:tt)*]
+        [$($done:ident)*] $f:ident in $x:expr $(, $($rest:tt)*)?) => {
+        $crate::wire!(@item [$n $g $cx $e $d $c] [$($put)*
+            $crate::Wire::put($f, $e, &mut { $x });
+        ] [$($get)*
+            let $f = $crate::get_field(|s: &Self| &s.$f, $d, &{
+                $(#[allow(unused_variables)] let $done = &$done;)* $x
+            })?;
+        ] [$($done)* $f] $($($rest)*)?);
+    };
+    (@item [$n:ident $g:tt $cx:ident $e:ident $d:ident $c:ident] [$($put:tt)*] [$($get:tt)*]
+        [$($done:ident)*] $f:ident if $x:expr $(, $($rest:tt)*)?) => {
+        $crate::wire!(@item [$n $g $cx $e $d $c] [$($put)*
+            if $x {
+                $crate::Wire::put($f, $e, $c);
+            }
+        ] [$($get)*
+            let $f = if { $(#[allow(unused_variables)] let $done = &$done;)* $x } {
+                $crate::get_field(|s: &Self| &s.$f, $d, $c)?
+            } else {
+                Default::default()
+            };
+        ] [$($done)* $f] $($($rest)*)?);
+    };
+    (@item [$n:ident $g:tt $cx:ident $e:ident $d:ident $c:ident] [$($put:tt)*] [$($get:tt)*]
+        [$($done:ident)*] $f:ident $(, $($rest:tt)*)?) => {
+        $crate::wire!(@item [$n $g $cx $e $d $c] [$($put)*
+            $crate::Wire::put($f, $e, $c);
+        ] [$($get)*
+            let $f = $crate::get_field(|s: &Self| &s.$f, $d, $c)?;
+        ] [$($done)* $f] $($($rest)*)?);
+    };
+
+    (@enum $name:ident [$($g:ident)?] $cx:ident $what:literal {
+        $($v:ident $({ $($f:ident),* $(,)? })? $(($($t:ident),* $(,)?))? = $tag:literal),* $(,)?
+    }) => {
+        impl<$($g)?> $crate::Wire<$cx> for $name {
+            fn put(&self, e: &mut $crate::Enc, cx: &mut $cx) {
+                match self {
+                    $($name::$v $({ $($f),* })? $(($($t),*))? => {
+                        e.u8($tag);
+                        $($($crate::Wire::put($f, e, cx);)*)?
+                        $($($crate::Wire::put($t, e, cx);)*)?
+                    })*
+                }
+            }
+
+            fn get(d: &mut $crate::Dec<'_>, cx: &$cx) -> Result<Self, $crate::DecodeError> {
+                let at = d.position();
+                match d.u8()? {
+                    $($tag => {
+                        $($(let $f = $crate::Wire::get(d, cx)?;)*)?
+                        $($(let $t = $crate::Wire::get(d, cx)?;)*)?
+                        Ok($name::$v $({ $($f),* })? $(($($t),*))?)
+                    })*
+                    tag => Err($crate::DecodeError::BadTag { at, tag, what: $what }),
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -806,6 +1204,29 @@ mod tests {
         assert_eq!(segs.len(), 1);
         assert!(matches!(&segs[0], Segment::Bytes(b) if b[..] == bytes[..]));
         assert!(Enc::new().into_segments().is_empty());
+    }
+
+    #[test]
+    fn maps_write_sorted_keys_and_refuse_a_repeated_one() {
+        let pairs = [(9u64, 1u32), (2, 7), (5, 3)];
+        let hashed: HashMap<u64, u32> = pairs.into_iter().collect();
+        let ordered: BTreeMap<u64, u32> = pairs.into_iter().collect();
+        let put = |v: &dyn Fn(&mut Enc)| {
+            let mut e = Enc::new();
+            v(&mut e);
+            e.into_bytes()
+        };
+        let bytes = put(&|e| hashed.put(e, &mut ()));
+        assert_eq!(bytes, put(&|e| ordered.put(e, &mut ())), "a HashMap writes its keys in order");
+        assert_eq!(bytes, put(&|e| vec![(2u64, 7u32), (5, 3), (9, 1)].put(e, &mut ())));
+        fn get<T: Wire>(bytes: &[u8]) -> Result<T, DecodeError> {
+            T::get(&mut Dec::new(bytes), &())
+        }
+        assert_eq!(get::<HashMap<u64, u32>>(&bytes), Ok(hashed));
+        let repeated = put(&|e| vec![(2u64, 7u32), (2, 3)].put(e, &mut ()));
+        let want = DecodeError::Invalid("duplicate map key");
+        assert_eq!(get::<HashMap<u64, u32>>(&repeated), Err(want.clone()));
+        assert_eq!(get::<BTreeMap<u64, u32>>(&repeated), Err(want));
     }
 
     #[test]

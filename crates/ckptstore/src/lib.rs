@@ -45,7 +45,8 @@
 //! strings and sequences, IEEE-754 bit-pattern floats, and explicit
 //! `pad_to` alignment so bulk block data lands on chunk boundaries
 //! (alignment is what lets unchanged parent blocks dedup under
-//! fixed-size chunking).
+//! fixed-size chunking). Each image type declares that layout once, as
+//! the field list of its [`Wire`] impl ([`wire!`]).
 //!
 //! **2. Chunk table (manifest)** — when an image is stored, as bytes via
 //! [`StoreClient::put_image`] or as the encoder's own [`Segment`]s via
@@ -104,7 +105,9 @@ pub use client::{
     shard_of, CaptureCache, ImageId, ImageStats, PutReport, RepairStats, RepairTask, ShardWorker,
     StoreBuilder, StoreClient, TimedPut, DEFAULT_CHUNK_SIZE, MAX_REPLICATION,
 };
-pub use codec::{Dec, DecodeError, Enc, IMAGE_FORMAT_VERSION, IMAGE_MAGIC, SEGMENT_SIZE};
+pub use codec::{Dec, DecodeError, Enc, Wire, IMAGE_FORMAT_VERSION, IMAGE_MAGIC, SEGMENT_SIZE};
+#[doc(hidden)]
+pub use codec::get_field;
 pub use error::StoreError;
 pub use hash::{chunk_hash, record_hash, ChunkHash};
 pub use segment::{records_materialised, write_record, Segment};

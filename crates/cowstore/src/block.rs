@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use ckptstore::{Dec, DecodeError, Enc};
+use ckptstore::{Dec, DecodeError, Enc, Wire};
 
 /// Entries per [`BlockTable`] page: 4 KiB of values.
 const PAGE: usize = 512;
@@ -146,35 +146,12 @@ impl BlockData {
     pub fn is_zero(&self) -> bool {
         matches!(self, BlockData::Zero)
     }
-
-    /// Serializes a single block value inline (fingerprints stay compact;
-    /// bulk delta payloads go through [`DeltaMap::encode_wire`] instead,
-    /// which emits chunk-aligned full-size records for dedup).
-    pub fn encode_wire(&self, e: &mut Enc) {
-        match self {
-            BlockData::Zero => e.u8(0),
-            BlockData::Opaque(fp) => {
-                e.u8(1);
-                e.u64(*fp);
-            }
-            BlockData::Bitmap(bm) => {
-                e.u8(2);
-                bm.encode_wire(e);
-            }
-        }
-    }
-
-    /// Inverse of [`BlockData::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let at = d.position();
-        match d.u8()? {
-            0 => Ok(BlockData::Zero),
-            1 => Ok(BlockData::Opaque(d.u64()?)),
-            2 => Ok(BlockData::Bitmap(BitmapBlock::decode_wire(d)?)),
-            tag => Err(DecodeError::BadTag { at, tag, what: "block data" }),
-        }
-    }
 }
+
+// A single block value inline (fingerprints stay compact; bulk delta
+// payloads go through `DeltaMap::encode_wire` instead, which emits
+// chunk-aligned full-size records for dedup).
+ckptstore::wire!(enum BlockData: "block data" { Zero = 0, Opaque(fp) = 1, Bitmap(bm) = 2 });
 
 /// An allocation bitmap for one block group.
 ///
@@ -265,34 +242,16 @@ impl BitmapBlock {
         let bit = w as u32 * 64 + word.trailing_ones();
         (bit < self.group_blocks).then_some(bit)
     }
-
-    /// Serializes the bitmap (words inline, length-prefixed).
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.u32(self.group);
-        e.u64(self.group_start);
-        e.u32(self.group_blocks);
-        e.seq(self.words.len());
-        for w in self.words.iter() {
-            e.u64(*w);
-        }
-    }
-
-    /// Inverse of [`BitmapBlock::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let group = d.u32()?;
-        let group_start = d.u64()?;
-        let group_blocks = d.u32()?;
-        let n = d.seq()?;
-        if n != group_blocks.div_ceil(64) as usize {
-            return Err(DecodeError::Invalid("bitmap word count"));
-        }
-        let mut words = Vec::with_capacity(n);
-        for _ in 0..n {
-            words.push(d.u64()?);
-        }
-        Ok(BitmapBlock { group, group_start, group_blocks, words: Arc::new(words) })
-    }
 }
+
+// The words inline, length-prefixed.
+ckptstore::wire!(struct BitmapBlock {
+    group,
+    group_start,
+    group_blocks,
+    words,
+    check words.len() == group_blocks.div_ceil(64) as usize => "bitmap word count",
+});
 
 /// An ordered map of dirty blocks: the in-memory index of a redo-log delta.
 ///
@@ -418,7 +377,7 @@ impl DeltaMap {
                 BlockData::Opaque(_) => e.u8(2), // Payload in the data section.
                 BlockData::Bitmap(bm) => {
                     e.u8(3);
-                    bm.encode_wire(e);
+                    bm.put(e, &mut ());
                 }
             }
         }
@@ -437,7 +396,7 @@ impl DeltaMap {
     /// blocks: a live vba at or beyond it is refused.
     pub fn decode_wire(d: &mut Dec<'_>, block_size: u32, blocks: u64) -> Result<Self, DecodeError> {
         let n = d.seq()?;
-        let mut entries: Vec<(u64, BlockData)> = Vec::with_capacity(n);
+        let mut entries = Vec::with_capacity(d.capacity_for::<(u64, BlockData)>(n));
         // Slots whose payload lives in the data section, in log order.
         let mut opaque_slots = Vec::new();
         for slot in 0..n {
@@ -458,7 +417,7 @@ impl DeltaMap {
                     opaque_slots.push(slot);
                     entries.push((vba, BlockData::Opaque(0))); // Patched below.
                 }
-                3 => entries.push((vba, BlockData::Bitmap(BitmapBlock::decode_wire(d)?))),
+                3 => entries.push((vba, BlockData::Bitmap(Wire::get(d, &())?))),
                 tag => return Err(DecodeError::BadTag { at, tag, what: "block data" }),
             }
         }

@@ -13,7 +13,7 @@
 //! data block is only considered free if the *newest on-disk bitmap*
 //! says so.
 
-use ckptstore::{Dec, DecodeError, Enc};
+use ckptstore::{Dec, DecodeError, Enc, Wire};
 use sim::IntMap;
 
 use crate::block::{BitmapBlock, BlockData};
@@ -69,25 +69,29 @@ impl Ext3Snoop {
     pub fn allocated_blocks(&self) -> u64 {
         self.bitmaps.values().map(|b| b.allocated_count() as u64).sum()
     }
+}
 
-    /// Serializes the snoop's shadow bitmaps (in group order) and counters.
-    pub fn encode_wire(&self, e: &mut Enc) {
+/// The shadow bitmaps in group order, then the counters. Hand-written
+/// because the map is keyed by a field of its values: the stream holds
+/// the bitmaps alone.
+impl<Cx> Wire<Cx> for Ext3Snoop {
+    fn put(&self, e: &mut Enc, cx: &mut Cx) {
         let mut groups: Vec<&BitmapBlock> = self.bitmaps.values().collect();
         groups.sort_by_key(|b| b.group);
         e.seq(groups.len());
         for b in groups {
-            b.encode_wire(e);
+            b.put(e, cx);
         }
         e.u64(self.bitmap_writes);
         e.u64(self.data_writes);
     }
 
-    /// Inverse of [`Ext3Snoop::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+    fn get(d: &mut Dec<'_>, cx: &Cx) -> Result<Self, DecodeError> {
         let n = d.seq()?;
-        let mut bitmaps = IntMap::with_capacity_and_hasher(n, Default::default());
+        let cap = d.capacity_for::<(u32, BitmapBlock)>(n);
+        let mut bitmaps = IntMap::with_capacity_and_hasher(cap, Default::default());
         for _ in 0..n {
-            let b = BitmapBlock::decode_wire(d)?;
+            let b: BitmapBlock = Wire::get(d, cx)?;
             if bitmaps.insert(b.group, b).is_some() {
                 return Err(DecodeError::Invalid("duplicate snoop bitmap group"));
             }
@@ -145,9 +149,9 @@ mod tests {
         s.on_write(2, &bitmap(0, 0, 100, &[1, 2]));
         s.on_write(3, &bitmap(1, 100, 100, &[50]));
         let mut e = Enc::new();
-        s.encode_wire(&mut e);
+        s.put(&mut e, &mut ());
         let bytes = e.into_bytes();
-        let back = Ext3Snoop::decode_wire(&mut Dec::new(&bytes)).unwrap();
+        let back = Ext3Snoop::get(&mut Dec::new(&bytes), &()).unwrap();
         assert_eq!(back.groups_known(), 2);
         assert_eq!(back.bitmap_writes, 2);
         assert_eq!(back.data_writes, 1);

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use ckptstore::{Dec, DecodeError, Enc};
+use ckptstore::{Dec, DecodeError, Enc, Wire};
 use hwsim::{DiskOp, DiskQueue, DiskRequest};
 use sim::telemetry::names;
 use sim::{IntMap, SimRng, SimTime, Telemetry, TraceTag, TrackId};
@@ -44,6 +44,8 @@ pub enum CowMode {
     Branch,
 }
 
+ckptstore::wire!(enum CowMode: "cow mode" { Base = 0, BranchOrig { chunk_blocks } = 1, Branch = 2 });
+
 /// Physical layout and aging knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreLayout {
@@ -61,6 +63,8 @@ pub struct StoreLayout {
     /// log and updates are nearly free.
     pub aged: bool,
 }
+
+ckptstore::wire!(struct StoreLayout { golden_blocks, agg_cap, log_cap, meta_interval, aged });
 
 impl StoreLayout {
     /// A layout sized for `golden`, with paper-calibrated segment size
@@ -103,6 +107,18 @@ pub struct StoreStats {
     pub agg_reads: u64,
     pub cur_reads: u64,
 }
+
+ckptstore::wire!(struct StoreStats {
+    reads,
+    writes,
+    log_appends,
+    log_overwrites,
+    meta_writes,
+    rbw_reads,
+    golden_reads,
+    agg_reads,
+    cur_reads,
+});
 
 /// The branching store for one virtual disk.
 ///
@@ -499,31 +515,22 @@ impl BranchingStore {
     /// golden image, which is immutable, cached on physical nodes, and
     /// therefore never part of a checkpoint image (§5.1). The golden is
     /// identified by name so restore can validate it got the right one.
+    ///
+    /// Hand-written, with [`BranchingStore::decode_wire`]: the decode
+    /// checks the golden image it is handed, bounds the deltas and the
+    /// chunk table by its geometry, and rebuilds the store through
+    /// [`BranchingStore::new`] and [`BranchingStore::install_aggregate`].
     pub fn encode_wire(&self, e: &mut Enc) {
-        match self.mode {
-            CowMode::Base => e.u8(0),
-            CowMode::BranchOrig { chunk_blocks } => {
-                e.u8(1);
-                e.u64(chunk_blocks);
-            }
-            CowMode::Branch => e.u8(2),
-        }
-        e.u64(self.layout.golden_blocks);
-        e.u64(self.layout.agg_cap);
-        e.u64(self.layout.log_cap);
-        e.u64(self.layout.meta_interval);
-        e.bool(self.layout.aged);
+        let cx = &mut ();
+        self.mode.put(e, cx);
+        self.layout.put(e, cx);
         e.str(self.golden.name());
         e.u64(self.golden.blocks());
         e.u32(self.block_size());
         let bs = self.block_size();
         self.agg.encode_wire(e, bs);
         self.cur.encode_wire(e, bs);
-        e.seq(self.chunks.len());
-        for (chunk, slot) in self.chunks.iter() {
-            e.u64(chunk);
-            e.u64(slot);
-        }
+        self.chunks.iter().collect::<Vec<_>>().put(e, cx);
         e.u64(self.next_chunk_slot);
         // Base-mode raw writes travel as a delta map (vba-sorted so the
         // encoding is deterministic).
@@ -535,22 +542,8 @@ impl BranchingStore {
         }
         base.encode_wire(e, bs);
         e.u64(self.appends_since_meta);
-        match &self.snoop {
-            Some(sn) => {
-                e.bool(true);
-                sn.encode_wire(e);
-            }
-            None => e.bool(false),
-        }
-        e.u64(self.stats.reads);
-        e.u64(self.stats.writes);
-        e.u64(self.stats.log_appends);
-        e.u64(self.stats.log_overwrites);
-        e.u64(self.stats.meta_writes);
-        e.u64(self.stats.rbw_reads);
-        e.u64(self.stats.golden_reads);
-        e.u64(self.stats.agg_reads);
-        e.u64(self.stats.cur_reads);
+        self.snoop.put(e, cx);
+        self.stats.put(e, cx);
     }
 
     /// Inverse of [`BranchingStore::encode_wire`]. `golden` must be the
@@ -561,20 +554,8 @@ impl BranchingStore {
         d: &mut Dec<'_>,
         golden: Arc<GoldenImage>,
     ) -> Result<Self, DecodeError> {
-        let at = d.position();
-        let mode = match d.u8()? {
-            0 => CowMode::Base,
-            1 => CowMode::BranchOrig { chunk_blocks: d.u64()? },
-            2 => CowMode::Branch,
-            tag => return Err(DecodeError::BadTag { at, tag, what: "cow mode" }),
-        };
-        let layout = StoreLayout {
-            golden_blocks: d.u64()?,
-            agg_cap: d.u64()?,
-            log_cap: d.u64()?,
-            meta_interval: d.u64()?,
-            aged: d.bool()?,
-        };
+        let mode = CowMode::get(d, &())?;
+        let layout = StoreLayout::get(d, &())?;
         let name = d.str()?;
         if name != golden.name() {
             return Err(DecodeError::Invalid("golden image name mismatch"));
@@ -591,11 +572,8 @@ impl BranchingStore {
             }
             _ => 0,
         };
-        let n = d.seq()?;
         let mut chunks = BlockTable::new();
-        for _ in 0..n {
-            let chunk = d.u64()?;
-            let slot = d.u64()?;
+        for (chunk, slot) in Vec::<(u64, u64)>::get(d, &())? {
             if chunk >= chunk_span || slot == u64::MAX {
                 return Err(DecodeError::Invalid("cow chunk entry out of range"));
             }
@@ -610,18 +588,8 @@ impl BranchingStore {
             base_writes.insert(vba, data.clone());
         }
         let appends_since_meta = d.u64()?;
-        let snoop = if d.bool()? { Some(Ext3Snoop::decode_wire(d)?) } else { None };
-        let stats = StoreStats {
-            reads: d.u64()?,
-            writes: d.u64()?,
-            log_appends: d.u64()?,
-            log_overwrites: d.u64()?,
-            meta_writes: d.u64()?,
-            rbw_reads: d.u64()?,
-            golden_reads: d.u64()?,
-            agg_reads: d.u64()?,
-            cur_reads: d.u64()?,
-        };
+        let snoop = Option::get(d, &())?;
+        let stats = StoreStats::get(d, &())?;
         let mut store = BranchingStore::new(golden, mode, layout);
         store.install_aggregate(agg);
         store.cur = cur;

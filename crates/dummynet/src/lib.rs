@@ -22,7 +22,7 @@ mod pipe;
 
 pub use pipe::{EnqueueOutcome, Pipe, PipeConfig, PipeImage, PipeStats};
 
-use ckptstore::{Dec, DecodeError, Enc};
+use ckptstore::{Dec, DecodeError, Enc, Wire};
 use hwsim::Frame;
 use sim::telemetry::names;
 use sim::{CounterId, SimRng, SimTime, Telemetry, TraceTag, TrackId};
@@ -36,6 +36,26 @@ pub struct PipeId(pub usize);
 /// pipe, frame)` per packet, in arrival order.
 pub type PipeLog = Vec<(sim::SimDuration, PipeId, Frame)>;
 
+/// The queued frames a delay-node image refers to, in stream order: a
+/// frame's payload is type-erased and cannot byte-serialize, so it rides
+/// beside the image and the stream stores its index here. The side table
+/// of [`DummynetImage`]'s [`Wire`] impl.
+#[derive(Clone, Default)]
+pub struct FrameResidue(pub Vec<Frame>);
+
+/// A frame: its index in the residue.
+impl Wire<FrameResidue> for Frame {
+    fn put(&self, e: &mut Enc, frames: &mut FrameResidue) {
+        e.u32(frames.0.len() as u32);
+        frames.0.push(self.clone());
+    }
+
+    fn get(d: &mut Dec<'_>, frames: &FrameResidue) -> Result<Self, DecodeError> {
+        let idx = d.u32()? as usize;
+        frames.0.get(idx).cloned().ok_or(DecodeError::Invalid("frame residue index out of range"))
+    }
+}
+
 /// A serialized Dummynet instance: everything needed to rebuild shaping
 /// state on restore, with times stored relative to the serialization
 /// instant so the image is position-independent in time.
@@ -43,6 +63,8 @@ pub type PipeLog = Vec<(sim::SimDuration, PipeId, Frame)>;
 pub struct DummynetImage {
     pipes: Vec<PipeImage>,
 }
+
+ckptstore::wire!(struct DummynetImage in FrameResidue { pipes });
 
 impl DummynetImage {
     /// Approximate byte size of the image (queued packet bytes plus
@@ -54,25 +76,6 @@ impl DummynetImage {
     /// Number of packets captured in the image.
     pub fn packets(&self) -> usize {
         self.pipes.iter().map(|p| p.packets()).sum()
-    }
-
-    /// Serializes the image; queued frames go into the `frames` side-table
-    /// (their payloads are type-erased and cannot byte-serialize).
-    pub fn encode_wire(&self, e: &mut Enc, frames: &mut Vec<Frame>) {
-        e.seq(self.pipes.len());
-        for p in &self.pipes {
-            p.encode_wire(e, frames);
-        }
-    }
-
-    /// Inverse of [`DummynetImage::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, frames: &[Frame]) -> Result<Self, DecodeError> {
-        let n = d.seq()?;
-        let mut pipes = Vec::with_capacity(n);
-        for _ in 0..n {
-            pipes.push(PipeImage::decode_wire(d, frames)?);
-        }
-        Ok(DummynetImage { pipes })
     }
 }
 
@@ -494,14 +497,13 @@ mod tests {
         dn.suspend(t(500));
         let img = dn.serialize(t(500));
 
-        use ckptstore::{Dec, Enc};
-        let mut frames = Vec::new();
+        let mut frames = FrameResidue::default();
         let mut e = Enc::new();
-        img.encode_wire(&mut e, &mut frames);
+        img.put(&mut e, &mut frames);
         let bytes = e.into_bytes();
-        assert_eq!(frames.len(), 2);
+        assert_eq!(frames.0.len(), 2);
         let mut d = Dec::new(&bytes);
-        let back = DummynetImage::decode_wire(&mut d, &frames).unwrap();
+        let back = DummynetImage::get(&mut d, &frames).unwrap();
         assert_eq!(d.remaining(), 0);
         assert_eq!(back.packets(), 2);
         assert_eq!(back.byte_size(), img.byte_size());
@@ -515,8 +517,9 @@ mod tests {
         assert_eq!(*got[1].1.payload::<u32>().unwrap(), 2);
 
         // A frame index outside the side-table is a typed error.
+        frames.0.truncate(1);
         let mut d = Dec::new(&bytes);
-        assert!(DummynetImage::decode_wire(&mut d, &frames[..1]).is_err());
+        assert!(DummynetImage::get(&mut d, &frames).is_err());
     }
 
     #[test]

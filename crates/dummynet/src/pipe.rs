@@ -2,9 +2,10 @@
 
 use std::collections::VecDeque;
 
-use ckptstore::{Dec, DecodeError, Enc};
 use hwsim::Frame;
 use sim::{LineRate, SimDuration, SimRng, SimTime};
+
+use crate::FrameResidue;
 
 /// Shaping parameters for one pipe (one direction of an emulated link).
 #[derive(Clone, Copy, Debug)]
@@ -29,36 +30,19 @@ impl PipeConfig {
             queue_slots: 50,
         }
     }
-
-    /// Serializes the shaping parameters.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.bool(self.bandwidth_bps.is_some());
-        if let Some(bw) = self.bandwidth_bps {
-            e.u64(bw);
-        }
-        e.u64(self.delay.as_nanos());
-        e.f64(self.plr);
-        e.u64(self.queue_slots as u64);
-    }
-
-    /// Inverse of [`PipeConfig::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let bandwidth_bps = if d.bool()? { Some(d.u64()?) } else { None };
-        if bandwidth_bps == Some(0) {
-            return Err(DecodeError::Invalid("zero-bandwidth pipe"));
-        }
-        let delay = SimDuration::from_nanos(d.u64()?);
-        let plr = d.f64()?;
-        if !(0.0..=1.0).contains(&plr) {
-            return Err(DecodeError::Invalid("pipe plr out of range"));
-        }
-        let queue_slots = d.u64()? as usize;
-        if queue_slots == 0 {
-            return Err(DecodeError::Invalid("zero-slot pipe queue"));
-        }
-        Ok(PipeConfig { bandwidth_bps, delay, plr, queue_slots })
-    }
 }
+
+// The shaping parameters, refused on decode where `Pipe::new` would
+// panic on them.
+ckptstore::wire!(struct PipeConfig {
+    bandwidth_bps,
+    check *bandwidth_bps != Some(0) => "zero-bandwidth pipe",
+    delay,
+    plr,
+    check (0.0..=1.0).contains(plr) => "pipe plr out of range",
+    queue_slots,
+    check *queue_slots != 0 => "zero-slot pipe queue",
+});
 
 /// Result of offering a frame to a pipe.
 #[derive(Clone, Copy, Debug)]
@@ -132,39 +116,10 @@ impl PipeImage {
     pub fn packets(&self) -> usize {
         self.entries.len()
     }
-
-    /// Serializes the pipe image. Frames carry type-erased payloads, so
-    /// they ride in the `frames` side-table; the stream stores indices.
-    pub fn encode_wire(&self, e: &mut Enc, frames: &mut Vec<Frame>) {
-        self.cfg.encode_wire(e);
-        e.u64(self.busy_off.as_nanos());
-        e.seq(self.entries.len());
-        for (dep, ready, f) in &self.entries {
-            e.u64(dep.as_nanos());
-            e.u64(ready.as_nanos());
-            e.u32(frames.len() as u32);
-            frames.push(f.clone());
-        }
-    }
-
-    /// Inverse of [`PipeImage::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, frames: &[Frame]) -> Result<Self, DecodeError> {
-        let cfg = PipeConfig::decode_wire(d)?;
-        let busy_off = SimDuration::from_nanos(d.u64()?);
-        let n = d.seq()?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let dep = SimDuration::from_nanos(d.u64()?);
-            let ready = SimDuration::from_nanos(d.u64()?);
-            let frame = frames
-                .get(d.u32()? as usize)
-                .cloned()
-                .ok_or(DecodeError::Invalid("frame residue index out of range"))?;
-            entries.push((dep, ready, frame));
-        }
-        Ok(PipeImage { cfg, busy_off, entries })
-    }
 }
+
+// Queued frames go into the residue.
+ckptstore::wire!(struct PipeImage in FrameResidue { cfg, busy_off, entries });
 
 impl Pipe {
     /// Creates an idle pipe.
@@ -296,8 +251,10 @@ impl Pipe {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use ckptstore::{Dec, Enc, Wire};
     use hwsim::NodeAddr;
+
+    use super::*;
 
     fn frame(bytes: u32) -> Frame {
         Frame::new(NodeAddr(1), NodeAddr(2), bytes, ())
@@ -443,9 +400,9 @@ mod tests {
     #[test]
     fn a_zero_bandwidth_config_does_not_decode() {
         let mut e = Enc::new();
-        zero_rate().encode_wire(&mut e);
+        zero_rate().put(&mut e, &mut ());
         let bytes = e.into_bytes();
-        assert!(PipeConfig::decode_wire(&mut Dec::new(&bytes)).is_err());
+        assert!(PipeConfig::get(&mut Dec::new(&bytes), &()).is_err());
     }
 
     #[test]

@@ -28,11 +28,12 @@
 use std::fmt;
 
 use checkpoint::DelayNodeHost;
-use ckptstore::{CaptureCache, DecodeError, Enc, ImageId, ImageStats, Segment, StoreClient, StoreError};
+use ckptstore::{
+    CaptureCache, DecodeError, Enc, ImageId, ImageStats, Segment, StoreClient, StoreError, Wire,
+};
 use cowstore::BranchingStore;
-use dummynet::{DummynetImage, PipeLog};
+use dummynet::{DummynetImage, FrameResidue, PipeLog};
 use guestos::GuestResidue;
-use hwsim::Frame;
 use sim::SimTime;
 use vmm::{DomainImage, RxLog, VmHost};
 
@@ -117,7 +118,7 @@ pub struct Snapshot {
     /// Dummynet.
     dn_logs: Vec<PipeLog>,
     /// In-flight frame payloads referenced by the delay-node images.
-    frames: Vec<Frame>,
+    frames: FrameResidue,
     /// Serialized bytes of this snapshot across all its images.
     pub logical_bytes: u64,
     /// Chunk bytes this snapshot newly added to the store — what a child
@@ -224,7 +225,7 @@ impl TimeTravelTree {
         taken_at: SimTime,
         node_payloads: Vec<(Segments, GuestResidue, RxLog)>,
         dn_payloads: Vec<(Option<Segments>, PipeLog)>,
-        frames: Vec<Frame>,
+        frames: FrameResidue,
     ) -> SnapshotId {
         let mut node_images = Vec::with_capacity(node_payloads.len());
         let mut node_residues = Vec::with_capacity(node_payloads.len());
@@ -341,7 +342,7 @@ impl Testbed {
             h.store().encode_wire(&mut e);
             node_payloads.push((e.into_segments(), residue, h.rx_log()));
         }
-        let mut frames = Vec::new();
+        let mut frames = FrameResidue::default();
         let mut dn_payloads = Vec::new();
         for dn in self.delay_nodes_of(exp) {
             let d = self
@@ -351,7 +352,7 @@ impl Testbed {
             let segments = d.last_image().map(|img| {
                 let mut e = Enc::new();
                 e.begin_image(DN_IMAGE_KIND);
-                img.encode_wire(&mut e, &mut frames);
+                img.put(&mut e, &mut frames);
                 e.into_segments()
             });
             dn_payloads.push((segments, d.suspended_log()));
@@ -413,7 +414,7 @@ impl Testbed {
                     Some(id) => {
                         let chunks = store.load_image_chunks(*id)?;
                         let image = decode_image(&chunks, DN_IMAGE_KIND, |d| {
-                            DummynetImage::decode_wire(d, &s.frames)
+                            DummynetImage::get(d, &s.frames)
                         })?;
                         Some((image, log.clone()))
                     }
@@ -512,7 +513,7 @@ mod tests {
             SimTime::ZERO,
             payload(8, 2, salt),
             Vec::new(),
-            Vec::new(),
+            FrameResidue::default(),
         )
     }
 

@@ -13,12 +13,12 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use checkpoint::DelayNodeHost;
-use ckptstore::{Dec, DecodeError, Enc, Segment};
+use ckptstore::{Dec, DecodeError, Enc, Segment, Wire};
 use cowstore::{
     BitmapBlock, BlockData, BranchingStore, CowMode, DeltaMap, GoldenImage, GoldenImageBuilder,
     StoreLayout,
 };
-use dummynet::DummynetImage;
+use dummynet::{DummynetImage, FrameResidue};
 use emulab::{ExperimentSpec, Testbed};
 use guestos::fs::{BufferCache, Ext3Fs};
 use guestos::prog::FileId;
@@ -79,7 +79,7 @@ const DN_KIND: &str = "test.delaynode";
 struct Side {
     residue: GuestResidue,
     golden: Arc<GoldenImage>,
-    frames: Vec<Frame>,
+    frames: FrameResidue,
 }
 
 /// A delta holding every kind of entry the wire format knows: opaque
@@ -155,7 +155,7 @@ fn small_node_image() -> (Vec<u8>, Side) {
         Side {
             residue,
             golden,
-            frames: Vec::new(),
+            frames: FrameResidue::default(),
         },
     )
 }
@@ -200,10 +200,10 @@ fn live_images() -> (Vec<u8>, Vec<u8>, Side) {
     let (store, golden) = block_store(512, 4096);
     let mut residue = GuestResidue::new();
     let node = encode_node(domain, &store, &mut residue);
-    let mut frames = Vec::new();
+    let mut frames = FrameResidue::default();
     let mut e = Enc::new();
     e.begin_image(DN_KIND);
-    pipes.encode_wire(&mut e, &mut frames);
+    pipes.put(&mut e, &mut frames);
     (
         node,
         e.into_bytes(),
@@ -237,10 +237,10 @@ fn decode_node(d: &mut Dec<'_>, side: &Side) -> Result<(Vec<usize>, Vec<u8>), De
 fn decode_dn(d: &mut Dec<'_>, side: &Side) -> Result<(Vec<usize>, Vec<u8>), DecodeError> {
     d.expect_image(DN_KIND)?;
     let header = d.position();
-    let pipes = DummynetImage::decode_wire(d, &side.frames)?;
+    let pipes = DummynetImage::get(d, &side.frames)?;
     let mut e = Enc::new();
     e.begin_image(DN_KIND);
-    pipes.encode_wire(&mut e, &mut Vec::new());
+    pipes.put(&mut e, &mut FrameResidue::default());
     Ok((vec![header, d.position(), d.remaining()], e.into_bytes()))
 }
 
@@ -395,11 +395,11 @@ fn block_numbers_beyond_the_disk_are_typed_errors_in_every_image_kind() {
     fs.create(FileId(0xF11E)).unwrap();
     let writes = fs.write(FileId(0xF11E), 7 * 4096, 4096).unwrap();
     let vba = writes.last().unwrap().vba;
-    let bytes = encoded(|e| fs.encode_wire(e));
+    let bytes = encoded(|e| fs.put(e, &mut ()));
     let at = find_once(&bytes, &[7u64.to_le_bytes(), vba.to_le_bytes()].concat());
     let size_at = at - 12;
     assert_eq!(bytes[size_at..size_at + 8], (8 * 4096u64).to_le_bytes());
-    let decode = Ext3Fs::decode_wire;
+    let decode = |d: &mut Dec<'_>| Ext3Fs::get(d, &());
     assert!(decode(&mut Dec::new(&bytes)).is_ok());
     let index_error = "inode block index beyond the file size";
     for v in BEYOND {
@@ -421,13 +421,13 @@ fn block_numbers_beyond_the_disk_are_typed_errors_in_every_image_kind() {
 
     // A buffer-cache entry: vba, then the block's inline encoding.
     let mut cache = BufferCache::new(64);
-    cache.put(4_321, BlockData::Opaque(fp), true);
-    let bytes = encoded(|e| cache.encode_wire(e));
+    BufferCache::put(&mut cache, 4_321, BlockData::Opaque(fp), true);
+    let bytes = encoded(|e| Wire::put(&cache, e, &mut { BLOCKS }));
     let at = find_once(
         &bytes,
         &[&4_321u64.to_le_bytes()[..], &[1], &fp.to_le_bytes()].concat(),
     );
-    let decode = |d: &mut Dec<'_>| BufferCache::decode_wire(d, BLOCKS);
+    let decode = |d: &mut Dec<'_>| BufferCache::get(d, &BLOCKS);
     assert!(decode(&mut Dec::new(&bytes)).is_ok());
     for v in BEYOND {
         assert_refused(&bytes, &[(at, v)], "cached block beyond the disk", &decode);
@@ -448,12 +448,12 @@ fn block_numbers_beyond_the_disk_are_typed_errors_in_every_image_kind() {
     kernel.drain_actions(&mut actions);
     assert!(matches!(actions[..], [guestos::GuestAction::BlockIo(_)]));
     let mut residue = GuestResidue::new();
-    let bytes = encoded(|e| kernel.encode_wire(e, &mut residue));
+    let bytes = encoded(|e| kernel.put(e, &mut residue));
     // The third data block, cached with its opaque tag.
     let at = find_once(&bytes, &[&3u64.to_le_bytes()[..], &[1]].concat());
     let disk_at = 16; // After hz, node and cache_blocks.
     assert_eq!(bytes[disk_at..disk_at + 8], BLOCKS.to_le_bytes());
-    let decode = |d: &mut Dec<'_>| Kernel::decode_wire(d, &residue);
+    let decode = |d: &mut Dec<'_>| Kernel::get(d, &residue);
     assert!(decode(&mut Dec::new(&bytes)).is_ok());
     let span_error = "fs does not span the disk";
     for v in BEYOND {
@@ -462,5 +462,131 @@ fn block_numbers_beyond_the_disk_are_typed_errors_in_every_image_kind() {
     for v in [BLOCKS + 1, u64::MAX - 1] {
         assert_refused(&bytes, &[(disk_at, v)], span_error, &decode);
         assert_refused(&bytes, &[(disk_at, v), (at, v)], span_error, &decode);
+    }
+}
+
+/// FNV-1a over an encoding: any change to the bytes of the format moves it.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn image_encodings_keep_their_pinned_digests() {
+    let (small, side) = small_node_image();
+    let (node, dn, live) = live_images();
+    // Each decodes and re-encodes to the bytes it came from.
+    assert!(decode_node(&mut Dec::new(&small), &side).unwrap().1 == small);
+    assert!(decode_node(&mut Dec::new(&node), &live).unwrap().1 == node);
+    assert!(decode_dn(&mut Dec::new(&dn), &live).unwrap().1 == dn);
+    let got = [&small, &node, &dn].map(|b| (b.len(), digest(b)));
+    // Taken from the hand-written encoders the field lists replaced.
+    let want = [
+        (0x8c1, 0xdfb3_c32d_1274_064d),
+        (0x43_6051, 0x26c2_906c_bf71_b748),
+        (0x896, 0x693c_1426_70e8_24d5),
+    ];
+    assert_eq!(got, want);
+}
+
+/// Decodes `bytes` with the `u32` count at each `at` overwritten by
+/// `count`: the result must be a typed error, and no single allocation
+/// on the way larger than 4 MB — a count read from an image sizes no
+/// reservation the bytes after it could not fill.
+fn assert_count_bounded<T>(
+    what: &str,
+    bytes: &[u8],
+    at: usize,
+    count: u32,
+    decode: &impl Fn(&mut Dec<'_>) -> Result<T, DecodeError>,
+) {
+    assert!(decode(&mut Dec::new(bytes)).is_ok(), "{what}: the unpatched image decodes");
+    let mut patched = bytes.to_vec();
+    patched[at..at + 4].copy_from_slice(&count.to_le_bytes());
+    LARGEST.with(|l| l.set(0));
+    let got = decode(&mut Dec::new(&patched)).err();
+    let largest = LARGEST.with(Cell::get);
+    assert!(got.is_some(), "{what}: a count of {count} decoded");
+    assert!(largest <= 4 << 20, "{what}: a {largest}-byte allocation for a count of {count}");
+}
+
+/// The `u32` at `at`.
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+#[test]
+fn a_patched_count_sizes_no_allocation_beyond_the_image() {
+    // The small node image: header (19 B), then the kernel's
+    // configuration (32 B) and clocks (24 B), the thread count, the
+    // empty run queue, wheel, firewall state (27 B) and socket table
+    // (14 B), then the capture's enabled flag and record count. The
+    // action count sits before `exited`, the domain's clocks and sizes
+    // (24 B) and its one pending burst (4 + 16 B).
+    let (node, side) = small_node_image();
+    let decode = |d: &mut Dec<'_>| decode_node(d, &side);
+    let (threads, trace) = (19 + 32 + 24, 19 + 32 + 24 + 4 + 4 + 4 + 27 + 14 + 1);
+    let (at, _) = decode(&mut Dec::new(&node)).unwrap();
+    let actions = at[1] - 20 - 24 - 4 - 4;
+    assert_eq!(u32_at(&node, actions - 8 - 8 - 1 - 4), 0, "no outstanding batches");
+    for (what, at) in [("threads", threads), ("trace records", trace), ("actions", actions)] {
+        assert_eq!(u32_at(&node, at), 0, "{what}: the count patched is the empty one");
+        for count in [1_000_000, 50_000_000, u32::MAX] {
+            assert_count_bounded(what, &node, at, count, &decode);
+        }
+    }
+
+    // A delay-node image: header (24 B), the pipe count, then the first
+    // pipe's shaping (1 + 8 + 8 + 8 + 8 B) and busy offset before its
+    // queued-frame count.
+    let mut dn = dummynet::Dummynet::new();
+    let pipe = dn.add_pipe(dummynet::PipeConfig {
+        bandwidth_bps: Some(8_000_000),
+        delay: SimDuration::from_millis(1),
+        plr: 0.0,
+        queue_slots: 50,
+    });
+    let mut rng = sim::SimRng::from_seed(1);
+    for _ in 0..3 {
+        dn.enqueue(sim::SimTime::ZERO, pipe, Frame::new(NodeAddr(1), NodeAddr(2), 1000, ()), &mut rng);
+    }
+    dn.suspend(sim::SimTime::ZERO);
+    let image = dn.serialize(sim::SimTime::ZERO);
+    let mut frames = FrameResidue::default();
+    let mut e = Enc::new();
+    e.begin_image(DN_KIND);
+    image.put(&mut e, &mut frames);
+    let bytes = e.into_bytes();
+    let side = Side { frames, ..small_node_image().1 };
+    let decode = |d: &mut Dec<'_>| decode_dn(d, &side);
+    let (pipes, entries) = (24, 24 + 4 + 33 + 8);
+    assert_eq!((u32_at(&bytes, pipes), u32_at(&bytes, entries)), (1, 3));
+    for count in [1_000_000, 50_000_000, u32::MAX] {
+        assert_count_bounded("pipes", &bytes, pipes, count, &decode);
+        assert_count_bounded("queued frames", &bytes, entries, count, &decode);
+    }
+
+    // A WAL frame: tag, clock, group, epoch, hold, trace context and the
+    // target clock reading (1 + 8 + 4 + 8 + 1 + 8 + 9 B) before the
+    // participant count.
+    let frame = checkpoint::WalRecord::RoundOpen {
+        at_ns: 12,
+        group: 0,
+        epoch: 1,
+        hold: false,
+        notify_at_clock_ns: Some(1.5e9),
+        participants: vec![1, 2, 3],
+        forced_full: vec![2],
+        trace: (0, 1),
+    }
+    .encode();
+    assert_eq!(u32_at(&frame, 39), 3);
+    let decode = |d: &mut Dec<'_>| {
+        let n = d.remaining();
+        checkpoint::WalRecord::decode(&d.raw(n)?)
+    };
+    for count in [1_000_000, 50_000_000, u32::MAX] {
+        assert_count_bounded("participants", &frame, 39, count, &decode);
     }
 }

@@ -7,13 +7,12 @@
 
 use std::sync::Arc;
 
-use ckptstore::{Dec, DecodeError, Enc};
 use cowstore::BlockData;
 use hwsim::NodeAddr;
 
 use crate::net::tcp::TcpSegment;
 use crate::prog::CtrlReq;
-use crate::wire::{decode_ctrl_req, encode_ctrl_req, GuestResidue};
+use crate::wire::GuestResidue;
 
 /// One block operation within a batch.
 #[derive(Clone, Debug)]
@@ -26,6 +25,8 @@ pub struct BlockBatchOp {
     /// completion).
     pub data: Option<BlockData>,
 }
+
+ckptstore::wire!(struct BlockBatchOp { write, vba, data });
 
 /// A batch of block operations issued to the virtual block device.
 ///
@@ -47,35 +48,9 @@ impl BlockBatch {
     pub fn writes(&self) -> usize {
         self.ops.iter().filter(|o| o.write).count()
     }
-
-    /// Serializes the batch.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.u64(self.id);
-        e.seq(self.ops.len());
-        for op in &self.ops {
-            e.bool(op.write);
-            e.u64(op.vba);
-            e.bool(op.data.is_some());
-            if let Some(data) = &op.data {
-                data.encode_wire(e);
-            }
-        }
-    }
-
-    /// Inverse of [`BlockBatch::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let id = d.u64()?;
-        let n = d.seq()?;
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            let write = d.bool()?;
-            let vba = d.u64()?;
-            let data = if d.bool()? { Some(BlockData::decode_wire(d)?) } else { None };
-            ops.push(BlockBatchOp { write, vba, data });
-        }
-        Ok(BlockBatch { id, ops })
-    }
 }
+
+ckptstore::wire!(struct BlockBatch { id, ops });
 
 /// An action for the hypervisor.
 #[derive(Clone)]
@@ -96,49 +71,14 @@ pub enum GuestAction {
     TriggerCheckpoint,
 }
 
-impl GuestAction {
-    /// Serializes the action; segment message markers go into the residue.
-    pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
-        match self {
-            GuestAction::NetTx { dst, seg } => {
-                e.u8(0);
-                e.u32(dst.0);
-                seg.encode_wire(e, residue);
-            }
-            GuestAction::BlockIo(b) => {
-                e.u8(1);
-                b.encode_wire(e);
-            }
-            GuestAction::Compute { id, ns } => {
-                e.u8(2);
-                e.u64(*id);
-                e.u64(*ns);
-            }
-            GuestAction::CtrlRpc { id, req } => {
-                e.u8(3);
-                e.u64(*id);
-                encode_ctrl_req(e, req);
-            }
-            GuestAction::TriggerCheckpoint => e.u8(4),
-        }
-    }
-
-    /// Inverse of [`GuestAction::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
-        let at = d.position();
-        Ok(match d.u8()? {
-            0 => GuestAction::NetTx {
-                dst: NodeAddr(d.u32()?),
-                seg: Arc::new(TcpSegment::decode_wire(d, residue)?),
-            },
-            1 => GuestAction::BlockIo(BlockBatch::decode_wire(d)?),
-            2 => GuestAction::Compute { id: d.u64()?, ns: d.u64()? },
-            3 => GuestAction::CtrlRpc { id: d.u64()?, req: decode_ctrl_req(d)? },
-            4 => GuestAction::TriggerCheckpoint,
-            tag => return Err(DecodeError::BadTag { at, tag, what: "guest action" }),
-        })
-    }
-}
+// Segment message markers go into the residue.
+ckptstore::wire!(enum GuestAction in GuestResidue: "guest action" {
+    NetTx { dst, seg } = 0,
+    BlockIo(batch) = 1,
+    Compute { id, ns } = 2,
+    CtrlRpc { id, req } = 3,
+    TriggerCheckpoint = 4,
+});
 
 impl std::fmt::Debug for GuestAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -90,29 +90,16 @@ impl FirewallState {
     pub fn softirqs_allowed(&self) -> bool {
         !self.softirqs_masked
     }
-
-    /// Serializes the firewall control state.
-    pub fn encode_wire(&self, e: &mut ckptstore::Enc) {
-        e.bool(self.closed);
-        e.u64(self.closed_at_guest_ns);
-        e.bool(self.irqs_masked);
-        e.bool(self.softirqs_masked);
-        e.u64(self.generation);
-        e.u64(self.closures);
-    }
-
-    /// Inverse of [`FirewallState::encode_wire`].
-    pub fn decode_wire(d: &mut ckptstore::Dec<'_>) -> Result<Self, ckptstore::DecodeError> {
-        Ok(FirewallState {
-            closed: d.bool()?,
-            closed_at_guest_ns: d.u64()?,
-            irqs_masked: d.bool()?,
-            softirqs_masked: d.bool()?,
-            generation: d.u64()?,
-            closures: d.u64()?,
-        })
-    }
 }
+
+ckptstore::wire!(struct FirewallState {
+    closed,
+    closed_at_guest_ns,
+    irqs_masked,
+    softirqs_masked,
+    generation,
+    closures,
+});
 
 /// Interrupt sources the firewall discriminates between.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

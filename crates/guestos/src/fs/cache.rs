@@ -251,11 +251,15 @@ impl BufferCache {
         }
         out
     }
+}
 
-    /// Serializes the cache as blocks in LRU→MRU order; decode replays them
-    /// through [`BufferCache::put`] so the recency list, slab, and dirty
-    /// count come back identical without serializing the intrusive links.
-    pub fn encode_wire(&self, e: &mut Enc) {
+/// Blocks in LRU→MRU order, under the disk's block count as the side
+/// table: decode replays them through [`BufferCache::put`], so the recency
+/// list, slab and dirty count come back identical without serializing the
+/// intrusive links, and refuses a block at or beyond the disk before the
+/// table is sized by it. Hand-written for that replay.
+impl ckptstore::Wire<u64> for BufferCache {
+    fn put(&self, e: &mut Enc, disk_blocks: &mut u64) {
         e.u64(self.cap as u64);
         e.u64(self.hits);
         e.u64(self.misses);
@@ -264,15 +268,13 @@ impl BufferCache {
         while s != NIL {
             let node = &self.slab[s as usize];
             e.u64(node.vba);
-            node.data.encode_wire(e);
+            ckptstore::Wire::put(&node.data, e, disk_blocks);
             e.bool(node.dirty);
             s = node.prev;
         }
     }
 
-    /// Inverse of [`BufferCache::encode_wire`], for a disk of
-    /// `disk_blocks` blocks: a cached vba at or beyond it is refused.
-    pub fn decode_wire(d: &mut Dec<'_>, disk_blocks: u64) -> Result<Self, DecodeError> {
+    fn get(d: &mut Dec<'_>, &disk_blocks: &u64) -> Result<Self, DecodeError> {
         let cap = d.u64()? as usize;
         if cap == 0 {
             return Err(DecodeError::Invalid("zero-capacity cache"));
@@ -289,12 +291,12 @@ impl BufferCache {
             if vba >= disk_blocks {
                 return Err(DecodeError::Invalid("cached block beyond the disk"));
             }
-            let data = BlockData::decode_wire(d)?;
+            let data: BlockData = ckptstore::Wire::get(d, &())?;
             let dirty = d.bool()?;
             if c.contains(vba) {
                 return Err(DecodeError::Invalid("duplicate cached vba"));
             }
-            c.put(vba, data, dirty);
+            BufferCache::put(&mut c, vba, data, dirty);
         }
         c.hits = hits;
         c.misses = misses;
@@ -425,12 +427,12 @@ mod tests {
         );
         let wire = |c: &BufferCache| {
             let mut e = Enc::new();
-            c.encode_wire(&mut e);
+            ckptstore::Wire::put(c, &mut e, &mut 5_000);
             e.into_bytes()
         };
         let bytes = wire(&grown);
         assert_eq!(bytes, wire(&reserved));
-        let back = BufferCache::decode_wire(&mut Dec::new(&bytes), 5_000).unwrap();
+        let back: BufferCache = ckptstore::Wire::get(&mut Dec::new(&bytes), &5_000).unwrap();
         assert_eq!(wire(&back), bytes, "decode -> encode is the identity");
     }
 

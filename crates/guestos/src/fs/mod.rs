@@ -11,7 +11,7 @@ pub mod cache;
 
 pub use cache::BufferCache;
 
-use ckptstore::{Dec, DecodeError, Enc};
+use ckptstore::{Dec, DecodeError, Enc, Wire};
 use cowstore::{BitmapBlock, BlockData, BlockTable};
 use sim::IntMap;
 
@@ -25,6 +25,44 @@ pub struct Inode {
     pub blocks: BlockTable,
     /// File size in bytes.
     pub size: u64,
+}
+
+/// An inode under its filesystem's `(block size, span)`: its size, then
+/// its block map in index order. Hand-written because every index is
+/// checked against the size, and the size and every block against the
+/// span, before the table is sized by them.
+impl Wire<(u32, u64)> for Inode {
+    fn put(&self, e: &mut Enc, _: &mut (u32, u64)) {
+        e.u64(self.size);
+        e.seq(self.blocks.len());
+        for (idx, vba) in self.blocks.iter() {
+            e.u64(idx);
+            e.u64(vba);
+        }
+    }
+
+    fn get(d: &mut Dec<'_>, &(block_size, span): &(u32, u64)) -> Result<Self, DecodeError> {
+        let size = d.u64()?;
+        let indices = size.div_ceil(u64::from(block_size));
+        if indices > span {
+            return Err(DecodeError::Invalid("file larger than the disk"));
+        }
+        let mut blocks = BlockTable::new();
+        for _ in 0..d.seq()? {
+            let idx = d.u64()?;
+            let vba = d.u64()?;
+            if idx >= indices {
+                return Err(DecodeError::Invalid("inode block index beyond the file size"));
+            }
+            if vba >= span {
+                return Err(DecodeError::Invalid("inode block beyond the disk"));
+            }
+            if blocks.insert(idx, vba).is_some() {
+                return Err(DecodeError::Invalid("duplicate inode block index"));
+            }
+        }
+        Ok(Inode { blocks, size })
+    }
 }
 
 /// A block write the filesystem needs persisted (through the cache).
@@ -47,6 +85,23 @@ pub struct Ext3Fs {
     /// Allocation failures (disk full).
     pub enospc: u64,
 }
+
+// Geometry, group bitmaps in order, files sorted by id. A group must be
+// where and as large as `Ext3Fs::format` makes it, so the span the groups
+// cover is bounded by the bitmap words read, and the span bounds every
+// file's size and blocks: no table is sized by a number the image could
+// make arbitrarily large.
+ckptstore::wire!(struct Ext3Fs {
+    block_size,
+    check *block_size != 0 => "zero fs block size",
+    blocks_per_group,
+    groups,
+    check laid_out_as_formatted(groups, *blocks_per_group) => "fs block group geometry",
+    files in (*block_size, span_of(groups)),
+    rotor,
+    version,
+    enospc,
+});
 
 impl Ext3Fs {
     /// Formats a filesystem over `total_blocks`. The first block of each
@@ -251,104 +306,23 @@ impl Ext3Fs {
         writes.sort_by_key(|w| w.vba);
         Ok((writes, freed))
     }
-
-    /// Serializes the filesystem: geometry, group bitmaps in order, files
-    /// sorted by id with their block maps sorted by logical index.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.u32(self.block_size);
-        e.u32(self.blocks_per_group);
-        e.seq(self.groups.len());
-        for g in &self.groups {
-            g.encode_wire(e);
-        }
-        let mut ids: Vec<FileId> = self.files.keys().copied().collect();
-        ids.sort_unstable_by_key(|f| f.0);
-        e.seq(ids.len());
-        for id in ids {
-            let inode = &self.files[&id];
-            e.u64(id.0);
-            e.u64(inode.size);
-            e.seq(inode.blocks.len());
-            for (idx, vba) in inode.blocks.iter() {
-                e.u64(idx);
-                e.u64(vba);
-            }
-        }
-        e.u32(self.rotor);
-        e.u64(self.version);
-        e.u64(self.enospc);
-    }
-
-    /// Inverse of [`Ext3Fs::encode_wire`]. Refuses a group that is not
-    /// where and as large as [`Ext3Fs::format`] makes it, a file larger
-    /// than the disk, a file block at or beyond the groups' span, and a
-    /// block index at or beyond its file's size. Every block number is
-    /// thereby below the span, which the bitmap words read bound: no
-    /// table is sized by a number the image could make arbitrarily large.
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let block_size = d.u32()?;
-        if block_size == 0 {
-            return Err(DecodeError::Invalid("zero fs block size"));
-        }
-        let blocks_per_group = d.u32()?;
-        let ngroups = d.seq()?;
-        let mut groups = Vec::with_capacity(ngroups);
-        for g in 0..ngroups {
-            let bm = BitmapBlock::decode_wire(d)?;
-            let last = g + 1 == ngroups;
-            if bm.group as usize != g
-                || bm.group_start != g as u64 * u64::from(blocks_per_group)
-                || bm.group_blocks > blocks_per_group
-                || (!last && bm.group_blocks != blocks_per_group)
-            {
-                return Err(DecodeError::Invalid("fs block group geometry"));
-            }
-            groups.push(bm);
-        }
-        let span = span_of(&groups);
-        let nfiles = d.seq()?;
-        let mut files = IntMap::with_capacity_and_hasher(nfiles, Default::default());
-        for _ in 0..nfiles {
-            let id = FileId(d.u64()?);
-            let size = d.u64()?;
-            let indices = size.div_ceil(u64::from(block_size));
-            if indices > span {
-                return Err(DecodeError::Invalid("file larger than the disk"));
-            }
-            let nblocks = d.seq()?;
-            let mut blocks = BlockTable::new();
-            for _ in 0..nblocks {
-                let idx = d.u64()?;
-                let vba = d.u64()?;
-                if idx >= indices {
-                    return Err(DecodeError::Invalid("inode block index beyond the file size"));
-                }
-                if vba >= span {
-                    return Err(DecodeError::Invalid("inode block beyond the disk"));
-                }
-                if blocks.insert(idx, vba).is_some() {
-                    return Err(DecodeError::Invalid("duplicate inode block index"));
-                }
-            }
-            if files.insert(id, Inode { blocks, size }).is_some() {
-                return Err(DecodeError::Invalid("duplicate file id"));
-            }
-        }
-        Ok(Ext3Fs {
-            block_size,
-            blocks_per_group,
-            groups,
-            files,
-            rotor: d.u32()?,
-            version: d.u64()?,
-            enospc: d.u64()?,
-        })
-    }
 }
 
 /// The blocks `groups` cover, in order from block 0.
 fn span_of(groups: &[BitmapBlock]) -> u64 {
     groups.last().map_or(0, |g| g.group_start + u64::from(g.group_blocks))
+}
+
+/// Whether group `g` of `groups` starts at `g × per_group` and holds
+/// `per_group` blocks, the last at most that: the layout
+/// [`Ext3Fs::format`] makes.
+fn laid_out_as_formatted(groups: &[BitmapBlock], per_group: u32) -> bool {
+    groups.iter().enumerate().all(|(g, bm)| {
+        bm.group as usize == g
+            && bm.group_start == g as u64 * u64::from(per_group)
+            && bm.group_blocks <= per_group
+            && (g + 1 == groups.len() || bm.group_blocks == per_group)
+    })
 }
 
 #[cfg(test)]
@@ -453,11 +427,11 @@ mod tests {
         assert_eq!(f.size_of(FileId(1)), Some(62 * 4096));
         assert_eq!(f.read_vbas(FileId(1), 0, 63 * 4096).unwrap().len(), 62);
         let mut e = Enc::new();
-        f.encode_wire(&mut e);
+        f.put(&mut e, &mut ());
         let bytes = e.into_bytes();
-        let back = Ext3Fs::decode_wire(&mut Dec::new(&bytes)).unwrap();
+        let back = Ext3Fs::get(&mut Dec::new(&bytes), &()).unwrap();
         let mut e = Enc::new();
-        back.encode_wire(&mut e);
+        back.put(&mut e, &mut ());
         assert!(e.into_bytes() == bytes, "decode -> encode is the identity");
         // Failing on its first block, a write changes no size.
         f.create(FileId(2)).unwrap();
@@ -487,7 +461,7 @@ mod tests {
     /// A file as the reference sees it: size and index → vba, ordered.
     type RefFile = (u64, std::collections::BTreeMap<u64, u64>);
 
-    /// What [`Ext3Fs::encode_wire`] wrote when inode maps were hash maps
+    /// What the `Ext3Fs` encoding was when inode maps were hash maps
     /// sorted at encode time, with the reference's maps in their place.
     fn reference_wire(f: &Ext3Fs, files: &std::collections::BTreeMap<u64, RefFile>) -> Vec<u8> {
         let mut e = Enc::new();
@@ -495,7 +469,7 @@ mod tests {
         e.u32(f.blocks_per_group);
         e.seq(f.groups.len());
         for g in &f.groups {
-            g.encode_wire(&mut e);
+            g.put(&mut e, &mut ());
         }
         e.seq(files.len());
         for (&id, (size, blocks)) in files {
@@ -571,11 +545,11 @@ mod tests {
             if step % 500 == 0 {
                 let wire = reference_wire(&f, &files);
                 let mut e = Enc::new();
-                f.encode_wire(&mut e);
+                f.put(&mut e, &mut ());
                 assert!(e.into_bytes() == wire, "step {step}: the encoding is the reference's");
-                let back = Ext3Fs::decode_wire(&mut Dec::new(&wire)).unwrap();
+                let back = Ext3Fs::get(&mut Dec::new(&wire), &()).unwrap();
                 let mut e = Enc::new();
-                back.encode_wire(&mut e);
+                back.put(&mut e, &mut ());
                 assert!(e.into_bytes() == wire, "step {step}: decode -> encode is the identity");
             }
         }

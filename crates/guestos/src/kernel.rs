@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use ckptstore::{Dec, DecodeError, Enc};
 use cowstore::BlockData;
 use hwsim::{profile, NodeAddr};
 use sim::IntMap;
@@ -66,6 +65,15 @@ pub struct KernelConfig {
     pub blocks_per_group: u32,
 }
 
+ckptstore::wire!(struct KernelConfig in GuestResidue {
+    hz,
+    node,
+    cache_blocks,
+    disk_blocks,
+    block_size,
+    blocks_per_group,
+});
+
 impl KernelConfig {
     /// The §7 evaluation guest: HZ=100, 256 MB memory (≈200 MB page
     /// cache), 6 GB disk, ext3 with 8192-block groups.
@@ -95,11 +103,15 @@ enum BatchKind {
     Writeback,
 }
 
+ckptstore::wire!(enum BatchKind: "batch kind" { Read = 0, Writeback = 1 });
+
 #[derive(Clone, Debug)]
 struct BatchInfo {
     kind: BatchKind,
     waiters: Vec<Tid>,
 }
+
+ckptstore::wire!(struct BatchInfo { kind, waiters });
 
 /// Aggregate network counters for one kernel.
 #[derive(Clone, Copy, Debug, Default)]
@@ -148,6 +160,35 @@ pub struct Kernel {
     /// state: excluded from the wire image, drained before capture.
     pub witness: ClockWitness,
 }
+
+// The entire kernel; program objects and message markers land in the
+// residue. `Kernel::new` formats the disk whole, so the filesystem must
+// span it: the span is bounded by the bitmap words just read, and it
+// bounds the cache's block numbers in turn.
+ckptstore::wire!(struct Kernel in GuestResidue {
+    cfg,
+    now_ns,
+    jiffies,
+    xtime_ns,
+    threads,
+    runq,
+    wheel,
+    fw,
+    socks,
+    trace,
+    fs,
+    check fs.span() == cfg.disk_blocks => "fs does not span the disk",
+    cache in fs.span(),
+    next_batch,
+    batches,
+    wb_in_flight,
+    next_burst,
+    next_rpc,
+    actions,
+    exited,
+    derived tx = Vec::new(),
+    derived witness = ClockWitness::default(),
+});
 
 impl Kernel {
     /// Boots a kernel: formats the filesystem, starts services.
@@ -261,139 +302,6 @@ impl Kernel {
         mix(self.fs.allocated_blocks());
         mix(self.cache.len() as u64);
         h
-    }
-
-    /// Serializes the entire kernel into a checkpoint image; program
-    /// objects and message markers land in `residue`.
-    pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
-        e.u32(self.cfg.hz);
-        e.u32(self.cfg.node.0);
-        e.u64(self.cfg.cache_blocks as u64);
-        e.u64(self.cfg.disk_blocks);
-        e.u32(self.cfg.block_size);
-        e.u32(self.cfg.blocks_per_group);
-        e.u64(self.now_ns);
-        e.u64(self.jiffies);
-        e.u64(self.xtime_ns);
-        e.seq(self.threads.len());
-        for t in &self.threads {
-            t.encode_wire(e, residue);
-        }
-        self.runq.encode_wire(e);
-        self.wheel.encode_wire(e);
-        self.fw.encode_wire(e);
-        self.socks.encode_wire(e, residue);
-        self.trace.encode_wire(e);
-        self.fs.encode_wire(e);
-        self.cache.encode_wire(e);
-        e.u64(self.next_batch);
-        let mut ids: Vec<u64> = self.batches.keys().copied().collect();
-        ids.sort_unstable();
-        e.seq(ids.len());
-        for id in ids {
-            let b = &self.batches[&id];
-            e.u64(id);
-            e.u8(match b.kind {
-                BatchKind::Read => 0,
-                BatchKind::Writeback => 1,
-            });
-            e.seq(b.waiters.len());
-            for t in &b.waiters {
-                e.u32(t.0);
-            }
-        }
-        e.bool(self.wb_in_flight);
-        e.u64(self.next_burst);
-        e.u64(self.next_rpc);
-        e.seq(self.actions.len());
-        for a in &self.actions {
-            a.encode_wire(e, residue);
-        }
-        e.u32(self.exited);
-    }
-
-    /// Inverse of [`Kernel::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
-        let cfg = KernelConfig {
-            hz: d.u32()?,
-            node: NodeAddr(d.u32()?),
-            cache_blocks: d.u64()? as usize,
-            disk_blocks: d.u64()?,
-            block_size: d.u32()?,
-            blocks_per_group: d.u32()?,
-        };
-        let now_ns = d.u64()?;
-        let jiffies = d.u64()?;
-        let xtime_ns = d.u64()?;
-        let nthreads = d.seq()?;
-        let mut threads = Vec::with_capacity(nthreads);
-        for _ in 0..nthreads {
-            threads.push(Thread::decode_wire(d, residue)?);
-        }
-        let runq = RunQueue::decode_wire(d)?;
-        let wheel = TimerWheel::decode_wire(d)?;
-        let fw = FirewallState::decode_wire(d)?;
-        let socks = SocketTable::decode_wire(d, residue)?;
-        let trace = NetTrace::decode_wire(d)?;
-        let fs = Ext3Fs::decode_wire(d)?;
-        // `Kernel::new` formats the disk whole; the span is bounded by the
-        // bitmap words just read, so the cache's bound is too.
-        if fs.span() != cfg.disk_blocks {
-            return Err(DecodeError::Invalid("fs does not span the disk"));
-        }
-        let cache = BufferCache::decode_wire(d, fs.span())?;
-        let next_batch = d.u64()?;
-        let nbatches = d.seq()?;
-        let mut batches = IntMap::with_capacity_and_hasher(nbatches, Default::default());
-        for _ in 0..nbatches {
-            let id = d.u64()?;
-            let at = d.position();
-            let kind = match d.u8()? {
-                0 => BatchKind::Read,
-                1 => BatchKind::Writeback,
-                tag => return Err(DecodeError::BadTag { at, tag, what: "batch kind" }),
-            };
-            let nw = d.seq()?;
-            let mut waiters = Vec::with_capacity(nw);
-            for _ in 0..nw {
-                waiters.push(Tid(d.u32()?));
-            }
-            if batches.insert(id, BatchInfo { kind, waiters }).is_some() {
-                return Err(DecodeError::Invalid("duplicate batch id"));
-            }
-        }
-        let wb_in_flight = d.bool()?;
-        let next_burst = d.u64()?;
-        let next_rpc = d.u64()?;
-        let nactions = d.seq()?;
-        let mut actions = Vec::with_capacity(nactions);
-        for _ in 0..nactions {
-            actions.push(GuestAction::decode_wire(d, residue)?);
-        }
-        let exited = d.u32()?;
-        Ok(Kernel {
-            cfg,
-            now_ns,
-            jiffies,
-            xtime_ns,
-            threads,
-            runq,
-            wheel,
-            fw,
-            socks,
-            trace,
-            fs,
-            cache,
-            next_batch,
-            batches,
-            wb_in_flight,
-            next_burst,
-            next_rpc,
-            actions,
-            tx: Vec::new(),
-            exited,
-            witness: ClockWitness::default(),
-        })
     }
 
     // ------------------------------------------------------------------
@@ -1045,6 +953,8 @@ impl Kernel {
 
 #[cfg(test)]
 mod tests {
+    use ckptstore::{Dec, Enc, Wire};
+
     use super::*;
     use crate::prog::{CtrlReq, GuestProg, NullProg, SockFd};
     use std::any::Any;
@@ -1218,10 +1128,10 @@ mod tests {
 
         let mut residue = GuestResidue::new();
         let mut e = Enc::new();
-        k.encode_wire(&mut e, &mut residue);
+        k.put(&mut e, &mut residue);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        let mut back = Kernel::decode_wire(&mut d, &residue).unwrap();
+        let mut back = Kernel::get(&mut d, &residue).unwrap();
         assert_eq!(d.remaining(), 0, "image fully consumed");
         assert_eq!(back.state_fingerprint(), k.state_fingerprint());
         assert_eq!(back.jiffies(), k.jiffies());
@@ -1261,9 +1171,9 @@ mod tests {
         k.on_timer_tick(10_000_000);
         let mut residue = GuestResidue::new();
         let mut e = Enc::new();
-        k.encode_wire(&mut e, &mut residue);
+        k.put(&mut e, &mut residue);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes[..bytes.len() / 2]);
-        assert!(Kernel::decode_wire(&mut d, &residue).is_err());
+        assert!(Kernel::get(&mut d, &residue).is_err());
     }
 }

@@ -3,7 +3,6 @@
 pub mod socket;
 pub mod tcp;
 
-use ckptstore::{Dec, DecodeError, Enc};
 use tcp::TcpSegment;
 
 /// Direction of a captured packet.
@@ -12,6 +11,8 @@ pub enum PacketDir {
     Rx,
     Tx,
 }
+
+ckptstore::wire!(enum PacketDir: "packet dir" { Rx = 0, Tx = 1 });
 
 /// One captured packet, as `tcpdump` on the guest would record it.
 ///
@@ -31,12 +32,16 @@ pub struct PacketRecord {
     pub fin: bool,
 }
 
+ckptstore::wire!(struct PacketRecord { t_guest_ns, dir, src_port, dst_port, seq, ack, len, wnd, syn, fin });
+
 /// An in-guest packet capture buffer.
 #[derive(Clone, Debug, Default)]
 pub struct NetTrace {
     records: Vec<PacketRecord>,
     enabled: bool,
 }
+
+ckptstore::wire!(struct NetTrace { enabled, records });
 
 impl NetTrace {
     /// Creates a disabled trace (enable per experiment).
@@ -76,56 +81,6 @@ impl NetTrace {
     /// The captured records.
     pub fn records(&self) -> &[PacketRecord] {
         &self.records
-    }
-
-    /// Serializes the capture buffer.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.bool(self.enabled);
-        e.seq(self.records.len());
-        for r in &self.records {
-            e.u64(r.t_guest_ns);
-            e.u8(match r.dir {
-                PacketDir::Rx => 0,
-                PacketDir::Tx => 1,
-            });
-            e.u16(r.src_port);
-            e.u16(r.dst_port);
-            e.u64(r.seq);
-            e.u64(r.ack);
-            e.u32(r.len);
-            e.u32(r.wnd);
-            e.bool(r.syn);
-            e.bool(r.fin);
-        }
-    }
-
-    /// Inverse of [`NetTrace::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let enabled = d.bool()?;
-        let n = d.seq()?;
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t_guest_ns = d.u64()?;
-            let at = d.position();
-            let dir = match d.u8()? {
-                0 => PacketDir::Rx,
-                1 => PacketDir::Tx,
-                tag => return Err(DecodeError::BadTag { at, tag, what: "packet dir" }),
-            };
-            records.push(PacketRecord {
-                t_guest_ns,
-                dir,
-                src_port: d.u16()?,
-                dst_port: d.u16()?,
-                seq: d.u64()?,
-                ack: d.u64()?,
-                len: d.u32()?,
-                wnd: d.u32()?,
-                syn: d.bool()?,
-                fin: d.bool()?,
-            });
-        }
-        Ok(NetTrace { records, enabled })
     }
 
     /// Inter-arrival gaps (ns) between consecutive received *data* packets.

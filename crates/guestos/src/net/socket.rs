@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use ckptstore::{Dec, DecodeError, Enc};
 use hwsim::NodeAddr;
 
 use crate::net::tcp::{AppMsg, TcpConn, TcpSegment};
@@ -18,12 +17,16 @@ pub struct SockEntry {
     pub inbox: VecDeque<AppMsg>,
 }
 
+ckptstore::wire!(struct SockEntry in GuestResidue { remote, conn, inbox });
+
 /// A listening port.
 #[derive(Clone, Default)]
 pub struct Listener {
     /// Connections that completed their handshake, awaiting `Accept`.
     pub ready: VecDeque<SockFd>,
 }
+
+ckptstore::wire!(struct Listener { ready });
 
 /// All sockets of one guest kernel.
 ///
@@ -141,72 +144,25 @@ impl SocketTable {
                 .remove(&(e.conn.local_port, e.conn.remote_port, e.remote));
         }
     }
-
-    /// Serializes the table: sockets in fd order, listeners in port order.
-    /// The demux map is rebuilt on decode.
-    pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
-        e.u32(self.next_fd);
-        e.u16(self.next_ephemeral);
-        e.seq(self.socks.len());
-        for (&fd, entry) in &self.socks {
-            e.u32(fd);
-            e.u32(entry.remote.0);
-            entry.conn.encode_wire(e, residue);
-            e.seq(entry.inbox.len());
-            for m in &entry.inbox {
-                e.u32(residue.push_msg(m));
-            }
-        }
-        e.seq(self.listeners.len());
-        for (&port, l) in &self.listeners {
-            e.u16(port);
-            e.seq(l.ready.len());
-            for fd in &l.ready {
-                e.u32(fd.0);
-            }
-        }
-    }
-
-    /// Inverse of [`SocketTable::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
-        let next_fd = d.u32()?;
-        let next_ephemeral = d.u16()?;
-        let n = d.seq()?;
-        let mut socks = BTreeMap::new();
-        let mut demux = BTreeMap::new();
-        for _ in 0..n {
-            let fd = d.u32()?;
-            let remote = NodeAddr(d.u32()?);
-            let conn = TcpConn::decode_wire(d, residue)?;
-            let m = d.seq()?;
-            let mut inbox = VecDeque::with_capacity(m);
-            for _ in 0..m {
-                inbox.push_back(residue.msg(d.u32()?)?);
-            }
-            demux.insert((conn.local_port, conn.remote_port, remote), fd);
-            if socks.insert(fd, SockEntry { conn, remote, inbox }).is_some() {
-                return Err(DecodeError::Invalid("duplicate socket fd"));
-            }
-        }
-        let np = d.seq()?;
-        let mut listeners = BTreeMap::new();
-        for _ in 0..np {
-            let port = d.u16()?;
-            let nr = d.seq()?;
-            let mut ready = VecDeque::with_capacity(nr);
-            for _ in 0..nr {
-                ready.push_back(SockFd(d.u32()?));
-            }
-            if listeners.insert(port, Listener { ready }).is_some() {
-                return Err(DecodeError::Invalid("duplicate listener port"));
-            }
-        }
-        Ok(SocketTable { next_fd, next_ephemeral, socks, listeners, demux })
-    }
 }
+
+// Sockets in fd order, listeners in port order; the demux map is rebuilt
+// on decode.
+ckptstore::wire!(struct SocketTable in GuestResidue {
+    next_fd,
+    next_ephemeral,
+    socks,
+    listeners,
+    derived demux = socks
+        .iter()
+        .map(|(&fd, s)| ((s.conn.local_port, s.conn.remote_port, s.remote), fd))
+        .collect(),
+});
 
 #[cfg(test)]
 mod tests {
+    use ckptstore::{Dec, Enc, Wire};
+
     use super::*;
     use crate::net::tcp::TcpConn;
 
@@ -242,7 +198,7 @@ mod tests {
 
         let encode = |t: &SocketTable| {
             let (mut e, mut residue) = (Enc::new(), GuestResidue::new());
-            t.encode_wire(&mut e, &mut residue);
+            t.put(&mut e, &mut residue);
             (e.into_bytes(), residue)
         };
         let (bytes, residue) = encode(&t);
@@ -250,7 +206,7 @@ mod tests {
         let mut d = Dec::new(&bytes);
         assert_eq!((d.u32().unwrap(), d.u16().unwrap(), d.seq().unwrap()), (4, 32768, 3));
         assert_eq!(d.u32().unwrap(), fds[0].0);
-        let back = SocketTable::decode_wire(&mut Dec::new(&bytes), &residue).unwrap();
+        let back: SocketTable = Wire::get(&mut Dec::new(&bytes), &residue).unwrap();
         assert_eq!(back.iter().map(|(fd, _)| fd).collect::<Vec<_>>(), fds);
         assert_eq!(encode(&back).0, bytes, "decode → encode is the identity");
         // Removing the middle socket leaves the rest in order and demuxable.

@@ -16,8 +16,6 @@ use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use ckptstore::{Dec, DecodeError, Enc};
-
 use crate::wire::GuestResidue;
 
 /// Maximum segment size (payload bytes), Ethernet MTU minus headers.
@@ -45,6 +43,8 @@ pub struct TcpFlags {
     pub ack: bool,
     pub fin: bool,
 }
+
+ckptstore::wire!(struct TcpFlags { syn, ack, fin });
 
 /// One TCP segment as it crosses the network.
 #[derive(Clone)]
@@ -89,43 +89,10 @@ impl TcpSegment {
     pub fn wire_bytes(&self) -> u32 {
         self.len + HEADER_BYTES
     }
-
-    /// Serializes the segment; message markers go into the residue.
-    pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
-        e.u16(self.src_port);
-        e.u16(self.dst_port);
-        e.u64(self.seq);
-        e.u64(self.ack);
-        e.u32(self.len);
-        e.bool(self.flags.syn);
-        e.bool(self.flags.ack);
-        e.bool(self.flags.fin);
-        e.u32(self.wnd);
-        e.seq(self.msgs.len());
-        for (off, m) in &self.msgs {
-            e.u64(*off);
-            e.u32(residue.push_msg(m));
-        }
-    }
-
-    /// Inverse of [`TcpSegment::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
-        let src_port = d.u16()?;
-        let dst_port = d.u16()?;
-        let seq = d.u64()?;
-        let ack = d.u64()?;
-        let len = d.u32()?;
-        let flags = TcpFlags { syn: d.bool()?, ack: d.bool()?, fin: d.bool()? };
-        let wnd = d.u32()?;
-        let n = d.seq()?;
-        let mut msgs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let off = d.u64()?;
-            msgs.push((off, residue.msg(d.u32()?)?));
-        }
-        Ok(TcpSegment { src_port, dst_port, seq, ack, len, flags, wnd, msgs })
-    }
 }
+
+// Message markers go into the residue.
+ckptstore::wire!(struct TcpSegment in GuestResidue { src_port, dst_port, seq, ack, len, flags, wnd, msgs });
 
 /// Connection lifecycle states (simplified state machine).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -136,6 +103,14 @@ pub enum TcpState {
     FinSent,
     Closed,
 }
+
+ckptstore::wire!(enum TcpState: "tcp state" {
+    SynSent = 0,
+    SynRcvd = 1,
+    Established = 2,
+    FinSent = 3,
+    Closed = 4,
+});
 
 /// Counters the evaluation cares about.
 #[derive(Clone, Copy, Debug, Default)]
@@ -155,6 +130,17 @@ pub struct TcpStats {
     /// would cause (§3.2); the §7.1 "changes of window size" metric.
     pub window_shrinks: u64,
 }
+
+ckptstore::wire!(struct TcpStats {
+    segments_sent,
+    segments_received,
+    bytes_sent,
+    bytes_delivered,
+    retransmissions,
+    timeouts,
+    dup_acks,
+    window_shrinks,
+});
 
 /// What feeding a segment into a connection did, besides the segments and
 /// application messages it pushed into the caller's buffers.
@@ -681,172 +667,39 @@ impl TcpConn {
         self.stats.segments_sent += 1;
         Some(seg)
     }
-
-    /// Serializes every connection field in declaration order; stashed
-    /// message markers go into the residue.
-    pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
-        e.u16(self.local_port);
-        e.u16(self.remote_port);
-        e.u8(match self.state {
-            TcpState::SynSent => 0,
-            TcpState::SynRcvd => 1,
-            TcpState::Established => 2,
-            TcpState::FinSent => 3,
-            TcpState::Closed => 4,
-        });
-        e.u64(self.snd_una);
-        e.u64(self.snd_nxt);
-        e.u64(self.send_q);
-        e.u64(self.send_buf_cap);
-        e.u64(self.cwnd);
-        e.u64(self.ssthresh);
-        e.u64(self.peer_wnd);
-        e.bool(self.last_peer_wnd.is_some());
-        if let Some(w) = self.last_peer_wnd {
-            e.u64(w);
-        }
-        e.u32(self.dup_ack_count);
-        e.u64(self.recover);
-        e.bool(self.in_recovery);
-        e.seq(self.pending_msgs.len());
-        for (&off, m) in &self.pending_msgs {
-            e.u64(off);
-            e.u32(residue.push_msg(m));
-        }
-        e.bool(self.srtt_ns.is_some());
-        if let Some(s) = self.srtt_ns {
-            e.u64(s);
-        }
-        e.u64(self.rttvar_ns);
-        e.u64(self.rto_ns);
-        e.bool(self.rto_deadline_ns.is_some());
-        if let Some(t) = self.rto_deadline_ns {
-            e.u64(t);
-        }
-        e.bool(self.rtt_sample.is_some());
-        if let Some((seq, t0)) = self.rtt_sample {
-            e.u64(seq);
-            e.u64(t0);
-        }
-        e.u32(self.backoff);
-        e.u64(self.rcv_nxt);
-        e.seq(self.ooo.len());
-        for (&s, &l) in &self.ooo {
-            e.u64(s);
-            e.u32(l);
-        }
-        e.u64(self.rcv_buf_cap);
-        e.u64(self.rcv_pending);
-        e.seq(self.msg_stash.len());
-        for (&off, m) in &self.msg_stash {
-            e.u64(off);
-            e.u32(residue.push_msg(m));
-        }
-        e.u64(self.stats.segments_sent);
-        e.u64(self.stats.segments_received);
-        e.u64(self.stats.bytes_sent);
-        e.u64(self.stats.bytes_delivered);
-        e.u64(self.stats.retransmissions);
-        e.u64(self.stats.timeouts);
-        e.u64(self.stats.dup_acks);
-        e.u64(self.stats.window_shrinks);
-    }
-
-    /// Inverse of [`TcpConn::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
-        let local_port = d.u16()?;
-        let remote_port = d.u16()?;
-        let at = d.position();
-        let state = match d.u8()? {
-            0 => TcpState::SynSent,
-            1 => TcpState::SynRcvd,
-            2 => TcpState::Established,
-            3 => TcpState::FinSent,
-            4 => TcpState::Closed,
-            tag => return Err(DecodeError::BadTag { at, tag, what: "tcp state" }),
-        };
-        let snd_una = d.u64()?;
-        let snd_nxt = d.u64()?;
-        let send_q = d.u64()?;
-        let send_buf_cap = d.u64()?;
-        let cwnd = d.u64()?;
-        let ssthresh = d.u64()?;
-        let peer_wnd = d.u64()?;
-        let last_peer_wnd = if d.bool()? { Some(d.u64()?) } else { None };
-        let dup_ack_count = d.u32()?;
-        let recover = d.u64()?;
-        let in_recovery = d.bool()?;
-        let mut pending_msgs = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let off = d.u64()?;
-            if pending_msgs.insert(off, residue.msg(d.u32()?)?).is_some() {
-                return Err(DecodeError::Invalid("duplicate pending message offset"));
-            }
-        }
-        let srtt_ns = if d.bool()? { Some(d.u64()?) } else { None };
-        let rttvar_ns = d.u64()?;
-        let rto_ns = d.u64()?;
-        let rto_deadline_ns = if d.bool()? { Some(d.u64()?) } else { None };
-        let rtt_sample = if d.bool()? { Some((d.u64()?, d.u64()?)) } else { None };
-        let backoff = d.u32()?;
-        let rcv_nxt = d.u64()?;
-        let mut ooo = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let s = d.u64()?;
-            if ooo.insert(s, d.u32()?).is_some() {
-                return Err(DecodeError::Invalid("duplicate ooo segment start"));
-            }
-        }
-        let rcv_buf_cap = d.u64()?;
-        let rcv_pending = d.u64()?;
-        let mut msg_stash = BTreeMap::new();
-        for _ in 0..d.seq()? {
-            let off = d.u64()?;
-            if msg_stash.insert(off, residue.msg(d.u32()?)?).is_some() {
-                return Err(DecodeError::Invalid("duplicate stashed message offset"));
-            }
-        }
-        let stats = TcpStats {
-            segments_sent: d.u64()?,
-            segments_received: d.u64()?,
-            bytes_sent: d.u64()?,
-            bytes_delivered: d.u64()?,
-            retransmissions: d.u64()?,
-            timeouts: d.u64()?,
-            dup_acks: d.u64()?,
-            window_shrinks: d.u64()?,
-        };
-        Ok(TcpConn {
-            local_port,
-            remote_port,
-            state,
-            snd_una,
-            snd_nxt,
-            send_q,
-            send_buf_cap,
-            cwnd,
-            ssthresh,
-            peer_wnd,
-            last_peer_wnd,
-            dup_ack_count,
-            recover,
-            in_recovery,
-            pending_msgs,
-            srtt_ns,
-            rttvar_ns,
-            rto_ns,
-            rto_deadline_ns,
-            rtt_sample,
-            backoff,
-            rcv_nxt,
-            ooo,
-            rcv_buf_cap,
-            rcv_pending,
-            msg_stash,
-            stats,
-        })
-    }
 }
+
+// Every field in declaration order; pending and stashed message markers
+// go into the residue.
+ckptstore::wire!(struct TcpConn in GuestResidue {
+    local_port,
+    remote_port,
+    state,
+    snd_una,
+    snd_nxt,
+    send_q,
+    send_buf_cap,
+    cwnd,
+    ssthresh,
+    peer_wnd,
+    last_peer_wnd,
+    dup_ack_count,
+    recover,
+    in_recovery,
+    pending_msgs,
+    srtt_ns,
+    rttvar_ns,
+    rto_ns,
+    rto_deadline_ns,
+    rtt_sample,
+    backoff,
+    rcv_nxt,
+    ooo,
+    rcv_buf_cap,
+    rcv_pending,
+    msg_stash,
+    stats,
+});
 
 #[cfg(test)]
 mod tests {

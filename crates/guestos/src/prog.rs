@@ -14,14 +14,19 @@ use std::any::Any;
 use hwsim::NodeAddr;
 
 use crate::net::tcp::AppMsg;
+use crate::wire::GuestResidue;
 
 /// A user-visible socket descriptor.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SockFd(pub u32);
 
+ckptstore::wire!(struct SockFd(fd));
+
 /// A file handle (paths are pre-resolved ids; the FS is flat).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FileId(pub u64);
+
+ckptstore::wire!(struct FileId(id));
 
 /// Identifies a program instance within a kernel.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -44,6 +49,13 @@ pub enum CtrlReq {
     DnsLookup { host: u32 },
 }
 
+ckptstore::wire!(enum CtrlReq: "ctrl req" {
+    NfsGetattr { file } = 0,
+    NfsWrite { file, bytes } = 1,
+    NfsRead { file } = 2,
+    DnsLookup { host } = 3,
+});
+
 /// A control-service response. All timestamps are transduced to guest
 /// virtual time by the hypervisor boundary before delivery (§5.2).
 #[derive(Clone, Copy, Debug)]
@@ -54,6 +66,14 @@ pub enum CtrlResp {
     DnsAddr { addr: u32 },
     NotFound,
 }
+
+ckptstore::wire!(enum CtrlResp: "ctrl resp" {
+    NfsAttr { size, mtime_ns } = 0,
+    NfsWriteOk { size, mtime_ns } = 1,
+    NfsData { bytes, mtime_ns } = 2,
+    DnsAddr { addr } = 3,
+    NotFound = 4,
+});
 
 /// A system call issued by a guest program.
 pub enum Syscall {
@@ -157,6 +177,17 @@ pub enum SysRet {
     /// The operation failed.
     Err(&'static str),
 }
+
+ckptstore::wire!(enum SysRet in GuestResidue: "sysret" {
+    Start = 0,
+    Ok = 1,
+    Time(t) = 2,
+    Sock(fd) = 3,
+    Sent(n) = 4,
+    Recvd { bytes, msgs } = 5,
+    Rpc(resp) = 6,
+    Err(s) = 7,
+});
 
 impl std::fmt::Debug for SysRet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -9,16 +9,16 @@
 
 use std::collections::VecDeque;
 
-use ckptstore::{Dec, DecodeError, Enc};
-
 use crate::firewall::FirewallState;
 use crate::net::tcp::AppMsg;
 use crate::prog::{GuestProg, SysRet};
-use crate::wire::{decode_sysret, encode_sysret, GuestResidue};
+use crate::wire::GuestResidue;
 
 /// Thread identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Tid(pub u32);
+
+ckptstore::wire!(struct Tid(id));
 
 /// Scheduling class, deciding which side of the temporal firewall the
 /// thread runs on.
@@ -32,6 +32,8 @@ pub enum ThreadClass {
     /// during a checkpoint.
     CheckpointSuspend,
 }
+
+ckptstore::wire!(enum ThreadClass: "thread class" { User = 0, Kernel = 1, CheckpointSuspend = 2 });
 
 /// Why a thread is not runnable.
 ///
@@ -97,65 +99,19 @@ impl ThreadState {
     }
 }
 
-impl ThreadClass {
-    fn wire_tag(self) -> u8 {
-        match self {
-            ThreadClass::User => 0,
-            ThreadClass::Kernel => 1,
-            ThreadClass::CheckpointSuspend => 2,
-        }
-    }
-
-    fn from_wire_tag(at: usize, tag: u8) -> Result<Self, DecodeError> {
-        Ok(match tag {
-            0 => ThreadClass::User,
-            1 => ThreadClass::Kernel,
-            2 => ThreadClass::CheckpointSuspend,
-            tag => return Err(DecodeError::BadTag { at, tag, what: "thread class" }),
-        })
-    }
-}
-
-impl ThreadState {
-    /// Serializes the state; wire tags reuse [`ThreadState::tag`] codes.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.u8(self.tag());
-        match self {
-            ThreadState::Runnable | ThreadState::Sleeping | ThreadState::Exited => {}
-            ThreadState::AcceptWait { port } => e.u16(*port),
-            ThreadState::ConnectWait { fd } => e.u32(*fd),
-            ThreadState::RecvWait { fd, max } => {
-                e.u32(*fd);
-                e.u64(*max);
-            }
-            ThreadState::SendWait { fd, bytes } => {
-                e.u32(*fd);
-                e.u64(*bytes);
-            }
-            ThreadState::IoWait { batch } => e.u64(*batch),
-            ThreadState::Computing { burst } => e.u64(*burst),
-            ThreadState::RpcWait { id } => e.u64(*id),
-        }
-    }
-
-    /// Inverse of [`ThreadState::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let at = d.position();
-        Ok(match d.u8()? {
-            0 => ThreadState::Runnable,
-            1 => ThreadState::Sleeping,
-            2 => ThreadState::AcceptWait { port: d.u16()? },
-            3 => ThreadState::ConnectWait { fd: d.u32()? },
-            4 => ThreadState::RecvWait { fd: d.u32()?, max: d.u64()? },
-            5 => ThreadState::SendWait { fd: d.u32()?, bytes: d.u64()? },
-            6 => ThreadState::IoWait { batch: d.u64()? },
-            7 => ThreadState::Computing { burst: d.u64()? },
-            8 => ThreadState::Exited,
-            9 => ThreadState::RpcWait { id: d.u64()? },
-            tag => return Err(DecodeError::BadTag { at, tag, what: "thread state" }),
-        })
-    }
-}
+// Wire tags are the `ThreadState::tag` codes.
+ckptstore::wire!(enum ThreadState: "thread state" {
+    Runnable = 0,
+    Sleeping = 1,
+    AcceptWait { port } = 2,
+    ConnectWait { fd } = 3,
+    RecvWait { fd, max } = 4,
+    SendWait { fd, bytes } = 5,
+    IoWait { batch } = 6,
+    Computing { burst } = 7,
+    Exited = 8,
+    RpcWait { id } = 9,
+});
 
 /// One guest thread.
 #[derive(Clone)]
@@ -188,39 +144,18 @@ impl Thread {
     pub fn exited(&self) -> bool {
         matches!(self.state, ThreadState::Exited)
     }
-
-    /// Serializes the thread; the program object goes into the residue.
-    /// A sender's message marker follows its `SendWait` state.
-    pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
-        e.u32(self.tid.0);
-        e.u8(self.class.wire_tag());
-        self.state.encode_wire(e);
-        if let ThreadState::SendWait { .. } = self.state {
-            e.bool(self.send_msg.is_some());
-            if let Some(m) = &self.send_msg {
-                e.u32(residue.push_msg(m));
-            }
-        }
-        e.bool(self.prog.is_some());
-        if let Some(p) = &self.prog {
-            e.u32(residue.push_prog(p.as_ref()));
-        }
-        encode_sysret(e, &self.pending_ret, residue);
-    }
-
-    /// Inverse of [`Thread::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
-        let tid = Tid(d.u32()?);
-        let at = d.position();
-        let class = ThreadClass::from_wire_tag(at, d.u8()?)?;
-        let state = ThreadState::decode_wire(d)?;
-        let has_msg = matches!(state, ThreadState::SendWait { .. }) && d.bool()?;
-        let send_msg = if has_msg { Some(residue.msg(d.u32()?)?) } else { None };
-        let prog = if d.bool()? { Some(residue.prog(d.u32()?)?) } else { None };
-        let pending_ret = decode_sysret(d, residue)?;
-        Ok(Thread { tid, class, state, send_msg, prog, pending_ret })
-    }
 }
+
+// The program object goes into the residue. A sender's message marker
+// follows its `SendWait` state, and only that state's.
+ckptstore::wire!(struct Thread in GuestResidue {
+    tid,
+    class,
+    state,
+    send_msg if matches!(state, ThreadState::SendWait { .. }),
+    prog,
+    pending_ret,
+});
 
 /// The run queue plus the firewall-gated `schedule()`.
 #[derive(Clone, Debug, Default)]
@@ -264,29 +199,37 @@ impl RunQueue {
     pub fn is_empty(&self) -> bool {
         self.q.is_empty()
     }
-
-    /// Serializes the queue in scheduling order.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.seq(self.q.len());
-        for t in &self.q {
-            e.u32(t.0);
-        }
-    }
-
-    /// Inverse of [`RunQueue::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let n = d.seq()?;
-        let mut q = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            q.push_back(Tid(d.u32()?));
-        }
-        Ok(RunQueue { q })
-    }
 }
+
+// The queue in scheduling order.
+ckptstore::wire!(struct RunQueue { q });
 
 #[cfg(test)]
 mod tests {
+    use ckptstore::{Dec, Enc, Wire};
+
     use super::*;
+
+    #[test]
+    fn every_state_is_written_under_its_tag() {
+        let states = [
+            ThreadState::Runnable,
+            ThreadState::Sleeping,
+            ThreadState::AcceptWait { port: 1 },
+            ThreadState::ConnectWait { fd: 2 },
+            ThreadState::RecvWait { fd: 3, max: 4 },
+            ThreadState::SendWait { fd: 5, bytes: 6 },
+            ThreadState::IoWait { batch: 7 },
+            ThreadState::Computing { burst: 8 },
+            ThreadState::Exited,
+            ThreadState::RpcWait { id: 9 },
+        ];
+        for s in states {
+            let mut e = Enc::new();
+            s.put(&mut e, &mut ());
+            assert_eq!(e.into_bytes()[0], s.tag(), "{s:?}");
+        }
+    }
 
     #[test]
     fn a_blocked_sender_round_trips_with_its_message_after_its_state() {
@@ -296,7 +239,7 @@ mod tests {
         t.send_msg = Some(std::sync::Arc::new(42u32));
         let mut residue = GuestResidue::new();
         let mut e = Enc::new();
-        t.encode_wire(&mut e, &mut residue);
+        t.put(&mut e, &mut residue);
         let bytes = e.into_bytes();
         // Tid, class, the state's tag and fields, then the marker (present,
         // residue index 0): the layout from when the marker was a field of
@@ -311,7 +254,7 @@ mod tests {
         want.u32(0);
         let want = want.into_bytes();
         assert_eq!(&bytes[..want.len()], &want[..]);
-        let back = Thread::decode_wire(&mut Dec::new(&bytes), &residue).unwrap();
+        let back = Thread::get(&mut Dec::new(&bytes), &residue).unwrap();
         assert!(matches!(back.state, ThreadState::SendWait { fd: 7, bytes: 1_000 }));
         let msg = back.send_msg.expect("the marker comes back");
         assert_eq!(msg.downcast_ref::<u32>(), Some(&42));

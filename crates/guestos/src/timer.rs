@@ -8,8 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use ckptstore::{Dec, DecodeError, Enc};
-
 use crate::sched::Tid;
 
 /// A jiffies-keyed timer wheel.
@@ -58,40 +56,13 @@ impl TimerWheel {
     pub fn next_expiry(&self) -> Option<u64> {
         self.entries.keys().next().copied()
     }
-
-    /// Serializes the wheel in jiffy order; the armed count is re-derived
-    /// on decode.
-    pub fn encode_wire(&self, e: &mut Enc) {
-        e.seq(self.entries.len());
-        for (&jiffy, tids) in &self.entries {
-            e.u64(jiffy);
-            e.seq(tids.len());
-            for t in tids {
-                e.u32(t.0);
-            }
-        }
-    }
-
-    /// Inverse of [`TimerWheel::encode_wire`].
-    pub fn decode_wire(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        let n = d.seq()?;
-        let mut entries = BTreeMap::new();
-        let mut armed = 0;
-        for _ in 0..n {
-            let jiffy = d.u64()?;
-            let m = d.seq()?;
-            let mut tids = Vec::with_capacity(m);
-            for _ in 0..m {
-                tids.push(Tid(d.u32()?));
-            }
-            armed += tids.len();
-            if entries.insert(jiffy, tids).is_some() {
-                return Err(DecodeError::Invalid("duplicate timer wheel jiffy"));
-            }
-        }
-        Ok(TimerWheel { entries, armed })
-    }
 }
+
+// The wheel in jiffy order; the armed count is re-derived on decode.
+ckptstore::wire!(struct TimerWheel {
+    entries,
+    derived armed = entries.values().map(Vec::len).sum(),
+});
 
 /// Converts a sleep request to an absolute wake jiffy, with Linux rounding:
 /// ceil to whole ticks, plus one tick for the in-progress one.

@@ -1,19 +1,22 @@
-//! Checkpoint-image wire support: the residue side-table and codecs for
-//! the shared syscall-surface types.
+//! Checkpoint-image wire support: the residue side table, and the
+//! [`Wire`] impls of the values that travel in it.
 //!
-//! Almost all guest state byte-serializes into the checkpoint image (see
-//! the per-module `encode_wire` impls). Two things cannot: user programs
-//! (`Box<dyn GuestProg>` state machines) and application message markers
-//! (`AppMsg = Arc<dyn Any>`). Those travel in a typed [`GuestResidue`]
-//! side-table captured alongside the image; the byte stream stores only
-//! indices into it. The residue is the simulator's stand-in for opaque
-//! process memory pages — bytes to the checkpoint, structure to the
-//! restored guest.
+//! Almost all guest state byte-serializes into the checkpoint image: each
+//! image type declares its fields once with [`ckptstore::wire!`], beside
+//! the type. Two things cannot: user programs (`Box<dyn GuestProg>` state
+//! machines) and application message markers (`AppMsg = Arc<dyn Any>`).
+//! Those travel in a typed [`GuestResidue`] side table captured alongside
+//! the image, which is the `Cx` of every guest type that holds one — the
+//! kernel, its threads, sockets, connections, segments, actions and
+//! syscall returns — and the byte stream stores only indices into it. The
+//! residue is the simulator's stand-in for opaque process memory pages —
+//! bytes to the checkpoint, structure to the restored guest.
 
-use ckptstore::{Dec, DecodeError, Enc};
+use ckptstore::{Dec, DecodeError, Enc, Wire};
+use hwsim::NodeAddr;
 
 use crate::net::tcp::AppMsg;
-use crate::prog::{CtrlReq, CtrlResp, GuestProg, SockFd, SysRet};
+use crate::prog::GuestProg;
 
 /// Guest state that rides beside the byte image: program state machines
 /// and in-flight application message markers, indexed by the stream.
@@ -74,151 +77,60 @@ impl GuestResidue {
 const ERR_STRINGS: &[&str] =
     &["bad fd", "not listening", "exists", "no such file", "enospc", "efbig"];
 
-fn intern_err(s: &str) -> Result<&'static str, DecodeError> {
-    ERR_STRINGS
-        .iter()
-        .find(|&&k| k == s)
-        .copied()
-        .ok_or(DecodeError::Invalid("unknown syscall error string"))
-}
+/// A syscall error string: written as a string, re-interned on decode.
+impl Wire<GuestResidue> for &'static str {
+    fn put(&self, e: &mut Enc, _: &mut GuestResidue) {
+        e.str(self);
+    }
 
-/// Serializes a syscall return value.
-pub fn encode_sysret(e: &mut Enc, r: &SysRet, residue: &mut GuestResidue) {
-    match r {
-        SysRet::Start => e.u8(0),
-        SysRet::Ok => e.u8(1),
-        SysRet::Time(t) => {
-            e.u8(2);
-            e.u64(*t);
-        }
-        SysRet::Sock(fd) => {
-            e.u8(3);
-            e.u32(fd.0);
-        }
-        SysRet::Sent(n) => {
-            e.u8(4);
-            e.u64(*n);
-        }
-        SysRet::Recvd { bytes, msgs } => {
-            e.u8(5);
-            e.u64(*bytes);
-            e.seq(msgs.len());
-            for m in msgs {
-                e.u32(residue.push_msg(m));
-            }
-        }
-        SysRet::Rpc(resp) => {
-            e.u8(6);
-            encode_ctrl_resp(e, resp);
-        }
-        SysRet::Err(s) => {
-            e.u8(7);
-            e.str(s);
-        }
+    fn get(d: &mut Dec<'_>, _: &GuestResidue) -> Result<Self, DecodeError> {
+        let s = d.str()?;
+        ERR_STRINGS
+            .iter()
+            .find(|&&k| k == s)
+            .copied()
+            .ok_or(DecodeError::Invalid("unknown syscall error string"))
     }
 }
 
-/// Inverse of [`encode_sysret`].
-pub fn decode_sysret(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<SysRet, DecodeError> {
-    let at = d.position();
-    Ok(match d.u8()? {
-        0 => SysRet::Start,
-        1 => SysRet::Ok,
-        2 => SysRet::Time(d.u64()?),
-        3 => SysRet::Sock(SockFd(d.u32()?)),
-        4 => SysRet::Sent(d.u64()?),
-        5 => {
-            let bytes = d.u64()?;
-            let n = d.seq()?;
-            let mut msgs = Vec::with_capacity(n);
-            for _ in 0..n {
-                msgs.push(residue.msg(d.u32()?)?);
-            }
-            SysRet::Recvd { bytes, msgs }
-        }
-        6 => SysRet::Rpc(decode_ctrl_resp(d)?),
-        7 => SysRet::Err(intern_err(&d.str()?)?),
-        tag => return Err(DecodeError::BadTag { at, tag, what: "sysret" }),
-    })
-}
+/// A message marker: its index in the residue.
+impl Wire<GuestResidue> for AppMsg {
+    fn put(&self, e: &mut Enc, residue: &mut GuestResidue) {
+        e.u32(residue.push_msg(self));
+    }
 
-/// Serializes a control-service request.
-pub fn encode_ctrl_req(e: &mut Enc, req: &CtrlReq) {
-    match req {
-        CtrlReq::NfsGetattr { file } => {
-            e.u8(0);
-            e.u64(*file);
-        }
-        CtrlReq::NfsWrite { file, bytes } => {
-            e.u8(1);
-            e.u64(*file);
-            e.u64(*bytes);
-        }
-        CtrlReq::NfsRead { file } => {
-            e.u8(2);
-            e.u64(*file);
-        }
-        CtrlReq::DnsLookup { host } => {
-            e.u8(3);
-            e.u32(*host);
-        }
+    fn get(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
+        residue.msg(d.u32()?)
     }
 }
 
-/// Inverse of [`encode_ctrl_req`].
-pub fn decode_ctrl_req(d: &mut Dec<'_>) -> Result<CtrlReq, DecodeError> {
-    let at = d.position();
-    Ok(match d.u8()? {
-        0 => CtrlReq::NfsGetattr { file: d.u64()? },
-        1 => CtrlReq::NfsWrite { file: d.u64()?, bytes: d.u64()? },
-        2 => CtrlReq::NfsRead { file: d.u64()? },
-        3 => CtrlReq::DnsLookup { host: d.u32()? },
-        tag => return Err(DecodeError::BadTag { at, tag, what: "ctrl req" }),
-    })
-}
+/// A program object: its index in the residue.
+impl Wire<GuestResidue> for Box<dyn GuestProg> {
+    fn put(&self, e: &mut Enc, residue: &mut GuestResidue) {
+        e.u32(residue.push_prog(self.as_ref()));
+    }
 
-/// Serializes a control-service response.
-pub fn encode_ctrl_resp(e: &mut Enc, resp: &CtrlResp) {
-    match resp {
-        CtrlResp::NfsAttr { size, mtime_ns } => {
-            e.u8(0);
-            e.u64(*size);
-            e.u64(*mtime_ns);
-        }
-        CtrlResp::NfsWriteOk { size, mtime_ns } => {
-            e.u8(1);
-            e.u64(*size);
-            e.u64(*mtime_ns);
-        }
-        CtrlResp::NfsData { bytes, mtime_ns } => {
-            e.u8(2);
-            e.u64(*bytes);
-            e.u64(*mtime_ns);
-        }
-        CtrlResp::DnsAddr { addr } => {
-            e.u8(3);
-            e.u32(*addr);
-        }
-        CtrlResp::NotFound => e.u8(4),
+    fn get(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
+        residue.prog(d.u32()?)
     }
 }
 
-/// Inverse of [`encode_ctrl_resp`].
-pub fn decode_ctrl_resp(d: &mut Dec<'_>) -> Result<CtrlResp, DecodeError> {
-    let at = d.position();
-    Ok(match d.u8()? {
-        0 => CtrlResp::NfsAttr { size: d.u64()?, mtime_ns: d.u64()? },
-        1 => CtrlResp::NfsWriteOk { size: d.u64()?, mtime_ns: d.u64()? },
-        2 => CtrlResp::NfsData { bytes: d.u64()?, mtime_ns: d.u64()? },
-        3 => CtrlResp::DnsAddr { addr: d.u32()? },
-        4 => CtrlResp::NotFound,
-        tag => return Err(DecodeError::BadTag { at, tag, what: "ctrl resp" }),
-    })
+/// A node address: its `u32`. (`hwsim` does not know the codec, so the
+/// impl lives here, for the one side table every guest image has.)
+impl Wire<GuestResidue> for NodeAddr {
+    fn put(&self, e: &mut Enc, _: &mut GuestResidue) {
+        e.u32(self.0);
+    }
+
+    fn get(d: &mut Dec<'_>, _: &GuestResidue) -> Result<Self, DecodeError> {
+        Ok(NodeAddr(d.u32()?))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prog::{CtrlResp, SockFd, SysRet};
     use std::sync::Arc;
 
     #[test]
@@ -237,20 +149,20 @@ mod tests {
         ];
         let mut e = Enc::new();
         for c in &cases {
-            encode_sysret(&mut e, c, &mut residue);
+            c.put(&mut e, &mut residue);
         }
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         for c in &cases {
-            let back = decode_sysret(&mut d, &residue).unwrap();
+            let back = SysRet::get(&mut d, &residue).unwrap();
             assert_eq!(format!("{back:?}"), format!("{c:?}"));
         }
         // The marker itself survives (same Arc payload).
         let mut d = Dec::new(&bytes);
         for _ in 0..5 {
-            decode_sysret(&mut d, &residue).unwrap();
+            SysRet::get(&mut d, &residue).unwrap();
         }
-        if let SysRet::Recvd { msgs, .. } = decode_sysret(&mut d, &residue).unwrap() {
+        if let SysRet::Recvd { msgs, .. } = SysRet::get(&mut d, &residue).unwrap() {
             assert_eq!(*msgs[0].downcast_ref::<u32>().unwrap(), 42);
         } else {
             panic!("expected Recvd");
@@ -264,7 +176,7 @@ mod tests {
         e.str("made up error");
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert!(decode_sysret(&mut d, &GuestResidue::new()).is_err());
+        assert!(SysRet::get(&mut d, &GuestResidue::new()).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! kernel state (a clone; the simulator's stand-in for the memory image)
 //! plus the sizes that cost its storage and transfer.
 
-use ckptstore::{Dec, DecodeError, Enc};
+use ckptstore::{Dec, DecodeError, Enc, Wire};
 use guestos::wire::GuestResidue;
 use guestos::Kernel;
 
@@ -177,35 +177,27 @@ impl DomainImage {
         }
     }
 
-    /// Serializes the image: the guest kernel followed by the vCPU and
-    /// sizing context. Program objects and message markers land in
-    /// `residue`, which rides beside the byte image.
+    /// Serializes the image ([`Wire::put`]): the guest kernel followed
+    /// by the vCPU and sizing context. Program objects and message markers
+    /// land in `residue`, which rides beside the byte image. The restore
+    /// paths and `benchmark/` call the image codec by this name.
     pub fn encode_wire(&self, e: &mut Enc, residue: &mut GuestResidue) {
-        self.kernel.encode_wire(e, residue);
-        e.u64(self.guest_ns);
-        e.u64(self.dirty_bytes);
-        e.u64(self.mem_bytes);
-        e.seq(self.pending_bursts.len());
-        for &(id, ns) in &self.pending_bursts {
-            e.u64(id);
-            e.u64(ns);
-        }
+        self.put(e, residue);
     }
 
-    /// Inverse of [`DomainImage::encode_wire`].
+    /// Inverse of [`DomainImage::encode_wire`] ([`Wire::get`]).
     pub fn decode_wire(d: &mut Dec<'_>, residue: &GuestResidue) -> Result<Self, DecodeError> {
-        let kernel = Kernel::decode_wire(d, residue)?;
-        let guest_ns = d.u64()?;
-        let dirty_bytes = d.u64()?;
-        let mem_bytes = d.u64()?;
-        let n = d.seq()?;
-        let mut pending_bursts = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending_bursts.push((d.u64()?, d.u64()?));
-        }
-        Ok(DomainImage { kernel, guest_ns, dirty_bytes, mem_bytes, pending_bursts })
+        Self::get(d, residue)
     }
 }
+
+ckptstore::wire!(struct DomainImage in GuestResidue {
+    kernel,
+    guest_ns,
+    dirty_bytes,
+    mem_bytes,
+    pending_bursts,
+});
 
 #[cfg(test)]
 mod tests {
