@@ -33,7 +33,9 @@ const REQUIRED_SLICES: [&str; 5] =
 
 struct RunOutput {
     json: String,
-    events: Vec<sim::TraceEvent>,
+    /// Per-(name, phase) event counts, sorted — the committed fingerprint.
+    counts: BTreeMap<(&'static str, char), u64>,
+    events: usize,
     dropped: u64,
     verdict: String,
     passed: bool,
@@ -43,9 +45,19 @@ fn run_scenario() -> RunOutput {
     let tb = checkpointed_swap_cycle(15_001, "timeline");
     let t = tb.telemetry();
     let report = audit_transparency(t);
+    let trace = t.trace_view();
+    let mut counts = BTreeMap::new();
+    for ev in trace.iter() {
+        let ph = match ev.phase {
+            TracePhase::Instant => 'i',
+            other => other.code(),
+        };
+        *counts.entry((ev.name, ph)).or_insert(0) += 1;
+    }
     RunOutput {
         json: t.trace_to_perfetto(),
-        events: t.trace_events(),
+        counts,
+        events: trace.len(),
         dropped: t.trace_dropped(),
         verdict: report.verdict(),
         passed: report.passed(),
@@ -66,30 +78,22 @@ pub fn run() {
         "same-seed Perfetto exports must be byte-identical"
     );
 
-    // Per-(name, phase) event counts, sorted — the committed fingerprint.
-    let mut counts: BTreeMap<(String, char), u64> = BTreeMap::new();
-    for ev in &a.events {
-        let ph = match ev.phase {
-            TracePhase::Instant => 'i',
-            other => other.code(),
-        };
-        *counts.entry((ev.name.clone(), ph)).or_insert(0) += 1;
-    }
+    let counts = &a.counts;
     for name in REQUIRED_SLICES {
         assert!(
-            counts.contains_key(&(name.to_string(), 'B')),
+            counts.contains_key(&(name, 'B')),
             "timeline must contain a B slice for {name}"
         );
     }
     assert!(a.passed, "transparency audit failed: {}", a.verdict);
 
     let mut csv = String::from("key,value\n");
-    let _ = writeln!(csv, "trace_events,{}", a.events.len());
+    let _ = writeln!(csv, "trace_events,{}", a.events);
     let _ = writeln!(csv, "trace_dropped,{}", a.dropped);
     let _ = writeln!(csv, "json_bytes,{}", a.json.len());
     let _ = writeln!(csv, "json_fnv64,{:016x}", fnv1a(a.json.as_bytes()));
     let _ = writeln!(csv, "audit,{}", a.verdict);
-    for ((name, ph), n) in &counts {
+    for ((name, ph), n) in counts {
         let _ = writeln!(csv, "count.{name}.{ph},{n}");
     }
 
@@ -98,7 +102,7 @@ pub fn run() {
 
     println!("  {:<28} {:>8} {:>8} {:>8}", "event", "B", "E", "i");
     let mut by_name: BTreeMap<&str, [u64; 3]> = BTreeMap::new();
-    for ((name, ph), n) in &counts {
+    for ((name, ph), n) in counts {
         let slot = match ph {
             'B' => 0,
             'E' => 1,
@@ -110,7 +114,7 @@ pub fn run() {
         println!("  {:<28} {:>8} {:>8} {:>8}", name, row[0], row[1], row[2]);
     }
     println!("\n  audit: {}", a.verdict);
-    println!("  {} events ({} dropped), exports byte-identical across runs", a.events.len(), a.dropped);
+    println!("  {} events ({} dropped), exports byte-identical across runs", a.events, a.dropped);
     println!("  timeline: {} (load at https://ui.perfetto.dev)", json_path.display());
     println!("  summary:  {}", csv_path.display());
 }

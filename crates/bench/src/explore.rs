@@ -15,6 +15,8 @@
 //! iterations so `cargo test` can replay the committed seed corpus; the
 //! `tcd explore` experiment drives multi-thousand-iteration sweeps.
 
+use std::fmt::Write as _;
+
 use checkpoint::{
     Coordinator, FailurePolicy, NodeHooks, Participant, ShadowEpochState, ShadowViolation,
     TriggerMode, WalRecord,
@@ -377,26 +379,25 @@ pub fn events_csv(events: &[TraceEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 48 + 64);
     out.push_str("at_ns,host,subsystem,name,phase,arg,group,epoch,node\n");
     for ev in events {
-        let phase = ev.phase.code();
-        let unpacked = if ev.name.starts_with("shadow.") {
-            let (g, e, n) = shadow::unpack(ev.arg);
-            format!("{g},{e},{n}")
-        } else if ev.name.starts_with("flow.") {
-            let ctx = TraceCtx::from_arg(ev.arg);
-            format!("{},{},", ctx.trace_id, ctx.span_id)
-        } else {
-            ",,".to_string()
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{}\n",
+        let _ = write!(
+            out,
+            "{},{},{},{},{},{},",
             ev.at.as_nanos(),
             ev.host,
             ev.subsystem,
             ev.name,
-            phase,
-            ev.arg,
-            unpacked
-        ));
+            ev.phase.code(),
+            ev.arg
+        );
+        let _ = if ev.name.starts_with("shadow.") {
+            let (g, e, n) = shadow::unpack(ev.arg);
+            writeln!(out, "{g},{e},{n}")
+        } else if ev.name.starts_with("flow.") {
+            let ctx = TraceCtx::from_arg(ev.arg);
+            writeln!(out, "{},{},", ctx.trace_id, ctx.span_id)
+        } else {
+            writeln!(out, ",,")
+        };
     }
     out
 }

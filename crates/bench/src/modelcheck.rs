@@ -282,7 +282,7 @@ impl Lab {
     /// the end-of-run checks.
     fn verdict(&self) -> Vec<String> {
         let mut shadow = ShadowEpochState::new();
-        self.e.telemetry().trace_events().iter().for_each(|ev| shadow.step(ev));
+        self.e.telemetry().trace_view().iter().for_each(|ev| shadow.step(&ev));
         let quiescent = self.choices().is_empty();
         if quiescent {
             shadow.finish();
@@ -300,8 +300,8 @@ impl Lab {
     }
 
     fn shadow_csv(&self) -> String {
-        let mut events = self.e.telemetry().trace_events();
-        events.retain(|ev| ev.name.starts_with("shadow."));
+        let trace = self.e.telemetry().trace_view();
+        let events: Vec<_> = trace.iter().filter(|ev| ev.name.starts_with("shadow.")).collect();
         events_csv(&events)
     }
 }

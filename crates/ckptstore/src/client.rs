@@ -42,7 +42,7 @@ use std::cell::RefCell;
 use std::collections::{hash_map, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use sim::buggify;
 use sim::buggify::points as bg_points;
@@ -319,6 +319,21 @@ struct ShardTele {
     track: TrackId,
 }
 
+/// The trace track name `store.shard<i>`. The trace registry keeps its
+/// names as `&'static str`, so this is the one place a name is built at
+/// run time: each index's is made and leaked once per process, and every
+/// store after that reuses it.
+fn shard_track(i: usize) -> &'static str {
+    static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    // A push either happened or did not: a panic leaves the list valid.
+    let mut made = NAMES.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    while made.len() <= i {
+        let name = format!("{}{}", names::TRACK_STORE_SHARD, made.len());
+        made.push(Box::leak(name.into_boxed_str()));
+    }
+    made[i]
+}
+
 /// Telemetry instrument handles (attached by the builder).
 struct StoreTele {
     t: Telemetry,
@@ -353,7 +368,7 @@ impl StoreTele {
                 bytes: t.counter(&format!("{}{}.bytes", names::STORESVC_SHARD_PREFIX, i)),
                 repair_writes: t
                     .counter(&format!("{}{}.repair_writes", names::STORESVC_SHARD_PREFIX, i)),
-                track: t.track(host, &format!("{}{}", names::TRACK_STORE_SHARD, i)),
+                track: t.track(host, shard_track(i)),
             })
             .collect();
         StoreTele {

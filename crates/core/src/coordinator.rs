@@ -1903,10 +1903,9 @@ mod tests {
         assert_eq!(e.component_ref::<FakeNode>(nodes[1]).unwrap().full_notified, 1);
 
         // The shadow checker agrees with everything that happened.
-        let events = e.telemetry().trace_events();
         let mut shadow = crate::shadow::ShadowEpochState::new();
-        for ev in &events {
-            shadow.step(ev);
+        for ev in e.telemetry().trace_view().iter() {
+            shadow.step(&ev);
         }
         shadow.finish();
         assert!(

@@ -220,12 +220,11 @@ impl ShadowEpochState {
     /// Steps the model over one trace event; non-shadow events are
     /// ignored, so the whole ring can be fed unfiltered.
     pub fn step(&mut self, ev: &TraceEvent) {
-        let name: &str = &ev.name;
-        if !name.starts_with("shadow.") {
+        if !ev.name.starts_with("shadow.") {
             return;
         }
         let (group, epoch, node) = unpack(ev.arg);
-        match name {
+        match ev.name {
             names::EV_SHADOW_JOIN => self.on_join(group, epoch, node),
             names::EV_SHADOW_ACK => self.on_ack(group, epoch, node),
             names::EV_SHADOW_DONE => self.on_done(group, epoch, node),
@@ -498,12 +497,12 @@ mod tests {
     use super::*;
     use sim::{SimTime, TracePhase};
 
-    fn ev(name: &str, arg: i64) -> TraceEvent {
+    fn ev(name: &'static str, arg: i64) -> TraceEvent {
         TraceEvent {
             at: SimTime::ZERO,
             host: 100,
-            subsystem: "coordinator".into(),
-            name: name.into(),
+            subsystem: "coordinator",
+            name,
             phase: TracePhase::Instant,
             arg,
         }

@@ -340,8 +340,8 @@ impl ScaleLab {
         }
         let m = self.engine.merged_telemetry();
         let mut shadow = ShadowEpochState::new();
-        for ev in &m.trace_events() {
-            shadow.step(ev);
+        for ev in m.trace_view().iter() {
+            shadow.step(&ev);
         }
         shadow.finish();
         if let Some(v) = shadow.violations().first() {

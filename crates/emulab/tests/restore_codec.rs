@@ -421,7 +421,7 @@ fn block_numbers_beyond_the_disk_are_typed_errors_in_every_image_kind() {
 
     // A buffer-cache entry: vba, then the block's inline encoding.
     let mut cache = BufferCache::new(64);
-    BufferCache::put(&mut cache, 4_321, BlockData::Opaque(fp), true);
+    cache.insert(4_321, BlockData::Opaque(fp), true);
     let bytes = encoded(|e| Wire::put(&cache, e, &mut { BLOCKS }));
     let at = find_once(
         &bytes,

@@ -144,7 +144,7 @@ impl BufferCache {
 
     /// Inserts or updates a block. Returns any dirty block evicted to make
     /// room (the caller must write it back).
-    pub fn put(&mut self, vba: u64, data: BlockData, dirty: bool) -> Option<(u64, BlockData)> {
+    pub fn insert(&mut self, vba: u64, data: BlockData, dirty: bool) -> Option<(u64, BlockData)> {
         if let Some(s) = self.map.get(vba) {
             let s = s as Slot;
             let node = &mut self.slab[s as usize];
@@ -254,7 +254,7 @@ impl BufferCache {
 }
 
 /// Blocks in LRU→MRU order, under the disk's block count as the side
-/// table: decode replays them through [`BufferCache::put`], so the recency
+/// table: decode replays them through [`BufferCache::insert`], so the recency
 /// list, slab and dirty count come back identical without serializing the
 /// intrusive links, and refuses a block at or beyond the disk before the
 /// table is sized by it. Hand-written for that replay.
@@ -296,7 +296,7 @@ impl ckptstore::Wire<u64> for BufferCache {
             if c.contains(vba) {
                 return Err(DecodeError::Invalid("duplicate cached vba"));
             }
-            BufferCache::put(&mut c, vba, data, dirty);
+            c.insert(vba, data, dirty);
         }
         c.hits = hits;
         c.misses = misses;
@@ -316,7 +316,7 @@ mod tests {
     fn hit_and_miss_counting() {
         let mut c = BufferCache::new(4);
         assert!(c.read(1).is_none());
-        c.put(1, d(10), false);
+        c.insert(1, d(10), false);
         assert_eq!(c.read(1), Some(d(10)));
         assert_eq!((c.hits, c.misses), (1, 1));
     }
@@ -324,11 +324,11 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_clean_block() {
         let mut c = BufferCache::new(3);
-        c.put(1, d(1), false);
-        c.put(2, d(2), false);
-        c.put(3, d(3), false);
+        c.insert(1, d(1), false);
+        c.insert(2, d(2), false);
+        c.insert(3, d(3), false);
         let _ = c.read(1); // 1 is now MRU; LRU is 2.
-        c.put(4, d(4), false);
+        c.insert(4, d(4), false);
         assert!(c.contains(1));
         assert!(!c.contains(2), "2 was LRU");
         assert!(c.contains(3) && c.contains(4));
@@ -337,9 +337,9 @@ mod tests {
     #[test]
     fn dirty_eviction_hands_block_back_for_writeback() {
         let mut c = BufferCache::new(2);
-        assert!(c.put(1, d(1), true).is_none());
-        assert!(c.put(2, d(2), true).is_none());
-        let ev = c.put(3, d(3), true);
+        assert!(c.insert(1, d(1), true).is_none());
+        assert!(c.insert(2, d(2), true).is_none());
+        let ev = c.insert(3, d(3), true);
         assert_eq!(ev, Some((1, d(1))), "LRU dirty block must be written back");
         assert_eq!(c.dirty_count(), 2);
     }
@@ -347,10 +347,10 @@ mod tests {
     #[test]
     fn clean_blocks_preferred_for_eviction() {
         let mut c = BufferCache::new(3);
-        c.put(1, d(1), true);
-        c.put(2, d(2), false);
-        c.put(3, d(3), true);
-        let ev = c.put(4, d(4), false);
+        c.insert(1, d(1), true);
+        c.insert(2, d(2), false);
+        c.insert(3, d(3), true);
+        let ev = c.insert(4, d(4), false);
         assert!(ev.is_none(), "clean block 2 evicted silently");
         assert!(c.contains(1) && c.contains(3) && c.contains(4));
     }
@@ -358,9 +358,9 @@ mod tests {
     #[test]
     fn take_dirty_cleans_and_returns_lru_first() {
         let mut c = BufferCache::new(4);
-        c.put(1, d(1), true);
-        c.put(2, d(2), false);
-        c.put(3, d(3), true);
+        c.insert(1, d(1), true);
+        c.insert(2, d(2), false);
+        c.insert(3, d(3), true);
         let taken = c.take_dirty(10);
         assert_eq!(taken, vec![(1, d(1)), (3, d(3))]);
         assert_eq!(c.dirty_count(), 0);
@@ -370,8 +370,8 @@ mod tests {
     #[test]
     fn overwrite_marks_dirty_once() {
         let mut c = BufferCache::new(4);
-        c.put(1, d(1), true);
-        c.put(1, d(2), true);
+        c.insert(1, d(1), true);
+        c.insert(1, d(2), true);
         assert_eq!(c.dirty_count(), 1);
         assert_eq!(c.read(1), Some(d(2)));
     }
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn invalidate_removes_and_uncounts() {
         let mut c = BufferCache::new(4);
-        c.put(1, d(1), true);
+        c.insert(1, d(1), true);
         c.invalidate(1);
         assert!(!c.contains(1));
         assert_eq!(c.dirty_count(), 0);
@@ -407,8 +407,8 @@ mod tests {
         for i in 0..40_000u64 {
             let vba = (i * 7919) % 5_000;
             let dirty = i % 3 != 0;
-            let ev = grown.put(vba, d(i), dirty);
-            assert_eq!(ev, reserved.put(vba, d(i), dirty), "eviction differs at op {i}");
+            let ev = grown.insert(vba, d(i), dirty);
+            assert_eq!(ev, reserved.insert(vba, d(i), dirty), "eviction differs at op {i}");
             evictions += ev.is_some() as u32;
             let probe = (i * 31) % 5_000;
             assert_eq!(grown.read(probe), reserved.read(probe));
@@ -440,7 +440,7 @@ mod tests {
     fn heavy_churn_preserves_capacity_invariant() {
         let mut c = BufferCache::new(64);
         for i in 0..10_000u64 {
-            let _ = c.put(i % 200, d(i), i % 3 == 0);
+            let _ = c.insert(i % 200, d(i), i % 3 == 0);
             let _ = c.read(i % 97);
             assert!(c.len() <= 64);
             if i % 50 == 0 {

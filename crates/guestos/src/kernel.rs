@@ -410,7 +410,7 @@ impl Kernel {
         match info.kind {
             BatchKind::Read => {
                 for (vba, data) in read_data {
-                    if let Some((wb_vba, wb_data)) = self.cache.put(vba, data, false) {
+                    if let Some((wb_vba, wb_data)) = self.cache.insert(vba, data, false) {
                         // Filling the cache displaced a dirty block; write
                         // it back asynchronously.
                         self.start_writeback(Some(vec![(wb_vba, wb_data)]));
@@ -789,7 +789,7 @@ impl Kernel {
                     }
                     let mut forced = Vec::new();
                     for w in bitmap_writes {
-                        if let Some(ev) = self.cache.put(w.vba, w.data, true) {
+                        if let Some(ev) = self.cache.insert(w.vba, w.data, true) {
                             forced.push(ev);
                         }
                     }
@@ -871,7 +871,7 @@ impl Kernel {
         };
         let mut forced = Vec::new();
         for w in writes {
-            if let Some(ev) = self.cache.put(w.vba, w.data, true) {
+            if let Some(ev) = self.cache.insert(w.vba, w.data, true) {
                 forced.push(ev);
             }
         }

@@ -182,7 +182,7 @@ fn cache_honors_capacity_and_dirty_accounting() {
                     if dirty || dirty_owned.contains_key(&vba) {
                         dirty_owned.insert(vba, d);
                     }
-                    if let Some((ev_vba, ev_data)) = cache.put(vba, BlockData::Opaque(d), dirty) {
+                    if let Some((ev_vba, ev_data)) = cache.insert(vba, BlockData::Opaque(d), dirty) {
                         // An evicted dirty block must carry its latest data.
                         let want = dirty_owned.remove(&ev_vba).expect("evicted block was dirty");
                         assert_eq!(ev_data, BlockData::Opaque(want), "case {case}");

@@ -31,10 +31,12 @@
 //!
 //! Aggregates answer *how much*; the bounded [trace ring](ring) answers
 //! *what happened when*. Components register a [`TrackId`] (one
-//! `(host, subsystem)` timeline row) and [`TraceTag`]s once, then emit
-//! begin/end/instant events against [`SimTime`] through
-//! [`Telemetry::trace_begin`] and friends — a `Copy` record into a
-//! fixed-capacity overwrite-oldest ring, nothing allocated. The ring
+//! `(host, subsystem)` timeline row) and [`TraceTag`]s once, by
+//! `&'static` name, then emit begin/end/instant events against
+//! [`SimTime`] through [`Telemetry::trace_begin`] and friends — a `Copy`
+//! record into a fixed-capacity overwrite-oldest ring, nothing allocated.
+//! Readers borrow the ring ([`Telemetry::trace_view`]) and resolve events
+//! in place, nothing allocated per event either. The ring
 //! exports as flat CSV ([`Telemetry::trace_to_csv`]) and as Chrome
 //! trace-event / Perfetto JSON ([`Telemetry::trace_to_perfetto`]), and
 //! the [`audit`] module walks the guest tracks to mechanically check the
@@ -55,7 +57,7 @@ pub mod ring;
 
 pub use ring::{TraceEvent, TracePhase, TraceTag, TrackId};
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
@@ -64,7 +66,7 @@ use std::rc::Rc;
 use crate::stats;
 use crate::time::{SimDuration, SimTime};
 
-use ring::{json_escape, format_ts_us, RawEvent, Ring};
+use ring::{JsonEscaped, RawEvent, Ring, TsUs};
 
 /// Handle to a counter slot. Obtained from [`Telemetry::counter`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -362,10 +364,10 @@ struct Inner {
     span_index: HashMap<String, usize>,
     span_log: Vec<(SpanId, SimTime, SimTime)>,
     span_log_dropped: u64,
-    tracks: Vec<(u32, String)>,
-    track_index: HashMap<(u32, String), usize>,
-    tag_names: Vec<String>,
-    tag_index: HashMap<String, usize>,
+    tracks: Vec<(u32, &'static str)>,
+    track_index: HashMap<(u32, &'static str), usize>,
+    tag_names: Vec<&'static str>,
+    tag_index: HashMap<&'static str, usize>,
     ring: Ring,
     /// Dispatch-order stamp applied to trace events (see
     /// [`RawEvent::order`]); the sharded engine sets it per dispatch.
@@ -475,27 +477,29 @@ impl Telemetry {
 
     /// Registers (or looks up) a trace track: one `(host, subsystem)`
     /// timeline row in the Perfetto export (`pid` = host, `tid` =
-    /// subsystem).
-    pub fn track(&self, host: u32, subsystem: &str) -> TrackId {
+    /// subsystem). The name is `'static` (a [`names`] constant) so that
+    /// a resolved [`TraceEvent`] can carry it without a copy.
+    pub fn track(&self, host: u32, subsystem: &'static str) -> TrackId {
         let mut r = self.inner.borrow_mut();
-        if let Some(&i) = r.track_index.get(&(host, subsystem.to_string())) {
+        if let Some(&i) = r.track_index.get(&(host, subsystem)) {
             return TrackId(i);
         }
         let i = r.tracks.len();
-        r.tracks.push((host, subsystem.to_string()));
-        r.track_index.insert((host, subsystem.to_string()), i);
+        r.tracks.push((host, subsystem));
+        r.track_index.insert((host, subsystem), i);
         TrackId(i)
     }
 
-    /// Registers (or looks up) an interned trace event name.
-    pub fn trace_tag(&self, name: &str) -> TraceTag {
+    /// Registers (or looks up) an interned trace event name (`'static`,
+    /// as for [`Telemetry::track`]).
+    pub fn trace_tag(&self, name: &'static str) -> TraceTag {
         let mut r = self.inner.borrow_mut();
         if let Some(&i) = r.tag_index.get(name) {
             return TraceTag(i);
         }
         let i = r.tag_names.len();
-        r.tag_names.push(name.to_string());
-        r.tag_index.insert(name.to_string(), i);
+        r.tag_names.push(name);
+        r.tag_index.insert(name, i);
         TraceTag(i)
     }
 
@@ -702,12 +706,14 @@ impl Telemetry {
         }
         // Trace ring: remap interned ids, then restore dispatch order.
         let mut events: Vec<RawEvent> = Vec::new();
+        let mut dropped = 0;
         for part in parts {
             let p = part.inner.borrow();
+            dropped += p.ring.dropped();
             for ev in p.ring.iter() {
-                let (host, ref sub) = p.tracks[ev.track];
+                let (host, sub) = p.tracks[ev.track];
                 let track = merged.track(host, sub);
-                let tag = merged.trace_tag(&p.tag_names[ev.tag]);
+                let tag = merged.trace_tag(p.tag_names[ev.tag]);
                 events.push(RawEvent {
                     track: track.0,
                     tag: tag.0,
@@ -724,6 +730,7 @@ impl Telemetry {
             for ev in events {
                 m.ring.push(ev);
             }
+            m.ring.add_dropped(dropped);
         }
         merged
     }
@@ -741,24 +748,20 @@ impl Telemetry {
         self.inner.borrow().ring.dropped()
     }
 
-    /// Resolves the retained ring into owned [`TraceEvent`]s,
-    /// oldest-first in record order.
+    /// Borrows the retained ring for reading in place: see
+    /// [`TraceView`]. Record nothing while the view is alive.
+    pub fn trace_view(&self) -> TraceView<'_> {
+        TraceView {
+            r: self.inner.borrow(),
+        }
+    }
+
+    /// Copies the retained ring into a `Vec` of [`TraceEvent`]s,
+    /// oldest-first in record order: one allocation, none per event.
+    /// Readers that walk the ring once need no copy: see
+    /// [`Telemetry::trace_view`].
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        let r = self.inner.borrow();
-        r.ring
-            .iter()
-            .map(|ev| {
-                let (host, ref subsystem) = r.tracks[ev.track];
-                TraceEvent {
-                    at: ev.at,
-                    host,
-                    subsystem: subsystem.clone(),
-                    name: r.tag_names[ev.tag].clone(),
-                    phase: ev.phase,
-                    arg: ev.arg,
-                }
-            })
-            .collect()
+        self.trace_view().iter().collect()
     }
 
     /// Current value of a counter, if registered.
@@ -886,20 +889,22 @@ impl Telemetry {
     /// `ts_ns,host,subsystem,name,phase,arg`, oldest-first in record
     /// order.
     pub fn trace_to_csv(&self) -> String {
-        let mut out = String::from("ts_ns,host,subsystem,name,phase,arg\n");
-        for ev in self.trace_events() {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{}",
-                ev.at.as_nanos(),
-                ev.host,
-                ev.subsystem,
-                ev.name,
-                ev.phase.code(),
-                ev.arg
-            );
-        }
-        out
+        sized(|out| {
+            out.write_str("ts_ns,host,subsystem,name,phase,arg\n")?;
+            for ev in self.trace_view().iter() {
+                writeln!(
+                    out,
+                    "{},{},{},{},{},{}",
+                    ev.at.as_nanos(),
+                    ev.host,
+                    ev.subsystem,
+                    ev.name,
+                    ev.phase.code(),
+                    ev.arg
+                )?;
+            }
+            Ok(())
+        })
     }
 
     /// Exports the trace ring as Chrome trace-event JSON loadable by
@@ -913,76 +918,141 @@ impl Telemetry {
     /// event interleaving.
     pub fn trace_to_perfetto(&self) -> String {
         let r = self.inner.borrow();
-        let mut by_host: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
-        for (host, sub) in &r.tracks {
-            by_host.entry(*host).or_default().push(sub);
+        let mut by_host: BTreeMap<u32, Vec<(&str, usize)>> = BTreeMap::new();
+        for (i, &(host, sub)) in r.tracks.iter().enumerate() {
+            by_host.entry(host).or_default().push((sub, i));
         }
-        let mut tid_of: HashMap<(u32, &str), usize> = HashMap::new();
-        for (host, subs) in by_host.iter_mut() {
+        // `tid` of each registered track, by track index.
+        let mut tid_of = vec![0; r.tracks.len()];
+        for subs in by_host.values_mut() {
             subs.sort_unstable();
-            for (i, sub) in subs.iter().enumerate() {
-                tid_of.insert((*host, *sub), i + 1);
+            for (tid, &(_, track)) in subs.iter().enumerate() {
+                tid_of[track] = tid + 1;
             }
         }
-        let mut entries: Vec<String> = Vec::with_capacity(r.ring.len() + r.tracks.len() + 8);
-        for (host, subs) in &by_host {
-            entries.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{host},\"tid\":0,\
-                 \"args\":{{\"name\":\"host-{host}\"}}}}"
-            ));
-            for (i, sub) in subs.iter().enumerate() {
-                entries.push(format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{host},\"tid\":{},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    i + 1,
-                    json_escape(sub)
-                ));
+        sized(|out| {
+            out.write_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
+            let mut sep = "";
+            for (host, subs) in &by_host {
+                write!(
+                    out,
+                    "{sep}{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{host},\"tid\":0,\
+                     \"args\":{{\"name\":\"host-{host}\"}}}}"
+                )?;
+                sep = ",";
+                for (i, &(sub, _)) in subs.iter().enumerate() {
+                    write!(
+                        out,
+                        ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{host},\"tid\":{},\
+                         \"args\":{{\"name\":\"{}\"}}}}",
+                        i + 1,
+                        JsonEscaped(sub)
+                    )?;
+                }
             }
-        }
-        for ev in r.ring.iter() {
-            let (host, ref sub) = r.tracks[ev.track];
-            let tid = tid_of[&(host, sub.as_str())];
-            let name = json_escape(&r.tag_names[ev.tag]);
-            let ts = format_ts_us(ev.at.as_nanos());
-            let entry = match ev.phase {
-                TracePhase::Begin => format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"B\",\"ts\":{ts},\"pid\":{host},\
-                     \"tid\":{tid},\"args\":{{\"arg\":{}}}}}",
-                    ev.arg
-                ),
-                TracePhase::End => format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"E\",\"ts\":{ts},\"pid\":{host},\
-                     \"tid\":{tid},\"args\":{{\"arg\":{}}}}}",
-                    ev.arg
-                ),
-                TracePhase::Instant => format!(
-                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"ts\":{ts},\"pid\":{host},\
-                     \"tid\":{tid},\"s\":\"t\",\"args\":{{\"arg\":{}}}}}",
-                    ev.arg
-                ),
-                TracePhase::FlowStart => format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{},\
-                     \"ts\":{ts},\"pid\":{host},\"tid\":{tid}}}",
-                    ev.arg
-                ),
-                TracePhase::FlowStep => format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"t\",\"id\":{},\
-                     \"ts\":{ts},\"pid\":{host},\"tid\":{tid}}}",
-                    ev.arg
-                ),
-                TracePhase::FlowEnd => format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\
-                     \"id\":{},\"ts\":{ts},\"pid\":{host},\"tid\":{tid}}}",
-                    ev.arg
-                ),
-            };
-            entries.push(entry);
-        }
-        format!(
-            "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{}]}}",
-            entries.join(",")
-        )
+            for ev in r.ring.iter() {
+                let (host, tid, arg) = (r.tracks[ev.track].0, tid_of[ev.track], ev.arg);
+                let name = JsonEscaped(r.tag_names[ev.tag]);
+                let ts = TsUs(ev.at.as_nanos());
+                match ev.phase {
+                    TracePhase::Begin => write!(
+                        out,
+                        "{sep}{{\"name\":\"{name}\",\"ph\":\"B\",\"ts\":{ts},\"pid\":{host},\
+                         \"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}"
+                    ),
+                    TracePhase::End => write!(
+                        out,
+                        "{sep}{{\"name\":\"{name}\",\"ph\":\"E\",\"ts\":{ts},\"pid\":{host},\
+                         \"tid\":{tid},\"args\":{{\"arg\":{arg}}}}}"
+                    ),
+                    TracePhase::Instant => write!(
+                        out,
+                        "{sep}{{\"name\":\"{name}\",\"ph\":\"i\",\"ts\":{ts},\"pid\":{host},\
+                         \"tid\":{tid},\"s\":\"t\",\"args\":{{\"arg\":{arg}}}}}"
+                    ),
+                    TracePhase::FlowStart => write!(
+                        out,
+                        "{sep}{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{arg},\
+                         \"ts\":{ts},\"pid\":{host},\"tid\":{tid}}}"
+                    ),
+                    TracePhase::FlowStep => write!(
+                        out,
+                        "{sep}{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"t\",\"id\":{arg},\
+                         \"ts\":{ts},\"pid\":{host},\"tid\":{tid}}}"
+                    ),
+                    TracePhase::FlowEnd => write!(
+                        out,
+                        "{sep}{{\"name\":\"{name}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\
+                         \"id\":{arg},\"ts\":{ts},\"pid\":{host},\"tid\":{tid}}}"
+                    ),
+                }?;
+                sep = ",";
+            }
+            out.write_str("]}")
+        })
     }
+}
+
+/// A read borrow of the trace ring, from [`Telemetry::trace_view`]: the
+/// readers (the transparency audit, the shadow replays, the exports) walk
+/// the ring where it is, resolving each event to a `Copy` [`TraceEvent`]
+/// on the fly — nothing is copied and nothing is allocated per event. The
+/// registry stays borrowed while the view lives, so recording into it
+/// then panics.
+pub struct TraceView<'a> {
+    r: Ref<'a, Inner>,
+}
+
+impl TraceView<'_> {
+    /// Number of retained events.
+    pub fn len(&self) -> usize {
+        self.r.ring.len()
+    }
+
+    /// True when the ring holds no event.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th retained event, oldest-first in record order.
+    pub fn get(&self, i: usize) -> TraceEvent {
+        self.resolve(self.r.ring.get(i))
+    }
+
+    /// Every retained event, oldest-first in record order.
+    pub fn iter(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.r.ring.iter().map(|ev| self.resolve(ev))
+    }
+
+    fn resolve(&self, ev: &RawEvent) -> TraceEvent {
+        let (host, subsystem) = self.r.tracks[ev.track];
+        TraceEvent {
+            at: ev.at,
+            host,
+            subsystem,
+            name: self.r.tag_names[ev.tag],
+            phase: ev.phase,
+            arg: ev.arg,
+        }
+    }
+}
+
+/// Renders a document twice: once into a byte counter, then into a
+/// `String` of exactly that capacity, so an export makes one allocation
+/// of its own size rather than a chain of doublings.
+fn sized(render: impl Fn(&mut dyn fmt::Write) -> fmt::Result) -> String {
+    struct Count(usize);
+    impl fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut n = Count(0);
+    let _ = render(&mut n);
+    let mut out = String::with_capacity(n.0);
+    let _ = render(&mut out);
+    out
 }
 
 impl fmt::Debug for Telemetry {
@@ -1207,6 +1277,22 @@ mod tests {
         assert_eq!(t.trace_dropped(), 12);
         let args: Vec<i64> = t.trace_events().iter().map(|e| e.arg).collect();
         assert_eq!(args, (12..20).collect::<Vec<i64>>());
+    }
+
+    #[test]
+    fn merged_registry_counts_what_its_shards_dropped() {
+        let shards = [Telemetry::new(), Telemetry::new()];
+        for (i, t) in shards.iter().enumerate() {
+            let tr = t.track(i as u32, "guest");
+            let tag = t.trace_tag("guest.tick");
+            t.set_trace_capacity(4);
+            for n in 0..(4 + 3 * i as u64) {
+                t.trace_instant(tr, tag, SimTime::from_nanos(n), 0);
+            }
+        }
+        let merged = Telemetry::merge_shards(&shards);
+        assert_eq!(merged.trace_len(), 8);
+        assert_eq!(merged.trace_dropped(), 3, "shard 1 overwrote three events");
     }
 
     #[test]

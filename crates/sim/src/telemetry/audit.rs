@@ -23,14 +23,18 @@
 //!    guest time advances by at most real (simulation) time plus
 //!    `MAX_WALL_EXCESS_NS` (5 ms); guest time may pause
 //!    (concealment) but never runs visibly ahead.
+//!
+//! The invariants are only as good as the stream they read, so a ring
+//! that overwrote events fails the audit outright
+//! ([`AuditViolation::TraceTruncated`]): the surviving suffix cannot
+//! vouch for what it lost.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimTime;
 
 use super::names;
-use super::ring::{TraceEvent, TracePhase};
+use super::ring::TracePhase;
 use super::Telemetry;
 
 // Thresholds for the transparency invariants. They accommodate the
@@ -82,6 +86,9 @@ pub enum AuditViolation {
         guest_delta_ns: i64,
         real_delta_ns: i64,
     },
+    /// The trace ring overwrote `dropped` events, so the audit saw only
+    /// the surviving suffix of the guests' clock streams.
+    TraceTruncated { dropped: u64 },
 }
 
 impl AuditViolation {
@@ -92,16 +99,19 @@ impl AuditViolation {
             AuditViolation::VisibleResumeStep { .. } => "visible_resume_step",
             AuditViolation::JiffiesJump { .. } => "jiffies_jump",
             AuditViolation::WallClockStep { .. } => "wall_clock_step",
+            AuditViolation::TraceTruncated { .. } => "trace_truncated",
         }
     }
 
-    /// The host the violation occurred on.
-    pub fn host(&self) -> u32 {
+    /// The host the violation occurred on (`None` for a truncated ring,
+    /// which concerns every host).
+    pub fn host(&self) -> Option<u32> {
         match *self {
             AuditViolation::BackwardClockStep { host, .. }
             | AuditViolation::VisibleResumeStep { host, .. }
             | AuditViolation::JiffiesJump { host, .. }
-            | AuditViolation::WallClockStep { host, .. } => host,
+            | AuditViolation::WallClockStep { host, .. } => Some(host),
+            AuditViolation::TraceTruncated { .. } => None,
         }
     }
 }
@@ -129,6 +139,10 @@ impl fmt::Display for AuditViolation {
                 f,
                 "wall_clock_step on host {host} at {}ns: guest advanced {guest_delta_ns}ns in {real_delta_ns}ns of real time",
                 at.as_nanos()
+            ),
+            AuditViolation::TraceTruncated { dropped } => write!(
+                f,
+                "trace_truncated: the ring dropped {dropped} events, so only its surviving suffix was audited"
             ),
         }
     }
@@ -176,29 +190,37 @@ impl AuditReport {
     }
 }
 
-/// Audits the registry's trace ring.
+/// Audits the registry's trace ring, in place.
 pub fn audit_transparency(t: &Telemetry) -> AuditReport {
-    let events = t.trace_events();
-    // Per-host guest streams, in time order. The ring records in event
-    // order, which is time order except for events deliberately stamped
-    // in the near future, so a stable sort by time normalizes it.
-    let mut per_host: BTreeMap<u32, Vec<&TraceEvent>> = BTreeMap::new();
-    for ev in &events {
-        if ev.subsystem == names::TRACK_GUEST {
-            per_host.entry(ev.host).or_default().push(ev);
-        }
+    let mut report = AuditReport::default();
+    let dropped = t.trace_dropped();
+    if dropped > 0 {
+        report.violations.push(AuditViolation::TraceTruncated { dropped });
     }
-    let mut report = AuditReport {
-        hosts_audited: per_host.len(),
-        ..AuditReport::default()
-    };
-    for (host, mut evs) in per_host {
-        evs.sort_by_key(|e| e.at);
+    let trace = t.trace_view();
+    // The guest events' ring indices, grouped by host and in time order
+    // within a host. The ring records in event order, which is time order
+    // except for events deliberately stamped in the near future; the index
+    // as the last key keeps record order among equal times, as a stable
+    // sort would, without a sort buffer.
+    let is_guest = |i: &u32| trace.get(*i as usize).subsystem == names::TRACK_GUEST;
+    let n = trace.len() as u32;
+    let mut guest: Vec<u32> = Vec::with_capacity((0..n).filter(is_guest).count());
+    guest.extend((0..n).filter(is_guest));
+    guest.sort_unstable_by_key(|&i| {
+        let ev = trace.get(i as usize);
+        (ev.host, ev.at, i)
+    });
+    let host_of = |i: &u32| trace.get(*i as usize).host;
+    for evs in guest.chunk_by(|a, b| host_of(a) == host_of(b)) {
+        report.hosts_audited += 1;
+        let host = host_of(&evs[0]);
         // (real time, guest time) of the previous observation.
         let mut prev: Option<(SimTime, i64)> = None;
         let mut prev_tick: Option<i64> = None;
         let mut fw_closed_at: Option<i64> = None;
-        for ev in evs {
+        for &i in evs {
+            let ev = trace.get(i as usize);
             let guest_ns = ev.arg;
             if let Some((prev_at, prev_guest)) = prev {
                 if guest_ns < prev_guest {
@@ -221,7 +243,7 @@ pub fn audit_transparency(t: &Telemetry) -> AuditReport {
                 }
             }
             prev = Some((ev.at, guest_ns));
-            match (ev.name.as_str(), ev.phase) {
+            match (ev.name, ev.phase) {
                 (names::EV_GUEST_TICK, _) => {
                     report.ticks += 1;
                     if let Some(pt) = prev_tick {
@@ -315,7 +337,7 @@ mod tests {
         let rep = audit_transparency(&t);
         assert!(!rep.passed());
         assert_eq!(rep.violations[0].name(), "backward_clock_step");
-        assert_eq!(rep.violations[0].host(), 1);
+        assert_eq!(rep.violations[0].host(), Some(1));
         match rep.violations[0] {
             AuditViolation::BackwardClockStep { prev_guest_ns, guest_ns, .. } => {
                 assert_eq!((prev_guest_ns, guest_ns), (10_000_000, 4_000_000));
@@ -350,6 +372,23 @@ mod tests {
         let rep = audit_transparency(&t);
         assert_eq!(rep.violations.len(), 1);
         assert_eq!(rep.violations[0].name(), "wall_clock_step");
+    }
+
+    #[test]
+    fn a_truncated_ring_never_passes() {
+        let (t, g) = rig();
+        let tick = t.trace_tag(names::EV_GUEST_TICK);
+        t.set_trace_capacity(8);
+        // Twenty clean ticks, 10 ms apart in both clocks: the ring keeps
+        // the last eight, each of which would pass on its own.
+        for i in 1..=20u64 {
+            t.trace_instant(g, tick, ms(10 * i), 10_000_000 * i as i64);
+        }
+        let rep = audit_transparency(&t);
+        assert_eq!(rep.violations, vec![AuditViolation::TraceTruncated { dropped: 12 }]);
+        assert_eq!(rep.violations[0].host(), None);
+        assert_eq!(rep.ticks, 8, "the surviving suffix is still audited");
+        assert!(rep.verdict().starts_with("FAIL: 1 violations"), "{}", rep.verdict());
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub fn analyze(events: &[TraceEvent]) -> Vec<EpochPath> {
 
     for ev in events {
         let ns = ev.at.as_nanos();
-        match (ev.name.as_str(), ev.phase) {
+        match (ev.name, ev.phase) {
             (names::EV_EPOCH, TracePhase::Begin) => {
                 open.insert(
                     (ev.host, ev.arg as u32),
@@ -222,12 +222,12 @@ mod tests {
     use super::*;
     use crate::time::SimTime;
 
-    fn ev(host: u32, name: &str, phase: TracePhase, at_ns: u64, arg: i64) -> TraceEvent {
+    fn ev(host: u32, name: &'static str, phase: TracePhase, at_ns: u64, arg: i64) -> TraceEvent {
         TraceEvent {
             at: SimTime::from_nanos(at_ns),
             host,
-            subsystem: "test".into(),
-            name: name.into(),
+            subsystem: "test",
+            name,
             phase,
             arg,
         }

@@ -15,6 +15,8 @@
 //!
 //! [`Telemetry`]: super::Telemetry
 
+use std::fmt::{self, Write as _};
+
 use crate::time::SimTime;
 
 /// Handle to a trace track: one `(host, subsystem)` timeline row.
@@ -82,17 +84,20 @@ pub(super) struct RawEvent {
 }
 
 /// A resolved trace event, as returned by
-/// [`Telemetry::trace_events`](super::Telemetry::trace_events).
-#[derive(Clone, Debug)]
+/// [`Telemetry::trace_events`](super::Telemetry::trace_events) and
+/// [`TraceView`](super::TraceView). `Copy`: the names are the
+/// registry's own `&'static str`s, so resolving an event allocates
+/// nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual time of the event.
     pub at: SimTime,
     /// Host (process) the event belongs to.
     pub host: u32,
     /// Subsystem (thread) within the host.
-    pub subsystem: String,
+    pub subsystem: &'static str,
     /// Event name.
-    pub name: String,
+    pub name: &'static str,
     /// Begin / End / Instant.
     pub phase: TracePhase,
     /// Event argument (meaning is per-name: a guest-clock reading, a
@@ -153,6 +158,21 @@ impl Ring {
         self.dropped
     }
 
+    /// Adds `n` events lost elsewhere (a shard ring that overflowed before
+    /// a merge) to the drop count.
+    pub(super) fn add_dropped(&mut self, n: u64) {
+        self.dropped += n;
+    }
+
+    /// The `i`-th retained event, oldest-first.
+    pub(super) fn get(&self, i: usize) -> &RawEvent {
+        let (newer, older) = self.buf.split_at(self.head);
+        match older.get(i) {
+            Some(ev) => ev,
+            None => &newer[i - older.len()],
+        }
+    }
+
     /// Changes the capacity, keeping the newest events that still fit.
     pub(super) fn set_capacity(&mut self, cap: usize) {
         let events: Vec<RawEvent> = self.iter().copied().collect();
@@ -173,27 +193,34 @@ impl Ring {
     }
 }
 
-/// Minimal JSON string escaping for names we emit into the Perfetto
-/// export (our names are plain identifiers, but a stray quote must not
-/// corrupt the document).
-pub(super) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Displays a name as JSON string content (no quotes), for the names we
+/// emit into the Perfetto export (our names are plain identifiers, but a
+/// stray quote must not corrupt the document).
+pub(super) struct JsonEscaped<'a>(pub &'a str);
+
+impl fmt::Display for JsonEscaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
+        Ok(())
     }
-    out
 }
 
-/// Formats nanoseconds as the microsecond `ts` value Chrome trace JSON
+/// Displays nanoseconds as the microsecond `ts` value Chrome trace JSON
 /// expects, with the sub-microsecond remainder as three decimal digits.
 /// Pure integer formatting: byte-identical across platforms.
-pub(super) fn format_ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+pub(super) struct TsUs(pub u64);
+
+impl fmt::Display for TsUs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1_000, self.0 % 1_000)
+    }
 }
 
 #[cfg(test)]
@@ -257,14 +284,27 @@ mod tests {
 
     #[test]
     fn ts_formatting_is_integer_exact() {
-        assert_eq!(format_ts_us(0), "0.000");
-        assert_eq!(format_ts_us(1_234), "1.234");
-        assert_eq!(format_ts_us(20_000_000_007), "20000000.007");
+        assert_eq!(TsUs(0).to_string(), "0.000");
+        assert_eq!(TsUs(1_234).to_string(), "1.234");
+        assert_eq!(TsUs(20_000_000_007).to_string(), "20000000.007");
     }
 
     #[test]
     fn json_escape_handles_specials() {
-        assert_eq!(json_escape("plain.name"), "plain.name");
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        assert_eq!(JsonEscaped("plain.name").to_string(), "plain.name");
+        assert_eq!(JsonEscaped("a\"b\\c\n").to_string(), "a\\\"b\\\\c\\u000a");
+    }
+
+    #[test]
+    fn get_indexes_oldest_first_across_the_wrap() {
+        let mut r = Ring {
+            cap: 4,
+            ..Ring::default()
+        };
+        for i in 0..6 {
+            r.push(ev(i));
+        }
+        let args: Vec<i64> = (0..r.len()).map(|i| r.get(i).arg).collect();
+        assert_eq!(args, vec![2, 3, 4, 5]);
     }
 }

@@ -1,5 +1,6 @@
-//! Allocation budgets for the per-packet path and for a capture, and a
-//! retention budget for a long checkpointed run, checked by the machine.
+//! Allocation budgets for the per-packet path, for a capture and for the
+//! trace readers, and a retention budget for a long checkpointed run,
+//! checked by the machine.
 //!
 //! The two-node shaped-link iperf lab of Fig 6 (`benchmark/`'s
 //! `iperf_ckpt`) transmits about 76,000 frames per simulated second,
@@ -30,8 +31,17 @@
 //! receiver that pushed `(time, bytes)` per delivery read +29.6 MiB
 //! against the 4 MiB budget.
 //!
+//! The trace readers have a budget too: the transparency audit and the
+//! CSV export walk the trace ring where it is, so reading it costs a
+//! constant number of allocations — the audit's per-host index of the
+//! guest events (4 bytes each), the export's one `String` of its own
+//! size — and nothing per event. Resolving the ring into events that
+//! owned their track and tag names cost two `String`s per event: over
+//! 10,275 ring events the audit read 20,576 allocations and the export
+//! 20,566.
+//!
 //! The binary has its own counting `#[global_allocator]`, so it holds
-//! these three tests and nothing else, and they take turns.
+//! these four tests and nothing else, and they take turns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -40,7 +50,7 @@ use std::sync::Mutex;
 use ckptstore::{ImageId, Segment, SEGMENT_SIZE};
 use emulab_checkpoint::emulab::{ExperimentSpec, Testbed};
 use emulab_checkpoint::sim::telemetry::names;
-use emulab_checkpoint::sim::{payload_store_stats, SimDuration};
+use emulab_checkpoint::sim::{audit_transparency, payload_store_stats, SimDuration};
 use emulab_checkpoint::guestos::prog::FileId;
 use emulab_checkpoint::workloads::{FileWriter, IperfReceiver, IperfSender};
 
@@ -180,6 +190,26 @@ fn delivered(tb: &Testbed) -> u64 {
 /// +1.5 MiB this window reads. A receiver that kept a `(time, bytes)`
 /// pair per delivery, copied into every checkpoint image, read +29.6 MiB.
 const MAX_RETAINED_GROWTH: i64 = 4 << 20;
+
+/// Most allocations one read of the trace ring may make, whatever its
+/// length: a reader's own buffers, never one per event.
+const MAX_TRACE_READ_ALLOCS: u64 = 16;
+
+/// Most bytes one read of the trace ring may allocate per guest event,
+/// beyond [`TRACE_READ_FIXED_BYTES`] and, for an export, the document
+/// itself. The audit's index of guest events is 4 per event.
+const MAX_TRACE_READ_BYTES_PER_GUEST_EVENT: u64 = 8;
+
+/// Bytes a read of the trace ring may allocate whatever its length.
+const TRACE_READ_FIXED_BYTES: u64 = 4096;
+
+/// Runs `f`, returning its result with the allocations and bytes it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (allocs0, bytes0) = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let out = f();
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs0;
+    (out, allocs, BYTES.load(Ordering::Relaxed) - bytes0)
+}
 
 #[test]
 fn per_packet_path_stays_within_its_allocation_budget() {
@@ -330,4 +360,53 @@ fn the_iperf_lab_retains_no_state_that_grows_with_simulated_time() {
          copied into every checkpoint image as well)",
         mib(growth)
     );
+}
+
+#[test]
+fn reading_the_trace_ring_allocates_nothing_per_event() {
+    let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // About 10 sim-s of the iperf lab under 2 s checkpoints.
+    let mut tb = iperf_lab();
+    tb.run_for(SimDuration::from_secs(1));
+    tb.start_periodic_checkpoints(SimDuration::from_secs(2));
+    tb.run_for(SimDuration::from_secs(9));
+    let t = tb.telemetry();
+    let events = t.trace_events();
+    let guest = events.iter().filter(|e| e.subsystem == names::TRACK_GUEST).count() as u64;
+    let ring = events.len();
+    drop(events);
+    assert_eq!(t.trace_dropped(), 0, "the ring must hold the whole run");
+
+    let (report, audit_allocs, audit_bytes) = counted(|| audit_transparency(t));
+    let (csv, csv_allocs, csv_bytes) = counted(|| t.trace_to_csv());
+    let csv_len = csv.len() as u64;
+    drop(csv);
+
+    let budget = TRACE_READ_FIXED_BYTES + MAX_TRACE_READ_BYTES_PER_GUEST_EVENT * guest;
+    println!(
+        "alloc_budget: {ring} ring events, {guest} on guest tracks; the audit made \
+         {audit_allocs} allocations of {audit_bytes} bytes, the CSV export {csv_allocs} of \
+         {csv_bytes} bytes for a {csv_len}-byte document (budget <= {MAX_TRACE_READ_ALLOCS} \
+         allocations and {TRACE_READ_FIXED_BYTES} + {MAX_TRACE_READ_BYTES_PER_GUEST_EVENT} x \
+         {guest} = {budget} bytes beyond the document); {}",
+        report.verdict()
+    );
+    assert!(report.passed() && report.firewall_cycles >= 4, "{}", report.verdict());
+    assert!(guest > 1_000, "{guest} guest events: the guests must be tracing");
+    let reads = [
+        ("audit", audit_allocs, audit_bytes),
+        ("CSV export", csv_allocs, csv_bytes - csv_len),
+    ];
+    for (what, allocs, bytes) in reads {
+        assert!(
+            allocs <= MAX_TRACE_READ_ALLOCS,
+            "the {what} made {allocs} allocations over {ring} ring events: something \
+             allocates per event (a resolved event that owns its names?)"
+        );
+        assert!(
+            bytes <= budget,
+            "the {what} allocated {bytes} bytes beyond its output for {guest} guest events: \
+             it copies the ring instead of reading it in place"
+        );
+    }
 }
