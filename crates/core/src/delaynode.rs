@@ -10,7 +10,9 @@
 //! component drives the `dummynet` state machine directly.
 
 use clocksync::{NtpClient, NtpResponse};
-use dummynet::{Dummynet, DummynetImage, PipeConfig, PipeId, PipeLog};
+use std::collections::VecDeque;
+
+use dummynet::{Dummynet, DummynetImage, EnqueueOutcome, PipeConfig, PipeId, PipeLog};
 use hwsim::{Frame, HardwareClock, IfaceId, LanTransmit, LinkDeliver, NodeAddr, Wire};
 use sim::buggify;
 use sim::buggify::points as bg_points;
@@ -25,7 +27,6 @@ use crate::participant::{NodeHooks, Participant};
 
 enum DnMsg {
     NtpPoll,
-    PipeWake,
     AgentWake { token: u64 },
     /// The serialization begun as capture number `capture` finished.
     CaptureDone { capture: u64 },
@@ -50,11 +51,31 @@ struct Path {
     pipe: PipeId,
     /// The wire shaped frames leave on; the node is its only sender.
     out: Wire,
+    /// Per frame in `pipe` that may not have left, in FIFO order: its ready
+    /// instant and what `Wire::send_at` returned for it.
+    posted: VecDeque<(SimTime, EventId, SimTime)>,
+}
+
+impl Path {
+    /// Posts `frame`'s delivery, sent on `out` at its `ready` instant.
+    fn post(&mut self, ctx: &mut Ctx<'_>, ready: SimTime, frame: Frame) {
+        let (ev, wire_was) = self.out.send_at(ctx, ready, frame);
+        self.posted.push_back((ready, ev, wire_was));
+    }
+
+    /// Forgets the frames that left by `now`.
+    fn retire(&mut self, now: SimTime) {
+        while self.posted.front().is_some_and(|p| p.0 <= now) {
+            self.posted.pop_front();
+        }
+    }
 }
 
 /// Per-node statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DelayNodeStats {
+    /// Frames whose delivery is posted and not taken back: a read taken
+    /// mid-run includes those still in the pipes (about 9 on Fig 6's link).
     pub forwarded: u64,
     pub checkpoints: u64,
     pub logged_in_flight: u64,
@@ -72,9 +93,8 @@ pub struct DelayNodeHost {
     ntp: NtpClient,
     dn: Dummynet,
     /// The node's paths in the order they were added — a handful, found
-    /// by scanning: by `in_iface` on arrival, by `pipe` on emission.
+    /// by scanning: by `in_iface` on arrival, by `pipe` on a replay.
     paths: Vec<Path>,
-    wake: Option<(SimTime, EventId)>,
     /// End of the post-resume replay window: new arrivals queue behind the
     /// replayed in-flight packets to preserve order (§3.2).
     replay_until: SimTime,
@@ -116,7 +136,6 @@ impl DelayNodeHost {
             ntp: NtpClient::emulab_default(),
             dn: Dummynet::new(),
             paths: Vec::new(),
-            wake: None,
             replay_until: SimTime::ZERO,
             captures: 0,
             capture_bps: 500_000_000,
@@ -133,11 +152,7 @@ impl DelayNodeHost {
     /// `emulab::splice_shaped_link`).
     pub fn add_path(&mut self, in_iface: IfaceId, cfg: PipeConfig, out: Wire) {
         let pipe = self.dn.add_pipe(cfg);
-        let path = Path { in_iface, pipe, out };
-        match self.paths.iter_mut().find(|p| p.in_iface == in_iface) {
-            Some(p) => *p = path,
-            None => self.paths.push(path),
-        }
+        self.paths.push(Path { in_iface, pipe, out, posted: VecDeque::new() });
     }
 
     /// The node's control address.
@@ -183,9 +198,8 @@ impl DelayNodeHost {
         let now = ctx.now();
         if self.dn.suspended() {
             let _ = self.dn.resume(now);
-        }
-        if let Some((_, ev)) = self.wake.take() {
-            ctx.cancel(ev);
+        } else {
+            self.take_back(ctx);
         }
         self.dn = Dummynet::restore(image, now);
         self.dn.suspend(now);
@@ -201,67 +215,71 @@ impl DelayNodeHost {
         ctx.post_self(d, DnMsg::NtpPoll);
     }
 
-    fn reschedule_wake(&mut self, ctx: &mut Ctx<'_>) {
-        if self.dn.suspended() {
-            // Queued packets keep their (stale) deadlines while suspended;
-            // emission restarts at resume, which shifts them by the
-            // downtime. Re-arming here would spin on a past deadline.
-            return;
+    /// Offers `frame` to path `i`'s pipe, posting its delivery if taken;
+    /// first drops what has left, which happens only here and at a take-back.
+    fn shape(&mut self, ctx: &mut Ctx<'_>, i: usize, frame: Frame) {
+        let now = ctx.now();
+        self.dn.drain_ready(now, |_, _| {});
+        let path = &mut self.paths[i];
+        path.retire(now);
+        let outcome = self.dn.enqueue(now, path.pipe, frame.clone(), ctx.rng());
+        if let EnqueueOutcome::Queued { ready } = outcome {
+            self.stats.forwarded += 1;
+            path.post(ctx, ready, frame);
         }
-        let next = self.dn.next_ready();
-        match (next, self.wake) {
-            (None, _) => {}
-            (Some(t), Some((wt, _))) if wt <= t => {}
-            (Some(t), prev) => {
-                if let Some((_, ev)) = prev {
-                    ctx.cancel(ev);
-                }
-                let at = t.max(ctx.now());
-                let ev = ctx.post_at(ctx.self_id(), at, DnMsg::PipeWake);
-                self.wake = Some((at, ev));
+    }
+
+    /// Takes back every delivery whose frame has not left (cancels it and
+    /// rolls the wire back), which needs the plain engine's event ids: the
+    /// pipes then hold exactly those frames, and no wire or event has them.
+    fn take_back(&mut self, ctx: &mut Ctx<'_>) {
+        let now = ctx.now();
+        self.dn.drain_ready(now, |_, _| {});
+        for path in &mut self.paths {
+            path.retire(now);
+            if let Some(&(_, _, wire_was)) = path.posted.front() {
+                path.out.rewind(wire_was);
+            }
+            for (_, ev, _) in path.posted.drain(..) {
+                self.stats.forwarded -= 1;
+                assert!(ctx.cancel(ev), "a delivery not cancelled: delay nodes need the plain engine");
             }
         }
     }
 
-    fn emit_ready(&mut self, ctx: &mut Ctx<'_>) {
-        self.dn.drain_ready(ctx.now(), |pipe, frame| {
-            let path = self
-                .paths
-                .iter_mut()
-                .find(|p| p.pipe == pipe)
-                .expect("pipe has a path");
-            self.stats.forwarded += 1;
-            path.out.send(ctx, frame);
-        });
-        self.wake = None;
-        self.reschedule_wake(ctx);
+    /// Posts what a take-back cancelled, shifted by the downtime: every
+    /// frame in the pipes, path by path in FIFO order.
+    fn post_queued(&mut self, ctx: &mut Ctx<'_>) {
+        for path in &mut self.paths {
+            for (ready, frame) in self.dn.pipe(path.pipe).queued() {
+                self.stats.forwarded += 1;
+                path.post(ctx, ready, frame.clone());
+            }
+        }
     }
 
     fn on_exp_rx(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, frame: Frame) {
-        let Some(pipe) = self.paths.iter().find(|p| p.in_iface == iface).map(|p| p.pipe) else {
+        let Some(i) = self.paths.iter().position(|p| p.in_iface == iface) else {
             return;
         };
         let now = ctx.now();
-        if !self.dn.suspended() && now < self.replay_until {
+        if self.dn.suspended() {
+            self.stats.logged_in_flight += 1;
+        } else if now < self.replay_until {
             // Replay in progress: queue the fresh arrival behind it, paced
             // at roughly wire speed so the replay tail does not become an
             // instantaneous burst that overfills the pipe queue (§3.2).
             self.replay_until += SimDuration::from_micros(12);
-            ctx.post_at(ctx.self_id(), self.replay_until, DnMsg::replay(pipe, frame));
+            ctx.post_at(ctx.self_id(), self.replay_until, DnMsg::replay(self.paths[i].pipe, frame));
             return;
         }
-        let _outcome = self.dn.enqueue(now, pipe, frame, ctx.rng());
-        if self.dn.suspended() {
-            self.stats.logged_in_flight += 1;
-        }
-        self.reschedule_wake(ctx);
+        self.shape(ctx, i, frame);
     }
 
     fn on_ctrl(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
         if let Some(resp) = frame.payload::<NtpResponse>() {
-            let t4 = self.clock.read_ns(ctx.now());
-            let action = self.ntp.on_response(*resp, t4);
             let now = ctx.now();
+            let action = self.ntp.on_response(*resp, self.clock.read_ns(now));
             self.ntp.apply(&mut self.clock, now, action);
             return;
         }
@@ -293,16 +311,9 @@ impl DelayNodeHost {
         }
         self.trace = trace;
         // Suspend Dummynet and serialize non-destructively.
+        self.take_back(ctx);
         self.dn.suspend(ctx.now());
-        {
-            let t = ctx.telemetry();
-            let track = t.track(self.addr.0, names::TRACK_DUMMYNET);
-            let tag = t.trace_tag(names::FLOW_DN_SUSPEND);
-            t.flow_step(track, tag, ctx.now(), self.trace);
-        }
-        if let Some((_, ev)) = self.wake.take() {
-            ctx.cancel(ev);
-        }
+        self.flow_step(ctx, names::FLOW_DN_SUSPEND, ctx.now());
         let image = self.dn.serialize(ctx.now());
         let mut cost = SimDuration::from_millis(1)
             + transmission_time(image.byte_size(), self.capture_bps * 8);
@@ -349,28 +360,24 @@ impl DelayNodeHost {
         }
         let mut prev: Option<SimTime> = None;
         for a in actions {
-            let gap = match prev {
-                Some(p) => a
-                    .at
-                    .saturating_duration_since(p)
-                    .min(SimDuration::from_millis(1)),
-                None => SimDuration::ZERO,
-            };
+            let gap = prev.map_or(SimDuration::ZERO, |p| a.at.saturating_duration_since(p));
             prev = Some(a.at);
-            at += gap;
+            at += gap.min(SimDuration::from_millis(1));
             ctx.post_at(ctx.self_id(), at, DnMsg::replay(a.pipe, a.frame));
         }
         self.replay_until = at;
         // The drain's end: stamped at the replay window's close (the ring
         // tolerates near-future stamps) so the flow arrow lands where the
         // node actually rejoins live traffic.
-        {
-            let t = ctx.telemetry();
-            let track = t.track(self.addr.0, names::TRACK_DUMMYNET);
-            let tag = t.trace_tag(names::FLOW_DN_DRAIN);
-            t.flow_step(track, tag, at, self.trace);
-        }
-        self.reschedule_wake(ctx);
+        self.flow_step(ctx, names::FLOW_DN_DRAIN, at);
+        self.post_queued(ctx);
+    }
+
+    /// Links this node into the current round's cross-host flow at `at`.
+    fn flow_step(&self, ctx: &Ctx<'_>, tag: &'static str, at: SimTime) {
+        let t = ctx.telemetry();
+        let track = t.track(self.addr.0, names::TRACK_DUMMYNET);
+        t.flow_step(track, t.trace_tag(tag), at, self.trace);
     }
 
     fn send_ctrl(&mut self, ctx: &mut Ctx<'_>, msg: BusMsg) {
@@ -447,7 +454,6 @@ impl Component for DelayNodeHost {
                 ctx.post(self.lan, SimDuration::ZERO, LanTransmit { frame });
                 ctx.post_self(self.ntp.next_poll_in(), DnMsg::NtpPoll);
             }
-            DnMsg::PipeWake => self.emit_ready(ctx),
             DnMsg::AgentWake { token } => self.drive(ctx, |p, io| p.on_wake(io, token)),
             DnMsg::CaptureDone { capture } => {
                 if capture == self.captures {
@@ -455,12 +461,167 @@ impl Component for DelayNodeHost {
                 }
             }
             DnMsg::Replay { pipe, frame } => {
-                let now = ctx.now();
-                let _ = self.dn.enqueue(now, PipeId(pipe as usize), frame, ctx.rng());
-                self.reschedule_wake(ctx);
+                let i = self.paths.iter().position(|p| p.pipe.0 == pipe as usize);
+                self.shape(ctx, i.expect("pipe has a path"), frame);
             }
         }
     }
 
     sim::component_boilerplate!();
+}
+
+#[cfg(test)]
+mod tests {
+    use hwsim::Endpoint;
+    use sim::Engine;
+
+    use super::*;
+
+    /// Records each delivered frame's tag with its arrival time.
+    struct Sink {
+        got: Vec<(SimTime, u32)>,
+    }
+
+    impl Component for Sink {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, payload: Payload) {
+            if let Ok(d) = payload.downcast::<LinkDeliver>() {
+                self.got.push((ctx.now(), *d.frame.payload::<u32>().expect("a tagged frame")));
+            }
+        }
+        sim::component_boilerplate!();
+    }
+
+    /// Four 1,000-byte frames per path.
+    const FRAMES: u32 = 4;
+    /// The out-wires' rate: 2 ms a frame, slower than the pipes' 1 ms, so
+    /// frames that have left a pipe still queue on its wire.
+    const WIRE_BPS: u64 = 4_000_000;
+    const PROPAGATION: SimDuration = SimDuration::from_micros(5);
+
+    fn us(n: u64) -> SimTime {
+        SimTime::from_nanos(n * 1_000)
+    }
+
+    /// Path `p`'s frame `k`.
+    fn tag(p: u32, k: u32) -> u32 {
+        100 * p + k
+    }
+
+    /// A delay node with two paths, each a pipe of 8 Mbps (1 µs a byte)
+    /// plus 100 µs onto its own wire to its own sink, and [`FRAMES`]
+    /// frames arriving on each at 0: they are ready at 1.1, 2.1, 3.1 and
+    /// 4.1 ms.
+    fn lab() -> (Engine, ComponentId, [ComponentId; 2]) {
+        let mut e = Engine::new(1);
+        let sinks = [0, 1].map(|_| e.add_component(Box::new(Sink { got: Vec::new() })));
+        let mut node = DelayNodeHost::new(NodeAddr(9), sinks[0], NodeAddr(1), 0, 0.0);
+        let cfg = PipeConfig {
+            bandwidth_bps: Some(8_000_000),
+            delay: SimDuration::from_micros(100),
+            plr: 0.0,
+            queue_slots: 50,
+        };
+        for (p, &sink) in sinks.iter().enumerate() {
+            let out = Wire::new(Endpoint { component: sink, iface: IfaceId(1) }, WIRE_BPS, PROPAGATION);
+            node.add_path(IfaceId(p as u8 + 1), cfg, out);
+        }
+        let dn = e.add_component(Box::new(node));
+        for p in 0..2 {
+            for k in 0..FRAMES {
+                let frame = Frame::new(NodeAddr(1), NodeAddr(2), 1_000, tag(p, k));
+                e.post(dn, SimDuration::ZERO, LinkDeliver { iface: IfaceId(p as u8 + 1), frame });
+            }
+        }
+        (e, dn, sinks)
+    }
+
+    /// What a wire delivers for frames sent at `sent` in order: each
+    /// serializes behind the previous one, as `Wire::send_at` computes.
+    fn on_the_wire(sent: &[(SimTime, u32)]) -> Vec<(SimTime, u32)> {
+        let mut busy = SimTime::ZERO;
+        let tx = sim::transmission_time(1_000, WIRE_BPS);
+        sent.iter()
+            .map(|&(at, tag)| {
+                busy = busy.max(at) + tx;
+                (busy + PROPAGATION, tag)
+            })
+            .collect()
+    }
+
+    fn got(e: &Engine, sink: ComponentId) -> &[(SimTime, u32)] {
+        &e.component_ref::<Sink>(sink).expect("sink").got
+    }
+
+    #[test]
+    fn a_suspension_takes_back_exactly_the_frames_that_have_not_left() {
+        let (mut e, dn, sinks) = lab();
+        // Between the second and third ready instants: the first two
+        // frames of each path have left their pipe, though the second
+        // is still queued on the wire.
+        let (suspend, downtime) = (us(2_500), SimDuration::from_millis(1));
+        e.run_until(suspend);
+        e.with_component::<DelayNodeHost, _>(dn, |n, ctx| {
+            assert!(n.begin_checkpoint(ctx, TraceCtx::NONE));
+            assert_eq!(n.last_image().expect("an image").packets(), 4);
+            for p in 0..2 {
+                let held: Vec<u32> = n
+                    .dummynet()
+                    .pipe(PipeId(p as usize))
+                    .queued()
+                    .map(|(_, f)| *f.payload::<u32>().unwrap())
+                    .collect();
+                assert_eq!(held, [tag(p, 2), tag(p, 3)], "the image holds what has not left");
+            }
+            assert_eq!(n.stats.forwarded, 4, "the taken-back frames are uncounted");
+        });
+        e.run_until(suspend + downtime);
+        e.with_component::<DelayNodeHost, _>(dn, |n, ctx| n.resume(ctx));
+        e.run_to_completion();
+
+        for (p, &sink) in sinks.iter().enumerate() {
+            let p = p as u32;
+            // Frames that left by the suspension keep their instants; the
+            // others leave the downtime later, behind those on the wire.
+            let sent: Vec<(SimTime, u32)> = (0..FRAMES)
+                .map(|k| {
+                    let ready = us(1_100 + 1_000 * k as u64);
+                    let ready = if ready <= suspend { ready } else { ready + downtime };
+                    (ready, tag(p, k))
+                })
+                .collect();
+            assert_eq!(got(&e, sink), on_the_wire(&sent), "path {p}");
+        }
+        let n = e.component_ref::<DelayNodeHost>(dn).unwrap();
+        assert_eq!(n.stats.forwarded, 2 * FRAMES as u64);
+    }
+
+    #[test]
+    fn a_restore_mid_stream_drops_what_had_not_left_and_frees_its_wire_time() {
+        let (mut e, dn, sinks) = lab();
+        let mut empty = Dummynet::new();
+        for _ in 0..2 {
+            empty.add_pipe(PipeConfig::passthrough());
+        }
+        empty.suspend(SimTime::ZERO);
+        let empty = empty.serialize(SimTime::ZERO);
+        let at = us(2_500);
+        e.run_until(at);
+        e.with_component::<DelayNodeHost, _>(dn, |n, ctx| {
+            n.restore(ctx, &empty, Vec::new());
+            n.resume_from_restore(ctx);
+        });
+        // A frame through each restored (unshaped) pipe at once: ready
+        // now, it starts on the wire where the last frame that left ends.
+        for p in 0..2 {
+            let frame = Frame::new(NodeAddr(1), NodeAddr(2), 1_000, tag(p, 9));
+            e.post(dn, SimDuration::ZERO, LinkDeliver { iface: IfaceId(p as u8 + 1), frame });
+        }
+        e.run_to_completion();
+
+        for (p, &sink) in sinks.iter().enumerate() {
+            let p = p as u32;
+            let sent = [(us(1_100), tag(p, 0)), (us(2_100), tag(p, 1)), (at, tag(p, 9))];
+            assert_eq!(got(&e, sink), on_the_wire(&sent), "path {p}");
+        }
+    }
 }

@@ -70,7 +70,10 @@ pub struct PipeStats {
 ///
 /// For a work-conserving FIFO server, departure (end of bandwidth service)
 /// and readiness (departure + delay) can be computed at enqueue time, which
-/// keeps the pipe a passive data structure.
+/// keeps the pipe a passive data structure. The delay node posts the
+/// frame's delivery from `ready` as soon as the entry is made, and keeps
+/// the entry only for a checkpoint to serialize, or to take back: it
+/// leaves at the next `pop_ready` at or after `ready`.
 #[derive(Clone, Debug)]
 struct Entry {
     departure: SimTime,
@@ -190,6 +193,11 @@ impl Pipe {
     pub fn next_ready(&self) -> Option<SimTime> {
         // FIFO discipline ⇒ the head is the earliest.
         self.in_flight.front().map(|e| e.ready)
+    }
+
+    /// The buffered frames with their ready instants, front to back.
+    pub fn queued(&self) -> impl Iterator<Item = (SimTime, &Frame)> {
+        self.in_flight.iter().map(|e| (e.ready, &e.frame))
     }
 
     /// Removes all packets ready at `now`, handing each to `sink` in order.

@@ -4,7 +4,10 @@
 //! serialization at line rate and a propagation delay. A wire is state
 //! owned by the one component that sends on it, not a component of its
 //! own: the sender serializes the frame and posts its arrival itself, so
-//! a hop costs one event, the [`LinkDeliver`] at the far end.
+//! a hop costs one event, the [`LinkDeliver`] at the far end. A host
+//! sends now; a delay node sends a shaped frame as its pipe takes it, from
+//! the instant the frame will leave the pipe ([`Wire::send_at`]), and
+//! takes back with [`Wire::rewind`] what has not left when it suspends.
 //! Traffic *shaping* (the bandwidth/latency/loss an experimenter asks for)
 //! is not done here: as in Emulab, it happens in interposed delay nodes
 //! (the `dummynet` crate), and the raw wire stays fast and dumb.
@@ -15,8 +18,8 @@ use std::sync::Arc;
 use sim::buggify;
 use sim::buggify::points as bg_points;
 use sim::{
-    transmission_time, Component, ComponentId, Ctx, FaultPlan, IntMap, LineRate, Payload,
-    SimDuration, SimRng, SimTime,
+    transmission_time, Component, ComponentId, Ctx, EventId, FaultPlan, IntMap, LineRate,
+    Payload, SimDuration, SimRng, SimTime,
 };
 
 /// A testbed-wide interface address (plays the role of a MAC address).
@@ -135,13 +138,26 @@ impl Wire {
         }
     }
 
-    /// Serializes `frame` behind whatever is already on the wire and
-    /// posts its arrival at the far end.
-    pub fn send(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
-        let start = self.busy_until.max(ctx.now());
-        self.busy_until = start + self.rate.transmission_time(frame.wire_bytes as u64);
+    /// Serializes `frame` behind whatever is already on the wire, starting
+    /// no earlier than `at` (a sender passes `ctx.now()`, a delay node the
+    /// frame's ready instant), and posts its arrival at the far end.
+    /// Returns the arrival's event and the wire's `busy_until` before this
+    /// frame: a sender that cancels that event, and every later one, hands
+    /// the value to [`Wire::rewind`].
+    pub fn send_at(&mut self, ctx: &mut Ctx<'_>, at: SimTime, frame: Frame) -> (EventId, SimTime) {
+        let was = self.busy_until;
+        self.busy_until = was.max(at) + self.rate.transmission_time(frame.wire_bytes as u64);
         let arrive = self.busy_until + self.propagation;
-        ctx.post_at(self.dst.component, arrive, LinkDeliver { iface: self.dst.iface, frame });
+        let ev = ctx.post_at(self.dst.component, arrive, LinkDeliver { iface: self.dst.iface, frame });
+        (ev, was)
+    }
+
+    /// Sets the wire free from `busy_until` on: the value [`Wire::send_at`]
+    /// returned for the first of the frames whose arrivals the sender took
+    /// back, so the next frame serializes where the last one left in
+    /// place ended.
+    pub fn rewind(&mut self, busy_until: SimTime) {
+        self.busy_until = busy_until;
     }
 }
 
@@ -392,7 +408,10 @@ mod tests {
     }
 
     fn send(e: &mut Engine, node: ComponentId, bytes: u32) {
-        e.with_component::<Node, _>(node, |n, ctx| n.out.send(ctx, frame(bytes)));
+        e.with_component::<Node, _>(node, |n, ctx| {
+            let now = ctx.now();
+            n.out.send_at(ctx, now, frame(bytes));
+        });
     }
 
     fn arrivals(got: &[(SimTime, IfaceId, Frame)]) -> Vec<u64> {

@@ -19,8 +19,8 @@
 //!   timeouts) never inflate the heap. An entry is three plain words —
 //!   time, sequence number, event id — compared as the packed
 //!   `(time << 64) | seq`: equal-timestamp events fire in schedule
-//!   order. The heap on the per-packet workloads is a dozen entries
-//!   deep, so what it costs is not depth but stalls: an entry padded to
+//!   order. The heap on the per-packet workloads holds about twenty
+//!   entries, so what it costs is not depth but stalls: an entry padded to
 //!   32 bytes, or reloaded right after it was stored in pieces of
 //!   another width, makes every sift wait for the store buffer.
 //! - **A same-instant lane beside the heap.** Posts for the instant being
@@ -36,9 +36,10 @@
 //!   a frame event: `hwsim`'s `LinkDeliver` and `LanTransmit` (a 32-byte
 //!   `Frame` plus a port), and the message enums of the VM host and the
 //!   delay node, fit — each asserts so with [`fits_inline`] next to its
-//!   definition — so none of a packet hop's four events (`NetTxDone`,
-//!   the delivery at the delay node, `PipeWake`, the delivery at the
-//!   receiver) touches the allocator. No payload the workspace posts on a
+//!   definition — so none of a packet hop's three events (`NetTxDone`,
+//!   the delivery at the delay node, and the delivery at the receiver,
+//!   which the delay node posts as its pipe takes the frame) touches the
+//!   allocator. No payload the workspace posts on a
 //!   plain engine is larger; one that is, and every payload that crosses
 //!   shards, travels as a `Box<T>` in the slot. Storage strategy only
 //!   decides where bytes live — payload values, delivery order, and
@@ -449,6 +450,24 @@ struct Slot {
 // accident of field order — widening it costs cache on every sift.
 const _: () = assert!(size_of::<Slot>() == 64);
 
+/// Ends the life of the event in `sl`, slot number `slot`, whose payload
+/// is gone: stales its id and pushes the slot on the free list headed by
+/// `free_head`. A function of the slot, not of the arena: `take` calls it
+/// with the payload moved out and nothing left to index, so nothing can
+/// unwind while the payload waits on its stack (no landing pad to drop it)
+/// and no `payload = None` drop check has to be proven dead. With either,
+/// an edit elsewhere in the crate could grow `take` from 0x12b to 0x1b4.
+#[inline]
+fn free_slot(sl: &mut Slot, free_head: &mut u32, slot: u32) {
+    sl.gen = sl.gen.wrapping_add(1);
+    if sl.gen == 0 {
+        // Generation 0 marks "never valid" (fabricated ids); skip it.
+        sl.gen = 1;
+    }
+    sl.pos = *free_head;
+    *free_head = slot;
+}
+
 /// The next event to fire, as found by [`Scheduler::next_before`]: what
 /// the dispatcher needs before it calls the handler, and where
 /// [`Scheduler::take`] finds the rest.
@@ -602,25 +621,13 @@ impl Scheduler {
         s.expect("slot arena full")
     }
 
-    /// Ends the life of the event in `slot`: drops its payload if it is
-    /// still there, stales its id and puts the slot on the free list.
-    #[inline]
-    fn release_slot(&mut self, slot: u32) {
-        let sl = &mut self.slots[slot as usize];
-        sl.payload = None;
-        sl.gen = sl.gen.wrapping_add(1);
-        if sl.gen == 0 {
-            // Generation 0 marks "never valid" (fabricated ids); skip it.
-            sl.gen = 1;
-        }
-        sl.pos = self.free_head;
-        self.free_head = slot;
-    }
-
-    /// Frees the live slot `slot` and removes its queue entry.
+    /// Frees the live slot `slot`, dropping its payload, and removes its
+    /// queue entry.
     fn unlink(&mut self, slot: u32) {
-        let pos = self.slots[slot as usize].pos;
-        self.release_slot(slot);
+        let sl = &mut self.slots[slot as usize];
+        let pos = sl.pos;
+        sl.payload = None;
+        free_slot(sl, &mut self.free_head, slot);
         if pos == IN_LANE {
             // The lane holds one instant's posts that have not fired
             // yet: a short scan, on a path nothing hot takes.
@@ -694,8 +701,11 @@ impl Scheduler {
     /// payload — this function's whole return value, which the caller
     /// hands on as it is — is copied once, from its slot into the argument
     /// the handler receives, instead of through a field of a struct in
-    /// one frame that the next reloads.
-    #[inline]
+    /// one frame that the next reloads. Out of line, where the compiler
+    /// has always placed it: left to the inliner, this body (0x12a bytes)
+    /// is folded into `Engine::dispatch_next`, a dispatch loop of a shape
+    /// never measured.
+    #[inline(never)]
     pub fn take(&mut self, due: &Due) -> Payload {
         if self.slots[due.slot as usize].pos == IN_LANE {
             let front = self.lane.pop_front();
@@ -709,9 +719,11 @@ impl Scheduler {
         }
         // The payload leaves its slot last, with nothing that can unwind
         // between here and the handler call: a copy that must survive a
-        // call is one the optimizer keeps in a frame of its own.
-        let payload = self.slots[due.slot as usize].payload.take();
-        self.release_slot(due.slot);
+        // call, or a panic, is one the optimizer keeps in a frame of its
+        // own.
+        let sl = &mut self.slots[due.slot as usize];
+        free_slot(sl, &mut self.free_head, due.slot);
+        let payload = sl.payload.take();
         Payload(payload.expect("live generation without payload"))
     }
 

@@ -80,7 +80,7 @@ enum VmMsg {
     MirrorRetry,
 }
 
-// One of every packet hop's four events is a `VmMsg` (`NetTxDone`): keep
+// One of every packet hop's three events is a `VmMsg` (`NetTxDone`): keep
 // it inline in the event slot (see `sim::fits_inline`).
 const _: () = assert!(sim::fits_inline::<VmMsg>());
 
@@ -654,7 +654,10 @@ impl VmHost {
             if let Ok(i) = self.exp_routes.binary_search_by_key(&dst, |&(d, _)| d) {
                 let frame = Frame::shared(self.cfg.node, dst, seg.wire_bytes(), seg);
                 match &mut self.exp_routes[i].1 {
-                    ExpPort::Wire(wire) => wire.send(ctx, frame),
+                    ExpPort::Wire(wire) => {
+                        let now = ctx.now();
+                        wire.send_at(ctx, now, frame);
+                    }
                     ExpPort::Lan { lan } => {
                         ctx.post(*lan, SimDuration::ZERO, LanTransmit { frame });
                     }
